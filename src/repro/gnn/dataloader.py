@@ -33,21 +33,17 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from ..graph.store.handle import as_handle, resolve_graph_argument
+from ..cluster.comm import Network
+from ..graph.store.handle import as_handle
 from ..obs import MetricsRegistry, StatsViewMixin, Tracer
 from .caching import FeatureCache
 from .layers import GraphTensors
 from .models import NodeClassifier
-from .pipeline import (
-    ScheduleResult,
-    StageTimes,
-    pipelined_schedule,
-    sequential_schedule,
-)
+from .pipeline import StageTimes, pipelined_schedule, sequential_schedule
 from .sampling import Block, NeighborSampler
 from .tensor import Tensor, no_grad
 
@@ -107,14 +103,19 @@ class ItemSampler:
 
 
 class FeatureFetcher:
-    """Stage 4 — materialize feature rows for a sampled block.
+    """Stage 4 — the one reader of feature rows for a sampled block.
 
     Rows come from an explicit ``(n, d)`` array when given, else from
-    the handle's feature shards (``handle.features(ids)`` — paged
-    per-partition reads on stored graphs).  A
+    the handle's feature shards, one ``handle.features(ids)`` call per
+    block (paged per-partition reads on stored graphs).  A
     :class:`~repro.gnn.caching.FeatureCache` in front models the remote
     fetch: hits are rows already resident, misses are rows that had to
     be pulled, and both are mirrored into ``gnn.loader.*`` counters.
+
+    With an ``assignment`` (vertex -> owning partition) the fetcher
+    acts for one ``worker``: rows it owns are free (``local_rows``),
+    only remote rows walk the cache, and the misses are billed on
+    ``network`` with one ``features`` message per owning partition.
     """
 
     def __init__(
@@ -123,49 +124,58 @@ class FeatureFetcher:
         features: Optional[np.ndarray] = None,
         cache: Optional[FeatureCache] = None,
         obs: Optional[MetricsRegistry] = None,
+        assignment: Optional[np.ndarray] = None,
+        worker: Optional[int] = None,
+        network: Optional[Network] = None,
     ) -> None:
+        if (assignment is None) != (worker is None) or (
+            network is not None and assignment is None
+        ):
+            raise ValueError("owner-aware fetching needs assignment and worker")
         self.handle = handle
         self._features = None if features is None else np.asarray(features)
         self.cache = cache
         self.obs = obs
+        self.assignment = assignment
+        self.worker = worker
+        self.network = network
         self.hits = 0
         self.misses = 0
-
-    @property
-    def feature_dim(self) -> int:
-        if self._features is not None:
-            return int(self._features.shape[1])
-        probe = self.handle.features(np.zeros(1, dtype=np.int64))
-        return 0 if probe is None else int(probe.shape[1])
+        self.local_rows = 0
 
     def fetch(self, node_ids: np.ndarray) -> np.ndarray:
         """Gather rows for ``node_ids``; returns the dense batch array."""
+        node_ids = np.asarray(node_ids, dtype=np.int64)
         if self._features is not None:
             rows = self._features[node_ids]
         else:
-            rows = (
-                None if self.handle is None
-                else self.handle.features(np.asarray(node_ids, dtype=np.int64))
-            )
+            rows = None if self.handle is None else self.handle.features(node_ids)
             if rows is None:
                 raise TypeError(
                     "FeatureFetcher needs features: pass the array or use "
                     "a handle that carries feature shards"
                 )
-        hits = misses = 0
+        remote = node_ids
+        if self.assignment is not None:
+            remote = node_ids[self.assignment[node_ids] != self.worker]
+            self.local_rows += node_ids.size - remote.size
+        missed = remote
         if self.cache is not None:
-            for v in node_ids:
-                if self.cache.lookup(int(v)):
-                    hits += 1
-                else:
-                    misses += 1
-        else:
-            misses = int(len(node_ids))
+            missed = [v for v in remote.tolist() if not self.cache.lookup(v)]
+        hits, misses = len(remote) - len(missed), len(missed)
         self.hits += hits
         self.misses += misses
+        dim = int(rows.shape[1]) if rows.ndim == 2 else 1
+        row_bytes = dim * rows.dtype.itemsize
+        if self.network is not None and misses:
+            owners, counts = np.unique(self.assignment[missed], return_counts=True)
+            for owner, count in zip(owners.tolist(), counts.tolist()):
+                self.network.send_now(
+                    owner, self.worker, None, tag="features",
+                    nbytes=count * row_bytes,
+                )
+                self.network.receive(self.worker)
         if self.obs is not None:
-            dim = int(rows.shape[1]) if rows.ndim == 2 else 1
-            row_bytes = dim * rows.dtype.itemsize
             self.obs.counter(
                 "gnn.loader.fetched_rows", "feature rows materialized"
             ).inc(len(node_ids))
@@ -207,8 +217,6 @@ class MiniBatch:
     gt: GraphTensors
     x: np.ndarray
     times: StageTimes
-    cache_hits: int = 0
-    cache_misses: int = 0
     partitions: Optional[frozenset] = None
 
     @property
@@ -230,63 +238,6 @@ class MiniBatch:
 _DONE = object()
 
 
-class _PrefetchIterator:
-    """Bounded single-producer prefetch over a batch generator.
-
-    One daemon thread runs the producer generator — and therefore the
-    seeded RNG — in exactly the synchronous order, so prefetch changes
-    timing, never content.  ``maxsize`` bounds staging memory.
-    """
-
-    def __init__(self, source: Iterator[Any], depth: int) -> None:
-        self._queue: "queue.Queue" = queue.Queue(maxsize=depth)
-        self._stop = threading.Event()
-        self._error: Optional[BaseException] = None
-
-        def _produce() -> None:
-            try:
-                for item in source:
-                    while not self._stop.is_set():
-                        try:
-                            self._queue.put(item, timeout=0.1)
-                            break
-                        except queue.Full:
-                            continue
-                    if self._stop.is_set():
-                        return
-            except BaseException as exc:  # surfaced on the consumer side
-                self._error = exc
-            finally:
-                try:
-                    self._queue.put(_DONE, timeout=1.0)
-                except queue.Full:
-                    pass
-
-        self._thread = threading.Thread(target=_produce, daemon=True)
-        self._thread.start()
-
-    def __iter__(self) -> "_PrefetchIterator":
-        return self
-
-    def __next__(self) -> Any:
-        item = self._queue.get()
-        if item is _DONE:
-            self._thread.join(timeout=5.0)
-            if self._error is not None:
-                raise self._error
-            raise StopIteration
-        return item
-
-    def close(self) -> None:
-        self._stop.set()
-        while True:  # unblock a producer stuck on a full queue
-            try:
-                self._queue.get_nowait()
-            except queue.Empty:
-                break
-        self._thread.join(timeout=5.0)
-
-
 class MiniBatchLoader:
     """The composed staged pipeline with bounded prefetch.
 
@@ -298,6 +249,10 @@ class MiniBatchLoader:
     ``prefetch=0`` runs synchronously (and emits ``gnn.loader.stage``
     tracer spans when a tracer is given); ``prefetch=k`` stages up to
     ``k`` batches ahead through a bounded queue.
+
+    ``seed`` may be a ``Generator`` shared by several loaders (the
+    per-worker loaders of one distributed run); ``fetcher`` replaces
+    the default ``FeatureFetcher(handle, features, cache)``.
     """
 
     def __init__(
@@ -314,17 +269,18 @@ class MiniBatchLoader:
         prefetch: int = 0,
         obs: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
+        fetcher: Optional[FeatureFetcher] = None,
     ) -> None:
         if prefetch < 0:
             raise ValueError("prefetch must be >= 0")
+        if fetcher is not None and (features is not None or cache is not None):
+            raise ValueError("features/cache belong to the fetcher passed as fetcher=")
         self.handle = as_handle(graph_or_handle)
         self.item_sampler = ItemSampler(
             items, batch_size, shuffle=shuffle, drop_last=drop_last
         )
         self.sampler = NeighborSampler(self.handle, fanouts, seed=seed)
-        if features is None:
-            features = self.handle.features()
-        self.fetcher = FeatureFetcher(
+        self.fetcher = fetcher or FeatureFetcher(
             self.handle, features=features, cache=cache, obs=obs
         )
         self.prefetch = int(prefetch)
@@ -333,7 +289,6 @@ class MiniBatchLoader:
         self.stage_times: List[StageTimes] = []
         self.batches_emitted = 0
         self.epochs_run = 0
-        self._epoch_index = 0
         self._assignment = getattr(self.handle, "assignment", None)
 
     def __len__(self) -> int:
@@ -351,7 +306,6 @@ class MiniBatchLoader:
         block = self.sampler.sample(seeds)
         gt = block.tensors()
         t1 = time.perf_counter()
-        before_hits, before_misses = self.fetcher.hits, self.fetcher.misses
         x = self.fetcher.fetch(block.node_ids)
         t2 = time.perf_counter()
         times = StageTimes(sample=t1 - t0, gather=t2 - t1, compute=0.0)
@@ -367,12 +321,11 @@ class MiniBatchLoader:
             self.obs.counter(
                 "gnn.loader.gathered_nodes", "block nodes materialized"
             ).inc(block.gathered_nodes)
-            self.obs.histogram(
+            stage_seconds = self.obs.histogram(
                 "gnn.loader.stage_seconds", "per-stage wall seconds"
-            ).observe(times.sample, stage="sample")
-            self.obs.histogram(
-                "gnn.loader.stage_seconds", "per-stage wall seconds"
-            ).observe(times.gather, stage="gather")
+            )
+            stage_seconds.observe(times.sample, stage="sample")
+            stage_seconds.observe(times.gather, stage="gather")
         if span is not None:
             span.__exit__(None, None, None)
         return MiniBatch(
@@ -383,8 +336,6 @@ class MiniBatchLoader:
             gt=gt,
             x=x,
             times=times,
-            cache_hits=self.fetcher.hits - before_hits,
-            cache_misses=self.fetcher.misses - before_misses,
             partitions=partitions,
         )
 
@@ -398,18 +349,58 @@ class MiniBatchLoader:
         Successive calls continue the same RNG stream (one permutation
         per epoch), exactly like repeated ``sampler.batches`` calls.
         """
-        epoch = self._epoch_index
-        self._epoch_index += 1
+        epoch = self.epochs_run
         self.epochs_run += 1
         if self.obs is not None:
             self.obs.counter("gnn.loader.epochs", "loader epochs started").inc()
         source = self._produce_epoch(epoch)
         if self.prefetch == 0:
             return source
-        return _PrefetchIterator(source, self.prefetch)
+        return self._prefetched(source)
 
-    def __iter__(self) -> Iterator[MiniBatch]:
-        return self.epoch()
+    def _prefetched(self, source: Iterator[MiniBatch]) -> Iterator[MiniBatch]:
+        """Run ``source`` up to ``prefetch`` batches ahead on one thread.
+
+        One producer drains the seeded RNG in synchronous order, so
+        prefetch changes timing, never content.  Batches, the
+        end-of-epoch sentinel and a producer error all wait for queue
+        room until placed; the producer is stopped and joined however
+        the epoch ends (exhausted, ``break`` / ``close``, exception).
+        """
+        staged: "queue.Queue" = queue.Queue(maxsize=self.prefetch)
+        stop = threading.Event()
+
+        def put(item: Any) -> bool:
+            while not stop.is_set():
+                try:
+                    staged.put(item, timeout=0.1)
+                    return True
+                except queue.Full:
+                    continue
+            return False
+
+        def produce() -> None:
+            try:
+                for item in source:
+                    if not put(item):
+                        return
+                put(_DONE)
+            except BaseException as exc:  # re-raised on the consumer side
+                put(exc)
+
+        producer = threading.Thread(target=produce, daemon=True)
+        producer.start()
+        try:
+            while True:
+                item = staged.get()
+                if item is _DONE:
+                    return
+                if isinstance(item, BaseException):
+                    raise item
+                yield item
+        finally:
+            stop.set()
+            producer.join()
 
     # -- accounting --------------------------------------------------------
 
@@ -488,7 +479,7 @@ def sampled_inference_blocks(
 
 def infer_sampled(
     model: NodeClassifier,
-    graph_or_handle=None,
+    graph_or_handle,
     features: Optional[np.ndarray] = None,
     nodes: Optional[Sequence[int]] = None,
     batch_size: int = 64,
@@ -496,48 +487,40 @@ def infer_sampled(
     seed: int = 0,
     obs: Optional[MetricsRegistry] = None,
     report: Optional[InferReport] = None,
-    *,
-    graph=None,
 ) -> np.ndarray:
     """Bounded-cost sampled inference: predicted classes for ``nodes``.
 
     Each batch's work is capped by ``batch_size * prod(fanouts)``
     rather than ``|E|`` — the property that lets serve answer
     ``gnn.predict`` on stored graphs too large for a full forward.
-    Deterministic at fixed ``seed``; pass an :class:`InferReport` to
-    collect message counts and the touched node set.
+    Runs on an unshuffled :class:`MiniBatchLoader` (the block stream of
+    :func:`sampled_inference_blocks`).  Deterministic at fixed ``seed``;
+    pass an :class:`InferReport` to collect message counts and the
+    touched node set.
     """
-    handle = as_handle(
-        resolve_graph_argument("infer_sampled", graph_or_handle, graph)
-    )
-    if features is None:
-        features = handle.features()
-    if features is None:
-        raise TypeError(
-            "infer_sampled() needs features: pass the array or use a "
-            "handle that carries feature shards"
-        )
-    features = np.asarray(features)
+    handle = as_handle(graph_or_handle)
     if nodes is None:
         nodes = np.arange(handle.num_vertices, dtype=np.int64)
     else:
         nodes = np.asarray(list(nodes), dtype=np.int64)
+    loader = MiniBatchLoader(
+        handle, items=nodes, batch_size=batch_size, fanouts=fanouts,
+        features=features, shuffle=False, seed=seed,
+    )
     preds = np.empty(nodes.size, dtype=np.int64)
     rep = report if report is not None else InferReport()
     pos = 0
-    for block in sampled_inference_blocks(handle, nodes, fanouts, seed, batch_size):
-        gt = block.tensors()
-        x = Tensor(features[block.node_ids])
+    for mb in loader.epoch():
         with no_grad():
-            logits = model(gt, x).data
-        batch_preds = np.argmax(logits[block.seed_local], axis=1)
+            logits = model(mb.gt, Tensor(mb.x)).data
+        batch_preds = np.argmax(logits[mb.seed_local], axis=1)
         preds[pos: pos + batch_preds.size] = batch_preds
         pos += batch_preds.size
         rep.batches += 1
-        rep.seeds += int(block.seed_local.size)
-        rep.gathered_features += block.gathered_nodes
-        rep.messages += int(gt.num_messages)
-        rep._touched_parts.append(block.node_ids)
+        rep.seeds += int(mb.seed_local.size)
+        rep.gathered_features += mb.gathered_nodes
+        rep.messages += int(mb.gt.num_messages)
+        rep._touched_parts.append(mb.node_ids)
     if rep._touched_parts:
         rep.touched = np.unique(np.concatenate(rep._touched_parts))
     else:

@@ -21,7 +21,7 @@ The learning itself is standard sampled training (same math as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,17 +29,28 @@ from ..cluster.comm import Network
 from ..graph.csr import Graph
 from ..graph.partition import Partition
 from .caching import LRUCache, StaticDegreeCache
+from .dataloader import FeatureFetcher, MiniBatchLoader
+from .layers import GraphTensors
 from .models import Adam, NodeClassifier, accuracy
-from .sampling import NeighborSampler
 from .tensor import Tensor, no_grad
-from .train import TrainReport
+from .train import TrainReport, train_epoch
 
 __all__ = ["DistributedSampledTrainer"]
+
+_CACHE_POLICIES = {
+    "degree": StaticDegreeCache,  # AliGraph
+    "lru": lambda graph, capacity: LRUCache(capacity),  # BGL
+}
 
 
 @dataclass
 class DistributedSampledTrainer:
-    """DistDGL-style trainer: partition + sampling + feature cache."""
+    """DistDGL-style trainer: partition + sampling + feature cache.
+
+    One ``MiniBatchLoader`` per worker over that worker's training
+    vertices, each with its own owner-aware ``FeatureFetcher`` (cache +
+    the shared network); all loaders draw from one seeded generator.
+    """
 
     model: NodeClassifier
     graph: Graph
@@ -54,49 +65,26 @@ class DistributedSampledTrainer:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.network = Network(self.partition.num_parts)
+        num_parts = self.partition.num_parts
+        self.network = Network(num_parts)
         self._optimizer = Adam(self.model.parameters(), lr=self.lr)
-        self._sampler = NeighborSampler(self.graph, self.fanouts, seed=self.seed)
-        self._caches = [
-            self._make_cache() for _ in range(self.partition.num_parts)
-        ]
-        self.cache_hits = 0
-        self.remote_rows = 0
-        self.local_rows = 0
-
-    def _make_cache(self):
-        if self.cache_capacity <= 0:
-            return None
-        if self.cache_policy == "degree":
-            return StaticDegreeCache(self.graph, self.cache_capacity)
-        if self.cache_policy == "lru":
-            return LRUCache(self.cache_capacity)
-        raise ValueError(f"unknown cache policy {self.cache_policy!r}")
-
-    # -- feature fetch pricing ------------------------------------------------
-
-    def _fetch_rows(self, worker: int, node_ids: np.ndarray) -> None:
-        feature_dim = self.features.shape[1]
-        cache = self._caches[worker]
-        per_owner: Dict[int, int] = {}
-        for v in node_ids:
-            owner = int(self.partition.assignment[int(v)])
-            if owner == worker:
-                self.local_rows += 1
-                continue
-            if cache is not None and cache.lookup(int(v)):
-                self.cache_hits += 1
-                continue
-            self.remote_rows += 1
-            per_owner[owner] = per_owner.get(owner, 0) + 1
-        for owner, count in per_owner.items():
-            self.network.send_now(
-                owner, worker, None, tag="features",
-                nbytes=count * feature_dim * 8,
+        self._rng = np.random.default_rng(self.seed)
+        caches = [None] * num_parts
+        if self.cache_capacity > 0:
+            if self.cache_policy not in _CACHE_POLICIES:
+                raise ValueError(f"unknown cache policy {self.cache_policy!r}")
+            make = _CACHE_POLICIES[self.cache_policy]
+            caches = [make(self.graph, self.cache_capacity) for _ in range(num_parts)]
+        self._fetchers = [
+            FeatureFetcher(
+                features=self.features,
+                cache=cache,
+                assignment=self.partition.assignment,
+                worker=worker,
+                network=self.network,
             )
-            self.network.receive(worker)
-
-    # -- training ----------------------------------------------------------------
+            for worker, cache in enumerate(caches)
+        ]
 
     def train(
         self,
@@ -106,41 +94,45 @@ class DistributedSampledTrainer:
     ) -> TrainReport:
         report = TrainReport()
         train_nodes = np.nonzero(train_mask)[0]
-        owners = self.partition.assignment
-        from .layers import GraphTensors
-
+        owners = self.partition.assignment[train_nodes]
+        # Each worker samples batches from its own training vertices
+        # (DistDGL's local-batch policy); we round-robin workers.
+        loaders = [
+            MiniBatchLoader(
+                self.graph,
+                items=train_nodes[owners == worker],
+                batch_size=self.batch_size,
+                fanouts=self.fanouts,
+                seed=self._rng,
+                fetcher=fetcher,
+            )
+            for worker, fetcher in enumerate(self._fetchers)
+            if np.any(owners == worker)
+        ]
+        gt_full = GraphTensors(self.graph)
         for _ in range(epochs):
-            # Each worker samples batches from its own training vertices
-            # (DistDGL's local-batch policy); we round-robin workers.
-            for worker in range(self.partition.num_parts):
-                local_train = train_nodes[
-                    owners[train_nodes] == worker
-                ]
-                if local_train.size == 0:
-                    continue
-                for block in self._sampler.batches(local_train, self.batch_size):
-                    self._fetch_rows(worker, block.node_ids)
-                    gt = block.tensors()
-                    x = Tensor(self.features[block.node_ids])
-                    self._optimizer.zero_grad()
-                    logits = self.model(gt, x)
-                    seed_logits = logits.gather_rows(block.seed_local)
-                    seed_labels = self.labels[
-                        block.node_ids[block.seed_local]
-                    ]
-                    loss = seed_logits.cross_entropy(seed_labels)
-                    loss.backward()
-                    self._optimizer.step()
-                    report.losses.append(float(loss.data))
-                    report.steps += 1
-                    report.gathered_features += block.gathered_nodes
-            gt_full = GraphTensors(self.graph)
+            for loader in loaders:
+                train_epoch(
+                    loader, self.model, self._optimizer, self.labels, report
+                )
             with no_grad():
                 out = self.model(gt_full, Tensor(self.features)).data
             report.train_accuracy.append(accuracy(out, self.labels, train_mask))
             if val_mask is not None:
                 report.val_accuracy.append(accuracy(out, self.labels, val_mask))
         return report
+
+    @property
+    def local_rows(self) -> int:
+        return sum(f.local_rows for f in self._fetchers)
+
+    @property
+    def cache_hits(self) -> int:
+        return sum(f.hits for f in self._fetchers)
+
+    @property
+    def remote_rows(self) -> int:
+        return sum(f.misses for f in self._fetchers)
 
     @property
     def feature_bytes(self) -> int:

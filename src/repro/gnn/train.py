@@ -17,20 +17,20 @@ and tests can compare convergence as well as cost.
 from __future__ import annotations
 
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..graph.csr import Graph
-from ..graph.store.handle import as_handle, resolve_graph_argument
+from ..graph.store.handle import as_handle
 from ..obs import MetricsRegistry, StatsViewMixin, Tracer, merge_counters
 from ..resilience import FaultInjector, SnapshotStore
 from .layers import GraphTensors
 from .models import Adam, NodeClassifier, accuracy
 from .tensor import Tensor, no_grad
 
-__all__ = ["TrainReport", "train_full_graph", "train_sampled"]
+__all__ = ["TrainReport", "train_epoch", "train_full_graph", "train_sampled"]
 
 SNAPSHOT_TAG = "gnn"
 
@@ -129,7 +129,7 @@ class TrainReport(StatsViewMixin):
 
 def train_full_graph(
     model: NodeClassifier,
-    graph_or_handle=None,
+    graph_or_handle,
     features: Optional[np.ndarray] = None,
     labels: Optional[np.ndarray] = None,
     train_mask: Optional[np.ndarray] = None,
@@ -141,16 +141,13 @@ def train_full_graph(
     snapshots: Optional[SnapshotStore] = None,
     checkpoint_every: Optional[int] = None,
     tracer: Optional[Tracer] = None,
-    *,
-    graph: Optional[Graph] = None,
 ) -> TrainReport:
     """Full-graph training with masked cross-entropy.
 
     ``graph_or_handle`` takes a :class:`Graph`, any
     :class:`~repro.graph.store.GraphHandle`, or a store-directory path;
     when ``features`` is omitted they are pulled from the handle's
-    feature shards (``handle.features()``).  The old ``graph=`` keyword
-    still works with a :class:`DeprecationWarning`.
+    feature shards (``handle.features()``).
 
     With an ``injector``, ``fail_epoch`` faults crash the loop at the
     start of that epoch; training resumes from the latest ``gnn``
@@ -160,9 +157,7 @@ def train_full_graph(
     """
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
-    handle = as_handle(
-        resolve_graph_argument("train_full_graph", graph_or_handle, graph)
-    )
+    handle = as_handle(graph_or_handle)
     if features is None:
         features = handle.features()
     if features is None:
@@ -227,9 +222,35 @@ def train_full_graph(
     return report
 
 
+def train_epoch(
+    loader: "MiniBatchLoader",
+    model: NodeClassifier,
+    optimizer: Adam,
+    labels: np.ndarray,
+    report: TrainReport,
+    obs: Optional[MetricsRegistry] = None,
+) -> None:
+    """One pass over ``loader`` — the step every sampled trainer runs.
+
+    The epoch is closed however the pass ends, so a raising step never
+    strands the loader's prefetch thread.
+    """
+    with closing(loader.epoch()) as batches:
+        for mb in batches:
+            t0 = time.perf_counter()
+            optimizer.zero_grad()
+            logits = model(mb.gt, Tensor(mb.x))
+            seed_logits = logits.gather_rows(mb.seed_local)
+            loss = seed_logits.cross_entropy(labels[mb.node_ids[mb.seed_local]])
+            loss.backward()
+            optimizer.step()
+            mb.record_compute(time.perf_counter() - t0)
+            report.record_step(float(loss.data), mb.gathered_nodes, obs=obs)
+
+
 def train_sampled(
     model: NodeClassifier,
-    graph_or_handle=None,
+    graph_or_handle,
     features: Optional[np.ndarray] = None,
     labels: Optional[np.ndarray] = None,
     train_mask: Optional[np.ndarray] = None,
@@ -241,7 +262,6 @@ def train_sampled(
     seed: int = 0,
     obs: Optional[MetricsRegistry] = None,
     *,
-    graph: Optional[Graph] = None,
     prefetch: int = 0,
     cache=None,
     full_eval: bool = False,
@@ -255,32 +275,22 @@ def train_sampled(
     graph, so a step's work (and feature-gather volume) is independent
     of ``|V|`` — the bound that makes the industrial systems scale.
     Like :func:`train_full_graph`, ``graph_or_handle`` accepts a graph,
-    handle, or store path, and ``features`` default to feature shards.
+    handle, or store path; when ``features`` is omitted each block's
+    rows are pulled from the handle's feature shards, never the whole
+    matrix.
 
     Batches come from a :class:`~repro.gnn.dataloader.MiniBatchLoader`
     (pass ``prefetch``/``cache`` to configure it, or hand in a prebuilt
-    ``loader`` to inspect its schedule/cache reports afterwards).  The
-    loader reproduces the legacy sampling loop's RNG order, so losses
-    are bit-identical with the pre-loader trainer at fixed ``seed``,
-    with prefetch on or off.
+    ``loader`` to inspect its schedule/cache reports afterwards); at
+    fixed ``seed`` the losses are the same with prefetch on or off.
 
     Per-epoch evaluation runs **sampled inference** over the masked
-    nodes (cost bounded by fanout, so evaluation no longer re-breaks
-    the |V|-independent bound on large graphs); ``full_eval=True``
-    restores the exact full-graph forward for small-graph parity tests.
+    nodes, so it too is bounded by fanout rather than ``|V|``;
+    ``full_eval=True`` runs the exact full-graph forward instead.
     """
     from .dataloader import MiniBatchLoader, infer_sampled
 
-    handle = as_handle(
-        resolve_graph_argument("train_sampled", graph_or_handle, graph)
-    )
-    if features is None:
-        features = handle.features()
-    if features is None:
-        raise TypeError(
-            "train_sampled() needs features: pass the array or use a "
-            "handle that carries feature shards"
-        )
+    handle = as_handle(graph_or_handle)
     if labels is None or train_mask is None:
         raise TypeError(
             "train_sampled() missing required 'labels'/'train_mask'"
@@ -307,22 +317,11 @@ def train_sampled(
             np.concatenate([train_nodes, np.nonzero(val_mask)[0]])
         )
     for epoch_idx in range(epochs):
-        for mb in loader.epoch():
-            t0 = time.perf_counter()
-            x = Tensor(mb.x)
-            optimizer.zero_grad()
-            logits = model(mb.gt, x)
-            seed_logits = logits.gather_rows(mb.seed_local)
-            seed_labels = labels[mb.node_ids[mb.seed_local]]
-            loss = seed_logits.cross_entropy(seed_labels)
-            loss.backward()
-            optimizer.step()
-            mb.record_compute(time.perf_counter() - t0)
-            report.record_step(float(loss.data), mb.gathered_nodes, obs=obs)
+        train_epoch(loader, model, optimizer, labels, report, obs=obs)
         if full_eval:
-            full_gt = GraphTensors(handle)
+            full_x = handle.features() if features is None else features
             with no_grad():
-                out = model(full_gt, Tensor(features)).data
+                out = model(GraphTensors(handle), Tensor(full_x)).data
             report.train_accuracy.append(accuracy(out, labels, train_mask))
             if val_mask is not None:
                 report.val_accuracy.append(accuracy(out, labels, val_mask))

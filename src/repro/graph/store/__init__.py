@@ -37,7 +37,6 @@ from .handle import (
     InMemoryGraph,
     PartitionView,
     as_handle,
-    resolve_graph_argument,
 )
 from .writer import (
     STREAMING_PARTITIONERS,
@@ -69,7 +68,6 @@ __all__ = [
     "InMemoryGraph",
     "PartitionView",
     "as_handle",
-    "resolve_graph_argument",
     "STREAMING_PARTITIONERS",
     "build_store",
     "ingest_edge_stream",

@@ -20,17 +20,13 @@ storage — instead of a concrete :class:`~repro.graph.csr.Graph`:
 shards on demand.  :func:`as_handle` is the single coercion point the
 entry-point sweep funnels through: it accepts a handle (pass-through),
 a ``Graph``, or a store-directory path.
-
-:func:`resolve_graph_argument` implements the deprecation shim for the
-old ``graph=`` keyword spellings (see README "Migrating to handles").
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Iterator, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -38,21 +34,12 @@ from ..csr import Graph
 from ..partition import Partition
 from .format import StoreError, is_store_dir
 
-try:  # pragma: no cover - typing nicety only
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - py<3.8 has no Protocol
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
-
 
 __all__ = [
     "GraphHandle",
     "PartitionView",
     "InMemoryGraph",
     "as_handle",
-    "resolve_graph_argument",
 ]
 
 
@@ -321,33 +308,3 @@ def as_handle(
         f"cannot interpret {type(obj).__name__} as a graph handle; pass a "
         f"Graph, an InMemoryGraph/StoredGraph, or a store directory path"
     )
-
-
-def resolve_graph_argument(
-    func_name: str,
-    graph_or_handle: Any,
-    legacy_graph: Any,
-) -> Any:
-    """Fold the deprecated ``graph=`` keyword into the positional slot.
-
-    Entry points migrated by the handle sweep accept
-    ``f(graph_or_handle, ...)`` but still honor the pre-store spelling
-    ``f(graph=g)`` with a :class:`DeprecationWarning`.  Passing both is
-    an error.
-    """
-    if legacy_graph is not None:
-        if graph_or_handle is not None:
-            raise TypeError(
-                f"{func_name}() got both a positional graph and the "
-                f"deprecated graph= keyword"
-            )
-        warnings.warn(
-            f"{func_name}(graph=...) is deprecated; pass the graph or "
-            f"handle positionally: {func_name}(graph_or_handle, ...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return legacy_graph
-    if graph_or_handle is None:
-        raise TypeError(f"{func_name}() missing required graph argument")
-    return graph_or_handle

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..graph.csr import Graph
 from ..graph.kernels import in_sorted, intersect_multi
-from ..graph.store.handle import as_handle, resolve_graph_argument
+from ..graph.store.handle import as_handle
 from ..obs import StatsViewMixin, merge_counters
 from .pattern import PatternGraph, default_order, symmetry_breaking_restrictions
 
@@ -276,14 +276,12 @@ def _count_roots_task(graph: Graph, payload: Tuple) -> MatchStats:
 
 
 def count_matches(
-    graph_or_handle=None,
-    pattern: Optional[PatternGraph] = None,
+    graph_or_handle,
+    pattern: PatternGraph,
     order: Optional[Sequence[int]] = None,
     distinct: bool = True,
     executor: Optional["ParallelExecutor"] = None,
     stats: Optional[MatchStats] = None,
-    *,
-    graph: Optional[Graph] = None,
 ) -> int:
     """Count embeddings; ``distinct=True`` counts subgraph instances once.
 
@@ -294,11 +292,7 @@ def count_matches(
     Per-worker :class:`MatchStats` are folded into ``stats`` (when given)
     via :meth:`MatchStats.merge`, so merged counters equal a serial run.
     """
-    handle = as_handle(
-        resolve_graph_argument("count_matches", graph_or_handle, graph)
-    )
-    if pattern is None:
-        raise TypeError("count_matches() missing required 'pattern' argument")
+    handle = as_handle(graph_or_handle)
     restrictions: Optional[Sequence[Tuple[int, int]]] = None if distinct else []
     if executor is None:
         # The serial matcher consumes the handle directly — a stored
@@ -324,19 +318,13 @@ def count_matches(
 
 
 def find_matches(
-    graph_or_handle=None,
-    pattern: Optional[PatternGraph] = None,
+    graph_or_handle,
+    pattern: PatternGraph,
     order: Optional[Sequence[int]] = None,
     limit: Optional[int] = None,
-    *,
-    graph: Optional[Graph] = None,
 ) -> List[Tuple[int, ...]]:
     """Materialize embeddings (pattern-vertex order); optionally capped."""
-    handle = as_handle(
-        resolve_graph_argument("find_matches", graph_or_handle, graph)
-    )
-    if pattern is None:
-        raise TypeError("find_matches() missing required 'pattern' argument")
+    handle = as_handle(graph_or_handle)
     found: List[Tuple[int, ...]] = []
 
     class _Stop(Exception):

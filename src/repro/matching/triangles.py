@@ -37,7 +37,7 @@ import numpy as np
 
 from ..graph.csr import Graph
 from ..graph.kernels import expand_frontier, in_sorted
-from ..graph.store.handle import as_handle, resolve_graph_argument
+from ..graph.store.handle import as_handle
 
 __all__ = ["triangle_count", "triangle_list", "triangle_count_with_work"]
 
@@ -58,10 +58,8 @@ def _count_span_task(oriented: Graph, span: Tuple[int, int]) -> int:
 
 
 def triangle_count(
-    graph_or_handle=None,
+    graph_or_handle,
     executor: Optional["ParallelExecutor"] = None,
-    *,
-    graph: Optional[Graph] = None,
 ) -> int:
     """Number of distinct triangles.
 
@@ -70,9 +68,7 @@ def triangle_count(
     chunk sums equal the serial count under any backend.  Orientation
     reorders the whole CSR, so a stored handle is materialized first.
     """
-    handle = as_handle(
-        resolve_graph_argument("triangle_count", graph_or_handle, graph)
-    )
+    handle = as_handle(graph_or_handle)
     oriented = handle.to_graph().orient_by_degree()
     n = oriented.num_vertices
     if executor is None:

@@ -252,11 +252,7 @@ class ResultCache:
 
     def attach(self, graphs) -> "ResultCache":
         """Subscribe to a GraphRegistry's epoch bumps; returns self."""
-        graphs.subscribe(
-            lambda name, epoch, dirty=None: self.invalidate_graph(
-                name, current_epoch=epoch, dirty_partitions=dirty
-            )
-        )
+        graphs.subscribe(self.invalidate_graph)
         return self
 
     # -- readings ----------------------------------------------------------

@@ -42,7 +42,6 @@ conservative everything-footprint.
 
 from __future__ import annotations
 
-import inspect
 from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -276,7 +275,7 @@ class GraphRegistry:
 
     def __init__(self) -> None:
         self._records: Dict[str, GraphRecord] = {}
-        self._listeners: List[Tuple[Callable[..., None], bool]] = []
+        self._listeners: List[Callable[..., None]] = []
 
     def register(self, name: str, graph: Any, **kwargs: Any) -> GraphRecord:
         if name in self._records:
@@ -354,33 +353,18 @@ class GraphRegistry:
         dirty: Optional[FrozenSet[int]] = None,
     ) -> None:
         record.bump()
-        for listener, takes_dirty in self._listeners:
-            if takes_dirty:
-                listener(record.name, record.epoch, dirty)
-            else:
-                listener(record.name, record.epoch)
+        for listener in self._listeners:
+            listener(record.name, record.epoch, dirty)
 
-    def subscribe(self, callback: Callable[..., None]) -> None:
-        """``callback(name, new_epoch[, dirty_partitions])`` per bump.
+    def subscribe(
+        self, callback: Callable[[str, int, Optional[FrozenSet[int]]], None]
+    ) -> None:
+        """``callback(name, new_epoch, dirty_partitions)`` per bump.
 
-        Two-argument callbacks stay supported (they simply never see
-        the dirty-partition report a mutation batch carries); arity is
-        resolved once here, not per notification.
+        ``dirty_partitions`` is the set a mutation batch touched, or
+        ``None`` when the whole graph changed (swap / version bump).
         """
-        takes_dirty = True
-        try:
-            sig = inspect.signature(callback)
-            positional = [
-                p for p in sig.parameters.values()
-                if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-            ]
-            has_var = any(
-                p.kind == p.VAR_POSITIONAL for p in sig.parameters.values()
-            )
-            takes_dirty = has_var or len(positional) >= 3
-        except (TypeError, ValueError):  # builtins without signatures
-            pass
-        self._listeners.append((callback, takes_dirty))
+        self._listeners.append(callback)
 
     def names(self) -> List[str]:
         return sorted(self._records)

@@ -32,8 +32,7 @@ import heapq
 from collections import deque
 from typing import Any, Dict, List, Optional
 
-from ..graph.csr import Graph
-from ..graph.store.handle import as_handle, resolve_graph_argument
+from ..graph.store.handle import as_handle
 from ..obs import MetricsRegistry, StatsViewMixin, Tracer
 from ..parallel.chunking import chunk_list
 from ..resilience import FaultInjector, SnapshotStore
@@ -220,8 +219,8 @@ class TaskEngine:
 
     def __init__(
         self,
-        graph_or_handle=None,
-        program: Optional[TaskProgram] = None,
+        graph_or_handle,
+        program: TaskProgram,
         num_workers: int = 4,
         task_budget: Optional[int] = None,
         steal: bool = True,
@@ -232,20 +231,14 @@ class TaskEngine:
         injector: Optional[FaultInjector] = None,
         snapshots: Optional[SnapshotStore] = None,
         checkpoint_every: Optional[int] = None,
-        *,
-        graph: Optional[Graph] = None,
     ) -> None:
-        if program is None:
-            raise TypeError("TaskEngine() missing required 'program' argument")
         if num_workers < 1:
             raise ValueError("need at least one worker")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        self.graph = as_handle(
-            resolve_graph_argument("TaskEngine", graph_or_handle, graph)
-        )
+        self.graph = as_handle(graph_or_handle)
         self.program = program
         self.num_workers = num_workers
         self.task_budget = task_budget

@@ -26,12 +26,12 @@ single-process engine and return plain results.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..graph.csr import Graph
-from ..graph.store.handle import as_handle, resolve_graph_argument
+from ..graph.store.handle import as_handle
 from .engine import Aggregator, PregelEngine, VertexContext, VertexProgram
 
 __all__ = [
@@ -265,23 +265,19 @@ class TriangleCountProgram(VertexProgram[int, tuple]):
 
 
 def pagerank(
-    graph_or_handle=None,
+    graph_or_handle,
     damping: float = 0.85,
     iterations: int = 20,
-    *,
-    graph: Optional[Graph] = None,
 ) -> np.ndarray:
     """PageRank scores (sum to 1) via the TLAV engine.
 
     ``graph_or_handle`` accepts a :class:`Graph`, any
     :class:`~repro.graph.store.GraphHandle`, or a store-directory path
-    (all engine wrappers in this module share that contract); the old
-    ``graph=`` keyword spelling warns :class:`DeprecationWarning`.
+    (all engine wrappers in this module share that contract).
     """
-    handle = as_handle(resolve_graph_argument("pagerank", graph_or_handle, graph))
     program = PageRankProgram(damping, iterations)
     engine = PregelEngine(
-        handle,
+        graph_or_handle,
         program,
         aggregators={"dangling": Aggregator(reduce=lambda a, b: a + b, initial=0.0)},
         max_supersteps=iterations + 2,
@@ -289,74 +285,63 @@ def pagerank(
     return np.asarray(engine.run(), dtype=np.float64)
 
 
-def sssp(graph_or_handle=None, source: int = 0, *, graph: Optional[Graph] = None) -> np.ndarray:
+def sssp(graph_or_handle, source: int = 0) -> np.ndarray:
     """Hop distances from ``source`` (inf when unreachable)."""
-    handle = as_handle(resolve_graph_argument("sssp", graph_or_handle, graph))
+    handle = as_handle(graph_or_handle)
     engine = PregelEngine(
         handle, SSSPProgram(source), max_supersteps=handle.num_vertices + 1
     )
     return np.asarray(engine.run(), dtype=np.float64)
 
 
-def bfs(graph_or_handle=None, source: int = 0, *, graph: Optional[Graph] = None) -> np.ndarray:
+def bfs(graph_or_handle, source: int = 0) -> np.ndarray:
     """BFS levels from ``source`` (-1 when unreachable)."""
-    handle = as_handle(resolve_graph_argument("bfs", graph_or_handle, graph))
+    handle = as_handle(graph_or_handle)
     engine = PregelEngine(
         handle, BFSProgram(source), max_supersteps=handle.num_vertices + 1
     )
     return np.asarray(engine.run(), dtype=np.int64)
 
 
-def wcc(graph_or_handle=None, *, graph: Optional[Graph] = None) -> np.ndarray:
+def wcc(graph_or_handle) -> np.ndarray:
     """Connected-component labels (min vertex id per component)."""
-    handle = as_handle(resolve_graph_argument("wcc", graph_or_handle, graph))
+    handle = as_handle(graph_or_handle)
     engine = PregelEngine(
         handle, WCCProgram(), max_supersteps=handle.num_vertices + 1
     )
     return np.asarray(engine.run(), dtype=np.int64)
 
 
-def label_propagation(
-    graph_or_handle=None, iterations: int = 10, *, graph: Optional[Graph] = None
-) -> np.ndarray:
+def label_propagation(graph_or_handle, iterations: int = 10) -> np.ndarray:
     """Community labels after synchronous label propagation."""
-    handle = as_handle(
-        resolve_graph_argument("label_propagation", graph_or_handle, graph)
-    )
     engine = PregelEngine(
-        handle, LabelPropagationProgram(iterations), max_supersteps=iterations + 2
+        graph_or_handle,
+        LabelPropagationProgram(iterations),
+        max_supersteps=iterations + 2,
     )
     return np.asarray(engine.run(), dtype=np.int64)
 
 
 def random_walks(
-    graph_or_handle=None,
+    graph_or_handle,
     walk_length: int = 8,
     walks_per_vertex: int = 1,
     seed: int = 0,
-    *,
-    graph: Optional[Graph] = None,
 ) -> List[List[int]]:
     """Random walks (one list of vertex ids per completed walk)."""
-    handle = as_handle(resolve_graph_argument("random_walks", graph_or_handle, graph))
     program = RandomWalkProgram(walk_length, walks_per_vertex, seed)
-    engine = PregelEngine(handle, program, max_supersteps=walk_length + 3)
+    engine = PregelEngine(graph_or_handle, program, max_supersteps=walk_length + 3)
     values = engine.run()
     return [list(path) for collected in values for path in collected]
 
 
-def triangle_count_tlav(
-    graph_or_handle=None, *, graph: Optional[Graph] = None
-) -> Tuple[int, int]:
+def triangle_count_tlav(graph_or_handle) -> Tuple[int, int]:
     """Triangle count via the TLAV program.
 
     Returns ``(triangles, messages_sent)`` so benches can report the
     message blow-up alongside the answer.
     """
-    handle = as_handle(
-        resolve_graph_argument("triangle_count_tlav", graph_or_handle, graph)
-    )
-    engine = PregelEngine(handle, TriangleCountProgram(), max_supersteps=3)
+    engine = PregelEngine(graph_or_handle, TriangleCountProgram(), max_supersteps=3)
     values = engine.run()
     return int(sum(values)), engine.total_messages
 
@@ -410,16 +395,13 @@ class LubyMISProgram(VertexProgram):
 
 
 def luby_mis(
-    graph_or_handle=None,
+    graph_or_handle,
     seed: int = 0,
     max_rounds: int = 200,
-    *,
-    graph: Optional[Graph] = None,
 ) -> np.ndarray:
     """A maximal independent set as a boolean membership array."""
-    handle = as_handle(resolve_graph_argument("luby_mis", graph_or_handle, graph))
     engine = PregelEngine(
-        handle, LubyMISProgram(seed=seed), max_supersteps=2 * max_rounds
+        graph_or_handle, LubyMISProgram(seed=seed), max_supersteps=2 * max_rounds
     )
     values = engine.run()
     members = np.asarray([v == 1 for v in values], dtype=bool)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generic, Iterable, List, Optional, TypeVar
 
 from ..graph.csr import Graph
-from ..graph.store.handle import as_handle, resolve_graph_argument
+from ..graph.store.handle import as_handle
 from ..obs import MetricsRegistry, StatsViewMixin, Tracer
 
 __all__ = ["VertexProgram", "VertexContext", "PregelEngine", "SuperstepStats"]
@@ -155,8 +155,6 @@ class PregelEngine(Generic[V, M]):
         :class:`~repro.graph.store.GraphHandle`, or a store-directory
         path (coerced through :func:`repro.graph.store.as_handle`, so
         stored graphs run the same vertex programs by paging shards).
-        The pre-store ``graph=`` keyword spelling still works with a
-        :class:`DeprecationWarning`.
     program:
         The vertex program.
     aggregators:
@@ -175,21 +173,15 @@ class PregelEngine(Generic[V, M]):
 
     def __init__(
         self,
-        graph_or_handle=None,
-        program: Optional[VertexProgram[V, M]] = None,
+        graph_or_handle,
+        program: VertexProgram[V, M],
         aggregators: Optional[Dict[str, Aggregator]] = None,
         max_supersteps: int = 100,
         halt_at_limit: bool = True,
         obs: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        *,
-        graph: Optional[Graph] = None,
     ) -> None:
-        if program is None:
-            raise TypeError("PregelEngine() missing required 'program' argument")
-        self.graph = as_handle(
-            resolve_graph_argument("PregelEngine", graph_or_handle, graph)
-        )
+        self.graph = as_handle(graph_or_handle)
         self.program = program
         self.max_supersteps = max_supersteps
         self.halt_at_limit = halt_at_limit

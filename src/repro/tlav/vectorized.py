@@ -55,7 +55,7 @@ import numpy as np
 
 from ..graph.csr import Graph
 from ..graph.kernels import expand_frontier, scatter_add_ordered
-from ..graph.store.handle import as_handle, resolve_graph_argument
+from ..graph.store.handle import as_handle
 from ..obs import MetricsRegistry
 
 __all__ = ["pagerank_dense", "bfs_dense", "wcc_dense"]
@@ -89,13 +89,11 @@ def _frontier_neighbors(handle, frontier: np.ndarray) -> np.ndarray:
 
 
 def pagerank_dense(
-    graph_or_handle=None,
+    graph_or_handle,
     damping: float = 0.85,
     iterations: int = 20,
     obs: Optional[MetricsRegistry] = None,
     executor: Optional["ParallelExecutor"] = None,
-    *,
-    graph: Optional[Graph] = None,
 ) -> np.ndarray:
     """PageRank as dense supersteps; bit-identical to the engine path.
 
@@ -106,9 +104,7 @@ def pagerank_dense(
     chunks that run on real cores; partial vectors fold in chunk order,
     so any backend with the same chunking yields the same bits.
     """
-    handle = as_handle(
-        resolve_graph_argument("pagerank_dense", graph_or_handle, graph)
-    )
+    handle = as_handle(graph_or_handle)
     n = handle.num_vertices
     if n == 0:
         return np.empty(0, dtype=np.float64)
@@ -152,16 +148,14 @@ def pagerank_dense(
     return values
 
 
-def bfs_dense(
-    graph_or_handle=None, source: int = 0, *, graph: Optional[Graph] = None
-) -> np.ndarray:
+def bfs_dense(graph_or_handle, source: int = 0) -> np.ndarray:
     """BFS levels from ``source`` as whole-frontier gathers.
 
     Equal to :func:`repro.tlav.algorithms.bfs` (and to
     :func:`repro.graph.properties.bfs_levels`): unreachable vertices
     keep ``-1``.
     """
-    handle = as_handle(resolve_graph_argument("bfs_dense", graph_or_handle, graph))
+    handle = as_handle(graph_or_handle)
     n = handle.num_vertices
     level = np.full(n, -1, dtype=np.int64)
     level[source] = 0
@@ -178,18 +172,13 @@ def bfs_dense(
     return level
 
 
-def wcc_dense(
-    graph_or_handle=None,
-    max_rounds: Optional[int] = None,
-    *,
-    graph: Optional[Graph] = None,
-) -> np.ndarray:
+def wcc_dense(graph_or_handle, max_rounds: Optional[int] = None) -> np.ndarray:
     """Hash-min connected components as dense scatter-min rounds.
 
     Equal to :func:`repro.tlav.algorithms.wcc`: every vertex ends with
     the smallest vertex id in its (weakly) connected component.
     """
-    handle = as_handle(resolve_graph_argument("wcc_dense", graph_or_handle, graph))
+    handle = as_handle(graph_or_handle)
     n = handle.num_vertices
     labels = np.arange(n, dtype=np.int64)
     rounds = n if max_rounds is None else max_rounds

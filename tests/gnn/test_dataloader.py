@@ -6,6 +6,9 @@ would — across repeated epochs, and with prefetch on or off — so the
 refactored ``train_sampled`` reproduces pre-refactor losses exactly.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -16,15 +19,15 @@ from repro.gnn.dataloader import (
     ItemSampler,
     MiniBatchLoader,
     infer_sampled,
+    sampled_inference_blocks,
 )
-from repro.gnn.dataloader import _PrefetchIterator
 from repro.gnn.layers import GraphTensors
 from repro.gnn.models import Adam, NodeClassifier
 from repro.gnn.sampling import NeighborSampler
 from repro.gnn.tensor import Tensor, no_grad
 from repro.gnn.train import train_sampled
 from repro.graph.generators import barabasi_albert, planted_partition
-from repro.graph.store import build_store
+from repro.graph.store import build_store, open_store
 from repro.obs import MetricsRegistry
 
 
@@ -200,6 +203,55 @@ class TestFeatureFetcher:
             # batch also knows its exact partition footprint.
             assert mb.partitions is not None and mb.partitions
 
+    def test_stored_loader_pages_rows_per_block(self, tmp_path):
+        """No ``features=`` over a store: rows are fetched by id per
+        block — the whole matrix is never read — and equal the
+        explicit-array loader's."""
+        g = barabasi_albert(40, 2, seed=3)
+        features = np.random.default_rng(3).normal(size=(40, 4))
+        build_store(
+            g, tmp_path / "s", partition="hash", num_parts=4,
+            features=features, name="s",
+        )
+        stored = open_store(tmp_path / "s")
+        requested = []
+        paged_read = stored.features
+
+        def spy(ids=None):
+            requested.append(ids)
+            return paged_read(ids)
+
+        stored.features = spy
+        kwargs = dict(items=np.arange(20), batch_size=8, fanouts=(2, 2), seed=4)
+        try:
+            paged = list(MiniBatchLoader(stored, **kwargs).epoch())
+        finally:
+            stored.close()
+        explicit = list(MiniBatchLoader(g, features=features, **kwargs).epoch())
+        assert len(requested) == len(paged) == len(explicit) == 3
+        assert all(ids is not None for ids in requested)
+        for mb_p, mb_e in zip(paged, explicit):
+            np.testing.assert_array_equal(mb_p.node_ids, mb_e.node_ids)
+            np.testing.assert_array_equal(mb_p.x, mb_e.x)
+
+    def test_owner_aware_fetch_bills_only_remote_misses(self, task):
+        from repro.cluster.comm import Network
+
+        _g, _labels, features, _mask, _val = task
+        assignment = np.arange(features.shape[0]) % 3
+        network = Network(3)
+        fetcher = FeatureFetcher(
+            features=features, cache=LRUCache(8),
+            assignment=assignment, worker=0, network=network,
+        )
+        ids = np.array([0, 1, 2, 3, 4, 1])  # owners 0 1 2 0 1 1
+        np.testing.assert_array_equal(fetcher.fetch(ids), features[ids])
+        assert (fetcher.local_rows, fetcher.hits, fetcher.misses) == (2, 1, 3)
+        row_bytes = features.shape[1] * features.dtype.itemsize
+        assert network.stats.by_tag["features"] == 3 * row_bytes
+        with pytest.raises(ValueError):
+            FeatureFetcher(features=features, assignment=assignment)
+
 
 class TestAccounting:
     def test_schedule_report_shapes(self, task):
@@ -236,16 +288,63 @@ class TestAccounting:
         )
         assert obs.counter("gnn.loader.gathered_nodes", "").total == gathered
 
-    def test_prefetch_error_surfaces_on_consumer(self):
-        def boom():
-            yield 1
-            raise RuntimeError("producer died")
+    def test_prefetch_error_surfaces_on_consumer(self, task):
+        loader = _loader(task, prefetch=2)
+        sample = loader.sampler.sample
 
-        it = _PrefetchIterator(boom(), depth=2)
-        assert next(it) == 1
+        def boom(seeds):
+            if loader.batches_emitted == 1:
+                raise RuntimeError("producer died")
+            return sample(seeds)
+
+        loader.sampler.sample = boom
+        batches = loader.epoch()
+        assert next(batches).index == 0
         with pytest.raises(RuntimeError, match="producer died"):
-            next(it)
-        it.close()
+            next(batches)
+
+
+class TestPrefetchLifecycle:
+    def test_slow_consumer_still_sees_end_of_epoch(self, task):
+        """A step slower than any producer-side timeout must not lose
+        the end-of-epoch sentinel (the consumer used to block forever)."""
+        train_nodes = np.nonzero(task[3])[0]
+        loader = _loader(task, items=train_nodes[:16], prefetch=1)
+        seen = []
+
+        def consume():
+            for mb in loader.epoch():
+                seen.append(mb.index)
+                if mb.index == 0:
+                    time.sleep(1.3)  # queue full, producer already done
+
+        consumer = threading.Thread(target=consume, daemon=True)
+        consumer.start()
+        consumer.join(timeout=10.0)
+        assert not consumer.is_alive(), "consumer hung waiting for the sentinel"
+        assert seen == [0, 1]
+
+    def test_break_mid_epoch_joins_producer(self, task):
+        before = threading.active_count()
+        for _ in range(3):
+            for _mb in _loader(task, prefetch=2).epoch():
+                break
+        assert threading.active_count() == before
+
+    def test_raising_step_joins_producer(self, task):
+        g, labels, features, train_mask, _val = task
+
+        class FailingModel(NodeClassifier):
+            def __call__(self, gt, x):
+                raise RuntimeError("step failed")
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="step failed"):
+            train_sampled(
+                FailingModel(3, 8, 3, layer="sage", seed=0), g, features,
+                labels, train_mask, batch_size=8, fanouts=(3, 3), prefetch=2,
+            )
+        assert threading.active_count() == before
 
 
 def _legacy_losses(task, epochs, batch_size, fanouts, lr, seed):
@@ -349,3 +448,43 @@ class TestInferSampled:
         assert rep.messages > 0
         assert rep.gathered_features >= nodes.size
         assert set(nodes) <= set(rep.touched.tolist())
+
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_matches_inline_block_loop(self, task, tmp_path, stored):
+        """The loader-backed pass equals the pre-loader loop over
+        ``sampled_inference_blocks``: predictions and every count."""
+        g, _labels, features, _mask, _val = task
+        model = NodeClassifier(3, 8, 3, layer="sage", seed=0)
+        nodes = np.arange(1, g.num_vertices, 2)
+        handle = g
+        if stored:
+            build_store(
+                g, tmp_path / "s", partition="hash", num_parts=3,
+                features=features, name="s",
+            )
+            handle = open_store(tmp_path / "s")
+        try:
+            want, batches, gathered, messages, touched = [], 0, 0, 0, []
+            for block in sampled_inference_blocks(handle, nodes, (3, 3), 9, 8):
+                gt = block.tensors()
+                with no_grad():
+                    logits = model(gt, Tensor(features[block.node_ids])).data
+                want.append(np.argmax(logits[block.seed_local], axis=1))
+                batches += 1
+                gathered += block.gathered_nodes
+                messages += int(gt.num_messages)
+                touched.append(block.node_ids)
+            rep = InferReport()
+            got = infer_sampled(
+                model, handle, features=None if stored else features,
+                nodes=nodes, batch_size=8, fanouts=(3, 3), seed=9, report=rep,
+            )
+        finally:
+            if stored:
+                handle.close()
+        np.testing.assert_array_equal(got, np.concatenate(want))
+        assert (rep.batches, rep.seeds) == (batches, nodes.size)
+        assert (rep.gathered_features, rep.messages) == (gathered, messages)
+        np.testing.assert_array_equal(
+            rep.touched, np.unique(np.concatenate(touched))
+        )

@@ -9,8 +9,7 @@ promises:
   page-in, not a numpy decode error three frames later;
 * repeated open/close cycles release their memory maps — no file
   descriptor leak;
-* the deprecated ``graph=`` keyword spellings still work, with a
-  :class:`DeprecationWarning`;
+* the pre-store ``graph=`` keyword spelling is a ``TypeError``;
 * every engine family gives identical answers through a paged
   :class:`StoredGraph` and the in-memory graph.
 """
@@ -366,41 +365,19 @@ class TestCatalog:
 
 
 class TestDeprecatedSpellings:
-    def test_legacy_graph_keyword_warns(self, graph):
-        from repro.tlav.algorithms import pagerank
-        from repro.tlav.vectorized import pagerank_dense
+    """The pre-store ``graph=`` keyword is gone, not deprecated."""
 
-        want = pagerank(graph, iterations=4)
-        with pytest.warns(DeprecationWarning, match="pass the graph"):
-            got = pagerank(graph=graph, iterations=4)
-        np.testing.assert_array_equal(got, want)
-        with pytest.warns(DeprecationWarning):
-            np.testing.assert_array_equal(
-                pagerank_dense(graph=graph, iterations=4),
-                pagerank_dense(graph, iterations=4),
-            )
-
-    def test_both_spellings_is_an_error(self, graph):
+    def test_graph_keyword_is_a_type_error(self, graph):
         from repro.tlav.algorithms import pagerank
 
-        with pytest.raises(TypeError, match="both"):
-            pagerank(graph, graph=graph)
+        with pytest.raises(TypeError, match="graph"):
+            pagerank(graph=graph)
 
     def test_missing_graph_is_an_error(self):
         from repro.tlav.algorithms import pagerank
 
-        with pytest.raises(TypeError, match="missing required graph"):
+        with pytest.raises(TypeError, match="missing"):
             pagerank()
-
-    def test_engine_legacy_keyword(self, graph):
-        from repro.tlav.algorithms import PageRankProgram
-        from repro.tlav.engine import PregelEngine
-
-        with pytest.warns(DeprecationWarning):
-            engine = PregelEngine(
-                graph=graph, program=PageRankProgram(iterations=2)
-            )
-        assert engine.graph.num_vertices == graph.num_vertices
 
 
 class TestEnginesOverStoredGraphs:

@@ -62,7 +62,7 @@ class TestGraphRegistry:
 
     def test_subscribers_notified(self, graphs):
         seen = []
-        graphs.subscribe(lambda name, epoch: seen.append((name, epoch)))
+        graphs.subscribe(lambda name, epoch, dirty: seen.append((name, epoch)))
         graphs.replace("default", barabasi_albert(60, 3, seed=7))
         graphs.bump_epoch("default")
         assert seen == [("default", 1), ("default", 2)]
@@ -232,7 +232,7 @@ class TestApplyUpdates:
         graphs, g, part = self._registry()
         seen = []
         graphs.subscribe(
-            lambda name, epoch, dirty=None: seen.append((name, epoch, dirty))
+            lambda name, epoch, dirty: seen.append((name, epoch, dirty))
         )
         u, v = self._non_edge(g)
         delta = graphs.apply_updates("default", inserts=np.array([[u, v]]))
@@ -241,14 +241,6 @@ class TestApplyUpdates:
             int(part.assignment[w]) for w in (u, v)
         )
 
-    def test_legacy_two_arg_listener_still_works(self):
-        graphs, g, _ = self._registry()
-        seen = []
-        graphs.subscribe(lambda name, epoch: seen.append((name, epoch)))
-        u, v = self._non_edge(g)
-        graphs.apply_updates("default", inserts=np.array([[u, v]]))
-        assert seen == [("default", 1)]
-
     def test_unpartitioned_graph_dirties_partition_zero(self):
         graphs = GraphRegistry()
         g = barabasi_albert(20, 2, seed=22)
@@ -256,7 +248,7 @@ class TestApplyUpdates:
         u, v = self._non_edge(g)
         seen = []
         graphs.subscribe(
-            lambda name, epoch, dirty=None: seen.append(dirty)
+            lambda name, epoch, dirty: seen.append(dirty)
         )
         graphs.apply_updates("default", inserts=np.array([[u, v]]))
         assert seen == [frozenset({0})]
@@ -265,7 +257,7 @@ class TestApplyUpdates:
         graphs, g, _ = self._registry()
         present = (0, int(g.neighbors(0)[0]))
         seen = []
-        graphs.subscribe(lambda name, epoch, dirty=None: seen.append(dirty))
+        graphs.subscribe(lambda name, epoch, dirty: seen.append(dirty))
         delta = graphs.apply_updates(
             "default", inserts=np.array([present])
         )
