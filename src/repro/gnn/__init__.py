@@ -27,7 +27,7 @@ from .dataloader import (
     infer_sampled,
     sampled_inference_blocks,
 )
-from .distributed import DistributedTrainer, halo_sets
+from .distributed import DistributedTrainer, halo_mask, halo_sets
 from .distributed_sampled import DistributedSampledTrainer
 from .historical import HistoricalReport, train_historical
 from .layers import (
@@ -120,6 +120,7 @@ __all__ = [
     "infer_sampled",
     "sampled_inference_blocks",
     "DistributedTrainer",
+    "halo_mask",
     "halo_sets",
     "StalenessTrace",
     "simulate_staleness",

@@ -27,11 +27,10 @@ from typing import List, Optional
 import numpy as np
 
 from ..graph.csr import Graph
-from .layers import GraphTensors
-from .models import Adam, NodeClassifier, accuracy
+from .models import NodeClassifier
 from .quantization import compressed_nbytes, quantize_dequantize
 from .tensor import Tensor, no_grad
-from .train import TrainReport
+from .train import TrainReport, _backward_loss, _full_graph_loop
 
 __all__ = ["activation_memory", "train_compressed", "CompressedReport"]
 
@@ -74,30 +73,26 @@ def train_compressed(
     baseline — gradients then match plain training to float precision,
     which the tests assert).
     """
-    gt = GraphTensors(graph)
-    optimizer = Adam(model.parameters(), lr=lr)
-    report = TrainReport()
-    train_idx = np.nonzero(train_mask)[0]
     rng = np.random.default_rng(seed)
     num_layers = model.num_layers
-    layer_dims = [features.shape[1]] + [
-        model.layers[i].weight.shape[1] for i in range(num_layers)
+    input_dims = [features.shape[1]] + [
+        layer.weight.shape[1] for layer in model.layers[:-1]
     ]
 
-    exact_bytes = activation_memory(graph, layer_dims[:-1])
+    exact_bytes = activation_memory(graph, input_dims)
     if bits is None:
         stored_bytes = exact_bytes
     else:
         stored_bytes = sum(
             compressed_nbytes((graph.num_vertices, d), bits)
-            for d in layer_dims[:-1]
+            for d in input_dims
         )
 
-    for _ in range(epochs):
+    def step(model, gt, x, labels, train_idx) -> float:
         # ---- forward: run layer by layer, storing (possibly lossy)
         # copies of each layer's input, freeing the autograd graph.
         stored_inputs: List[np.ndarray] = []
-        h = features
+        h = x.data
         for i in range(num_layers):
             if bits is None:
                 stored_inputs.append(h.copy())
@@ -108,36 +103,25 @@ def train_compressed(
             h = out.data
 
         # ---- backward: recompute each layer from its stored input.
-        optimizer.zero_grad()
         grad_out: Optional[np.ndarray] = None
         loss_value = 0.0
         for i in reversed(range(num_layers)):
             x_in = Tensor(stored_inputs[i], requires_grad=True)
             out = model.forward_layer(i, gt, x_in)
             if i == num_layers - 1:
-                loss = out.gather_rows(train_idx).cross_entropy(
-                    labels[train_idx]
-                )
-                loss_value = float(loss.data)
-                loss.backward()
+                loss_value = _backward_loss(out, labels, train_idx)
             else:
                 out.backward(grad_out)
-            grad_out = None
-            if i > 0:
-                # The gradient w.r.t. this layer's input feeds the next
-                # recomputation step down the stack.
-                grad_out = _input_gradient(x_in)
-        optimizer.step()
-        report.losses.append(loss_value)
-        report.steps += 1
-        with no_grad():
-            out = model(gt, Tensor(features)).data
-        report.train_accuracy.append(accuracy(out, labels, train_mask))
-        if val_mask is not None:
-            report.val_accuracy.append(accuracy(out, labels, val_mask))
+            # The gradient w.r.t. this layer's input feeds the next
+            # recomputation step down the stack.
+            grad_out = _input_gradient(x_in)
+        return loss_value
 
     return CompressedReport(
-        report=report,
+        report=_full_graph_loop(
+            model, graph, features, labels, train_mask, val_mask, epochs,
+            lr, step,
+        ),
         activation_bytes_exact=exact_bytes,
         activation_bytes_compressed=stored_bytes,
     )

@@ -338,3 +338,80 @@ def _check_loader_cache(params: Dict) -> List[str]:
         "obs.loader.bytes_fetched",
     )
     return out
+
+
+def _gen_fullgraph_variants(rng: np.random.Generator) -> Dict:
+    return {
+        "community_size": int(rng.integers(6, 17)),
+        "parts": int(rng.integers(2, 6)),
+        "epochs": int(rng.integers(2, 7)),
+        "graph_seed": int(rng.integers(1 << 16)),
+        "model_seed": int(rng.integers(1 << 16)),
+    }
+
+
+@pair(
+    "gnn.fullgraph.variants_vs_sync", "gnn", BIT_IDENTICAL,
+    gen=_gen_fullgraph_variants,
+    floors={"community_size": 4, "parts": 1, "epochs": 1},
+    description="every full-graph trainer variant at its neutral setting "
+    "(staleness=0, drift_threshold=0, refresh_every=1, bits=None, no "
+    "halo/grad quantization) is train_full_graph's loop with a step "
+    "that degenerates to the synchronous one: identical losses, "
+    "accuracies and step accounting.",
+)
+def _check_fullgraph_variants(params: Dict) -> List[str]:
+    from ..graph.generators import planted_partition
+    from ..graph.partition import hash_partition
+    from .activation_compression import train_compressed
+    from .distributed import DistributedTrainer
+    from .historical import train_historical
+    from .models import NodeClassifier
+    from .staleness import train_delayed_halo, train_stale_gradients
+    from .train import train_full_graph
+
+    graph, labels = planted_partition(
+        3, int(params["community_size"]), p_in=0.3, p_out=0.05,
+        seed=int(params["graph_seed"]),
+    )
+    n = graph.num_vertices
+    rng = np.random.default_rng(int(params["graph_seed"]) + 1)
+    features = np.eye(3)[labels] + rng.normal(0, 1.0, size=(n, 3))
+    train_mask = rng.random(n) < 0.5
+    train_mask[0] = True
+    partition = hash_partition(graph, int(params["parts"]))
+    run = {"epochs": int(params["epochs"]), "lr": 0.05}
+
+    def model() -> NodeClassifier:
+        return NodeClassifier(3, 8, 3, seed=int(params["model_seed"]))
+
+    data = (features, labels, train_mask, ~train_mask)
+    reference = train_full_graph(model(), graph, *data, **run)
+    variants = {
+        "distributed": DistributedTrainer(
+            model(), graph, partition, features, labels, lr=run["lr"]
+        ).train(train_mask, ~train_mask, epochs=run["epochs"]),
+        "stale_gradients": train_stale_gradients(
+            model(), graph, *data, staleness=0, **run
+        ),
+        "historical": train_historical(
+            model(), graph, partition, *data, drift_threshold=0.0, **run
+        ).report,
+        "delayed_halo": train_delayed_halo(
+            model(), graph, partition, *data, refresh_every=1, **run
+        )[0],
+        "compressed": train_compressed(
+            model(), graph, *data, bits=None, **run
+        ).report,
+    }
+    out: List[str] = []
+    for name, report in variants.items():
+        for field in (
+            "losses", "train_accuracy", "val_accuracy",
+            "gathered_features", "steps",
+        ):
+            out += same_values(
+                getattr(reference, field), getattr(report, field),
+                f"{name}.{field}",
+            )
+    return out

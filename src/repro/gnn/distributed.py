@@ -32,13 +32,16 @@ from ..cluster.comm import Network
 from ..graph.csr import Graph
 from ..graph.partition import Partition
 from ..obs import MetricsRegistry
-from .layers import GraphTensors
-from .models import Adam, NodeClassifier, accuracy
-from .quantization import quantize_dequantize
-from .tensor import Tensor, no_grad
-from .train import TrainReport
+from .models import NodeClassifier
+from .quantization import (
+    ErrorCompensatedQuantizer,
+    compressed_nbytes,
+    quantize_dequantize,
+)
+from .tensor import Tensor
+from .train import TrainReport, _full_graph_loop, _sync_step
 
-__all__ = ["halo_sets", "DistributedTrainer"]
+__all__ = ["halo_sets", "halo_mask", "DistributedTrainer"]
 
 
 def halo_sets(graph: Graph, partition: Partition) -> List[Set[int]]:
@@ -51,6 +54,18 @@ def halo_sets(graph: Graph, partition: Partition) -> List[Set[int]]:
             halos[pu].add(v)
             halos[pv].add(u)
     return halos
+
+
+def halo_mask(graph: Graph, partition: Partition) -> np.ndarray:
+    """Boolean mask of the vertices in *some* worker's halo — the
+    endpoints of cut edges, i.e. the union of :func:`halo_sets`."""
+    owner = partition.assignment
+    src = np.repeat(np.arange(graph.num_vertices), graph.degrees())
+    cut = owner[src] != owner[graph.indices]
+    mask = np.zeros(graph.num_vertices, dtype=bool)
+    mask[src[cut]] = True
+    mask[graph.indices[cut]] = True
+    return mask
 
 
 @dataclass
@@ -73,9 +88,8 @@ class DistributedTrainer:
         if self.obs is None:
             self.obs = MetricsRegistry()
         self.network = Network(self.partition.num_parts, registry=self.obs)
-        self._gt = GraphTensors(self.graph)
-        self._optimizer = Adam(self.model.parameters(), lr=self.lr)
         self._halos = halo_sets(self.graph, self.partition)
+        self._remote = halo_mask(self.graph, self.partition)
         self._owner_of = self.partition.assignment
         self._rng = np.random.default_rng(self.seed)
         self._residual: Optional[np.ndarray] = None  # halo error feedback
@@ -100,17 +114,10 @@ class DistributedTrainer:
             self.network.receive(worker)
 
     def _halo_nbytes(self, rows: int, feature_dim: int) -> int:
-        """Wire size of ``rows`` feature rows at the configured precision.
-
-        Quantized rows carry packed codes plus a per-row (min, scale)
-        float pair, matching
-        :func:`repro.gnn.quantization.compressed_nbytes`.
-        """
+        """Wire size of ``rows`` feature rows at the configured precision."""
         if self.halo_bits is None:
             return rows * feature_dim * 8
-        payload_bits = rows * feature_dim * self.halo_bits
-        overhead = rows * 2 * 8
-        return payload_bits // 8 + (1 if payload_bits % 8 else 0) + overhead
+        return compressed_nbytes((rows, feature_dim), self.halo_bits)
 
     def _price_gradient_sync(self) -> None:
         """Ring allreduce: each worker ships the full gradient twice."""
@@ -137,8 +144,6 @@ class DistributedTrainer:
         """
         if self.grad_bits is None:
             return
-        from .quantization import ErrorCompensatedQuantizer
-
         params = self.model.parameters()
         if self._grad_quantizers is None:
             self._grad_quantizers = [
@@ -157,20 +162,16 @@ class DistributedTrainer:
             return features
         # Vertices whose features cross a partition boundary travel
         # quantized; local rows stay exact.
-        remote = np.zeros(self.graph.num_vertices, dtype=bool)
-        for halo in self._halos:
-            for v in halo:
-                remote[v] = True
         out = features.copy()
         if self._residual is None:
             self._residual = np.zeros_like(features)
-        payload = features[remote] + (
-            self._residual[remote] if self.error_feedback else 0.0
+        payload = features[self._remote] + (
+            self._residual[self._remote] if self.error_feedback else 0.0
         )
         deq = quantize_dequantize(payload, self.halo_bits, rng=self._rng)
         if self.error_feedback:
-            self._residual[remote] = payload - deq
-        out[remote] = deq
+            self._residual[self._remote] = payload - deq
+        out[self._remote] = deq
         return out
 
     # -- training -------------------------------------------------------------
@@ -181,39 +182,25 @@ class DistributedTrainer:
         val_mask: Optional[np.ndarray] = None,
         epochs: int = 50,
     ) -> TrainReport:
-        report = TrainReport()
-        train_idx = np.nonzero(train_mask)[0]
-        feature_dim = self.features.shape[1]
-        hidden_dims = [
-            self.model.layers[i].weight.shape[1]
-            for i in range(self.model.num_layers)
+        # Traffic: one halo exchange per layer input (features, then
+        # the hidden widths), then the gradient allreduce.
+        halo_dims = [self.features.shape[1]] + [
+            layer.weight.shape[1] for layer in self.model.layers[:-1]
         ]
-        for _ in range(epochs):
-            used = self._maybe_quantize_features(self.features)
-            x = Tensor(used)
-            self._optimizer.zero_grad()
-            logits = self.model(self._gt, x)
-            loss = logits.gather_rows(train_idx).cross_entropy(
-                self.labels[train_idx]
-            )
-            loss.backward()
+
+        def step(model, gt, x, labels, train_idx) -> float:
+            used = Tensor(self._maybe_quantize_features(x.data))
+            loss = _sync_step(model, gt, used, labels, train_idx)
             self._maybe_quantize_gradients()
-            self._optimizer.step()
-            # Traffic: one halo exchange per layer (input dim then hiddens),
-            # then the gradient allreduce.
-            self._price_halo_exchange(feature_dim)
-            for dim in hidden_dims[:-1]:
+            for dim in halo_dims:
                 self._price_halo_exchange(dim)
             self._price_gradient_sync()
-            report.record_step(
-                float(loss.data), self.graph.num_vertices, obs=self.obs
-            )
-            with no_grad():
-                out = self.model(self._gt, Tensor(self.features)).data
-            report.train_accuracy.append(accuracy(out, self.labels, train_mask))
-            if val_mask is not None:
-                report.val_accuracy.append(accuracy(out, self.labels, val_mask))
-        return report
+            return loss
+
+        return _full_graph_loop(
+            self.model, self.graph, self.features, self.labels, train_mask,
+            val_mask, epochs, self.lr, step, obs=self.obs,
+        )
 
     # -- summary ----------------------------------------------------------------
 

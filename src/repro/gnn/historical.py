@@ -3,24 +3,18 @@
 Sancus [30] avoids communication in decentralized full-graph GNN
 training by letting workers compute with **historical embeddings** —
 cached copies of remote vertices' hidden states — and broadcasting
-fresh ones only when they have drifted enough (its staleness-aware
-adaptive gate; see :class:`~repro.gnn.staleness.SancusGate`).
+fresh ones only when they have drifted enough.
 
-:func:`train_historical` implements the full loop with *real* staleness
-effects, not accounting fiction:
-
-* the graph is partitioned; every epoch each layer's input rows for
-  remote (halo) vertices come from a **historical snapshot**, not the
-  live values;
-* per epoch, a drift gate (relative L2 change of the live halo rows
-  against the snapshot) decides whether this epoch **broadcasts** —
-  refreshing the snapshot and paying halo bytes — or **skips** —
-  training on stale rows for free;
-* the returned :class:`HistoricalReport` carries the loss/accuracy
-  trace, broadcast/skip counts, and halo bytes, so benches can place it
-  between the synchronous trainer (gate threshold 0 ⇒ broadcast every
-  epoch ⇒ *exactly* the sync trajectory, asserted in tests) and a
-  never-refresh strawman.
+:func:`train_historical` is the full-graph loop with the gated halo
+step of :mod:`repro.gnn.staleness`: remote (halo) vertices' layer-1
+activations come from a snapshot, and per epoch a
+:class:`~repro.gnn.staleness.SancusGate` on their relative L2 drift
+decides whether to **broadcast** (refresh the snapshot, pay halo bytes)
+or **skip** (train on the stale rows for free).  The staleness is real,
+not accounting: threshold 0 broadcasts every epoch and is *exactly* the
+synchronous trajectory (asserted in tests); larger thresholds bias the
+gradient.  :class:`HistoricalReport` carries the trace plus
+broadcast/skip counts and halo bytes.
 """
 
 from __future__ import annotations
@@ -32,11 +26,10 @@ import numpy as np
 
 from ..graph.csr import Graph
 from ..graph.partition import Partition
-from .distributed import halo_sets
-from .layers import GraphTensors
-from .models import Adam, NodeClassifier, accuracy
-from .tensor import Tensor, no_grad
-from .train import TrainReport
+from .distributed import halo_mask
+from .models import NodeClassifier
+from .staleness import SancusGate, _gated_halo_step
+from .train import TrainReport, _full_graph_loop
 
 __all__ = ["HistoricalReport", "train_historical"]
 
@@ -74,62 +67,18 @@ def train_historical(
     synchronous full-graph training exactly; larger thresholds skip
     more broadcasts at the price of gradient bias.
     """
-    gt = GraphTensors(graph)
-    optimizer = Adam(model.parameters(), lr=lr)
-    outcome = HistoricalReport(report=TrainReport())
-    train_idx = np.nonzero(train_mask)[0]
-
-    halos = halo_sets(graph, partition)
-    remote = np.zeros(graph.num_vertices, dtype=bool)
-    for halo in halos:
-        for v in halo:
-            remote[v] = True
-    remote_mask = remote.reshape(-1, 1).astype(np.float64)
-    local_mask = 1.0 - remote_mask
+    remote = halo_mask(graph, partition)
+    # The gate watches the remote layer-1 rows, which drift every epoch
+    # as the weights move.
+    gate = SancusGate(threshold=drift_threshold)
+    report = _full_graph_loop(
+        model, graph, features, labels, train_mask, val_mask, epochs, lr,
+        _gated_halo_step(remote, gate.should_broadcast),
+    )
     hidden_dim = model.layers[0].weight.shape[1]
-
-    # The historical snapshot: remote vertices' layer-1 activations.
-    # These *drift every epoch* as the weights move — the signal the
-    # Sancus gate watches.
-    snapshot: Optional[np.ndarray] = None
-    x = Tensor(features)
-
-    for _ in range(epochs):
-        optimizer.zero_grad()
-        h1_live = model.forward_layer(0, gt, x)
-
-        live = h1_live.data
-        if snapshot is None:
-            drift = float("inf")
-        else:
-            denom = np.linalg.norm(snapshot[remote]) + 1e-12
-            drift = float(
-                np.linalg.norm(live[remote] - snapshot[remote]) / denom
-            )
-        if drift > drift_threshold:
-            # Broadcast: peers get fresh rows; gradients flow everywhere
-            # this epoch (the refresh carries the backward halo too).
-            snapshot = live.copy()
-            outcome.broadcasts += 1
-            outcome.halo_bytes += int(remote.sum()) * hidden_dim * 8
-            h1_used = h1_live
-        else:
-            # Skip: remote rows come from the historical snapshot as
-            # constants — no forward *or* backward halo traffic.
-            outcome.skips += 1
-            h1_used = h1_live * local_mask + Tensor(snapshot * remote_mask)
-
-        h_out = h1_used
-        for i in range(1, model.num_layers):
-            h_out = model.forward_layer(i, gt, h_out)
-        loss = h_out.gather_rows(train_idx).cross_entropy(labels[train_idx])
-        loss.backward()
-        optimizer.step()
-        outcome.report.losses.append(float(loss.data))
-        outcome.report.steps += 1
-        with no_grad():
-            out = model(gt, Tensor(features)).data
-        outcome.report.train_accuracy.append(accuracy(out, labels, train_mask))
-        if val_mask is not None:
-            outcome.report.val_accuracy.append(accuracy(out, labels, val_mask))
-    return outcome
+    return HistoricalReport(
+        report=report,
+        broadcasts=gate.broadcasts,
+        skips=gate.skips,
+        halo_bytes=gate.broadcasts * int(remote.sum()) * hidden_dim * 8,
+    )

@@ -14,27 +14,30 @@ Section 3's "Model Synchronization" techniques:
   parameters/embeddings changed enough; :class:`SancusGate` implements
   the adaptive gate and counts skipped broadcasts.
 
-* **Delayed updates** (DistGNN [27]) — halo features are refreshed only
-  every ``r`` epochs; :func:`train_delayed_halo` trains a real GCN with
-  genuinely stale remote rows and reports both the traffic saved and
-  the accuracy reached.
+* **Delayed updates** (DistGNN [27]) — remote (halo) layer-1
+  activations are refreshed only every ``r`` epochs;
+  :func:`train_delayed_halo` trains a real GCN on the stale copies in
+  between (the periodic-gate twin of
+  :func:`~repro.gnn.historical.train_historical`) and reports both the
+  traffic saved and the accuracy reached.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import count
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..graph.csr import Graph
 from ..obs import StatsViewMixin, merge_counters
 from ..graph.partition import Partition
-from .distributed import halo_sets
-from .layers import GraphTensors
-from .models import Adam, NodeClassifier, accuracy
-from .tensor import Tensor, no_grad
-from .train import TrainReport
+from .distributed import halo_mask
+from .models import NodeClassifier
+from .tensor import Tensor
+from .train import TrainReport, _backward_loss, _full_graph_loop, _sync_step
 
 __all__ = [
     "StalenessTrace",
@@ -134,36 +137,21 @@ def train_stale_gradients(
     of step ``t - staleness``.  With ``staleness=0`` this is exact
     synchronous training.
     """
-    gt = GraphTensors(graph)
-    optimizer = Adam(model.parameters(), lr=lr)
-    report = TrainReport()
-    train_idx = np.nonzero(train_mask)[0]
-    x = Tensor(features)
-    param_history: List[List[np.ndarray]] = []
-    for step in range(epochs):
-        current = model.state_dict()
-        param_history.append(current)
-        stale_state = param_history[max(0, step - staleness)]
+    # history[0] holds the parameters of step max(0, t - staleness).
+    history: Deque[List[np.ndarray]] = deque(maxlen=staleness + 1)
+
+    def step(model, gt, x, labels, train_idx) -> float:
+        history.append(model.state_dict())
         # Compute the gradient at the stale parameters...
-        model.load_state_dict(stale_state)
-        optimizer.zero_grad()
-        logits = model(gt, x)
-        loss = logits.gather_rows(train_idx).cross_entropy(labels[train_idx])
-        loss.backward()
-        grads = [p.grad.copy() if p.grad is not None else None for p in model.parameters()]
-        # ...then apply it to the current parameters.
-        model.load_state_dict(current)
-        for p, g in zip(model.parameters(), grads):
-            p.grad = g
-        optimizer.step()
-        report.losses.append(float(loss.data))
-        report.steps += 1
-        with no_grad():
-            out = model(gt, Tensor(features)).data
-        report.train_accuracy.append(accuracy(out, labels, train_mask))
-        if val_mask is not None:
-            report.val_accuracy.append(accuracy(out, labels, val_mask))
-    return report
+        model.load_state_dict(history[0])
+        loss = _sync_step(model, gt, x, labels, train_idx)
+        # ...then apply it to the current ones (loading leaves .grad).
+        model.load_state_dict(history[-1])
+        return loss
+
+    return _full_graph_loop(
+        model, graph, features, labels, train_mask, val_mask, epochs, lr, step
+    )
 
 
 @dataclass
@@ -199,6 +187,36 @@ class SancusGate:
         return False
 
 
+def _gated_halo_step(
+    remote: np.ndarray, refresh: Callable[[np.ndarray], bool]
+) -> Callable[..., float]:
+    """Full-graph step whose remote layer-1 rows are a gated snapshot.
+
+    Every epoch ``refresh(live remote rows)`` decides (the first call
+    must say yes).  On a refresh peers get fresh rows and gradients
+    flow everywhere (the refresh carries the backward halo too);
+    otherwise the ``remote`` rows come from the snapshot as constants —
+    no forward *or* backward halo traffic — and are stale by however
+    far the weights have moved since.
+    """
+    remote_mask = remote.reshape(-1, 1).astype(np.float64)
+    local_mask = 1.0 - remote_mask
+    snapshot: Optional[np.ndarray] = None
+
+    def step(model, gt, x, labels, train_idx) -> float:
+        nonlocal snapshot
+        h = model.forward_layer(0, gt, x)
+        if refresh(h.data[remote]):
+            snapshot = h.data * remote_mask
+        else:
+            h = h * local_mask + Tensor(snapshot)
+        for i in range(1, model.num_layers):
+            h = model.forward_layer(i, gt, h)
+        return _backward_loss(h, labels, train_idx)
+
+    return step
+
+
 def train_delayed_halo(
     model: NodeClassifier,
     graph: Graph,
@@ -213,44 +231,21 @@ def train_delayed_halo(
 ) -> Tuple[TrainReport, int, int]:
     """DistGNN-style delayed halo updates, with real staleness.
 
-    Remote (halo) feature rows are refreshed from their owners only
-    every ``refresh_every`` epochs; in between, every worker computes
-    with its cached stale copy.  The input-feature halo is the stale
-    surface (hidden layers run on the mixed input), which is the
-    first-order effect DistGNN's cd-0/cd-r family trades.
+    Remote (halo) vertices' layer-1 activations are refreshed from
+    their owners only every ``refresh_every`` epochs; in between, every
+    worker computes with its cached copy, which goes stale as the
+    weights move (DistGNN's cd-0/cd-r family).  ``refresh_every=1`` is
+    exact synchronous training.
 
     Returns ``(report, halo_exchanges_done, halo_exchanges_saved)``.
     """
-    gt = GraphTensors(graph)
-    optimizer = Adam(model.parameters(), lr=lr)
-    report = TrainReport()
-    train_idx = np.nonzero(train_mask)[0]
-    halos = halo_sets(graph, partition)
-    remote = np.zeros(graph.num_vertices, dtype=bool)
-    for halo in halos:
-        for v in halo:
-            remote[v] = True
-    stale_features = features.copy()
-    exchanges = saved = 0
-    for epoch in range(epochs):
-        if epoch % refresh_every == 0:
-            stale_features[remote] = features[remote]
-            exchanges += 1
-        else:
-            saved += 1
-        mixed = features.copy()
-        mixed[remote] = stale_features[remote]
-        x = Tensor(mixed)
-        optimizer.zero_grad()
-        logits = model(gt, x)
-        loss = logits.gather_rows(train_idx).cross_entropy(labels[train_idx])
-        loss.backward()
-        optimizer.step()
-        report.losses.append(float(loss.data))
-        report.steps += 1
-        with no_grad():
-            out = model(gt, Tensor(features)).data
-        report.train_accuracy.append(accuracy(out, labels, train_mask))
-        if val_mask is not None:
-            report.val_accuracy.append(accuracy(out, labels, val_mask))
-    return report, exchanges, saved
+    epoch = count()
+    step = _gated_halo_step(
+        halo_mask(graph, partition),
+        lambda _live: next(epoch) % refresh_every == 0,
+    )
+    report = _full_graph_loop(
+        model, graph, features, labels, train_mask, val_mask, epochs, lr, step
+    )
+    exchanges = len(range(0, epochs, refresh_every))
+    return report, exchanges, epochs - exchanges

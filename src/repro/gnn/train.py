@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -169,7 +169,56 @@ def train_full_graph(
         raise TypeError(
             "train_full_graph() missing required 'labels'/'train_mask'"
         )
-    gt = GraphTensors(handle)
+    return _full_graph_loop(
+        model, handle, features, labels, train_mask, val_mask, epochs, lr,
+        _sync_step, obs=obs, injector=injector, snapshots=snapshots,
+        checkpoint_every=checkpoint_every, tracer=tracer,
+    )
+
+
+def _backward_loss(
+    logits: Tensor, labels: np.ndarray, train_idx: np.ndarray
+) -> float:
+    """Masked cross-entropy of ``logits``, back-propagated; its value."""
+    loss = logits.gather_rows(train_idx).cross_entropy(labels[train_idx])
+    loss.backward()
+    return float(loss.data)
+
+
+def _sync_step(model, gt, x, labels, train_idx) -> float:
+    """The plain synchronous full-graph step: forward, loss, backward."""
+    return _backward_loss(model(gt, x), labels, train_idx)
+
+
+def _full_graph_loop(
+    model: NodeClassifier,
+    graph_or_handle,
+    features: np.ndarray,
+    labels: np.ndarray,
+    train_mask: np.ndarray,
+    val_mask: Optional[np.ndarray],
+    epochs: int,
+    lr: float,
+    step: Callable[..., float],
+    obs: Optional[MetricsRegistry] = None,
+    injector: Optional[FaultInjector] = None,
+    snapshots: Optional[SnapshotStore] = None,
+    checkpoint_every: Optional[int] = None,
+    tracer: Optional[Tracer] = None,
+) -> TrainReport:
+    """The one full-graph node-classification epoch loop.
+
+    Every full-graph trainer is this loop plus a
+    ``step(model, gt, x, labels, train_idx) -> loss``.  The loop zeroes
+    the gradients before the step; the step must leave the gradients of
+    the update on ``model.parameters()`` (and the parameters at their
+    current values) and return the training loss.  The loop then
+    applies Adam, records the step and evaluates on the exact features.
+    Step-private state (snapshots, residuals, RNGs) lives in the step's
+    closure and is *not* checkpointed, so only :func:`train_full_graph`
+    passes the resilience arguments.
+    """
+    gt = GraphTensors(graph_or_handle)
     x = Tensor(features)
     optimizer = Adam(model.parameters(), lr=lr)
     report = TrainReport()
@@ -198,11 +247,9 @@ def train_full_graph(
             epoch = resumed
             continue
         optimizer.zero_grad()
-        logits = model(gt, x)
-        loss = logits.gather_rows(train_idx).cross_entropy(labels[train_idx])
-        loss.backward()
+        loss = step(model, gt, x, labels, train_idx)
         optimizer.step()
-        report.record_step(float(loss.data), handle.num_vertices, obs=obs)
+        report.record_step(loss, gt.num_vertices, obs=obs)
         with no_grad():
             out = model(gt, x).data
         report.train_accuracy.append(accuracy(out, labels, train_mask))

@@ -277,6 +277,25 @@ class TestAccounting:
         assert rep["cache_stats"]["admissions"] == cache.stats.admissions
         assert 0.0 <= rep["hit_rate"] <= 1.0
 
+    @pytest.mark.parametrize("kind", ["lru", "static"])
+    def test_hit_rate_monotone_in_capacity(self, task, kind):
+        """Both caches are stack algorithms on the loader's own access
+        stream: a larger cache never loses, and eventually wins."""
+        g = task[0]
+        rates = []
+        for capacity in (4, 16, 48):
+            cache = (
+                LRUCache(capacity) if kind == "lru"
+                else StaticDegreeCache(g, capacity)
+            )
+            loader = _loader(task, cache=cache)
+            for _ in range(2):
+                for _mb in loader.epoch():
+                    pass
+            rates.append(loader.fetcher.hit_rate)
+        assert rates == sorted(rates)
+        assert rates[-1] > rates[0]
+
     def test_loader_obs_counters(self, task):
         obs = MetricsRegistry()
         loader = _loader(task, obs=obs)

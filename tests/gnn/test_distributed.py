@@ -57,7 +57,7 @@ class TestSyncExactness:
             features, labels, lr=0.05,
         )
         report = trainer.train(train_mask, val_mask, epochs=8)
-        assert np.allclose(report.losses, reference.losses)
+        assert report.losses == reference.losses
         assert report.val_accuracy == reference.val_accuracy
 
     def test_partition_choice_does_not_change_learning(self, task):

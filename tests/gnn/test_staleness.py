@@ -65,7 +65,7 @@ class TestStaleGradients:
             NodeClassifier(3, 8, 3, seed=0), g, features, labels,
             train_mask, val_mask, staleness=0, epochs=10, lr=0.05,
         )
-        assert np.allclose(reference.losses, stale.losses)
+        assert stale.losses == reference.losses
 
     def test_bounded_staleness_still_converges(self, task):
         """The C9 convergence claim."""
@@ -131,7 +131,7 @@ class TestDelayedHalo:
             NodeClassifier(3, 8, 3, seed=0), g, partition, features, labels,
             train_mask, val_mask, refresh_every=1, epochs=8, lr=0.05,
         )
-        assert np.allclose(report.losses, reference.losses)
+        assert report.losses == reference.losses
         assert saved == 0
 
     def test_delays_save_exchanges(self, task):
@@ -174,7 +174,7 @@ class TestHistoricalEmbeddings:
             labels, train_mask, val_mask, drift_threshold=0.0,
             epochs=10, lr=0.05,
         )
-        assert np.allclose(reference.losses, hist.report.losses)
+        assert hist.report.losses == reference.losses
         assert hist.skips == 0
 
     def test_higher_threshold_fewer_broadcasts(self, task):
