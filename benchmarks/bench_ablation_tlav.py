@@ -22,6 +22,7 @@ from _harness import report
 from repro.graph.generators import barabasi_albert, path_graph
 from repro.graph.partition import hash_partition, range_partition
 from repro.graph.store import build_store, open_store
+from repro.resilience import FaultPlan
 from repro.tlav import (
     CheckpointedEngine,
     PointQuery,
@@ -90,11 +91,14 @@ def _run(tmp_dir):
     )
 
     # LWCP checkpointing.
-    light = CheckpointedEngine(g, WCCProgram(), checkpoint_interval=2, mode="light")
-    light.inject_failure(3)
+    light, full = (
+        CheckpointedEngine(
+            g, WCCProgram(), checkpoint_interval=2, mode=mode,
+            injector=FaultPlan().fail_superstep(3).build(),
+        )
+        for mode in ("light", "full")
+    )
     v_light = light.run()
-    full = CheckpointedEngine(g, WCCProgram(), checkpoint_interval=2, mode="full")
-    full.inject_failure(3)
     v_full = full.run()
     assert v_light == v_full == wcc(g).tolist()
     rows.append(

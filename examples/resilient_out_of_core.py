@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.graph.generators import barabasi_albert
 from repro.graph.store import build_store, open_store
+from repro.resilience import FaultPlan
 from repro.tlav import (
     CheckpointedEngine,
     PointQuery,
@@ -66,9 +67,9 @@ def main() -> None:
     # 2. Crash + recovery (LWCP).
     # ------------------------------------------------------------------
     engine = CheckpointedEngine(
-        graph, WCCProgram(), checkpoint_interval=2, mode="light"
+        graph, WCCProgram(), checkpoint_interval=2, mode="light",
+        injector=FaultPlan().fail_superstep(3).build(),
     )
-    engine.inject_failure(3)
     values = engine.run()
     from repro.tlav import wcc
 

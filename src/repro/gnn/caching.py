@@ -16,13 +16,13 @@ cache) put a feature cache in front of the network:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Protocol, Sequence
 
 import numpy as np
 
 from ..graph.csr import Graph
+from ..lru import LRU
 from ..obs import MetricsRegistry, StatsViewMixin, merge_counters
 from .sampling import NeighborSampler
 
@@ -80,12 +80,6 @@ class _CacheObsMixin:
                 amount, cache=self.label
             )
 
-    def _record(self, hit: bool) -> None:
-        if hit:
-            self._emit("hits", "feature-cache hits")
-        else:
-            self._emit("misses", "feature-cache misses")
-
 
 class StaticDegreeCache(_CacheObsMixin):
     """Pin the highest-degree vertices; contents never change."""
@@ -109,15 +103,16 @@ class StaticDegreeCache(_CacheObsMixin):
     def lookup(self, vertex: int) -> bool:
         if vertex in self._pinned:
             self.stats.hits += 1
-            self._record(True)
+            self._emit("hits", "feature-cache hits")
             return True
         self.stats.misses += 1
-        self._record(False)
+        self._emit("misses", "feature-cache misses")
         return False
 
 
 class LRUCache(_CacheObsMixin):
-    """Least-recently-used cache; misses insert and may evict."""
+    """Least-recently-used cache; misses insert and may evict
+    (``capacity <= 0`` admits nothing).  ``stats`` reads the core's books."""
 
     def __init__(
         self,
@@ -128,28 +123,23 @@ class LRUCache(_CacheObsMixin):
         self.capacity = capacity
         self.obs = obs
         self.label = label
-        self._entries: OrderedDict = OrderedDict()
-        self.stats = CacheStats()
+        self._lru = LRU(capacity)
+
+    @property
+    def stats(self) -> CacheStats:
+        lru = self._lru
+        admissions = lru.misses if self.capacity > 0 else 0
+        return CacheStats(lru.hits, lru.misses, admissions, lru.evictions)
 
     def lookup(self, vertex: int) -> bool:
-        if self.capacity <= 0:
-            self.stats.misses += 1
-            self._record(False)
-            return False
-        if vertex in self._entries:
-            self._entries.move_to_end(vertex)
-            self.stats.hits += 1
-            self._record(True)
+        if self._lru.get(vertex):
+            self._emit("hits", "feature-cache hits")
             return True
-        self.stats.misses += 1
-        self.stats.admissions += 1
-        self._record(False)
-        self._emit("admissions", "entries admitted")
-        self._entries[vertex] = True
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-            self._emit("evictions", "entries evicted")
+        self._emit("misses", "feature-cache misses")
+        if self.capacity > 0:
+            self._emit("admissions", "entries admitted")
+            if self._lru.put(vertex, True):
+                self._emit("evictions", "entries evicted")
         return False
 
 

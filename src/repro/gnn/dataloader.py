@@ -32,7 +32,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -430,12 +430,7 @@ class MiniBatchLoader:
         }
         stats = getattr(self.fetcher.cache, "stats", None)
         if stats is not None:
-            out["cache_stats"] = {
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "admissions": stats.admissions,
-                "evictions": stats.evictions,
-            }
+            out["cache_stats"] = asdict(stats)
         return out
 
 

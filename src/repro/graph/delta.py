@@ -23,10 +23,10 @@ a mutation batch never grows the vertex set.
 
 :func:`random_edge_updates` is the seeded trickle generator shared by
 the temporal load generator, the ``tlav.incremental.*`` check oracles,
-and the X8 bench: deletes are sampled from the *current* edge set and
-inserts from the complement, so a stream of batches stays consistent
-(no delete of an absent edge, no insert of a present one) and is
-reproducible bit-for-bit at a fixed seed.
+and ``bench/``'s ``serve_mutating``: deletes are sampled from the
+*current* edge set and inserts from the complement, so a stream of
+batches stays consistent (no delete of an absent edge, no insert of a
+present one) and is reproducible bit-for-bit at a fixed seed.
 """
 
 from __future__ import annotations

@@ -30,12 +30,12 @@ Cache traffic reports through :mod:`repro.obs`: counters
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ...lru import LRU
 from ..csr import Graph
 from .format import Manifest, StoreError, verify_file
 from .handle import PartitionView
@@ -44,13 +44,10 @@ __all__ = ["ShardCache", "CacheStats", "StoredGraph", "open_store"]
 
 PathLike = Union[str, os.PathLike]
 
-#: Shard kinds the cache pages, in manifest ``files`` key vocabulary.
-_PAGEABLE = ("indptr", "indices", "edge_labels", "features")
-
 
 @dataclass
 class CacheStats:
-    """Shard-cache traffic; ``hits + misses == pages requested``."""
+    """Shard-cache traffic as of the read; ``hits + misses == pages requested``."""
 
     hits: int = 0
     misses: int = 0
@@ -62,34 +59,26 @@ class CacheStats:
         return self.hits + self.misses
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "bytes_paged": self.bytes_paged,
-            "pages_requested": self.pages_requested,
-        }
+        return {**asdict(self), "pages_requested": self.pages_requested}
 
 
 class ShardCache:
-    """Byte-budgeted LRU over memory-mapped shard arrays.
+    """Byte-budgeted :class:`~repro.lru.LRU` over memory-mapped shards.
 
     Keys are ``(part_id, kind)``.  A ``budget`` of ``None`` means
     unbounded (everything stays cached once touched); any positive
     budget below the store's total shard bytes forces real paging,
-    which is what the ``store.*`` oracles and the scaling bench pin.
+    which is what the ``store.*`` oracles pin.  The page just inserted
+    is in use by the caller and never evicted; eviction only drops the
+    reference (the mmap closes when the last view is collected).
     """
 
     def __init__(self, budget: Optional[int] = None, obs=None) -> None:
         if budget is not None and budget < 0:
             raise ValueError("cache budget must be >= 0 or None")
         self.budget = budget
-        self.stats = CacheStats()
-        self._entries: "OrderedDict[Tuple[int, str], Tuple[np.ndarray, int]]" = (
-            OrderedDict()
-        )
-        self._resident_bytes = 0
-        self._obs = obs
+        self.bytes_paged = 0
+        self._lru = LRU(budget)
         if obs is not None:
             self._c_hits = obs.counter("store.shard_hits", "shard cache hits")
             self._c_misses = obs.counter("store.shard_misses", "shard cache misses")
@@ -101,51 +90,39 @@ class ShardCache:
             self._g_bytes = None
 
     @property
+    def stats(self) -> CacheStats:
+        lru = self._lru
+        return CacheStats(lru.hits, lru.misses, lru.evictions, self.bytes_paged)
+
+    @property
     def resident_bytes(self) -> int:
-        return self._resident_bytes
+        return self._lru.weight
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._lru)
 
     def get(self, key: Tuple[int, str], loader, nbytes: int) -> np.ndarray:
         """Return the shard for ``key``, paging it in via ``loader()``."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
+        array = self._lru.get(key)
+        if array is not None:
             if self._c_hits is not None:
                 self._c_hits.inc()
-            return entry[0]
-        array = loader()
-        self.stats.misses += 1
-        self.stats.bytes_paged += nbytes
+            return array
+        # A loader that raises (corrupt shard) leaves the miss booked.
         if self._c_misses is not None:
             self._c_misses.inc()
+        array = loader()
+        self.bytes_paged += nbytes
+        evicted = self._lru.put(key, array, nbytes)
+        if self._c_paged is not None:
             self._c_paged.inc(nbytes)
-        self._entries[key] = (array, nbytes)
-        self._resident_bytes += nbytes
-        self._evict_to_budget()
-        if self._g_bytes is not None:
-            self._g_bytes.set(self._resident_bytes)
+            if evicted:
+                self._c_evict.inc(evicted)
+            self._g_bytes.set(self._lru.weight)
         return array
 
-    def _evict_to_budget(self) -> None:
-        if self.budget is None:
-            return
-        # Never evict the page just inserted (it is in use by the caller),
-        # even when it alone exceeds the budget.
-        while self._resident_bytes > self.budget and len(self._entries) > 1:
-            _, (_, nbytes) = self._entries.popitem(last=False)
-            self._resident_bytes -= nbytes
-            self.stats.evictions += 1
-            if self._c_evict is not None:
-                self._c_evict.inc()
-        # Dropping our reference is the whole eviction: the mmap closes
-        # when the last outstanding view is garbage-collected.
-
     def clear(self) -> None:
-        self._entries.clear()
-        self._resident_bytes = 0
+        self._lru.clear()
         if self._g_bytes is not None:
             self._g_bytes.set(0)
 

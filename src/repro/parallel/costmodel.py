@@ -2,9 +2,8 @@
 
 The survey's recurring lesson is that no single execution strategy wins
 across workloads: process pools amortize beautifully on big fan-outs and
-drown small ones in spawn/pickle overhead (bench C17's seed artifact
-shows exactly that).  :class:`CostModel` makes the choice per call from
-a classical analytical model —
+drown small ones in spawn/pickle overhead.  :class:`CostModel` makes the
+choice per call from a classical analytical model —
 
     cost(backend) = fixed setup not yet amortized        (pool spin-up,
                     + CSR publish for unshared graphs)    per-call share)

@@ -1,19 +1,18 @@
 """Long-lived worker pools with a per-(pool, graph) shared-memory registry.
 
-Bench C17 showed the process backend losing to serial on every workload:
-each ``ParallelExecutor`` spawned a fresh ``ProcessPoolExecutor`` and
-re-published the CSR into shared memory per executor, so every fan-out
-paid the full spawn + copy bill.  :class:`WorkerPool` amortizes both:
+A fresh ``ProcessPoolExecutor`` plus a CSR re-publish per executor makes
+every fan-out pay the full spawn + copy bill, and the process backend
+then loses to serial.  :class:`WorkerPool` amortizes both:
 
 * the futures pool (thread or process) is created once and *kept warm*
   across ``map_graph`` calls, executors, and — through the module-level
   registry — across independent call sites that agree on
   ``(backend, workers)``;
 * each graph's CSR is copied into ``multiprocessing.shared_memory``
-  exactly once per (pool, graph) pair.  The registry is keyed by graph
-  *identity* (with a strong reference held, so a collected graph's id
-  cannot be reused to serve a different graph) and bounded by an LRU cap;
-  evicted and discarded entries unlink their segments immediately.
+  exactly once per (pool, graph) pair.  The registry is an LRU keyed by
+  graph *identity* (with a strong reference held, so a collected graph's
+  id cannot be reused to serve a different graph); evicted, discarded
+  and closed entries unlink their segments through its one callback.
 
 Teardown rides the existing hygiene machinery: every
 :class:`~repro.parallel.shm.SharedGraph` a pool owns is registered in
@@ -29,12 +28,12 @@ from __future__ import annotations
 
 import atexit
 import time
-from collections import OrderedDict
 from concurrent.futures import Executor as _FuturesExecutor
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Dict, Optional, Tuple
 
 from ..graph.csr import Graph
+from ..lru import LRU
 from .shm import SharedGraph
 
 __all__ = [
@@ -83,10 +82,8 @@ class WorkerPool:
         self._pool: Optional[_FuturesExecutor] = None
         # id(graph) -> (graph, shared); the strong graph reference keeps
         # the id from being recycled while the entry lives.
-        self._graphs: "OrderedDict[int, Tuple[Graph, SharedGraph]]" = OrderedDict()
+        self._graphs = LRU(max_shared_graphs, on_evict=lambda _, e: e[1].close())
         self.cold_starts = 0
-        self.shares = 0
-        self.share_hits = 0
         self.last_spinup_seconds = 0.0
         self.last_share_seconds = 0.0
 
@@ -136,9 +133,11 @@ class WorkerPool:
 
     # -- shm registry ------------------------------------------------------
 
+    shares = property(lambda self: self._graphs.misses, doc="CSR copies made")
+    share_hits = property(lambda self: self._graphs.hits, doc="copies reused")
+
     def is_shared(self, graph: Graph) -> bool:
-        entry = self._graphs.get(id(graph))
-        return entry is not None and entry[0] is graph
+        return id(graph) in self._graphs
 
     def share(self, graph: Graph) -> SharedGraph:
         """Publish ``graph`` to shared memory once per (pool, graph) pair.
@@ -147,42 +146,31 @@ class WorkerPool:
         return the existing :class:`SharedGraph` without copying a byte
         (``last_share_seconds`` reads 0).
         """
-        key = id(graph)
-        entry = self._graphs.get(key)
-        if entry is not None and entry[0] is graph:
-            self._graphs.move_to_end(key)
-            self.share_hits += 1
+        entry = self._graphs.get(id(graph))
+        if entry is not None:
             self.last_share_seconds = 0.0
             return entry[1]
         start = time.perf_counter()
         shared = SharedGraph(graph)
-        self._graphs[key] = (graph, shared)
-        self.shares += 1
-        while len(self._graphs) > self.max_shared_graphs:
-            _, (_, evicted) = self._graphs.popitem(last=False)
-            evicted.close()
+        self._graphs.put(id(graph), (graph, shared))
         self.last_share_seconds = time.perf_counter() - start
         return shared
 
     def discard(self, graph: Graph) -> None:
         """Unlink one graph's segments (failure paths; idempotent)."""
-        entry = self._graphs.pop(id(graph), None)
-        if entry is not None:
-            entry[1].close()
+        self._graphs.pop(id(graph))
 
     @property
     def shared_bytes(self) -> int:
         """Total shm bytes currently held for this pool's graphs."""
-        return sum(shared.nbytes for _, shared in self._graphs.values())
+        return sum(self._graphs.peek(key)[1].nbytes for key in self._graphs)
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
         """Shut the futures pool down and unlink every segment (idempotent)."""
         self.rebuild()
-        while self._graphs:
-            _, (_, shared) = self._graphs.popitem(last=False)
-            shared.close()
+        self._graphs.clear()
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -6,7 +6,7 @@ checkpoint vertex state and replay (LWCP [48]), Dorylus [39] runs the
 tensor stage on preemptible serverless lambdas and re-invokes the ones
 that fail or straggle, and the task/GNN engines must survive worker
 crashes and lossy links.  Before this package each corner modelled
-failure ad hoc (``CheckpointedEngine.inject_failure``); ``repro.resilience``
+failure ad hoc; ``repro.resilience``
 gives the whole stack one substrate:
 
 * :class:`FaultPlan` / :class:`FaultInjector` — a *seeded, deterministic*

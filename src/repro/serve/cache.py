@@ -43,9 +43,9 @@ vs promoted per bump.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Dict, Iterable, Optional, Set, Tuple
 
+from ..lru import LRU
 from ..obs import MetricsRegistry
 
 __all__ = ["ResultCache"]
@@ -54,14 +54,15 @@ CacheKey = Tuple[str, str, int, Tuple]
 
 
 class ResultCache:
-    """Bounded LRU over ``(endpoint, graph, epoch, canonical_params)``."""
+    """Bounded :class:`~repro.lru.LRU` over ``(endpoint, graph, epoch,
+    canonical_params)`` holding ``(value, footprint)``; its on-evict
+    callback unindexes every entry that leaves."""
 
     def __init__(
         self,
         capacity: int = 256,
         obs: Optional[MetricsRegistry] = None,
         max_stale_epochs: int = 0,
-        partition_scoped: bool = True,
     ) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
@@ -69,10 +70,8 @@ class ResultCache:
             raise ValueError("max_stale_epochs must be >= 0")
         self.capacity = capacity
         self.max_stale_epochs = int(max_stale_epochs)
-        self.partition_scoped = bool(partition_scoped)
         self.registry = obs if obs is not None else MetricsRegistry()
-        self._entries: "OrderedDict[CacheKey, Any]" = OrderedDict()
-        self._footprints: Dict[CacheKey, Optional[frozenset]] = {}
+        self._lru = LRU(capacity, on_evict=self._unindex)
         self._by_graph: Dict[str, Set[CacheKey]] = {}
         self._c_hits = self.registry.counter(
             "serve.cache.hits", "served from the versioned result cache"
@@ -107,16 +106,7 @@ class ResultCache:
 
     # -- index plumbing ----------------------------------------------------
 
-    def _insert(
-        self, key: CacheKey, value: Any, partitions: Optional[frozenset]
-    ) -> None:
-        self._entries[key] = value
-        self._footprints[key] = partitions
-        self._by_graph.setdefault(key[1], set()).add(key)
-
-    def _remove(self, key: CacheKey) -> None:
-        del self._entries[key]
-        del self._footprints[key]
+    def _unindex(self, key: CacheKey, _entry: Any) -> None:
         keys = self._by_graph[key[1]]
         keys.discard(key)
         if not keys:
@@ -124,10 +114,10 @@ class ResultCache:
 
     def lookup(self, key: CacheKey) -> Tuple[bool, Any]:
         """``(hit, value)``; counts the outcome under the endpoint label."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
+        entry = self._lru.get(key)
+        if entry is not None:
             self._c_hits.inc(endpoint=key[0])
-            return True, self._entries[key]
+            return True, entry[0]
         self._c_misses.inc(endpoint=key[0])
         return False, None
 
@@ -142,19 +132,12 @@ class ResultCache:
         conservative default every full-graph analytic uses)."""
         footprint = (
             frozenset(int(p) for p in partitions)
-            if partitions is not None and self.partition_scoped
-            else None
+            if partitions is not None else None
         )
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self._entries[key] = value
-            self._footprints[key] = footprint
-        else:
-            self._insert(key, value, footprint)
-        while len(self._entries) > self.capacity:
-            oldest = next(iter(self._entries))
-            self._remove(oldest)
-            self._c_evictions.inc()
+        self._by_graph.setdefault(key[1], set()).add(key)
+        evicted = self._lru.put(key, (value, footprint))
+        if evicted:
+            self._c_evictions.inc(evicted)
 
     def lookup_stale(
         self, endpoint: str, graph: str, current_epoch: int, canon: Tuple
@@ -175,9 +158,10 @@ class ResultCache:
         if best_key is None:
             self._c_stale_misses.inc(endpoint=endpoint)
             return False, None, 0
-        self._entries.move_to_end(best_key)
+        # Refresh recency without booking a fresh hit.
+        value, _ = self._lru.peek(best_key, refresh=True)
         self._c_stale_hits.inc(endpoint=endpoint)
-        return True, self._entries[best_key], int(current_epoch) - best_key[2]
+        return True, value, int(current_epoch) - best_key[2]
 
     def invalidate_graph(
         self,
@@ -209,14 +193,14 @@ class ResultCache:
         cur = int(current_epoch)
         floor = cur - self.max_stale_epochs
         dirty = (
-            None if dirty_partitions is None or not self.partition_scoped
+            None if dirty_partitions is None
             else frozenset(int(p) for p in dirty_partitions)
         )
         reclaimed = retained = promoted = 0
         for k in sorted(keys, key=lambda k: k[2]):
             if k[2] >= cur:
                 continue
-            footprint = self._footprints[k]
+            value, footprint = self._lru.peek(k)
             clean = (
                 k[2] == cur - 1
                 and dirty is not None
@@ -227,10 +211,9 @@ class ResultCache:
             )
             if clean:
                 target = (k[0], k[1], cur, k[3])
-                value = self._entries[k]
-                self._remove(k)
-                if target not in self._entries:
-                    self._insert(target, value, footprint)
+                self._lru.pop(k)
+                if target not in self._lru:
+                    self.put(target, value, footprint)
                     promoted += 1
                 else:
                     # A genuinely fresh entry already owns the target
@@ -238,7 +221,7 @@ class ResultCache:
                     reclaimed += 1
                 continue
             if k[2] < floor:
-                self._remove(k)
+                self._lru.pop(k)
                 reclaimed += 1
             else:
                 retained += 1
@@ -259,11 +242,11 @@ class ResultCache:
 
     @property
     def hits(self) -> int:
-        return int(self._c_hits.total)
+        return self._lru.hits
 
     @property
     def misses(self) -> int:
-        return int(self._c_misses.total)
+        return self._lru.misses
 
     @property
     def stale_hits(self) -> int:
@@ -290,10 +273,10 @@ class ResultCache:
         return self.stale_hits / looked if looked else 0.0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._lru)
 
     def __contains__(self, key: CacheKey) -> bool:
-        return key in self._entries
+        return key in self._lru
 
     def index_consistent(self) -> bool:
         """Secondary index ≡ entries (the accounting tests' oracle)."""
@@ -302,24 +285,20 @@ class ResultCache:
             if not keys or any(k[1] != name for k in keys):
                 return False
             indexed |= keys
-        return (
-            indexed == set(self._entries)
-            and set(self._footprints) == set(self._entries)
-        )
+        return indexed == set(self._lru)
 
     def as_dict(self) -> Dict[str, Any]:
         return {
             "capacity": self.capacity,
-            "entries": len(self._entries),
+            "entries": len(self._lru),
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": self.hit_rate,
-            "evictions": int(self._c_evictions.total),
+            "evictions": self._lru.evictions,
             "invalidated": int(self._c_invalidated.total),
             "retained": int(self._c_retained.total),
             "promoted": int(self._c_promoted.total),
             "max_stale_epochs": self.max_stale_epochs,
-            "partition_scoped": self.partition_scoped,
             "stale_hits": self.stale_hits,
             "stale_misses": self.stale_misses,
             "stale_hit_rate": self.stale_hit_rate,

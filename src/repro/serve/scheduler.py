@@ -182,12 +182,14 @@ class ServeStats(StatsViewMixin):
             "serve.batch_size", "requests per engine call",
             buckets=[1, 2, 4, 8, 16, 32],
         )
-        self._terminal_ids: Set[int] = set()
+        # Admitted, not yet terminal: bounded by in-flight requests.
+        self._open_ids: Set[int] = set()
 
     # -- write path (server-only) ------------------------------------------
 
-    def record_admitted(self) -> None:
+    def record_admitted(self, rid: int) -> None:
         self._c_admitted.inc()
+        self._open_ids.add(rid)
 
     def record_response(self, response: Response) -> None:
         rid = response.request.id
@@ -195,12 +197,12 @@ class ServeStats(StatsViewMixin):
             # Terminal statuses are mutually exclusive by construction:
             # a request that already landed cannot land again (a second
             # terminal would double-count the queue ledger).
-            if rid in self._terminal_ids:
+            if rid not in self._open_ids:
                 raise RuntimeError(
                     f"request {rid} already recorded a terminal status; "
                     f"refusing second terminal {response.status!r}"
                 )
-            self._terminal_ids.add(rid)
+            self._open_ids.remove(rid)
         self._c_requests.inc(
             endpoint=response.request.endpoint, status=response.status
         )
@@ -371,7 +373,7 @@ class Server:
         heapq.heappush(
             self._arrivals, (request.arrival, request.id, request)
         )
-        self.stats.record_admitted()
+        self.stats.record_admitted(request.id)
         return request.id
 
     # -- the event loop ----------------------------------------------------

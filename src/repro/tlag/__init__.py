@@ -1,7 +1,7 @@
 """Think-like-a-graph/task (TLAG) engines for subgraph search."""
 
 from .aimd import AimdStats, DeviceOverflow, aimd_enumerate
-from .distributed import CacheStats, DistributedTaskEngine, VertexCache
+from .distributed import CacheStats, DistributedTaskEngine
 from .bfs_engine import BfsExplorer, bfs_enumerate_cliques, bfs_enumerate_connected
 from .engine import EngineStats, TaskEngine
 from .hybrid import HybridStats, hybrid_match
@@ -42,6 +42,5 @@ __all__ = [
     "QueryResult",
     "QueryServer",
     "DistributedTaskEngine",
-    "VertexCache",
     "CacheStats",
 ]

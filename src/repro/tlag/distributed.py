@@ -4,8 +4,9 @@ The real G-thinker [53, 54] is a *distributed* framework: the data
 graph is partitioned across machines, a task's subgraph may grow into
 vertices whose adjacency lists live elsewhere, and the engine's central
 mechanism is **pull-and-cache** — a task requests the remote adjacency
-lists it needs, and each worker keeps an LRU-bounded *vertex cache* so
-hot vertices (hubs) are fetched once, not once per task.
+lists it needs, and each worker keeps an LRU-bounded *vertex cache* (a
+:class:`~repro.lru.LRU` counted in adjacency lists) so hot vertices
+(hubs) are fetched once, not once per task.
 
 :class:`DistributedTaskEngine` reproduces that data plane on top of the
 simulated :class:`~repro.cluster.comm.Network`:
@@ -13,7 +14,7 @@ simulated :class:`~repro.cluster.comm.Network`:
 * the graph is partitioned; each worker owns its vertices' adjacency;
 * tasks execute exactly as in :class:`~repro.tlag.engine.TaskEngine`
   (same programs, same results — tests assert it), but every adjacency
-  access is routed through a :class:`VertexCache`: local reads are
+  access is routed through the worker's vertex cache: local reads are
   free, remote reads are priced through the network unless cached;
 * stolen tasks are priced by their serialized size.
 
@@ -25,7 +26,7 @@ graphs (hubs dominate accesses, so hit rates are high).
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -34,11 +35,12 @@ import numpy as np
 from ..cluster.comm import Network
 from ..graph.csr import Graph
 from ..graph.partition import Partition
+from ..lru import LRU
 from ..obs import MetricsRegistry, StatsViewMixin, Tracer
 from .engine import EngineStats
 from .task import Task, TaskContext, TaskProgram
 
-__all__ = ["CacheStats", "VertexCache", "DistributedTaskEngine"]
+__all__ = ["CacheStats", "DistributedTaskEngine"]
 
 
 @dataclass
@@ -68,28 +70,6 @@ class CacheStats(StatsViewMixin):
         self.remote_pulls += other.remote_pulls
         self.bytes_pulled += other.bytes_pulled
         return self
-
-
-class VertexCache:
-    """Per-worker LRU cache of remote adjacency lists."""
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._entries: OrderedDict = OrderedDict()
-
-    def get(self, vertex: int) -> Optional[np.ndarray]:
-        if vertex in self._entries:
-            self._entries.move_to_end(vertex)
-            return self._entries[vertex]
-        return None
-
-    def put(self, vertex: int, adjacency: np.ndarray) -> None:
-        if self.capacity <= 0:
-            return
-        self._entries[vertex] = adjacency
-        self._entries.move_to_end(vertex)
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
 
 
 class _CachedGraphView:
@@ -186,7 +166,7 @@ class DistributedTaskEngine:
         self.results: List[Any] = []
         self.result_count = 0
         self.cache_stats = [CacheStats() for _ in range(self.num_workers)]
-        self._caches = [VertexCache(cache_capacity) for _ in range(self.num_workers)]
+        self._caches = [LRU(cache_capacity) for _ in range(self.num_workers)]
         self.stats = EngineStats(
             self.num_workers, registry=self.obs,
             worker_busy=[0] * self.num_workers,
@@ -216,7 +196,8 @@ class DistributedTaskEngine:
             stats.local_reads += 1
             self._c_cache_reads.inc(kind="local")
             return adjacency
-        cached = self._caches[worker].get(v)
+        cache = self._caches[worker]
+        cached = cache.get(v)
         if cached is not None:
             stats.cache_hits += 1
             self._c_cache_reads.inc(kind="hit")
@@ -228,7 +209,8 @@ class DistributedTaskEngine:
         stats.bytes_pulled += nbytes
         self._c_cache_reads.inc(kind="pull")
         self._c_cache_bytes.inc(nbytes)
-        self._caches[worker].put(v, adjacency)
+        if cache.budget > 0:  # capacity 0 disables caching: admit nothing
+            cache.put(v, adjacency)
         return adjacency
 
     # -- execution ----------------------------------------------------------------

@@ -14,7 +14,6 @@ program with:
   scheme) and ``light`` (state only, LWCP);
 * crash injection through the unified
   :class:`~repro.resilience.FaultInjector` (``fail_superstep`` faults);
-  :meth:`inject_failure` remains as a one-call shim over it;
 * checkpoints stored in a :class:`~repro.resilience.SnapshotStore`
   (tag ``tlav``), so checkpoint bytes, restores and recovery spans
   surface under ``resilience.*`` next to every other engine's;
@@ -106,16 +105,6 @@ class CheckpointedEngine:
         )
         self._checkpoint: Optional[Snapshot] = None
         self._take_checkpoint()  # superstep-0 baseline
-
-    def inject_failure(self, superstep: int) -> None:
-        """Crash (once) when reaching ``superstep``.
-
-        Shim over the unified fault API: equivalent to running under
-        ``FaultPlan().fail_superstep(superstep)``.
-        """
-        if self.injector is None:
-            self.injector = FaultInjector(obs=self.obs)
-        self.injector.arm("superstep_failure", int(superstep))
 
     # -- checkpointing ------------------------------------------------------
 

@@ -29,7 +29,7 @@ repairs only the state the effective delta perturbs.
   :func:`~repro.tlav.algorithms.bfs` at every epoch.
 
 Every maintainer counts the work it does (pushes, relabels, repaired
-vertices) so the X8 bench can report per-update cost next to the
+vertices) so a benchmark can report per-update cost next to the
 recompute-per-epoch baseline it replaces.
 """
 

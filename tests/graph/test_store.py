@@ -263,6 +263,25 @@ class TestShardCache:
         assert stored.cache.stats.bytes_paged == 2 * first
         stored.close()
 
+    def test_paging_traffic_grows_with_the_graph(self, tmp_path):
+        """At a half-working-set budget every pass re-pages shards, and
+        both the bytes paged and the evictions grow with graph size."""
+        from repro.tlav.vectorized import pagerank_dense
+
+        traffic = []
+        for n, parts in ((300, 4), (900, 6), (2000, 8)):
+            g = barabasi_albert(n, 4, seed=11)
+            manifest = build_store(g, tmp_path / f"g{n}", num_parts=parts)
+            budget = manifest.shard_bytes // 2
+            with open_store(tmp_path / f"g{n}", cache_budget=budget) as stored:
+                pagerank_dense(stored, iterations=3)
+                stats = stored.cache_stats()
+            assert stats["bytes_paged"] > manifest.shard_bytes
+            traffic.append((stats["bytes_paged"], stats["evictions"]))
+        paged, evictions = zip(*traffic)
+        assert list(paged) == sorted(set(paged))
+        assert list(evictions) == sorted(set(evictions)) and evictions[0] > 0
+
     def test_unbounded_cache_never_evicts(self, graph, tmp_path):
         build_store(graph, tmp_path / "g", num_parts=3)
         stored = open_store(tmp_path / "g")

@@ -32,8 +32,8 @@ def graph():
 
 
 def _segment_names(pool, graph):
-    entry = pool._graphs[id(graph)]
-    return entry[1].handle.cache_key()
+    _, shared = pool._graphs.peek(id(graph))
+    return shared.handle.cache_key()
 
 
 class TestWorkerPool:

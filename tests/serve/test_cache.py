@@ -238,13 +238,6 @@ class TestPartitionScopedInvalidation:
         assert not cache.lookup(_key(epoch=1, x=1))[0]
         assert cache.as_dict()["promoted"] == 0
 
-    def test_partition_scoped_off_disables_promotion(self):
-        cache = ResultCache(partition_scoped=False)
-        cache.put(_key(epoch=0, x=1), "a", partitions={3})
-        cache.invalidate_graph("default", current_epoch=1,
-                               dirty_partitions={0})
-        assert not cache.lookup(_key(epoch=1, x=1))[0]
-
     def test_promotion_does_not_clobber_existing_entry(self):
         cache = ResultCache()
         cache.put(_key(epoch=0, x=1), "old", partitions={5})
@@ -412,5 +405,58 @@ class TestHitRateAccounting:
         d = cache.as_dict()
         assert d["hits"] == cache.hits == 1
         assert d["retained"] == 1 and d["promoted"] == 0
-        assert d["partition_scoped"] is True
         assert d["max_stale_epochs"] == 1
+
+
+class TestServedTrickle:
+    """One seeded 1%-of-edges trickle against a hot adjacency set,
+    served through the full stack: footprint-scoped promotion keeps a
+    strictly higher hit rate than hearing no dirty set per bump."""
+
+    @staticmethod
+    def _serve(scoped):
+        import numpy as np
+
+        from repro.graph.delta import random_edge_updates
+        from repro.graph.partition import hash_partition
+        from repro.graph.store import InMemoryGraph
+        from repro.serve import Server, builtin_endpoints
+        from repro.serve.scheduler import Request
+
+        graph = barabasi_albert(600, 3, seed=1)
+        graphs = GraphRegistry()
+        graphs.register("default", InMemoryGraph(
+            graph, partition=hash_partition(graph, 128), name="default",
+        ))
+        server = Server(
+            graphs, endpoints=builtin_endpoints(),
+            num_workers=2, queue_bound=256, batch_window=0,
+        )
+        if not scoped:
+            # Same cache, but its listener withholds the dirty set.
+            server.cache = ResultCache(server.cache.capacity)
+            graphs.subscribe(
+                lambda name, epoch, _dirty:
+                server.cache.invalidate_graph(name, epoch)
+            )
+        rng = np.random.default_rng(0)
+        arrival = 0
+        batches = random_edge_updates(graph, 6, edge_fraction=0.01, seed=7)
+        for wave in [None] + batches:
+            if wave is not None:
+                graphs.apply_updates("default", inserts=wave[0], deletes=wave[1])
+            for _ in range(32):
+                arrival += 50
+                server.submit(Request(
+                    endpoint="graph.neighbors",
+                    params={"node": int(rng.integers(32))},
+                    tenant="hot", arrival=arrival,
+                ))
+            assert all(r.ok for r in server.run())
+        assert server.cache.index_consistent()
+        return server.cache.as_dict()
+
+    def test_footprint_scoping_beats_whole_graph_invalidation(self):
+        scoped, whole = self._serve(True), self._serve(False)
+        assert scoped["promoted"] > 0 and whole["promoted"] == 0
+        assert scoped["hit_rate"] > whole["hit_rate"]

@@ -277,6 +277,26 @@ class TestErrorsAndFeedback:
         assert server.stats.completed == 1  # errors are terminal, not lost
         assert server.stats.in_flight == 0
 
+    def test_second_terminal_for_one_request_raises(self, graphs):
+        server = _server(graphs)
+        server.submit(Request(endpoint="test.work"))
+        (response,) = server.run()
+        with pytest.raises(RuntimeError, match="already recorded a terminal"):
+            server.stats.record_response(response)
+
+    def test_terminal_tracking_is_bounded_by_in_flight(self, graphs):
+        """Only open ids are tracked: a drained server remembers none."""
+        server = _server(graphs, enable_cache=False)
+        for wave in range(50):
+            for i in range(100):
+                server.submit(Request(
+                    endpoint="test.work", params={"x": i, "cost": 1},
+                    arrival=wave * 1000,
+                ))
+            server.run()
+        assert server.stats.admitted == 5000 and server.stats.in_flight == 0
+        assert len(server.stats._open_ids) == 0
+
     def test_closed_loop_feedback_submits_followup(self, graphs):
         server = _server(graphs)
 

@@ -7,7 +7,7 @@ from repro.graph.partition import hash_partition, metis_like_partition
 from repro.matching.backtrack import count_matches
 from repro.matching.cliques import maximal_cliques
 from repro.matching.pattern import diamond_pattern, triangle_pattern
-from repro.tlag.distributed import DistributedTaskEngine, VertexCache
+from repro.tlag.distributed import DistributedTaskEngine
 from repro.tlag.engine import TaskEngine
 from repro.tlag.programs import (
     KCliqueProgram,
@@ -24,34 +24,6 @@ def graph():
 @pytest.fixture
 def partition(graph):
     return hash_partition(graph, 4)
-
-
-class TestVertexCache:
-    def test_miss_then_hit(self):
-        import numpy as np
-
-        cache = VertexCache(capacity=2)
-        assert cache.get(5) is None
-        cache.put(5, np.array([1, 2]))
-        assert cache.get(5) is not None
-
-    def test_lru_eviction(self):
-        import numpy as np
-
-        cache = VertexCache(capacity=2)
-        cache.put(1, np.array([0]))
-        cache.put(2, np.array([0]))
-        cache.get(1)          # refresh 1
-        cache.put(3, np.array([0]))  # evicts 2
-        assert cache.get(2) is None
-        assert cache.get(1) is not None
-
-    def test_zero_capacity_never_stores(self):
-        import numpy as np
-
-        cache = VertexCache(capacity=0)
-        cache.put(1, np.array([0]))
-        assert cache.get(1) is None
 
 
 class TestCorrectness:

@@ -10,6 +10,7 @@ from repro.graph.generators import barabasi_albert, grid_graph, path_graph
 from repro.graph.partition import hash_partition, metis_like_partition
 from repro.graph.properties import bfs_levels
 from repro.graph.store import build_store, open_store
+from repro.resilience import FaultPlan
 from repro.tlav import (
     CheckpointedEngine,
     PointQuery,
@@ -89,9 +90,9 @@ class TestFaultTolerance:
         reference = wcc(graph)
         for mode in ("light", "full"):
             engine = CheckpointedEngine(
-                graph, WCCProgram(), checkpoint_interval=2, mode=mode
+                graph, WCCProgram(), checkpoint_interval=2, mode=mode,
+                injector=FaultPlan().fail_superstep(3).build(),
             )
-            engine.inject_failure(3)
             values = engine.run()
             assert values == reference.tolist()
             assert engine.stats.failures == 1
@@ -119,15 +120,17 @@ class TestFaultTolerance:
 
     def test_replay_bounded_by_interval(self, graph):
         engine = CheckpointedEngine(
-            graph, WCCProgram(), checkpoint_interval=4
+            graph, WCCProgram(), checkpoint_interval=4,
+            injector=FaultPlan().fail_superstep(6).build(),
         )
-        engine.inject_failure(6)
         engine.run()
         assert engine.stats.supersteps_replayed <= 4
 
     def test_failure_at_checkpoint_boundary_free(self, graph):
-        engine = CheckpointedEngine(graph, WCCProgram(), checkpoint_interval=2)
-        engine.inject_failure(2)
+        engine = CheckpointedEngine(
+            graph, WCCProgram(), checkpoint_interval=2,
+            injector=FaultPlan().fail_superstep(2).build(),
+        )
         values = engine.run()
         assert values == wcc(graph).tolist()
         assert engine.stats.supersteps_replayed == 0
