@@ -9,6 +9,9 @@ fully-resident copy:
   ``store.wcc...`` — dense analytics over a paged ``StoredGraph`` are
   **bit-identical** to the in-memory graph (the ``iter_csr_runs``
   ordering contract);
+* ``store.expand_frontier.stored_vs_memory`` — the batched frontier
+  gather returns the same owners and neighbors through the paged store,
+  for two page requests per touched partition;
 * ``store.matching.count_stored_vs_memory`` — the backtracking matcher
   counts the same embeddings through the handle surface;
 * ``store.manifest.roundtrip`` — shards re-assemble to the exact
@@ -40,6 +43,7 @@ from ...obs import MetricsRegistry
 from ...resilience.faults import FaultError, FaultPlan
 from ...tlav.vectorized import bfs_dense, pagerank_dense, wcc_dense
 from .format import Manifest, verify_file
+from .handle import as_handle
 from .stored import open_store
 from .writer import STREAMING_PARTITIONERS, build_store, ingest_edge_stream
 
@@ -117,6 +121,37 @@ def _check_wcc_stored(params: Dict) -> List[str]:
     with tempfile.TemporaryDirectory(prefix="check-store-") as tmp:
         stored = _build_and_open(graph, params, tmp)
         out = same_bits(wcc_dense(graph), wcc_dense(stored), "wcc")
+        stored.close()
+    return out
+
+
+@pair(
+    "store.expand_frontier.stored_vs_memory", "store", BIT_IDENTICAL,
+    gen=_gen_store, floors={"n": 4, "num_parts": 1, "store_partitioner": 0},
+    description="A random frontier (duplicates, unsorted; drawn from "
+    "part_seed) expands to the same owners and neighbors through the "
+    "paged store as through the in-memory handle, and the store is "
+    "asked for exactly two shards per touched partition.",
+)
+def _check_expand_frontier_stored(params: Dict) -> List[str]:
+    graph = make_graph(params)
+    rng = np.random.default_rng(int(params.get("part_seed", 0)))
+    frontier = rng.integers(
+        graph.num_vertices, size=int(rng.integers(2 * graph.num_vertices))
+    )
+    want_owners, want = as_handle(graph).expand_frontier(frontier)
+    with tempfile.TemporaryDirectory(prefix="check-store-") as tmp:
+        stored = _build_and_open(graph, params, tmp)
+        owners, got = stored.expand_frontier(frontier)
+        out = same_bits(want, got, "neighbors")
+        out += same_bits(want_owners, owners, "owners")
+        touched = np.unique(stored.assignment[frontier]).size
+        requested = stored.cache.stats.pages_requested
+        if requested != 2 * touched:
+            out.append(
+                f"paging: {requested} pages requested for {touched} "
+                f"touched partitions (expected {2 * touched})"
+            )
         stored.close()
     return out
 

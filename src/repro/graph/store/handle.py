@@ -4,16 +4,24 @@ Every engine family (TLAV per-vertex + dense, TLAG, matching, GNN,
 serve) now takes a *handle* — a uniform structural surface over graph
 storage — instead of a concrete :class:`~repro.graph.csr.Graph`:
 
-=================  ====================================================
-``num_vertices``   vertex count
-``neighbors(v)``   int64 array of ``v``'s out-neighbors (sorted)
-``degree(v)``      out-degree of one vertex
-``degrees()``      int64 array of all out-degrees
-``num_edge_slots`` directed adjacency entries (cost-model input)
-``features(...)``  float64 feature rows, or ``None``
-``partition(i)``   :class:`PartitionView` of one partition's local CSR
-``to_graph()``     materialize a concrete :class:`Graph`
-=================  ====================================================
+=============================  ========================================
+``num_vertices``               vertex count
+``neighbors(v)``               int64 array of ``v``'s out-neighbors
+                               (sorted)
+``expand_frontier(vertices)``  ``(owners, neighbors)``: the neighbor
+                               lists of a vertex batch concatenated in
+                               input order — one gather per touched
+                               partition (the contract of
+                               :func:`repro.graph.kernels.expand_frontier`)
+``degree(v)``                  out-degree of one vertex
+``degrees()``                  int64 array of all out-degrees
+``num_edge_slots``             directed adjacency entries (cost-model
+                               input)
+``features(...)``              float64 feature rows, or ``None``
+``partition(i)``               :class:`PartitionView` of one
+                               partition's local CSR
+``to_graph()``                 materialize a concrete :class:`Graph`
+=============================  ========================================
 
 :class:`InMemoryGraph` wraps a live :class:`Graph`;
 :class:`~repro.graph.store.stored.StoredGraph` pages memory-mapped
@@ -31,6 +39,7 @@ from typing import Any, Iterator, Optional, Protocol, Tuple, runtime_checkable
 import numpy as np
 
 from ..csr import Graph
+from ..kernels import expand_frontier
 from ..partition import Partition
 from .format import StoreError, is_store_dir
 
@@ -75,6 +84,24 @@ class PartitionView:
         return self.indices[self.indptr[local]: self.indptr[local + 1]]
 
 
+def checked_vertex_ids(vertices: Any, num_vertices: int) -> np.ndarray:
+    """``vertices`` as an int64 array; ``IndexError`` unless all in ``[0, n)``.
+
+    Numpy would wrap a negative id to the other end of a resident array
+    and clamp nothing, so a batch that arrives from outside is checked
+    once here instead of answering with some other vertex's row.
+    """
+    vertices = np.asarray(vertices, dtype=np.int64)
+    if vertices.size and (
+        int(vertices.min()) < 0 or int(vertices.max()) >= num_vertices
+    ):
+        raise IndexError(
+            f"vertex ids must lie in [0, {num_vertices}); got "
+            f"{int(vertices.min())}..{int(vertices.max())}"
+        )
+    return vertices
+
+
 @runtime_checkable
 class GraphHandle(Protocol):
     """Structural protocol every graph handle satisfies."""
@@ -91,6 +118,10 @@ class GraphHandle(Protocol):
     def directed(self) -> bool: ...
 
     def neighbors(self, v: int) -> np.ndarray: ...
+
+    def expand_frontier(
+        self, vertices: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]: ...
 
     def degree(self, v: int) -> int: ...
 
@@ -193,6 +224,20 @@ class InMemoryGraph:
     def neighbors(self, v: int) -> np.ndarray:
         return self._graph.neighbors(v)
 
+    def expand_frontier(
+        self, vertices: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Concatenated neighbor lists of ``vertices`` and their owners.
+
+        ``neighbors`` equals ``concatenate([self.neighbors(v) for v in
+        vertices])`` in input order (duplicates and unsorted input
+        allowed); ``owners[k]`` is the input position that contributed
+        ``neighbors[k]``.  Ids outside ``[0, n)`` raise ``IndexError``.
+        """
+        graph = self._graph
+        vertices = checked_vertex_ids(vertices, graph.num_vertices)
+        return expand_frontier(graph.indptr, graph.indices, vertices)
+
     def degree(self, v: int) -> int:
         return self._graph.degree(v)
 
@@ -245,10 +290,7 @@ class InMemoryGraph:
         nodes = np.sort(self._partition.part(i)).astype(np.int64)
         indptr = np.zeros(nodes.size + 1, dtype=np.int64)
         np.cumsum(graph.degrees()[nodes], out=indptr[1:])
-        slices = [graph.neighbors(int(v)) for v in nodes]
-        indices = (
-            np.concatenate(slices) if slices else np.empty(0, dtype=np.int64)
-        )
+        _, indices = expand_frontier(graph.indptr, graph.indices, nodes)
         return PartitionView(i, nodes, indptr, indices)
 
     def iter_csr_runs(self) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:

@@ -20,6 +20,10 @@ Every page-in validates the shard's byte size against the manifest
 (truncation ⇒ :class:`StoreError`) and, unless ``checksum=False``,
 re-checks the CRC-32 (same-size corruption ⇒ :class:`StoreError`).
 
+A batch of vertices goes through :meth:`StoredGraph.expand_frontier`,
+which requests each touched partition's two shards once; only
+per-vertex callers (``neighbors(v)``) pay two requests per vertex.
+
 Cache traffic reports through :mod:`repro.obs`: counters
 ``store.shard_hits`` / ``store.shard_misses`` / ``store.shard_evictions``
 / ``store.bytes_paged`` and gauge ``store.cache_bytes``.  The
@@ -37,8 +41,9 @@ import numpy as np
 
 from ...lru import LRU
 from ..csr import Graph
+from ..kernels import expand_frontier
 from .format import Manifest, StoreError, verify_file
-from .handle import PartitionView
+from .handle import PartitionView, checked_vertex_ids
 
 __all__ = ["ShardCache", "CacheStats", "StoredGraph", "open_store"]
 
@@ -229,12 +234,58 @@ class StoredGraph:
         return range(self.num_vertices)
 
     def neighbors(self, v: int) -> np.ndarray:
+        if not 0 <= v < self.num_vertices:
+            raise IndexError(
+                f"vertex {v} out of range 0..{self.num_vertices - 1}"
+            )
         part_id = int(self._assignment[v])
         nodes = self._nodes[part_id]
         local = int(np.searchsorted(nodes, v))
         indptr = self._shard(part_id, "indptr")
         indices = self._shard(part_id, "indices")
         return indices[indptr[local]: indptr[local + 1]]
+
+    def expand_frontier(
+        self, vertices: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Concatenated neighbor lists of ``vertices`` and their owners.
+
+        Same contract as :meth:`InMemoryGraph.expand_frontier` —
+        ``neighbors`` equals ``concatenate([self.neighbors(v) for v in
+        vertices])`` in input order, ``owners[k]`` is the contributing
+        input position — but each touched partition's ``indptr`` /
+        ``indices`` shards are requested from the cache *once*, in
+        ascending partition id, however many of its vertices the batch
+        holds and in whatever order.  A frontier superstep therefore
+        costs O(touched partitions) page requests for any partitioner.
+        """
+        vertices = checked_vertex_ids(vertices, self.num_vertices)
+        parts = self._assignment[vertices]
+        order = np.argsort(parts, kind="stable")
+        parts = parts[order]
+        grouped_ids = vertices[order]
+        # Rows regrouped partition-major; lengths come from the resident
+        # degrees, so the layout is known before any shard is paged.
+        grouped_ptr = np.zeros(vertices.size + 1, dtype=np.int64)
+        np.cumsum(self._degrees[grouped_ids], out=grouped_ptr[1:])
+        grouped = np.empty(int(grouped_ptr[-1]), dtype=np.int64)
+        touched, starts = np.unique(parts, return_index=True)
+        ends = np.append(starts[1:], parts.size)
+        for part_id, lo, hi in zip(
+            touched.tolist(), starts.tolist(), ends.tolist()
+        ):
+            local = np.searchsorted(self._nodes[part_id], grouped_ids[lo:hi])
+            _, piece = expand_frontier(
+                self._shard(part_id, "indptr"),
+                self._shard(part_id, "indices"),
+                local,
+            )
+            grouped[grouped_ptr[lo]: grouped_ptr[hi]] = piece
+        # Row ``order[k]`` of the input sits at row ``k`` of the regrouped
+        # CSR; gathering the inverse permutation restores input order.
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(order.size, dtype=np.int64)
+        return expand_frontier(grouped_ptr, grouped, inverse)
 
     def degree(self, v: int) -> int:
         return int(self._degrees[v])

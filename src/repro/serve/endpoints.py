@@ -502,39 +502,39 @@ class EndpointRegistry:
 
 # ----------------------------------------------------------------------
 # Built-in endpoints: one or more per engine family
+#
+# The TLAV endpoints execute the dense kernels; the per-vertex engine
+# (``tlav.algorithms``) stays the oracle they are bit-identical to — the
+# ``tlav.{pagerank,bfs,wcc}.engine_vs_dense`` pairs in ``repro check``.
 # ----------------------------------------------------------------------
 
 
 def _run_pagerank(record: GraphRecord, params: Dict, executor) -> Tuple[Any, int]:
-    from ..tlav.algorithms import pagerank
     from ..tlav.vectorized import pagerank_dense
 
     iterations = int(params.get("iterations", 20))
     damping = float(params.get("damping", 0.85))
-    if executor is not None:
-        values = pagerank_dense(
-            record.graph, damping=damping, iterations=iterations, executor=executor
-        )
-    else:
-        values = pagerank(record.graph, damping=damping, iterations=iterations)
+    values = pagerank_dense(
+        record.graph, damping=damping, iterations=iterations, executor=executor
+    )
     cost = iterations * max(record.graph.num_edge_slots, 1)
     return values, cost
 
 
 def _run_bfs(record: GraphRecord, params: Dict, executor) -> Tuple[Any, int]:
-    from ..tlav.algorithms import bfs
+    from ..tlav.vectorized import bfs_dense
 
     source = int(params.get("source", 0)) % max(record.graph.num_vertices, 1)
-    levels = bfs(record.graph, source)
+    levels = bfs_dense(record.graph, source)
     # Every edge is examined once per direction plus the frontier scans.
     cost = record.graph.num_edge_slots + record.graph.num_vertices
     return levels, cost
 
 
 def _run_wcc(record: GraphRecord, params: Dict, executor) -> Tuple[Any, int]:
-    from ..tlav.algorithms import wcc
+    from ..tlav.vectorized import wcc_dense
 
-    labels = wcc(record.graph)
+    labels = wcc_dense(record.graph)
     rounds = int(np.log2(max(record.graph.num_vertices, 2))) + 1
     cost = rounds * (record.graph.num_edge_slots + record.graph.num_vertices)
     return labels, cost

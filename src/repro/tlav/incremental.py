@@ -43,6 +43,7 @@ import numpy as np
 
 from ..graph.csr import Graph
 from ..graph.delta import EdgeDelta, apply_edge_updates
+from ..graph.kernels import expand_frontier
 
 __all__ = ["IncrementalPageRank", "IncrementalWCC", "IncrementalBFS"]
 
@@ -163,11 +164,10 @@ class IncrementalPageRank(_Maintainer):
                 self.r[new_nbrs] += self.damping * pu / new_nbrs.size
         seeds = np.unique(np.concatenate([
             delta.touched,
-            np.concatenate([old.neighbors(int(u)) for u in delta.touched])
-            if delta.touched.size else np.empty(0, dtype=np.int64),
-            np.concatenate([self.graph.neighbors(int(u))
-                            for u in delta.touched])
-            if delta.touched.size else np.empty(0, dtype=np.int64),
+            expand_frontier(old.indptr, old.indices, delta.touched)[1],
+            expand_frontier(
+                self.graph.indptr, self.graph.indices, delta.touched
+            )[1],
         ]))
         self._push(seeds)
 

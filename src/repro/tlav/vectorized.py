@@ -10,11 +10,16 @@ runs it as whole-frontier numpy kernels (:mod:`repro.graph.kernels`).
 Every entry point takes ``graph_or_handle`` — a concrete
 :class:`~repro.graph.csr.Graph`, any
 :class:`~repro.graph.store.GraphHandle`, or a store-directory path.
-Dense supersteps consume the handle through ``iter_csr_runs()``: for an
-in-memory graph that is the whole CSR in one run; for a
+Dense supersteps reach the handle two ways.  Whole-graph sweeps
+(PageRank, WCC) consume ``iter_csr_runs()``: for an in-memory graph
+that is the whole CSR in one run; for a
 :class:`~repro.graph.store.StoredGraph` it is one run per maximal span
 of consecutive global ids in the same partition, paged through the
-shard cache as each superstep touches it.
+shard cache as each superstep touches it.  Frontier supersteps (BFS)
+call ``handle.expand_frontier(frontier)``: one kernel gather over the
+resident CSR, or one gather per *touched partition* of a stored graph —
+each partition's two shards are requested once per level, never once
+per frontier vertex.
 
 Equivalence contract
 --------------------
@@ -54,7 +59,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..graph.csr import Graph
-from ..graph.kernels import expand_frontier, scatter_add_ordered
+from ..graph.kernels import scatter_add_ordered
 from ..graph.store.handle import as_handle
 from ..obs import MetricsRegistry
 
@@ -75,17 +80,6 @@ def _scatter_shares_task(graph: Graph, payload: Tuple) -> np.ndarray:
     dst = indices[indptr[lo]: indptr[hi]]
     scatter_add_ordered(partial, dst, np.repeat(shares[lo:hi], degrees))
     return partial
-
-
-def _frontier_neighbors(handle, frontier: np.ndarray) -> np.ndarray:
-    """All neighbors of ``frontier`` vertices, paged when stored."""
-    if hasattr(handle, "indptr"):
-        _, neighbors = expand_frontier(handle.indptr, handle.indices, frontier)
-        return neighbors
-    slices = [handle.neighbors(int(v)) for v in frontier]
-    if not slices:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(slices)
 
 
 def pagerank_dense(
@@ -153,16 +147,20 @@ def bfs_dense(graph_or_handle, source: int = 0) -> np.ndarray:
 
     Equal to :func:`repro.tlav.algorithms.bfs` (and to
     :func:`repro.graph.properties.bfs_levels`): unreachable vertices
-    keep ``-1``.
+    keep ``-1``.  A ``source`` outside ``[0, n)`` raises ``IndexError``.
     """
     handle = as_handle(graph_or_handle)
     n = handle.num_vertices
     level = np.full(n, -1, dtype=np.int64)
+    if n == 0:
+        return level  # like the engine: no vertex, no source to place
+    if not 0 <= source < n:
+        raise IndexError(f"BFS source {source} out of range 0..{n - 1}")
     level[source] = 0
     frontier = np.asarray([source], dtype=np.int64)
     depth = 0
     while frontier.size:
-        neighbors = _frontier_neighbors(handle, frontier)
+        _, neighbors = handle.expand_frontier(frontier)
         fresh = neighbors[level[neighbors] < 0]
         if fresh.size == 0:
             break

@@ -11,7 +11,9 @@ promises:
   descriptor leak;
 * the pre-store ``graph=`` keyword spelling is a ``TypeError``;
 * every engine family gives identical answers through a paged
-  :class:`StoredGraph` and the in-memory graph.
+  :class:`StoredGraph` and the in-memory graph;
+* ``expand_frontier`` equals the per-vertex concatenation on every
+  handle while requesting each touched partition's shards once.
 """
 
 import gc
@@ -20,6 +22,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.graph.csr import Graph
 from repro.graph.generators import barabasi_albert, erdos_renyi
@@ -169,6 +173,9 @@ class TestCorruption:
         stored = open_store(tmp_path / "g")
         with pytest.raises(StoreError, match="corrupt shard"):
             stored.to_graph()
+        # The batched gather pages through the same verified path.
+        with pytest.raises(StoreError, match="corrupt shard"):
+            stored.expand_frontier(np.arange(graph.num_vertices))
         stored.close()
 
     def test_truncated_shard_raises_store_error(self, graph, tmp_path):
@@ -365,6 +372,130 @@ class TestHandleProtocol:
         stored.bump_version()
         stored.close()
         assert Manifest.load(tmp_path / "g").version == v0 + 1
+
+
+_FRONTIER_N = 90
+_FRONTIER_PARTS = 4
+_frontiers = st.lists(st.integers(0, _FRONTIER_N - 1), max_size=40)
+
+
+def _per_vertex(handle, vertices):
+    """The loop ``expand_frontier`` replaces, kept as the reference."""
+    slices = [np.asarray(handle.neighbors(int(v))) for v in vertices]
+    owners = np.repeat(
+        np.arange(len(slices), dtype=np.int64), [s.size for s in slices]
+    )
+    neighbors = np.concatenate(slices + [np.empty(0, dtype=np.int64)])
+    return owners, neighbors
+
+
+def _assert_expands_like_loop(handle, reference, vertices):
+    owners, neighbors = handle.expand_frontier(vertices)
+    want_owners, want_neighbors = _per_vertex(reference, vertices)
+    assert owners.dtype == neighbors.dtype == np.int64
+    np.testing.assert_array_equal(neighbors, want_neighbors)
+    np.testing.assert_array_equal(owners, want_owners)
+
+
+class TestExpandFrontier:
+    """One batched adjacency primitive on every handle."""
+
+    @pytest.fixture(scope="class")
+    def sparse(self):
+        # Sparse enough to hold isolated (zero-degree) vertices.
+        g = erdos_renyi(_FRONTIER_N, 0.03, seed=4)
+        assert (g.degrees() == 0).any()
+        return g
+
+    @pytest.fixture(scope="class")
+    def roots(self, sparse, tmp_path_factory):
+        base = tmp_path_factory.mktemp("frontier")
+        out = {}
+        for partitioner in ("hash", "range", "metis"):
+            manifest = build_store(
+                sparse, base / partitioner, partition=partitioner,
+                num_parts=_FRONTIER_PARTS, seed=3,
+            )
+            out[partitioner] = (base / partitioner, manifest.shard_bytes)
+        return out
+
+    @given(vertices=_frontiers)
+    @example(vertices=[])
+    @example(vertices=[7, 7, 2, 89, 7])
+    @settings(max_examples=25, deadline=None)
+    def test_in_memory_equals_per_vertex(self, sparse, vertices):
+        part = metis_like_partition(sparse, 3, seed=1)
+        for handle in (as_handle(sparse), InMemoryGraph(sparse, partition=part)):
+            _assert_expands_like_loop(handle, sparse, vertices)
+
+    @pytest.mark.parametrize("budget", ["unbounded", "zero", "half"])
+    @pytest.mark.parametrize("partitioner", ["hash", "range", "metis"])
+    @given(vertices=_frontiers)
+    @example(vertices=[])
+    @example(vertices=[7, 7, 2, 89, 7])
+    @settings(max_examples=15, deadline=None)
+    def test_stored_equals_per_vertex(
+        self, sparse, roots, partitioner, budget, vertices
+    ):
+        root, shard_bytes = roots[partitioner]
+        cache_budget = {
+            "unbounded": None, "zero": 0, "half": shard_bytes // 2
+        }[budget]
+        with open_store(root, cache_budget=cache_budget) as stored:
+            _assert_expands_like_loop(stored, sparse, vertices)
+            ids = np.asarray(vertices, dtype=np.int64)
+            touched = np.unique(stored.assignment[ids]).size
+            # Two shards per touched partition, however many vertices.
+            assert stored.cache_stats()["pages_requested"] == 2 * touched
+
+    def test_partition_view_of_in_memory_graph(self, sparse):
+        part = metis_like_partition(sparse, 3, seed=1)
+        handle = InMemoryGraph(sparse, partition=part)
+        for k in range(3):
+            view = handle.partition(k)
+            np.testing.assert_array_equal(
+                np.diff(view.indptr), sparse.degrees()[view.nodes]
+            )
+            np.testing.assert_array_equal(
+                view.indices, _per_vertex(sparse, view.nodes)[1]
+            )
+
+    def test_out_of_range_ids_raise(self, sparse, roots):
+        n = sparse.num_vertices
+        with open_store(roots["hash"][0]) as stored:
+            for bad in (-1, n):
+                # numpy would wrap -1 to another vertex's row: the
+                # stored handle must refuse, not answer.
+                with pytest.raises(IndexError):
+                    stored.neighbors(bad)
+                for handle in (stored, as_handle(sparse)):
+                    with pytest.raises(IndexError):
+                        handle.expand_frontier([0, bad])
+            assert stored.cache_stats()["pages_requested"] == 0
+
+    def test_every_page_in_is_verified(self, sparse, roots, monkeypatch):
+        from repro.graph.store import stored as stored_module
+
+        verified = []
+        real = stored_module.verify_file
+
+        def spy(root, entry, checksum=True):
+            verified.append((entry.path, checksum))
+            return real(root, entry, checksum=checksum)
+
+        with open_store(roots["hash"][0], cache_budget=0) as stored:
+            monkeypatch.setattr(stored_module, "verify_file", spy)
+            stored.expand_frontier(np.arange(sparse.num_vertices))
+            stored.expand_frontier(np.arange(sparse.num_vertices))
+            assert stored.cache_stats()["misses"] == 4 * _FRONTIER_PARTS
+        assert len(verified) == 4 * _FRONTIER_PARTS
+        assert all(checksum for _path, checksum in verified)
+
+    def test_closed_store_raises_store_error(self, sparse, roots):
+        stored = open_store(roots["range"][0])
+        stored.close()
+        with pytest.raises(StoreError, match="closed"):
+            stored.expand_frontier([0, 1])
 
 
 class TestCatalog:

@@ -152,6 +152,40 @@ class TestBuiltinEndpointsMatchEngines:
         result, _ = builtin_endpoints().get("tlav.wcc").run(record, {})
         np.testing.assert_array_equal(result, wcc(record.graph))
 
+    @pytest.mark.parametrize("kind", ["memory", "mutated", "stored"])
+    def test_tlav_serves_the_engine_bits_at_the_engine_cost(
+        self, kind, tmp_path
+    ):
+        """Serving executes the dense kernels; the per-vertex engine is
+        the oracle, so value bits and billed cost are the engine's."""
+        from repro.graph.store import build_store
+
+        g = barabasi_albert(70, 2, seed=9)
+        graphs = GraphRegistry()
+        if kind == "stored":
+            path = str(tmp_path / "store")
+            build_store(g, path, partition="hash", num_parts=3)
+            graphs.register("g", path)
+        else:
+            graphs.register("g", g)
+        if kind == "mutated":
+            for inserts, deletes in random_edge_updates(g, 2, 0.05, seed=2):
+                graphs.apply_updates("g", inserts=inserts, deletes=deletes)
+        record = graphs.get("g")
+        graph = record.graph
+        n, slots = graph.num_vertices, graph.num_edge_slots
+        rounds = int(np.log2(n)) + 1
+        cases = [
+            ("tlav.pagerank", {"iterations": 4, "damping": 0.8},
+             pagerank(graph, damping=0.8, iterations=4), 4 * slots),
+            ("tlav.bfs", {"source": n + 5}, bfs(graph, 5), slots + n),
+            ("tlav.wcc", {}, wcc(graph), rounds * (slots + n)),
+        ]
+        for name, params, want, want_cost in cases:
+            got, cost = builtin_endpoints().get(name).run(record, params)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert cost == want_cost
+
     def test_matching_count(self, graphs):
         record = graphs.get("default")
         result, cost = builtin_endpoints().get("matching.count").run(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.generators import barabasi_albert, erdos_renyi, grid_graph
+from repro.graph.store import build_store, open_store
 from repro.obs import MetricsRegistry
 from repro.tlav import bfs_dense, pagerank_dense, wcc_dense
 from repro.tlav.algorithms import bfs, pagerank, wcc
@@ -56,6 +57,37 @@ class TestBFSDense:
         assert levels.min() >= 0  # grid is connected
         sparse = erdos_renyi(40, 0.01, seed=3)
         assert np.array_equal(bfs_dense(sparse, 0), bfs(sparse, 0))
+
+    @pytest.mark.parametrize("source", [-1, 60])
+    def test_out_of_range_source_is_an_index_error(self, source):
+        # A typed error at the entry point, not a numpy failure
+        # ("negative dimensions") from inside the first gather.
+        g = erdos_renyi(60, 0.06, seed=1)
+        with pytest.raises(IndexError, match="source"):
+            bfs_dense(g, source)
+
+    def test_paged_bfs_requests_pages_per_partition_not_per_vertex(
+        self, tmp_path
+    ):
+        """A hash partitioner scatters every frontier over all partitions;
+        each level still asks for each partition's two shards once, so
+        the page requests are bounded by the level count, not by ``n``."""
+        parts, requested = 8, []
+        for n in (400, 1600):
+            g = barabasi_albert(n, 3, seed=7)
+            manifest = build_store(
+                g, tmp_path / f"g{n}", partition="hash", num_parts=parts
+            )
+            with open_store(
+                tmp_path / f"g{n}", cache_budget=manifest.shard_bytes // 2
+            ) as stored:
+                levels = bfs_dense(stored, 0)
+                stats = stored.cache_stats()
+            assert np.array_equal(levels, bfs(g, 0))
+            assert stats["evictions"] > 0  # the budget did force paging
+            assert stats["pages_requested"] <= 2 * parts * (levels.max() + 1)
+            requested.append(stats["pages_requested"])
+        assert requested[1] < 2 * requested[0]  # 4x the vertices
 
 
 class TestWCCDense:
