@@ -7,19 +7,29 @@ the check that flushed out the cache accounting bug: ``replay`` counted
 hits externally while the cache kept no books of its own, so nothing
 tied ``CacheReport.bytes_saved`` to what the cache actually admitted
 and evicted.
+
+The per-vertex samplers (:func:`reference_sample_neighbors`,
+:func:`reference_layerwise_sample`) are the loops ``gnn.sampling`` ran
+before it became array code over ``expand_frontier``; they live here as
+the reference side of ``gnn.sampling.batched_vs_reference`` only.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 from collections import OrderedDict
-from typing import Dict, List
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..check.invariants import bounded_error, same_values
+from ..check.invariants import bounded_error, csr_well_formed, same_bits, same_values
 from ..check.registry import BIT_IDENTICAL, BOUNDED_ERROR, pair
+from ..check.workloads import gen_graph_params, make_graph
+from ..graph.csr import Graph, GraphBuilder
 from .caching import LRUCache, StaticDegreeCache, replay
 from .quantization import quantize, quantize_dequantize
+from .sampling import Block, layerwise_sample, sample_neighbors
 
 
 def _gen_quantize(rng: np.random.Generator) -> Dict:
@@ -254,6 +264,242 @@ def _check_minibatch_loss(params: Dict) -> List[str]:
         [gap_full], [min(gap_full, gap_small + 1e-8)],
         atol=1e-12, label="gap_monotone",
     )
+    return out
+
+
+# ----------------------------------------------------------------------
+# Batched samplers vs the per-vertex reference
+# ----------------------------------------------------------------------
+
+
+def _reference_block(
+    graph: Graph,
+    seeds: Sequence[int],
+    keep_nodes: List[int],
+    edges: List[Tuple[int, int]],
+) -> Block:
+    node_ids = np.asarray(keep_nodes, dtype=np.int64)
+    remap = {int(g): l for l, g in enumerate(node_ids)}
+    builder = GraphBuilder(directed=False)
+    builder.add_vertex(node_ids.size - 1)
+    for u, v in edges:
+        builder.add_edge(remap[u], remap[v])
+    labels = None
+    if graph.vertex_labels is not None:
+        labels = graph.vertex_labels[node_ids]
+    block_graph = builder.build(num_vertices=node_ids.size, vertex_labels=labels)
+    seed_local = np.asarray([remap[int(s)] for s in seeds], dtype=np.int64)
+    return Block(graph=block_graph, node_ids=node_ids, seed_local=seed_local)
+
+
+def reference_sample_neighbors(
+    graph: Graph,
+    seeds: Sequence[int],
+    fanouts: Sequence[int],
+    rng: Optional[np.random.Generator] = None,
+) -> Block:
+    """Per-vertex fanout sampling: one ``rng.choice`` per oversized vertex.
+
+    Same contract as :func:`~repro.gnn.sampling.sample_neighbors`, and
+    the same block bit for bit whenever no draw happens (``fanout = -1``
+    or nothing exceeds the fanout); with draws the RNG is consumed per
+    vertex, so only the distribution agrees.
+    """
+    rng = rng or np.random.default_rng()
+    seeds = [int(s) for s in seeds]
+    keep_nodes = list(dict.fromkeys(seeds))
+    known = set(keep_nodes)
+    frontier = list(keep_nodes)
+    edges: List[Tuple[int, int]] = []
+    for fanout in fanouts:
+        next_frontier: List[int] = []
+        for v in frontier:
+            nbrs = graph.neighbors(v)
+            if fanout >= 0 and nbrs.size > fanout:
+                picked = rng.choice(nbrs, size=fanout, replace=False)
+            else:
+                picked = nbrs
+            for w in picked:
+                w = int(w)
+                edges.append((v, w))
+                if w not in known:
+                    known.add(w)
+                    keep_nodes.append(w)
+                    next_frontier.append(w)
+        frontier = next_frontier
+    return _reference_block(graph, seeds, keep_nodes, edges)
+
+
+def reference_layerwise_sample(
+    graph: Graph,
+    seeds: Sequence[int],
+    nodes_per_layer: Sequence[int],
+    rng: Optional[np.random.Generator] = None,
+) -> Block:
+    """Per-vertex layer-wise sampling; one ``rng.choice`` per layer, the
+    stream of :func:`~repro.gnn.sampling.layerwise_sample`."""
+    rng = rng or np.random.default_rng()
+    seeds = [int(s) for s in seeds]
+    keep_nodes = list(dict.fromkeys(seeds))
+    known = set(keep_nodes)
+    layer: List[int] = list(keep_nodes)
+    edges: List[Tuple[int, int]] = []
+    for budget in nodes_per_layer:
+        pool: List[int] = []
+        for v in layer:
+            pool.extend(int(w) for w in graph.neighbors(v))
+        if not pool:
+            layer = []
+            continue
+        unique_pool = np.unique(np.asarray(pool, dtype=np.int64))
+        weights = np.asarray(
+            [graph.degree(int(v)) for v in unique_pool], dtype=np.float64
+        )
+        weights = weights / weights.sum()
+        take = min(budget, unique_pool.size)
+        chosen = rng.choice(unique_pool, size=take, replace=False, p=weights)
+        chosen_set = set(int(v) for v in chosen)
+        for v in layer:
+            for w in graph.neighbors(v):
+                if int(w) in chosen_set:
+                    edges.append((v, int(w)))
+        layer = [int(v) for v in chosen]
+        for v in layer:
+            if v not in known:
+                known.add(v)
+                keep_nodes.append(v)
+    return _reference_block(graph, seeds, keep_nodes, edges)
+
+
+def same_block(reference: Block, candidate: Block, label: str = "block") -> List[str]:
+    """Bit-identical blocks: ids, CSR arrays and seed positions."""
+    out = same_bits(reference.node_ids, candidate.node_ids, f"{label}.node_ids")
+    out += same_bits(reference.graph.indptr, candidate.graph.indptr, f"{label}.indptr")
+    out += same_bits(reference.graph.indices, candidate.graph.indices, f"{label}.indices")
+    out += same_bits(reference.seed_local, candidate.seed_local, f"{label}.seed_local")
+    return out
+
+
+def sampled_block_violations(
+    graph: Graph, seeds: Sequence[int], fanouts: Sequence[int], seed: int
+) -> List[str]:
+    """What every fanout-sampled block of an undirected graph must satisfy.
+
+    Samples ``seeds`` at every prefix of ``fanouts`` from a generator
+    seeded with ``seed`` (hop ``k`` of each prefix sees the same draw, so
+    prefix ``k`` is exactly the vertex set the full sample expands at
+    hop ``k``) and checks: distinct ``node_ids`` led by the
+    first-occurrence-unique seeds; ``seed_local`` one entry per input
+    seed; a well-formed, symmetric, loop-free block whose every edge is
+    a parent edge; each prefix's ids a prefix of the next; a vertex
+    expanded at a hop whose fanout covers its degree keeps its whole
+    neighborhood; ``gathered_nodes <= sum_k |seeds| prod fanouts[:k]``.
+    """
+    seeds = np.asarray(list(seeds), dtype=np.int64)
+    fanouts = list(fanouts)
+    prefixes = [
+        sample_neighbors(graph, seeds, fanouts[:k], rng=np.random.default_rng(seed))
+        for k in range(len(fanouts) + 1)
+    ]
+    block = prefixes[-1]
+    ids = block.node_ids
+    out: List[str] = []
+    if np.unique(ids).size != ids.size:
+        out.append("node_ids repeats a vertex")
+    distinct_seeds = np.asarray(list(dict.fromkeys(seeds.tolist())), dtype=np.int64)
+    out += same_bits(distinct_seeds, ids[: distinct_seeds.size], "leading node_ids")
+    out += same_bits(seeds, ids[block.seed_local], "node_ids[seed_local]")
+    out += csr_well_formed(block.graph, "block")
+    if out:
+        return out
+    rows = np.repeat(np.arange(ids.size), np.diff(block.graph.indptr))
+    cols = block.graph.indices
+    if np.any(rows == cols):
+        out.append("block has a self-loop")
+    for u, v in zip(ids[rows].tolist(), ids[cols].tolist()):
+        if not graph.has_edge(u, v):
+            out.append(f"block edge ({u}, {v}) is not a parent edge")
+            break
+    done = 0
+    for hop, (fanout, prefix) in enumerate(zip(fanouts, prefixes)):
+        out += same_bits(prefix.node_ids, ids[: prefix.node_ids.size], f"prefix {hop}")
+        for local in range(done, prefix.node_ids.size):
+            v = int(ids[local])
+            if 0 <= fanout < graph.degree(v):
+                continue
+            kept = ids[block.graph.neighbors(local)]
+            if not np.array_equal(np.sort(kept), graph.neighbors(v)):
+                out.append(
+                    f"vertex {v} (degree {graph.degree(v)}, hop {hop}, fanout "
+                    f"{fanout}) lost neighbors: kept {kept.tolist()}"
+                )
+        done = prefix.node_ids.size
+    if all(f >= 0 for f in fanouts):
+        bound = int(seeds.size * np.cumprod([1] + fanouts).sum())
+        if block.gathered_nodes > bound:
+            out.append(f"gathered_nodes {block.gathered_nodes} exceeds bound {bound}")
+    return out
+
+
+def _gen_sampling(rng: np.random.Generator) -> Dict:
+    params = gen_graph_params(rng, n_range=(8, 72))
+    params["num_seeds"] = int(rng.integers(1, 9))
+    params["fanout"] = int(rng.integers(1, 5))
+    params["hops"] = int(rng.integers(1, 4))
+    params["num_parts"] = int(rng.integers(2, 5))
+    params["sample_seed"] = int(rng.integers(1 << 16))
+    return params
+
+
+@pair(
+    "gnn.sampling.batched_vs_reference", "gnn", BIT_IDENTICAL,
+    gen=_gen_sampling,
+    floors={"n": 4, "num_seeds": 1, "fanout": 1, "hops": 1, "num_parts": 1},
+    description="the batched expand_frontier samplers vs the per-vertex "
+    "loops: bit-identical blocks at full fanout and for "
+    "layerwise_sample (same rng.choice per layer); at finite fanout the "
+    "block invariants (unique ids led by the seeds, parent edges only, "
+    "full neighborhoods under the fanout, bounded size) and the same "
+    "block bit for bit through a hash-partitioned store paged at half "
+    "its shard bytes.",
+)
+def _check_sampling(params: Dict) -> List[str]:
+    from ..graph.store import build_store, open_store
+
+    graph = make_graph(params)
+    seed = int(params["sample_seed"])
+    hops = max(1, int(params["hops"]))
+    fanout = max(1, int(params["fanout"]))
+    # Seeds drawn with replacement: duplicates are part of the contract.
+    seeds = np.random.default_rng(seed).integers(
+        graph.num_vertices, size=max(1, int(params["num_seeds"]))
+    )
+    out = same_block(
+        reference_sample_neighbors(graph, seeds, [-1] * hops),
+        sample_neighbors(graph, seeds, [-1] * hops),
+        "full_fanout",
+    )
+    budgets = [2 * fanout] * hops
+    out += same_block(
+        reference_layerwise_sample(graph, seeds, budgets, np.random.default_rng(seed)),
+        layerwise_sample(graph, seeds, budgets, np.random.default_rng(seed)),
+        "layerwise",
+    )
+    fanouts = [fanout] * hops
+    out += sampled_block_violations(graph, seeds, fanouts, seed)
+    want = sample_neighbors(graph, seeds, fanouts, np.random.default_rng(seed))
+    with tempfile.TemporaryDirectory(prefix="check-sampling-") as tmp:
+        root = os.path.join(tmp, "g")
+        manifest = build_store(
+            graph, root, partition="hash",
+            num_parts=max(1, int(params["num_parts"])),
+        )
+        stored = open_store(root, cache_budget=max(1, manifest.shard_bytes // 2))
+        try:
+            got = sample_neighbors(stored, seeds, fanouts, np.random.default_rng(seed))
+        finally:
+            stored.close()
+    out += same_block(want, got, "stored_vs_memory")
     return out
 
 

@@ -20,6 +20,7 @@ from typing import List
 import numpy as np
 
 from ..graph.csr import Graph
+from ..graph.store.handle import as_handle
 from .tensor import Parameter, Tensor
 
 __all__ = ["GraphTensors", "Module", "Linear", "GCNLayer", "SAGELayer", "SAGEPoolLayer", "GATLayer", "GINLayer"]
@@ -32,22 +33,21 @@ class GraphTensors:
     undirected edge) plus, when ``add_self_loops``, one self-loop per
     vertex; ``gcn_norm`` carries the symmetric normalization
     ``1/sqrt(deg(u) deg(v))`` used by GCN.
+
+    ``graph`` is a ``Graph`` or any graph handle (in-memory or stored);
+    it is read with one ``expand_frontier`` over all vertices, so a
+    stored graph pages each partition's shards once.
     """
 
     def __init__(self, graph: Graph, add_self_loops: bool = True) -> None:
-        srcs: List[int] = []
-        dsts: List[int] = []
-        n = graph.num_vertices
-        for u in graph.vertices():
-            for w in graph.neighbors(u):
-                srcs.append(int(w))
-                dsts.append(u)
+        handle = as_handle(graph)
+        n = handle.num_vertices
+        vertices = np.arange(n, dtype=np.int64)
+        self.dst, self.src = handle.expand_frontier(vertices)
         if add_self_loops:
-            srcs.extend(range(n))
-            dsts.extend(range(n))
+            self.src = np.concatenate([self.src, vertices])
+            self.dst = np.concatenate([self.dst, vertices])
         self.num_vertices = n
-        self.src = np.asarray(srcs, dtype=np.int64)
-        self.dst = np.asarray(dsts, dtype=np.int64)
         deg = np.bincount(self.dst, minlength=n).astype(np.float64)
         deg[deg == 0] = 1.0
         self.in_degree = deg

@@ -9,21 +9,44 @@ The graph-data-communication techniques of Table 2:
   of the full multi-hop neighborhood;
 * :func:`khop_subgraph` — AGL's [68] offline materialization: extract
   the complete k-hop neighborhood of each seed so training needs no
-  graph access at all.
+  graph access at all;
+* :func:`layerwise_sample` — FastGCN-style layer-wise importance
+  sampling.
 
 Samplers return :class:`Block` objects — small graphs over compacted
 ids with a mapping back to the parent graph — which plug directly into
 the layers via :class:`~repro.gnn.layers.GraphTensors`.
+
+A sampler works on a *frontier*, never on a vertex.  Each hop is one
+``handle.expand_frontier(frontier)`` call — on a stored graph one
+gather per touched partition, each shard paged through the checked,
+budgeted cache once per hop — followed by array code; there is no
+per-vertex or per-edge Python.
+
+RNG contract of :func:`sample_neighbors`: a hop in which no frontier
+vertex has more than ``fanout`` neighbors (always the case for
+``fanout = -1``) draws nothing; any other hop makes exactly one
+``rng.random(k)`` call, ``k`` being the neighbor slots of the vertices
+that exceed the fanout.  Those keys rank each such vertex's slots and
+the ``fanout`` smallest survive — a uniform without-replacement subset.
+:func:`layerwise_sample` makes one ``rng.choice(pool, p=weights)`` per
+layer with a non-empty candidate pool.
+
+Seeds are de-duplicated (first occurrence wins) before sampling, so
+``node_ids`` never repeats a vertex and ``gathered_nodes`` bills each
+feature row once; ``seed_local`` keeps one entry per *input* seed.  A
+seed outside ``[0, n)`` raises ``IndexError`` whatever the fanouts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..graph.csr import Graph, GraphBuilder
+from ..graph.csr import Graph
+from ..graph.store.handle import as_handle, checked_vertex_ids
 from .layers import GraphTensors
 
 __all__ = ["Block", "NeighborSampler", "sample_neighbors", "khop_subgraph", "layerwise_sample"]
@@ -51,6 +74,87 @@ class Block:
         return GraphTensors(self.graph, add_self_loops=add_self_loops)
 
 
+def _checked_seeds(seeds: Sequence[int], num_vertices: int) -> np.ndarray:
+    if not isinstance(seeds, np.ndarray):
+        seeds = list(seeds)
+    return checked_vertex_ids(seeds, num_vertices)
+
+
+def _unique_in_order(ids: np.ndarray) -> np.ndarray:
+    """The distinct values of ``ids``, ordered by first occurrence."""
+    _, first = np.unique(ids, return_index=True)
+    return ids[np.sort(first)]
+
+
+def _fanout_mask(
+    owners: np.ndarray, num_owners: int, fanout: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Keep-mask over gathered slots: at most ``fanout`` per owner.
+
+    ``owners`` is non-decreasing (an ``expand_frontier`` gather).  Slots
+    of owners with more than ``fanout`` get one uniform key each; sorting
+    by ``owner + key / 2`` shuffles every segment in place (halved, a key
+    can never round up into the next owner's range), and the slots that
+    land past rank ``fanout`` are dropped.
+    """
+    keep = np.ones(owners.size, dtype=bool)
+    if fanout < 0:
+        return keep
+    lengths = np.bincount(owners, minlength=num_owners)
+    over = np.flatnonzero(lengths[owners] > fanout)
+    if over.size:
+        segment = owners[over]
+        shuffled = np.argsort(segment + 0.5 * rng.random(over.size))
+        rank = np.arange(over.size) - np.searchsorted(segment, segment)
+        keep[over[shuffled[rank >= fanout]]] = False
+    return keep
+
+
+def _assemble_block(
+    handle,
+    node_ids: np.ndarray,
+    seeds: np.ndarray,
+    src: List[np.ndarray],
+    dst: List[np.ndarray],
+) -> Block:
+    """Compact sampled edges (global ids, unique ``node_ids``) into a block.
+
+    The graph ``Graph.from_edges`` would build from them, as array code:
+    the undirected union of the edges, de-duplicated, self-loops
+    dropped, rows sorted.
+    """
+    m = node_ids.size
+    order = np.argsort(node_ids)
+    sorted_ids = node_ids[order]
+
+    def local(ids: np.ndarray) -> np.ndarray:
+        return order[np.searchsorted(sorted_ids, ids)]
+
+    none = np.empty(0, dtype=np.int64)  # a zero-hop sample has no edge arrays
+    u = local(np.concatenate([none, *src]))
+    v = local(np.concatenate([none, *dst]))
+    proper = u != v
+    u, v = u[proper], v[proper]
+    # Both directions under one row-major key: the distinct keys, sorted,
+    # are the CSR entries in (row, column) order.
+    slots = np.concatenate([u * m + v, v * m + u])
+    slots.sort()
+    distinct = np.ones(slots.size, dtype=bool)
+    distinct[1:] = slots[1:] != slots[:-1]
+    slots = slots[distinct]
+    rows, indices = np.divmod(slots, max(m, 1))
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    labels = handle.vertex_labels
+    if labels is not None:
+        labels = labels[node_ids]
+    return Block(
+        graph=Graph(indptr, indices, vertex_labels=labels),
+        node_ids=node_ids,
+        seed_local=local(seeds),
+    )
+
+
 def sample_neighbors(
     graph: Graph,
     seeds: Sequence[int],
@@ -61,42 +165,26 @@ def sample_neighbors(
 
     ``fanouts[k]`` caps the neighbors drawn per node at hop ``k``
     (``-1`` = keep all).  Returns one block containing the union of all
-    sampled nodes and the sampled edges.
+    sampled nodes and the sampled edges; ``node_ids`` lists the distinct
+    seeds, then every other vertex in order of first discovery.
     """
+    handle = as_handle(graph)
     rng = rng or np.random.default_rng()
-    seeds = np.asarray(list(seeds), dtype=np.int64)
-    keep_nodes: List[int] = list(seeds)
-    known = set(int(s) for s in seeds)
-    frontier = list(seeds)
-    edges: List[Tuple[int, int]] = []
+    seeds = _checked_seeds(seeds, handle.num_vertices)
+    node_ids = frontier = _unique_in_order(seeds)
+    src: List[np.ndarray] = []
+    dst: List[np.ndarray] = []
     for fanout in fanouts:
-        next_frontier: List[int] = []
-        for v in frontier:
-            nbrs = graph.neighbors(int(v))
-            if fanout >= 0 and nbrs.size > fanout:
-                picked = rng.choice(nbrs, size=fanout, replace=False)
-            else:
-                picked = nbrs
-            for w in picked:
-                w = int(w)
-                edges.append((int(v), w))
-                if w not in known:
-                    known.add(w)
-                    keep_nodes.append(w)
-                    next_frontier.append(w)
-        frontier = next_frontier
-    node_ids = np.asarray(keep_nodes, dtype=np.int64)
-    remap = {int(g): l for l, g in enumerate(node_ids)}
-    builder = GraphBuilder(directed=False)
-    builder.add_vertex(node_ids.size - 1)
-    for u, v in edges:
-        builder.add_edge(remap[u], remap[v])
-    labels = None
-    if graph.vertex_labels is not None:
-        labels = graph.vertex_labels[node_ids]
-    block_graph = builder.build(num_vertices=node_ids.size, vertex_labels=labels)
-    seed_local = np.asarray([remap[int(s)] for s in seeds], dtype=np.int64)
-    return Block(graph=block_graph, node_ids=node_ids, seed_local=seed_local)
+        if frontier.size == 0:
+            break
+        owners, nbrs = handle.expand_frontier(frontier)
+        keep = _fanout_mask(owners, frontier.size, fanout, rng)
+        owners, nbrs = owners[keep], nbrs[keep]
+        src.append(frontier[owners])
+        dst.append(nbrs)
+        frontier = _unique_in_order(nbrs[~np.isin(nbrs, node_ids)])
+        node_ids = np.concatenate([node_ids, frontier])
+    return _assemble_block(handle, node_ids, seeds, src, dst)
 
 
 class NeighborSampler:
@@ -148,51 +236,30 @@ def layerwise_sample(
     always including each layer's frontier parents' neighbors in the
     candidate pool).
     """
+    handle = as_handle(graph)
     rng = rng or np.random.default_rng()
-    seeds = np.asarray(list(seeds), dtype=np.int64)
-    layers: List[np.ndarray] = [seeds]
-    known = set(int(s) for s in seeds)
-    keep_nodes: List[int] = list(seeds)
-    edges: List[Tuple[int, int]] = []
+    seeds = _checked_seeds(seeds, handle.num_vertices)
+    node_ids = layer = _unique_in_order(seeds)
+    degrees = handle.degrees()
+    src: List[np.ndarray] = []
+    dst: List[np.ndarray] = []
     for budget in nodes_per_layer:
         # Candidate pool: union of the previous layer's neighborhoods.
-        pool: List[int] = []
-        for v in layers[-1]:
-            pool.extend(int(w) for w in graph.neighbors(int(v)))
-        if not pool:
-            layers.append(np.empty(0, dtype=np.int64))
+        owners, nbrs = handle.expand_frontier(layer)
+        if nbrs.size == 0:
+            layer = nbrs
             continue
-        unique_pool = np.unique(np.asarray(pool, dtype=np.int64))
+        pool = np.unique(nbrs)
         # Importance ~ degree (FastGCN uses squared norms; degree is the
         # standard unlabeled proxy).
-        weights = np.asarray(
-            [graph.degree(int(v)) for v in unique_pool], dtype=np.float64
-        )
+        weights = degrees[pool].astype(np.float64)
         weights = weights / weights.sum()
-        take = min(budget, unique_pool.size)
-        chosen = rng.choice(unique_pool, size=take, replace=False, p=weights)
-        layers.append(chosen)
-        chosen_set = set(int(v) for v in chosen)
-        for v in layers[-2]:
-            v = int(v)
-            for w in graph.neighbors(v):
-                w = int(w)
-                if w in chosen_set:
-                    edges.append((v, w))
-        for v in chosen:
-            v = int(v)
-            if v not in known:
-                known.add(v)
-                keep_nodes.append(v)
-    node_ids = np.asarray(keep_nodes, dtype=np.int64)
-    remap = {int(g_id): local for local, g_id in enumerate(node_ids)}
-    builder = GraphBuilder(directed=False)
-    builder.add_vertex(node_ids.size - 1)
-    for u, v in edges:
-        builder.add_edge(remap[u], remap[v])
-    labels = None
-    if graph.vertex_labels is not None:
-        labels = graph.vertex_labels[node_ids]
-    block_graph = builder.build(num_vertices=node_ids.size, vertex_labels=labels)
-    seed_local = np.asarray([remap[int(s)] for s in seeds], dtype=np.int64)
-    return Block(graph=block_graph, node_ids=node_ids, seed_local=seed_local)
+        chosen = rng.choice(
+            pool, size=min(budget, pool.size), replace=False, p=weights
+        )
+        kept = np.isin(nbrs, chosen)
+        src.append(layer[owners[kept]])
+        dst.append(nbrs[kept])
+        node_ids = np.concatenate([node_ids, chosen[~np.isin(chosen, node_ids)]])
+        layer = chosen
+    return _assemble_block(handle, node_ids, seeds, src, dst)

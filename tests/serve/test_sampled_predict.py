@@ -121,6 +121,24 @@ class TestBoundedCost:
         assert small_cost <= bound
 
 
+class TestDuplicateNodes:
+    @pytest.mark.parametrize("nodes", [[3, 3], [3, 3 + N], [3, 17, 3]])
+    def test_repeated_node_answers_like_the_distinct_request(
+        self, graphs, predict, nodes
+    ):
+        # Full fanout draws nothing, so the request seed cannot matter:
+        # a repeated id must read the same block as the distinct ids.
+        record = graphs.get("stored")
+        full = {"fanouts": [-1, -1]}
+        distinct = list(dict.fromkeys(v % N for v in nodes))
+        answers, cost = predict.run(record, {"nodes": distinct, **full})
+        by_node = dict(zip(distinct, answers))
+        repeated, repeated_cost = predict.run(record, {"nodes": nodes, **full})
+        assert repeated == [by_node[v % N] for v in nodes]
+        # No phantom row: the repeat is not billed a second gather.
+        assert repeated_cost == cost
+
+
 class TestDeterminism:
     def test_repeat_requests_identical(self, graphs, predict):
         record = graphs.get("stored")
