@@ -67,9 +67,17 @@ def test_claim_c6_fsm(benchmark):
         ["configuration", "existence checks", "search ops", "makespan/out"],
         rows,
     )
-    # Prunings monotonically cut work.
+    # Prunings cut existence checks and search ops (the frequency
+    # decisions agreed inside _run), and each one is no worse than the last.
+    checks = [row[1] for row in rows[:4]]
     pruning_ops = [row[2] for row in rows[:4]]
-    assert pruning_ops[-1] < pruning_ops[0]
-    # Task parallelism cuts makespan.
-    makespans = [row[3] for row in rows[4:7]]
-    assert makespans[2] < makespans[0]
+    assert checks[-1] < checks[0] and pruning_ops[-1] < pruning_ops[0]
+    assert checks == sorted(checks, reverse=True)
+    assert pruning_ops == sorted(pruning_ops, reverse=True)
+    # Task parallelism cuts makespan: 16 workers < 4 < 1, and one worker
+    # runs the search ops back to back.
+    one, four, sixteen = rows[4:7]
+    assert sixteen[3] < four[3] < one[3]
+    assert one[3] == one[2]
+    # Same tasks whatever the worker count.
+    assert one[1:3] == four[1:3] == sixteen[1:3]

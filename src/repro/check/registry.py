@@ -66,6 +66,7 @@ CHECK_MODULES = (
     "repro.graph.store.checks",
     "repro.tlav.checks",
     "repro.tlag.checks",
+    "repro.fsm.checks",
     "repro.matching.checks",
     "repro.gnn.checks",
     "repro.parallel.checks",

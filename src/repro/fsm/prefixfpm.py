@@ -19,12 +19,11 @@ think-like-a-task system — that is the tutorial's point.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generic, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..graph.transactions import TransactionDatabase
+from ..sim import WorkStealing, balance, check_workers
 from .gspan import DFSCode, FrequentPattern, _Embedding, _extensions, _edge_key, is_min
 
 __all__ = [
@@ -75,10 +74,7 @@ class MinerStats:
 
     @property
     def balance(self) -> float:
-        if not self.worker_busy or self.total_ops == 0:
-            return 1.0
-        ideal = self.total_ops / self.num_workers
-        return self.makespan / ideal if ideal else 1.0
+        return balance(self.makespan, self.total_ops, self.num_workers)
 
 
 class PrefixMiner(Generic[P, D]):
@@ -92,52 +88,34 @@ class PrefixMiner(Generic[P, D]):
     ) -> None:
         self.domain = domain
         self.min_support = min_support
-        self.num_workers = num_workers
+        self.num_workers = check_workers(num_workers)
         self.stats = MinerStats(num_workers, worker_busy=[0] * num_workers)
 
     def run(self) -> List[Tuple[P, int]]:
         """Mine all frequent patterns; returns ``(pattern, support)`` pairs."""
         results: List[Tuple[P, int]] = []
-        queues: List[deque] = [deque() for _ in range(self.num_workers)]
-        for idx, root in enumerate(self.domain.roots()):
-            queues[idx % self.num_workers].append(root)
+        stats = self.stats
 
-        clocks = [0] * self.num_workers
-        heap = [(0, w) for w in range(self.num_workers)]
-        heapq.heapify(heap)
-        while heap:
-            clock, w = heapq.heappop(heap)
-            item = self._take(w, queues)
-            if item is None:
-                continue
+        def count_steal(victim: int, w: int, item: Any) -> None:
+            stats.steals += 1
+
+        def grow(item: Tuple[P, D], w: int, now: int):
             pattern, projected = item
             support = self.domain.support(pattern, projected)
             cost = self.domain.cost(pattern, projected)
-            self.stats.tasks += 1
-            self.stats.total_ops += cost
-            clocks[w] = clock + max(cost, 1)
-            self.stats.worker_busy[w] = clocks[w]
-            if support >= self.min_support:
-                results.append((pattern, support))
-                for child in self.domain.children(pattern, projected):
-                    queues[w].append(child)
-            heapq.heappush(heap, (clocks[w], w))
-            in_heap = {entry[1] for entry in heap}
-            if any(queues):
-                for other in range(self.num_workers):
-                    if other not in in_heap:
-                        heapq.heappush(heap, (max(clocks[other], clock), other))
-                        in_heap.add(other)
-        return results
+            stats.tasks += 1
+            stats.total_ops += cost
+            finish = stats.worker_busy[w] = now + max(cost, 1)
+            if support < self.min_support:
+                return finish, ()
+            results.append((pattern, support))
+            return finish, self.domain.children(pattern, projected)
 
-    def _take(self, w: int, queues: List[deque]):
-        if queues[w]:
-            return queues[w].pop()  # LIFO: depth-first
-        victim = max(range(self.num_workers), key=lambda k: len(queues[k]))
-        if queues[victim]:
-            self.stats.steals += 1
-            return queues[victim].popleft()  # steal shallow work
-        return None
+        # Depth-first on the own deque, shallow work stolen by the idle.
+        sched = WorkStealing(self.num_workers, on_steal=count_steal)
+        sched.deal([root] for root in self.domain.roots())
+        sched.run(grow)
+        return results
 
 
 # ----------------------------------------------------------------------

@@ -35,13 +35,13 @@ graph).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..graph.csr import Graph
 from ..matching.backtrack import MatchStats, match
 from ..matching.pattern import PatternGraph
+from ..sim import WorkerClocks
 from .gspan import DFSCode, _edge_key, is_min
 
 __all__ = [
@@ -134,30 +134,10 @@ def mni_support(
             if v in valid[pv]:
                 result.reused += 1
                 continue
-            stats = MatchStats()
-            found: List[Tuple[int, ...]] = []
-
-            def first_embedding(emb: Tuple[int, ...]) -> None:
-                found.append(emb)
-                raise _FoundOne
-
-            order = _order_starting_at(pattern, pv)
-            try:
-                match(
-                    graph,
-                    pattern,
-                    order=order,
-                    restrictions=[],  # existence, not distinct counting
-                    on_match=first_embedding,
-                    stats=stats,
-                    anchor=(pv, v),
-                )
-            except _FoundOne:
-                pass
+            emb, ops = _first_embedding(graph, pattern, pv, v)
             result.existence_checks += 1
-            result.search_ops += stats.candidates_scanned
-            if found:
-                emb = found[0]
+            result.search_ops += ops
+            if emb is not None:
                 if reuse_embeddings:
                     for q in range(pattern.n):
                         valid[q].add(emb[q])
@@ -173,6 +153,33 @@ def mni_support(
 
 class _FoundOne(Exception):
     """Signal: one embedding suffices for an existence check."""
+
+
+def _first_embedding(
+    graph: Graph, pattern: PatternGraph, pv: int, v: int
+) -> Tuple[Optional[Tuple[int, ...]], int]:
+    """One existence check: an embedding mapping ``pv`` to ``v`` (or
+    ``None``) and the search ops it cost."""
+    stats = MatchStats()
+    found: List[Tuple[int, ...]] = []
+
+    def stop_at_first(emb: Tuple[int, ...]) -> None:
+        found.append(emb)
+        raise _FoundOne
+
+    try:
+        match(
+            graph,
+            pattern,
+            order=_order_starting_at(pattern, pv),
+            restrictions=[],  # existence, not distinct counting
+            on_match=stop_at_first,
+            stats=stats,
+            anchor=(pv, v),
+        )
+    except _FoundOne:
+        pass
+    return (found[0] if found else None), stats.candidates_scanned
 
 
 def _order_starting_at(pattern: PatternGraph, start: int) -> List[int]:
@@ -208,44 +215,18 @@ def mni_support_parallel(
     candidates = _candidate_domains(graph, pattern, prune_nlf=True)
     valid: List[Set[int]] = [set() for _ in range(pattern.n)]
     result = MNIResult(support=0, domains=valid)
-    tasks: List[Tuple[int, int]] = [
-        (pv, v) for pv in range(pattern.n) for v in candidates[pv]
-    ]
-    clocks = [0] * num_workers
-    heap = [(0, w) for w in range(num_workers)]
-    heapq.heapify(heap)
-    idx = 0
-    while idx < len(tasks):
-        clock, w = heapq.heappop(heap)
-        pv, v = tasks[idx]
-        idx += 1
-        stats = MatchStats()
-        found: List[Tuple[int, ...]] = []
-
-        def first_embedding(emb: Tuple[int, ...]) -> None:
-            found.append(emb)
-            raise _FoundOne
-
-        try:
-            match(
-                graph,
-                pattern,
-                order=_order_starting_at(pattern, pv),
-                restrictions=[],
-                on_match=first_embedding,
-                stats=stats,
-                anchor=(pv, v),
-            )
-        except _FoundOne:
-            pass
-        result.existence_checks += 1
-        result.search_ops += stats.candidates_scanned
-        if found:
-            valid[pv].add(v)
-        clocks[w] = clock + max(stats.candidates_scanned, 1)
-        heapq.heappush(heap, (clocks[w], w))
+    clocks = WorkerClocks(num_workers)
+    for pv in range(pattern.n):
+        for v in candidates[pv]:
+            start, w = clocks.pop()
+            emb, ops = _first_embedding(graph, pattern, pv, v)
+            result.existence_checks += 1
+            result.search_ops += ops
+            if emb is not None:
+                valid[pv].add(v)
+            clocks.push(w, start + max(ops, 1))
     result.support = min(len(d) for d in valid) if valid else 0
-    return result, max(clocks)
+    return result, clocks.makespan
 
 
 @dataclass

@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Sequence
 import numpy as np
 
 from ..obs import StatsViewMixin
+from ..sim import WorkerClocks
 
 __all__ = [
     "StageTimes",
@@ -80,34 +81,28 @@ class ScheduleResult(StatsViewMixin):
         return self
 
 
-def sequential_schedule(batches: Sequence[StageTimes]) -> ScheduleResult:
-    """Run each batch's sample -> gather -> compute back to back."""
-    makespan = 0.0
+def _busy(batches: Sequence[StageTimes]) -> Dict[str, float]:
+    """Per-resource busy time: the same whatever the schedule."""
     busy = {"sample": 0.0, "gather": 0.0, "compute": 0.0}
     for b in batches:
-        makespan += b.sample + b.gather + b.compute
         busy["sample"] += b.sample
         busy["gather"] += b.gather
         busy["compute"] += b.compute
-    return ScheduleResult(makespan=makespan, busy=busy)
+    return busy
+
+
+def sequential_schedule(batches: Sequence[StageTimes]) -> ScheduleResult:
+    """Run each batch's sample -> gather -> compute back to back."""
+    makespan = 0.0
+    for b in batches:
+        makespan += b.sample + b.gather + b.compute
+    return ScheduleResult(makespan=makespan, busy=_busy(batches))
 
 
 def pipelined_schedule(batches: Sequence[StageTimes]) -> ScheduleResult:
     """Three dedicated executors; stage ``k`` of batch ``i`` waits for
     stage ``k-1`` of batch ``i`` and stage ``k`` of batch ``i-1``."""
-    sample_free = gather_free = compute_free = 0.0
-    busy = {"sample": 0.0, "gather": 0.0, "compute": 0.0}
-    for b in batches:
-        s_end = sample_free + b.sample
-        sample_free = s_end
-        g_end = max(s_end, gather_free) + b.gather
-        gather_free = g_end
-        c_end = max(g_end, compute_free) + b.compute
-        compute_free = c_end
-        busy["sample"] += b.sample
-        busy["gather"] += b.gather
-        busy["compute"] += b.compute
-    return ScheduleResult(makespan=compute_free, busy=busy)
+    return two_level_schedule(batches, samplers=1)
 
 
 def two_level_schedule(
@@ -116,21 +111,15 @@ def two_level_schedule(
     """ByteGNN's two-level scheme: ``samplers`` concurrent sampler
     instances feed the gather/compute pipeline (inter-iteration pipeline
     plus intra-iteration operator parallelism)."""
-    sampler_free = [0.0] * max(samplers, 1)
+    sampler_pool = WorkerClocks(max(samplers, 1))
     gather_free = compute_free = 0.0
-    busy = {"sample": 0.0, "gather": 0.0, "compute": 0.0}
     for b in batches:
-        k = int(np.argmin(sampler_free))
-        s_end = sampler_free[k] + b.sample
-        sampler_free[k] = s_end
-        g_end = max(s_end, gather_free) + b.gather
-        gather_free = g_end
-        c_end = max(g_end, compute_free) + b.compute
-        compute_free = c_end
-        busy["sample"] += b.sample
-        busy["gather"] += b.gather
-        busy["compute"] += b.compute
-    return ScheduleResult(makespan=compute_free, busy=busy)
+        start, k = sampler_pool.pop()  # the earliest-free sampler
+        s_end = start + b.sample
+        sampler_pool.push(k, s_end)
+        gather_free = max(s_end, gather_free) + b.gather
+        compute_free = max(gather_free, compute_free) + b.compute
+    return ScheduleResult(makespan=compute_free, busy=_busy(batches))
 
 
 def measured_stage_times(

@@ -29,6 +29,7 @@ from typing import Any, Dict, Optional
 
 from ..obs import MetricsRegistry, StatsViewMixin, merge_counters
 from ..resilience import FaultInjector, RetryPolicy
+from ..sim import WorkerClocks
 
 __all__ = [
     "DeploymentCost",
@@ -193,10 +194,8 @@ def simulate_fleet(
     """
     if invocations < 0:
         raise ValueError("invocations must be >= 0")
-    if parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
     stats = FleetStats(invocations=invocations)
-    slots = [0.0] * parallelism
+    slots = WorkerClocks(parallelism)
     c_attempts = c_retries = c_backoff = None
     if obs is not None:
         c_attempts = obs.counter(
@@ -208,8 +207,7 @@ def simulate_fleet(
         )
     max_attempts = retry.max_attempts if retry is not None else 1
     for inv in range(invocations):
-        slot = min(range(parallelism), key=lambda s: (slots[s], s))
-        t = slots[slot]
+        t, slot = slots.pop()  # the earliest-free slot
         attempt = 0
         while True:
             stats.attempts += 1
@@ -267,6 +265,6 @@ def simulate_fleet(
             if c_retries is not None:
                 c_retries.inc(op="lambda")
                 c_backoff.inc(pause)
-        slots[slot] = t
-    stats.makespan = max(slots) if slots else 0.0
+        slots.push(slot, t)
+    stats.makespan = float(slots.makespan)
     return stats

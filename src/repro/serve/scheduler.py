@@ -1,7 +1,7 @@
 """The request lifecycle: admission, fair scheduling, dispatch, completion.
 
-:class:`Server` is a discrete-event simulation in the same style as
-:class:`repro.tlag.query.QueryServer` and the TLAG task engine: worker
+:class:`Server` is a discrete-event simulation over
+:class:`repro.sim.WorkerClocks`, like every simulated schedule here:
 clocks advance by the simulated-ops *cost* each engine call reports, so
 latency distributions (and therefore every p50/p95/p99 this layer
 quotes) are deterministic at a fixed seed while the engine calls
@@ -52,6 +52,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..obs import MetricsRegistry, StatsViewMixin, Tracer
 from ..resilience import FaultInjector, RetryPolicy
+from ..sim import WorkerClocks
 from .batcher import MicroBatcher
 from .breaker import BreakerBoard, BreakerConfig
 from .cache import ResultCache
@@ -324,14 +325,13 @@ class Server:
         default_timeout_ops: Optional[int] = None,
         injector: Optional[FaultInjector] = None,
     ) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
         if queue_bound < 1:
             raise ValueError("queue_bound must be >= 1")
         if default_timeout_ops is not None and default_timeout_ops < 1:
             raise ValueError("default_timeout_ops must be >= 1")
         self.graphs = graphs
         self.endpoints = endpoints if endpoints is not None else builtin_endpoints()
+        self._clocks = WorkerClocks(num_workers)  # persists across run()s
         self.num_workers = num_workers
         self.queue_bound = queue_bound
         self.batcher = MicroBatcher(window=batch_window, max_batch=max_batch)
@@ -356,7 +356,6 @@ class Server:
         )
         self._arrivals: List[Tuple[int, int, Request]] = []  # heap
         self._queue: List[Request] = []
-        self._worker_clocks = [0] * num_workers
         self._next_id = 0
         self._tenant_work: Dict[str, int] = {}
 
@@ -409,30 +408,27 @@ class Server:
                         follow.arrival = response.completed
                     self.submit(follow)
 
-        heap = [(self._worker_clocks[w], w) for w in range(self.num_workers)]
-        heapq.heapify(heap)
+        clocks = self._clocks
+        # Every worker starts on the clock at the time it last reached (a
+        # run that raised left its worker off it).
+        clocks.restore({"times": clocks.times, "retired": []})
 
         while self._arrivals or self._queue:
-            clock, w = heapq.heappop(heap)
+            clock, w = clocks.pop()
             self._absorb(clock, finish)
             self._expire(clock, finish)
             if not self._queue:
                 if not self._arrivals:
-                    heapq.heappush(heap, (clock, w))
+                    clocks.push(w, clock)
                     break
                 # Idle worker: jump to the next arrival.
-                heapq.heappush(
-                    heap, (max(clock, self._arrivals[0][0]), w)
-                )
+                clocks.push(w, max(clock, self._arrivals[0][0]))
                 continue
-            busy = sum(1 for t, _ in heap if t > clock) + 1
-            self.stats.record_in_flight(len(self._queue) + busy)
-            completed = self._dispatch(clock, finish)
-            self._worker_clocks[w] = completed
-            heapq.heappush(heap, (completed, w))
+            self.stats.record_in_flight(
+                len(self._queue) + clocks.busy(clock) + 1
+            )
+            clocks.push(w, self._dispatch(clock, finish))
 
-        for t, w in heap:
-            self._worker_clocks[w] = max(self._worker_clocks[w], t)
         responses.sort(key=lambda r: r.request.id)
         return responses
 
@@ -685,7 +681,7 @@ class Server:
     @property
     def clock(self) -> int:
         """The latest simulated time any worker has reached."""
-        return max(self._worker_clocks)
+        return self._clocks.makespan
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -12,10 +12,12 @@ lists it needs, and each worker keeps an LRU-bounded *vertex cache* (a
 simulated :class:`~repro.cluster.comm.Network`:
 
 * the graph is partitioned; each worker owns its vertices' adjacency;
-* tasks execute exactly as in :class:`~repro.tlag.engine.TaskEngine`
-  (same programs, same results — tests assert it), but every adjacency
-  access is routed through the worker's vertex cache: local reads are
-  free, remote reads are priced through the network unless cached;
+* it *is* a :class:`~repro.tlag.engine.TaskEngine` (same loop, same
+  programs, same results — ``tlag.cliques.distributed_vs_shared``
+  asserts it) whose tasks spawn at the worker owning their first
+  vertex, and whose every adjacency access is routed through the
+  worker's vertex cache: local reads are free, remote reads are priced
+  through the network unless cached;
 * stolen tasks are priced by their serialized size.
 
 ``cache_capacity=0`` disables caching — the ablation benches use it to
@@ -25,10 +27,8 @@ graphs (hubs dominate accesses, so hit rates are high).
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -37,8 +37,8 @@ from ..graph.csr import Graph
 from ..graph.partition import Partition
 from ..lru import LRU
 from ..obs import MetricsRegistry, StatsViewMixin, Tracer
-from .engine import EngineStats
-from .task import Task, TaskContext, TaskProgram
+from .engine import TaskEngine
+from .task import Task, TaskProgram
 
 __all__ = ["CacheStats", "DistributedTaskEngine"]
 
@@ -138,12 +138,14 @@ class _CachedGraphView:
         return self._engine.graph.orient_by_degree()
 
 
-class DistributedTaskEngine:
+class DistributedTaskEngine(TaskEngine):
     """The G-thinker data plane: partitioned graph + pull-and-cache."""
+
+    span_name = "tlag.distributed.run"
 
     def __init__(
         self,
-        graph: Graph,
+        graph,
         program: TaskProgram,
         partition: Partition,
         cache_capacity: int = 1024,
@@ -153,24 +155,16 @@ class DistributedTaskEngine:
         obs: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self.graph = graph
-        self.program = program
+        super().__init__(
+            graph, program, num_workers=partition.num_parts,
+            task_budget=task_budget, steal=steal,
+            collect_results=collect_results, obs=obs, tracer=tracer,
+        )
         self.partition = partition
-        self.num_workers = partition.num_parts
-        self.obs = obs if obs is not None else MetricsRegistry()
-        self.tracer = tracer
         self.network = Network(self.num_workers, registry=self.obs)
-        self.task_budget = task_budget
-        self.steal = steal
-        self.collect_results = collect_results
-        self.results: List[Any] = []
-        self.result_count = 0
         self.cache_stats = [CacheStats() for _ in range(self.num_workers)]
         self._caches = [LRU(cache_capacity) for _ in range(self.num_workers)]
-        self.stats = EngineStats(
-            self.num_workers, registry=self.obs,
-            worker_busy=[0] * self.num_workers,
-        )
+        self._views = [_CachedGraphView(self, w) for w in range(self.num_workers)]
         self._c_cache_reads = self.obs.counter(
             "tlag.cache.reads", "adjacency reads, by kind (local/hit/pull)"
         )
@@ -213,76 +207,23 @@ class DistributedTaskEngine:
             cache.put(v, adjacency)
         return adjacency
 
-    # -- execution ----------------------------------------------------------------
+    # -- where the shared-memory loop is told apart ----------------------------
 
-    def run(self) -> List[Any]:
-        """Execute all tasks; same results as the shared-memory engine."""
-        span = (
-            self.tracer.span("tlag.distributed.run", workers=self.num_workers)
-            if self.tracer is not None
-            else None
-        )
-        try:
-            return self._run()
-        finally:
-            if span is not None:
-                span.set_sim(0, self.stats.makespan)
-                span.set("tasks", self.tasks_executed)
-                span.__exit__(None, None, None)
-
-    def _run(self) -> List[Any]:
-        queues: List[deque] = [deque() for _ in range(self.num_workers)]
+    def _deal(self) -> None:
+        # Tasks spawn at the worker owning their first vertex
+        # (G-thinker's vertex-spawned placement).
+        owner = self.partition.assignment
         for task in self.program.spawn(self.graph):
-            # Tasks spawn at the worker owning their first vertex
-            # (G-thinker's vertex-spawned placement).
-            home = int(self.partition.assignment[task.subgraph[0]])
-            queues[home].append(task)
+            self.schedule.put(int(owner[task.subgraph[0]]), [task])
 
-        clocks = [0] * self.num_workers
-        heap = [(0, w) for w in range(self.num_workers)]
-        heapq.heapify(heap)
-        views = [_CachedGraphView(self, w) for w in range(self.num_workers)]
+    def _view(self, w: int) -> _CachedGraphView:
+        return self._views[w]
 
-        while heap:
-            clock, w = heapq.heappop(heap)
-            task = self._next_task(w, queues)
-            if task is None:
-                continue
-            ctx = TaskContext(views[w], budget=self.task_budget)
-            ctx.collect_results = self.collect_results
-            self.program.process(task, ctx)
-            clocks[w] = clock + max(ctx.ops, 1)
-            self.stats.record_task(w, ctx.ops, len(ctx.forked), clocks[w])
-            self.result_count += ctx.result_count
-            if self.collect_results:
-                self.results.extend(ctx.results)
-            for child in ctx.forked:
-                queues[w].append(child)
-            self.stats.record_pending(sum(len(q) for q in queues))
-            heapq.heappush(heap, (clocks[w], w))
-            if self.steal:
-                in_heap = {entry[1] for entry in heap}
-                pending = sum(len(q) for q in queues)
-                for other in range(self.num_workers):
-                    if other not in in_heap and pending > 0:
-                        heapq.heappush(heap, (max(clocks[other], clock), other))
-                        in_heap.add(other)
-        return self.results
-
-    def _next_task(self, w: int, queues: List[deque]) -> Optional[Task]:
-        if queues[w]:
-            return queues[w].pop()
-        if not self.steal:
-            return None
-        victim = max(range(self.num_workers), key=lambda k: len(queues[k]))
-        if queues[victim] and victim != w:
-            task = queues[victim].popleft()
-            nbytes = 16 * (len(task.subgraph) + 2)
-            self.network.send_now(victim, w, None, tag="steal", nbytes=nbytes)
-            self.network.receive(w)
-            self.stats.record_steal()
-            return task
-        return None
+    def _on_steal(self, victim: int, w: int, task: Task) -> None:
+        nbytes = 16 * (len(task.subgraph) + 2)
+        self.network.send_now(victim, w, None, tag="steal", nbytes=nbytes)
+        self.network.receive(w)
+        self.stats.record_steal()
 
     # -- summaries -------------------------------------------------------------------
 

@@ -18,9 +18,11 @@ work, per-worker busy time, steals and splits — exactly the load-balance
 quantities the G-thinker/STMatch papers plot.
 
 All counters live in a :class:`~repro.obs.MetricsRegistry` under the
-``tlag.*`` namespace; ``EngineStats`` is a read view over it, so the
-legacy attribute surface (``stats.steals`` etc.) is unchanged while the
-same numbers appear in any shared registry snapshot.
+``tlag.*`` namespace; ``EngineStats`` is a read view over it, so
+``stats.steals`` etc. and any shared registry snapshot show the same
+numbers.  The clocks and the deque protocol themselves are
+:mod:`repro.sim`'s; this module adds task execution, splitting and
+checkpointing.
 
 Setting ``num_workers=1`` and ``task_budget=None`` degenerates to a
 plain serial DFS solver, which tests use as the reference.
@@ -28,14 +30,13 @@ plain serial DFS solver, which tests use as the reference.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from typing import Any, Dict, List, Optional
 
 from ..graph.store.handle import as_handle
 from ..obs import MetricsRegistry, StatsViewMixin, Tracer
 from ..parallel.chunking import chunk_list
 from ..resilience import FaultInjector, SnapshotStore
+from ..sim import WorkStealing, balance, check_workers
 from .task import Task, TaskContext, TaskProgram
 
 __all__ = ["TaskEngine", "EngineStats"]
@@ -98,7 +99,7 @@ class EngineStats(StatsViewMixin):
     def record_pending(self, pending: int) -> None:
         self._g_peak.set_max(pending)
 
-    # -- legacy attribute surface ------------------------------------------
+    # -- read path ---------------------------------------------------------
 
     @property
     def tasks_executed(self) -> int:
@@ -137,10 +138,7 @@ class EngineStats(StatsViewMixin):
     @property
     def balance(self) -> float:
         """Makespan over ideal (total/num_workers); 1.0 is perfect."""
-        if not self.worker_busy or self.total_ops == 0:
-            return 1.0
-        ideal = self.total_ops / self.num_workers
-        return self.makespan / ideal if ideal else 1.0
+        return balance(self.makespan, self.total_ops, self.num_workers)
 
     # -- StatsView ----------------------------------------------------------
 
@@ -217,6 +215,8 @@ class TaskEngine:
         snapshot, i.e. recovery restarts the deal).
     """
 
+    span_name = "tlag.run"
+
     def __init__(
         self,
         graph_or_handle,
@@ -232,15 +232,13 @@ class TaskEngine:
         snapshots: Optional[SnapshotStore] = None,
         checkpoint_every: Optional[int] = None,
     ) -> None:
-        if num_workers < 1:
-            raise ValueError("need at least one worker")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         self.graph = as_handle(graph_or_handle)
         self.program = program
-        self.num_workers = num_workers
+        self.num_workers = check_workers(num_workers)
         self.task_budget = task_budget
         self.steal = steal
         self.chunk_size = chunk_size
@@ -258,11 +256,13 @@ class TaskEngine:
         self.stats = EngineStats(
             num_workers, registry=self.obs, worker_busy=[0] * num_workers
         )
+        #: The live :class:`~repro.sim.WorkStealing` schedule of :meth:`run`.
+        self.schedule: Optional[WorkStealing] = None
 
     def run(self) -> List[Any]:
         """Execute to completion; returns collected results."""
         span = (
-            self.tracer.span("tlag.run", workers=self.num_workers)
+            self.tracer.span(self.span_name, workers=self.num_workers)
             if self.tracer is not None
             else None
         )
@@ -274,112 +274,85 @@ class TaskEngine:
                 span.set("tasks", self.stats.tasks_executed)
                 span.__exit__(None, None, None)
 
-    def _run(self) -> List[Any]:
-        queues: List[deque] = [deque() for _ in range(self.num_workers)]
-        if self.chunk_size is None:
-            for i, task in enumerate(self.program.spawn(self.graph)):
-                queues[i % self.num_workers].append(task)
-        else:
-            spawned = list(self.program.spawn(self.graph))
-            for i, chunk in enumerate(chunk_list(spawned, self.chunk_size)):
-                queues[i % self.num_workers].extend(chunk)
+    # -- what a subclass places, views and bills differently ---------------
 
-        # Event-driven simulation: always advance the worker whose clock
-        # is smallest (ties by id for determinism).
-        clocks = [0] * self.num_workers
-        heap = [(0, w) for w in range(self.num_workers)]
-        heapq.heapify(heap)
+    def _deal(self) -> None:
+        """Initial placement: ``chunk_size`` tasks at a time, round-robin."""
+        spawned = list(self.program.spawn(self.graph))
+        self.schedule.deal(chunk_list(spawned, self.chunk_size or 1))
+
+    def _view(self, w: int) -> Any:
+        """The graph worker ``w``'s tasks read."""
+        return self.graph
+
+    def _on_steal(self, victim: int, w: int, task: Task) -> None:
+        self.stats.record_steal()
+
+    def _run(self) -> List[Any]:
+        sched = self.schedule = WorkStealing(
+            self.num_workers, self.steal, self._on_steal
+        )
+        self._deal()
         executed = 0  # monotonic task index, the fail_task coordinate
         if self.snapshots is not None:
-            self._checkpoint(queues, clocks, heap, executed)
+            self._checkpoint(executed)
 
-        while heap:
-            clock, w = heapq.heappop(heap)
-            task = self._next_task(w, queues)
-            if task is None:
-                continue  # worker retires (re-queued below if work appears)
+        while True:
+            slot = sched.take()
+            if slot is None:
+                return self.results
+            w, now, task = slot
             if self.injector is not None and self.injector.take_task_failure(
                 executed
             ):
                 # Crash: every deque, clock and partial result is volatile;
                 # fall back to the last checkpoint and re-execute from there.
-                queues, clocks, heap, executed = self._recover(executed)
+                executed = self._recover(executed)
                 continue
-            ctx = TaskContext(self.graph, budget=self.task_budget)
+            ctx = TaskContext(self._view(w), budget=self.task_budget)
             ctx.collect_results = self.collect_results
             self.program.process(task, ctx)
-            clocks[w] = clock + max(ctx.ops, 1)
-            self.stats.record_task(w, ctx.ops, len(ctx.forked), clocks[w])
+            finish = now + max(ctx.ops, 1)
+            self.stats.record_task(w, ctx.ops, len(ctx.forked), finish)
             self.result_count += ctx.result_count
             if self.collect_results:
                 self.results.extend(ctx.results)
-            for child in ctx.forked:
-                queues[w].append(child)
-            pending = sum(len(q) for q in queues)
-            self.stats.record_pending(pending)
-            heapq.heappush(heap, (clocks[w], w))
-            # Wake any retired workers if there is now surplus work.
-            in_heap = {entry[1] for entry in heap}
-            if self.steal:
-                for other in range(self.num_workers):
-                    if other not in in_heap and pending > 0:
-                        heapq.heappush(heap, (max(clocks[other], clock), other))
-                        in_heap.add(other)
+            sched.done(w, finish, ctx.forked)
+            self.stats.record_pending(sched.pending)
             executed += 1
             if (
                 self.snapshots is not None
                 and self.checkpoint_every is not None
                 and executed % self.checkpoint_every == 0
             ):
-                self._checkpoint(queues, clocks, heap, executed)
-        return self.results
+                self._checkpoint(executed)
 
     # -- checkpoint/restore (unified Snapshot protocol, tag "tlag") ---------
 
-    def _checkpoint(
-        self,
-        queues: List[deque],
-        clocks: List[int],
-        heap: List[Any],
-        executed: int,
-    ) -> None:
+    def _checkpoint(self, executed: int) -> None:
         assert self.snapshots is not None
         state = {
-            "queues": queues,
-            "clocks": clocks,
-            "heap": heap,
+            "schedule": self.schedule.state(),
             "executed": executed,
             "results": self.results,
             "result_count": self.result_count,
         }
         self.snapshots.save(SNAPSHOT_TAG, executed, state)
 
-    def _recover(self, executed: int) -> Any:
+    def _recover(self, executed: int) -> int:
+        """Roll the schedule and the results back; returns the task
+        index execution resumes from."""
         assert self.snapshots is not None
         state = self.snapshots.restore_latest(SNAPSHOT_TAG)
-        replayed = executed - state["executed"]
         if self.tracer is not None:
             with self.tracer.span(
                 "resilience.recover",
                 engine="tlag",
                 task=executed,
-                replayed=replayed,
+                replayed=executed - state["executed"],
             ):
                 pass
         self.results = state["results"]
         self.result_count = state["result_count"]
-        heap = state["heap"]
-        heapq.heapify(heap)
-        return state["queues"], state["clocks"], heap, state["executed"]
-
-    def _next_task(self, w: int, queues: List[deque]) -> Optional[Task]:
-        """Pop local LIFO work, or steal FIFO from the most loaded worker."""
-        if queues[w]:
-            return queues[w].pop()
-        if not self.steal:
-            return None
-        victim = max(range(self.num_workers), key=lambda k: len(queues[k]))
-        if queues[victim]:
-            self.stats.record_steal()
-            return queues[victim].popleft()
-        return None
+        self.schedule.restore(state["schedule"])
+        return state["executed"]

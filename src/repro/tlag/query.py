@@ -23,7 +23,6 @@ family.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -32,6 +31,7 @@ from ..matching.backtrack import MatchStats, match
 from ..matching.pattern import PatternGraph, symmetry_breaking_restrictions
 from ..matching.plan import GraphStats, Planner
 from ..obs import MetricsRegistry, StatsViewMixin, Tracer
+from ..sim import WorkerClocks, check_workers
 
 __all__ = ["Query", "QueryResult", "QueryServer", "QueryServerStats"]
 
@@ -134,7 +134,7 @@ class QueryServer:
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.graph = graph
-        self.num_workers = num_workers
+        self.num_workers = check_workers(num_workers)
         self.obs = obs if obs is not None else MetricsRegistry()
         self.tracer = tracer
         self.stats = QueryServerStats(self.obs)
@@ -182,33 +182,30 @@ class QueryServer:
         least work done so far (max-min fairness), which is what lets
         short queries overtake long ones.
         """
-        clocks = [0] * self.num_workers
-        heap = [(0, w) for w in range(self.num_workers)]
-        heapq.heapify(heap)
-        pending = {i for i, s in enumerate(self._queries) if s.tasks}
+        clocks = WorkerClocks(self.num_workers)
+        pending = set()
         for i, s in enumerate(self._queries):
-            if not s.tasks:
-                s.completed_at = 0
-        while pending and heap:
-            clock, w = heapq.heappop(heap)
+            if s.tasks:
+                pending.add(i)
+            else:
+                s.completed_at = s.query.arrival  # nothing to match: done on arrival
+        while pending:
+            clock, w = clocks.pop()
             # Least-served live query whose arrival time has passed.
             eligible = [i for i in pending if self._queries[i].query.arrival <= clock]
             if not eligible:
                 # Jump the worker's clock to the next arrival.
-                next_arrival = min(
-                    self._queries[i].query.arrival for i in pending
+                clocks.push(
+                    w, min(self._queries[i].query.arrival for i in pending)
                 )
-                heapq.heappush(heap, (next_arrival, w))
                 continue
             qid = min(eligible, key=lambda i: self._queries[i].work_done)
             state = self._queries[qid]
-            anchor = state.tasks.pop()
-            ops = self._run_task(state, anchor)
-            clocks[w] = clock + ops
+            finish = clock + self._run_task(state, state.tasks.pop())
             if not state.tasks:
-                state.completed_at = clocks[w]
+                state.completed_at = finish
                 pending.discard(qid)
-            heapq.heappush(heap, (clocks[w], w))
+            clocks.push(w, finish)
         return self._finalize("shared")
 
     def run_sequentially(self) -> List[QueryResult]:
@@ -216,12 +213,11 @@ class QueryServer:
         clock = 0
         for state in self._queries:
             clock = max(clock, state.query.arrival)
-            per_worker = [0] * self.num_workers
+            workers = WorkerClocks(self.num_workers)
             while state.tasks:
-                w = per_worker.index(min(per_worker))
-                anchor = state.tasks.pop()
-                per_worker[w] += self._run_task(state, anchor)
-            clock += max(per_worker) if per_worker else 0
+                start, w = workers.pop()
+                workers.push(w, start + self._run_task(state, state.tasks.pop()))
+            clock += workers.makespan
             state.completed_at = clock
         return self._finalize("sequential")
 

@@ -24,9 +24,19 @@ def registry() -> CheckRegistry:
 
 class TestLoadAll:
     def test_covers_required_subsystems(self, registry):
-        assert {"tlav", "tlag", "matching", "gnn", "parallel"} <= set(
+        assert {"tlav", "tlag", "fsm", "matching", "gnn", "parallel"} <= set(
             registry.subsystems()
         )
+
+    def test_simulated_schedule_oracles_gate_ci(self, registry):
+        """The four oracles over repro.sim's clients run in the CI suite."""
+        quick = {c.name for c in registry.select(suite="quick")}
+        assert {
+            "fsm.prefixfpm.workers_vs_serial",
+            "fsm.mni.parallel_vs_serial",
+            "tlag.cliques.distributed_vs_shared",
+            "tlag.schedule.work_conserved",
+        } <= quick
 
     def test_at_least_twelve_pairs_in_full_suite(self, registry):
         """The acceptance floor: >= 12 oracle pairs in the full suite."""

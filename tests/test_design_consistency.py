@@ -48,3 +48,35 @@ class TestExperimentIndex:
         modules = set(re.findall(r"`(repro(?:\.\w+)+)`", design))
         for name in sorted(modules):
             importlib.import_module(name)
+
+
+class TestOneSimulatedWorkerLoop:
+    """`repro.sim` is the only event loop over simulated workers."""
+
+    #: Modules that may import heapq: the core, the serving scheduler's
+    #: arrival queue, and algorithmic priority queues (Dijkstra, k-core
+    #: peeling, densest-subgraph peeling, incremental BFS repair).
+    HEAPQ_ALLOWED = {
+        "sim.py",
+        "serve/scheduler.py",
+        "graph/weighted.py",
+        "graph/properties.py",
+        "matching/densest.py",
+        "tlav/incremental.py",
+    }
+
+    def test_heapq_only_where_listed(self):
+        src = os.path.join(ROOT, "src", "repro")
+        importers = set()
+        for folder, _, files in os.walk(src):
+            for name in files:
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(folder, name)
+                with open(path) as handle:
+                    if re.search(r"^\s*(import heapq|from heapq )", handle.read(), re.M):
+                        importers.add(os.path.relpath(path, src).replace(os.sep, "/"))
+        assert importers <= self.HEAPQ_ALLOWED, (
+            f"{sorted(importers - self.HEAPQ_ALLOWED)} schedule with their own "
+            "heap; simulated workers go through repro.sim"
+        )

@@ -104,6 +104,30 @@ class TestScheduling:
         assert result.response_time == result.completion_time - 500
 
 
+    def test_query_with_no_anchor_completes_on_arrival(self):
+        """No data vertex carries the first pattern label: nothing to
+        match, so the answer is ready when the query arrives — never
+        before it (a completion stamped 0 made response_time negative
+        and dragged the shared mean down)."""
+        from repro.graph.csr import Graph
+
+        g = Graph.from_edges(
+            [(0, 1), (1, 2), (2, 3)], vertex_labels=[0, 1, 0, 1]
+        )
+        matching = PatternGraph.from_edges([(0, 1)], vertex_labels=[0, 1])
+        absent = PatternGraph.from_edges([(0, 1)], vertex_labels=[7, 7])
+        for mode in ("serve", "run_sequentially"):
+            server = QueryServer(g, num_workers=2)
+            server.submit(Query(matching, arrival=0))
+            server.submit(Query(absent, arrival=50))
+            hit, miss = getattr(server, mode)()
+            assert hit.embeddings == 3 and miss.embeddings == 0
+            assert (miss.completion_time, miss.response_time) == (50, 0)
+            assert hit.response_time > 0
+            shared = "shared" if mode == "serve" else "sequential"
+            assert server.stats.mean_response(shared) == hit.response_time / 2
+
+
 class TestObservability:
     def test_stats_view_counts_queries_and_tasks(self, graph):
         server = QueryServer(graph, num_workers=2)
