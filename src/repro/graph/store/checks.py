@@ -12,8 +12,8 @@ fully-resident copy:
 * ``store.expand_frontier.stored_vs_memory`` — the batched frontier
   gather returns the same owners and neighbors through the paged store,
   for two page requests per touched partition;
-* ``store.matching.count_stored_vs_memory`` — the backtracking matcher
-  counts the same embeddings through the handle surface;
+* ``store.matching.count_stored_vs_memory`` — the frontier counter
+  counts the same embeddings through the paged handle surface;
 * ``store.manifest.roundtrip`` — shards re-assemble to the exact
   original CSR, chunked ingest is byte-identical to the one-shot
   build, and the manifest's counts agree with the shards;
@@ -173,8 +173,8 @@ def _gen_match(rng: np.random.Generator) -> Dict:
     "store.matching.count_stored_vs_memory", "store", BIT_IDENTICAL,
     gen=_gen_match,
     floors={"n": 4, "num_parts": 1, "store_partitioner": 0, "pattern": 0},
-    description="The backtracking matcher counts identical embeddings "
-    "through the paged handle surface and the concrete Graph.",
+    description="count_matches counts identical embeddings through the "
+    "paged handle surface and the concrete Graph.",
 )
 def _check_matching_stored(params: Dict) -> List[str]:
     graph = make_graph(params)

@@ -1,6 +1,7 @@
 """Differential checks for subgraph matching.
 
-The interpreted backtracking matcher is the reference; the generated-
+The depth-first enumerator (:func:`~repro.matching.backtrack.match`) is
+the reference; the frontier counter (``count_matches``), the generated-
 and-compiled matcher (codegen), the TLAV message-passing triangle
 counter, and the enumeration path must all agree exactly — pattern
 counting is deterministic integer work, so every relation here is
@@ -16,10 +17,12 @@ import numpy as np
 from ..check.registry import BIT_IDENTICAL, pair
 from ..check.invariants import same_values
 from ..check.workloads import gen_graph_params, make_graph
+from ..graph.csr import Graph
 from ..tlav.algorithms import triangle_count_tlav
-from .backtrack import count_matches
+from .backtrack import MatchStats, count_matches, match
 from .codegen import compiled_count
 from .pattern import (
+    PatternGraph,
     clique_pattern,
     cycle_pattern,
     diamond_pattern,
@@ -29,6 +32,7 @@ from .pattern import (
     tailed_triangle_pattern,
     triangle_pattern,
 )
+from .plan import connected_orders
 from .triangles import triangle_count, triangle_list
 
 PATTERNS = (
@@ -64,6 +68,52 @@ def _check_codegen(params: Dict) -> List[str]:
         compiled_count(graph, pattern),
         f"count[{name}]",
     )
+
+
+def _gen_count(rng: np.random.Generator) -> Dict:
+    params = _gen_pattern(rng)
+    params["order_pick"] = int(rng.integers(1 << 16))
+    params["distinct"] = int(rng.integers(2))
+    params["vertex_labels"] = int(rng.integers(3))  # 0: unlabeled
+    return params
+
+
+@pair(
+    "matching.count.frontier_vs_backtrack", "matching", BIT_IDENTICAL,
+    gen=_gen_count,
+    floors={"n": 4, "pattern": 0, "order_pick": 0, "distinct": 0,
+            "vertex_labels": 0},
+    description="The level-synchronous frontier counter returns the "
+    "depth-first enumerator's count and every MatchStats field (the "
+    "simulated-ops cost serve charges), for any connected order, with "
+    "and without symmetry breaking, on vertex-labelled graphs too.",
+)
+def _check_frontier_count(params: Dict) -> List[str]:
+    graph = make_graph(params)
+    name, build = PATTERNS[int(params["pattern"]) % len(PATTERNS)]
+    pattern = build()
+    num_labels = int(params.get("vertex_labels", 0))
+    if num_labels:
+        rng = np.random.default_rng(int(params.get("graph_seed", 0)))
+        graph = Graph(
+            graph.indptr, graph.indices,
+            vertex_labels=rng.integers(num_labels, size=graph.num_vertices),
+        )
+        pattern = PatternGraph(Graph(
+            pattern.graph.indptr, pattern.graph.indices,
+            vertex_labels=rng.integers(num_labels, size=pattern.n),
+        ))
+    orders = connected_orders(pattern)
+    order = orders[int(params.get("order_pick", 0)) % len(orders)]
+    distinct = bool(params.get("distinct", 1))
+    want, got = MatchStats(), MatchStats()
+    match(graph, pattern, order=order,
+          restrictions=None if distinct else [], stats=want)
+    count = count_matches(graph, pattern, order=order, distinct=distinct,
+                          stats=got)
+    out = same_values(want.embeddings, count, f"count[{name}]")
+    out += same_values(want.extra_dict(), got.extra_dict(), f"stats[{name}]")
+    return out
 
 
 def _gen_graph(rng: np.random.Generator) -> Dict:
