@@ -30,8 +30,9 @@ def _run():
 
     rows = []
     full = train_full_graph(
-        NodeClassifier(4, 16, 4, layer="sage", seed=0), g, features, labels,
-        train_mask, val_mask, epochs=10, lr=0.05,
+        NodeClassifier(4, 16, 4, layer="sage", seed=0), g,
+        features=features, labels=labels, train_mask=train_mask,
+        val_mask=val_mask, epochs=10, lr=0.05,
     )
     rows.append(
         ["full-graph", "-", round(full.gathered_features / full.steps, 1),
@@ -39,8 +40,9 @@ def _run():
     )
     for fanout in (2, 5, 10):
         rep = train_sampled(
-            NodeClassifier(4, 16, 4, layer="sage", seed=0), g, features,
-            labels, train_mask, val_mask, epochs=10, batch_size=20,
+            NodeClassifier(4, 16, 4, layer="sage", seed=0), g,
+            features=features, labels=labels, train_mask=train_mask,
+            val_mask=val_mask, epochs=10, batch_size=20,
             fanouts=(fanout, fanout), lr=0.05, seed=1,
         )
         rows.append(

@@ -52,8 +52,9 @@ def _run():
          f"-{100 * (1 - part_t.remote_bytes / base_t.remote_bytes):.0f}% bytes"]
     )
     samp_r = train_sampled(
-        NodeClassifier(3, 8, 3, layer="sage", seed=0), g, features, labels,
-        train_mask, val_mask, epochs=10, batch_size=16, fanouts=(5, 5), lr=0.05,
+        NodeClassifier(3, 8, 3, layer="sage", seed=0), g, features=features,
+        labels=labels, train_mask=train_mask, val_mask=val_mask, epochs=10,
+        batch_size=16, fanouts=(5, 5), lr=0.05,
     )
     rows.append(
         ["+ sampling (Euler/AliGraph)",

@@ -70,7 +70,8 @@ def main() -> None:
     features = np.eye(4)[truth] + rng.normal(0, 1.5, size=(n, 4))
     gcn = NodeClassifier(4, 16, 4, layer="gcn", seed=0)
     report = train_full_graph(
-        gcn, graph, features, truth, train_mask, ~train_mask,
+        gcn, graph, features=features, labels=truth,
+        train_mask=train_mask, val_mask=~train_mask,
         epochs=40, lr=0.05,
     )
     print(f"GCN (noisy features)   accuracy {report.final_val_accuracy:.3f}")

@@ -72,7 +72,8 @@ def main() -> None:
     train_mask[rng.permutation(g2.num_vertices)[:60]] = True
     model = NodeClassifier(3, 16, 3, layer="gcn", seed=0)
     report = train_full_graph(
-        model, g2, features, labels, train_mask, ~train_mask,
+        model, g2, features=features, labels=labels,
+        train_mask=train_mask, val_mask=~train_mask,
         epochs=30, lr=0.05,
     )
     print(f"GCN on planted communities: val accuracy "

@@ -632,7 +632,10 @@ def _check_fullgraph_variants(params: Dict) -> List[str]:
         return NodeClassifier(3, 8, 3, seed=int(params["model_seed"]))
 
     data = (features, labels, train_mask, ~train_mask)
-    reference = train_full_graph(model(), graph, *data, **run)
+    reference = train_full_graph(
+        model(), graph, features=features, labels=labels,
+        train_mask=train_mask, val_mask=~train_mask, **run,
+    )
     variants = {
         "distributed": DistributedTrainer(
             model(), graph, partition, features, labels, lr=run["lr"]

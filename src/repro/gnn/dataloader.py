@@ -22,9 +22,10 @@ admits (the simulated-stage accounting is deterministic even where the
 GIL limits measured thread overlap).
 
 :func:`infer_sampled` is the serving-side counterpart: bounded-cost
-sampled inference over a node set, used by the refactored
-``train_sampled`` evaluation path and by ``serve``'s ``gnn.predict``
-on stored graphs too large for a full forward pass.
+sampled inference over a node set, behind ``serve``'s ``gnn.predict``
+on stored graphs too large for a full forward pass.  The sampled
+trainers do not use it: they score each epoch with an exact full
+forward (``train.eval_inputs``).
 """
 
 from __future__ import annotations

@@ -30,10 +30,8 @@ from ..graph.csr import Graph
 from ..graph.partition import Partition
 from .caching import LRUCache, StaticDegreeCache
 from .dataloader import FeatureFetcher, MiniBatchLoader
-from .layers import GraphTensors
-from .models import Adam, NodeClassifier, accuracy
-from .tensor import Tensor, no_grad
-from .train import TrainReport, train_epoch
+from .models import Adam, NodeClassifier
+from .train import TrainReport, eval_inputs, train_epoch
 
 __all__ = ["DistributedSampledTrainer"]
 
@@ -109,17 +107,13 @@ class DistributedSampledTrainer:
             for worker, fetcher in enumerate(self._fetchers)
             if np.any(owners == worker)
         ]
-        gt_full = GraphTensors(self.graph)
+        gt, x = eval_inputs(self.graph, self.features, report)
         for _ in range(epochs):
             for loader in loaders:
                 train_epoch(
                     loader, self.model, self._optimizer, self.labels, report
                 )
-            with no_grad():
-                out = self.model(gt_full, Tensor(self.features)).data
-            report.train_accuracy.append(accuracy(out, self.labels, train_mask))
-            if val_mask is not None:
-                report.val_accuracy.append(accuracy(out, self.labels, val_mask))
+            report.evaluate(self.model, gt, x, self.labels, train_mask, val_mask)
         return report
 
     @property

@@ -19,18 +19,20 @@ from __future__ import annotations
 import time
 from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..graph.store.handle import as_handle
 from ..obs import MetricsRegistry, StatsViewMixin, Tracer, merge_counters
 from ..resilience import FaultInjector, SnapshotStore
+from .dataloader import FeatureFetcher, MiniBatchLoader
 from .layers import GraphTensors
 from .models import Adam, NodeClassifier, accuracy
 from .tensor import Tensor, no_grad
 
-__all__ = ["TrainReport", "train_epoch", "train_full_graph", "train_sampled"]
+__all__ = ["TrainReport", "eval_inputs", "train_epoch", "train_full_graph",
+           "train_sampled"]
 
 SNAPSHOT_TAG = "gnn"
 
@@ -77,13 +79,15 @@ def _restore_training_state(
 
 @dataclass
 class TrainReport(StatsViewMixin):
-    """Trace of one training run."""
+    """Trace of one training run; ``eval_s`` is the wall seconds spent
+    on the per-epoch evaluation (building its inputs included)."""
 
     losses: List[float] = field(default_factory=list)
     train_accuracy: List[float] = field(default_factory=list)
     val_accuracy: List[float] = field(default_factory=list)
     gathered_features: int = 0
     steps: int = 0
+    eval_s: float = field(default=0.0, compare=False)
 
     @property
     def final_val_accuracy(self) -> float:
@@ -104,7 +108,7 @@ class TrainReport(StatsViewMixin):
         return merge_counters(
             self,
             other,
-            sum_fields=("gathered_features", "steps"),
+            sum_fields=("gathered_features", "steps", "eval_s"),
             concat_fields=("losses", "train_accuracy", "val_accuracy"),
         )
 
@@ -126,14 +130,41 @@ class TrainReport(StatsViewMixin):
             ).inc(gathered)
             obs.histogram("gnn.train.loss", "per-step training loss").observe(loss)
 
+    def evaluate(self, model: NodeClassifier, gt: GraphTensors, x: Tensor,
+                 labels: np.ndarray, train_mask, val_mask) -> None:
+        """Score one epoch with an exact full forward; bill it to ``eval_s``."""
+        started = time.perf_counter()
+        with no_grad():
+            out = model(gt, x).data
+        self.train_accuracy.append(accuracy(out, labels, train_mask))
+        if val_mask is not None:
+            self.val_accuracy.append(accuracy(out, labels, val_mask))
+        self.eval_s += time.perf_counter() - started
+
+
+def eval_inputs(graph_or_handle, features: Optional[np.ndarray],
+                report: TrainReport) -> Tuple[GraphTensors, Tensor]:
+    """The sampled trainers' evaluation inputs: the whole graph's tensors
+    and feature rows, built once per training call (the graph is fixed
+    while training) and billed to ``report.eval_s``."""
+    started = time.perf_counter()
+    handle = as_handle(graph_or_handle)
+    rows = FeatureFetcher(handle, features=features).fetch(
+        np.arange(handle.num_vertices)
+    )
+    inputs = GraphTensors(handle), Tensor(rows)
+    report.eval_s += time.perf_counter() - started
+    return inputs
+
 
 def train_full_graph(
     model: NodeClassifier,
     graph_or_handle,
-    features: Optional[np.ndarray] = None,
-    labels: Optional[np.ndarray] = None,
-    train_mask: Optional[np.ndarray] = None,
+    *,
+    labels: np.ndarray,
+    train_mask: np.ndarray,
     val_mask: Optional[np.ndarray] = None,
+    features: Optional[np.ndarray] = None,
     epochs: int = 50,
     lr: float = 0.01,
     obs: Optional[MetricsRegistry] = None,
@@ -159,16 +190,7 @@ def train_full_graph(
         raise ValueError("checkpoint_every must be >= 1")
     handle = as_handle(graph_or_handle)
     if features is None:
-        features = handle.features()
-    if features is None:
-        raise TypeError(
-            "train_full_graph() needs features: pass the array or use a "
-            "handle that carries feature shards"
-        )
-    if labels is None or train_mask is None:
-        raise TypeError(
-            "train_full_graph() missing required 'labels'/'train_mask'"
-        )
+        features = FeatureFetcher(handle).fetch(np.arange(handle.num_vertices))
     return _full_graph_loop(
         model, handle, features, labels, train_mask, val_mask, epochs, lr,
         _sync_step, obs=obs, injector=injector, snapshots=snapshots,
@@ -250,11 +272,7 @@ def _full_graph_loop(
         loss = step(model, gt, x, labels, train_idx)
         optimizer.step()
         report.record_step(loss, gt.num_vertices, obs=obs)
-        with no_grad():
-            out = model(gt, x).data
-        report.train_accuracy.append(accuracy(out, labels, train_mask))
-        if val_mask is not None:
-            report.val_accuracy.append(accuracy(out, labels, val_mask))
+        report.evaluate(model, gt, x, labels, train_mask, val_mask)
         epoch += 1
         if (
             snapshots is not None
@@ -298,21 +316,19 @@ def train_epoch(
 def train_sampled(
     model: NodeClassifier,
     graph_or_handle,
-    features: Optional[np.ndarray] = None,
-    labels: Optional[np.ndarray] = None,
-    train_mask: Optional[np.ndarray] = None,
+    *,
+    labels: np.ndarray,
+    train_mask: np.ndarray,
     val_mask: Optional[np.ndarray] = None,
+    features: Optional[np.ndarray] = None,
     epochs: int = 10,
     batch_size: int = 64,
     fanouts: Sequence[int] = (10, 10),
     lr: float = 0.01,
     seed: int = 0,
     obs: Optional[MetricsRegistry] = None,
-    *,
     prefetch: int = 0,
     cache=None,
-    full_eval: bool = False,
-    eval_batch_size: Optional[int] = None,
     loader: Optional["MiniBatchLoader"] = None,
     tracer=None,
 ) -> TrainReport:
@@ -331,24 +347,18 @@ def train_sampled(
     ``loader`` to inspect its schedule/cache reports afterwards); at
     fixed ``seed`` the losses are the same with prefetch on or off.
 
-    Per-epoch evaluation runs **sampled inference** over the masked
-    nodes, so it too is bounded by fanout rather than ``|V|``;
-    ``full_eval=True`` runs the exact full-graph forward instead.
+    Each epoch is scored **exactly**, like :func:`train_full_graph`: one
+    full forward over inputs built once per call (:func:`eval_inputs`),
+    which draws no random numbers, so the training stream and its losses
+    are untouched.
     """
-    from .dataloader import MiniBatchLoader, infer_sampled
-
     handle = as_handle(graph_or_handle)
-    if labels is None or train_mask is None:
-        raise TypeError(
-            "train_sampled() missing required 'labels'/'train_mask'"
-        )
     optimizer = Adam(model.parameters(), lr=lr)
     report = TrainReport()
-    train_nodes = np.nonzero(train_mask)[0]
     if loader is None:
         loader = MiniBatchLoader(
             handle,
-            items=train_nodes,
+            items=np.nonzero(train_mask)[0],
             batch_size=batch_size,
             fanouts=fanouts,
             features=features,
@@ -358,42 +368,8 @@ def train_sampled(
             obs=obs,
             tracer=tracer,
         )
-    eval_nodes = train_nodes
-    if val_mask is not None:
-        eval_nodes = np.unique(
-            np.concatenate([train_nodes, np.nonzero(val_mask)[0]])
-        )
-    for epoch_idx in range(epochs):
+    gt, x = eval_inputs(handle, features, report)
+    for _ in range(epochs):
         train_epoch(loader, model, optimizer, labels, report, obs=obs)
-        if full_eval:
-            full_x = handle.features() if features is None else features
-            with no_grad():
-                out = model(GraphTensors(handle), Tensor(full_x)).data
-            report.train_accuracy.append(accuracy(out, labels, train_mask))
-            if val_mask is not None:
-                report.val_accuracy.append(accuracy(out, labels, val_mask))
-        else:
-            # Sampled layer-wise evaluation on the masked nodes only —
-            # its own RNG stream, so the training draw order is
-            # untouched and losses stay bit-identical to full_eval runs.
-            preds = infer_sampled(
-                model,
-                handle,
-                features=features,
-                nodes=eval_nodes,
-                batch_size=eval_batch_size or batch_size,
-                fanouts=fanouts,
-                seed=(seed + 1) * 1_000_003 + epoch_idx,
-                obs=obs,
-            )
-            correct = preds == labels[eval_nodes]
-            train_sel = train_mask[eval_nodes].astype(bool)
-            report.train_accuracy.append(
-                float(np.mean(correct[train_sel])) if train_sel.any() else 0.0
-            )
-            if val_mask is not None:
-                val_sel = val_mask[eval_nodes].astype(bool)
-                report.val_accuracy.append(
-                    float(np.mean(correct[val_sel])) if val_sel.any() else 0.0
-                )
+        report.evaluate(model, gt, x, labels, train_mask, val_mask)
     return report

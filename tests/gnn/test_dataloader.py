@@ -22,9 +22,10 @@ from repro.gnn.dataloader import (
     sampled_inference_blocks,
 )
 from repro.gnn.layers import GraphTensors
-from repro.gnn.models import Adam, NodeClassifier
+from repro.gnn.models import Adam, NodeClassifier, accuracy
 from repro.gnn.sampling import NeighborSampler
 from repro.gnn.tensor import Tensor, no_grad
+from repro.gnn import train as train_module
 from repro.gnn.train import train_sampled
 from repro.graph.generators import barabasi_albert, planted_partition
 from repro.graph.store import build_store, open_store
@@ -360,8 +361,9 @@ class TestPrefetchLifecycle:
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="step failed"):
             train_sampled(
-                FailingModel(3, 8, 3, layer="sage", seed=0), g, features,
-                labels, train_mask, batch_size=8, fanouts=(3, 3), prefetch=2,
+                FailingModel(3, 8, 3, layer="sage", seed=0), g,
+                features=features, labels=labels, train_mask=train_mask,
+                batch_size=8, fanouts=(3, 3), prefetch=2,
             )
         assert threading.active_count() == before
 
@@ -391,11 +393,14 @@ def _legacy_losses(task, epochs, batch_size, fanouts, lr, seed):
 class TestTrainSampledBitIdentity:
     EPOCHS, BATCH, FANOUTS, LR, SEED = 3, 8, (3, 3), 0.02, 0
 
-    def _train(self, task, **kwargs):
+    def _train(self, task, model=None, graph=None, **kwargs):
         g, labels, features, train_mask, val_mask = task
-        model = NodeClassifier(3, 8, 3, layer="sage", seed=self.SEED)
+        kwargs.setdefault("features", features)
+        kwargs.setdefault("val_mask", val_mask)
         return train_sampled(
-            model, g, features, labels, train_mask, val_mask,
+            model or NodeClassifier(3, 8, 3, layer="sage", seed=self.SEED),
+            g if graph is None else graph,
+            labels=labels, train_mask=train_mask,
             epochs=self.EPOCHS, batch_size=self.BATCH, fanouts=self.FANOUTS,
             lr=self.LR, seed=self.SEED, **kwargs,
         )
@@ -409,13 +414,48 @@ class TestTrainSampledBitIdentity:
     def test_prefetch_preserves_losses(self, task):
         assert self._train(task, prefetch=3).losses == self._train(task).losses
 
-    def test_full_eval_path_preserves_losses(self, task):
-        # The sampled-eval RNG stream is separate from the training
-        # stream, so switching eval modes cannot perturb the losses.
-        assert (
-            self._train(task, full_eval=True).losses
-            == self._train(task).losses
+    def test_exact_eval_preserves_losses(self, task):
+        # Evaluation draws no random numbers, so scoring with or without
+        # a val set leaves the training stream, and the losses, untouched.
+        report = self._train(task)
+        assert self._train(task, val_mask=None).losses == report.losses
+        assert report.eval_s > 0.0
+
+    def test_eval_scores_the_full_forward(self, task):
+        g, labels, features, train_mask, val_mask = task
+        model = NodeClassifier(3, 8, 3, layer="sage", seed=self.SEED)
+        report = self._train(task, model=model)
+        with no_grad():
+            out = model(GraphTensors(g), Tensor(features)).data
+        assert report.train_accuracy[-1] == accuracy(out, labels, train_mask)
+        assert report.val_accuracy[-1] == accuracy(out, labels, val_mask)
+
+    def test_featureless_handle_raises_the_fetchers_type_error(self, task):
+        # The loader carries the features, so training runs; evaluation
+        # then needs rows the graph does not have.
+        loader = _loader(task, batch_size=self.BATCH, seed=self.SEED)
+        with pytest.raises(TypeError, match="FeatureFetcher needs features"):
+            self._train(task, features=None, loader=loader)
+
+    def test_stored_graph_builds_eval_inputs_once(self, task, tmp_path,
+                                                  monkeypatch):
+        # Rows come from the store's feature shards, and the whole-graph
+        # tensors are built once per training call, not once per epoch.
+        g, labels, features, train_mask, val_mask = task
+        reference = self._train(task)
+        root = str(tmp_path / "g")
+        build_store(g, root, partition="hash", num_parts=3, features=features)
+        built = []
+        monkeypatch.setattr(
+            train_module, "GraphTensors",
+            lambda handle: built.append(handle) or GraphTensors(handle),
         )
+        with open_store(root) as stored:
+            report = self._train(task, graph=stored, features=None)
+        assert len(built) == 1
+        assert report.losses == reference.losses
+        assert report.train_accuracy == reference.train_accuracy
+        assert report.val_accuracy == reference.val_accuracy
 
     def test_sampled_eval_records_accuracies(self, task):
         report = self._train(task)

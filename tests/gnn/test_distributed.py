@@ -49,8 +49,8 @@ class TestSyncExactness:
     def test_identical_to_single_process(self, task):
         g, labels, features, train_mask, val_mask = task
         reference = train_full_graph(
-            NodeClassifier(3, 8, 3, seed=0), g, features, labels,
-            train_mask, val_mask, epochs=8, lr=0.05,
+            NodeClassifier(3, 8, 3, seed=0), g, features=features, labels=labels,
+            train_mask=train_mask, val_mask=val_mask, epochs=8, lr=0.05,
         )
         trainer = DistributedTrainer(
             NodeClassifier(3, 8, 3, seed=0), g, hash_partition(g, 4),

@@ -41,6 +41,28 @@ class TestLearning:
         assert report.losses[-1] < report.losses[0]
         assert report.final_val_accuracy > 0.5
 
+    @pytest.mark.parametrize("layer, train_acc, val_acc", [
+        ("sage", [0.6333333333333333, 0.75, 0.8333333333333334],
+         [0.5166666666666667, 0.5666666666666667, 0.6833333333333333]),
+        ("gcn", [0.8666666666666667, 0.8, 0.8333333333333334],
+         [0.7833333333333333, 0.7333333333333333, 0.7833333333333333]),
+        ("gat", [0.8, 0.7833333333333333, 0.85],
+         [0.6333333333333333, 0.5333333333333333, 0.7]),
+    ])
+    def test_exact_eval_accuracies_pinned(self, task, layer, train_acc, val_acc):
+        # Accuracies of the trainer's own per-epoch full forward, before
+        # it moved onto the shared evaluation inputs: they must not move.
+        g, labels, features, train_mask, val_mask = task
+        trainer = DistributedSampledTrainer(
+            NodeClassifier(4, 16, 4, layer=layer, seed=0), g,
+            hash_partition(g, 4), features, labels, fanouts=(4, 4),
+            batch_size=16, lr=0.05, seed=1,
+        )
+        report = trainer.train(train_mask, val_mask, epochs=3)
+        assert report.train_accuracy == train_acc
+        assert report.val_accuracy == val_acc
+        assert report.eval_s > 0.0
+
     def test_single_worker_no_remote_rows(self, task):
         g, labels, features, train_mask, _ = task
         trainer = _trainer(task, hash_partition(g, 1))

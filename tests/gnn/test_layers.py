@@ -216,7 +216,8 @@ class TestGINLayer:
         train_mask[rng.permutation(n)[:40]] = True
         model = NodeClassifier(3, 16, 3, layer="gin", seed=0)
         report = train_full_graph(
-            model, g, features, labels, train_mask, ~train_mask,
+            model, g, features=features, labels=labels,
+            train_mask=train_mask, val_mask=~train_mask,
             epochs=30, lr=0.02,
         )
         assert report.losses[-1] < report.losses[0]

@@ -79,8 +79,8 @@ class TestNodeClassifier:
         g, labels, features, train_mask, val_mask = community_task
         model = NodeClassifier(3, 16, 3, num_layers=2, layer=kind, seed=0)
         report = train_full_graph(
-            model, g, features, labels, train_mask, val_mask,
-            epochs=30, lr=0.05,
+            model, g, features=features, labels=labels,
+            train_mask=train_mask, val_mask=val_mask, epochs=30, lr=0.05,
         )
         assert report.losses[-1] < report.losses[0]
         assert report.final_val_accuracy > 0.55
@@ -180,7 +180,8 @@ class TestTrainers:
         g, labels, features, train_mask, val_mask = community_task
         model = NodeClassifier(3, 8, 3, seed=3)
         report = train_full_graph(
-            model, g, features, labels, train_mask, val_mask, epochs=5
+            model, g, features=features, labels=labels,
+            train_mask=train_mask, val_mask=val_mask, epochs=5,
         )
         assert report.steps == 5
         assert len(report.losses) == 5
@@ -191,12 +192,13 @@ class TestTrainers:
         """The C7 claim: sampling bounds per-step data volume."""
         g, labels, features, train_mask, val_mask = community_task
         full = train_full_graph(
-            NodeClassifier(3, 8, 3, seed=0), g, features, labels,
-            train_mask, val_mask, epochs=4,
+            NodeClassifier(3, 8, 3, seed=0), g, features=features, labels=labels,
+            train_mask=train_mask, val_mask=val_mask, epochs=4,
         )
         sampled = train_sampled(
-            NodeClassifier(3, 8, 3, layer="sage", seed=0), g, features,
-            labels, train_mask, val_mask, epochs=4, batch_size=16,
+            NodeClassifier(3, 8, 3, layer="sage", seed=0), g,
+            features=features, labels=labels, train_mask=train_mask,
+            val_mask=val_mask, epochs=4, batch_size=16,
             fanouts=(3, 3),
         )
         per_step_full = full.gathered_features / full.steps
@@ -206,8 +208,9 @@ class TestTrainers:
     def test_sampled_learns(self, community_task):
         g, labels, features, train_mask, val_mask = community_task
         report = train_sampled(
-            NodeClassifier(3, 16, 3, layer="sage", seed=0), g, features,
-            labels, train_mask, val_mask, epochs=8, batch_size=16,
+            NodeClassifier(3, 16, 3, layer="sage", seed=0), g,
+            features=features, labels=labels, train_mask=train_mask,
+            val_mask=val_mask, epochs=8, batch_size=16,
             fanouts=(5, 5), lr=0.05,
         )
         assert report.final_val_accuracy > 0.45

@@ -161,8 +161,8 @@ class TestActivationCompression:
     def test_exact_recompute_matches_plain_training(self, task):
         g, labels, features, train_mask, val_mask = task
         ref = train_full_graph(
-            NodeClassifier(3, 8, 3, seed=0), g, features, labels,
-            train_mask, val_mask, epochs=6, lr=0.05,
+            NodeClassifier(3, 8, 3, seed=0), g, features=features, labels=labels,
+            train_mask=train_mask, val_mask=val_mask, epochs=6, lr=0.05,
         )
         out = train_compressed(
             NodeClassifier(3, 8, 3, seed=0), g, features, labels,

@@ -58,8 +58,8 @@ class TestStaleGradients:
     def test_staleness_zero_is_exact(self, task):
         g, labels, features, train_mask, val_mask = task
         reference = train_full_graph(
-            NodeClassifier(3, 8, 3, seed=0), g, features, labels,
-            train_mask, val_mask, epochs=10, lr=0.05,
+            NodeClassifier(3, 8, 3, seed=0), g, features=features, labels=labels,
+            train_mask=train_mask, val_mask=val_mask, epochs=10, lr=0.05,
         )
         stale = train_stale_gradients(
             NodeClassifier(3, 8, 3, seed=0), g, features, labels,
@@ -124,8 +124,8 @@ class TestDelayedHalo:
         g, labels, features, train_mask, val_mask = task
         partition = hash_partition(g, 3)
         reference = train_full_graph(
-            NodeClassifier(3, 8, 3, seed=0), g, features, labels,
-            train_mask, val_mask, epochs=8, lr=0.05,
+            NodeClassifier(3, 8, 3, seed=0), g, features=features, labels=labels,
+            train_mask=train_mask, val_mask=val_mask, epochs=8, lr=0.05,
         )
         report, exchanges, saved = train_delayed_halo(
             NodeClassifier(3, 8, 3, seed=0), g, partition, features, labels,
@@ -166,8 +166,8 @@ class TestHistoricalEmbeddings:
         g, labels, features, train_mask, val_mask = task
         partition = hash_partition(g, 4)
         reference = train_full_graph(
-            NodeClassifier(3, 8, 3, seed=0), g, features, labels,
-            train_mask, val_mask, epochs=10, lr=0.05,
+            NodeClassifier(3, 8, 3, seed=0), g, features=features, labels=labels,
+            train_mask=train_mask, val_mask=val_mask, epochs=10, lr=0.05,
         )
         hist = train_historical(
             NodeClassifier(3, 8, 3, seed=0), g, partition, features,

@@ -582,8 +582,8 @@ class TestEnginesOverStoredGraphs:
 
         def run(g):
             return train_full_graph(
-                NodeClassifier(5, 8, 3, seed=4), g, feats, labels,
-                mask, ~mask, epochs=3,
+                NodeClassifier(5, 8, 3, seed=4), g, features=feats, labels=labels,
+                train_mask=mask, val_mask=~mask, epochs=3,
             )
 
         assert run(stored).losses == run(graph).losses

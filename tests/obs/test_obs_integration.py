@@ -151,8 +151,8 @@ class TestGNNTrainingEmission:
 
         obs = MetricsRegistry()
         report = train_full_graph(
-            NodeClassifier(3, 8, 3, seed=0), g, features, labels,
-            train_mask, epochs=5, lr=0.05, obs=obs,
+            NodeClassifier(3, 8, 3, seed=0), g, features=features, labels=labels,
+            train_mask=train_mask, epochs=5, lr=0.05, obs=obs,
         )
         assert report.steps == 5
         assert obs.counter("gnn.train.steps").total == report.steps

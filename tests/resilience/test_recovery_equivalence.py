@@ -169,8 +169,8 @@ class TestGnnRecovery:
 
         def run(injector=None, tracer=None):
             return train_full_graph(
-                NodeClassifier(8, 16, 3, seed=5), graph, features, labels,
-                mask, ~mask, epochs=10,
+                NodeClassifier(8, 16, 3, seed=5), graph, features=features,
+                labels=labels, train_mask=mask, val_mask=~mask, epochs=10,
                 injector=injector, checkpoint_every=4, tracer=tracer,
             )
 
@@ -189,9 +189,9 @@ class TestGnnRecovery:
         with pytest.raises(ValueError):
             train_full_graph(
                 NodeClassifier(4, 4, 2), graph,
-                np.zeros((graph.num_vertices, 4)),
-                np.zeros(graph.num_vertices, dtype=int),
-                np.ones(graph.num_vertices, dtype=bool),
+                features=np.zeros((graph.num_vertices, 4)),
+                labels=np.zeros(graph.num_vertices, dtype=int),
+                train_mask=np.ones(graph.num_vertices, dtype=bool),
                 epochs=1, checkpoint_every=0,
             )
 

@@ -182,12 +182,13 @@ class TestMinibatchCLI:
         assert "gnn.loader.batches" in report["metrics"]
         assert "gnn.cache.hits" in report["metrics"]
 
-    def test_cache_kinds_and_full_eval(self, capsys):
+    def test_cache_kinds(self, capsys):
         assert main(["minibatch", "--n", "60", "--epochs", "1",
-                     "--fanout", "2", "--cache", "static",
-                     "--full-eval", "--json"]) == 0
+                     "--fanout", "2", "--cache", "static", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["ok"] is True and report["full_eval"] is True
+        assert report["ok"] is True and report["cache"] == "static"
+        assert report["cache_report"]["hits"] > 0
+        assert "full_eval" not in report
         assert main(["minibatch", "--n", "60", "--epochs", "1",
                      "--fanout", "2", "--cache", "none", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)

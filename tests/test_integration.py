@@ -56,7 +56,8 @@ class TestAnalyticsToMLHandoff:
         train[rng.permutation(g.num_vertices)[:30]] = True
         model = NodeClassifier(features.shape[1], 16, 3, seed=0)
         report = train_full_graph(
-            model, g, features, labels, train, ~train, epochs=30, lr=0.05
+            model, g, features=features, labels=labels,
+            train_mask=train, val_mask=~train, epochs=30, lr=0.05,
         )
         assert report.losses[-1] < report.losses[0]
 
@@ -132,8 +133,8 @@ class TestDistributedConsistency:
         train[rng.permutation(n)[:27]] = True
 
         single = train_full_graph(
-            NodeClassifier(3, 8, 3, seed=0), g, features, labels,
-            train, epochs=6, lr=0.05,
+            NodeClassifier(3, 8, 3, seed=0), g, features=features, labels=labels,
+            train_mask=train, epochs=6, lr=0.05,
         )
         for num_parts in (2, 5):
             trainer = DistributedTrainer(
