@@ -586,6 +586,99 @@ def _check_loader_cache(params: Dict) -> List[str]:
     return out
 
 
+def _gen_aggregation(rng: np.random.Generator) -> Dict:
+    return {
+        "rows": int(rng.integers(0, 41)),
+        "buckets": int(rng.integers(1, 13)),
+        "width": int(rng.integers(0, 6)),
+        "ndim": int(rng.integers(1, 4)),
+        "sorted": int(rng.integers(2)),
+        "value_seed": int(rng.integers(1 << 16)),
+    }
+
+
+def _float_bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _tape_program(feats, scale, divisor, src, dst, p, w, full_tape: bool):
+    """Loss and parameter gradients of a two-hop aggregation program
+    whose first hop reads only constants.  ``full_tape`` marks every
+    constant as requiring grad, so nothing is pruned from the tape."""
+    from .tensor import Parameter, Tensor
+
+    n = feats.shape[0]
+    x = Tensor(feats, requires_grad=full_tape)
+    params = Parameter(p), Parameter(w)
+    const = (x.gather_rows(src) * Tensor(scale, requires_grad=full_tape)).scatter_add(dst, n)
+    h = (const * params[0] + x) / (Tensor(divisor, requires_grad=full_tape) + 2.0)
+    h = h.gather_rows(src).scatter_add(dst, n).reshape(n, w.shape[0]) @ params[1]
+    loss = (h * h).sum()
+    loss.backward()
+    return const, loss, params
+
+
+@pair(
+    "gnn.tensor.aggregation_vs_add_at", "gnn", BIT_IDENTICAL,
+    gen=_gen_aggregation,
+    floors={"rows": 0, "buckets": 1, "width": 0, "ndim": 1, "sorted": 0},
+    description="the per-column np.bincount scatter behind scatter_add "
+    "and gather_rows' backward vs np.add.at into zeroed rows, and the "
+    "live-tape parameter gradients vs the full tape (every constant "
+    "marked as requiring grad): the same bits for 1-D, 2-D and 3-D "
+    "values, duplicate, unsorted and empty indices, empty buckets and "
+    "zero-width rows.",
+)
+def _check_aggregation(params: Dict) -> List[str]:
+    from .tensor import Parameter, Tensor, _scatter_rows
+
+    rows, n = int(params["rows"]), max(1, int(params["buckets"]))
+    width, ndim = int(params["width"]), min(max(int(params["ndim"]), 1), 3)
+    trailing = ((), (width,), (2, width))[ndim - 1]
+    rng = np.random.default_rng(int(params["value_seed"]))
+    # Magnitudes across twelve decades make every reordering visible.
+    values = rng.normal(size=(rows,) + trailing) * 10.0 ** rng.integers(
+        -6, 7, size=(rows,) + trailing
+    )
+    index = rng.integers(0, n, size=rows)
+    if int(params["sorted"]):
+        index = np.sort(index)
+    want = np.zeros((n,) + trailing)
+    np.add.at(want, index, values)
+    out = same_bits(_float_bits(want), _float_bits(_scatter_rows(index, values, n)),
+                    "_scatter_rows")
+    out += same_bits(
+        _float_bits(want), _float_bits(Tensor(values).scatter_add(index, n).data),
+        "scatter_add",
+    )
+    leaf = Parameter(rng.normal(size=(n,) + trailing))
+    leaf.gather_rows(index).backward(values)
+    out += same_bits(_float_bits(want), _float_bits(leaf.grad), "gather_rows.grad")
+
+    program = (
+        rng.normal(size=(n,) + trailing),
+        rng.normal(size=(rows,) + (1,) * len(trailing)),
+        np.abs(rng.normal(size=(n,) + trailing)),
+        index,
+        rng.integers(0, n, size=rows),
+        rng.normal(size=trailing),
+        rng.normal(size=(int(np.prod(trailing)), 2)),
+    )
+    _, full_loss, full_params = _tape_program(*program, full_tape=True)
+    const, live_loss, live_params = _tape_program(*program, full_tape=False)
+    if const._parents or const._backward is not None:
+        out.append("an aggregation over constants recorded a tape")
+    out += same_bits(_float_bits(full_loss.data), _float_bits(live_loss.data), "loss")
+    for name, ref, got in zip(("p", "w"), full_params, live_params):
+        if ref.grad is None or got.grad is None:
+            out.append(f"{name}.grad missing (full tape {ref.grad is not None}, "
+                       f"live tape {got.grad is not None})")
+        else:
+            out += same_bits(_float_bits(ref.grad), _float_bits(got.grad),
+                             f"{name}.grad")
+    return out
+
+
 def _gen_fullgraph_variants(rng: np.random.Generator) -> Dict:
     return {
         "community_size": int(rng.integers(6, 17)),

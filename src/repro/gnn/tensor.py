@@ -10,6 +10,26 @@ The design intentionally separates the *graph* of dependencies from the
 *operators* (each op records only its parents and a backward closure),
 mirroring NeutronStar's [43] observation that dependency management and
 NN functions are separable concerns.
+
+Two contracts keep training cheap without changing a bit of it:
+
+* **Order-preserving aggregation.**  ``scatter_add`` and the backward of
+  ``gather_rows`` sum rows into buckets with one ``np.bincount`` per
+  feature column (:func:`_scatter_rows`).  ``bincount`` adds each
+  bucket's weights in element order starting from zero — the order the
+  unbuffered ``np.add`` scatter (``ufunc.at``) applies them to a zeroed
+  array — so the sums are bit-identical to it, without that scatter's
+  per-element dispatch.
+  Indices outside ``[0, rows)`` raise ``IndexError`` instead of
+  wrapping.
+* **Live tape only.**  A tensor is *live* when it requires grad or has
+  a tape of its own.  An op records its parents and backward closure
+  only when some parent is live, and the binary ops' closures compute
+  gradients only for live operands, so work over constants (a GNN's
+  first-layer aggregation of the input features, products with the
+  fixed ``gcn_norm``) is never taped nor differentiated.  Gradients can
+  flow from a live tensor only to live tensors, so no gradient that
+  reaches a parameter changes.
 """
 
 from __future__ import annotations
@@ -17,6 +37,8 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from ..graph.store.handle import checked_vertex_ids
 
 __all__ = ["Tensor", "Parameter", "no_grad"]
 
@@ -54,9 +76,19 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad and _grad_enabled
-        self._parents = _parents if _grad_enabled else ()
-        self._backward = _backward if _grad_enabled else None
+        if _grad_enabled and any(p.live for p in _parents):
+            self._parents = _parents
+            self._backward = _backward
+        else:
+            self._parents = ()
+            self._backward = None
         self.name = name
+
+    @property
+    def live(self) -> bool:
+        """Whether a gradient reaching this tensor can matter: it
+        requires grad itself or was computed from one that does."""
+        return self.requires_grad or bool(self._parents)
 
     # -- construction helpers ---------------------------------------------
 
@@ -114,7 +146,7 @@ class Tensor:
                 t.grad = g if t.grad is None else t.grad + g
             if t._backward is not None:
                 for parent, pg in t._backward(g):
-                    if parent.requires_grad or parent._parents:
+                    if parent.live:
                         prev = grads.get(id(parent))
                         grads[id(parent)] = pg if prev is None else prev + pg
 
@@ -133,10 +165,12 @@ class Tensor:
         other = self._coerce(other)
 
         def backward(g: np.ndarray):
-            return (
-                (self, _unbroadcast(g, self.data.shape)),
-                (other, _unbroadcast(g, other.data.shape)),
-            )
+            out = []
+            if self.live:
+                out.append((self, _unbroadcast(g, self.data.shape)))
+            if other.live:
+                out.append((other, _unbroadcast(g, other.data.shape)))
+            return out
 
         return Tensor(
             self.data + other.data,
@@ -162,10 +196,12 @@ class Tensor:
         other = self._coerce(other)
 
         def backward(g: np.ndarray):
-            return (
-                (self, _unbroadcast(g * other.data, self.data.shape)),
-                (other, _unbroadcast(g * self.data, other.data.shape)),
-            )
+            out = []
+            if self.live:
+                out.append((self, _unbroadcast(g * other.data, self.data.shape)))
+            if other.live:
+                out.append((other, _unbroadcast(g * self.data, other.data.shape)))
+            return out
 
         return Tensor(
             self.data * other.data, _parents=(self, other), _backward=backward
@@ -177,13 +213,15 @@ class Tensor:
         other = self._coerce(other)
 
         def backward(g: np.ndarray):
-            return (
-                (self, _unbroadcast(g / other.data, self.data.shape)),
-                (
+            out = []
+            if self.live:
+                out.append((self, _unbroadcast(g / other.data, self.data.shape)))
+            if other.live:
+                out.append((
                     other,
                     _unbroadcast(-g * self.data / other.data ** 2, other.data.shape),
-                ),
-            )
+                ))
+            return out
 
         return Tensor(
             self.data / other.data, _parents=(self, other), _backward=backward
@@ -193,10 +231,12 @@ class Tensor:
         other = self._coerce(other)
 
         def backward(g: np.ndarray):
-            return (
-                (self, g @ other.data.T),
-                (other, self.data.T @ g),
-            )
+            out = []
+            if self.live:
+                out.append((self, g @ other.data.T))
+            if other.live:
+                out.append((other, self.data.T @ g))
+            return out
 
         return Tensor(
             self.data @ other.data, _parents=(self, other), _backward=backward
@@ -328,12 +368,10 @@ class Tensor:
 
     def gather_rows(self, index: np.ndarray) -> "Tensor":
         """Rows ``self[index]`` — the feature-fetch of a GNN layer."""
-        index = np.asarray(index, dtype=np.int64)
+        index = checked_vertex_ids(index, len(self.data))
 
         def backward(g: np.ndarray):
-            pg = np.zeros_like(self.data)
-            np.add.at(pg, index, g)
-            return ((self, pg),)
+            return ((self, _scatter_rows(index, g, len(self.data))),)
 
         return Tensor(self.data[index], _parents=(self,), _backward=backward)
 
@@ -342,44 +380,61 @@ class Tensor:
 
         The aggregation kernel: ``out[index[i]] += self[i]``.
         """
-        index = np.asarray(index, dtype=np.int64)
-        out = np.zeros((num_rows,) + self.data.shape[1:])
-        np.add.at(out, index, self.data)
+        index = checked_vertex_ids(index, num_rows)
 
         def backward(g: np.ndarray):
             return ((self, g[index]),)
 
-        return Tensor(out, _parents=(self,), _backward=backward)
+        return Tensor(
+            _scatter_rows(index, self.data, num_rows),
+            _parents=(self,),
+            _backward=backward,
+        )
 
     def scatter_max(self, index: np.ndarray, num_rows: int) -> "Tensor":
         """Element-wise max of rows per bucket (empty buckets read 0).
 
         The max-pool aggregation kernel of GraphSAGE-pool; the gradient
-        flows to each bucket's winning row only.
+        of each ``(bucket, column)`` flows to the first row in scan order
+        attaining its max.  A bucket whose max is infinite reads 0 and
+        passes no gradient, like an empty one.
         """
-        index = np.asarray(index, dtype=np.int64)
-        out = np.full((num_rows,) + self.data.shape[1:], -np.inf)
-        np.maximum.at(out, index, self.data)
+        index = checked_vertex_ids(index, num_rows)
+        trailing = self.data.shape[1:]
+        width = int(np.prod(trailing))
+        # Rows grouped by bucket, scan order kept within each bucket.
+        order = np.argsort(index, kind="stable")
+        ranked = self.data.reshape(index.size, width)[order]
+        bucket = index[order]
+        starts = np.flatnonzero(np.diff(bucket, prepend=-1))
+        owners = bucket[starts]
+        peak = np.maximum.reduceat(ranked, starts, axis=0)
+        hit = ranked == np.repeat(peak, np.diff(np.append(starts, index.size)), axis=0)
+        # The unbuffered ``np.maximum`` scatter (``ufunc.at``) keeps the
+        # *last* row attaining the max; its bits (a zero max's sign) are
+        # the ones the bucket reads.
+        position = np.arange(index.size)[:, None]
+        last = np.maximum.reduceat(np.where(hit, position, -1), starts, axis=0)
+        peak = np.where(last >= 0, ranked[last, np.arange(width)], peak)
+        out = np.full((num_rows, width), -np.inf)
+        out[owners] = peak
         empty = np.isinf(out)
         out = np.where(empty, 0.0, out)
 
         def backward(g: np.ndarray):
-            pg = np.zeros_like(self.data)
-            # Winner-takes-gradient: the first row attaining the bucket
-            # max receives it (ties broken by scan order).
-            claimed = np.zeros_like(out, dtype=bool)
-            for i in range(index.size):
-                bucket = index[i]
-                winners = (
-                    (self.data[i] == out[bucket])
-                    & ~claimed[bucket]
-                    & ~empty[bucket]
-                )
-                pg[i][winners] = g[bucket][winners]
-                claimed[bucket] |= winners
-            return ((self, pg),)
+            first = np.minimum.reduceat(
+                np.where(hit, position, index.size), starts, axis=0
+            )
+            seg, col = np.nonzero((first < index.size) & ~empty[owners])
+            pg = np.zeros((index.size, width))
+            pg[order[first[seg, col]], col] = g.reshape(num_rows, width)[owners[seg], col]
+            return ((self, pg.reshape(self.data.shape)),)
 
-        return Tensor(out, _parents=(self,), _backward=backward)
+        return Tensor(
+            out.reshape((num_rows,) + trailing),
+            _parents=(self,),
+            _backward=backward,
+        )
 
     # -- losses ----------------------------------------------------------------
 
@@ -416,6 +471,24 @@ class Parameter(Tensor):
 
     def __init__(self, data: ArrayLike, name: str = "") -> None:
         super().__init__(data, requires_grad=True, name=name)
+
+
+def _scatter_rows(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
+    """``out[index[i]] += values[i]`` into ``num_rows`` zeroed rows.
+
+    One ``np.bincount`` per feature column: each bucket's sum starts at
+    zero and adds its rows in element order, exactly as the unbuffered
+    ``np.add`` scatter (``ufunc.at``) does, so the result is
+    bit-identical to it.  ``index`` must already
+    lie in ``[0, num_rows)``.
+    """
+    trailing = values.shape[1:]
+    width = int(np.prod(trailing))
+    columns = values.reshape(index.size, width)
+    out = np.empty((num_rows, width))
+    for j in range(width):
+        out[:, j] = np.bincount(index, weights=columns[:, j], minlength=num_rows)
+    return out.reshape((num_rows,) + trailing)
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:

@@ -119,10 +119,12 @@ def pagerank_dense(
         shares = np.divide(
             values, degrees, out=np.zeros(n, dtype=np.float64), where=has_out
         )
-        # Left fold in ascending vertex order — the aggregator's order.
-        dangling = 0.0
-        for v in dangling_vertices:
-            dangling += values[v]
+        # Left fold in ascending vertex order — the aggregator's order;
+        # accumulate is sequential, so its last entry is that fold.
+        dangling = (
+            np.add.accumulate(values[dangling_vertices])[-1]
+            if dangling_vertices.size else 0.0
+        )
         incoming = np.zeros(n, dtype=np.float64)
         if executor is None:
             for lo, hi, run_ptr, run_idx in handle.iter_csr_runs():

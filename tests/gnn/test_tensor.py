@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check import load_all
 from repro.gnn.tensor import Parameter, Tensor, no_grad
 
 
@@ -212,6 +213,178 @@ class TestEngineMechanics:
         c = a * 4.0
         (b + c).sum().backward()
         assert np.allclose(a.grad, [7.0])
+
+
+class TestIndexBounds:
+    """Indices outside ``[0, rows)`` raise instead of wrapping around."""
+
+    def test_scatter_add_negative_bucket(self):
+        with pytest.raises(IndexError):
+            Tensor(np.ones((3, 2))).scatter_add(np.array([-1, 0, 0]), 3)
+
+    def test_scatter_add_bucket_past_end(self):
+        with pytest.raises(IndexError):
+            Tensor(np.ones((2, 2))).scatter_add(np.array([0, 3]), 3)
+
+    def test_gather_negative_row(self):
+        a = Parameter(np.arange(6.0).reshape(3, 2))
+        with pytest.raises(IndexError):
+            a.gather_rows(np.array([-1]))
+        with pytest.raises(IndexError):
+            a.gather_rows(np.array([-3]))
+
+    def test_gather_row_past_end(self):
+        with pytest.raises(IndexError):
+            Tensor(np.ones((3, 2))).gather_rows(np.array([0, 3]))
+
+    def test_scatter_max_out_of_range(self):
+        a = Tensor(np.ones((2, 2)))
+        with pytest.raises(IndexError):
+            a.scatter_max(np.array([0, -1]), 2)
+        with pytest.raises(IndexError):
+            a.scatter_max(np.array([0, 2]), 2)
+
+    def test_empty_index_is_in_range(self):
+        out = Tensor(np.ones((0, 2))).scatter_add(np.array([], dtype=np.int64), 3)
+        assert np.array_equal(out.data, np.zeros((3, 2)))
+        assert Tensor(np.ones((3, 2))).gather_rows([]).shape == (0, 2)
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestAggregationOracle:
+    """``gnn.tensor.aggregation_vs_add_at`` on its edge cases: zero rows,
+    zero-width rows, sorted and unsorted indices, more buckets than
+    rows.  ``repro check`` runs the randomized sweep."""
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "rows,width,ordered", [(0, 3, 0), (25, 0, 1), (25, 4, 0), (25, 4, 1)]
+    )
+    def test_bit_identical_to_add_at_and_full_tape(self, ndim, rows, width, ordered):
+        check = load_all().get("gnn.tensor.aggregation_vs_add_at")
+        params = {"rows": rows, "buckets": 9, "width": width, "ndim": ndim,
+                  "sorted": ordered, "value_seed": 100 * ndim + rows + width}
+        assert check.run(params) == []
+
+
+class TestLiveTape:
+    def test_constants_record_no_tape(self, rng):
+        x = Tensor(rng.normal(size=(4, 3)))
+        agg = (x.gather_rows([0, 1, 1]) * Tensor(np.ones((3, 1)))).scatter_add(
+            [2, 0, 2], 4
+        )
+        assert agg._parents == () and agg._backward is None
+        assert not agg.live
+
+    def test_live_operand_keeps_tape(self, rng):
+        w = Parameter(rng.normal(size=(3, 2)))
+        out = Tensor(rng.normal(size=(4, 3))) @ w
+        assert out.live and len(out._parents) == 2
+
+    @pytest.mark.parametrize("op", ["add", "mul", "div", "matmul"])
+    def test_binary_op_grads_only_live_operands(self, rng, op):
+        w = Parameter(rng.normal(size=(3, 3)) + 3.0)
+        c = Tensor(rng.normal(size=(3, 3)) + 3.0)
+        fn = {"add": lambda a, b: a + b, "mul": lambda a, b: a * b,
+              "div": lambda a, b: a / b, "matmul": lambda a, b: a @ b}[op]
+        for left, right in ((w, c), (c, w)):
+            grads = fn(left, right)._backward(np.ones((3, 3)))
+            assert [parent for parent, _ in grads] == [w]
+
+    def test_gradients_equal_full_tape(self, rng):
+        """Marking every constant as requiring grad records the full
+        tape; the parameters' gradients must not move by one bit."""
+        feats = rng.normal(size=(6, 3))
+        norm = rng.normal(size=(9, 1))
+        src = rng.integers(0, 6, size=9)
+        dst = rng.integers(0, 6, size=9)
+        w1 = rng.normal(size=(3, 4))
+        w2 = rng.normal(size=(4, 2))
+
+        def run(full_tape: bool):
+            x = Tensor(feats, requires_grad=full_tape)
+            scale = Tensor(norm, requires_grad=full_tape)
+            p1, p2 = Parameter(w1), Parameter(w2)
+            h = (x.gather_rows(src) * scale).scatter_add(dst, 6) @ p1
+            h = (h.relu().gather_rows(src) * scale).scatter_max(dst, 6) @ p2
+            h.cross_entropy(np.array([0, 1, 1, 0, 1, 0])).backward()
+            return p1.grad, p2.grad
+
+        for want, got in zip(run(True), run(False)):
+            assert np.array_equal(bits(got), bits(want))
+
+
+def reference_scatter_max(values: np.ndarray, index: np.ndarray, num_rows: int,
+                          grad: np.ndarray):
+    """The per-row loop ``scatter_max`` ran before it became array code:
+    ``np.maximum.at`` forward, and the first row in scan order attaining
+    each ``(bucket, column)`` max takes its gradient."""
+    out = np.full((num_rows,) + values.shape[1:], -np.inf)
+    np.maximum.at(out, index, values)
+    empty = np.isinf(out)
+    out = np.where(empty, 0.0, out)
+    pg = np.zeros_like(values)
+    claimed = np.zeros_like(out, dtype=bool)
+    for i in range(index.size):
+        bucket = index[i]
+        winners = (values[i] == out[bucket]) & ~claimed[bucket] & ~empty[bucket]
+        pg[i][winners] = grad[bucket][winners]
+        claimed[bucket] |= winners
+    return out, pg
+
+
+class TestScatterMaxVsReference:
+    CASES = {
+        # every row ties, including signed zeros (what ReLU emits)
+        "ties": (np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [2.0, -0.0],
+                           [2.0, -0.0]]), np.array([1, 1, 1, 0, 0]), 2),
+        "empty_buckets": (np.array([[1.0, 4.0], [3.0, -2.0]]), np.array([3, 0]), 5),
+        "neg_inf_rows": (np.array([[-np.inf, 1.0], [-np.inf, -np.inf],
+                                   [-np.inf, 5.0], [7.0, -np.inf]]),
+                         np.array([0, 0, 1, 1]), 3),
+        "one_dim": (np.array([3.0, 3.0, -1.0, 0.0]), np.array([2, 2, 0, 0]), 4),
+        "three_dim": (np.arange(24.0).reshape(4, 2, 3) % 5,
+                      np.array([1, 0, 1, 1]), 2),
+        "no_rows": (np.zeros((0, 3)), np.array([], dtype=np.int64), 2),
+        "no_columns": (np.zeros((4, 0)), np.array([0, 1, 0, 1]), 2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_reference(self, case):
+        values, index, num_rows = self.CASES[case]
+        shape = (num_rows,) + values.shape[1:]
+        grad = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+        if values.ndim == 1:  # the loop indexes rows as arrays: one column
+            want_out, want_grad = reference_scatter_max(
+                values[:, None], index, num_rows, grad[:, None]
+            )
+            want_out, want_grad = want_out[:, 0], want_grad[:, 0]
+        else:
+            want_out, want_grad = reference_scatter_max(values, index, num_rows, grad)
+        a = Parameter(values.copy())
+        out = a.scatter_max(index, num_rows)
+        out.backward(grad)
+        assert np.array_equal(out.data, want_out)
+        assert np.array_equal(bits(out.data), bits(want_out))
+        assert np.array_equal(a.grad, want_grad)
+
+    def test_random_matches_reference(self, rng):
+        # Long single-column buckets of signed zeros: a SIMD reduction
+        # there may keep a different zero than np.maximum.at does.
+        for _ in range(40):
+            rows, width = int(rng.integers(0, 60)), int(rng.choice([1, 3]))
+            values = rng.choice([-np.inf, -1.0, -0.0, 0.0, 0.5], size=(rows, width))
+            index = rng.integers(0, 4, size=rows)
+            grad = rng.normal(size=(4, width))
+            want_out, want_grad = reference_scatter_max(values, index, 4, grad)
+            a = Parameter(values)
+            out = a.scatter_max(index, 4)
+            out.backward(grad)
+            assert np.array_equal(bits(out.data), bits(want_out))
+            assert np.array_equal(a.grad, want_grad)
 
 
 class TestScatterMax:

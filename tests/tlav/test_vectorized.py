@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph.csr import GraphBuilder
 from repro.graph.generators import barabasi_albert, erdos_renyi, grid_graph
 from repro.graph.store import build_store, open_store
 from repro.obs import MetricsRegistry
@@ -27,6 +28,18 @@ class TestPageRankDense:
         # fold order.
         g = erdos_renyi(80, 0.04, seed=5, directed=True)
         assert np.array_equal(pagerank_dense(g), pagerank(g))
+
+    def test_bit_identical_when_most_vertices_dangle(self):
+        # 10 of 200 vertices have out-edges: the dangling-mass fold sums
+        # 190 terms per superstep, in the aggregator's ascending order.
+        rng = np.random.default_rng(3)
+        builder = GraphBuilder(directed=True)
+        for u in range(10):
+            for v in rng.choice(200, size=6, replace=False):
+                builder.add_edge(u, int(v))
+        g = builder.build(num_vertices=200)
+        assert int((g.degrees() == 0).sum()) == 190
+        assert np.array_equal(pagerank_dense(g, iterations=15), pagerank(g, iterations=15))
 
     def test_bit_identical_on_skewed_graph(self, small_ba):
         assert np.array_equal(pagerank_dense(small_ba), pagerank(small_ba))
