@@ -21,6 +21,14 @@ structure/feature files), adapted to this repository's CSR substrate:
 The manifest records, for every file, its byte size and CRC-32 so a
 truncated or corrupted shard is detected at page-in time and raised as
 a :class:`StoreError` instead of silently feeding garbage to an engine.
+:func:`map_verified` is the one integrity check every reader shares
+(page-in, resident loads, :func:`verify_file`, :func:`verify_store`):
+it opens the file once, compares its ``fstat`` size with the manifest,
+maps it read-only and computes the CRC-32 over the *mapped* bytes — so
+the bytes a page-in verifies are exactly the bytes it serves.
+:func:`read_npy_layout` parses a mapped file's ``.npy`` header into an
+:class:`NpyLayout`, which a reader may memoise and re-check against the
+header bytes of later maps (:meth:`NpyLayout.matches`).
 The manifest also carries a ``version`` counter — the graph's *epoch*.
 The serving layer's registry backs its epoch bumps with this field, so
 cache invalidation survives process restarts.
@@ -33,10 +41,13 @@ asserts the shards re-assemble to the exact CSR the manifest describes.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 __all__ = [
     "FORMAT_NAME",
@@ -48,8 +59,11 @@ __all__ = [
     "FileEntry",
     "PartitionMeta",
     "Manifest",
+    "NpyLayout",
     "StoreReport",
     "file_entry",
+    "map_verified",
+    "read_npy_layout",
     "verify_file",
     "verify_store",
     "repair_store",
@@ -66,7 +80,16 @@ PathLike = Union[str, os.PathLike]
 
 class StoreError(Exception):
     """A store is malformed: missing, truncated, or corrupted files,
-    or a manifest this code cannot interpret."""
+    or a manifest this code cannot interpret.
+
+    ``kind`` names the failed integrity check of one manifest-listed
+    file — ``"missing"``, ``"truncated"`` or ``"corrupt"``, the
+    :class:`StoreReport` bucket it belongs in — and is ``None`` for
+    every other malformation."""
+
+    def __init__(self, message: str, kind: Optional[str] = None) -> None:
+        super().__init__(message)
+        self.kind = kind
 
 
 class CorruptShardError(StoreError):
@@ -245,24 +268,109 @@ def file_entry(root: PathLike, relpath: str) -> FileEntry:
     return FileEntry(relpath, os.path.getsize(full), _crc32_of(full))
 
 
+def map_verified(
+    root: PathLike, entry: FileEntry, checksum: bool = True
+) -> mmap.mmap:
+    """Open a manifest-listed file once and return a verified read-only map.
+
+    The one integrity check of the store.  The size comes from ``fstat``
+    on the opened file and must equal the manifest's (truncation is
+    always caught); ``checksum=True`` additionally computes the CRC-32
+    over the mapped bytes (corruption that preserves size), so what is
+    verified is exactly what the map serves.  Failures raise
+    :class:`StoreError` with ``kind`` set.
+    """
+    full = os.path.join(os.fspath(root), entry.path)
+    try:
+        fd = os.open(full, os.O_RDONLY)
+    except FileNotFoundError:
+        raise StoreError(
+            f"missing shard file {entry.path!r}", kind="missing"
+        ) from None
+    try:
+        actual = os.fstat(fd).st_size
+        if actual != entry.nbytes:
+            raise StoreError(
+                f"truncated shard {entry.path!r}: {actual} bytes on disk, "
+                f"manifest says {entry.nbytes}",
+                kind="truncated",
+            )
+        if actual == 0:  # a .npy file is never empty, and mmap refuses it
+            raise StoreError(f"corrupt shard {entry.path!r}: empty", kind="corrupt")
+        mapped = mmap.mmap(fd, actual, access=mmap.ACCESS_READ)
+    finally:
+        os.close(fd)
+    if checksum and zlib.crc32(mapped) != entry.crc32:
+        mapped.close()
+        raise StoreError(
+            f"corrupt shard {entry.path!r}: CRC-32 mismatch", kind="corrupt"
+        )
+    return mapped
+
+
 def verify_file(root: PathLike, entry: FileEntry, checksum: bool = True) -> str:
     """Validate a manifest-listed file on disk; returns its full path.
 
-    Size mismatches (truncation) are always caught; ``checksum=True``
-    additionally recomputes the CRC-32 (corruption that preserves size).
+    Runs :func:`map_verified` and drops the map, so it raises exactly
+    what a page-in of the same file would.
     """
-    full = os.path.join(os.fspath(root), entry.path)
-    if not os.path.exists(full):
-        raise StoreError(f"missing shard file {entry.path!r}")
-    actual = os.path.getsize(full)
-    if actual != entry.nbytes:
-        raise StoreError(
-            f"truncated shard {entry.path!r}: {actual} bytes on disk, "
-            f"manifest says {entry.nbytes}"
-        )
-    if checksum and _crc32_of(full) != entry.crc32:
-        raise StoreError(f"corrupt shard {entry.path!r}: CRC-32 mismatch")
-    return full
+    map_verified(root, entry, checksum=checksum).close()
+    return os.path.join(os.fspath(root), entry.path)
+
+
+_NPY_HEADER_READERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+@dataclass(frozen=True)
+class NpyLayout:
+    """What a ``.npy`` header says: the array's shape, dtype and order,
+    and (as the header's own length) where its data starts."""
+
+    header: bytes  # magic string through padding, verbatim
+    shape: Tuple[int, ...]
+    dtype: np.dtype
+    fortran_order: bool
+
+    def matches(self, mapped: mmap.mmap) -> bool:
+        """Does ``mapped`` start with exactly this header's bytes?"""
+        return mapped[: len(self.header)] == self.header
+
+    def array(self, mapped: mmap.mmap, path: str) -> np.ndarray:
+        """The array ``mapped`` holds, as a view of it (read-only when
+        the map is)."""
+        try:
+            return np.ndarray(
+                self.shape, self.dtype, buffer=mapped, offset=len(self.header),
+                order="F" if self.fortran_order else "C",
+            )
+        except TypeError as exc:  # header promises more bytes than exist
+            raise StoreError(f"malformed shard {path!r}: {exc}") from exc
+
+
+def read_npy_layout(mapped: mmap.mmap, path: str) -> NpyLayout:
+    """Parse the ``.npy`` header at the start of ``mapped``.
+
+    Same checks as ``np.load(..., allow_pickle=False)``: a bad magic
+    string, an unsupported version, a malformed header dict or an object
+    dtype raise :class:`StoreError` naming ``path``.
+    """
+    mapped.seek(0)
+    try:
+        version = np.lib.format.read_magic(mapped)
+        reader = _NPY_HEADER_READERS.get(version)
+        if reader is None:
+            raise ValueError(f"unsupported .npy format version {version}")
+        shape, fortran_order, dtype = reader(mapped)
+    except ValueError as exc:
+        raise StoreError(f"malformed shard {path!r}: {exc}") from exc
+    if dtype.hasobject:
+        raise StoreError(f"malformed shard {path!r}: object arrays are not stored")
+    return NpyLayout(
+        mapped[: mapped.tell()], tuple(shape), dtype, bool(fortran_order)
+    )
 
 
 @dataclass
@@ -316,13 +424,10 @@ def verify_store(root: PathLike, checksum: bool = True) -> StoreReport:
     report = StoreReport(root=rootstr)
     for entry in _manifest_entries(manifest):
         report.checked += 1
-        full = os.path.join(rootstr, entry.path)
-        if not os.path.exists(full):
-            report.missing.append(entry.path)
-        elif os.path.getsize(full) != entry.nbytes:
-            report.truncated.append(entry.path)
-        elif checksum and _crc32_of(full) != entry.crc32:
-            report.corrupt.append(entry.path)
+        try:
+            verify_file(rootstr, entry, checksum=checksum)
+        except StoreError as exc:
+            getattr(report, exc.kind).append(entry.path)
     return report
 
 

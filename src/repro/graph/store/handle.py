@@ -85,19 +85,25 @@ class PartitionView:
 
 
 def checked_vertex_ids(vertices: Any, num_vertices: int) -> np.ndarray:
-    """``vertices`` as an int64 array; ``IndexError`` unless all in ``[0, n)``.
+    """``vertices`` as int64; ``IndexError`` unless all in ``[0, n)``.
 
     Numpy would wrap a negative id to the other end of a resident array
     and clamp nothing, so a batch that arrives from outside is checked
-    once here instead of answering with some other vertex's row.
+    once here instead of answering with some other vertex's row.  A
+    batch comes back as an array, a single integer id as an ``np.int64``
+    (checked without the array round trip, for per-vertex callers).
     """
-    vertices = np.asarray(vertices, dtype=np.int64)
-    if vertices.size and (
-        int(vertices.min()) < 0 or int(vertices.max()) >= num_vertices
-    ):
+    if isinstance(vertices, (int, np.integer)):
+        lo = hi = int(vertices)
+        vertices = np.int64(lo)
+    else:
+        vertices = np.asarray(vertices, dtype=np.int64)
+        if not vertices.size:
+            return vertices
+        lo, hi = int(vertices.min()), int(vertices.max())
+    if lo < 0 or hi >= num_vertices:
         raise IndexError(
-            f"vertex ids must lie in [0, {num_vertices}); got "
-            f"{int(vertices.min())}..{int(vertices.max())}"
+            f"vertex ids must lie in [0, {num_vertices}); got {lo}..{hi}"
         )
     return vertices
 
@@ -214,6 +220,7 @@ class InMemoryGraph:
 
     def part_of(self, v: int) -> int:
         """Partition owning vertex ``v`` (0 when unpartitioned)."""
+        v = checked_vertex_ids(v, self.num_vertices)
         if self._partition is None:
             return 0
         return int(self._partition.assignment[v])
@@ -239,7 +246,7 @@ class InMemoryGraph:
         return expand_frontier(graph.indptr, graph.indices, vertices)
 
     def degree(self, v: int) -> int:
-        return self._graph.degree(v)
+        return self._graph.degree(checked_vertex_ids(v, self.num_vertices))
 
     def degrees(self) -> np.ndarray:
         return self._graph.degrees()
@@ -272,7 +279,7 @@ class InMemoryGraph:
             return None
         if ids is None:
             return self._features
-        return self._features[np.asarray(ids, dtype=np.int64)]
+        return self._features[checked_vertex_ids(ids, self.num_vertices)]
 
     @property
     def feature_dim(self) -> Optional[int]:

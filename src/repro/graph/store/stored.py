@@ -16,9 +16,16 @@ eviction always safe at the cost of the budget being a cache-resident
 target rather than a hard RSS ceiling (exactly the mmap page-cache
 semantics the out-of-core literature assumes).
 
-Every page-in validates the shard's byte size against the manifest
-(truncation ⇒ :class:`StoreError`) and, unless ``checksum=False``,
-re-checks the CRC-32 (same-size corruption ⇒ :class:`StoreError`).
+A page-in opens the shard file once (:func:`~.format.map_verified`):
+it checks the ``fstat`` size against the manifest (truncation ⇒
+:class:`StoreError`), maps the file read-only and, unless
+``checksum=False``, computes the CRC-32 over the mapped bytes on *every*
+page-in (same-size corruption ⇒ :class:`StoreError`), so the bytes
+verified are the bytes served.  The array is a read-only view of that
+map.  Its ``.npy`` header is parsed once per ``(part, kind)`` per open
+store; later page-ins compare the header bytes with the memo and
+re-parse on any difference, so a memo never serves a stale layout and
+never stands in for the CRC.
 
 A batch of vertices goes through :meth:`StoredGraph.expand_frontier`,
 which requests each touched partition's two shards once; only
@@ -42,7 +49,14 @@ import numpy as np
 from ...lru import LRU
 from ..csr import Graph
 from ..kernels import expand_frontier
-from .format import Manifest, StoreError, verify_file
+from .format import (
+    Manifest,
+    NpyLayout,
+    StoreError,
+    map_verified,
+    read_npy_layout,
+    verify_file,
+)
 from .handle import PartitionView, checked_vertex_ids
 
 __all__ = ["ShardCache", "CacheStats", "StoredGraph", "open_store"]
@@ -164,6 +178,7 @@ class StoredGraph:
             path = verify_file(self.root, entry, checksum=self._checksum)
             self._nodes.append(np.load(path, allow_pickle=False))
         self._edge_labels_memo: Optional[np.ndarray] = None
+        self._layouts: Dict[Tuple[int, str], NpyLayout] = {}  # header memo
         self._closed = False
 
     def _load_resident(self, key: str) -> np.ndarray:
@@ -184,13 +199,16 @@ class StoredGraph:
             raise StoreError(
                 f"partition {part_id} has no {kind!r} shard in {self.root!r}"
             )
-        checksum = self._checksum
+        key = (part_id, kind)
 
         def loader() -> np.ndarray:
-            path = verify_file(self.root, entry, checksum=checksum)
-            return np.load(path, mmap_mode="r", allow_pickle=False)
+            mapped = map_verified(self.root, entry, checksum=self._checksum)
+            layout = self._layouts.get(key)
+            if layout is None or not layout.matches(mapped):
+                layout = self._layouts[key] = read_npy_layout(mapped, entry.path)
+            return layout.array(mapped, entry.path)
 
-        return self.cache.get((part_id, kind), loader, entry.nbytes)
+        return self.cache.get(key, loader, entry.nbytes)
 
     # -- GraphHandle surface ----------------------------------------------
 
@@ -228,7 +246,7 @@ class StoredGraph:
 
     def part_of(self, v: int) -> int:
         """Partition owning vertex ``v``."""
-        return int(self._assignment[v])
+        return int(self._assignment[checked_vertex_ids(v, self.num_vertices)])
 
     def vertices(self) -> range:
         return range(self.num_vertices)
@@ -288,7 +306,7 @@ class StoredGraph:
         return expand_frontier(grouped_ptr, grouped, inverse)
 
     def degree(self, v: int) -> int:
-        return int(self._degrees[v])
+        return int(self._degrees[checked_vertex_ids(v, self.num_vertices)])
 
     def degrees(self) -> np.ndarray:
         return self._degrees
@@ -345,7 +363,7 @@ class StoredGraph:
         if ids is None:
             ids = np.arange(self.num_vertices, dtype=np.int64)
         else:
-            ids = np.asarray(ids, dtype=np.int64)
+            ids = checked_vertex_ids(ids, self.num_vertices)
         out = np.empty((ids.size, dim), dtype=np.float64)
         owners = self._assignment[ids]
         for part_id in np.unique(owners):

@@ -33,7 +33,11 @@ work:
 2. ``np.add.at`` applies increments in element order, and the CSR edge
    array is source-major — runs are yielded ascending and each run is
    source-major, so the per-run scatter-adds perform the *same
-   additions in the same order* regardless of how the CSR is sharded;
+   additions in the same order* regardless of how the CSR is sharded.
+   A run's edge values are its sources' shares repeated by degree
+   (``np.repeat(shares[lo:hi], deg)``), with no per-edge source index;
+   ``np.add.at`` stays because one ``bincount`` per run would fold each
+   run from zero and break the cross-run addition order;
 3. the dangling-mass aggregator is folded in ascending vertex order,
    which the dense path reproduces with an explicit left fold.
 
@@ -128,10 +132,9 @@ def pagerank_dense(
         incoming = np.zeros(n, dtype=np.float64)
         if executor is None:
             for lo, hi, run_ptr, run_idx in handle.iter_csr_runs():
-                run_src = np.repeat(
-                    np.arange(lo, hi, dtype=np.int64), np.diff(run_ptr)
+                scatter_add_ordered(
+                    incoming, run_idx, np.repeat(shares[lo:hi], np.diff(run_ptr))
                 )
-                scatter_add_ordered(incoming, run_idx, shares[run_src])
         else:
             payloads = [(lo, hi, shares) for lo, hi in spans]
             for partial in executor.map_graph(
@@ -166,9 +169,16 @@ def bfs_dense(graph_or_handle, source: int = 0) -> np.ndarray:
         fresh = neighbors[level[neighbors] < 0]
         if fresh.size == 0:
             break
-        frontier = np.unique(fresh)
         depth += 1
-        level[frontier] = depth
+        level[fresh] = depth
+        # The vertices just marked, ascending and once each.  Scanning
+        # ``level`` beats hashing ``fresh``, except on a level that is a
+        # sliver of the graph, where the O(n) scan per level would make
+        # a long path quadratic.
+        if 8 * fresh.size >= n:
+            frontier = np.flatnonzero(level == depth)
+        else:
+            frontier = np.unique(fresh)
     return level
 
 
@@ -188,10 +198,9 @@ def wcc_dense(graph_or_handle, max_rounds: Optional[int] = None) -> np.ndarray:
         # (for undirected graphs the CSR holds both directions); min is
         # order-independent, so per-run scatters equal the global one.
         for lo, hi, run_ptr, run_idx in handle.iter_csr_runs():
-            run_src = np.repeat(
-                np.arange(lo, hi, dtype=np.int64), np.diff(run_ptr)
+            np.minimum.at(
+                spread, run_idx, np.repeat(labels[lo:hi], np.diff(run_ptr))
             )
-            np.minimum.at(spread, run_idx, labels[run_src])
         if np.array_equal(spread, labels):
             break
         labels = spread

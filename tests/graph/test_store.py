@@ -204,6 +204,65 @@ class TestCorruption:
         stored.close()
 
 
+class TestPageIn:
+    """One verified map per page-in; the header memo never skips a check."""
+
+    @pytest.fixture
+    def root(self, graph, tmp_path):
+        rng = np.random.default_rng(2)
+        feats = rng.normal(size=(graph.num_vertices, 3))
+        build_store(graph, tmp_path / "g", num_parts=2, features=feats)
+        return tmp_path / "g"
+
+    @staticmethod
+    def _shard(root, kind="indices", part=0):
+        entry = Manifest.load(root).partitions[part].files[kind]
+        return os.path.join(root, entry.path)
+
+    def test_same_size_corruption_after_first_page_in(self, graph, root):
+        with open_store(root, cache_budget=0) as stored:
+            expected = stored.to_graph()  # every shard paged in once
+            assert expected == graph
+            with open(self._shard(root), "r+b") as handle:
+                handle.seek(-1, os.SEEK_END)
+                last = handle.read(1)
+                handle.seek(-1, os.SEEK_END)
+                handle.write(bytes([last[0] ^ 0xFF]))
+            with pytest.raises(StoreError, match="corrupt shard"):
+                stored.to_graph()
+
+    def test_served_shards_are_read_only(self, root):
+        with open_store(root) as stored:
+            view = stored.partition(0)
+            for array in (view.indptr, view.indices, stored._shard(0, "features")):
+                assert array.flags.writeable is False
+                with pytest.raises(ValueError):
+                    array[0] = 0
+
+    def test_truncation_after_first_page_in_is_typed(self, root):
+        with open_store(root, cache_budget=0, checksum=False) as stored:
+            stored.to_graph()
+            gc.collect()  # drop the first maps before shrinking the file
+            path = self._shard(root)
+            os.truncate(path, os.path.getsize(path) - 8)
+            with pytest.raises(StoreError, match="truncated shard"):
+                stored.to_graph()
+
+    def test_changed_header_is_reparsed_not_memoised(self, root):
+        path = self._shard(root)
+        with open_store(root, cache_budget=0, checksum=False) as stored:
+            before = stored.partition(0).indices
+            assert before.dtype == np.int64
+            with open(path, "r+b") as handle:
+                head = handle.read(128)
+                assert b"'<i8'" in head
+                handle.seek(0)
+                handle.write(head.replace(b"'<i8'", b"'<f8'"))
+            after = stored.partition(0).indices
+            assert after.dtype == np.float64
+            np.testing.assert_array_equal(after.view(np.int64), before)
+
+
 class TestFdHygiene:
     def test_repeated_open_close_leaks_no_fds(self, graph, tmp_path):
         build_store(graph, tmp_path / "g", num_parts=3)
@@ -326,6 +385,33 @@ class TestHandleProtocol:
             assert stored.degree(v) == mem.degree(v)
         assert stored.has_edge(0, int(mem.neighbors(0)[0]))
         stored.close()
+
+    def test_out_of_range_ids_raise_on_both_handles(self, tmp_path):
+        # numpy wraps -1 to the last row and the stored lookup wrapped it
+        # to a partition-local row: both answered with another vertex.
+        g = erdos_renyi(20, 0.3, seed=1)
+        feats = np.arange(20 * 2, dtype=np.float64).reshape(20, 2)
+        build_store(g, tmp_path / "g", num_parts=3, features=feats)
+        part = metis_like_partition(g, 3, seed=1)
+        with open_store(tmp_path / "g") as stored:
+            handles = (
+                stored,
+                InMemoryGraph(g, features=feats),
+                InMemoryGraph(g, features=feats, partition=part),
+            )
+            for handle in handles:
+                for bad in (-1, 20):
+                    with pytest.raises(IndexError):
+                        handle.features([bad])
+                    with pytest.raises(IndexError):
+                        handle.features([3, bad])
+                    with pytest.raises(IndexError):
+                        handle.degree(bad)
+                    with pytest.raises(IndexError):
+                        handle.part_of(bad)
+                np.testing.assert_array_equal(handle.features([19, 0]), feats[[19, 0]])
+                assert handle.degree(np.int64(19)) == g.degree(19)
+            assert stored.part_of(19) == int(stored.assignment[19])
 
     def test_partition_views_cover_graph(self, graph, tmp_path):
         build_store(graph, tmp_path / "g", partition="hash", num_parts=3)
@@ -477,14 +563,14 @@ class TestExpandFrontier:
         from repro.graph.store import stored as stored_module
 
         verified = []
-        real = stored_module.verify_file
+        real = stored_module.map_verified
 
         def spy(root, entry, checksum=True):
             verified.append((entry.path, checksum))
             return real(root, entry, checksum=checksum)
 
         with open_store(roots["hash"][0], cache_budget=0) as stored:
-            monkeypatch.setattr(stored_module, "verify_file", spy)
+            monkeypatch.setattr(stored_module, "map_verified", spy)
             stored.expand_frontier(np.arange(sparse.num_vertices))
             stored.expand_frontier(np.arange(sparse.num_vertices))
             assert stored.cache_stats()["misses"] == 4 * _FRONTIER_PARTS
