@@ -218,8 +218,7 @@ class Graph:
         # src is CSR-ordered and dst sorted within each source slice, so
         # the filtered arrays are already a valid CSR layout.
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         return Graph(indptr, dst, directed=True)
 
     # ------------------------------------------------------------------

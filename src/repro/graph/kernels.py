@@ -14,6 +14,10 @@ reduces to a handful of numpy primitives over the sorted CSR arrays:
 * :func:`expand_frontier` — gather the concatenated neighborhoods of a
   vertex frontier plus the owner of each gathered entry, without a
   Python loop (the repeat/arange trick);
+* :func:`closed_wedges` — the triangles of a degree-oriented CSR whose
+  lowest corner lies in a source span, as chunked wedge closures: one
+  frontier gather and one ``searchsorted`` over edge codes per chunk of
+  at most ``cap`` wedges (triangle counting and per-vertex triangles);
 * :func:`any_true_per_owner` — reduce a per-gathered-entry mask to a
   per-owner "any hit" flag (the arc-consistency test of candidate
   refinement, batched);
@@ -29,7 +33,7 @@ All functions take plain ``int64`` arrays so they work on both a
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +43,7 @@ __all__ = [
     "intersect_count",
     "intersect_multi",
     "expand_frontier",
+    "closed_wedges",
     "any_true_per_owner",
     "scatter_add_ordered",
     "edge_array",
@@ -122,6 +127,43 @@ def expand_frontier(
     slice_begin = np.repeat(np.cumsum(lengths) - lengths, lengths)
     flat = np.repeat(starts, lengths) + (offsets - slice_begin)
     return owners, indices[flat]
+
+
+def closed_wedges(
+    indptr: np.ndarray, indices: np.ndarray, lo: int, hi: int, cap: int
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Closed wedges ``u -> v -> w`` of an oriented CSR with ``u`` in ``[lo, hi)``.
+
+    On a degree-oriented graph (:meth:`Graph.orient_by_degree`) every
+    triangle is exactly one wedge ``u -> v -> w`` closed by the edge
+    ``u -> w``, with ``u`` its lowest corner, so this yields each
+    triangle with a corner in the span once, as aligned ``(u, v, w)``
+    arrays, chunk by chunk.  The span's edges are cut into chunks whose
+    summed head out-degree is at most ``cap`` (an edge above the cap goes
+    alone), so at most ``cap`` wedges are resident; each chunk is one
+    :func:`expand_frontier` of its heads and one ``searchsorted`` of the
+    wedge codes ``u·n + w`` against the span's edge codes ``u·n + v``,
+    which the CSR order already sorts.
+    """
+    n = indptr.size - 1
+    begin, end = int(indptr[lo]), int(indptr[hi])
+    mid = indices[begin:end]
+    src = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo: hi + 1]))
+    codes = src * n + mid
+    bounds = np.cumsum(indptr[mid + 1] - indptr[mid])
+    start = 0
+    while start < mid.size:
+        base = int(bounds[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(bounds, base + cap, "right")), start + 1)
+        owners, w = expand_frontier(indptr, indices, mid[start:stop])
+        if w.size:
+            u = src[start:stop][owners]
+            needles = u * n + w
+            pos = np.searchsorted(codes, needles)
+            hit = pos < codes.size
+            hit[hit] = codes[pos[hit]] == needles[hit]
+            yield u[hit], mid[start:stop][owners[hit]], w[hit]
+        start = stop
 
 
 def any_true_per_owner(

@@ -14,6 +14,7 @@ from collections import deque
 
 import numpy as np
 
+from ..matching import backtrack
 from . import kernels
 from .csr import Graph
 
@@ -74,27 +75,19 @@ def clustering_coefficients(graph: Graph) -> np.ndarray:
 def triangle_count_per_vertex(graph: Graph) -> np.ndarray:
     """Number of triangles incident to each vertex.
 
-    Enumerates each triangle exactly once on the degree-ordered
-    orientation (see :meth:`Graph.orient_by_degree`) and credits all
-    three corners; membership tests are batched binary searches over the
-    gathered second hop (:mod:`repro.graph.kernels`).
+    Closes every wedge of the degree-ordered orientation (see
+    :meth:`Graph.orient_by_degree`) with the chunked kernel
+    :func:`~repro.graph.kernels.closed_wedges`, which yields each
+    triangle exactly once, and credits all three corners with one
+    ``bincount`` per chunk.
     """
     n = graph.num_vertices
     tri = np.zeros(n, dtype=np.int64)
     oriented = graph.orient_by_degree()
-    indptr, indices = oriented.indptr, oriented.indices
-    for u in range(n):
-        out_u = indices[indptr[u]: indptr[u + 1]]
-        if out_u.size < 2:
-            continue
-        owners, second = kernels.expand_frontier(indptr, indices, out_u)
-        closed = kernels.in_sorted(out_u, second)
-        if not closed.any():
-            continue
-        hits = np.flatnonzero(closed)
-        tri[u] += hits.size
-        np.add.at(tri, out_u[owners[hits]], 1)  # the middle corner v
-        np.add.at(tri, second[hits], 1)         # the closing corner w
+    for u, v, w in kernels.closed_wedges(
+        oriented.indptr, oriented.indices, 0, n, backtrack.FRONTIER_SLOT_CAP
+    ):
+        tri += np.bincount(np.concatenate((u, v, w)), minlength=n)
     return tri
 
 

@@ -90,12 +90,12 @@ def checked_vertex_ids(vertices: Any, num_vertices: int) -> np.ndarray:
     Numpy would wrap a negative id to the other end of a resident array
     and clamp nothing, so a batch that arrives from outside is checked
     once here instead of answering with some other vertex's row.  A
-    batch comes back as an array, a single integer id as an ``np.int64``
-    (checked without the array round trip, for per-vertex callers).
+    batch comes back as an array, a single integer id as an ``int``
+    (checked without the array round trip or a numpy scalar, for
+    per-vertex callers such as the label and edge lookups).
     """
     if isinstance(vertices, (int, np.integer)):
-        lo = hi = int(vertices)
-        vertices = np.int64(lo)
+        lo = hi = vertices = int(vertices)
     else:
         vertices = np.asarray(vertices, dtype=np.int64)
         if not vertices.size:
@@ -252,13 +252,15 @@ class InMemoryGraph:
         return self._graph.degrees()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return self._graph.has_edge(u, v)
+        n = self.num_vertices
+        return self._graph.has_edge(checked_vertex_ids(u, n), checked_vertex_ids(v, n))
 
     def edge_label(self, u: int, v: int) -> int:
-        return self._graph.edge_label(u, v)
+        n = self.num_vertices
+        return self._graph.edge_label(checked_vertex_ids(u, n), checked_vertex_ids(v, n))
 
     def vertex_label(self, v: int) -> int:
-        return self._graph.vertex_label(v)
+        return self._graph.vertex_label(checked_vertex_ids(v, self.num_vertices))
 
     def edges(self):
         return self._graph.edges()

@@ -252,10 +252,7 @@ class StoredGraph:
         return range(self.num_vertices)
 
     def neighbors(self, v: int) -> np.ndarray:
-        if not 0 <= v < self.num_vertices:
-            raise IndexError(
-                f"vertex {v} out of range 0..{self.num_vertices - 1}"
-            )
+        v = checked_vertex_ids(v, self.num_vertices)
         part_id = int(self._assignment[v])
         nodes = self._nodes[part_id]
         local = int(np.searchsorted(nodes, v))
@@ -313,10 +310,13 @@ class StoredGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         neighbors = self.neighbors(u)
+        v = checked_vertex_ids(v, self.num_vertices)
         pos = int(np.searchsorted(neighbors, v))
         return pos < neighbors.size and int(neighbors[pos]) == v
 
     def edge_label(self, u: int, v: int) -> int:
+        u = checked_vertex_ids(u, self.num_vertices)
+        v = checked_vertex_ids(v, self.num_vertices)
         if not self.manifest.has_edge_labels:
             raise KeyError(f"no edge ({u}, {v})" )
         part_id = int(self._assignment[u])
@@ -335,6 +335,7 @@ class StoredGraph:
         return self._vertex_labels
 
     def vertex_label(self, v: int) -> int:
+        v = checked_vertex_ids(v, self.num_vertices)
         if self._vertex_labels is None:
             return 0
         return int(self._vertex_labels[v])

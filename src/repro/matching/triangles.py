@@ -18,11 +18,16 @@ TLAV triangle program's message volume.
 
 Two execution paths:
 
-* :func:`triangle_count` — the hot path: per source vertex, gather the
-  concatenated out-neighborhoods of all out-neighbors and test them
-  against the source's list with one batched binary search
-  (:mod:`repro.graph.kernels`).  Pass an ``executor`` to fan the source
-  range out across cores; orientation happens once in the caller and the
+* :func:`triangle_count` — the hot path: one chunked wedge-closure
+  kernel (:func:`repro.graph.kernels.closed_wedges`) over the oriented
+  edges ``u -> v`` of a source span.  Each chunk of edges gathers the
+  out-neighborhoods ``w`` of its heads ``v`` in one frontier expansion
+  and closes the wedges ``u -> v -> w`` with one binary search of the
+  codes ``u·n + w`` against the span's sorted edge codes; a chunk holds
+  at most :data:`~repro.matching.backtrack.FRONTIER_SLOT_CAP` wedges (a
+  head above the cap goes alone), so that many wedges are resident at
+  once whatever the graph.  Pass an ``executor`` to fan the source range
+  out across cores; orientation happens once in the caller and the
   oriented CSR is what workers share.
 * :func:`triangle_count_with_work` — the *instrumented* merge-join that
   counts every adjacency comparison; bench C1 needs the comparison count
@@ -33,11 +38,10 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Tuple
 
-import numpy as np
-
 from ..graph.csr import Graph
-from ..graph.kernels import expand_frontier, in_sorted
+from ..graph.kernels import closed_wedges
 from ..graph.store.handle import as_handle
+from . import backtrack
 
 __all__ = ["triangle_count", "triangle_list", "triangle_count_with_work"]
 
@@ -45,16 +49,12 @@ __all__ = ["triangle_count", "triangle_list", "triangle_count_with_work"]
 def _count_span_task(oriented: Graph, span: Tuple[int, int]) -> int:
     """Triangles whose lowest-(degree, id) corner lies in ``[lo, hi)``."""
     lo, hi = span
-    indptr, indices = oriented.indptr, oriented.indices
-    total = 0
-    for u in range(lo, hi):
-        out_u = indices[indptr[u]: indptr[u + 1]]
-        if out_u.size < 2:
-            continue
-        # Second hop: every out-neighbor of every v in out_u, batched.
-        _, second = expand_frontier(indptr, indices, out_u)
-        total += int(np.count_nonzero(in_sorted(out_u, second)))
-    return total
+    return sum(
+        int(u.size)
+        for u, _, _ in closed_wedges(
+            oriented.indptr, oriented.indices, lo, hi, backtrack.FRONTIER_SLOT_CAP
+        )
+    )
 
 
 def triangle_count(

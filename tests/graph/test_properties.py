@@ -1,9 +1,13 @@
 """Structural property computations, cross-checked against networkx."""
 
+from unittest import mock
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from repro.graph import kernels
 from repro.graph.csr import Graph
 from repro.graph.generators import (
     barabasi_albert,
@@ -21,7 +25,30 @@ from repro.graph.properties import (
     num_connected_components,
     triangle_count_per_vertex,
 )
+from repro.matching import backtrack
 from tests.conftest import to_networkx
+from tests.matching.test_triangles import CAPS, undirected_graphs
+
+
+def per_source_triangles(graph):
+    """The per-source-vertex loop the wedge kernel replaced (reference)."""
+    n = graph.num_vertices
+    tri = np.zeros(n, dtype=np.int64)
+    oriented = graph.orient_by_degree()
+    indptr, indices = oriented.indptr, oriented.indices
+    for u in range(n):
+        out_u = indices[indptr[u]: indptr[u + 1]]
+        if out_u.size < 2:
+            continue
+        owners, second = kernels.expand_frontier(indptr, indices, out_u)
+        closed = kernels.in_sorted(out_u, second)
+        if not closed.any():
+            continue
+        hits = np.flatnonzero(closed)
+        tri[u] += hits.size
+        np.add.at(tri, out_u[owners[hits]], 1)  # the middle corner v
+        np.add.at(tri, second[hits], 1)         # the closing corner w
+    return tri
 
 
 class TestConnectedComponents:
@@ -69,6 +96,15 @@ class TestTriangles:
     def test_total_is_multiple_of_three(self, small_ws):
         tri = triangle_count_per_vertex(small_ws)
         assert tri.sum() % 3 == 0
+
+    @given(undirected_graphs(), CAPS)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_per_source_loop(self, graph, cap):
+        want = per_source_triangles(graph)
+        with mock.patch.object(backtrack, "FRONTIER_SLOT_CAP", cap):
+            ours = triangle_count_per_vertex(graph)
+        assert ours.dtype == want.dtype == np.int64
+        assert ours.tolist() == want.tolist()
 
 
 class TestClustering:

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.graph.csr import Graph
+from repro.graph.csr import Graph, GraphBuilder
 from repro.graph.generators import barabasi_albert, erdos_renyi
 from repro.graph.partition import metis_like_partition
 from repro.graph.store import (
@@ -412,6 +412,32 @@ class TestHandleProtocol:
                 np.testing.assert_array_equal(handle.features([19, 0]), feats[[19, 0]])
                 assert handle.degree(np.int64(19)) == g.degree(19)
             assert stored.part_of(19) == int(stored.assignment[19])
+
+    def test_label_and_edge_lookups_check_ids(self, tmp_path):
+        # vertex_label(-1) answered with vertex 19's label, the stored
+        # edge_label(-1, 2) with edge (0, 2)'s, and has_edge(-1, v) was
+        # False in memory but raised on the store.
+        rng = np.random.default_rng(0)
+        builder = GraphBuilder()
+        for u, v in erdos_renyi(20, 0.3, seed=1).edges():
+            builder.add_edge(u, v, label=int(rng.integers(1, 5)))
+        g = builder.build(num_vertices=20, vertex_labels=rng.integers(0, 4, size=20))
+        build_store(g, tmp_path / "g", partition="hash", num_parts=3)
+        with open_store(tmp_path / "g") as stored:
+            u, w = 0, int(g.neighbors(0)[0])
+            for handle in (stored, InMemoryGraph(g)):
+                for bad in (-1, 20):
+                    with pytest.raises(IndexError, match=r"\[0, 20\)"):
+                        handle.vertex_label(bad)
+                    for a, b in ((bad, w), (u, bad)):
+                        with pytest.raises(IndexError, match=r"\[0, 20\)"):
+                            handle.edge_label(a, b)
+                        with pytest.raises(IndexError, match=r"\[0, 20\)"):
+                            handle.has_edge(a, b)
+                assert handle.vertex_label(np.int64(19)) == g.vertex_label(19)
+                assert handle.edge_label(u, np.int64(w)) == g.edge_label(u, w)
+                assert handle.has_edge(np.int64(u), w)
+                assert not handle.has_edge(u, u)
 
     def test_partition_views_cover_graph(self, graph, tmp_path):
         build_store(graph, tmp_path / "g", partition="hash", num_parts=3)
