@@ -22,7 +22,10 @@ fully-resident copy:
   mirror the in-object stats;
 * ``store.journal.resume_vs_oneshot`` — an ingest crashed at a random
   journaled chunk boundary (and one torn mid-flush) then resumed is
-  **byte-identical**, full tree SHA-256, to the uninterrupted build.
+  **byte-identical**, full tree SHA-256, to the uninterrupted build;
+* ``store.ingest.chunked_vs_per_edge`` — the array pass 1, fed tuples,
+  one array, ``(k, 2)`` blocks or a mix, commits the same journal and
+  spill bytes as the per-edge loop it replaced (:func:`per_edge_pass1`).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
-from typing import Dict, List
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,10 +45,16 @@ from ...matching.pattern import path_pattern, star_pattern, triangle_pattern
 from ...obs import MetricsRegistry
 from ...resilience.faults import FaultError, FaultPlan
 from ...tlav.vectorized import bfs_dense, pagerank_dense, wcc_dense
-from .format import Manifest, verify_file
+from .format import Manifest, StoreError, verify_file
 from .handle import as_handle
+from .journal import IngestJournal
 from .stored import open_store
-from .writer import STREAMING_PARTITIONERS, build_store, ingest_edge_stream
+from .writer import (
+    STREAMING_PARTITIONERS,
+    build_store,
+    ingest_edge_stream,
+    streaming_assignment,
+)
 
 #: Partitioners the store oracles rotate through (all one-shot capable).
 STORE_PARTITIONERS = ("hash", "range", "metis")
@@ -354,6 +363,197 @@ def _check_journal_resume(params: Dict) -> List[str]:
                     "journal: resume after a torn spill tail is not "
                     "byte-identical to the one-shot build"
                 )
+    return out
+
+
+def per_edge_pass1(
+    edges: Iterable[Tuple[int, int]],
+    num_vertices: int,
+    *,
+    directed: bool,
+    assignment: np.ndarray,
+    num_parts: int,
+    chunk_edges: int,
+) -> Tuple[List[Tuple[int, int, List[bytes]]], Optional[Exception]]:
+    """Pass 1 of ``ingest_edge_stream`` as the per-edge loop it replaced.
+
+    The reference for ``store.ingest.chunked_vs_per_edge``: one Python
+    iteration per input pair.  Returns ``(commits, error)`` — one
+    ``(items_consumed, slots_spilled, spill_bytes)`` per journal commit,
+    ``spill_bytes[k]`` being partition ``k``'s whole spill file after
+    it, and the error the loop stopped on (``None`` at end of stream).
+    """
+    n = int(num_vertices)
+    spills = [b""] * max(1, int(num_parts))
+    commits: List[Tuple[int, int, List[bytes]]] = []
+    chunk_src: List[int] = []
+    chunk_dst: List[int] = []
+    consumed = total = 0
+
+    def flush() -> None:
+        nonlocal total
+        if not chunk_src:
+            return
+        src = np.asarray(chunk_src, dtype=np.int64)
+        dst = np.asarray(chunk_dst, dtype=np.int64)
+        owner = assignment[src]
+        for k in np.unique(owner):
+            mask = owner == k
+            pairs = np.empty((int(mask.sum()), 2), dtype=np.int64)
+            pairs[:, 0] = src[mask]
+            pairs[:, 1] = dst[mask]
+            spills[int(k)] += pairs.tobytes()
+        total += src.size
+        chunk_src.clear()
+        chunk_dst.clear()
+        commits.append((consumed, total, list(spills)))
+
+    try:
+        for u, v in edges:
+            consumed += 1
+            u, v = int(u), int(v)
+            if u < 0 or v < 0 or u >= n or v >= n:
+                raise StoreError(
+                    f"edge ({u}, {v}) references a vertex outside 0..{n - 1}"
+                )
+            if u == v:
+                continue
+            chunk_src.append(u)
+            chunk_dst.append(v)
+            if not directed:
+                chunk_src.append(v)
+                chunk_dst.append(u)
+            if len(chunk_src) >= 2 * chunk_edges:
+                flush()
+        flush()
+    except Exception as exc:  # the loop's error is part of its contract
+        return commits, exc
+    return commits, None
+
+
+#: How ``store.ingest.chunked_vs_per_edge`` hands the same edges over.
+STREAM_FORMS = ("pairs", "array", "blocks", "mixed")
+
+
+def stream_form(edges: np.ndarray, form: str, cuts: Sequence[int] = ()):
+    """``edges`` (an ``(m, 2)`` array) as an ingest stream of one form.
+
+    ``pairs``: a list of int tuples; ``array``: the array itself;
+    ``blocks``: ``(k, 2)`` arrays split at the sorted row indices
+    ``cuts`` (empty ones included); ``mixed``: those blocks alternating
+    with runs of tuples.
+    """
+    if form == "pairs":
+        return [tuple(e) for e in edges.tolist()]
+    if form == "array":
+        return edges
+    blocks = np.split(edges, cuts)
+    if form == "blocks":
+        return blocks
+    out: list = []
+    for i, block in enumerate(blocks):
+        if i % 2:
+            out.append(block)
+        else:
+            out.extend(tuple(e) for e in block.tolist())
+    return out
+
+
+def _noisy_edges(graph, rng: np.random.Generator) -> np.ndarray:
+    """``graph``'s edges plus self-loops and repeats, shuffled and flipped."""
+    base = np.array(list(graph.edges()), dtype=np.int64).reshape(-1, 2)
+    loops = np.repeat(rng.integers(graph.num_vertices, size=(rng.integers(4), 1)),
+                      2, axis=1)
+    repeats = base[rng.integers(base.shape[0], size=rng.integers(4))] \
+        if base.shape[0] else base
+    edges = np.concatenate([base, loops, repeats])
+    edges = edges[rng.permutation(edges.shape[0])]
+    flip = rng.random(edges.shape[0]) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    return edges
+
+
+def _gen_ingest(rng: np.random.Generator) -> Dict:
+    params = _gen_journal(rng)
+    params["directed"] = int(rng.integers(2))
+    params["form"] = int(rng.integers(len(STREAM_FORMS)))
+    params["stream_seed"] = int(rng.integers(1 << 16))
+    return params
+
+
+@pair(
+    "store.ingest.chunked_vs_per_edge", "store", BIT_IDENTICAL,
+    gen=_gen_ingest,
+    floors={"n": 4, "num_parts": 1, "stream_partitioner": 0,
+            "chunk_edges": 1, "crash_pick": 0, "directed": 0, "form": 0},
+    description="Array pass 1 vs the per-edge loop it replaced: the same "
+    "edges (self-loops and repeats mixed in) handed over as tuples, one "
+    "array, random (k, 2) blocks or a mix, crashed at a drawn chunk, "
+    "leave the journal (items consumed, slots, spill sizes) and the spill "
+    "bytes the loop committed there; resumed, the store equals the "
+    "uninterrupted build of the tuples, full tree SHA-256.",
+)
+def _check_ingest_vs_per_edge(params: Dict) -> List[str]:
+    graph = make_graph(params)
+    rng = np.random.default_rng(int(params.get("stream_seed", 0)))
+    edges = _noisy_edges(graph, rng)
+    form = STREAM_FORMS[int(params.get("form", 0)) % len(STREAM_FORMS)]
+    cuts = np.sort(rng.integers(0, edges.shape[0] + 1, size=rng.integers(6)))
+    stream = stream_form(edges, form, cuts)
+    partitioner = STREAMING_PARTITIONERS[
+        int(params["stream_partitioner"]) % len(STREAMING_PARTITIONERS)
+    ]
+    kwargs = dict(
+        num_vertices=graph.num_vertices, directed=bool(params.get("directed")),
+        partition=partitioner, num_parts=max(1, int(params["num_parts"])),
+        seed=int(params.get("part_seed", 0)),
+        chunk_edges=max(1, int(params["chunk_edges"])), name="g",
+    )
+    assignment = streaming_assignment(
+        partitioner, graph.num_vertices, kwargs["num_parts"], kwargs["seed"]
+    )
+    commits, error = per_edge_pass1(
+        stream_form(edges, "pairs"), graph.num_vertices,
+        directed=kwargs["directed"], assignment=assignment,
+        num_parts=kwargs["num_parts"], chunk_edges=kwargs["chunk_edges"],
+    )
+    if error is not None:
+        return [f"reference: per-edge loop raised {error!r}"]
+    out: List[str] = []
+    with tempfile.TemporaryDirectory(prefix="check-ingest-") as tmp:
+        ref = os.path.join(tmp, "ref")
+        ingest_edge_stream(stream_form(edges, "pairs"), path=ref, **kwargs)
+        want = _tree_digest(ref)
+        root = os.path.join(tmp, form)
+        if not commits:
+            ingest_edge_stream(stream, path=root, **kwargs)
+        else:
+            crash = int(params["crash_pick"]) % len(commits)
+            injector = FaultPlan(seed=0).crash_at_chunk(crash).build()
+            try:
+                ingest_edge_stream(stream, path=root, injector=injector, **kwargs)
+                return [f"journal: crash_at_chunk({crash}) never fired "
+                        f"({len(commits)} chunks expected)"]
+            except FaultError:
+                pass
+            journal = IngestJournal.load(root)
+            consumed, slots, spills = commits[crash]
+            got = (journal.chunks_committed, journal.items_consumed,
+                   journal.slots_spilled, journal.spill_bytes)
+            expect = (crash + 1, consumed, slots, [len(s) for s in spills])
+            if got != expect:
+                out.append(f"journal at chunk {crash}: (chunks, items, slots, "
+                           f"spill sizes) {got}, per-edge loop {expect}")
+            for k, data in enumerate(spills):
+                path = os.path.join(journal.dir, f"part{k}.edges.bin")
+                with open(path, "rb") as handle:
+                    if handle.read() != data:
+                        out.append(f"spill part{k} after chunk {crash} "
+                                   f"differs from the per-edge loop's")
+            ingest_edge_stream(stream, path=root, resume=True, **kwargs)
+        if _tree_digest(root) != want:
+            out.append(f"store from {form!r} stream differs from the "
+                       f"uninterrupted build of the tuples")
     return out
 
 

@@ -229,7 +229,7 @@ class InMemoryGraph:
         return self._graph.vertices()
 
     def neighbors(self, v: int) -> np.ndarray:
-        return self._graph.neighbors(v)
+        return self._graph.neighbors(checked_vertex_ids(v, self.num_vertices))
 
     def expand_frontier(
         self, vertices: np.ndarray

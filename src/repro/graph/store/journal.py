@@ -8,16 +8,21 @@ with classic WAL discipline, all under ``<root>/_ingest/``:
 
 * **pass 1** — after every chunk flush the spill handles are flushed
   and the journal atomically records ``(chunks committed, input items
-  consumed, per-spill byte sizes)``.  On resume, spill files are
-  truncated back to the last journaled sizes (discarding any torn
-  tail), the already-consumed prefix of the restartable edge iterable
-  is skipped, and pass 1 continues from the exact chunk boundary.
+  consumed, per-spill byte sizes)``; an item is one edge, whether it
+  arrived as a pair or as a row of a ``(k, 2)`` block.  On resume,
+  spill files are truncated back to the last journaled sizes
+  (discarding any torn tail; a spill *shorter* than its commit is a
+  ``StoreError``, not zero padding), the already-consumed prefix of the
+  restartable edge iterable is skipped, and pass 1 continues from the
+  exact chunk boundary.
 * **pass 2** — each partition's shard writes are journaled *after*
   they land and *before* its spill file is removed, so a resumed run
   redoes at most one partition (shard writes are deterministic
   overwrites) and skips completed ones.
 * **publish** — the manifest save is already atomic (temp + rename);
   the journal and spill directory are swept only after it lands.
+* **load** — every field is type-checked; a damaged journal raises
+  ``StoreError`` instead of resuming from nonsense.
 
 The ``store.journal.resume_vs_oneshot`` oracle pins the contract: a
 build crashed at *any* chunk boundary and resumed is **byte-identical**
@@ -57,6 +62,13 @@ def _sweep_tmp() -> None:
         except OSError:
             pass
         _LIVE_TMP.discard(path)
+
+
+def _count(value: Any, what: str) -> int:
+    """``value`` if it is a non-negative ``int``, else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, not {value!r}")
+    return value
 
 
 class IngestJournal:
@@ -138,13 +150,22 @@ class IngestJournal:
                 data = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise StoreError(f"unreadable ingest journal {path!r}: {exc}") from exc
-        journal = IngestJournal(root, data.get("fingerprint", {}))
-        journal.phase = str(data.get("phase", "pass1"))
-        journal.chunks_committed = int(data.get("chunks_committed", 0))
-        journal.items_consumed = int(data.get("items_consumed", 0))
-        journal.slots_spilled = int(data.get("slots_spilled", 0))
-        journal.spill_bytes = [int(b) for b in data.get("spill_bytes", [])]
-        journal.partitions_done = list(data.get("partitions_done", []))
+        try:
+            journal = IngestJournal(root, data.get("fingerprint", {}))
+            journal.phase = data.get("phase", "pass1")
+            for key in ("chunks_committed", "items_consumed", "slots_spilled"):
+                setattr(journal, key, _count(data.get(key, 0), key))
+            journal.spill_bytes = [
+                _count(b, "spill_bytes") for b in data.get("spill_bytes", [])
+            ]
+            journal.partitions_done = list(data.get("partitions_done", []))
+            journal.completed_partitions()  # every entry must parse
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise StoreError(f"malformed ingest journal {path!r}: {exc!r}") from exc
+        if journal.phase not in ("pass1", "pass2"):
+            raise StoreError(
+                f"malformed ingest journal {path!r}: phase {journal.phase!r}"
+            )
         return journal
 
     def remove(self) -> None:

@@ -10,10 +10,11 @@ Two ways to produce the same bytes:
   interrupted overwrite can never destroy the previous good store.
 * :func:`ingest_edge_stream` — the DistDGL-style chunked pipeline: the
   edge iterable is consumed in bounded chunks, each chunk is routed to
-  per-partition spill files, and partitions are then built **one at a
-  time** — the full edge list is never resident.  Peak memory is
-  ``O(|V| + chunk + max_k |E_k|)``, which is what lets graphs larger
-  than RAM be written at all.  Progress is journaled at every chunk
+  per-partition spill files as arrays (no per-edge Python), and
+  partitions are then built **one at a time** — the full edge list is
+  never resident.  Peak memory is ``O(|V| + chunk + max_k |E_k|)``,
+  which is what lets graphs larger than RAM be written at all.
+  Progress is journaled at every chunk
   and partition boundary (see :mod:`repro.graph.store.journal`), so a
   crashed ingest resumes with ``resume=True`` and produces bytes
   identical to an uninterrupted run.
@@ -41,7 +42,7 @@ import atexit
 import itertools
 import os
 import shutil
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -376,9 +377,121 @@ def _build_into(
 # Chunked ingest (graphs larger than RAM)
 # ----------------------------------------------------------------------
 
+#: Fewest ``(u, v)`` pairs converted to one array block in pass 1 (a
+#: block is ``max(chunk_edges, this)`` pairs).  Block boundaries never
+#: show in the output: chunks are cut by kept-edge count alone.
+_MIN_BLOCK_ITEMS = 4096
+_INT64 = np.iinfo(np.int64)
+
+
+def _sorted_unique_pairs(
+    rows: np.ndarray, cols: np.ndarray, width: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)`` in lexicographic order with duplicates dropped.
+
+    One int64 sort of the codes ``row·width + col`` (``0 <= col <
+    width``); a lexsort, same order, only where the codes would overflow.
+    """
+    width = max(1, int(width))
+    if rows.size and (int(rows.max()) + 1) * width - 1 > _INT64.max:
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        keep = np.ones(rows.size, dtype=bool)
+        keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        return rows[keep], cols[keep]
+    codes = rows * width + cols
+    codes.sort()
+    keep = np.ones(codes.size, dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return np.divmod(codes[keep], width)
+
+
+def _outside_error(u: int, v: int, n: int) -> StoreError:
+    return StoreError(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
+
+
+def _as_edge_block(array: np.ndarray) -> np.ndarray:
+    """A client's ``(k, 2)`` integer array as a C-contiguous int64 block."""
+    if array.ndim != 2 or array.shape[1] != 2 or (
+        array.size and not np.issubdtype(array.dtype, np.integer)
+    ):
+        raise StoreError(
+            f"edge blocks must be (k, 2) integer arrays, not {array.dtype} "
+            f"of shape {array.shape}"
+        )
+    return np.ascontiguousarray(array, dtype=np.int64)
+
+
+def _edge_blocks(edges, n: int, block_items: int) -> Iterator[np.ndarray]:
+    """The edge stream as int64 ``(k, 2)`` blocks, one row per edge.
+
+    Stream items are ``(u, v)`` pairs or ``(k, 2)`` integer arrays
+    (``k`` edges each), in any mix; a 2-D array passed as the stream is
+    one block.  Runs of pairs are cut ``block_items`` at a time and
+    converted by one ``np.fromiter``.  A run that does not flatten to
+    exactly two integers per item is redone item by item, which yields
+    the well-formed prefix and then raises what the per-edge unpacking
+    raises (ids beyond int64 raise the out-of-range ``StoreError``).
+    If the stream itself raises mid-run, the items read before it are
+    yielded first, so the chunks they close still commit.
+    """
+    if isinstance(edges, np.ndarray) and edges.ndim == 2:
+        yield _as_edge_block(edges)
+        return
+    stream = iter(edges)
+    for first in stream:
+        if isinstance(first, np.ndarray) and first.ndim == 2:
+            yield _as_edge_block(first)
+            continue
+        run = [first]
+        failure: Optional[BaseException] = None
+        try:
+            run.extend(itertools.islice(stream, block_items - 1))
+        except Exception as exc:  # list.extend keeps the items before it
+            failure = exc
+        try:
+            flat = np.fromiter(
+                itertools.chain.from_iterable(run), dtype=np.int64
+            )
+        except (TypeError, ValueError, OverflowError):
+            flat = None
+        if flat is not None and flat.size == 2 * len(run):
+            yield flat.reshape(-1, 2)
+        else:
+            yield from _edge_blocks_per_item(run, n)
+        if failure is not None:
+            raise failure
+
+
+def _edge_blocks_per_item(run: list, n: int) -> Iterator[np.ndarray]:
+    """:func:`_edge_blocks`'s slow path: one item at a time, same rows."""
+    rows: List[Tuple[int, int]] = []
+    error: Optional[Exception] = None
+    for item in run:
+        if isinstance(item, np.ndarray) and item.ndim == 2:
+            if rows:
+                yield np.array(rows, dtype=np.int64)
+                rows = []
+            yield _as_edge_block(item)
+            continue
+        try:
+            u, v = item
+            u, v = int(u), int(v)
+        except (TypeError, ValueError, OverflowError) as exc:
+            error = exc
+            break
+        if min(u, v) < _INT64.min or max(u, v) > _INT64.max:
+            error = _outside_error(u, v, n)
+            break
+        rows.append((u, v))
+    if rows:
+        yield np.array(rows, dtype=np.int64)
+    if error is not None:
+        raise error
+
 
 def ingest_edge_stream(
-    edges: Optional[Iterable[Tuple[int, int]]],
+    edges: Optional[Iterable],
     num_vertices: int,
     path: PathLike,
     *,
@@ -395,20 +508,33 @@ def ingest_edge_stream(
 ) -> Manifest:
     """Write a store from an edge iterable without holding the edge list.
 
-    Pass 1 consumes ``edges`` in chunks of ``chunk_edges`` pairs,
-    routing each directed slot ``u -> v`` (undirected inputs emit both
-    directions) to its owner partition's spill file.  Pass 2 builds one
-    partition at a time: load that partition's spill, sort, dedupe,
-    drop self-loops, and write the CSR shard.  Equivalent to
-    ``build_store(Graph.from_edges(edges, ...), ...)`` under the same
-    partition layout — byte-for-byte.
+    ``edges`` yields ``(u, v)`` pairs, ``(k, 2)`` integer arrays of
+    ``k`` edges each, or a mix; an ``(m, 2)`` array is one block.
+    Either way one edge is one input item.
+
+    Pass 1 is array code: the stream is read as int64 blocks (pairs
+    converted ``max(chunk_edges, 4096)`` at a time by one
+    ``np.fromiter``), and each block is range-checked with one min/max,
+    stripped of self-loops by a mask, cut where a chunk reaches
+    ``2 * chunk_edges`` directed slots (undirected edges emit both
+    directions, interleaved), and each chunk is routed to the
+    per-partition spill files by one stable sort of the owners.  Pass 2
+    builds one partition at a time: load that partition's spill, sort
+    and dedupe it as ``row·n + neighbor`` codes, and write the CSR
+    shard.  Equivalent to ``build_store(Graph.from_edges(edges, ...),
+    ...)`` under the same partition layout — byte-for-byte.
 
     Every chunk and partition boundary commits a write-ahead journal
-    (see :mod:`repro.graph.store.journal`).  After a crash, call again
-    with ``resume=True`` and the *same* parameters: pass 1 truncates
-    any torn spill tail, replays ``edges`` past the consumed prefix
-    (the iterable must restart from the beginning — a generator
-    factory, file reader, or list), and pass 2 skips completed
+    (see :mod:`repro.graph.store.journal`).  Each commit records the
+    same ``(items consumed, slots spilled, spill sizes)`` the former
+    per-edge loop recorded (:func:`~repro.graph.store.checks.per_edge_pass1`
+    is that loop, kept as the oracle), so fault injection lands on the
+    same chunk indices.  An out-of-range edge raises ``StoreError``
+    after the chunks before it are committed.  After a crash, call
+    again with ``resume=True`` and the *same* parameters: pass 1
+    truncates any torn spill tail, replays ``edges`` past the consumed
+    prefix (the iterable must restart from the beginning — a generator
+    factory, file reader, list or array), and pass 2 skips completed
     partitions.  If the crash happened in pass 2 or later, ``edges``
     is not consumed at all and may be ``None``.  The resumed build is
     byte-identical to an uninterrupted one.
@@ -487,81 +613,111 @@ def ingest_edge_stream(
         for spill_path, size in zip(spill_paths, committed_sizes):
             if not os.path.exists(spill_path):
                 open(spill_path, "wb").close()
+            # A spill shorter than its commit lost edges; truncate would
+            # pad it with zeros, i.e. phantom (0, 0) slots.
+            if size % 16 or os.path.getsize(spill_path) < size:
+                raise StoreError(
+                    f"ingest journal commits {size} bytes of "
+                    f"{os.path.basename(spill_path)}, which holds "
+                    f"{os.path.getsize(spill_path)} (16-byte slots); "
+                    f"rebuild without resume=True"
+                )
             os.truncate(spill_path, size)
         spills = [open(p, "ab") for p in spill_paths]
-        consumed = journal.items_consumed
-        stream = iter(edges)
-        if consumed:
-            skipped = sum(1 for _ in itertools.islice(stream, consumed))
-            if skipped < consumed:
-                raise StoreError(
-                    f"edge stream ended after {skipped} items on resume; the "
-                    f"journal consumed {consumed} — pass the same stream"
-                )
+        # Owners in the narrowest unsigned type: numpy's stable argsort
+        # is a radix sort up to 16 bits.
+        narrow_assignment = assignment.astype(np.min_scalar_type(parts - 1))
         try:
             # -- pass 1: chunked routing to per-partition spill files ----
-            chunk_src: List[int] = []
-            chunk_dst: List[int] = []
 
-            def flush() -> None:
+            def flush(kept: np.ndarray, consumed_at: int) -> None:
+                """Spill one chunk of kept edges, then commit the journal."""
                 nonlocal total_slots_spilled
-                if not chunk_src:
-                    return
                 chunk_index = journal.chunks_committed
                 torn = (
                     injector is not None
                     and injector.take_torn_write(chunk_index)
                 )
-                src = np.asarray(chunk_src, dtype=np.int64)
-                dst = np.asarray(chunk_dst, dtype=np.int64)
-                owner = assignment[src]
-                owners = np.unique(owner)
+                # Undirected edges emit both directions, interleaved
+                # edge by edge: (u, v), (v, u), ...
+                slots = kept if directed else np.stack(
+                    (kept, kept[:, ::-1]), axis=1
+                ).reshape(-1, 2)
+                owner = narrow_assignment[slots[:, 0]]
+                counts = np.bincount(owner, minlength=parts)
+                ends = np.cumsum(counts)
+                routed = slots[np.argsort(owner, kind="stable")]
+                owners = np.flatnonzero(counts)
                 for i, k in enumerate(owners):
-                    mask = owner == k
-                    pairs = np.empty((int(mask.sum()), 2), dtype=np.int64)
-                    pairs[:, 0] = src[mask]
-                    pairs[:, 1] = dst[mask]
-                    data = pairs.tobytes()
+                    rows = routed[ends[k] - counts[k]: ends[k]]
                     if torn and i == len(owners) - 1:
                         # A torn write: half of the final partition's
                         # bytes land, then the "machine" dies.  The
                         # journal still points at the previous commit,
                         # so resume truncates this whole chunk away.
-                        spills[int(k)].write(data[: len(data) // 2])
-                        spills[int(k)].flush()
+                        data = rows.tobytes()
+                        spills[k].write(data[: len(data) // 2])
+                        spills[k].flush()
                         raise FaultError("torn_write", chunk=chunk_index)
-                    spills[int(k)].write(data)
-                total_slots_spilled += src.size
-                chunk_src.clear()
-                chunk_dst.clear()
+                    spills[k].write(rows)
+                total_slots_spilled += slots.shape[0]
                 sizes = []
                 for handle in spills:
                     handle.flush()
                     os.fsync(handle.fileno())
                     sizes.append(handle.tell())
-                journal.commit_chunk(consumed, total_slots_spilled, sizes)
+                journal.commit_chunk(consumed_at, total_slots_spilled, sizes)
                 if injector is not None and injector.take_ingest_crash(
                     chunk_index
                 ):
                     raise FaultError("crash_at_chunk", chunk=chunk_index)
 
-            for u, v in stream:
-                consumed += 1
-                u, v = int(u), int(v)
-                if u < 0 or v < 0 or u >= n or v >= n:
-                    raise StoreError(
-                        f"edge ({u}, {v}) references a vertex outside 0..{n - 1}"
+            # A chunk closes on the kept edge that brings its slot count
+            # to 2 * chunk_edges; self-loops count as consumed items but
+            # fill no slot (GraphBuilder drops them; stay equivalent).
+            edges_per_chunk = 2 * chunk_edges if directed else chunk_edges
+            consumed = skip = journal.items_consumed
+            pending: List[np.ndarray] = []  # kept edges since the last commit
+            pending_edges = 0
+            for block in _edge_blocks(
+                edges, n, max(chunk_edges, _MIN_BLOCK_ITEMS)
+            ):
+                if skip:  # resume: drop the journaled prefix
+                    dropped = min(skip, block.shape[0])
+                    block, skip = block[dropped:], skip - dropped
+                error = None
+                if block.size and (block.min() < 0 or block.max() >= n):
+                    outside = ((block < 0) | (block >= n)).any(axis=1)
+                    first = int(np.argmax(outside))
+                    error = _outside_error(*block[first].tolist(), n)
+                    block = block[:first]
+                kept_at = np.flatnonzero(block[:, 0] != block[:, 1])
+                start = 0
+                for cut in range(
+                    edges_per_chunk - pending_edges - 1, kept_at.size,
+                    edges_per_chunk,
+                ):
+                    pending.append(block[kept_at[start: cut + 1]])
+                    # The closing edge is consumed; anything after it in
+                    # the block belongs to the next chunk.
+                    flush(
+                        np.concatenate(pending),
+                        consumed + int(kept_at[cut]) + 1,
                     )
-                if u == v:
-                    continue  # GraphBuilder drops self-loops; stay equivalent
-                chunk_src.append(u)
-                chunk_dst.append(v)
-                if not directed:
-                    chunk_src.append(v)
-                    chunk_dst.append(u)
-                if len(chunk_src) >= 2 * chunk_edges:
-                    flush()
-            flush()
+                    pending, pending_edges, start = [], 0, cut + 1
+                pending.append(block[kept_at[start:]])
+                pending_edges += kept_at.size - start
+                consumed += block.shape[0]
+                if error is not None:
+                    raise error
+            if skip:
+                raise StoreError(
+                    f"edge stream ended after {consumed - skip} items on "
+                    f"resume; the journal consumed {consumed} — pass the "
+                    f"same stream"
+                )
+            if pending_edges:
+                flush(np.concatenate(pending), consumed)
         finally:
             for handle in spills:
                 handle.close()
@@ -570,10 +726,12 @@ def ingest_edge_stream(
     # -- pass 2: one partition at a time ----------------------------------
     done = journal.completed_partitions()
     degrees = np.zeros(n, dtype=np.int64)
+    local_id = np.empty(n, dtype=np.int64)  # vertex -> row in its shard
     partitions = []
     total_slots = 0
     for k in range(parts):
         nodes = np.flatnonzero(assignment == k).astype(np.int64)
+        local_id[nodes] = np.arange(nodes.size)
         if k in done:
             # Finished before the crash: shards are on disk; recover
             # this partition's degree rows from its own indptr shard.
@@ -586,15 +744,7 @@ def ingest_edge_stream(
                 os.remove(spill_paths[k])
             continue
         raw = np.fromfile(spill_paths[k], dtype=np.int64)
-        pairs = raw.reshape(-1, 2) if raw.size else np.empty((0, 2), dtype=np.int64)
-        src, dst = pairs[:, 0], pairs[:, 1]
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        if src.size:
-            keep = np.ones(src.size, dtype=bool)
-            keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-            src, dst = src[keep], dst[keep]
-        local_src = np.searchsorted(nodes, src)
+        local_src, dst = _sorted_unique_pairs(local_id[raw[0::2]], raw[1::2], n)
         counts = np.bincount(local_src, minlength=nodes.size)
         part_indptr = np.zeros(nodes.size + 1, dtype=np.int64)
         np.cumsum(counts, out=part_indptr[1:])

@@ -439,6 +439,20 @@ class TestHandleProtocol:
                 assert handle.has_edge(np.int64(u), w)
                 assert not handle.has_edge(u, u)
 
+    def test_neighbors_checks_ids_on_both_handles(self, graph, tmp_path):
+        # InMemoryGraph.neighbors(-1) returned an empty row and
+        # neighbors(n) numpy's bare "index 81 is out of bounds".
+        n = graph.num_vertices
+        build_store(graph, tmp_path / "g", partition="hash", num_parts=3)
+        with open_store(tmp_path / "g") as stored:
+            for handle in (stored, InMemoryGraph(graph)):
+                for bad in (-1, n, np.int64(-2)):
+                    with pytest.raises(IndexError, match=rf"\[0, {n}\)"):
+                        handle.neighbors(bad)
+                np.testing.assert_array_equal(
+                    handle.neighbors(np.int64(n - 1)), graph.neighbors(n - 1)
+                )
+
     def test_partition_views_cover_graph(self, graph, tmp_path):
         build_store(graph, tmp_path / "g", partition="hash", num_parts=3)
         stored = open_store(tmp_path / "g")
