@@ -5,6 +5,14 @@ family; each distinct label set names a *series* inside the family
 (``registry.counter("cluster.bytes").inc(64, locality="remote")``).
 Unlabeled use is the common case and costs one dict lookup.
 
+A hot path binds its label set once: ``family.labels(**kv)`` returns a
+handle (:class:`BoundCounter`, :class:`BoundGauge`,
+:class:`BoundHistogram`) holding the family and the sorted label key,
+so each write skips rebuilding that key.  The handle holds the key, not
+the series, so it stays valid across ``reset()`` and ``merge``; binding
+creates no series, and writes through a handle export byte-identically
+to the same writes passed as keyword labels.
+
 Merging is the load-bearing operation: engines keep per-worker or
 per-subsystem registries and ``merge`` folds them — counters and
 histograms add, gauges take the maximum (a merged "peak pending tasks"
@@ -18,12 +26,17 @@ import json
 from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-__all__ = ["Metric", "Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = [
+    "Metric", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    "BoundCounter", "BoundGauge", "BoundHistogram",
+]
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
 
 def _label_key(labels: Mapping[str, Any]) -> LabelKey:
+    if not labels:
+        return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
@@ -73,11 +86,17 @@ class Counter(Metric):
         super().__init__(name, description)
         self._values: Dict[LabelKey, float] = {}
 
+    def labels(self, **labels: Any) -> "BoundCounter":
+        return BoundCounter(self, _label_key(labels))
+
     def inc(self, amount: float = 1, **labels: Any) -> None:
+        self._inc(_label_key(labels), amount)
+
+    def _inc(self, key: LabelKey, amount: float) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease")
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0) + amount
+        values = self._values
+        values[key] = values.get(key, 0) + amount
 
     def value(self, **labels: Any) -> float:
         return self._values.get(_label_key(labels), 0)
@@ -86,6 +105,13 @@ class Counter(Metric):
     def total(self) -> float:
         """Sum across every label set."""
         return sum(self._values.values())
+
+    def total_where(self, **labels: Any) -> float:
+        """Sum over the series whose label set includes every given
+        ``label=value`` pair (an exact match per label, not a substring
+        of the rendered key)."""
+        want = set(_label_key(labels))
+        return sum(v for key, v in self._values.items() if want.issubset(key))
 
     def series(self) -> Dict[str, Any]:
         return {_render_key(k): v for k, v in sorted(self._values.items())}
@@ -109,11 +135,16 @@ class Gauge(Metric):
         super().__init__(name, description)
         self._values: Dict[LabelKey, float] = {}
 
+    def labels(self, **labels: Any) -> "BoundGauge":
+        return BoundGauge(self, _label_key(labels))
+
     def set(self, value: float, **labels: Any) -> None:
         self._values[_label_key(labels)] = value
 
     def inc(self, amount: float = 1, **labels: Any) -> None:
-        key = _label_key(labels)
+        self._inc(_label_key(labels), amount)
+
+    def _inc(self, key: LabelKey, amount: float) -> None:
         self._values[key] = self._values.get(key, 0) + amount
 
     def dec(self, amount: float = 1, **labels: Any) -> None:
@@ -121,7 +152,9 @@ class Gauge(Metric):
 
     def set_max(self, value: float, **labels: Any) -> None:
         """Raise the gauge to ``value`` if it is below it (peak tracking)."""
-        key = _label_key(labels)
+        self._set_max(_label_key(labels), value)
+
+    def _set_max(self, key: LabelKey, value: float) -> None:
         if value > self._values.get(key, float("-inf")):
             self._values[key] = value
 
@@ -181,20 +214,23 @@ class Histogram(Metric):
         self.bounds = bounds
         self._series: Dict[LabelKey, _HistogramSeries] = {}
 
-    def _get(self, labels: Mapping[str, Any]) -> _HistogramSeries:
-        key = _label_key(labels)
-        series = self._series.get(key)
-        if series is None:
-            series = self._series[key] = _HistogramSeries(len(self.bounds))
-        return series
+    def labels(self, **labels: Any) -> "BoundHistogram":
+        return BoundHistogram(self, _label_key(labels))
 
     def observe(self, value: float, **labels: Any) -> None:
+        self._observe(_label_key(labels), value)
+
+    def _observe(self, key: LabelKey, value: float) -> None:
         value = float(value)
-        s = self._get(labels)
+        s = self._series.get(key)
+        if s is None:
+            s = self._series[key] = _HistogramSeries(len(self.bounds))
         s.count += 1
         s.total += value
-        s.min = min(s.min, value)
-        s.max = max(s.max, value)
+        if value < s.min:
+            s.min = value
+        if value > s.max:
+            s.max = value
         s.bucket_counts[bisect_left(self.bounds, value)] += 1
 
     def count(self, **labels: Any) -> int:
@@ -266,6 +302,55 @@ class Histogram(Metric):
 
     def reset(self) -> None:
         self._series.clear()
+
+
+class _Bound:
+    """A family plus one label key, built once (module doc)."""
+
+    __slots__ = ("metric", "key")
+
+    def __init__(self, metric: Metric, key: LabelKey) -> None:
+        self.metric = metric
+        self.key = key
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"{type(self).__name__}({self.metric.name!r}, {_render_key(self.key)!r})"
+
+
+class BoundCounter(_Bound):
+    """``Counter.labels(...)``: ``inc`` without rebuilding the key."""
+
+    metric: Counter
+
+    def inc(self, amount: float = 1) -> None:
+        self.metric._inc(self.key, amount)
+
+
+class BoundGauge(_Bound):
+    """``Gauge.labels(...)``: writes without rebuilding the key."""
+
+    metric: Gauge
+
+    def set(self, value: float) -> None:
+        self.metric._values[self.key] = value
+
+    def inc(self, amount: float = 1) -> None:
+        self.metric._inc(self.key, amount)
+
+    def dec(self, amount: float = 1) -> None:
+        self.metric._inc(self.key, -amount)
+
+    def set_max(self, value: float) -> None:
+        self.metric._set_max(self.key, value)
+
+
+class BoundHistogram(_Bound):
+    """``Histogram.labels(...)``: ``observe`` without rebuilding the key."""
+
+    metric: Histogram
+
+    def observe(self, value: float) -> None:
+        self.metric._observe(self.key, value)
 
 
 class MetricsRegistry:

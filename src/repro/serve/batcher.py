@@ -58,21 +58,23 @@ class MicroBatcher:
         queue: Sequence,
         endpoint: Endpoint,
         epoch: int,
-        canon: Tuple,
     ) -> List:
-        """FIFO-ordered compatible members of ``queue`` behind ``head``."""
+        """FIFO-ordered compatible members of ``queue`` behind ``head``.
+
+        Every request carries its canonical params in ``canon`` (set at
+        :meth:`repro.serve.Server.submit`); they are compared, never
+        recomputed.
+        """
         batch = [head]
-        key = self.batch_key(endpoint, head.graph, epoch, canon)
+        key = self.batch_key(endpoint, head.graph, epoch, head.canon)
         for req in queue:
-            if req is head or len(batch) >= self.max_batch:
+            if len(batch) >= self.max_batch:
+                break
+            if req is head or req.endpoint != head.endpoint or req.graph != head.graph:
                 continue
-            if req.endpoint != head.endpoint or req.graph != head.graph:
-                continue
-            if key == self.batch_key(
-                endpoint, req.graph, epoch, endpoint.canonicalize(req.params)
-            ):
+            if key == self.batch_key(endpoint, req.graph, epoch, req.canon):
                 batch.append(req)
-        return batch[: self.max_batch]
+        return batch
 
     def execute(
         self,

@@ -47,6 +47,7 @@ from typing import Any, Dict, Iterable, Optional, Set, Tuple
 
 from ..lru import LRU
 from ..obs import MetricsRegistry
+from ..obs.metrics import BoundCounter
 
 __all__ = ["ResultCache"]
 
@@ -99,6 +100,8 @@ class ResultCache:
         self._c_stale_misses = self.registry.counter(
             "serve.cache.stale_misses", "stale lookups with nothing to fall back on"
         )
+        # endpoint -> (hits, misses) handles, bound on its first lookup.
+        self._lookups: Dict[str, Tuple[BoundCounter, BoundCounter]] = {}
 
     @staticmethod
     def key(endpoint: str, graph: str, epoch: int, canon: Tuple) -> CacheKey:
@@ -114,11 +117,17 @@ class ResultCache:
 
     def lookup(self, key: CacheKey) -> Tuple[bool, Any]:
         """``(hit, value)``; counts the outcome under the endpoint label."""
+        counted = self._lookups.get(key[0])
+        if counted is None:
+            counted = self._lookups[key[0]] = (
+                self._c_hits.labels(endpoint=key[0]),
+                self._c_misses.labels(endpoint=key[0]),
+            )
         entry = self._lru.get(key)
         if entry is not None:
-            self._c_hits.inc(endpoint=key[0])
+            counted[0].inc()
             return True, entry[0]
-        self._c_misses.inc(endpoint=key[0])
+        counted[1].inc()
         return False, None
 
     def put(

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..obs import MetricsRegistry, StatsViewMixin, Tracer
+from ..obs.metrics import BoundCounter, BoundHistogram
 from ..resilience import FaultInjector, RetryPolicy
 from ..sim import WorkerClocks
 from .batcher import MicroBatcher
@@ -68,6 +69,7 @@ SHED = "shed"
 EXPIRED = "expired"
 ERROR = "error"
 DEGRADED = "degraded"
+STATUSES = (OK, SHED, EXPIRED, ERROR, DEGRADED)
 
 
 @dataclass
@@ -82,6 +84,9 @@ class Request:
     arrival: int = 0  # simulated-ops submission time
     deadline: Optional[int] = None  # absolute simulated-ops deadline
     id: int = -1  # assigned at submit()
+    # The endpoint's canonical form of ``params``, computed once at
+    # submit(): cache keys, batch compatibility and stale lookups read it.
+    canon: Optional[Tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -136,8 +141,29 @@ class Response:
         }
 
 
+class _EndpointHandles:
+    """The bound series one endpoint's responses write (ServeStats)."""
+
+    __slots__ = ("requests", "latency", "deadline_miss")
+
+    def __init__(self, stats: "ServeStats", endpoint: str) -> None:
+        self.requests: Dict[str, BoundCounter] = {
+            status: stats._c_requests.labels(endpoint=endpoint, status=status)
+            for status in STATUSES
+        }
+        self.latency: BoundHistogram = stats._h_latency.labels(endpoint=endpoint)
+        self.deadline_miss: BoundCounter = stats._c_deadline_miss.labels(
+            endpoint=endpoint
+        )
+
+
 class ServeStats(StatsViewMixin):
-    """Registry view over the ``serve.*`` metrics one server emits."""
+    """Registry view over the ``serve.*`` metrics one server emits.
+
+    The per-request writes go through handles bound once per endpoint
+    (:meth:`repro.obs.Counter.labels`), so a response records without
+    rebuilding a label key.
+    """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -183,17 +209,23 @@ class ServeStats(StatsViewMixin):
             "serve.batch_size", "requests per engine call",
             buckets=[1, 2, 4, 8, 16, 32],
         )
+        self._admitted = self._c_admitted.labels()
+        self._queue_wait = self._h_queue_wait.labels()
+        self._peak_queue_depth = self._g_queue_depth.labels()
+        self._peak_in_flight = self._g_in_flight.labels()
+        self._by_endpoint: Dict[str, _EndpointHandles] = {}
         # Admitted, not yet terminal: bounded by in-flight requests.
         self._open_ids: Set[int] = set()
 
     # -- write path (server-only) ------------------------------------------
 
     def record_admitted(self, rid: int) -> None:
-        self._c_admitted.inc()
+        self._admitted.inc()
         self._open_ids.add(rid)
 
     def record_response(self, response: Response) -> None:
-        rid = response.request.id
+        request = response.request
+        rid = request.id
         if rid >= 0:
             # Terminal statuses are mutually exclusive by construction:
             # a request that already landed cannot land again (a second
@@ -204,19 +236,21 @@ class ServeStats(StatsViewMixin):
                     f"refusing second terminal {response.status!r}"
                 )
             self._open_ids.remove(rid)
-        self._c_requests.inc(
-            endpoint=response.request.endpoint, status=response.status
-        )
-        if response.status in (OK, ERROR, DEGRADED):
-            self._h_latency.observe(
-                response.latency, endpoint=response.request.endpoint
+        handles = self._by_endpoint.get(request.endpoint)
+        if handles is None:
+            handles = self._by_endpoint[request.endpoint] = _EndpointHandles(
+                self, request.endpoint
             )
-            self._h_queue_wait.observe(response.queue_wait)
+        status = response.status
+        handles.requests[status].inc()
+        if status == OK or status == ERROR or status == DEGRADED:
+            handles.latency.observe(response.latency)
+            self._queue_wait.observe(response.queue_wait)
             if response.deadline_missed:
-                self._c_deadline_miss.inc(endpoint=response.request.endpoint)
-        if response.status == DEGRADED:
+                handles.deadline_miss.inc()
+        if status == DEGRADED:
             self._c_degraded.inc(
-                endpoint=response.request.endpoint,
+                endpoint=request.endpoint,
                 reason=response.degraded_reason or "unknown",
             )
             self._h_staleness.observe(response.staleness)
@@ -229,18 +263,15 @@ class ServeStats(StatsViewMixin):
             self._c_batched_requests.inc(size)
 
     def record_queue_depth(self, depth: int) -> None:
-        self._g_queue_depth.set_max(depth)
+        self._peak_queue_depth.set_max(depth)
 
     def record_in_flight(self, count: int) -> None:
-        self._g_in_flight.set_max(count)
+        self._peak_in_flight.set_max(count)
 
     # -- read path ---------------------------------------------------------
 
     def _status_total(self, status: str) -> int:
-        return int(sum(
-            v for k, v in self._c_requests.series().items()
-            if f"status={status}" in k
-        ))
+        return int(self._c_requests.total_where(status=status))
 
     @property
     def admitted(self) -> int:
@@ -362,11 +393,20 @@ class Server:
     # -- submission --------------------------------------------------------
 
     def submit(self, request: Request) -> int:
-        """Queue a request for the next :meth:`run`; returns its id."""
+        """Queue a request for the next :meth:`run`; returns its id.
+
+        The request's params are fixed at submit: their canonical form
+        is computed here, once, into ``request.canon``, and every later
+        step (cache key, batch compatibility, stale fallback) reads that
+        value.  Do not change ``request.params`` once submitted.
+        """
         if request.endpoint not in self.endpoints:
             raise KeyError(f"unknown endpoint {request.endpoint!r}")
         if request.graph not in self.graphs:
             raise KeyError(f"unknown graph {request.graph!r}")
+        request.canon = self.endpoints.get(request.endpoint).canonicalize(
+            request.params
+        )
         request.id = self._next_id
         self._next_id += 1
         heapq.heappush(
@@ -421,8 +461,13 @@ class Server:
                 if not self._arrivals:
                     clocks.push(w, clock)
                     break
-                # Idle worker: jump to the next arrival.
-                clocks.push(w, max(clock, self._arrivals[0][0]))
+                # Idle worker: jump to the next arrival, and every other
+                # waiting worker below it with it -- nothing can reach
+                # the queue before that arrival, so popping each of them
+                # in turn would only repeat this jump.
+                arrival = self._arrivals[0][0]
+                clocks.push(w, max(clock, arrival))
+                clocks.jump(arrival)
                 continue
             self.stats.record_in_flight(
                 len(self._queue) + clocks.busy(clock) + 1
@@ -476,31 +521,39 @@ class Server:
                 live.append(request)
         self._queue = live
 
-    def _select(self) -> Request:
-        """Priority lane, then least-served tenant, then FIFO."""
-        lane = max(r.priority for r in self._queue)
-        candidates = [r for r in self._queue if r.priority == lane]
+    def _select(self) -> int:
+        """Queue position of the next request: priority lane, then
+        least-served tenant, then FIFO."""
+        queue = self._queue
+        if len(queue) == 1:
+            return 0
+        lane = max(r.priority for r in queue)
         tenant = min(
             (self._tenant_work.get(r.tenant, 0), r.tenant)
-            for r in candidates
+            for r in queue if r.priority == lane
         )[1]
-        return next(r for r in candidates if r.tenant == tenant)
+        return next(
+            i for i, r in enumerate(queue)
+            if r.priority == lane and r.tenant == tenant
+        )
 
     def _dispatch(
         self, clock: int, finish: Callable[[Response], None]
     ) -> int:
         """Serve one head request (possibly a batch); returns the new
         worker clock."""
-        head = self._select()
+        position = self._select()
+        head = self._queue[position]
         endpoint = self.endpoints.get(head.endpoint)
         record = self.graphs.get(head.graph)
-        canon = endpoint.canonicalize(head.params)
 
         if self.cache is not None:
-            key = ResultCache.key(head.endpoint, head.graph, record.epoch, canon)
+            key = ResultCache.key(
+                head.endpoint, head.graph, record.epoch, head.canon
+            )
             hit, value = self.cache.lookup(key)
             if hit:
-                self._queue.remove(head)
+                del self._queue[position]
                 completed = clock + CACHE_HIT_COST
                 self._charge(head.tenant, CACHE_HIT_COST)
                 finish(Response(
@@ -519,7 +572,7 @@ class Server:
         if breaker is not None and breaker.allow(clock) == "reject":
             # Ladder rung 2: an open breaker answers from the stale
             # cache without touching the engine at all.
-            self._queue.remove(head)
+            del self._queue[position]
             completed = clock + CACHE_HIT_COST
             self._charge(head.tenant, CACHE_HIT_COST)
             stale = self._degraded_response(
@@ -541,13 +594,15 @@ class Server:
 
         t_dispatch = self.batcher.dispatch_time(clock, head.arrival)
         if t_dispatch > clock:
-            # Waiting out the batch window lets later arrivals join.
+            # Waiting out the batch window lets later arrivals join (at
+            # the back of the queue: ``position`` still names the head).
             self._absorb(t_dispatch, finish)
-        batch = self.batcher.collect(
-            head, self._queue, endpoint, record.epoch, canon
-        )
-        for request in batch:
-            self._queue.remove(request)
+        batch = self.batcher.collect(head, self._queue, endpoint, record.epoch)
+        if len(batch) == 1:
+            del self._queue[position]
+        else:
+            members = {id(request) for request in batch}
+            self._queue = [r for r in self._queue if id(r) not in members]
 
         timeout = (
             endpoint.timeout_ops
@@ -599,11 +654,11 @@ class Server:
         share = max(1, cost // len(batch))
         for request, value in zip(batch, values):
             self._charge(request.tenant, share)
-            canon_r = endpoint.canonicalize(request.params)
             if self.cache is not None and error is None:
                 self.cache.put(
                     ResultCache.key(
-                        request.endpoint, request.graph, record.epoch, canon_r
+                        request.endpoint, request.graph, record.epoch,
+                        request.canon,
                     ),
                     value,
                     partitions=endpoint.partitions_read(record, request.params),
@@ -652,9 +707,8 @@ class Server:
         if not endpoint.degradable:
             return None
         record = self.graphs.get(request.graph)
-        canon = endpoint.canonicalize(request.params)
         found, value, staleness = self.cache.lookup_stale(
-            request.endpoint, request.graph, record.epoch, canon
+            request.endpoint, request.graph, record.epoch, request.canon
         )
         if not found:
             return None

@@ -5,7 +5,8 @@ engines, PrefixFPM, the query server, task-parallel MNI, the serving
 scheduler and the lambda fleet — is these two classes plus what each
 client adds; DESIGN.md (*Simulated workers*) states the contract.  In
 short: :class:`WorkerClocks` hands out the worker with the least clock
-(ties by id), the caller pushes it back at the time it is next free, a
+(ties by id), the caller pushes it back at the time it is next free
+(``jump`` pushes every waiting worker below a time up to it at once), a
 worker not pushed back has retired; :class:`WorkStealing` puts
 per-worker deques on top — own deque LIFO, else steal FIFO from the
 most loaded deque, children fork to the executing worker.  Tasks are
@@ -51,6 +52,16 @@ class WorkerClocks:
         """Worker ``w`` is next free at ``time`` (after work, or a jump)."""
         self.times[w] = time
         heapq.heappush(self._heap, (time, w))
+
+    def jump(self, time: Any) -> None:
+        """Every waiting worker whose clock is below ``time`` is next free
+        at ``time`` -- exactly popping each of them, least clock first,
+        and pushing it back at ``time``."""
+        heap = self._heap
+        while heap and heap[0][0] < time:
+            w = heap[0][1]
+            self.times[w] = time
+            heapq.heapreplace(heap, (time, w))
 
     def busy(self, now: Any) -> int:
         """Workers whose clock is past ``now``."""

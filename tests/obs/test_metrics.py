@@ -249,3 +249,113 @@ class TestRegistryMerge:
         ab = MetricsRegistry().merge(a).merge(b).as_dict()
         ba = MetricsRegistry().merge(b).merge(a).as_dict()
         assert ab == ba
+
+
+def _write(registry, bound):
+    """One batch of writes, through bound handles or keyword labels."""
+    c = registry.counter("reqs", "by endpoint and status")
+    g = registry.gauge("depth")
+    h = registry.histogram("lat", buckets=[1, 4, 16])
+    for endpoint, status, amount, value in [
+        ("a", "ok", 1, 3.0), ("b", "shed", 2, 0.5), ("a", "ok", 4, 20.0),
+        ("a", "error", 1, 4.0), ("c.status=ok", "ok", 1, 1.0),
+    ]:
+        if bound:
+            c.labels(endpoint=endpoint, status=status).inc(amount)
+            c.labels().inc()
+            g.labels(endpoint=endpoint).set_max(value)
+            g.labels().inc(amount)
+            g.labels().dec()
+            h.labels(endpoint=endpoint).observe(value)
+            h.labels().observe(value)
+        else:
+            c.inc(amount, endpoint=endpoint, status=status)
+            c.inc()
+            g.set_max(value, endpoint=endpoint)
+            g.inc(amount)
+            g.dec()
+            h.observe(value, endpoint=endpoint)
+            h.observe(value)
+    if bound:
+        g.labels(pinned="yes").set(7)
+    else:
+        g.set(7, pinned="yes")
+
+
+class TestBoundHandles:
+    def test_handle_writes_export_like_keyword_writes(self):
+        bound, kwargs = MetricsRegistry(), MetricsRegistry()
+        _write(bound, bound=True)
+        _write(kwargs, bound=False)
+        assert bound.as_dict() == kwargs.as_dict()
+        assert bound.to_json() == kwargs.to_json()
+        assert bound.to_json(indent=2) == kwargs.to_json(indent=2)
+
+    def test_binding_creates_no_series(self):
+        registry = MetricsRegistry()
+        registry.counter("c").labels(endpoint="a")
+        registry.gauge("g").labels()
+        registry.histogram("h").labels(endpoint="a")
+        assert all(m.series() == {} for m in registry)
+
+    def test_label_order_does_not_matter(self):
+        c = Counter("c")
+        c.labels(b=2, a=1).inc()
+        c.labels(a=1, b=2).inc()
+        assert c.series() == {"a=1,b=2": 2}
+
+    def test_handle_survives_reset(self):
+        registry = MetricsRegistry()
+        c = registry.counter("c").labels(endpoint="a")
+        g = registry.gauge("g").labels()
+        h = registry.histogram("h", buckets=[1, 2]).labels(endpoint="a")
+        c.inc(3)
+        g.set_max(5)
+        h.observe(2)
+        registry.reset()
+        assert all(m.series() == {} for m in registry)
+        c.inc(2)
+        g.set_max(1)
+        h.observe(1)
+        assert registry.counter("c").value(endpoint="a") == 2
+        assert registry.gauge("g").value() == 1
+        assert registry.histogram("h").count(endpoint="a") == 1
+        assert registry.histogram("h").sum(endpoint="a") == 1.0
+
+    def test_handle_survives_merge(self):
+        mine, theirs = MetricsRegistry(), MetricsRegistry()
+        c = mine.counter("c").labels(endpoint="a")
+        h = mine.histogram("h", buckets=[1, 2]).labels()
+        c.inc(1)
+        theirs.counter("c").inc(10, endpoint="a")
+        theirs.histogram("h", buckets=[1, 2]).observe(5)
+        mine.merge(theirs)
+        c.inc(2)
+        h.observe(1)
+        assert mine.counter("c").value(endpoint="a") == 13
+        assert mine.histogram("h").count() == 2
+        # The donor registry is untouched by writes through ``mine``.
+        assert theirs.counter("c").value(endpoint="a") == 10
+
+    def test_negative_inc_through_handle_raises(self):
+        c = Counter("c")
+        handle = c.labels(endpoint="a")
+        with pytest.raises(ValueError, match="cannot decrease"):
+            handle.inc(-1)
+        with pytest.raises(ValueError, match="cannot decrease"):
+            c.labels().inc(-0.5)
+        assert c.series() == {}
+
+
+class TestTotalWhere:
+    def test_matches_label_values_exactly(self):
+        c = Counter("reqs")
+        c.inc(1, endpoint="probe.status=shed", status="ok")
+        c.inc(2, endpoint="a", status="shed")
+        c.inc(4, endpoint="a", status="shed_later")
+        assert c.total_where(status="shed") == 2
+        assert c.total_where(status="ok") == 1
+        assert c.total_where(endpoint="a") == 6
+        assert c.total_where(endpoint="a", status="shed") == 2
+        assert c.total_where() == c.total == 7
+        assert c.total_where(status="missing") == 0

@@ -24,8 +24,9 @@ def _requests(endpoint, params_list, graph="default"):
         Request(endpoint=endpoint, params=p, graph=graph, arrival=i)
         for i, p in enumerate(params_list)
     ]
-    for i, r in enumerate(reqs):
+    for i, r in enumerate(reqs):  # what Server.submit sets
         r.id = i
+        r.canon = canonical_params(r.params)
     return reqs
 
 
@@ -34,8 +35,7 @@ class TestBatchFormation:
         batcher = MicroBatcher(window=10, max_batch=8)
         ep = Endpoint("test.dup", "test", lambda rec, p, ex: (p["x"], 10))
         reqs = _requests("test.dup", [{"x": 1}, {"x": 1}, {"x": 2}, {"x": 1}])
-        canon = canonical_params(reqs[0].params)
-        batch = batcher.collect(reqs[0], reqs, ep, 0, canon)
+        batch = batcher.collect(reqs[0], reqs, ep, 0)
         # Same canonical params ride along; {"x": 2} stays queued.
         assert [r.id for r in batch] == [0, 1, 3]
 
@@ -45,17 +45,14 @@ class TestBatchFormation:
         reqs = _requests(
             "gnn.predict", [{"nodes": [0]}, {"nodes": [1]}, {"nodes": [2]}]
         )
-        canon = canonical_params(reqs[0].params)
-        batch = batcher.collect(reqs[0], reqs, ep, 0, canon)
+        batch = batcher.collect(reqs[0], reqs, ep, 0)
         assert [r.id for r in batch] == [0, 1, 2]
 
     def test_max_batch_caps_membership(self):
         batcher = MicroBatcher(window=10, max_batch=2)
         ep = Endpoint("test.dup", "test", lambda rec, p, ex: (p["x"], 10))
         reqs = _requests("test.dup", [{"x": 1}] * 5)
-        batch = batcher.collect(
-            reqs[0], reqs, ep, 0, canonical_params(reqs[0].params)
-        )
+        batch = batcher.collect(reqs[0], reqs, ep, 0)
         assert [r.id for r in batch] == [0, 1]
 
     def test_epoch_in_key_blocks_cross_version(self):

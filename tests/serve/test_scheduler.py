@@ -143,6 +143,24 @@ class TestBackpressure:
         assert stats.admitted == 8
 
 
+    def test_ledger_matches_the_status_label_exactly(self, graphs):
+        """An endpoint name that spells another status inside it is
+        still one response under one status."""
+        endpoints = _test_endpoints()
+        endpoints.register(Endpoint(
+            "probe.status=shed", "test", lambda rec, p, ex: ("probe", 5),
+        ))
+        server = _server(graphs, endpoints=endpoints)
+        server.submit(Request(endpoint="probe.status=shed"))
+        (response,) = server.run()
+        assert response.ok
+        stats = server.stats
+        assert (stats.completed, stats.shed, stats.in_flight) == (1, 0, 0)
+        assert stats.admitted == (
+            stats.completed + stats.shed + stats.expired + stats.degraded
+        )
+
+
 class TestFairnessAndPriority:
     def test_least_served_tenant_interleaves(self, graphs):
         """Max-min fairness: a light tenant's requests overtake a heavy

@@ -126,6 +126,35 @@ TestClocksMachine = ClocksMachine.TestCase
 TestClocksMachine.settings = settings(max_examples=60, deadline=None)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    times=st.lists(st.integers(0, 20), min_size=1, max_size=8),
+    retired=st.sets(st.integers(0, 7)),
+    target=st.integers(-2, 25),
+)
+def test_jump_is_the_pop_push_loop(times, retired, target):
+    """``jump(t)`` leaves the clocks exactly as popping every waiting
+    worker below ``t``, least clock first, and pushing it back at ``t``."""
+    state = {
+        "times": times,
+        "retired": sorted(w for w in retired if w < len(times)),
+    }
+    jumped, looped = WorkerClocks(len(times)), WorkerClocks(len(times))
+    jumped.restore(state)
+    looped.restore(state)
+    jumped.jump(target)
+    while True:
+        slot = looped.pop()
+        if slot is None or slot[0] >= target:
+            if slot is not None:
+                looped.push(slot[1], slot[0])
+            break
+        looped.push(slot[1], target)
+    assert jumped.state() == looped.state()
+    # Same pop order to the end, ties by worker id.
+    assert [jumped.pop() for _ in times] == [looped.pop() for _ in times]
+
+
 # -- work stealing against the protocol spelled naively --------------------
 
 
