@@ -1,91 +1,18 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
-``tables``
-    Print the paper's Table 1 and Table 2 as regenerated by the
-    taxonomy registry.
-``analyze <edge-list> [--directed] [--json] [--workers N] [--backend B]``
-    Load a graph and print a structural profile (sizes, degrees,
-    components, triangles, clustering, core/truss numbers, densest
-    subgraph, graphlet census); ``--json`` emits it machine-readable.
-    ``--workers``/``--backend`` route the triangle count through the
-    :mod:`repro.parallel` executor (``serial``/``thread``/``process``;
-    defaults honour ``$REPRO_BACKEND`` and ``$REPRO_WORKERS``) and
-    report the measured parallel efficiency from the registry.
-    ``analyze --graph <store-dir> [--shard-cache BYTES]`` profiles an
-    on-disk store instead: only the resident arrays (degrees, node
-    maps) are held in memory and the analytics (PageRank, WCC, BFS)
-    page CSR shards through the LRU cache, so a graph bigger than the
-    cache budget completes end to end; the report includes the paging
-    ledger (hits, misses, evictions, bytes paged).
-``store build <edge-list> <dest> [--partition P] [--num-parts N]
-[--chunked] [--chunk-edges K] [--directed] [--seed S] [--overwrite]``
-    Materialize an edge list as a versioned store (``graph.json`` +
-    per-partition CSR shards).  ``--chunked`` streams the file through
-    :func:`repro.graph.store.ingest_edge_stream` without ever holding
-    the full edge list (two passes: vertex-count scan, then spill and
-    per-partition CSR assembly) — byte-identical to the one-shot build
-    for the streaming partitioners (``hash``, ``range``).
-``store inspect <dir> [--json] [--verify]``
-    Print a store's manifest (counts, partitioner, version, per-
-    partition shard table); ``--verify`` re-checks every file's size
-    and CRC-32.
-``store verify <dir> [--json]`` / ``store repair <dir> [--json]``
-    Integrity sweep over every manifest-listed shard
-    (:func:`repro.graph.store.verify_store`): classify missing,
-    truncated, and CRC-corrupt files without raising; ``repair`` moves
-    the failing shards into ``<dir>/_quarantine/`` (never deletes)
-    and exits nonzero with the typed report.
-``chaos [--scenario S] [--seed N] [--json]``
-    Run every engine (or one ``--scenario``) under a deterministic
-    :class:`~repro.resilience.FaultPlan` — executor worker crashes,
-    lossy network, TLAV superstep failures, TLAG task crashes, GNN
-    epoch crashes, lambda preemption — and verify each recovery
-    reproduces the failure-free run; prints the ``resilience.*``
-    counters and recovery spans.  The seed defaults to
-    ``$REPRO_FAULT_SEED``.  ``--scenario serve-soak`` runs the
-    storage-aware chaos soak (:mod:`repro.serve.soak`): injected
-    endpoint failures, worker crashes, and store I/O faults against
-    the seeded serving workload, checking the degraded ledger, breaker
-    reopen cycle, clean-vs-chaos bit-identity, and crash-resumed
-    ingest byte-identity.  ``--scenario mutate-soak`` soaks the
-    streaming-mutation path (:func:`repro.serve.soak.run_mutate_soak`):
-    a seeded edge-update stream interleaved with query waves, checking
-    incremental PageRank/WCC/BFS against from-scratch recompute at the
-    final epoch, served-answer currency, partition-scoped cache
-    promotion, and secondary-index consistency at every epoch.
-``obs-demo [--workers N]``
-    Run a small mixed workload (task engine, distributed PageRank,
-    a Figure-1 pipeline) against one shared metrics registry and print
-    the observability snapshot (metrics + spans) as JSON.
-``check [--suite quick|full|corpus] [--seed N] [--cases K] [--shrink]
-[--json] [--list] [--only NAME ...] [--subsystem S ...]``
-    Run the differential correctness harness (:mod:`repro.check`):
-    every registered oracle pair (in-memory vs out-of-core vs
-    vectorized vs distributed vs compiled vs parallel) and structural
-    invariant, on seeded random workloads.  ``--suite corpus`` replays
-    the pinned minimal reproducers under ``tests/check/corpus/``;
-    ``--shrink`` minimizes any failing case before reporting;
-    ``--list`` prints the registry.  Exits 1 on any violation — this is
-    the CI gate.
-``serve [--scenario smoke|mixed|burst|temporal] [--seed N] [--json] [--workers N]
-[--batch-window W] [--max-batch B] [--queue-bound Q] [--no-cache]``
-    Run a named serving scenario through :mod:`repro.serve`: a
-    deterministic multi-tenant request stream (seeded Poisson open loop
-    and/or closed-loop clients) against every engine family behind the
-    endpoint registry — admission control with backpressure shedding,
-    per-tenant fair sharing, priority lanes, deadlines, micro-batching,
-    and the versioned result cache.  Prints per-endpoint p50/p95/p99
-    latency (simulated ops), throughput, cache hit rate, and
-    shed/expired/deadline-miss counts; ``--json`` emits the full
-    report.  Identical seeds produce identical reports.
-``match <edge-list> <pattern> [--order planned|worst]``
-    Count a named pattern (triangle, k4, c4, diamond, house, ...) with
-    the planned matching order and the compiled matcher.
-``generate <kind> <path> [options]``
-    Write a synthetic graph to an edge-list file
-    (kinds: er, ba, rmat, ws, grid).
+Commands (``python -m repro <command> --help`` lists each one's options):
+
+* ``tables`` -- the paper's Tables 1 and 2 from the taxonomy registry;
+* ``analyze`` -- structural profile of an edge list, or paged profile of
+  a store directory;
+* ``match`` -- count a named pattern with the compiled matcher;
+* ``generate`` -- write a synthetic graph as an edge list;
+* ``store build|inspect|verify|repair`` -- on-disk partitioned stores;
+* ``chaos`` -- every engine under a deterministic fault plan;
+* ``check`` -- the differential correctness harness (the CI gate);
+* ``serve`` -- a seeded multi-tenant serving scenario;
+* ``minibatch`` -- GNN training through the mini-batch dataloader;
+* ``obs-demo`` -- one metrics registry observing three engines.
 """
 
 from __future__ import annotations
@@ -95,30 +22,9 @@ import sys
 import time
 
 from .core.taxonomy import render_table1, render_table2
-
-_PATTERNS = {
-    "triangle": lambda: __import__(
-        "repro.matching.pattern", fromlist=["x"]
-    ).triangle_pattern(),
-    "k4": lambda: __import__(
-        "repro.matching.pattern", fromlist=["x"]
-    ).clique_pattern(4),
-    "c4": lambda: __import__(
-        "repro.matching.pattern", fromlist=["x"]
-    ).cycle_pattern(4),
-    "diamond": lambda: __import__(
-        "repro.matching.pattern", fromlist=["x"]
-    ).diamond_pattern(),
-    "house": lambda: __import__(
-        "repro.matching.pattern", fromlist=["x"]
-    ).house_pattern(),
-    "tailed-triangle": lambda: __import__(
-        "repro.matching.pattern", fromlist=["x"]
-    ).tailed_triangle_pattern(),
-    "p4": lambda: __import__(
-        "repro.matching.pattern", fromlist=["x"]
-    ).path_pattern(4),
-}
+from .graph.io import EdgeListError
+from .graph.store import StoreError, is_store_dir
+from .matching.pattern import NAMED_PATTERNS
 
 
 def _cmd_tables(_args: argparse.Namespace) -> int:
@@ -137,7 +43,7 @@ def _analyze_store(args: argparse.Namespace) -> int:
     from .tlav.vectorized import bfs_dense, pagerank_dense, wcc_dense
 
     obs = MetricsRegistry()
-    stored = open_store(args.graph, cache_budget=args.shard_cache, obs=obs)
+    stored = open_store(args.path, cache_budget=args.shard_cache, obs=obs)
     manifest = stored.manifest
     degs = stored.degrees()  # resident at open; no paging
     profile = {
@@ -216,16 +122,8 @@ def _analyze_store(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     import numpy as np
 
-    if getattr(args, "graph", None) is not None:
-        if args.path is not None:
-            print("analyze: pass either an edge list or --graph, not both",
-                  file=sys.stderr)
-            return 2
+    if is_store_dir(args.path):
         return _analyze_store(args)
-    if args.path is None:
-        print("analyze: need an edge-list path or --graph <store-dir>",
-              file=sys.stderr)
-        return 2
 
     from .core.graphlets import graphlet_census
     from .graph.io import load_edge_list
@@ -237,25 +135,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from .matching.densest import densest_subgraph
     from .matching.triangles import triangle_count
     from .matching.truss import max_truss
-    from .obs import MetricsRegistry, Tracer
     from .parallel import ParallelExecutor
-    from .resilience import FaultPlan, resolve_fault_seed
 
     graph = load_edge_list(args.path, directed=args.directed)
-    obs = MetricsRegistry()
-    tracer = Tracer()
-    injector = None
-    fault_seed = resolve_fault_seed()
-    if getattr(args, "chaos", False):
-        # Kill the worker holding the second chunk of the triangle
-        # fan-out; the executor must recover and still report the
-        # failure-free count.
-        injector = FaultPlan(seed=fault_seed).crash_worker(chunk=1).build(obs)
-    executor = ParallelExecutor(
-        backend=args.backend, workers=args.workers, obs=obs,
-        injector=injector, tracer=tracer,
-    )
-    initial_backend = executor.backend
+    executor = ParallelExecutor(backend=args.backend, workers=args.workers)
     degs = graph.degrees()
     profile = {
         "graph": str(graph),
@@ -290,18 +173,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         # The parallel-efficiency gauge the executor recorded while
         # counting triangles: busy / (wall * workers).
         profile["parallel"]["efficiency"] = round(executor.efficiency, 3)
-    profile["resilience"] = {
-        "fault_seed": fault_seed,
-        "faults_injected": injector.faults_injected if injector else 0,
-        "redispatched_chunks": int(
-            obs.counter("resilience.redispatched_chunks", "").total
-        ),
-        "pool_failures": int(obs.counter("resilience.pool_failures", "").total),
-        "degraded": executor.backend
-        if executor.backend != initial_backend
-        else None,
-        "recover_spans": [s.as_dict() for s in tracer.find("resilience.recover")],
-    }
     if executor.backend == "auto":
         # What the calibrated model learned while profiling this graph.
         profile["parallel"]["cost_model"] = executor.cost_model.snapshot()
@@ -331,12 +202,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         par = profile["parallel"]
         print(f"parallel        backend={par['backend']}  workers={par['workers']}"
               f"  efficiency={par['efficiency']:.3f}")
-    res = profile["resilience"]
-    if res["faults_injected"]:
-        print(f"resilience      faults={res['faults_injected']}"
-              f"  redispatched={res['redispatched_chunks']}"
-              f"  pool_failures={res['pool_failures']}"
-              f"  recoveries={len(res['recover_spans'])}")
     return 0
 
 
@@ -748,12 +613,8 @@ def _cmd_match(args: argparse.Namespace) -> int:
     from .matching.codegen import compile_matcher, prepare_adjacency
     from .matching.plan import GraphStats, Planner
 
-    if args.pattern not in _PATTERNS:
-        print(f"unknown pattern {args.pattern!r}; "
-              f"choose from {sorted(_PATTERNS)}", file=sys.stderr)
-        return 2
     graph = load_edge_list(args.path)
-    pattern = _PATTERNS[args.pattern]()
+    pattern = NAMED_PATTERNS[args.pattern]()
     planner = Planner(GraphStats.of(graph))
     plan = planner.plan(pattern) if args.order == "planned" else planner.worst_plan(pattern)
     func = compile_matcher(pattern, order=plan.order)
@@ -766,56 +627,36 @@ def _cmd_match(args: argparse.Namespace) -> int:
     return 0
 
 
-def _edge_stream(path: str):
-    """Yield ``(u, v)`` pairs from an edge-list file, one line at a time."""
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise ValueError(f"malformed edge line: {line!r}")
-            yield int(parts[0]), int(parts[1])
-
-
 def _cmd_store_build(args: argparse.Namespace) -> int:
-    from .graph.store import STREAMING_PARTITIONERS, StoreError
+    """Stream an unlabelled edge list through the chunked ingest when the
+    partitioner only needs vertex ids; build metis partitions and edge
+    labels in memory."""
+    from .graph.io import load_edge_list, read_edge_list
+    from .graph.store import STREAMING_PARTITIONERS, build_store, ingest_edge_stream
 
-    try:
-        if args.chunked:
-            from .graph.store import ingest_edge_stream
-
-            if args.partition not in STREAMING_PARTITIONERS:
-                print(f"store build: --chunked needs a streaming partitioner "
-                      f"({'/'.join(STREAMING_PARTITIONERS)}), not "
-                      f"{args.partition!r}", file=sys.stderr)
-                return 2
-            # Pass 0: vertex count only — the edge list never lives in
-            # memory on the chunked path.
-            n = 1 + max(
-                (max(u, v) for u, v in _edge_stream(args.path)), default=-1
-            )
-            manifest = ingest_edge_stream(
-                _edge_stream(args.path), n, args.dest,
-                directed=args.directed, partition=args.partition,
-                num_parts=args.num_parts, seed=args.seed,
-                chunk_edges=args.chunk_edges, name=args.name,
-                overwrite=args.overwrite,
-            )
-        else:
-            from .graph.io import load_edge_list
-            from .graph.store import build_store
-
-            graph = load_edge_list(args.path, directed=args.directed)
-            manifest = build_store(
-                graph, args.dest, partition=args.partition,
-                num_parts=args.num_parts, seed=args.seed, name=args.name,
-                overwrite=args.overwrite,
-            )
-    except StoreError as exc:
-        print(f"store build: {exc}", file=sys.stderr)
-        return 1
+    n, labelled = 0, False
+    if args.partition in STREAMING_PARTITIONERS:
+        # Pass 0: vertex count and label column, one line at a time.
+        # Self-loops are dropped on both paths, as load_edge_list does.
+        for u, v, label in read_edge_list(args.path):
+            if u != v:
+                n = max(n, u + 1, v + 1)
+            labelled = labelled or label != 0
+    if labelled or args.partition not in STREAMING_PARTITIONERS:
+        manifest = build_store(
+            load_edge_list(args.path, directed=args.directed), args.dest,
+            partition=args.partition, num_parts=args.num_parts,
+            seed=args.seed, name=args.name, overwrite=args.overwrite,
+        )
+    else:
+        manifest = ingest_edge_stream(
+            ((u, v) for u, v, _ in read_edge_list(args.path) if u != v),
+            n, args.dest,
+            directed=args.directed, partition=args.partition,
+            num_parts=args.num_parts, seed=args.seed,
+            chunk_edges=args.chunk_edges, name=args.name,
+            overwrite=args.overwrite,
+        )
     print(f"wrote {args.dest}: n={manifest.num_vertices} "
           f"m={manifest.num_edges} slots={manifest.num_edge_slots} "
           f"parts={manifest.num_parts} ({manifest.partitioner}, "
@@ -824,31 +665,22 @@ def _cmd_store_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_inspect(args: argparse.Namespace) -> int:
-    from .graph.store import Manifest, StoreError, verify_file
+    from .graph.store import Manifest, verify_store
 
-    try:
-        manifest = Manifest.load(args.dir)
-    except StoreError as exc:
-        print(f"store inspect: {exc}", file=sys.stderr)
-        return 1
-    verified = None
+    manifest = Manifest.load(args.dir)
     if args.verify:
-        try:
-            for entry in manifest.files.values():
-                verify_file(args.dir, entry)
-            for part in manifest.partitions:
-                for entry in part.files.values():
-                    verify_file(args.dir, entry)
-            verified = True
-        except StoreError as exc:
-            print(f"store inspect: {exc}", file=sys.stderr)
-            return 1
+        report = verify_store(args.dir)
+        if not report.ok:
+            raise StoreError(
+                f"{len(report.bad_paths)} file(s) failed verification: "
+                + ", ".join(report.bad_paths)
+            )
     if args.json:
         import json
 
         payload = manifest.as_dict()
-        if verified is not None:
-            payload["verified"] = verified
+        if args.verify:
+            payload["verified"] = True
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(f"store           {args.dir}")
@@ -873,25 +705,21 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
     for part in manifest.partitions:
         print(f"{part.part_id:>4} {part.num_vertices:>9} "
               f"{part.num_edge_slots:>9} {part.shard_bytes:>10}")
-    if verified:
+    if args.verify:
         print("verified        all shard sizes and CRC-32 checksums OK")
     return 0
 
 
 def _cmd_store_verify(args: argparse.Namespace) -> int:
-    from .graph.store import CorruptShardError, StoreError, repair_store, verify_store
+    from .graph.store import CorruptShardError, repair_store, verify_store
 
-    try:
-        if args.store_command == "repair":
-            try:
-                report = repair_store(args.dir)
-            except CorruptShardError as exc:
-                report = exc.report
-        else:
-            report = verify_store(args.dir)
-    except StoreError as exc:
-        print(f"store {args.store_command}: {exc}", file=sys.stderr)
-        return 1
+    if args.store_command == "repair":
+        try:
+            report = repair_store(args.dir)
+        except CorruptShardError as exc:
+            report = exc.report
+    else:
+        report = verify_store(args.dir)
     if args.json:
         import json
 
@@ -1054,14 +882,12 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser(
         "analyze", help="profile an edge-list graph or an on-disk store"
     )
-    analyze.add_argument("path", nargs="?", default=None,
-                         help="edge-list file (or use --graph for a store)")
-    analyze.add_argument("--graph", metavar="STORE_DIR", default=None,
-                         help="profile an on-disk store: resident degrees, "
-                              "paged analytics, paging ledger")
+    analyze.add_argument("path",
+                         help="edge-list file, or a store directory (resident "
+                              "degrees, paged analytics, paging ledger)")
     analyze.add_argument("--shard-cache", type=int, default=None,
                          metavar="BYTES",
-                         help="shard-cache budget for --graph (default: "
+                         help="shard-cache budget for a store (default: "
                               "unbounded)")
     analyze.add_argument("--directed", action="store_true")
     analyze.add_argument("--json", action="store_true",
@@ -1074,9 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default=None,
                          help="executor backend (default: $REPRO_BACKEND, "
                               "then auto)")
-    analyze.add_argument("--chaos", action="store_true",
-                         help="inject a deterministic worker crash "
-                              "($REPRO_FAULT_SEED) and report the recovery")
 
     chaos = sub.add_parser(
         "chaos",
@@ -1167,7 +990,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     match_cmd = sub.add_parser("match", help="count a pattern in a graph")
     match_cmd.add_argument("path")
-    match_cmd.add_argument("pattern", choices=sorted(_PATTERNS))
+    match_cmd.add_argument("pattern", choices=sorted(NAMED_PATTERNS))
     match_cmd.add_argument("--order", choices=["planned", "worst"],
                            default="planned")
 
@@ -1186,12 +1009,9 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--num-parts", type=int, default=1)
     build.add_argument("--seed", type=int, default=0)
     build.add_argument("--directed", action="store_true")
-    build.add_argument("--chunked", action="store_true",
-                       help="stream the file through ingest_edge_stream "
-                            "(never holds the full edge list; streaming "
-                            "partitioners only)")
     build.add_argument("--chunk-edges", type=int, default=200_000,
-                       help="edges buffered per ingest chunk (--chunked)")
+                       help="edges buffered per ingest chunk when an "
+                            "unlabelled file streams (hash, range)")
     build.add_argument("--name", default=None,
                        help="manifest name (default: dest basename)")
     build.add_argument("--overwrite", action="store_true",
@@ -1246,7 +1066,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Commands that read a user's edge list or store.
+_INPUT_COMMANDS = ("analyze", "match", "store")
+
+
 def main(argv=None) -> int:
+    """Run one command.  For the commands that read user input, input a
+    reader rejects (a missing file, a bad edge line, a malformed store)
+    ends it with ``repro <cmd>: <message>`` on stderr and exit code 1."""
     args = build_parser().parse_args(argv)
     handler = {
         "tables": _cmd_tables,
@@ -1260,7 +1087,15 @@ def main(argv=None) -> int:
         "generate": _cmd_generate,
         "obs-demo": _cmd_obs_demo,
     }[args.command]
-    return handler(args)
+    if args.command not in _INPUT_COMMANDS:
+        return handler(args)
+    try:
+        return handler(args)
+    except (OSError, EdgeListError, StoreError) as exc:
+        command = " ".join(filter(None, (args.command,
+                                         getattr(args, "store_command", None))))
+        print(f"repro {command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

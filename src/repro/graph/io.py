@@ -12,12 +12,14 @@ Loads and saves the three on-disk formats the benchmarks use:
 from __future__ import annotations
 
 import os
-from typing import List, Union
+from typing import Iterator, List, Tuple, Union
 
 from .csr import Graph, GraphBuilder
 from .transactions import GraphTransaction, TransactionDatabase
 
 __all__ = [
+    "EdgeListError",
+    "read_edge_list",
     "load_edge_list",
     "save_edge_list",
     "load_adjacency",
@@ -29,19 +31,41 @@ __all__ = [
 PathLike = Union[str, os.PathLike]
 
 
-def load_edge_list(path: PathLike, directed: bool = False) -> Graph:
-    """Read a SNAP-style edge list; lines starting with ``#`` are comments."""
-    builder = GraphBuilder(directed=directed)
+class EdgeListError(ValueError):
+    """An edge-list line that is not ``u v [label]`` with non-negative
+    integer ids; the message names the file and line."""
+
+
+def read_edge_list(path: PathLike) -> Iterator[Tuple[int, int, int]]:
+    """Yield ``(u, v, label)`` per line of a SNAP-style edge list, one
+    line at a time; lines starting with ``#`` are comments and a missing
+    label reads as 0."""
     with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in enumerate(handle, 1):
             parts = line.split()
-            if len(parts) < 2:
-                raise ValueError(f"malformed edge line: {line!r}")
-            label = int(parts[2]) if len(parts) > 2 else 0
-            builder.add_edge(int(parts[0]), int(parts[1]), label=label)
+            if not parts or parts[0].startswith("#"):
+                continue
+            try:
+                u, v = int(parts[0]), int(parts[1])
+                label = int(parts[2]) if len(parts) > 2 else 0
+            except (IndexError, ValueError):
+                raise EdgeListError(
+                    f"{os.fspath(path)}:{lineno}: malformed edge line "
+                    f"{line.strip()!r}"
+                ) from None
+            if u < 0 or v < 0:
+                raise EdgeListError(
+                    f"{os.fspath(path)}:{lineno}: negative vertex id in "
+                    f"{line.strip()!r}"
+                )
+            yield u, v, label
+
+
+def load_edge_list(path: PathLike, directed: bool = False) -> Graph:
+    """Read a SNAP-style edge list (see :func:`read_edge_list`)."""
+    builder = GraphBuilder(directed=directed)
+    for u, v, label in read_edge_list(path):
+        builder.add_edge(u, v, label=label)
     return builder.build()
 
 

@@ -5,9 +5,7 @@ Two ways to produce the same bytes:
 * :func:`build_store` — materialize an in-memory :class:`Graph` (plus
   any partitioner's output) to a store directory.  This is the path
   benchmarks and the serving catalog use when the graph already fits
-  in RAM.  With ``overwrite=True`` the build is **atomic**: it lands
-  in a sibling temp directory and is renamed into place, so an
-  interrupted overwrite can never destroy the previous good store.
+  in RAM.
 * :func:`ingest_edge_stream` — the DistDGL-style chunked pipeline: the
   edge iterable is consumed in bounded chunks, each chunk is routed to
   per-partition spill files as arrays (no per-edge Python), and
@@ -19,11 +17,15 @@ Two ways to produce the same bytes:
   crashed ingest resumes with ``resume=True`` and produces bytes
   identical to an uninterrupted run.
 
-Both funnel every partition through the same shard writer, so a
-chunked build of the same edges under the same partition layout is
-**byte-identical** to the one-shot build (the ingest-pipeline tests
-assert file-level equality, and the ``store.journal.resume_vs_oneshot``
-oracle pins crash-resume equivalence on top).
+With ``overwrite=True`` both builders are **atomic**: the new store
+lands in the sibling ``<path>.tmp`` and is swapped into place only
+when complete, so an interrupted overwrite can never destroy the
+previous good store.  Both funnel every partition through the same
+shard writer, so a chunked build of the same edges under the same
+partition layout is **byte-identical** to the one-shot build (the
+ingest-pipeline tests assert file-level equality, and the
+``store.journal.resume_vs_oneshot`` oracle pins crash-resume
+equivalence on top).
 
 Storage fault injection threads through every shard write: a
 :class:`~repro.resilience.FaultInjector` passed as ``injector`` can
@@ -115,16 +117,39 @@ def streaming_assignment(
 # ----------------------------------------------------------------------
 
 
-def _prepare_root(path: PathLike, overwrite: bool) -> str:
-    root = os.fspath(path)
-    if os.path.exists(os.path.join(root, MANIFEST_FILENAME)):
-        if not overwrite:
-            raise StoreError(
-                f"store already exists at {root!r}; pass overwrite=True"
-            )
-        shutil.rmtree(root)
+def _open_build_dir(final_root: str, overwrite: bool) -> Tuple[str, bool]:
+    """The directory a build writes into, and whether it replaces a store.
+
+    A fresh build writes in place.  An overwrite builds in the sibling
+    :func:`_staging_dir`, emptied first, which :func:`_publish` swaps in
+    once the new store is complete.
+    """
+    replacing = os.path.exists(os.path.join(final_root, MANIFEST_FILENAME))
+    if replacing and not overwrite:
+        raise StoreError(
+            f"store already exists at {final_root!r}; pass overwrite=True"
+        )
+    root = _staging_dir(final_root) if replacing else final_root
+    if replacing:
+        shutil.rmtree(root, ignore_errors=True)
     os.makedirs(root, exist_ok=True)
-    return root
+    return root, replacing
+
+
+def _staging_dir(final_root: str) -> str:
+    return os.path.normpath(final_root) + ".tmp"
+
+
+def _publish(staging: str, final_root: str) -> None:
+    """Swap a finished store in: rename the old one aside, rename the
+    new one in, then remove the old.  A crash at any point leaves the
+    old store or the new one whole, never neither."""
+    old = os.path.normpath(final_root) + ".old"
+    shutil.rmtree(old, ignore_errors=True)
+    if os.path.exists(final_root):
+        os.rename(final_root, old)
+    os.rename(staging, final_root)
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def _write_array(
@@ -246,24 +271,16 @@ def build_store(
     feature shards.  Returns the saved :class:`Manifest`.
 
     Overwriting an existing store is atomic: the new store is built
-    into a sibling ``<path>.tmp-<pid>`` directory, the old store is
+    into the sibling ``<path>.tmp`` directory, the old store is
     renamed aside, and only after the replacement is in place is the
     old one removed — a crash at any point leaves either the old or
-    the new store intact, never neither.
+    the new store intact, never neither.  A failed overwrite's
+    ``<path>.tmp`` is swept at exit.
     """
     final_root = os.fspath(path)
-    replacing = os.path.exists(os.path.join(final_root, MANIFEST_FILENAME))
-    if replacing and not overwrite:
-        raise StoreError(
-            f"store already exists at {final_root!r}; pass overwrite=True"
-        )
+    root, replacing = _open_build_dir(final_root, overwrite)
     if replacing:
-        root = os.path.normpath(final_root) + f".tmp-{os.getpid()}"
-        shutil.rmtree(root, ignore_errors=True)
         _LIVE_TMP_DIRS.add(root)
-    else:
-        root = final_root
-    os.makedirs(root, exist_ok=True)
     store_name = (
         name or os.path.basename(os.path.normpath(final_root)) or "graph"
     )
@@ -274,11 +291,7 @@ def build_store(
     )
 
     if replacing:
-        old = os.path.normpath(final_root) + f".old-{os.getpid()}"
-        shutil.rmtree(old, ignore_errors=True)
-        os.rename(final_root, old)
-        os.rename(root, final_root)
-        shutil.rmtree(old)
+        _publish(root, final_root)
         _LIVE_TMP_DIRS.discard(root)
     return manifest
 
@@ -538,13 +551,23 @@ def ingest_edge_stream(
     partitions.  If the crash happened in pass 2 or later, ``edges``
     is not consumed at all and may be ``None``.  The resumed build is
     byte-identical to an uninterrupted one.
+
+    ``overwrite=True`` on an existing store is atomic, as in
+    :func:`build_store`: the ingest runs in the sibling ``<path>.tmp``
+    and is swapped in only when complete, so a crash leaves the old
+    store readable at ``path``.  Unlike a failed one-shot build, a
+    crashed overwrite keeps ``<path>.tmp`` (its journal): call again
+    with ``resume=True, overwrite=True`` to finish and swap it in, or
+    without ``resume`` to start over.
     """
     if chunk_edges < 1:
         raise ValueError("chunk_edges must be >= 1")
     n = int(num_vertices)
     parts = max(1, int(num_parts))
-    root = os.fspath(path)
-    store_name = name or os.path.basename(os.path.normpath(root)) or "graph"
+    final_root = os.fspath(path)
+    store_name = (
+        name or os.path.basename(os.path.normpath(final_root)) or "graph"
+    )
     if features is not None:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[0] != n:
@@ -564,14 +587,17 @@ def ingest_edge_stream(
 
     journal: Optional[IngestJournal] = None
     if resume:
+        # A crashed overwrite left its journal in the staging sibling.
+        replacing = overwrite and os.path.isdir(_staging_dir(final_root))
+        root = _staging_dir(final_root) if replacing else final_root
         if os.path.exists(os.path.join(root, MANIFEST_FILENAME)):
-            # Crashed after publish: the store is complete, only the
-            # journal sweep was lost.  Finish it and return.
-            leftover = IngestJournal.load(root)
-            if leftover is not None:
-                shutil.rmtree(os.path.join(root, INGEST_DIRNAME),
-                              ignore_errors=True)
-            return Manifest.load(root)
+            # Crashed after the manifest landed: only the journal sweep
+            # (and an overwrite's swap) was lost.  Finish and return.
+            shutil.rmtree(os.path.join(root, INGEST_DIRNAME),
+                          ignore_errors=True)
+            if replacing:
+                _publish(root, final_root)
+            return Manifest.load(final_root)
         journal = IngestJournal.load(root)
         if journal is not None and not journal.matches(fingerprint):
             raise StoreError(
@@ -581,7 +607,7 @@ def ingest_edge_stream(
             )
         os.makedirs(root, exist_ok=True)
     else:
-        root = _prepare_root(path, overwrite)
+        root, replacing = _open_build_dir(final_root, overwrite)
         # A previous crashed ingest may have stranded spills + journal
         # under _ingest/ without publishing a manifest; a fresh
         # (non-resume) run must not inherit them.
@@ -779,4 +805,6 @@ def ingest_edge_stream(
     manifest.save(root)
     journal.remove()
     shutil.rmtree(spill_dir, ignore_errors=True)
+    if replacing:
+        _publish(root, final_root)
     return manifest

@@ -24,7 +24,7 @@ total embedding count.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from ..graph.csr import Graph
 
@@ -41,6 +41,8 @@ __all__ = [
     "tailed_triangle_pattern",
     "diamond_pattern",
     "house_pattern",
+    "NAMED_PATTERNS",
+    "named_pattern",
 ]
 
 
@@ -235,3 +237,27 @@ def house_pattern() -> PatternGraph:
     return PatternGraph.from_edges(
         [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4)]
     )
+
+
+#: Patterns by the name a CLI argument or a serve request carries.
+NAMED_PATTERNS: Dict[str, Callable[[], PatternGraph]] = {
+    "edge": lambda: path_pattern(2),
+    "path3": lambda: path_pattern(3),
+    "p4": lambda: path_pattern(4),
+    "triangle": triangle_pattern,
+    "star3": lambda: star_pattern(3),
+    "c4": lambda: cycle_pattern(4),
+    "diamond": diamond_pattern,
+    "tailed-triangle": tailed_triangle_pattern,
+    "house": house_pattern,
+    "k4": lambda: clique_pattern(4),
+}
+
+
+def named_pattern(name: str) -> PatternGraph:
+    try:
+        return NAMED_PATTERNS[name]()
+    except KeyError:
+        raise KeyError(
+            f"unknown pattern {name!r}; known: {sorted(NAMED_PATTERNS)}"
+        ) from None

@@ -49,9 +49,9 @@ import numpy as np
 from ..graph.delta import EdgeDelta, apply_edge_updates
 from ..graph.partition import Partition
 from ..graph.store import InMemoryGraph, StoreCatalog, as_handle
-from ..matching import pattern as patterns
 from ..matching.backtrack import MatchStats, count_matches
 from ..matching.cliques import count_k_cliques
+from ..matching.pattern import named_pattern
 from ..matching.plan import GraphStats, Planner
 
 __all__ = [
@@ -90,30 +90,6 @@ def canonical_params(params: Dict[str, Any]) -> Tuple:
     the micro-batcher.
     """
     return tuple(sorted((str(k), _canon_value(v)) for k, v in params.items()))
-
-
-#: Named patterns a request may ask for (JSON-friendly: params carry
-#: the name, not the PatternGraph object).
-PATTERNS: Dict[str, Callable[[], "patterns.PatternGraph"]] = {
-    "edge": lambda: patterns.path_pattern(2),
-    "path3": lambda: patterns.path_pattern(3),
-    "triangle": patterns.triangle_pattern,
-    "star3": lambda: patterns.star_pattern(3),
-    "c4": lambda: patterns.cycle_pattern(4),
-    "diamond": patterns.diamond_pattern,
-    "tailed-triangle": patterns.tailed_triangle_pattern,
-    "house": patterns.house_pattern,
-    "k4": lambda: patterns.clique_pattern(4),
-}
-
-
-def named_pattern(name: str) -> "patterns.PatternGraph":
-    try:
-        return PATTERNS[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown pattern {name!r}; known: {sorted(PATTERNS)}"
-        ) from None
 
 
 # ----------------------------------------------------------------------

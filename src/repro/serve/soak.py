@@ -150,13 +150,11 @@ def _canonical_value(value: Any) -> str:
 
 
 def _breaker_transitions(obs: MetricsRegistry) -> Dict[str, int]:
-    series = obs.counter("serve.breaker.transitions").series()
-    out: Dict[str, int] = {}
-    for state in ("closed", "open", "half_open"):
-        out[state] = int(sum(
-            v for k, v in series.items() if f"to={state}" in k
-        ))
-    return out
+    transitions = obs.counter("serve.breaker.transitions")
+    return {
+        state: int(transitions.total_where(to=state))
+        for state in ("closed", "open", "half_open")
+    }
 
 
 def run_serve_part(
@@ -270,13 +268,11 @@ def run_serve_part(
         "degraded_reasons": reasons,
         "breaker_transitions": transitions,
         "max_staleness": max((r.staleness for r in degraded), default=0),
-        "endpoint_faults": int(sum(
-            v
-            for k, v in chaos_obs.counter(
-                "resilience.faults_injected"
-            ).series().items()
-            if "kind=endpoint_failure" in k
-        )),
+        "endpoint_faults": int(
+            chaos_obs.counter("resilience.faults_injected").total_where(
+                kind="endpoint_failure"
+            )
+        ),
     }
 
 

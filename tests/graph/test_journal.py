@@ -408,6 +408,37 @@ class TestAtomicOverwrite:
         writer_mod._sweep_tmp_dirs()
         assert set(os.listdir(str(tmp_path))) == {"g"}
 
+    @pytest.mark.parametrize("fault", ["crash_at_chunk", "io_error"])
+    def test_crashed_ingest_overwrite_keeps_old_store(
+        self, tmp_path, reference, fault
+    ):
+        root = str(tmp_path / "g")
+        build_store(barabasi_albert(30, 2, seed=1), root, num_parts=2, name="t")
+        want = _digest(root)
+        plan = FaultPlan(seed=0)
+        # Pass 1 dies mid-stream, or pass 2's first shard write fails.
+        plan = (plan.crash_at_chunk(N_CHUNKS // 2) if fault == "crash_at_chunk"
+                else plan.io_error(1.0))
+        with pytest.raises(FaultError):
+            ingest_edge_stream(iter(EDGES), path=root, overwrite=True,
+                               injector=plan.build(), **KWARGS)
+        assert _digest(root) == want
+        assert verify_store(root).ok
+
+        ingest_edge_stream(iter(EDGES), path=root, overwrite=True,
+                           resume=True, **KWARGS)
+        assert _digest(root) == reference
+        assert set(os.listdir(str(tmp_path))) == {"g", "ref"}
+
+    def test_ingest_overwrite_replaces_store(self, tmp_path, reference):
+        root = str(tmp_path / "g")
+        build_store(barabasi_albert(30, 2, seed=1), root, num_parts=2, name="t")
+        ingest_edge_stream(iter(EDGES), path=root, overwrite=True, **KWARGS)
+        assert _digest(root) == reference
+        assert set(os.listdir(str(tmp_path))) == {"g", "ref"}
+        with pytest.raises(StoreError):
+            ingest_edge_stream(iter(EDGES), path=root, **KWARGS)
+
     def test_overwrite_still_required(self, tmp_path):
         graph = barabasi_albert(30, 2, seed=1)
         root = str(tmp_path / "g")

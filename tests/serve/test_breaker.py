@@ -137,6 +137,25 @@ class TestStateMachine:
         gauge = obs.gauge("serve.breaker.state").series()
         assert list(gauge.values()) == [BREAKER_STATES["closed"]]
 
+    def test_soak_reads_transitions_by_exact_label(self):
+        from repro.serve.soak import _breaker_transitions
+
+        # An endpoint whose name holds "to=open" must not count its
+        # half-open and closed transitions as openings.
+        obs = MetricsRegistry()
+        breaker = CircuitBreaker(
+            "probe.to=open",
+            BreakerConfig(window=4, min_samples=2, open_ops=500),
+            obs=obs,
+        )
+        breaker.record_failure(0)
+        breaker.record_failure(10)
+        breaker.allow(510)
+        breaker.record_success(520)
+        assert _breaker_transitions(obs) == {
+            "closed": 1, "open": 1, "half_open": 1,
+        }
+
 
 class TestBoard:
     def test_one_breaker_per_endpoint(self):
