@@ -20,67 +20,20 @@ Run it via ``python -m repro check --suite quick --seed 0`` (the CI
 gate) or ``--suite full`` for every registered pair.
 """
 
-from .invariants import (
-    bounded_error,
-    csr_well_formed,
-    partition_consistent,
-    same_bits,
-    same_multiset,
-    same_stats,
-    same_values,
-)
-from .registry import (
-    BIT_IDENTICAL,
-    BOUNDED_ERROR,
-    INVARIANT,
-    PERMUTATION,
-    REGISTRY,
-    Check,
-    CheckRegistry,
-    case_rng,
-    invariant,
-    load_all,
-    pair,
-)
-from .runner import (
-    CaseResult,
-    CheckReport,
-    default_corpus_dir,
-    load_case,
-    run_case,
-    run_corpus,
-    run_suite,
-    save_case,
-)
-from .shrink import ShrinkResult, shrink_case
+from .._exports import lazy_exports
 
-__all__ = [
-    "BIT_IDENTICAL",
-    "BOUNDED_ERROR",
-    "INVARIANT",
-    "PERMUTATION",
-    "REGISTRY",
-    "CaseResult",
-    "Check",
-    "CheckRegistry",
-    "CheckReport",
-    "ShrinkResult",
-    "bounded_error",
-    "case_rng",
-    "csr_well_formed",
-    "default_corpus_dir",
-    "invariant",
-    "load_all",
-    "load_case",
-    "pair",
-    "partition_consistent",
-    "run_case",
-    "run_corpus",
-    "run_suite",
-    "same_bits",
-    "same_multiset",
-    "same_stats",
-    "same_values",
-    "save_case",
-    "shrink_case",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "invariants": (
+        "bounded_error", "csr_well_formed", "partition_consistent", "same_bits",
+        "same_multiset", "same_stats", "same_values",
+    ),
+    "registry": (
+        "BIT_IDENTICAL", "BOUNDED_ERROR", "INVARIANT", "PERMUTATION", "REGISTRY",
+        "Check", "CheckRegistry", "case_rng", "invariant", "load_all", "pair",
+    ),
+    "runner": (
+        "CaseResult", "CheckReport", "default_corpus_dir", "load_case", "run_case",
+        "run_corpus", "run_suite", "save_case",
+    ),
+    "shrink": ("ShrinkResult", "shrink_case"),
+})

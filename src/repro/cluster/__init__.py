@@ -6,14 +6,9 @@ communication volume, balance, and overlap — quantities this simulator
 measures exactly.
 """
 
-from .comm import CommStats, Message, Network
-from .links import LinkTopology, ethernet_topology, nvlink_topology
+from .._exports import lazy_exports
 
-__all__ = [
-    "CommStats",
-    "Message",
-    "Network",
-    "LinkTopology",
-    "ethernet_topology",
-    "nvlink_topology",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "comm": ("CommStats", "Message", "Network"),
+    "links": ("LinkTopology", "ethernet_topology", "nvlink_topology"),
+})

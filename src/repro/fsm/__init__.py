@@ -1,42 +1,19 @@
 """Frequent subgraph mining: gSpan, PrefixFPM, and single-graph MNI mining."""
 
-from .bfs_fsm import BfsFsmStats, bfs_mine_frequent_subgraphs
-from .closed import closed_graph_patterns, closed_sequences, is_subpattern
-from .gspan import DFSCode, FrequentPattern, GSpan, is_min, mine_frequent_subgraphs
-from .prefixfpm import (
-    GraphPatterns,
-    MinerStats,
-    PatternDomain,
-    PrefixMiner,
-    SequencePatterns,
-)
-from .single_graph import (
-    MNIResult,
-    SingleGraphFSM,
-    SingleGraphPattern,
-    mni_support,
-    mni_support_parallel,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "DFSCode",
-    "FrequentPattern",
-    "GSpan",
-    "is_min",
-    "mine_frequent_subgraphs",
-    "PatternDomain",
-    "PrefixMiner",
-    "MinerStats",
-    "SequencePatterns",
-    "GraphPatterns",
-    "MNIResult",
-    "mni_support",
-    "mni_support_parallel",
-    "SingleGraphFSM",
-    "SingleGraphPattern",
-    "closed_graph_patterns",
-    "closed_sequences",
-    "is_subpattern",
-    "BfsFsmStats",
-    "bfs_mine_frequent_subgraphs",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "bfs_fsm": ("BfsFsmStats", "bfs_mine_frequent_subgraphs"),
+    "closed": ("closed_graph_patterns", "closed_sequences", "is_subpattern"),
+    "gspan": (
+        "DFSCode", "FrequentPattern", "GSpan", "is_min", "mine_frequent_subgraphs",
+    ),
+    "prefixfpm": (
+        "GraphPatterns", "MinerStats", "PatternDomain", "PrefixMiner",
+        "SequencePatterns",
+    ),
+    "single_graph": (
+        "MNIResult", "SingleGraphFSM", "SingleGraphPattern", "mni_support",
+        "mni_support_parallel",
+    ),
+})

@@ -1,39 +1,15 @@
 """Graph substrate: CSR storage, generators, I/O, partitioners, properties,
 and the on-disk store layer behind the :class:`GraphHandle` protocol."""
 
-from .csr import Graph, GraphBuilder
-from .delta import EdgeDelta, apply_edge_updates, random_edge_updates
-from .transactions import GraphTransaction, TransactionDatabase
-from .weighted import dijkstra, edge_label_weight
-from .store import (
-    GraphHandle,
-    InMemoryGraph,
-    StoreCatalog,
-    StoredGraph,
-    StoreError,
-    as_handle,
-    build_store,
-    ingest_edge_stream,
-    open_store,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "EdgeDelta",
-    "Graph",
-    "GraphBuilder",
-    "apply_edge_updates",
-    "random_edge_updates",
-    "GraphTransaction",
-    "TransactionDatabase",
-    "dijkstra",
-    "edge_label_weight",
-    "GraphHandle",
-    "InMemoryGraph",
-    "StoreCatalog",
-    "StoredGraph",
-    "StoreError",
-    "as_handle",
-    "build_store",
-    "ingest_edge_stream",
-    "open_store",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "csr": ("Graph", "GraphBuilder"),
+    "delta": ("EdgeDelta", "apply_edge_updates", "random_edge_updates"),
+    "transactions": ("GraphTransaction", "TransactionDatabase"),
+    "weighted": ("dijkstra", "edge_label_weight"),
+    "store": (
+        "GraphHandle", "InMemoryGraph", "StoreCatalog", "StoredGraph", "StoreError",
+        "as_handle", "build_store", "ingest_edge_stream", "open_store",
+    ),
+})

@@ -15,66 +15,20 @@ resumes byte-identically after a crash (:mod:`.journal`), and
 quarantine corrupt shards with typed errors.
 """
 
-from .format import (
-    FORMAT_NAME,
-    FORMAT_VERSION,
-    MANIFEST_FILENAME,
-    QUARANTINE_DIRNAME,
-    CorruptShardError,
-    FileEntry,
-    Manifest,
-    PartitionMeta,
-    StoreError,
-    StoreReport,
-    is_store_dir,
-    repair_store,
-    verify_file,
-    verify_store,
-)
-from .journal import INGEST_DIRNAME, IngestJournal
-from .handle import (
-    GraphHandle,
-    InMemoryGraph,
-    PartitionView,
-    as_handle,
-)
-from .writer import (
-    STREAMING_PARTITIONERS,
-    build_store,
-    ingest_edge_stream,
-    streaming_assignment,
-)
-from .stored import CacheStats, ShardCache, StoredGraph, open_store
-from .catalog import StoreCatalog
+from ..._exports import lazy_exports
 
-__all__ = [
-    "FORMAT_NAME",
-    "FORMAT_VERSION",
-    "MANIFEST_FILENAME",
-    "FileEntry",
-    "Manifest",
-    "PartitionMeta",
-    "StoreError",
-    "StoreReport",
-    "CorruptShardError",
-    "QUARANTINE_DIRNAME",
-    "INGEST_DIRNAME",
-    "IngestJournal",
-    "is_store_dir",
-    "verify_file",
-    "verify_store",
-    "repair_store",
-    "GraphHandle",
-    "InMemoryGraph",
-    "PartitionView",
-    "as_handle",
-    "STREAMING_PARTITIONERS",
-    "build_store",
-    "ingest_edge_stream",
-    "streaming_assignment",
-    "CacheStats",
-    "ShardCache",
-    "StoredGraph",
-    "open_store",
-    "StoreCatalog",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "format": (
+        "FORMAT_NAME", "FORMAT_VERSION", "MANIFEST_FILENAME", "QUARANTINE_DIRNAME",
+        "CorruptShardError", "FileEntry", "Manifest", "PartitionMeta", "StoreError",
+        "StoreReport", "is_store_dir", "repair_store", "verify_file", "verify_store",
+    ),
+    "journal": ("INGEST_DIRNAME", "IngestJournal"),
+    "handle": ("GraphHandle", "InMemoryGraph", "PartitionView", "as_handle"),
+    "writer": (
+        "STREAMING_PARTITIONERS", "build_store", "ingest_edge_stream",
+        "streaming_assignment",
+    ),
+    "stored": ("CacheStats", "ShardCache", "StoredGraph", "open_store"),
+    "catalog": ("StoreCatalog",),
+})

@@ -107,6 +107,25 @@ class CorruptShardError(StoreError):
         self.report = report
 
 
+_REQUIRED = object()
+
+
+def _count(d: Dict[str, Any], key: str, default: Any = _REQUIRED) -> Any:
+    """``d[key]`` as a count: a JSON integer (not a bool), at least 0.
+    An absent key reads ``default``, which may be ``None``; with no
+    default the key is required."""
+    if key not in d and default is not _REQUIRED:
+        return default
+    value = d[key]
+    if value is None and default is None:
+        return None
+    if type(value) is not int or value < 0:
+        raise StoreError(
+            f"manifest field {key!r} must be a non-negative integer, got {value!r}"
+        )
+    return value
+
+
 @dataclass
 class FileEntry:
     """One file the manifest vouches for."""
@@ -120,7 +139,19 @@ class FileEntry:
 
     @staticmethod
     def from_dict(d: Dict[str, Any]) -> "FileEntry":
-        return FileEntry(str(d["path"]), int(d["bytes"]), int(d["crc32"]))
+        path = d["path"]
+        # Every reader joins this onto the store root: it must stay inside.
+        if (
+            not isinstance(path, str)
+            or not path
+            or "\0" in path
+            or os.path.isabs(path)
+            or ".." in path.replace("\\", "/").split("/")
+        ):
+            raise StoreError(
+                f"manifest path {path!r} is not a relative path inside the store"
+            )
+        return FileEntry(path, _count(d, "bytes"), _count(d, "crc32"))
 
 
 @dataclass
@@ -143,9 +174,9 @@ class PartitionMeta:
     @staticmethod
     def from_dict(d: Dict[str, Any]) -> "PartitionMeta":
         return PartitionMeta(
-            part_id=int(d["id"]),
-            num_vertices=int(d["num_vertices"]),
-            num_edge_slots=int(d["num_edge_slots"]),
+            part_id=_count(d, "id"),
+            num_vertices=_count(d, "num_vertices"),
+            num_edge_slots=_count(d, "num_edge_slots"),
             files={k: FileEntry.from_dict(f) for k, f in d["files"].items()},
         )
 
@@ -207,21 +238,34 @@ class Manifest:
                 f"manifest format_version {d['format_version']} is newer than "
                 f"this code understands ({FORMAT_VERSION})"
             )
+        num_parts = _count(d, "num_parts")
+        if not isinstance(d["partitions"], list):
+            raise StoreError("manifest partitions must be a list")
+        partitions = [PartitionMeta.from_dict(p) for p in d["partitions"]]
+        if [p.part_id for p in partitions] != list(range(num_parts)):
+            raise StoreError(f"manifest partition ids must be 0..{num_parts - 1}")
+        num_vertices = _count(d, "num_vertices")
+        num_edge_slots = _count(d, "num_edge_slots")
+        if (
+            sum(p.num_vertices for p in partitions) != num_vertices
+            or sum(p.num_edge_slots for p in partitions) != num_edge_slots
+        ):
+            raise StoreError("manifest counts disagree with its partitions")
         return Manifest(
             name=str(d["name"]),
-            version=int(d.get("version", 1)),
-            num_vertices=int(d["num_vertices"]),
-            num_edges=int(d["num_edges"]),
-            num_edge_slots=int(d["num_edge_slots"]),
+            version=_count(d, "version", 1),
+            num_vertices=num_vertices,
+            num_edges=_count(d, "num_edges"),
+            num_edge_slots=num_edge_slots,
             directed=bool(d["directed"]),
-            num_parts=int(d["num_parts"]),
+            num_parts=num_parts,
             partitioner=str(d["partitioner"]),
             built_by=str(d["built_by"]),
-            chunk_edges=d.get("chunk_edges"),
+            chunk_edges=_count(d, "chunk_edges", None),
             has_vertex_labels=bool(d.get("has_vertex_labels", False)),
             has_edge_labels=bool(d.get("has_edge_labels", False)),
-            feature_dim=d.get("feature_dim"),
-            partitions=[PartitionMeta.from_dict(p) for p in d["partitions"]],
+            feature_dim=_count(d, "feature_dim", None),
+            partitions=partitions,
             files={
                 k: FileEntry.from_dict(f) for k, f in d.get("files", {}).items()
             },
@@ -245,7 +289,7 @@ class Manifest:
         try:
             with open(path) as handle:
                 return Manifest.from_dict(json.load(handle))
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise StoreError(f"malformed manifest {path!r}: {exc}") from exc
 
     @property

@@ -1,71 +1,24 @@
 """Subgraph matching/enumeration: patterns, plans, codegen, cliques, triangles."""
 
-from .backtrack import MatchStats, count_matches, find_matches, match
-from .cliques import (
-    count_k_cliques,
-    k_cliques,
-    maximal_cliques,
-    maximal_quasi_cliques,
-    maximum_clique,
-)
-from .codegen import compile_matcher, compiled_count, generate_source, prepare_adjacency
-from .pattern import (
-    PatternGraph,
-    automorphisms,
-    clique_pattern,
-    cycle_pattern,
-    diamond_pattern,
-    house_pattern,
-    path_pattern,
-    star_pattern,
-    symmetry_breaking_restrictions,
-    tailed_triangle_pattern,
-    triangle_pattern,
-)
-from .plan import GraphStats, MatchingPlan, Planner, connected_orders
-from .densest import densest_subgraph, density
-from .filtering import FilterStats, build_candidates, filtered_match
-from .triangles import triangle_count, triangle_count_with_work, triangle_list
-from .truss import k_truss, max_truss, truss_numbers
+from .._exports import lazy_exports
 
-__all__ = [
-    "MatchStats",
-    "match",
-    "count_matches",
-    "find_matches",
-    "PatternGraph",
-    "automorphisms",
-    "symmetry_breaking_restrictions",
-    "triangle_pattern",
-    "path_pattern",
-    "cycle_pattern",
-    "clique_pattern",
-    "star_pattern",
-    "tailed_triangle_pattern",
-    "diamond_pattern",
-    "house_pattern",
-    "GraphStats",
-    "MatchingPlan",
-    "Planner",
-    "connected_orders",
-    "compile_matcher",
-    "compiled_count",
-    "generate_source",
-    "prepare_adjacency",
-    "maximal_cliques",
-    "maximum_clique",
-    "k_cliques",
-    "count_k_cliques",
-    "maximal_quasi_cliques",
-    "triangle_count",
-    "triangle_count_with_work",
-    "triangle_list",
-    "truss_numbers",
-    "k_truss",
-    "max_truss",
-    "densest_subgraph",
-    "density",
-    "FilterStats",
-    "build_candidates",
-    "filtered_match",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "backtrack": ("MatchStats", "count_matches", "find_matches", "match"),
+    "cliques": (
+        "count_k_cliques", "k_cliques", "maximal_cliques", "maximal_quasi_cliques",
+        "maximum_clique",
+    ),
+    "codegen": (
+        "compile_matcher", "compiled_count", "generate_source", "prepare_adjacency",
+    ),
+    "pattern": (
+        "PatternGraph", "automorphisms", "clique_pattern", "cycle_pattern",
+        "diamond_pattern", "house_pattern", "path_pattern", "star_pattern",
+        "symmetry_breaking_restrictions", "tailed_triangle_pattern", "triangle_pattern",
+    ),
+    "plan": ("GraphStats", "MatchingPlan", "Planner", "connected_orders"),
+    "densest": ("densest_subgraph", "density"),
+    "filtering": ("FilterStats", "build_candidates", "filtered_match"),
+    "triangles": ("triangle_count", "triangle_count_with_work", "triangle_list"),
+    "truss": ("k_truss", "max_truss", "truss_numbers"),
+})

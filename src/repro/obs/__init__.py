@@ -22,20 +22,10 @@ callers that care can pass a shared registry and get one merged
 snapshot across subsystems.
 """
 
-from .metrics import Counter, Gauge, Histogram, Metric, MetricsRegistry
-from .stats import StatsView, StatsViewMixin, json_safe, merge_counters
-from .tracing import Span, Tracer
+from .._exports import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Metric",
-    "MetricsRegistry",
-    "Span",
-    "StatsView",
-    "StatsViewMixin",
-    "Tracer",
-    "json_safe",
-    "merge_counters",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "metrics": ("Counter", "Gauge", "Histogram", "Metric", "MetricsRegistry"),
+    "stats": ("StatsView", "StatsViewMixin", "json_safe", "merge_counters"),
+    "tracing": ("Span", "Tracer"),
+})

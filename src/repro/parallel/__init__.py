@@ -27,36 +27,17 @@ ranges per superstep.  Results are backend-independent by construction
 (chunk-deterministic reduction; see DESIGN.md, *Parallel execution*).
 """
 
-from .chunking import chunk_list, chunk_spans, default_chunk_size
-from .costmodel import CostModel, Decision, default_cost_model, reset_default_cost_model
-from .executor import (
-    BACKENDS,
-    ParallelExecutor,
-    available_workers,
-    resolve_backend,
-    resolve_workers,
-)
-from .pool import WorkerPool, get_pool, pool_registry, shutdown_pools
-from .shm import SharedGraph, SharedGraphHandle, attach_graph
+from .._exports import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "CostModel",
-    "Decision",
-    "ParallelExecutor",
-    "SharedGraph",
-    "SharedGraphHandle",
-    "WorkerPool",
-    "attach_graph",
-    "available_workers",
-    "chunk_list",
-    "chunk_spans",
-    "default_chunk_size",
-    "default_cost_model",
-    "get_pool",
-    "pool_registry",
-    "reset_default_cost_model",
-    "resolve_backend",
-    "resolve_workers",
-    "shutdown_pools",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "chunking": ("chunk_list", "chunk_spans", "default_chunk_size"),
+    "costmodel": (
+        "CostModel", "Decision", "default_cost_model", "reset_default_cost_model",
+    ),
+    "executor": (
+        "BACKENDS", "ParallelExecutor", "available_workers", "resolve_backend",
+        "resolve_workers",
+    ),
+    "pool": ("WorkerPool", "get_pool", "pool_registry", "shutdown_pools"),
+    "shm": ("SharedGraph", "SharedGraphHandle", "attach_graph"),
+})

@@ -36,25 +36,13 @@ the failure-free run** — recovery changes the cost surface, never the
 answer.
 """
 
-from .faults import (
-    ENV_FAULT_SEED,
-    FaultError,
-    FaultInjector,
-    FaultPlan,
-    MessageFate,
-    resolve_fault_seed,
-)
-from .retry import RetryPolicy
-from .snapshot import Snapshot, SnapshotStore
+from .._exports import lazy_exports
 
-__all__ = [
-    "ENV_FAULT_SEED",
-    "FaultError",
-    "FaultInjector",
-    "FaultPlan",
-    "MessageFate",
-    "RetryPolicy",
-    "Snapshot",
-    "SnapshotStore",
-    "resolve_fault_seed",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "faults": (
+        "ENV_FAULT_SEED", "FaultError", "FaultInjector", "FaultPlan", "MessageFate",
+        "resolve_fault_seed",
+    ),
+    "retry": ("RetryPolicy",),
+    "snapshot": ("Snapshot", "SnapshotStore"),
+})

@@ -52,50 +52,20 @@ gauges, cache hit rates, shed and deadline-miss counters, and one
 ``serve.request`` span per request.
 """
 
-from .batcher import MicroBatcher
-from .breaker import BreakerBoard, BreakerConfig, CircuitBreaker
-from .cache import ResultCache
-from .endpoints import (
-    Endpoint,
-    EndpointRegistry,
-    GraphRecord,
-    GraphRegistry,
-    builtin_endpoints,
-    canonical_params,
-)
-from .loadgen import (
-    SCENARIOS,
-    ClosedLoop,
-    open_loop,
-    run_scenario,
-    scenario_requests,
-    update_stream,
-)
-from .scheduler import Request, Response, Server, ServeStats
-from .soak import run_mutate_soak, run_serve_soak
+from .._exports import lazy_exports
 
-__all__ = [
-    "SCENARIOS",
-    "BreakerBoard",
-    "BreakerConfig",
-    "CircuitBreaker",
-    "ClosedLoop",
-    "Endpoint",
-    "EndpointRegistry",
-    "GraphRecord",
-    "GraphRegistry",
-    "MicroBatcher",
-    "Request",
-    "Response",
-    "ResultCache",
-    "ServeStats",
-    "Server",
-    "builtin_endpoints",
-    "canonical_params",
-    "open_loop",
-    "run_mutate_soak",
-    "run_scenario",
-    "run_serve_soak",
-    "scenario_requests",
-    "update_stream",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "batcher": ("MicroBatcher",),
+    "breaker": ("BreakerBoard", "BreakerConfig", "CircuitBreaker"),
+    "cache": ("ResultCache",),
+    "endpoints": (
+        "Endpoint", "EndpointRegistry", "GraphRecord", "GraphRegistry",
+        "builtin_endpoints", "canonical_params",
+    ),
+    "loadgen": (
+        "SCENARIOS", "ClosedLoop", "open_loop", "run_scenario", "scenario_requests",
+        "update_stream",
+    ),
+    "scheduler": ("Request", "Response", "Server", "ServeStats"),
+    "soak": ("run_mutate_soak", "run_serve_soak"),
+})

@@ -1,46 +1,18 @@
 """Think-like-a-graph/task (TLAG) engines for subgraph search."""
 
-from .aimd import AimdStats, DeviceOverflow, aimd_enumerate
-from .distributed import CacheStats, DistributedTaskEngine
-from .bfs_engine import BfsExplorer, bfs_enumerate_cliques, bfs_enumerate_connected
-from .engine import EngineStats, TaskEngine
-from .hybrid import HybridStats, hybrid_match
-from .programs import (
-    ConnectedSubgraphProgram,
-    KCliqueProgram,
-    MatchProgram,
-    MaximalCliqueProgram,
-    TriangleProgram,
-)
-from .query import Query, QueryResult, QueryServer
-from .task import Task, TaskContext, TaskProgram
-from .warp import WarpSimulator, WarpStats, warp_match
+from .._exports import lazy_exports
 
-__all__ = [
-    "Task",
-    "TaskContext",
-    "TaskProgram",
-    "TaskEngine",
-    "EngineStats",
-    "MaximalCliqueProgram",
-    "KCliqueProgram",
-    "ConnectedSubgraphProgram",
-    "MatchProgram",
-    "TriangleProgram",
-    "BfsExplorer",
-    "bfs_enumerate_cliques",
-    "bfs_enumerate_connected",
-    "AimdStats",
-    "DeviceOverflow",
-    "aimd_enumerate",
-    "HybridStats",
-    "hybrid_match",
-    "WarpSimulator",
-    "WarpStats",
-    "warp_match",
-    "Query",
-    "QueryResult",
-    "QueryServer",
-    "DistributedTaskEngine",
-    "CacheStats",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "aimd": ("AimdStats", "DeviceOverflow", "aimd_enumerate"),
+    "distributed": ("CacheStats", "DistributedTaskEngine"),
+    "bfs_engine": ("BfsExplorer", "bfs_enumerate_cliques", "bfs_enumerate_connected"),
+    "engine": ("EngineStats", "TaskEngine"),
+    "hybrid": ("HybridStats", "hybrid_match"),
+    "programs": (
+        "ConnectedSubgraphProgram", "KCliqueProgram", "MatchProgram",
+        "MaximalCliqueProgram", "TriangleProgram",
+    ),
+    "query": ("Query", "QueryResult", "QueryServer"),
+    "task": ("Task", "TaskContext", "TaskProgram"),
+    "warp": ("WarpSimulator", "WarpStats", "warp_match"),
+})

@@ -1,50 +1,17 @@
 """Think-like-a-vertex (Pregel-family) engines and algorithms."""
 
-from .algorithms import (
-    bfs,
-    luby_mis,
-    label_propagation,
-    pagerank,
-    random_walks,
-    sssp,
-    triangle_count_tlav,
-    wcc,
-)
-from .distributed import DistributedPregel, run_distributed
-from .fault_tolerance import CheckpointedEngine, FaultStats
-from .mirroring import MirrorPlan, message_cost, mirroring_plan, optimal_threshold
-from .ppr import ppr_forward_push, ppr_power_iteration
-from .queries import PointQuery, QuegelEngine, QueryOutcome
-from .engine import Aggregator, PregelEngine, VertexContext, VertexProgram
-from .vectorized import bfs_dense, pagerank_dense, wcc_dense
+from .._exports import lazy_exports
 
-__all__ = [
-    "Aggregator",
-    "PregelEngine",
-    "VertexContext",
-    "VertexProgram",
-    "DistributedPregel",
-    "run_distributed",
-    "pagerank",
-    "sssp",
-    "bfs",
-    "wcc",
-    "label_propagation",
-    "random_walks",
-    "triangle_count_tlav",
-    "luby_mis",
-    "CheckpointedEngine",
-    "FaultStats",
-    "MirrorPlan",
-    "mirroring_plan",
-    "message_cost",
-    "optimal_threshold",
-    "QuegelEngine",
-    "PointQuery",
-    "QueryOutcome",
-    "ppr_power_iteration",
-    "ppr_forward_push",
-    "pagerank_dense",
-    "bfs_dense",
-    "wcc_dense",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "algorithms": (
+        "bfs", "luby_mis", "label_propagation", "pagerank", "random_walks", "sssp",
+        "triangle_count_tlav", "wcc",
+    ),
+    "distributed": ("DistributedPregel", "run_distributed"),
+    "fault_tolerance": ("CheckpointedEngine", "FaultStats"),
+    "mirroring": ("MirrorPlan", "message_cost", "mirroring_plan", "optimal_threshold"),
+    "ppr": ("ppr_forward_push", "ppr_power_iteration"),
+    "queries": ("PointQuery", "QuegelEngine", "QueryOutcome"),
+    "engine": ("Aggregator", "PregelEngine", "VertexContext", "VertexProgram"),
+    "vectorized": ("bfs_dense", "pagerank_dense", "wcc_dense"),
+})

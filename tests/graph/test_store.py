@@ -17,6 +17,7 @@ promises:
 """
 
 import gc
+import json
 import os
 import warnings
 
@@ -29,6 +30,7 @@ from repro.graph.csr import Graph, GraphBuilder
 from repro.graph.generators import barabasi_albert, erdos_renyi
 from repro.graph.partition import metis_like_partition
 from repro.graph.store import (
+    MANIFEST_FILENAME,
     InMemoryGraph,
     Manifest,
     StoreCatalog,
@@ -38,6 +40,7 @@ from repro.graph.store import (
     build_store,
     ingest_edge_stream,
     open_store,
+    repair_store,
     streaming_assignment,
 )
 from repro.obs import MetricsRegistry
@@ -202,6 +205,70 @@ class TestCorruption:
         stored = open_store(tmp_path / "g", checksum=False)
         stored.to_graph()  # same size, CRC unchecked: loads
         stored.close()
+
+
+def _edit_manifest(root, edit):
+    path = os.path.join(root, MANIFEST_FILENAME)
+    with open(path) as handle:
+        manifest = json.load(handle)
+    edit(manifest)
+    with open(path, "w") as handle:
+        json.dump(manifest, handle)
+
+
+def _read_everything(root):
+    with open_store(root) as stored:
+        stored.to_graph()
+        stored.neighbors(0)
+
+
+class TestHostileManifest:
+    """A ``graph.json`` is input: a bad one is a :class:`StoreError` at
+    load, before any path it names is opened or moved."""
+
+    @pytest.mark.parametrize("absolute", [False, True], ids=["dotdot", "absolute"])
+    def test_file_paths_stay_inside_the_store(self, graph, tmp_path, absolute):
+        root = tmp_path / "a" / "b" / "store"
+        build_store(graph, root, num_parts=2)
+        victim = tmp_path / "a" / "victim.npy"
+        victim.write_bytes(b"not a shard")
+        path = str(victim) if absolute else "../../victim.npy"
+
+        def escape(manifest):
+            # Size mismatched, so a sweep that follows the path quarantines it.
+            manifest["partitions"][0]["files"]["indices"] = {
+                "path": path, "bytes": 1, "crc32": 0,
+            }
+
+        _edit_manifest(root, escape)
+        with pytest.raises(StoreError, match="inside the store"):
+            repair_store(root)
+        assert victim.read_bytes() == b"not a shard"
+        assert not (tmp_path / "a" / "b" / "victim.npy").exists()
+        with pytest.raises(StoreError, match="inside the store"):
+            _read_everything(root)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m.update(num_vertices=-1),
+            lambda m: m.update(num_vertices=True),
+            lambda m: m.update(num_vertices=10**9),
+            lambda m: m.update(partitions={}),
+            lambda m: m.update(partitions=[]),
+            lambda m: m.update(partitions=m["partitions"][::-1]),
+            lambda m: m.update(files=[]),
+        ],
+        ids=[
+            "negative-count", "bool-count", "count-disagrees", "partitions-dict",
+            "partitions-empty", "partitions-out-of-order", "files-list",
+        ],
+    )
+    def test_malformed_fields_are_store_errors(self, graph, tmp_path, edit):
+        build_store(graph, tmp_path / "g", num_parts=2)
+        _edit_manifest(tmp_path / "g", edit)
+        with pytest.raises(StoreError):
+            _read_everything(tmp_path / "g")
 
 
 class TestPageIn:
