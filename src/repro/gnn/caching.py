@@ -212,6 +212,11 @@ def replay(
     counted hits are cross-checked against the cache's delta over the
     replay — disagreement means the cache's bookkeeping does not match
     its behaviour, and the report would be meaningless.
+
+    ``obs`` receives the replay's own totals (``gnn.cache.accesses``,
+    ``gnn.cache.bytes_fetched``).  Hits and misses are the cache's to
+    count: build it with the same registry to see them as
+    ``gnn.cache.hits{cache=<label>}``.
     """
     before = cache.stats.snapshot() if hasattr(cache, "stats") else None
     accesses = hits = 0
@@ -230,7 +235,6 @@ def replay(
     report = CacheReport(accesses=accesses, hits=hits, feature_dim=feature_dim)
     if obs is not None:
         obs.counter("gnn.cache.accesses", "feature-cache lookups").inc(accesses)
-        obs.counter("gnn.cache.hits", "feature-cache hits").inc(hits)
         obs.counter(
             "gnn.cache.bytes_fetched", "feature bytes fetched on misses"
         ).inc(report.bytes_fetched)

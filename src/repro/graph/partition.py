@@ -33,6 +33,8 @@ from .csr import Graph
 
 __all__ = [
     "Partition",
+    "hash_assignment",
+    "range_assignment",
     "hash_partition",
     "range_partition",
     "metis_like_partition",
@@ -76,24 +78,32 @@ class Partition:
         return np.bincount(self.assignment, minlength=self.num_parts)
 
 
-def hash_partition(graph: Graph, num_parts: int, seed: int = 0) -> Partition:
-    """Pseudo-random assignment by a salted multiplicative hash."""
-    n = graph.num_vertices
-    ids = np.arange(n, dtype=np.uint64)
+def hash_assignment(num_vertices: int, num_parts: int, seed: int = 0) -> np.ndarray:
+    """Owner of each id ``0..num_vertices-1`` by a salted multiplicative hash.
+
+    Needs only the vertex count, so streaming store builds share it.
+    """
+    ids = np.arange(num_vertices, dtype=np.uint64)
     salt = np.uint64(0x9E3779B97F4A7C15 + seed)
     mixed = (ids + salt) * np.uint64(0xBF58476D1CE4E5B9)
     mixed ^= mixed >> np.uint64(31)
-    return Partition(num_parts, (mixed % np.uint64(num_parts)).astype(np.int64))
+    return (mixed % np.uint64(num_parts)).astype(np.int64)
+
+
+def range_assignment(num_vertices: int, num_parts: int) -> np.ndarray:
+    """Owner of each id ``0..num_vertices-1`` by contiguous, equal-size ranges."""
+    bounds = np.linspace(0, num_vertices, num_parts + 1).astype(np.int64)
+    return np.repeat(np.arange(num_parts, dtype=np.int64), np.diff(bounds))
+
+
+def hash_partition(graph: Graph, num_parts: int, seed: int = 0) -> Partition:
+    """Pseudo-random assignment by a salted multiplicative hash."""
+    return Partition(num_parts, hash_assignment(graph.num_vertices, num_parts, seed))
 
 
 def range_partition(graph: Graph, num_parts: int) -> Partition:
     """Contiguous, equal-size id ranges."""
-    n = graph.num_vertices
-    bounds = np.linspace(0, n, num_parts + 1).astype(np.int64)
-    assignment = np.zeros(n, dtype=np.int64)
-    for k in range(num_parts):
-        assignment[bounds[k]: bounds[k + 1]] = k
-    return Partition(num_parts, assignment)
+    return Partition(num_parts, range_assignment(graph.num_vertices, num_parts))
 
 
 # ----------------------------------------------------------------------

@@ -50,7 +50,7 @@ import numpy as np
 
 from ...resilience.faults import FaultError, FaultInjector
 from ..csr import Graph
-from ..partition import Partition
+from ..partition import Partition, hash_assignment, range_assignment
 from .format import (
     FileEntry,
     Manifest,
@@ -88,25 +88,14 @@ def _sweep_tmp_dirs() -> None:
 def streaming_assignment(
     kind: str, num_vertices: int, num_parts: int, seed: int = 0
 ) -> np.ndarray:
-    """Vertex → partition map that never needs the graph structure.
-
-    ``hash`` reproduces :func:`repro.graph.partition.hash_partition`'s
-    salted multiplicative hash bit-for-bit; ``range`` reproduces
-    :func:`repro.graph.partition.range_partition`'s contiguous bounds.
-    """
+    """Vertex → partition map that never needs the graph structure:
+    the same formulas as :func:`~repro.graph.partition.hash_partition`
+    and :func:`~repro.graph.partition.range_partition`."""
     n, p = int(num_vertices), max(1, int(num_parts))
     if kind == "hash":
-        ids = np.arange(n, dtype=np.uint64)
-        salt = np.uint64(0x9E3779B97F4A7C15 + seed)
-        mixed = (ids + salt) * np.uint64(0xBF58476D1CE4E5B9)
-        mixed ^= mixed >> np.uint64(31)
-        return (mixed % np.uint64(p)).astype(np.int64)
+        return hash_assignment(n, p, seed)
     if kind == "range":
-        bounds = np.linspace(0, n, p + 1).astype(np.int64)
-        assignment = np.zeros(n, dtype=np.int64)
-        for k in range(p):
-            assignment[bounds[k]: bounds[k + 1]] = k
-        return assignment
+        return range_assignment(n, p)
     raise ValueError(
         f"streaming builds support {STREAMING_PARTITIONERS}, not {kind!r}"
     )

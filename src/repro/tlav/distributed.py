@@ -24,28 +24,25 @@ from ..cluster.comm import Network
 from ..graph.csr import Graph
 from ..graph.partition import Partition
 from ..obs import MetricsRegistry
-from .engine import Aggregator, PregelEngine, VertexContext, VertexProgram
+from .engine import Aggregator, PregelEngine, VertexProgram
 
 __all__ = ["DistributedPregel"]
 
 
-class _WorkerState:
-    """Per-worker mailbox of vertex-addressed messages."""
+class DistributedPregel(PregelEngine):
+    """:class:`PregelEngine` over ``partition.num_parts`` simulated workers.
 
-    __slots__ = ("inbox",)
+    The superstep loop, halting, aggregators, destination checks and
+    ``tlav.*`` metrics are the single engine's.  Placement overrides
+    three seams:
 
-    def __init__(self) -> None:
-        self.inbox: Dict[int, List[Any]] = {}
-
-
-class DistributedPregel:
-    """BSP executor over ``partition.num_parts`` simulated workers.
-
-    Parameters mirror :class:`~repro.tlav.engine.PregelEngine`; the extra
-    ``partition`` decides vertex placement and ``combine_remote`` toggles
-    sender-side combining of messages that share a destination vertex
-    (Pregel's bandwidth optimization — benches toggle it to measure the
-    saving).
+    * vertex order — worker by worker, ids ascending within a worker;
+    * staging — one box per (source worker, destination vertex), so
+      ``combine_remote`` combines only what one worker sends to one
+      vertex (Pregel's sender-side combiner; benches toggle it to
+      measure the saving);
+    * delivery — each box crosses :class:`~repro.cluster.comm.Network`
+      as one message, priced in ``network.stats``.
     """
 
     def __init__(
@@ -58,107 +55,33 @@ class DistributedPregel:
         combine_remote: bool = True,
         obs: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.graph = graph
-        self.program = program
+        super().__init__(
+            graph, program, aggregators=aggregators,
+            max_supersteps=max_supersteps, obs=obs,
+        )
         self.partition = partition
-        self.obs = obs if obs is not None else MetricsRegistry()
         self.network = Network(partition.num_parts, registry=self.obs)
-        self._c_supersteps = self.obs.counter(
-            "tlav.supersteps", "global BSP supersteps executed"
-        )
-        self.max_supersteps = max_supersteps
-        self.combine_remote = combine_remote and (
-            type(program).combine is not VertexProgram.combine
-        )
-        self.superstep = 0
-        self.values: List[Any] = [program.init(v, graph) for v in graph.vertices()]
-        self.aggregators = aggregators or {}
-        self.aggregated: Dict[str, Any] = {}
-        self._agg_pending: Dict[str, Any] = {}
-        self._halted = [False] * graph.num_vertices
-        self._workers = [_WorkerState() for _ in range(partition.num_parts)]
-        # Staging area for messages produced in the current superstep:
-        # _outgoing[worker][dst_vertex] -> list of messages
-        self._outgoing: List[Dict[int, List[Any]]] = [
-            {} for _ in range(partition.num_parts)
-        ]
+        self._use_combiner = combine_remote and self._use_combiner
+        self._owner: List[int] = partition.assignment.tolist()
+        # A stable sort keeps ids ascending within each worker.
+        self._order = sorted(range(len(self._owner)), key=self._owner.__getitem__)
 
-    # -- context plumbing (duck-typed VertexContext) -----------------------
+    def _box(self, src: int, dst: int) -> List[Any]:
+        return self._outbox.setdefault((self._owner[src], dst), [])
 
-    def _send(self, src: int, dst: int, message: Any) -> None:
-        src_worker = int(self.partition.assignment[src])
-        box = self._outgoing[src_worker].setdefault(dst, [])
-        if self.combine_remote and box:
-            box[0] = self.program.combine(box[0], message)
-        else:
-            box.append(message)
-
-    def _aggregate(self, name: str, value: Any) -> None:
-        if name not in self.aggregators:
-            raise KeyError(f"unknown aggregator {name!r}")
-        agg = self.aggregators[name]
-        if name in self._agg_pending:
-            self._agg_pending[name] = agg.reduce(self._agg_pending[name], value)
-        else:
-            self._agg_pending[name] = value
-
-    @property
-    def _inbox(self) -> Dict[int, List[Any]]:
-        # VertexContext probes reactivation via `v in engine._inbox`.
-        merged: Dict[int, List[Any]] = {}
-        for worker in self._workers:
-            merged.update(worker.inbox)
-        return merged
-
-    # -- execution ----------------------------------------------------------
-
-    def run(self) -> List[Any]:
-        """Run to convergence; returns final vertex values."""
-        while self.step():
-            pass
-        return self.values
-
-    def step(self) -> bool:
-        """One global superstep across all workers."""
-        if self.superstep >= self.max_supersteps:
-            return False
-        any_active = False
-        for worker_id in range(self.partition.num_parts):
-            worker = self._workers[worker_id]
-            for v in self.partition.part(worker_id):
-                v = int(v)
-                has_mail = v in worker.inbox
-                if self._halted[v] and not has_mail:
-                    continue
-                any_active = True
-                self._halted[v] = False
-                ctx = VertexContext(v, self)  # duck-typed engine handle
-                self.program.compute(ctx, worker.inbox.pop(v, []))
-        if not any_active:
-            return False
-        self._c_supersteps.inc()
-        self._route_messages()
-        self.aggregated = self._agg_pending
-        self._agg_pending = {}
-        self.superstep += 1
-        return True
-
-    def _route_messages(self) -> None:
-        """Ship staged messages through the network and into worker inboxes."""
-        for src_worker in range(self.partition.num_parts):
-            staged = self._outgoing[src_worker]
-            self._outgoing[src_worker] = {}
-            for dst_vertex, msgs in staged.items():
-                dst_worker = int(self.partition.assignment[dst_vertex])
-                self.network.send(
-                    src_worker, dst_worker, (dst_vertex, msgs), tag="vertex-msg"
-                )
+    def _deliver(self) -> None:
+        # Workers compute in order, so boxes come out grouped by source worker.
+        for (src_worker, dst), msgs in self._outbox.items():
+            self.network.send(
+                src_worker, self._owner[dst], (dst, msgs), tag="vertex-msg"
+            )
+        self._outbox = {}
         self.network.deliver()
-        for dst_worker in range(self.partition.num_parts):
-            inbox = self._workers[dst_worker].inbox
-            for msg in self.network.receive(dst_worker):
-                dst_vertex, msgs = msg.payload
-                inbox.setdefault(dst_vertex, []).extend(msgs)
+        self._inbox = {}
+        for worker in range(self.partition.num_parts):
+            for msg in self.network.receive(worker):
+                dst, msgs = msg.payload
+                self._inbox.setdefault(dst, []).extend(msgs)
 
 
 def run_distributed(

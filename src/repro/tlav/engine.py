@@ -13,13 +13,16 @@ Supported Pregel features:
 * **aggregators** — global reductions visible to every vertex in the
   next superstep (e.g. the dangling-mass sum of PageRank);
 * **vote-to-halt** with reactivation on message arrival;
-* a **superstep limit** guard.
+* a **superstep limit** guard;
+* checkpoint state as plain data (:meth:`PregelEngine.state` /
+  :meth:`PregelEngine.restore`), taken at superstep boundaries.
 
 The engine exists both as the baseline the tutorial's Section 2
 contrasts against (TLAV cannot accelerate subgraph search) and as the
 workhorse of the Figure-1 "vertex analytics" path.  The distributed
-variant in :mod:`repro.tlav.distributed` runs the same vertex programs
-over a partitioned graph with real traffic accounting.
+variant in :mod:`repro.tlav.distributed` is this engine plus placement:
+it overrides only the vertex order, where a message is staged, and how
+staged messages are delivered.
 """
 
 from __future__ import annotations
@@ -160,8 +163,8 @@ class PregelEngine(Generic[V, M]):
     aggregators:
         Optional ``{name: (reduce_fn, initial)}`` global reductions.
     max_supersteps:
-        Safety limit; a run that hits it raises ``RuntimeError`` unless
-        ``halt_at_limit`` is set.
+        Safety limit; the run stops after this many supersteps and
+        returns the values as they stand.
     obs:
         Optional shared :class:`~repro.obs.MetricsRegistry`; the engine
         emits ``tlav.*`` counters there (private registry if omitted).
@@ -177,14 +180,12 @@ class PregelEngine(Generic[V, M]):
         program: VertexProgram[V, M],
         aggregators: Optional[Dict[str, Aggregator]] = None,
         max_supersteps: int = 100,
-        halt_at_limit: bool = True,
         obs: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.graph = as_handle(graph_or_handle)
         self.program = program
         self.max_supersteps = max_supersteps
-        self.halt_at_limit = halt_at_limit
         self.obs = obs if obs is not None else MetricsRegistry()
         self.tracer = tracer
         self._c_supersteps = self.obs.counter(
@@ -208,14 +209,12 @@ class PregelEngine(Generic[V, M]):
         self._agg_pending: Dict[str, Any] = {}
         self._halted = [False] * self.graph.num_vertices
         self._inbox: Dict[int, List[Any]] = {}
-        self._outbox: Dict[int, List[Any]] = {}
+        self._outbox: Dict[Any, List[Any]] = {}
+        self._order: Iterable[int] = self.graph.vertices()
         self.history: List[SuperstepStats] = []
         self._messages_sent = 0
-        self._use_combiner = self._probe_combiner()
-
-    def _probe_combiner(self) -> bool:
         # A program opts into combining by overriding `combine`.
-        return type(self.program).combine is not VertexProgram.combine
+        self._use_combiner = type(program).combine is not VertexProgram.combine
 
     # -- engine internals -------------------------------------------------
 
@@ -223,11 +222,22 @@ class PregelEngine(Generic[V, M]):
         if dst < 0 or dst >= self.graph.num_vertices:
             raise ValueError(f"message to nonexistent vertex {dst}")
         self._messages_sent += 1
-        box = self._outbox.setdefault(dst, [])
+        box = self._box(src, dst)
         if self._use_combiner and box:
             box[0] = self.program.combine(box[0], message)
         else:
             box.append(message)
+
+    # The three placement seams (overridden by DistributedPregel):
+    # `_order` above, and the two methods below.
+
+    def _box(self, src: int, dst: int) -> List[Any]:
+        """The staged message list a ``src -> dst`` message joins."""
+        return self._outbox.setdefault(dst, [])
+
+    def _deliver(self) -> None:
+        """Turn this superstep's staged boxes into the next inbox."""
+        self._inbox, self._outbox = self._outbox, {}
 
     def _aggregate(self, name: str, value: Any) -> None:
         if name not in self.aggregators:
@@ -249,14 +259,8 @@ class PregelEngine(Generic[V, M]):
     def step(self) -> bool:
         """Execute one superstep; returns ``False`` when converged."""
         if self.superstep >= self.max_supersteps:
-            if self.halt_at_limit:
-                return False
-            raise RuntimeError(f"exceeded {self.max_supersteps} supersteps")
-        active = [
-            v
-            for v in self.graph.vertices()
-            if not self._halted[v] or v in self._inbox
-        ]
+            return False
+        active = [v for v in self._order if not self._halted[v] or v in self._inbox]
         if not active:
             return False
         span = (
@@ -287,12 +291,35 @@ class PregelEngine(Generic[V, M]):
             span.set("active", len(active))
             span.set("messages", self._messages_sent)
             span.__exit__(None, None, None)
-        self._inbox = self._outbox
-        self._outbox = {}
+        self._deliver()
         self.aggregated = self._agg_pending
         self._agg_pending = {}
         self.superstep += 1
         return True
+
+    def state(self) -> Dict[str, Any]:
+        """Plain data from which :meth:`restore` rebuilds this run.
+
+        Taken between supersteps, where nothing is staged: the values,
+        halt votes, last aggregates and the inbox the next superstep
+        reads.
+        """
+        return {
+            "superstep": self.superstep,
+            "values": list(self.values),
+            "halted": list(self._halted),
+            "aggregated": dict(self.aggregated),
+            "inbox": dict(self._inbox),
+        }
+
+    def restore(self, state: Dict[str, Any]) -> None:
+        self.superstep = state["superstep"]
+        self.values = list(state["values"])
+        self._halted = list(state["halted"])
+        self.aggregated = dict(state["aggregated"])
+        self._inbox = dict(state["inbox"])
+        self._outbox = {}
+        self._agg_pending = {}
 
     @property
     def total_messages(self) -> int:

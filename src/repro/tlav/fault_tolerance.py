@@ -109,39 +109,23 @@ class CheckpointedEngine:
     # -- checkpointing ------------------------------------------------------
 
     def _take_checkpoint(self) -> None:
-        engine = self._engine
-        state = {
-            "superstep": engine.superstep,
-            "values": engine.values,
-            "halted": engine._halted,
-            "aggregated": engine.aggregated,
-            # LWCP: a real light checkpoint regenerates messages by
-            # replaying the superstep that produced them; the simulation
-            # keeps the inbox so recovery stays exact and *bills* only
-            # what the light scheme would persist (below).
-            "inbox": engine._inbox,
-        }
-        billed = {"values": engine.values, "halted": engine._halted}
+        # LWCP: a real light checkpoint regenerates messages by replaying
+        # the superstep that produced them; the simulation keeps the
+        # engine's whole state (inbox included) so recovery stays exact,
+        # and *bills* only what the chosen scheme would persist.
+        state = self._engine.state()
+        billed = {"values": state["values"], "halted": state["halted"]}
         if self.mode == "full":
-            billed["inbox"] = engine._inbox
+            billed["inbox"] = state["inbox"]
         billed_bytes = len(pickle.dumps(billed))
         self._checkpoint = self.snapshots.save(
-            SNAPSHOT_TAG, engine.superstep, state, billed_bytes=billed_bytes
+            SNAPSHOT_TAG, state["superstep"], state, billed_bytes=billed_bytes
         )
         self.stats.checkpoints_taken += 1
         self.stats.checkpoint_bytes += billed_bytes
 
     def _restore(self) -> None:
-        assert self._checkpoint is not None
-        state = self.snapshots.restore_latest(SNAPSHOT_TAG)
-        engine = self._engine
-        engine.superstep = state["superstep"]
-        engine.values = state["values"]
-        engine._halted = state["halted"]
-        engine.aggregated = state["aggregated"]
-        engine._inbox = state["inbox"]
-        engine._outbox = {}
-        engine._agg_pending = {}
+        self._engine.restore(self.snapshots.restore_latest(SNAPSHOT_TAG))
 
     # -- execution ------------------------------------------------------------
 

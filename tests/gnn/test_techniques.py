@@ -44,6 +44,7 @@ from repro.gnn.quantization import (
 )
 from repro.gnn.serverless import Workload, estimate_costs
 from repro.graph.generators import barabasi_albert
+from repro.obs import MetricsRegistry
 
 
 class TestPipeline:
@@ -180,6 +181,15 @@ class TestCacheAccounting:
         assert cache.stats.hits == report.hits
         assert cache.stats.accesses == len(trace)
         assert cache.stats.admissions == cache.stats.evictions + len(cache._lru)
+
+    def test_replay_and_cache_count_each_hit_once(self):
+        obs = MetricsRegistry()
+        cache = LRUCache(2, obs=obs)
+        report = replay([1, 2, 1, 3, 1, 2, 4, 1], cache, obs=obs)
+        assert report.hits == 2
+        hits = obs.counter("gnn.cache.hits")
+        assert hits.total == hits.value(cache="lru") == report.hits
+        assert obs.counter("gnn.cache.accesses").total == 8
 
     def test_zero_capacity_lru_counts_misses(self):
         cache = LRUCache(0)

@@ -80,3 +80,21 @@ class TestOneSimulatedWorkerLoop:
             f"{sorted(importers - self.HEAPQ_ALLOWED)} schedule with their own "
             "heap; simulated workers go through repro.sim"
         )
+
+
+class TestOneBSPLoop:
+    """`tlav.engine` holds the only superstep loop: placement overrides
+    its seams, and checkpointing goes through `state()`/`restore()`."""
+
+    def test_distributed_overrides_only_the_seams(self):
+        from repro.tlav.distributed import DistributedPregel
+        from repro.tlav.engine import PregelEngine
+
+        assert issubclass(DistributedPregel, PregelEngine)
+        own = {name for name in vars(DistributedPregel) if not name.startswith("__")}
+        assert own == {"_box", "_deliver"}
+
+    def test_checkpointer_touches_no_engine_private(self):
+        path = os.path.join(ROOT, "src", "repro", "tlav", "fault_tolerance.py")
+        with open(path) as handle:
+            assert not re.search(r"engine\._\w", handle.read())

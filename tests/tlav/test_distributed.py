@@ -103,3 +103,49 @@ class TestTraffic:
         _, stats = run_distributed(graph, WCCProgram(), partition)
         assert stats.link_bytes.shape == (3, 3)
         assert np.all(np.diag(stats.link_bytes) == 0)
+
+
+class _SendTo(WCCProgram):
+    """WCC that also mails one fixed (possibly bad) vertex at superstep 0."""
+
+    def __init__(self, dst):
+        self.dst = dst
+
+    def compute(self, ctx, messages):
+        if ctx.superstep == 0 and ctx.vertex == 0:
+            ctx.send(self.dst, 0)
+        super().compute(ctx, messages)
+
+
+ENGINES = {
+    "single": lambda g, program: PregelEngine(g, program),
+    "distributed": lambda g, program: DistributedPregel(
+        g, program, hash_partition(g, 3)
+    ),
+}
+
+
+class TestDestinations:
+    @pytest.mark.parametrize("kind", sorted(ENGINES))
+    @pytest.mark.parametrize("where", ["negative", "past_end"])
+    def test_message_to_missing_vertex_raises(self, graph, kind, where):
+        dst = -1 if where == "negative" else graph.num_vertices
+        engine = ENGINES[kind](graph, _SendTo(dst))
+        with pytest.raises(ValueError, match="nonexistent vertex"):
+            engine.run()
+
+
+class TestSharedLoop:
+    def test_distributed_run_records_history_and_metrics(self, graph):
+        single = PregelEngine(graph, WCCProgram())
+        single.run()
+        engine = DistributedPregel(graph, WCCProgram(), hash_partition(graph, 1))
+        engine.run()
+        # One worker combines exactly what the single engine combines.
+        assert [s.as_dict() for s in engine.history] == [
+            s.as_dict() for s in single.history
+        ]
+        sent = engine.obs.counter("tlav.messages_sent")
+        assert sent.value() == engine.total_messages
+        # Each combined box crosses the network as one message.
+        assert engine.network.stats.messages_local == engine.total_messages_delivered

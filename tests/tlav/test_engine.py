@@ -157,3 +157,21 @@ class TestAggregators:
         engine = PregelEngine(g, ReadAgg())
         values = engine.run()
         assert values == [-1, -1]
+
+
+class TestState:
+    def test_restore_resumes_from_a_superstep_boundary(self):
+        from repro.graph.generators import barabasi_albert
+        from repro.tlav.algorithms import PageRankProgram
+
+        g = barabasi_albert(40, 2, seed=1)
+        aggs = {"dangling": Aggregator(reduce=lambda a, b: a + b)}
+        engine = PregelEngine(g, PageRankProgram(iterations=5), aggregators=aggs)
+        engine.step()
+        engine.step()
+        saved = engine.state()
+        final = list(engine.run())
+        # The state is a copy: running on did not move it.
+        engine.restore(saved)
+        assert engine.superstep == 2
+        assert engine.run() == final
