@@ -173,6 +173,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         # The parallel-efficiency gauge the executor recorded while
         # counting triangles: busy / (wall * workers).
         profile["parallel"]["efficiency"] = round(executor.efficiency, 3)
+    # Wall vs CPU seconds inside the chunks: under the process backend,
+    # busy/cpu well above 1 means the workers time-shared a CPU (thread
+    # chunks also count their GIL waits as busy).
+    for name in ("busy_seconds", "cpu_seconds"):
+        profile["parallel"][name] = executor.obs.counter(f"parallel.{name}").total
     if executor.backend == "auto":
         # What the calibrated model learned while profiling this graph.
         profile["parallel"]["cost_model"] = executor.cost_model.snapshot()

@@ -35,7 +35,12 @@ The executor meters itself into a :class:`~repro.obs.MetricsRegistry`
 pool warm-up seconds (spawn + CSR publish, counted separately), and the
 ``parallel.efficiency`` gauge ``busy / ((wall - warmup) * workers)`` —
 1.0 means perfect scaling of the steady state; one-time setup no longer
-drags the gauge below 1.
+drags the gauge below 1.  ``parallel.cpu_seconds`` sums the CPU time the
+chunks got (``time.thread_time``) beside their wall ``busy_seconds``:
+under the process backend, ``busy / cpu`` well above 1 means the workers
+time-shared a CPU, which the efficiency gauge cannot see.  Under the
+thread backend a chunk's wall time also holds its GIL waits, so there
+``busy / cpu`` nears ``workers`` for Python-bound kernels with CPUs idle.
 
 Crash tolerance: chunks are pure functions of ``(graph, payload)``, so
 a dead worker costs work, never answers.  When a process worker dies —
@@ -61,7 +66,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..graph.csr import Graph
 from ..obs import MetricsRegistry, Tracer
 from ..resilience import FaultInjector
-from .chunking import chunk_spans, default_chunk_size
+from .chunking import chunk_spans
 from .costmodel import CostModel, default_cost_model
 from .pool import WorkerPool, get_pool, pool_registry
 from .shm import SharedGraph, attach_graph
@@ -114,9 +119,12 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
 
 def _timed(fn: Callable[[Graph, Any], Any], graph: Graph, payload: Any):
+    """Run one chunk: ``(result, wall seconds, CPU seconds of this thread)``."""
     start = time.perf_counter()
+    cpu_start = time.thread_time()
     result = fn(graph, payload)
-    return result, time.perf_counter() - start
+    cpu = time.thread_time() - cpu_start
+    return result, time.perf_counter() - start, cpu
 
 
 def _fn_key(fn: Callable) -> str:
@@ -212,6 +220,10 @@ class ParallelExecutor:
         self._c_busy = self.obs.counter(
             "parallel.busy_seconds", "summed in-chunk compute seconds"
         )
+        self._c_cpu = self.obs.counter(
+            "parallel.cpu_seconds",
+            "summed in-chunk CPU seconds; process busy/cpu above 1 means time-sharing",
+        )
         self._c_wall = self.obs.counter(
             "parallel.wall_seconds", "wall seconds spent inside map_graph"
         )
@@ -277,15 +289,6 @@ class ParallelExecutor:
         self._span_state = (num_items, len(spans))
         return spans
 
-    def effective_chunk_size(self, num_items: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        if self.backend == "auto":
-            auto = self.cost_model.auto_chunk_size(num_items, self.workers)
-            if auto is not None:
-                return auto
-        return default_chunk_size(num_items, self.workers)
-
     # -- fan-out -----------------------------------------------------------
 
     def map_graph(
@@ -321,8 +324,8 @@ class ParallelExecutor:
             self._discard_shared(graph)
             raise
         wall = time.perf_counter() - wall_start
-        self._record(key, backend, len(payloads), items, [t for _, t in timed], wall)
-        return [r for r, _ in timed]
+        self._record(key, backend, len(payloads), items, timed, wall)
+        return [r for r, _, _ in timed]
 
     # -- auto-mode selection -----------------------------------------------
 
@@ -378,18 +381,17 @@ class ParallelExecutor:
 
     def _attempt_chunk(
         self, fn: Callable[[Graph, Any], Any], graph: Graph, payload: Any, index: int
-    ) -> Tuple[Any, float, int]:
+    ) -> Tuple[Tuple[Any, float, float], int]:
         """Run one chunk, re-dispatching past injected worker deaths.
 
         Serial/thread analogue of the process backend's pool rebuild:
         a crashed attempt costs nothing but time, the chunk is simply
-        run again.  Returns ``(result, seconds, redispatches)``.
+        run again.  Returns ``(_timed(...), redispatches)``.
         """
         redispatches = 0
         while self.injector is not None and self.injector.take_worker_crash(index):
             redispatches += 1
-        result, secs = _timed(fn, graph, payload)
-        return result, secs, redispatches
+        return _timed(fn, graph, payload), redispatches
 
     def _map_local(
         self,
@@ -397,7 +399,7 @@ class ParallelExecutor:
         fn: Callable[[Graph, Any], Any],
         graph: Graph,
         payloads: List[Any],
-    ) -> List[Tuple[Any, float]]:
+    ) -> List[Tuple[Any, float, float]]:
         indexed = list(enumerate(payloads))
         if backend == "serial":
             attempts = [self._attempt_chunk(fn, graph, p, i) for i, p in indexed]
@@ -406,17 +408,17 @@ class ParallelExecutor:
             attempts = list(
                 pool.map(lambda ip: self._attempt_chunk(fn, graph, ip[1], ip[0]), indexed)
             )
-        redispatched = sum(n for _, _, n in attempts)
+        redispatched = sum(n for _, n in attempts)
         if redispatched:
             self._c_redispatched.inc(redispatched, backend=backend)
             self._recover_span(redispatched, rebuilt_pool=False)
-        return [(r, s) for r, s, _ in attempts]
+        return [t for t, _ in attempts]
 
     def _map_process(
         self, fn: Callable[[Graph, Any], Any], graph: Graph, payloads: List[Any]
-    ) -> List[Tuple[Any, float]]:
+    ) -> List[Tuple[Any, float, float]]:
         n = len(payloads)
-        timed: List[Optional[Tuple[Any, float]]] = [None] * n
+        timed: List[Optional[Tuple[Any, float, float]]] = [None] * n
         remaining = list(range(n))
         pool_losses = 0
         pool = self._pool_for("process")
@@ -465,7 +467,7 @@ class ParallelExecutor:
                         failed,
                     ),
                 ):
-                    timed[i] = attempt[:2]
+                    timed[i] = attempt[0]
                 break
             self._recover_span(len(failed), rebuilt_pool=True)
             remaining = failed
@@ -545,18 +547,19 @@ class ParallelExecutor:
         backend: str,
         chunks: int,
         items: int,
-        chunk_seconds: List[float],
+        timed: List[Tuple[Any, float, float]],
         wall: float,
     ) -> None:
-        busy = sum(chunk_seconds)
+        busy = sum(sec for _, sec, _ in timed)
         warmup = self._warmup
         self._c_maps.inc()
         self._c_chunks.inc(chunks, backend=backend)
         self._c_busy.inc(busy, backend=backend)
+        self._c_cpu.inc(sum(cpu for _, _, cpu in timed), backend=backend)
         self._c_wall.inc(wall, backend=backend)
         if warmup > 0:
             self._c_warmup.inc(warmup, backend=backend)
-        for sec in chunk_seconds:
+        for _, sec, _ in timed:
             self._h_chunk.observe(sec, backend=backend)
         workers = 1 if backend == "serial" else self.workers
         steady = max(wall - warmup, 0.0)

@@ -22,15 +22,29 @@ pool never reaches :meth:`WorkerPool.close`; a second ``atexit`` hook
 exit.  Crash recovery composes: :meth:`WorkerPool.rebuild` replaces only
 the broken futures pool and keeps the shared segments, so a re-dispatch
 after ``BrokenProcessPool`` does not re-copy the graph.
+
+Process workers are pinned one per CPU when there is one worker per CPU.
+After an idle spell the kernel tends to wake a pool's workers on the
+same CPU, where they time-share it and each chunk costs about twice its
+serial time; the cost model then learns ``process`` as slower than
+``serial`` and ``auto`` stops choosing it.  So when the pool has exactly
+as many workers as the parent has usable CPUs, worker k binds itself to
+the k-th CPU of the parent's affinity set as it starts (every futures
+pool, :meth:`WorkerPool.rebuild` included).  With any other worker
+count, or without ``os.sched_setaffinity``, the workers stay unpinned
+and the scheduler places them: pinning fewer workers would put worker k
+of every pool alive at once on the same low CPU.
 """
 
 from __future__ import annotations
 
 import atexit
+import multiprocessing
+import os
 import time
 from concurrent.futures import Executor as _FuturesExecutor
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..graph.csr import Graph
 from ..lru import LRU
@@ -54,6 +68,32 @@ def _spinup_probe(seconds: float) -> bool:
     """No-op task used to force a cold process pool to spawn its workers."""
     time.sleep(seconds)
     return True
+
+
+def _pin_cpus(workers: int) -> Tuple[int, ...]:
+    """The CPUs ``workers`` process workers claim, one each.
+
+    Empty (leave the scheduler in charge) when the platform cannot set
+    affinities or the worker count differs from the usable CPU count.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return ()
+    cpus = tuple(sorted(os.sched_getaffinity(0)))
+    return cpus if workers == len(cpus) else ()
+
+
+def _pin_worker(cpus: Sequence[int], claimed) -> None:
+    """Process-pool initializer: bind this worker to the next free CPU.
+
+    ``claimed`` is a shared counter, fresh per futures pool; the k-th
+    worker to start takes ``cpus[k]``.  A worker started beyond the list
+    (every worker when ``cpus`` is empty) stays unpinned.
+    """
+    with claimed.get_lock():
+        k = claimed.value
+        claimed.value += 1
+    if k < len(cpus):
+        os.sched_setaffinity(0, {cpus[k]})
 
 
 class WorkerPool:
@@ -100,7 +140,9 @@ class WorkerPool:
         A cold process pool is forced to fork all its workers *now* via a
         barrier of no-op tasks, so spawn cost lands in the measured
         warm-up (``last_spinup_seconds``) instead of inflating the first
-        fan-out's chunk latencies.
+        fan-out's chunk latencies.  With one worker per usable CPU, each
+        process worker pins itself to its own CPU as it starts (see the
+        module docstring).
         """
         if self._pool is not None:
             self.last_spinup_seconds = 0.0
@@ -109,7 +151,11 @@ class WorkerPool:
         if self.backend == "thread":
             self._pool = ThreadPoolExecutor(max_workers=self.workers)
         else:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=_pin_worker,
+                initargs=(_pin_cpus(self.workers), multiprocessing.Value("i", 0)),
+            )
             barrier = [
                 self._pool.submit(_spinup_probe, 0.001) for _ in range(self.workers)
             ]
@@ -125,7 +171,7 @@ class WorkerPool:
         The crash-recovery path: after ``BrokenProcessPool`` the futures
         pool is garbage but the shm segments (owned by *this* process)
         are intact, so re-dispatch only pays worker respawn, not a CSR
-        re-copy.
+        re-copy.  The respawned workers are pinned again, by the same rule.
         """
         if self._pool is not None:
             self._pool.shutdown(wait=True)

@@ -206,6 +206,23 @@ class TestObservability:
         assert obs.get("parallel.chunks").total >= 1
         assert obs.get("parallel.workers").value(backend="serial") == 1
 
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_cpu_seconds_beside_busy_seconds(self, backend):
+        # ``busy`` is in-chunk wall time, ``cpu`` the thread CPU time
+        # measured inside it, so cpu can exceed busy only by clock skew.
+        obs = MetricsRegistry()
+        g = barabasi_albert(400, 4, seed=1)
+        with ParallelExecutor(
+            backend=backend, workers=2, obs=obs, reuse_pool=False
+        ) as ex:
+            triangle_count(g, executor=ex)
+        chunks = obs.counter("parallel.chunks").value(backend=backend)
+        busy = obs.counter("parallel.busy_seconds").value(backend=backend)
+        cpu = obs.counter("parallel.cpu_seconds").value(backend=backend)
+        assert chunks >= 1
+        assert cpu > 0.0
+        assert cpu <= busy + chunks * 1e-4
+
 
 def _boom_task(graph, span):
     raise RuntimeError("chunk exploded")

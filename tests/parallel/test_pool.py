@@ -6,6 +6,8 @@ futures pool warm across ``map_graph`` calls, and survives crash-path
 rebuilds without re-copying the CSR.
 """
 
+import os
+import time
 from multiprocessing import shared_memory
 
 import pytest
@@ -34,6 +36,42 @@ def graph():
 def _segment_names(pool, graph):
     _, shared = pool._graphs.peek(id(graph))
     return shared.handle.cache_key()
+
+
+def _affinity(seconds):
+    """Which worker ran this task, and the CPUs it may run on."""
+    time.sleep(seconds)
+    return os.getpid(), sorted(os.sched_getaffinity(0))
+
+
+def _worker_affinities(pool):
+    """``{pid: cpus}`` of every worker; sleeping tasks spread over all."""
+    fpool = pool.executor()
+    tasks = [fpool.submit(_affinity, 0.02) for _ in range(6 * pool.workers)]
+    seen = dict(t.result(timeout=60) for t in tasks)
+    assert len(seen) == pool.workers
+    return seen
+
+
+USABLE_CPUS = (
+    sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+)
+
+
+@pytest.fixture
+def two_cpus():
+    """Narrow this process to its first two usable CPUs for the test.
+
+    Pools read the parent's affinity set when they start, so the rule is
+    checked at a fixed CPU count whatever the box has.
+    """
+    if len(USABLE_CPUS) < 2:
+        pytest.skip("pinning needs sched_setaffinity and 2 CPUs")
+    os.sched_setaffinity(0, USABLE_CPUS[:2])
+    try:
+        yield USABLE_CPUS[:2]
+    finally:
+        os.sched_setaffinity(0, USABLE_CPUS)
 
 
 class TestWorkerPool:
@@ -107,6 +145,30 @@ class TestWorkerPool:
             WorkerPool("serial", 2)
         with pytest.raises(ValueError):
             WorkerPool("thread", 0)
+
+
+class TestWorkerPinning:
+    """Process workers get one CPU each when there is one worker per CPU."""
+
+    def test_each_worker_gets_its_own_cpu(self, two_cpus):
+        with WorkerPool("process", 2) as pool:
+            assert sorted(_worker_affinities(pool).values()) == [[c] for c in two_cpus]
+
+    def test_rebuild_pins_the_new_workers(self, two_cpus):
+        with WorkerPool("process", 2) as pool:
+            before = _worker_affinities(pool)
+            pool.rebuild()
+            after = _worker_affinities(pool)
+            assert not set(before) & set(after)
+            assert sorted(after.values()) == [[c] for c in two_cpus]
+
+    @pytest.mark.parametrize("workers", [1, 3], ids=["fewer", "more"])
+    def test_other_worker_counts_stay_unpinned(self, two_cpus, workers):
+        # Pinning fewer workers would stack every pool on the lowest
+        # CPUs; more workers than CPUs is the scheduler's job.
+        with WorkerPool("process", workers) as pool:
+            for cpus in _worker_affinities(pool).values():
+                assert cpus == two_cpus
 
 
 class TestPoolRegistry:

@@ -63,6 +63,8 @@ class TestCLI:
         assert threaded["parallel"]["workers"] == 2
         assert threaded["triangles"] == default["triangles"]
         assert 0.0 < threaded["parallel"]["efficiency"] <= 1.0
+        busy = threaded["parallel"]["busy_seconds"]
+        assert 0.0 < threaded["parallel"]["cpu_seconds"] <= busy + 1e-3
 
     def test_analyze_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
