@@ -15,7 +15,7 @@ from _harness import report
 from repro.core.taxonomy import TABLE1_SYSTEMS, render_table1
 from repro.graph.generators import barabasi_albert
 from repro.matching.backtrack import count_matches
-from repro.matching.codegen import compile_matcher, prepare_adjacency
+from repro.matching.codegen import compile_matcher
 from repro.matching.pattern import clique_pattern, triangle_pattern
 from repro.tlag.aimd import aimd_enumerate
 from repro.tlag.engine import TaskEngine
@@ -55,8 +55,7 @@ def _run():
     )
     # Compiled matching (AutoMine family).
     func = compile_matcher(pattern)
-    adj, adjset = prepare_adjacency(g)
-    rows.append(["compiled (AutoMine)", func(adj, adjset, g.num_vertices), "-", "-"])
+    rows.append(["compiled (AutoMine)", func(g), "-", "-"])
     # Warp DFS (STMatch family).
     warp = warp_match(g, pattern, num_warps=8, warp_width=16)
     rows.append(

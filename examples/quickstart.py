@@ -14,7 +14,7 @@ import numpy as np
 from repro.gnn.models import NodeClassifier
 from repro.gnn.train import train_full_graph
 from repro.graph.generators import barabasi_albert, planted_partition
-from repro.matching.codegen import compile_matcher, prepare_adjacency
+from repro.matching.codegen import compile_matcher
 from repro.matching.pattern import clique_pattern, triangle_pattern
 from repro.matching.plan import GraphStats, Planner
 from repro.tlag.engine import TaskEngine
@@ -57,10 +57,9 @@ def main() -> None:
     planner = Planner(GraphStats.of(graph))
     plan = planner.plan(triangle_pattern())
     counter = compile_matcher(triangle_pattern(), order=plan.order)
-    adj, adjset = prepare_adjacency(graph)
-    print(f"triangles (compiled matcher): {counter(adj, adjset, graph.num_vertices)}")
+    print(f"triangles (compiled matcher): {counter(graph)}")
     k4 = compile_matcher(clique_pattern(4))
-    print(f"4-cliques (compiled matcher): {k4(adj, adjset, graph.num_vertices)}")
+    print(f"4-cliques (compiled matcher): {k4(graph)}")
 
     # ------------------------------------------------------------------
     # 5. A GNN on a graph with planted communities.

@@ -615,17 +615,15 @@ def _cmd_obs_demo(args: argparse.Namespace) -> int:
 
 def _cmd_match(args: argparse.Namespace) -> int:
     from .graph.io import load_edge_list
-    from .matching.codegen import compile_matcher, prepare_adjacency
+    from .matching.codegen import compiled_count
     from .matching.plan import GraphStats, Planner
 
     graph = load_edge_list(args.path)
     pattern = NAMED_PATTERNS[args.pattern]()
     planner = Planner(GraphStats.of(graph))
     plan = planner.plan(pattern) if args.order == "planned" else planner.worst_plan(pattern)
-    func = compile_matcher(pattern, order=plan.order)
-    adj, adjset = prepare_adjacency(graph)
-    start = time.perf_counter()
-    count = func(adj, adjset, graph.num_vertices)
+    start = time.perf_counter()  # compile and count
+    count = compiled_count(graph, pattern, order=plan.order)
     elapsed = time.perf_counter() - start
     print(f"{args.pattern} instances: {count}  "
           f"(order {plan.order}, {elapsed:.3f}s compiled)")

@@ -20,7 +20,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..graph.csr import Graph
-from ..matching.codegen import compile_matcher, prepare_adjacency
+from ..graph.store.handle import as_handle
+from ..matching.codegen import compile_matcher
 from ..matching.pattern import (
     PatternGraph,
     clique_pattern,
@@ -46,15 +47,17 @@ GRAPHLET_PATTERNS: List[Tuple[str, PatternGraph]] = [
     ("clique4", clique_pattern(4)),
 ]
 
-_COMPILED = {name: compile_matcher(pattern) for name, pattern in GRAPHLET_PATTERNS}
 
+def graphlet_census(graph) -> Dict[str, int]:
+    """Counts of each connected 3/4-vertex motif (distinct instances).
 
-def graphlet_census(graph: Graph) -> Dict[str, int]:
-    """Counts of each connected 3/4-vertex motif (distinct instances)."""
-    adj, adjset = prepare_adjacency(graph)
+    Takes a :class:`Graph` or any graph handle.  The 8 matchers are
+    compiled on the first census (``compile_matcher`` caches them).
+    """
+    graph = as_handle(graph)
     return {
-        name: int(func(adj, adjset, graph.num_vertices))
-        for name, func in _COMPILED.items()
+        name: int(compile_matcher(pattern)(graph))
+        for name, pattern in GRAPHLET_PATTERNS
     }
 
 

@@ -52,7 +52,9 @@ class Graph:
     this constructor directly.
     """
 
-    __slots__ = ("indptr", "indices", "directed", "vertex_labels", "edge_labels")
+    __slots__ = (
+        "indptr", "indices", "directed", "vertex_labels", "edge_labels", "_edge_codes",
+    )
 
     def __init__(
         self,
@@ -81,6 +83,7 @@ class Graph:
         )
         if self.edge_labels is not None and self.edge_labels.size != self.indices.size:
             raise ValueError("edge_labels must align with indices")
+        self._edge_codes = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -140,6 +143,21 @@ class Graph:
         nbrs = self.neighbors(u)
         k = int(np.searchsorted(nbrs, v))
         return k < nbrs.size and nbrs[k] == v
+
+    def edge_codes(self) -> np.ndarray:
+        """``src·n + dst`` of every CSR slot, ascending (built once, cached).
+
+        CSR order already sorts the codes, so one ``searchsorted`` over
+        them finds the slot of any batch of ``(u, w)`` pairs.  The graph
+        is never mutated after construction, so the cache never goes
+        stale; a graph reattached in a pool worker builds it once per
+        process.
+        """
+        if self._edge_codes is None:
+            n = self.num_vertices
+            src = np.repeat(np.arange(n, dtype=np.int64), self.degrees())
+            self._edge_codes = src * n + self.indices
+        return self._edge_codes
 
     def edge_label(self, u: int, v: int) -> int:
         """Label of the edge ``(u, v)``; raises ``KeyError`` if absent."""

@@ -13,7 +13,13 @@ reduces to a handful of numpy primitives over the sorted CSR arrays:
   (the matcher's candidate kernel);
 * :func:`expand_frontier` — gather the concatenated neighborhoods of a
   vertex frontier plus the owner of each gathered entry, without a
-  Python loop (the repeat/arange trick);
+  Python loop (the repeat/arange trick); :func:`gather_ranges` is the
+  same gather over arbitrary ``[start, stop)`` ranges of one array;
+* :func:`find_sorted` — batched exact lookup in a sorted array: the
+  position of each needle, or -1 (the edge-membership primitive over
+  sorted ``src·n + dst`` edge codes);
+* :func:`sorted_unique` — distinct values ascending, without the
+  bookkeeping of ``np.unique``;
 * :func:`closed_wedges` — the triangles of a degree-oriented CSR whose
   lowest corner lies in a source span, as chunked wedge closures: one
   frontier gather and one ``searchsorted`` over edge codes per chunk of
@@ -43,6 +49,9 @@ __all__ = [
     "intersect_count",
     "intersect_multi",
     "expand_frontier",
+    "gather_ranges",
+    "find_sorted",
+    "sorted_unique",
     "closed_wedges",
     "any_true_per_owner",
     "scatter_add_ordered",
@@ -115,18 +124,48 @@ def expand_frontier(
     ``neighbors[k]``.  Pure array arithmetic — no Python loop.
     """
     frontier = np.asarray(frontier, dtype=np.int64)
-    starts = indptr[frontier]
-    lengths = indptr[frontier + 1] - starts
+    return gather_ranges(indices, indptr[frontier], indptr[frontier + 1])
+
+
+def gather_ranges(
+    values: np.ndarray, starts: np.ndarray, stops: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(owners, concat(values[starts[k]:stops[k]] for k))``.
+
+    ``owners[m]`` is the range ``k`` that contributed the ``m``-th
+    gathered entry; ``stops >= starts`` elementwise.
+    """
+    lengths = stops - starts
     total = int(lengths.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    owners = np.repeat(np.arange(frontier.size, dtype=np.int64), lengths)
-    # Global positions: for each gathered slot, its offset inside the
-    # owner's slice plus the owner's CSR start.
-    offsets = np.arange(total, dtype=np.int64)
-    slice_begin = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    flat = np.repeat(starts, lengths) + (offsets - slice_begin)
-    return owners, indices[flat]
+    owners = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+    # Global position of each gathered entry: its rank in the output
+    # shifted by its range's start minus the range's output offset.
+    shift = starts - (np.cumsum(lengths) - lengths)
+    flat = np.arange(total, dtype=np.int64) + np.repeat(shift, lengths)
+    return owners, values[flat]
+
+
+def find_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """Position of each needle in the sorted duplicate-free ``haystack``, or -1."""
+    pos = np.searchsorted(haystack, needles)
+    if haystack.size == 0:
+        return np.full(pos.shape, -1, dtype=np.int64)
+    miss = haystack[np.minimum(pos, haystack.size - 1)] != needles
+    pos[miss] = -1
+    return pos
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Distinct ``values`` ascending, by sort plus adjacent difference."""
+    values = np.sort(values)
+    if values.size > 1:
+        keep = np.empty(values.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(values[1:], values[:-1], out=keep[1:])
+        values = values[keep]
+    return values
 
 
 def closed_wedges(
@@ -158,10 +197,7 @@ def closed_wedges(
         owners, w = expand_frontier(indptr, indices, mid[start:stop])
         if w.size:
             u = src[start:stop][owners]
-            needles = u * n + w
-            pos = np.searchsorted(codes, needles)
-            hit = pos < codes.size
-            hit[hit] = codes[pos[hit]] == needles[hit]
+            hit = find_sorted(codes, u * n + w) >= 0
             yield u[hit], mid[start:stop][owners[hit]], w[hit]
         start = stop
 

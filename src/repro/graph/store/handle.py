@@ -13,6 +13,10 @@ storage — instead of a concrete :class:`~repro.graph.csr.Graph`:
                                input order — one gather per touched
                                partition (the contract of
                                :func:`repro.graph.kernels.expand_frontier`)
+``edge_slots(us, ws)``         global CSR slot of each edge ``(us[k],
+                               ws[k])``, or -1 where there is none —
+                               the batched membership test; edge
+                               labels are ``edge_labels[slot]``
 ``degree(v)``                  out-degree of one vertex
 ``degrees()``                  int64 array of all out-degrees
 ``num_edge_slots``             directed adjacency entries (cost-model
@@ -39,7 +43,7 @@ from typing import Any, Iterator, Optional, Protocol, Tuple, runtime_checkable
 import numpy as np
 
 from ..csr import Graph
-from ..kernels import expand_frontier
+from ..kernels import expand_frontier, find_sorted
 from ..partition import Partition
 from .format import StoreError, is_store_dir
 
@@ -128,6 +132,8 @@ class GraphHandle(Protocol):
     def expand_frontier(
         self, vertices: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]: ...
+
+    def edge_slots(self, us: np.ndarray, ws: np.ndarray) -> np.ndarray: ...
 
     def degree(self, v: int) -> int: ...
 
@@ -244,6 +250,19 @@ class InMemoryGraph:
         graph = self._graph
         vertices = checked_vertex_ids(vertices, graph.num_vertices)
         return expand_frontier(graph.indptr, graph.indices, vertices)
+
+    def edge_slots(self, us: np.ndarray, ws: np.ndarray) -> np.ndarray:
+        """Global CSR slot of each edge ``(us[k], ws[k])``, or -1.
+
+        One ``searchsorted`` of the pair codes ``u·n + w`` over the
+        graph's cached, already sorted slot codes
+        (:meth:`Graph.edge_codes`).  Ids outside ``[0, n)`` raise
+        ``IndexError``.
+        """
+        n = self.num_vertices
+        us = checked_vertex_ids(us, n)
+        ws = checked_vertex_ids(ws, n)
+        return find_sorted(self._graph.edge_codes(), us * n + ws)
 
     def degree(self, v: int) -> int:
         return self._graph.degree(checked_vertex_ids(v, self.num_vertices))

@@ -30,6 +30,8 @@ never stands in for the CRC.
 A batch of vertices goes through :meth:`StoredGraph.expand_frontier`,
 which requests each touched partition's two shards once; only
 per-vertex callers (``neighbors(v)``) pay two requests per vertex.
+:meth:`StoredGraph.edge_slots`, the batched edge-membership test, is
+one such gather of the batch's distinct source rows.
 
 Cache traffic reports through :mod:`repro.obs`: counters
 ``store.shard_hits`` / ``store.shard_misses`` / ``store.shard_evictions``
@@ -48,7 +50,7 @@ import numpy as np
 
 from ...lru import LRU
 from ..csr import Graph
-from ..kernels import expand_frontier
+from ..kernels import expand_frontier, find_sorted, sorted_unique
 from .format import (
     Manifest,
     NpyLayout,
@@ -178,6 +180,7 @@ class StoredGraph:
             path = verify_file(self.root, entry, checksum=self._checksum)
             self._nodes.append(np.load(path, allow_pickle=False))
         self._edge_labels_memo: Optional[np.ndarray] = None
+        self._indptr_memo: Optional[np.ndarray] = None
         self._layouts: Dict[Tuple[int, str], NpyLayout] = {}  # header memo
         self._closed = False
 
@@ -301,6 +304,30 @@ class StoredGraph:
         inverse = np.empty_like(order)
         inverse[order] = np.arange(order.size, dtype=np.int64)
         return expand_frontier(grouped_ptr, grouped, inverse)
+
+    def edge_slots(self, us: np.ndarray, ws: np.ndarray) -> np.ndarray:
+        """Global CSR slot of each edge ``(us[k], ws[k])``, or -1.
+
+        Same contract as :meth:`InMemoryGraph.edge_slots`.  No global
+        edge codes are resident here, so the distinct sources are
+        gathered once (:meth:`expand_frontier`) and each pair is looked
+        up among the sorted ``(rank of source)·n + neighbor`` codes of
+        that gather.
+        """
+        n = self.num_vertices
+        us = checked_vertex_ids(us, n)
+        ws = checked_vertex_ids(ws, n)
+        uniq = sorted_unique(us)
+        owners, nbrs = self.expand_frontier(uniq)
+        rank = np.searchsorted(uniq, us)
+        slots = find_sorted(owners * n + nbrs, rank * n + ws)
+        hit = slots >= 0
+        # Position in the gather -> global slot: shift by the row's
+        # global start minus its start in the gather.
+        degrees = self._degrees[uniq]
+        shift = self._global_indptr()[uniq] - (np.cumsum(degrees) - degrees)
+        slots[hit] += shift[rank[hit]]
+        return slots
 
     def degree(self, v: int) -> int:
         return int(self._degrees[checked_vertex_ids(v, self.num_vertices)])
@@ -426,9 +453,12 @@ class StoredGraph:
             yield lo, hi, run_ptr, run_idx
 
     def _global_indptr(self) -> np.ndarray:
-        gip = np.zeros(self.num_vertices + 1, dtype=np.int64)
-        np.cumsum(self._degrees, out=gip[1:])
-        return gip
+        """Global CSR row starts, from the resident degrees (memoized)."""
+        if self._indptr_memo is None:
+            gip = np.zeros(self.num_vertices + 1, dtype=np.int64)
+            np.cumsum(self._degrees, out=gip[1:])
+            self._indptr_memo = gip
+        return self._indptr_memo
 
     def to_graph(self) -> Graph:
         """Materialize the full in-memory :class:`Graph` (pages everything)."""
@@ -442,7 +472,7 @@ class StoredGraph:
         for lo, hi, _, run_idx in self.iter_csr_runs():
             indices[gip[lo]: gip[hi]] = run_idx
         return Graph(
-            gip,
+            gip.copy(),  # the memo stays private to this handle
             indices,
             directed=self.directed,
             vertex_labels=self._vertex_labels,

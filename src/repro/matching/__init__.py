@@ -9,7 +9,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "maximum_clique",
     ),
     "codegen": (
-        "compile_matcher", "compiled_count", "generate_source", "prepare_adjacency",
+        "compile_matcher", "compiled_count", "generate_source",
     ),
     "pattern": (
         "PatternGraph", "automorphisms", "clique_pattern", "cycle_pattern",

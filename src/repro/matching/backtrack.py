@@ -18,8 +18,9 @@ Two executions of that one recurrence live here:
   order step it extends a matrix of partial embeddings (one per row)
   with one :meth:`~repro.graph.store.handle.GraphHandle.expand_frontier`
   gather of the backward neighbor with the fewest slots, keeps the
-  candidates adjacent to the other backward neighbors by a search over
-  sorted ``(rank, neighbor)`` edge codes, and filters symmetry, labels
+  candidates adjacent to the other backward neighbors by one batched
+  :meth:`~repro.graph.store.handle.GraphHandle.edge_slots` membership
+  test each (which also locates edge labels), and filters symmetry, labels
   and injectivity in one vectorized pass each; the last level is
   counted, never materialized.  A level is cut into chunks of at most
   :data:`FRONTIER_SLOT_CAP` gathered slots (a row above the cap goes
@@ -287,15 +288,21 @@ def match(
     return stats.embeddings
 
 
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """Distinct ``values`` ascending, by sort plus adjacent difference."""
-    values = np.sort(values)
-    if values.size > 1:
-        keep = np.empty(values.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(values[1:], values[:-1], out=keep[1:])
-        values = values[keep]
-    return values
+def slot_chunks(sizes: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """Consecutive row ranges ``[start, stop)`` of a frontier level whose
+    summed ``sizes`` (slots each row gathers) stay within
+    :data:`FRONTIER_SLOT_CAP`; a row above the cap goes alone."""
+    bounds = np.cumsum(sizes)
+    if bounds.size and bounds[-1] <= FRONTIER_SLOT_CAP:
+        yield 0, bounds.size
+        return
+    start = 0
+    while start < bounds.size:
+        base = int(bounds[start - 1]) if start else 0
+        stop = int(np.searchsorted(bounds, base + FRONTIER_SLOT_CAP, "right"))
+        stop = max(stop, start + 1)
+        yield start, stop
+        start = stop
 
 
 def _count_frontier(
@@ -336,11 +343,6 @@ def _count_frontier(
             for i, pv in enumerate(order)
         ]
 
-        def edge_label_ok(rows, offsets, step, j):
-            """Mask: slot ``offsets`` of each row in ``rows`` carries the
-            label pattern edge (step, j) wants."""
-            return edge_labels[indptr[rows] + offsets] == want_edge[step][j]
-
     roots = checked_vertex_ids(roots, num_vertices)
     stats.candidates_scanned += int(roots.size)
     if labels is not None:
@@ -360,14 +362,8 @@ def _count_frontier(
         rest = [j for j in back[step] if j != first]
         # Chunk the rows so one gather stays within the slot cap; the
         # chunks are finished depth first (the bounded working set).
-        bounds = np.cumsum(sizes[pick])
-        start = 0
-        while start < emb.shape[0]:
-            base = int(bounds[start - 1]) if start else 0
-            stop = int(np.searchsorted(bounds, base + FRONTIER_SLOT_CAP, "right"))
-            stop = max(stop, start + 1)
+        for start, stop in slot_chunks(sizes[pick]):
             extend_chunk(emb[start:stop], step, first, rest)
-            start = stop
 
     def extend_chunk(
         emb: np.ndarray, step: int, first: int, rest: List[int]
@@ -379,28 +375,17 @@ def _count_frontier(
         ok = np.ones(cand.size, dtype=bool)
         if edge_labels is not None:
             # The gather keeps rows in input order, each row whole, so a
-            # candidate's slot is its position minus its row's start.
+            # candidate's slot is its row's start plus its offset in it.
             row_start = np.cumsum(degrees[heads]) - degrees[heads]
-            offsets = np.arange(cand.size, dtype=np.int64) - row_start[owners]
-            ok &= edge_label_ok(heads[owners], offsets, step, first)
+            slots = indptr[heads[owners]] + np.arange(cand.size) - row_start[owners]
+            ok &= edge_labels[slots] == want_edge[step][first]
         for j in rest:
-            # Keep the candidates adjacent to emb[row, j]: gather the
-            # distinct column-j vertices of the rows still alive once and
-            # search sorted (rank, neighbor) codes for (rank, candidate).
-            alive = np.zeros(emb.shape[0], dtype=bool)
-            alive[owners] = True
-            uniq = _sorted_unique(emb[alive, j])
-            uniq_owner, nbrs = handle.expand_frontier(uniq)
-            codes = uniq_owner * num_vertices + nbrs
-            rank = np.searchsorted(uniq, emb[:, j])[owners]
-            needles = rank * num_vertices + cand
-            pos = np.searchsorted(codes, needles)
-            hit = pos < codes.size
-            hit[hit] = codes[pos[hit]] == needles[hit]
+            # Keep the candidates adjacent to emb[row, j] (one batched
+            # membership test; the slot also indexes the edge label).
+            slots = handle.edge_slots(emb[owners, j], cand)
+            hit = slots >= 0
             if edge_labels is not None:
-                rank, pos = rank[hit], pos[hit]
-                row_start = np.cumsum(degrees[uniq]) - degrees[uniq]
-                ok[hit] &= edge_label_ok(uniq[rank], pos - row_start[rank], step, j)
+                ok[hit] &= edge_labels[slots[hit]] == want_edge[step][j]
             owners, cand, ok = owners[hit], cand[hit], ok[hit]
             if cand.size == 0:
                 return

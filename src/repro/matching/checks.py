@@ -53,16 +53,41 @@ def _gen_pattern(rng: np.random.Generator) -> Dict:
     return params
 
 
-@pair(
-    "matching.patterns.backtrack_vs_codegen", "matching", BIT_IDENTICAL,
-    gen=_gen_pattern, floors={"n": 4, "pattern": 0},
-    description="The compiled matcher must count exactly what the "
-    "interpreted backtracker counts, for every pattern in the zoo.",
-)
-def _check_codegen(params: Dict) -> List[str]:
+def _gen_labelled_pattern(rng: np.random.Generator) -> Dict:
+    params = _gen_pattern(rng)
+    params["vertex_labels"] = int(rng.integers(3))  # 0: unlabeled
+    return params
+
+
+def _graph_and_pattern(params: Dict):
+    """The drawn graph and pattern; with ``vertex_labels`` > 0 both get
+    that many random vertex labels."""
     graph = make_graph(params)
     name, build = PATTERNS[int(params["pattern"]) % len(PATTERNS)]
     pattern = build()
+    num_labels = int(params.get("vertex_labels", 0))
+    if num_labels:
+        rng = np.random.default_rng(int(params.get("graph_seed", 0)))
+        graph = Graph(
+            graph.indptr, graph.indices,
+            vertex_labels=rng.integers(num_labels, size=graph.num_vertices),
+        )
+        pattern = PatternGraph(Graph(
+            pattern.graph.indptr, pattern.graph.indices,
+            vertex_labels=rng.integers(num_labels, size=pattern.n),
+        ))
+    return name, graph, pattern
+
+
+@pair(
+    "matching.patterns.backtrack_vs_codegen", "matching", BIT_IDENTICAL,
+    gen=_gen_labelled_pattern, floors={"n": 4, "pattern": 0, "vertex_labels": 0},
+    description="The compiled matcher must count exactly what the "
+    "interpreted frontier counter counts, for every pattern in the zoo, "
+    "on vertex-labelled graphs too.",
+)
+def _check_codegen(params: Dict) -> List[str]:
+    name, graph, pattern = _graph_and_pattern(params)
     return same_values(
         count_matches(graph, pattern),
         compiled_count(graph, pattern),
@@ -89,20 +114,7 @@ def _gen_count(rng: np.random.Generator) -> Dict:
     "and without symmetry breaking, on vertex-labelled graphs too.",
 )
 def _check_frontier_count(params: Dict) -> List[str]:
-    graph = make_graph(params)
-    name, build = PATTERNS[int(params["pattern"]) % len(PATTERNS)]
-    pattern = build()
-    num_labels = int(params.get("vertex_labels", 0))
-    if num_labels:
-        rng = np.random.default_rng(int(params.get("graph_seed", 0)))
-        graph = Graph(
-            graph.indptr, graph.indices,
-            vertex_labels=rng.integers(num_labels, size=graph.num_vertices),
-        )
-        pattern = PatternGraph(Graph(
-            pattern.graph.indptr, pattern.graph.indices,
-            vertex_labels=rng.integers(num_labels, size=pattern.n),
-        ))
+    name, graph, pattern = _graph_and_pattern(params)
     orders = connected_orders(pattern)
     order = orders[int(params.get("order_pick", 0)) % len(orders)]
     distinct = bool(params.get("distinct", 1))

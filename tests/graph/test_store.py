@@ -691,6 +691,86 @@ class TestExpandFrontier:
             stored.expand_frontier([0, 1])
 
 
+_pairs = st.lists(
+    st.tuples(st.integers(0, _FRONTIER_N - 1), st.integers(0, _FRONTIER_N - 1)),
+    max_size=40,
+)
+
+
+def _slots_per_pair(graph, pairs):
+    """The per-pair lookup ``edge_slots`` replaces, kept as the reference."""
+    out = []
+    for u, w in pairs:
+        row = graph.neighbors(u)
+        k = int(np.searchsorted(row, w))
+        out.append(int(graph.indptr[u]) + k if k < row.size and row[k] == w else -1)
+    return np.asarray(out, dtype=np.int64)
+
+
+class TestEdgeSlots:
+    """One batched edge-membership primitive on every handle."""
+
+    @pytest.fixture(scope="class")
+    def labelled(self):
+        g = erdos_renyi(_FRONTIER_N, 0.08, seed=5)
+        labels = np.random.default_rng(0).integers(1, 4, size=g.indices.size)
+        # Both copies of an undirected edge carry one label.
+        src = np.repeat(np.arange(g.num_vertices), g.degrees())
+        first = np.minimum(src, g.indices) * _FRONTIER_N + np.maximum(src, g.indices)
+        _, canon = np.unique(first, return_inverse=True)
+        return Graph(g.indptr, g.indices, edge_labels=labels[canon])
+
+    @pytest.fixture(scope="class")
+    def roots(self, labelled, tmp_path_factory):
+        base = tmp_path_factory.mktemp("slots")
+        out = {}
+        for partitioner in ("hash", "range"):
+            manifest = build_store(
+                labelled, base / partitioner, partition=partitioner,
+                num_parts=_FRONTIER_PARTS, seed=3,
+            )
+            out[partitioner] = (base / partitioner, manifest.shard_bytes)
+        return out
+
+    @pytest.mark.parametrize("budget", ["unbounded", "zero", "half"])
+    @pytest.mark.parametrize("partitioner", ["hash", "range"])
+    @given(pairs=_pairs)
+    @example(pairs=[])
+    @example(pairs=[(0, 0), (3, 3)])
+    @settings(max_examples=15, deadline=None)
+    def test_equals_per_pair_lookup(self, labelled, roots, partitioner, budget, pairs):
+        # Half the pairs are real edges so both answers are exercised.
+        src = np.repeat(np.arange(labelled.num_vertices), labelled.degrees())
+        edges = list(zip(src.tolist(), labelled.indices.tolist()))
+        pairs = pairs + edges[: len(pairs)]
+        us = np.asarray([u for u, _ in pairs], dtype=np.int64)
+        ws = np.asarray([w for _, w in pairs], dtype=np.int64)
+        want = _slots_per_pair(labelled, pairs)
+        root, shard_bytes = roots[partitioner]
+        cache_budget = {
+            "unbounded": None, "zero": 0, "half": shard_bytes // 2
+        }[budget]
+        with open_store(root, cache_budget=cache_budget) as stored:
+            for handle in (as_handle(labelled), stored):
+                slots = handle.edge_slots(us, ws)
+                np.testing.assert_array_equal(slots, want)
+                hit = slots >= 0
+                np.testing.assert_array_equal(
+                    handle.edge_labels[slots[hit]],
+                    [labelled.edge_label(u, w) for u, w in np.asarray(pairs)[hit]],
+                )
+
+    def test_out_of_range_ids_raise(self, labelled, roots):
+        n = labelled.num_vertices
+        with open_store(roots["hash"][0]) as stored:
+            for handle in (stored, as_handle(labelled)):
+                for bad in (-1, n):
+                    with pytest.raises(IndexError):
+                        handle.edge_slots([0, bad], [1, 1])
+                    with pytest.raises(IndexError):
+                        handle.edge_slots([1, 1], [0, bad])
+
+
 class TestCatalog:
     def test_names_open_and_manifest(self, graph, tmp_path):
         build_store(graph, tmp_path / "a")

@@ -73,6 +73,41 @@ class TestExpandFrontier:
         assert owners.size == 0 and neighbors.size == 0
 
 
+class TestGatherRanges:
+    def test_concatenates_ranges_with_owners(self, rng):
+        for _ in range(25):
+            values = rng.integers(0, 100, size=rng.integers(1, 60)).astype(np.int64)
+            starts = rng.integers(0, values.size, size=rng.integers(0, 12))
+            stops = starts + rng.integers(0, values.size - starts + 1)
+            owners, got = kernels.gather_ranges(values, starts, stops)
+            expected = [values[a:b] for a, b in zip(starts, stops)]
+            np.testing.assert_array_equal(
+                got, np.concatenate(expected + [np.empty(0, dtype=np.int64)])
+            )
+            np.testing.assert_array_equal(
+                owners, np.repeat(np.arange(starts.size), stops - starts)
+            )
+
+
+class TestFindSorted:
+    def test_positions_or_minus_one(self, rng):
+        for _ in range(25):
+            hay = _sorted_unique(rng, rng.integers(0, 40), 60)
+            needles = rng.integers(0, 60, size=rng.integers(0, 40)).astype(np.int64)
+            where = {int(x): k for k, x in enumerate(hay)}
+            expected = [where.get(int(x), -1) for x in needles]
+            np.testing.assert_array_equal(kernels.find_sorted(hay, needles), expected)
+
+
+class TestSortedUnique:
+    def test_equals_np_unique(self, rng):
+        for size in (0, 1, 2, 50):
+            values = rng.integers(0, 20, size=size).astype(np.int64)
+            np.testing.assert_array_equal(
+                kernels.sorted_unique(values), np.unique(values)
+            )
+
+
 class TestScatterAddOrdered:
     def test_accumulates_like_a_loop(self, rng):
         out = np.zeros(8)
