@@ -1,17 +1,21 @@
 """Differential checks for the on-disk store (`repro check --subsystem store`).
 
-Every oracle here builds a store whose shard-cache budget is capped
-*below* the total shard bytes, so paging actually happens — the
+Oracles here build a store whose shard-cache budget is capped *below*
+the total shard bytes, so paging actually happens — the
 stored-vs-in-memory pairs are exercising the mmap/LRU path, not a
-fully-resident copy:
+fully-resident copy.  The exception is deliberate: the four analytics
+``*.stored_vs_memory`` pairs draw a ``bounded`` flag and open half of
+their cases unbounded, so both window regimes of ``iter_csr_runs``
+(budget-sized windows, one window per fragment block) meet the
+in-memory oracle:
 
 * ``store.pagerank.stored_vs_memory`` / ``store.bfs...`` /
-  ``store.wcc...`` — dense analytics over a paged ``StoredGraph`` are
+  ``store.wcc...`` — dense analytics over a ``StoredGraph`` are
   **bit-identical** to the in-memory graph (the ``iter_csr_runs``
   ordering contract);
 * ``store.expand_frontier.stored_vs_memory`` — the batched frontier
-  gather returns the same owners and neighbors through the paged store,
-  for two page requests per touched partition;
+  gather returns the same owners and neighbors through the store, for
+  two page requests per touched partition;
 * ``store.matching.count_stored_vs_memory`` — the frontier counter
   counts the same embeddings through the paged handle surface;
 * ``store.manifest.roundtrip`` — shards re-assemble to the exact
@@ -60,7 +64,7 @@ from .writer import (
 STORE_PARTITIONERS = ("hash", "range", "metis")
 
 
-def _gen_store(rng: np.random.Generator) -> Dict:
+def _gen_partitioned(rng: np.random.Generator) -> Dict:
     params = gen_graph_params(rng, n_range=(8, 72))
     params["num_parts"] = int(rng.integers(2, 5))
     params["store_partitioner"] = int(rng.integers(len(STORE_PARTITIONERS)))
@@ -68,8 +72,24 @@ def _gen_store(rng: np.random.Generator) -> Dict:
     return params
 
 
+def _gen_store(rng: np.random.Generator) -> Dict:
+    """:func:`_gen_partitioned` plus a bounded (1) / unbounded (0) cache flag.
+
+    The flag is the last draw, so every earlier parameter of a seeded
+    case is the one it was before the flag existed.
+    """
+    params = _gen_partitioned(rng)
+    params["bounded"] = int(rng.integers(2))
+    return params
+
+
 def _build_and_open(graph, params: Dict, tmp: str, obs=None):
-    """Materialize ``graph`` and open it with a paging-forcing budget."""
+    """Materialize ``graph`` and open it, paging-forcing unless unbounded.
+
+    ``params["bounded"] == 0`` opens with no cache budget (one window per
+    fragment block); otherwise, and when the flag is absent, the budget
+    is half the shard bytes.
+    """
     partitioner = STORE_PARTITIONERS[
         int(params["store_partitioner"]) % len(STORE_PARTITIONERS)
     ]
@@ -80,17 +100,20 @@ def _build_and_open(graph, params: Dict, tmp: str, obs=None):
         num_parts=max(1, int(params["num_parts"])),
         seed=int(params.get("part_seed", 0)),
     )
-    # Cap the cache below the total shard bytes: paging must happen.
-    budget = max(1, manifest.shard_bytes // 2)
+    budget = None
+    if params.get("bounded", 1):
+        # Cap the cache below the total shard bytes: paging must happen.
+        budget = max(1, manifest.shard_bytes // 2)
     return open_store(os.path.join(tmp, "g"), cache_budget=budget, obs=obs)
 
 
 @pair(
     "store.pagerank.stored_vs_memory", "store", BIT_IDENTICAL,
     gen=_gen_store, floors={"n": 4, "num_parts": 1, "store_partitioner": 0},
-    description="Dense PageRank over a StoredGraph whose shard cache is "
-    "capped below total shard bytes equals the in-memory result bit for "
-    "bit (the iter_csr_runs scatter-order contract).",
+    description="Dense PageRank over a StoredGraph, its shard cache "
+    "capped below total shard bytes (and evicting) or unbounded, equals "
+    "the in-memory result bit for bit (the iter_csr_runs scatter-order "
+    "contract).",
 )
 def _check_pagerank_stored(params: Dict) -> List[str]:
     graph = make_graph(params)
@@ -98,7 +121,7 @@ def _check_pagerank_stored(params: Dict) -> List[str]:
         stored = _build_and_open(graph, params, tmp)
         got = pagerank_dense(stored, iterations=8)
         out = same_bits(pagerank_dense(graph, iterations=8), got, "pagerank")
-        if stored.cache.stats.evictions == 0:
+        if stored.cache.budget is not None and stored.cache.stats.evictions == 0:
             out.append("cache: no evictions — paging never happened")
         stored.close()
     return out
@@ -108,7 +131,8 @@ def _check_pagerank_stored(params: Dict) -> List[str]:
     "store.bfs.stored_vs_memory", "store", BIT_IDENTICAL,
     gen=_gen_store, floors={"n": 4, "num_parts": 1, "store_partitioner": 0},
     description="Dense BFS levels from vertex 0 agree exactly between "
-    "the paged store and the in-memory graph.",
+    "the stored graph (bounded or unbounded cache) and the in-memory "
+    "graph.",
 )
 def _check_bfs_stored(params: Dict) -> List[str]:
     graph = make_graph(params)
@@ -122,8 +146,8 @@ def _check_bfs_stored(params: Dict) -> List[str]:
 @pair(
     "store.wcc.stored_vs_memory", "store", BIT_IDENTICAL,
     gen=_gen_store, floors={"n": 4, "num_parts": 1, "store_partitioner": 0},
-    description="Hash-min WCC labels agree exactly between the paged "
-    "store and the in-memory graph.",
+    description="Hash-min WCC labels agree exactly between the stored "
+    "graph (bounded or unbounded cache) and the in-memory graph.",
 )
 def _check_wcc_stored(params: Dict) -> List[str]:
     graph = make_graph(params)
@@ -173,7 +197,7 @@ _MATCH_PATTERNS = (
 
 
 def _gen_match(rng: np.random.Generator) -> Dict:
-    params = _gen_store(rng)
+    params = _gen_partitioned(rng)
     params["pattern"] = int(rng.integers(len(_MATCH_PATTERNS)))
     return params
 
@@ -201,7 +225,7 @@ def _check_matching_stored(params: Dict) -> List[str]:
 
 
 @invariant(
-    "store.manifest.roundtrip", "store", gen=_gen_store,
+    "store.manifest.roundtrip", "store", gen=_gen_partitioned,
     floors={"n": 4, "num_parts": 1, "store_partitioner": 0},
     description="Partition shards re-assemble to the exact original CSR; "
     "manifest counts match the shards; every manifest-listed file "
@@ -558,7 +582,7 @@ def _check_ingest_vs_per_edge(params: Dict) -> List[str]:
 
 
 @invariant(
-    "store.cache.accounting", "store", gen=_gen_store,
+    "store.cache.accounting", "store", gen=_gen_partitioned,
     floors={"n": 4, "num_parts": 1, "store_partitioner": 0},
     description="Shard-cache accounting: hits + misses equals pages "
     "requested (2 per neighbors() call), bytes_paged sums the missed "

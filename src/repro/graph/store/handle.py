@@ -322,10 +322,11 @@ class InMemoryGraph:
         return PartitionView(i, nodes, indptr, indices)
 
     def iter_csr_runs(self) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
-        """Yield ``(lo, hi, indptr_run, indices_run)`` source-major runs.
+        """Yield ``(lo, hi, indptr_win, indices_win)`` source-major id windows.
 
-        The in-memory graph is one run: the whole CSR.  Matches
-        :meth:`StoredGraph.iter_csr_runs` so dense supersteps can scatter
+        The in-memory graph is one window: the whole CSR.  Matches
+        :meth:`StoredGraph.iter_csr_runs` (ascending windows, rebased
+        ``indptr``, global neighbor ids) so dense supersteps can scatter
         in identical global order over either handle.
         """
         graph = self._graph

@@ -31,7 +31,13 @@ A batch of vertices goes through :meth:`StoredGraph.expand_frontier`,
 which requests each touched partition's two shards once; only
 per-vertex callers (``neighbors(v)``) pay two requests per vertex.
 :meth:`StoredGraph.edge_slots`, the batched edge-membership test, is
-one such gather of the batch's distinct source rows.
+one such gather of the batch's distinct source rows.  A whole-graph
+sweep goes through :meth:`StoredGraph.iter_csr_runs`, which walks
+ascending id windows — a range partition whole, or fragments of hash
+and metis partitions stitched up to the cache budget — and requests
+each touched partition's two shards once per window, never once per
+vertex; :meth:`~StoredGraph.to_graph` and ``edge_labels`` place every
+partition's rows the same way over the whole id range.
 
 Cache traffic reports through :mod:`repro.obs`: counters
 ``store.shard_hits`` / ``store.shard_misses`` / ``store.shard_evictions``
@@ -373,14 +379,9 @@ class StoredGraph:
         if not self.manifest.has_edge_labels:
             return None
         if self._edge_labels_memo is None:
-            out = np.empty(self.num_edge_slots, dtype=np.int64)
-            gip = self._global_indptr()
-            for lo, hi, indptr_run, _, part_id, local_lo in self._runs():
-                labels = self._shard(part_id, "edge_labels")
-                base = int(self._shard(part_id, "indptr")[local_lo])
-                span = int(indptr_run[-1])
-                out[gip[lo]: gip[hi]] = labels[base: base + span]
-            self._edge_labels_memo = out
+            self._edge_labels_memo = self._placed(
+                "edge_labels", 0, self.num_vertices
+            )
         return self._edge_labels_memo
 
     def features(self, ids: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
@@ -411,45 +412,103 @@ class StoredGraph:
             self._shard(i, "indices"),
         )
 
-    # -- run iteration (bit-identity workhorse) ---------------------------
+    # -- window iteration (bit-identity workhorse) ------------------------
 
-    def _run_spans(self) -> np.ndarray:
-        """Boundaries of maximal runs of consecutive ids in one partition."""
+    def _placed(self, kind: str, lo: int, hi: int) -> np.ndarray:
+        """Shard ``kind`` of rows ``lo..hi-1`` laid out in global CSR order.
+
+        Each partition owning a row in the span pages its ``indptr`` and
+        ``kind`` shards once, in ascending partition id.  Its rows in the
+        span are one contiguous local range (ascending global ids map to
+        ascending local ids), whose values go to their global slots —
+        offsets from the resident-degree :meth:`_global_indptr` — in one
+        ``np.repeat`` and one fancy assignment, or one slice copy when
+        those rows are consecutive ids (a range partition).
+        """
+        gip = self._global_indptr()
+        base = int(gip[lo])
+        out = np.empty(int(gip[hi]) - base, dtype=np.int64)
+        for part_id, nodes in enumerate(self._nodes):
+            a, b = np.searchsorted(nodes, (lo, hi)).tolist()
+            if a == b:
+                continue
+            local_ptr = self._shard(part_id, "indptr")[a: b + 1]
+            values = self._shard(part_id, kind)[local_ptr[0]: local_ptr[-1]]
+            first, last = int(nodes[a]), int(nodes[b - 1])
+            if last - first == b - a - 1:  # consecutive ids: one slot range
+                out[gip[first] - base: gip[last + 1] - base] = values
+                continue
+            shift = gip[nodes[a:b]] - base - local_ptr[:-1]
+            slots = np.arange(local_ptr[0], local_ptr[-1], dtype=np.int64)
+            out[slots + np.repeat(shift, np.diff(local_ptr))] = values
+        return out
+
+    def _windows(self) -> Iterator[Tuple[int, int, int]]:
+        """``(lo, hi, part_id)`` id windows, ascending.
+
+        Runs are the maximal spans of consecutive ids in one partition.
+        A run that is a whole partition is its own window — every run of
+        a range store is one.  Consecutive fragment runs (hash, metis)
+        merge into windows of at most ``cap`` edge slots, never less than
+        one run: the whole graph when the cache is unbounded, else
+        ``budget // 8`` slots, the budget's worth of int64 neighbor ids.
+        ``part_id`` is the owner of a one-run window and -1 for a window
+        that spans several runs.
+        """
         n = self.num_vertices
         if n == 0:
-            return np.asarray([0], dtype=np.int64)
+            return
         breaks = np.flatnonzero(np.diff(self._assignment) != 0) + 1
-        return np.concatenate(([0], breaks, [n])).astype(np.int64)
+        spans = np.concatenate(([0], breaks, [n])).astype(np.int64)
+        parts = self._assignment[spans[:-1]].tolist()
+        sizes = np.asarray([nodes.size for nodes in self._nodes], dtype=np.int64)
+        whole = np.append(np.diff(spans) == sizes[parts], True)
+        slot_at = self._global_indptr()[spans]
+        budget = self.cache.budget
+        cap = int(slot_at[-1]) if budget is None else budget // 8
+        i, runs = 0, len(parts)
+        while i < runs:
+            # Fragment runs i..end-1, then the whole run at ``end`` (if any).
+            end = i + int(np.argmax(whole[i:]))
+            while i < end:
+                fits = np.searchsorted(
+                    slot_at[i + 1: end + 1], slot_at[i] + cap, side="right"
+                )
+                k = i + max(int(fits), 1)
+                yield int(spans[i]), int(spans[k]), parts[i] if k == i + 1 else -1
+                i = k
+            if end < runs:
+                yield int(spans[end]), int(spans[end + 1]), parts[end]
+            i = end + 1
 
-    def _runs(self):
-        spans = self._run_spans()
-        for lo, hi in zip(spans[:-1], spans[1:]):
-            lo, hi = int(lo), int(hi)
-            part_id = int(self._assignment[lo])
-            nodes = self._nodes[part_id]
-            local_lo = int(np.searchsorted(nodes, lo))
+    def iter_csr_runs(self) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
+        """Yield ``(lo, hi, indptr_win, indices_win)`` id windows, ascending.
+
+        Each window covers the consecutive global ids ``lo..hi-1``;
+        ``indptr_win`` is rebased to 0 and ``indices_win`` holds global
+        neighbor ids.  A window of one partition's ids — a whole
+        partition, which is every window of a range store — is served
+        as slices of its shards, no copy; consecutive fragments of hash
+        or metis partitions are stitched into windows of up to
+        ``cache_budget // 8`` edge slots (the whole graph when
+        unbounded), each touched partition paged once per window.
+        Windows ascend and each is source-major, so concatenating them
+        reproduces the global CSR exactly — dense supersteps that
+        scatter per-window in order perform the *same floating-point
+        additions in the same order* as the in-memory path, for any
+        partitioner.
+        """
+        gip = self._global_indptr()
+        for lo, hi, part_id in self._windows():
+            if part_id < 0:
+                yield lo, hi, gip[lo: hi + 1] - gip[lo], self._placed("indices", lo, hi)
+                continue
+            local_lo = int(np.searchsorted(self._nodes[part_id], lo))
             indptr = self._shard(part_id, "indptr")
             run_ptr = indptr[local_lo: local_lo + (hi - lo) + 1]
             run_ptr = np.asarray(run_ptr, dtype=np.int64) - int(run_ptr[0])
-            indices = self._shard(part_id, "indices")
             base = int(indptr[local_lo])
-            run_idx = indices[base: base + int(run_ptr[-1])]
-            yield lo, hi, run_ptr, run_idx, part_id, local_lo
-
-    def iter_csr_runs(self) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
-        """Yield ``(lo, hi, indptr_run, indices_run)`` ascending in ``lo``.
-
-        Each run covers the consecutive global ids ``lo..hi-1``, all
-        owned by one partition; ``indptr_run`` is rebased to 0 and
-        ``indices_run`` holds global neighbor ids.  Because vertex ids
-        ascend within a run and runs ascend globally, concatenating the
-        runs reproduces the global source-major CSR exactly — dense
-        supersteps that scatter per-run in order perform the *same
-        floating-point additions in the same order* as the in-memory
-        path.  Works for any partitioner: within a partition, ascending
-        global ids map to ascending local ids.
-        """
-        for lo, hi, run_ptr, run_idx, _, _ in self._runs():
+            run_idx = self._shard(part_id, "indices")[base: base + int(run_ptr[-1])]
             yield lo, hi, run_ptr, run_idx
 
     def _global_indptr(self) -> np.ndarray:
@@ -468,12 +527,9 @@ class StoredGraph:
                 f"degrees sum to {int(gip[-1])} slots, manifest says "
                 f"{self.num_edge_slots}"
             )
-        indices = np.empty(self.num_edge_slots, dtype=np.int64)
-        for lo, hi, _, run_idx in self.iter_csr_runs():
-            indices[gip[lo]: gip[hi]] = run_idx
         return Graph(
             gip.copy(),  # the memo stays private to this handle
-            indices,
+            self._placed("indices", 0, self.num_vertices),
             directed=self.directed,
             vertex_labels=self._vertex_labels,
             edge_labels=self.edge_labels if self.manifest.has_edge_labels else None,

@@ -498,7 +498,7 @@ def ingest_edge_stream(
     path: PathLike,
     *,
     directed: bool = False,
-    partition: str = "hash",
+    partition: str = "range",
     num_parts: int = 1,
     seed: int = 0,
     chunk_edges: int = 200_000,
@@ -512,7 +512,11 @@ def ingest_edge_stream(
 
     ``edges`` yields ``(u, v)`` pairs, ``(k, 2)`` integer arrays of
     ``k`` edges each, or a mix; an ``(m, 2)`` array is one block.
-    Either way one edge is one input item.
+    Either way one edge is one input item.  ``partition`` names a
+    streaming partitioner (:data:`STREAMING_PARTITIONERS`); the default
+    is ``range``, as for :func:`build_store` and ``repro store build``,
+    because a range store's partitions are id-contiguous and page
+    whole in a dense sweep (:meth:`~.stored.StoredGraph.iter_csr_runs`).
 
     Pass 1 is array code: the stream is read as int64 blocks (pairs
     converted ``max(chunk_edges, 4096)`` at a time by one

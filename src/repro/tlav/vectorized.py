@@ -12,10 +12,13 @@ Every entry point takes ``graph_or_handle`` — a concrete
 :class:`~repro.graph.store.GraphHandle`, or a store-directory path.
 Dense supersteps reach the handle two ways.  Whole-graph sweeps
 (PageRank, WCC) consume ``iter_csr_runs()``: for an in-memory graph
-that is the whole CSR in one run; for a
-:class:`~repro.graph.store.StoredGraph` it is one run per maximal span
-of consecutive global ids in the same partition, paged through the
-shard cache as each superstep touches it.  Frontier supersteps (BFS)
+that is the whole CSR in one window; for a
+:class:`~repro.graph.store.StoredGraph` it is a sequence of ascending
+id windows, paged through the shard cache as each superstep touches
+them — a whole partition served as shard slices (every window of a
+range store), or consecutive fragments of hash/metis partitions
+stitched into one window of up to the cache budget's worth of slots,
+each touched partition paged once per window.  Frontier supersteps (BFS)
 call ``handle.expand_frontier(frontier)``: one kernel gather over the
 resident CSR, or one gather per *touched partition* of a stored graph —
 each partition's two shards are requested once per level, never once
@@ -31,13 +34,14 @@ work:
 1. the engine's sender-side combiner folds messages per destination in
    ascending-source order (``compute`` runs vertices in id order);
 2. ``np.add.at`` applies increments in element order, and the CSR edge
-   array is source-major — runs are yielded ascending and each run is
-   source-major, so the per-run scatter-adds perform the *same
-   additions in the same order* regardless of how the CSR is sharded.
-   A run's edge values are its sources' shares repeated by degree
-   (``np.repeat(shares[lo:hi], deg)``), with no per-edge source index;
-   ``np.add.at`` stays because one ``bincount`` per run would fold each
-   run from zero and break the cross-run addition order;
+   array is source-major — windows are yielded ascending and each
+   window is source-major, so the per-window scatter-adds perform the
+   *same additions in the same order* regardless of how the CSR is
+   sharded or windowed.  A window's edge values are its sources' shares
+   repeated by degree (``np.repeat(shares[lo:hi], deg)``), with no
+   per-edge source index; ``np.add.at`` stays because one ``bincount``
+   per window would fold each window from zero and break the
+   cross-window addition order;
 3. the dangling-mass aggregator is folded in ascending vertex order,
    which the dense path reproduces with an explicit left fold.
 
@@ -95,9 +99,11 @@ def pagerank_dense(
 ) -> np.ndarray:
     """PageRank as dense supersteps; bit-identical to the engine path.
 
-    Without an ``executor`` every superstep scatters run-by-run through
-    ``iter_csr_runs()`` — one vectorized gather/scatter for an in-memory
-    graph, shard-cache paging for a stored one, same bits either way.
+    Without an ``executor`` every superstep scatters window by window
+    through ``iter_csr_runs()`` — one vectorized gather/scatter for an
+    in-memory graph; for a stored one, ascending id windows paged
+    through the shard cache, each touched partition once per window
+    (one window per partition on a range store) — same bits either way.
     With an ``executor``, the scatter partitions over source-range
     chunks that run on real cores; partial vectors fold in chunk order,
     so any backend with the same chunking yields the same bits.
@@ -196,7 +202,7 @@ def wcc_dense(graph_or_handle, max_rounds: Optional[int] = None) -> np.ndarray:
         spread = labels.copy()
         # Labels travel along out-edges, exactly like the vertex program
         # (for undirected graphs the CSR holds both directions); min is
-        # order-independent, so per-run scatters equal the global one.
+        # order-independent, so per-window scatters equal the global one.
         for lo, hi, run_ptr, run_idx in handle.iter_csr_runs():
             np.minimum.at(
                 spread, run_idx, np.repeat(labels[lo:hi], np.diff(run_ptr))

@@ -415,6 +415,38 @@ class TestShardCache:
         assert list(paged) == sorted(set(paged))
         assert list(evictions) == sorted(set(evictions)) and evictions[0] > 0
 
+    def test_hash_sweep_pages_each_partition_once_per_window(self, tmp_path):
+        """At half budget one PageRank superstep over a hash store pages
+        a few times the shard bytes, not once per vertex (per-vertex
+        runs paged ~435x the shard bytes here)."""
+        from repro.tlav.vectorized import pagerank_dense
+
+        g = barabasi_albert(5000, 4, seed=1)
+        manifest = build_store(g, tmp_path / "g", partition="hash", num_parts=8)
+        budget = manifest.shard_bytes // 2
+        with open_store(tmp_path / "g", cache_budget=budget) as stored:
+            pagerank_dense(stored, iterations=1)
+            stats = stored.cache.stats
+        assert stats.evictions > 0
+        assert stats.bytes_paged <= 3 * manifest.shard_bytes
+
+    def test_range_paging_ledger_is_pinned(self, tmp_path):
+        """A range store's windows are its partitions, paged in the same
+        order as before windows existed: this ledger was recorded on the
+        per-run iteration and must not move."""
+        from repro.tlav.vectorized import pagerank_dense, wcc_dense
+
+        g = barabasi_albert(3000, 4, seed=5)
+        manifest = build_store(g, tmp_path / "g", partition="range", num_parts=8)
+        budget = manifest.shard_bytes // 2
+        with open_store(tmp_path / "g", cache_budget=budget) as stored:
+            pagerank_dense(stored, iterations=3)
+            wcc_dense(stored)
+            stats = stored.cache.stats
+        assert (stats.misses, stats.evictions, stats.bytes_paged) == (
+            128, 116, 1_742_848
+        )
+
     def test_unbounded_cache_never_evicts(self, graph, tmp_path):
         build_store(graph, tmp_path / "g", num_parts=3)
         stored = open_store(tmp_path / "g")
@@ -541,21 +573,29 @@ class TestHandleProtocol:
         assert sorted(seen) == list(range(graph.num_vertices))
         stored.close()
 
-    def test_iter_csr_runs_reassembles(self, graph, tmp_path):
-        build_store(graph, tmp_path / "g", partition="hash", num_parts=4)
-        stored = open_store(tmp_path / "g")
+    @pytest.mark.parametrize("budget", ["unbounded", "half"])
+    @pytest.mark.parametrize("partitioner", ["hash", "range", "metis"])
+    def test_iter_csr_runs_reassembles(self, graph, tmp_path, partitioner, budget):
+        manifest = build_store(
+            graph, tmp_path / "g", partition=partitioner, num_parts=4
+        )
+        cache_budget = {"unbounded": None, "half": manifest.shard_bytes // 2}[budget]
+        stored = open_store(tmp_path / "g", cache_budget=cache_budget)
         n = graph.num_vertices
         degs = np.zeros(n, dtype=np.int64)
-        chunks = {}
-        last_hi = 0
+        chunks = []
+        windows = []
         for lo, hi, run_ptr, run_idx in stored.iter_csr_runs():
-            assert lo >= last_hi  # ascending, non-overlapping
-            last_hi = hi
+            windows.append((lo, hi))
             degs[lo:hi] = np.diff(run_ptr)
-            chunks[lo] = np.asarray(run_idx)
+            chunks.append(np.asarray(run_idx))
+        # Ascending, non-empty windows that tile the id range.
+        assert [lo for lo, _ in windows] == [0] + [hi for _, hi in windows[:-1]]
+        assert windows[-1][1] == n and all(lo < hi for lo, hi in windows)
         np.testing.assert_array_equal(degs, graph.degrees())
-        indices = np.concatenate([chunks[lo] for lo in sorted(chunks)])
-        np.testing.assert_array_equal(indices, graph.indices)
+        np.testing.assert_array_equal(np.concatenate(chunks), graph.indices)
+        if partitioner == "range":  # one window per partition
+            assert len(windows) == manifest.num_parts
         stored.close()
 
     def test_version_bump_persists(self, graph, tmp_path):
