@@ -6,14 +6,14 @@ workloads on actual cores:
 
 * :class:`ParallelExecutor` — one ``map_graph(fn, graph, payloads)``
   fan-out API over ``serial`` / ``thread`` / ``process`` backends plus
-  the calibrated ``auto`` default, selectable per call site or globally
+  the measured ``auto`` default, selectable per call site or globally
   via ``$REPRO_BACKEND`` / ``$REPRO_WORKERS``;
 * :mod:`~repro.parallel.pool` — long-lived :class:`WorkerPool` registry:
   warm futures pools and once-per-(pool, graph) shared-memory CSR
   copies, amortized across fan-outs and executors;
 * :mod:`~repro.parallel.costmodel` — the :class:`CostModel` behind
-  ``backend="auto"``: per-backend overhead constants x a work estimate
-  from vertex/edge counts, self-tuned online from fan-out telemetry;
+  ``backend="auto"``: picks ``serial`` or ``process`` per call from
+  per-item wall rates measured online from fan-out telemetry;
 * :mod:`~repro.parallel.shm` — the process backend shares the immutable
   CSR arrays zero-copy through ``multiprocessing.shared_memory`` instead
   of pickling the graph into every task;
@@ -32,7 +32,7 @@ from .._exports import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "chunking": ("chunk_list", "chunk_spans", "default_chunk_size"),
     "costmodel": (
-        "CostModel", "Decision", "default_cost_model", "reset_default_cost_model",
+        "CostModel", "default_cost_model", "reset_default_cost_model",
     ),
     "executor": (
         "BACKENDS", "ParallelExecutor", "available_workers", "resolve_backend",

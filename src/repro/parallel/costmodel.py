@@ -1,136 +1,61 @@
-"""Calibrated backend selection for ``backend="auto"`` fan-outs.
+"""Measured backend selection for ``backend="auto"`` fan-outs.
 
 The survey's recurring lesson is that no single execution strategy wins
 across workloads: process pools amortize beautifully on big fan-outs and
-drown small ones in spawn/pickle overhead.  :class:`CostModel` makes the
-choice per call from a classical analytical model —
+drown small ones in spawn/pickle overhead.  :class:`CostModel` picks
+between ``serial`` and ``process`` per call from measured rates alone:
 
-    cost(backend) = fixed setup not yet amortized        (pool spin-up,
-                    + CSR publish for unshared graphs)    per-call share)
-                    + items x per-item seconds            (work / speedup
-                    + items x dispatch overhead           + task overhead)
+1. a ``fn`` key with no serial measurement runs ``serial`` — the
+   reference, free to try;
+2. an unmeasured ``process`` rate is estimated as the serial rate
+   divided by ``workers``, its best case, so the pool is tried once
+   wherever it could win and is judged on its own rate after that;
+3. a cold start is charged unless the pool is warm and the graph
+   already shared: one EWMA of measured warm-up seconds (pool spawn +
+   CSR publish), seeded by :data:`COLD_START`;
+4. ties go to ``serial``.
 
-— whose constants start from conservative priors and are **self-tuned
-online**: every ``map_graph`` feeds the same busy/wall/warm-up numbers
-it meters into the ``parallel.*`` registry back into the model, which
-keeps exponentially-weighted moving averages per ``(fn, backend)`` pair.
-The first call on an uncalibrated workload therefore runs serial (the
-priors make parallel backends earn their keep), and subsequent calls
-switch as soon as the measured rates justify it.
-
-Everything here is pure arithmetic over recorded state: given the same
-observation history, :meth:`choose` is deterministic (ties break toward
-the cheaper backend in ``serial < thread < process`` order), which is
-what the auto-mode determinism tests pin.
-
-The work prior scales with the graph: ``num_edge_slots`` x a per-edge
-constant plus a per-vertex constant, matching how every fan-out in the
-library walks CSR ranges.  Calibration replaces the prior after one
-observation per ``fn`` key.
+Every ``map_graph`` feeds the same busy/wall/warm-up numbers it meters
+into the ``parallel.*`` registry back into the model, which keeps
+exponentially-weighted moving averages of wall seconds per work item per
+``(fn, backend)`` pair.  Given the same observation history,
+:meth:`CostModel.choose` is deterministic, which is what the auto-mode
+determinism tests pin.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from .chunking import default_chunk_size
 
-__all__ = ["CostModel", "Decision", "default_cost_model", "reset_default_cost_model"]
+__all__ = ["CostModel", "default_cost_model", "reset_default_cost_model"]
 
-#: Tie-break order: when estimates are equal, prefer the simpler backend.
-BACKEND_ORDER = ("serial", "thread", "process")
+#: Seconds a cold process start costs before one has been measured.
+COLD_START = 0.25
 
 #: Target wall seconds of work per chunk once calibrated — enough to
 #: amortize dispatch, small enough to keep the makespan balanced.
 TARGET_CHUNK_SECONDS = 2e-3
 
 
-@dataclass(frozen=True)
-class Decision:
-    """One auto-mode choice: the winner plus the estimates behind it."""
-
-    backend: str
-    estimates: Dict[str, float] = field(default_factory=dict)
-    calibrated: bool = False
-
-
 class CostModel:
-    """Per-backend cost estimates, self-tuned from fan-out telemetry."""
-
-    #: Pool spin-up seconds when the pool is cold (EWMA-updated online).
-    SPINUP = {"serial": 0.0, "thread": 2e-3, "process": 2.5e-1}
-    #: Per-task dispatch overhead seconds (submit + pickle payload + IPC).
-    CHUNK_OVERHEAD = {"serial": 2e-6, "thread": 2e-4, "process": 1.5e-3}
-    #: Shared-memory publish throughput for unshared graphs (bytes/sec).
-    SHARE_BYTES_PER_SECOND = 1.5e9
-    #: Fraction of the work a backend can actually overlap (Amdahl knob):
-    #: threads are GIL-bound outside numpy kernels, processes nearly not.
-    PARALLEL_FRACTION = {"thread": 0.35, "process": 0.9}
-    #: Work prior: seconds per CSR edge slot / per vertex before any
-    #: observation exists for a fn key.
-    SECONDS_PER_EDGE = 5e-8
-    SECONDS_PER_VERTEX = 1e-7
+    """Per-``(fn, backend)`` wall rates, learned from fan-out telemetry."""
 
     def __init__(self, alpha: float = 0.4) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         self.alpha = alpha
-        #: (fn key, backend) -> EWMA wall seconds per work item (all-in:
-        #: includes dispatch overhead at the chunking actually used).
+        #: (fn key, backend) -> EWMA steady-state wall seconds per item.
         self._wall_per_item: Dict[Tuple[str, str], float] = {}
-        #: fn key -> EWMA serial-equivalent compute seconds per work item.
-        self._work_per_item: Dict[str, float] = {}
-        #: Global per-item compute rate (chunk-size selection fallback).
+        #: Global per-item compute rate (chunk-size selection).
         self._unit_cost: Optional[float] = None
-        #: backend -> EWMA observed cold spin-up seconds.
-        self._spinup: Dict[str, float] = dict(self.SPINUP)
+        #: EWMA measured process warm-up seconds.
+        self._cold_start = COLD_START
         self.observations = 0
 
-    # -- estimation --------------------------------------------------------
-
-    def work_prior(self, num_vertices: int, num_edge_slots: int, items: int) -> float:
-        """Prior per-item serial seconds from the graph's size.
-
-        ``items`` is the number of work units the fan-out covers
-        (vertices for span fan-outs, payloads otherwise); the prior
-        spreads the whole-graph estimate across them.
-        """
-        total = (
-            num_vertices * self.SECONDS_PER_VERTEX
-            + num_edge_slots * self.SECONDS_PER_EDGE
-        )
-        return max(total / max(1, items), 1e-9)
-
-    def estimate(
-        self,
-        key: str,
-        backend: str,
-        items: int,
-        workers: int,
-        *,
-        work_prior: float,
-        warm: bool = False,
-        shared: bool = False,
-        graph_bytes: int = 0,
-    ) -> float:
-        """Predicted wall seconds for running ``items`` on ``backend``."""
-        measured = self._wall_per_item.get((key, backend))
-        work = self._work_per_item.get(key, work_prior)
-        fixed = 0.0
-        if backend != "serial" and not warm:
-            fixed += self._spinup[backend]
-        if backend == "process" and not shared:
-            fixed += graph_bytes / self.SHARE_BYTES_PER_SECOND
-        if measured is not None:
-            return fixed + items * measured
-        if backend == "serial":
-            return items * (work + self.CHUNK_OVERHEAD["serial"])
-        frac = self.PARALLEL_FRACTION[backend]
-        speedup_factor = (1.0 - frac) + frac / max(1, workers)
-        per_item = work * speedup_factor + self.CHUNK_OVERHEAD[backend]
-        return fixed + items * per_item
+    # -- selection ---------------------------------------------------------
 
     def choose(
         self,
@@ -138,30 +63,16 @@ class CostModel:
         items: int,
         workers: int,
         *,
-        work_prior: float,
-        graph_bytes: int = 0,
-        warm: Sequence[str] = (),
-        shared: bool = False,
-        allowed: Sequence[str] = BACKEND_ORDER,
-    ) -> Decision:
-        """Deterministic argmin over the allowed backends."""
-        estimates = {
-            backend: self.estimate(
-                key,
-                backend,
-                items,
-                workers,
-                work_prior=work_prior,
-                warm=backend in warm,
-                shared=shared,
-                graph_bytes=graph_bytes,
-            )
-            for backend in BACKEND_ORDER
-            if backend in allowed
-        }
-        winner = min(estimates, key=lambda b: (estimates[b], BACKEND_ORDER.index(b)))
-        calibrated = any((key, b) in self._wall_per_item for b in estimates)
-        return Decision(backend=winner, estimates=estimates, calibrated=calibrated)
+        cold: bool = True,
+        allowed: Sequence[str] = ("serial", "process"),
+    ) -> str:
+        """``serial`` or ``process`` for ``items`` of ``key`` (see module doc)."""
+        serial = self._wall_per_item.get((key, "serial"))
+        if serial is None or "process" not in allowed:
+            return "serial"
+        process = self._wall_per_item.get((key, "process"), serial / max(1, workers))
+        cost = items * process + (self._cold_start if cold else 0.0)
+        return "process" if cost < items * serial else "serial"
 
     # -- calibration -------------------------------------------------------
 
@@ -178,16 +89,16 @@ class CostModel:
         busy: float,
         wall: float,
         warmup: float = 0.0,
-        spinup: float = 0.0,
     ) -> None:
         """Fold one fan-out's telemetry into the model.
 
         ``wall`` minus ``warmup`` is the steady-state cost a *warm*
         repeat of this call would pay — that is what the per-(fn,
-        backend) rate tracks.  ``busy`` (summed in-chunk compute
-        seconds) calibrates the serial-equivalent work rate; thread
-        chunks inflate busy with GIL contention, so only serial and
-        process runs update it.
+        backend) rate tracks; a process run's ``warmup`` itself updates
+        the cold-start charge.  ``busy`` (summed in-chunk compute
+        seconds) calibrates the chunk-sizing work rate; thread chunks
+        inflate busy with GIL contention, so only serial and process
+        runs update it.
         """
         if items <= 0 or wall < 0:
             return
@@ -197,13 +108,9 @@ class CostModel:
             self._wall_per_item.get(rate_key), steady / items
         )
         if backend in ("serial", "process") and busy > 0:
-            per_item = busy / items
-            self._work_per_item[key] = self._ewma(
-                self._work_per_item.get(key), per_item
-            )
-            self._unit_cost = self._ewma(self._unit_cost, per_item)
-        if spinup > 0 and backend in self._spinup:
-            self._spinup[backend] = self._ewma(self._spinup[backend], spinup)
+            self._unit_cost = self._ewma(self._unit_cost, busy / items)
+        if backend == "process" and warmup > 0:
+            self._cold_start = self._ewma(self._cold_start, warmup)
         self.observations += 1
 
     # -- chunk-size selection ----------------------------------------------
@@ -230,8 +137,7 @@ class CostModel:
         return {
             "observations": self.observations,
             "unit_cost": self._unit_cost,
-            "spinup": dict(self._spinup),
-            "work_per_item": dict(self._work_per_item),
+            "cold_start": self._cold_start,
             "wall_per_item": {
                 f"{key}|{backend}": rate
                 for (key, backend), rate in self._wall_per_item.items()

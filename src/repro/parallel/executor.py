@@ -12,10 +12,11 @@ returns the results in order.  The backend decides what that costs:
   zero-copy through :mod:`repro.parallel.shm`: workers attach the CSR
   segments once and every task ships only its payload (a chunk
   descriptor, not the graph);
-* ``auto`` (the default) — a calibrated
-  :class:`~repro.parallel.costmodel.CostModel` picks one of the three
-  per call from the work estimate, the per-backend overhead constants,
-  and whether the pool is already warm / the graph already shared.
+* ``auto`` (the default) — a
+  :class:`~repro.parallel.costmodel.CostModel` picks ``serial`` or
+  ``process`` per call from measured per-item wall rates, charging a
+  measured cold start unless the pool is warm and the graph already
+  shared.
 
 Pools and shared graphs are *long-lived*: executors borrow
 :class:`~repro.parallel.pool.WorkerPool` instances from a process-wide
@@ -49,8 +50,8 @@ organically (``BrokenProcessPool``) or under an injected
 futures executor (shared segments stay mapped, so no re-copy) and
 re-dispatches the unfinished ``(lo, hi)`` spans to the survivors; after
 ``max_pool_failures`` pool losses in one fan-out it degrades to
-``thread`` for the rest of its life (auto mode simply stops choosing
-``process``).  Shared segments for the failing graph are unlinked on
+``thread`` for the rest of its life (auto mode runs ``serial`` from
+then on).  Shared segments for the failing graph are unlinked on
 every exception path.  Recovery is metered under ``resilience.*``
 (re-dispatched chunks, pool failures, degradations) and traced as
 ``resilience.recover`` spans.
@@ -213,7 +214,6 @@ class ParallelExecutor:
         self._degraded = False
         self._span_state: Optional[Tuple[int, int]] = None
         self._warmup = 0.0
-        self._spinup = 0.0
         self._last_backend = "serial" if self.backend == "auto" else self.backend
         self._c_maps = self.obs.counter("parallel.maps", "map_graph fan-outs issued")
         self._c_chunks = self.obs.counter("parallel.chunks", "chunk tasks executed")
@@ -309,7 +309,6 @@ class ParallelExecutor:
         items = self._work_items(len(payloads))
         backend = self._select_backend(key, graph, items)
         self._warmup = 0.0
-        self._spinup = 0.0
         self._finish_backend = backend
         wall_start = time.perf_counter()
         try:
@@ -350,32 +349,16 @@ class ParallelExecutor:
     def _select_backend(self, key: str, graph: Graph, items: int) -> str:
         if self.backend != "auto":
             return self.backend
-        allowed = ("serial", "thread") if self._degraded else BACKENDS
-        indptr = getattr(graph, "indptr", None)
-        indices = getattr(graph, "indices", None)
-        num_vertices = int(getattr(graph, "num_vertices", 0) or 0)
-        num_slots = int(indices.size) if indices is not None else 0
-        graph_bytes = (indptr.nbytes if indptr is not None else 0) + (
-            indices.nbytes if indices is not None else 0
-        )
-        warm = [
-            backend
-            for backend in ("thread", "process")
-            if (pool := self._peek_pool(backend)) is not None and pool.warm
-        ]
-        process_pool = self._peek_pool("process")
-        decision = self.cost_model.choose(
+        pool = self._peek_pool("process")
+        backend = self.cost_model.choose(
             key,
             items,
             self.workers,
-            work_prior=self.cost_model.work_prior(num_vertices, num_slots, items),
-            graph_bytes=graph_bytes,
-            warm=warm,
-            shared=process_pool is not None and process_pool.is_shared(graph),
-            allowed=allowed,
+            cold=pool is None or not pool.warm or not pool.is_shared(graph),
+            allowed=("serial",) if self._degraded else ("serial", "process"),
         )
-        self._c_auto.inc(backend=decision.backend)
-        return decision.backend
+        self._c_auto.inc(backend=backend)
+        return backend
 
     # -- resilient fan-out paths -------------------------------------------
 
@@ -512,7 +495,6 @@ class ParallelExecutor:
 
     def _absorb_spinup(self, pool: WorkerPool, backend: str) -> None:
         if pool.last_spinup_seconds:
-            self._spinup += pool.last_spinup_seconds
             self._warmup += pool.last_spinup_seconds
             self._c_cold_starts.inc(backend=backend)
 
@@ -568,16 +550,9 @@ class ParallelExecutor:
                 min(1.0, busy / (steady * workers)), backend=backend
             )
         self._last_backend = backend
-        if self.cost_model is not None:
-            self.cost_model.observe(
-                key,
-                backend,
-                items=items,
-                busy=busy,
-                wall=wall,
-                warmup=warmup,
-                spinup=self._spinup,
-            )
+        self.cost_model.observe(
+            key, backend, items=items, busy=busy, wall=wall, warmup=warmup
+        )
 
     @property
     def efficiency(self) -> float:

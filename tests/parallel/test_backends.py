@@ -25,6 +25,7 @@ from repro.matching.pattern import (
 from repro.matching.triangles import triangle_count
 from repro.obs import MetricsRegistry
 from repro.parallel import (
+    CostModel,
     ParallelExecutor,
     SharedGraph,
     attach_graph,
@@ -125,6 +126,37 @@ class TestPageRankDeterminism:
         # order, so it is close but not required to be bit-equal.
         solo = pagerank_dense(g, iterations=10)
         np.testing.assert_allclose(reference, solo, rtol=0, atol=1e-14)
+
+
+class TestAutoExploresProcess:
+    def test_auto_tries_the_warm_pool_bit_for_bit(self):
+        # A warm registry pool with the graph already shared and a model
+        # that has measured serial only: auto's best case for the pool
+        # (serial / workers) wins, so it explores process once, and the
+        # run must equal the serial one exactly.
+        g = erdos_renyi(80, 0.15, seed=5)
+        pattern = clique_pattern(4)
+        serial_stats = MatchStats()
+        expected = count_matches(g, pattern, stats=serial_stats)
+        with ParallelExecutor(
+            backend="process", workers=2, chunk_size=16, cost_model=CostModel()
+        ) as warm:
+            count_matches(g, pattern, executor=warm)
+        model = CostModel()
+        with ParallelExecutor(
+            backend="serial", chunk_size=16, cost_model=model
+        ) as serial:
+            count_matches(g, pattern, executor=serial)
+        obs = MetricsRegistry()
+        with ParallelExecutor(
+            backend="auto", workers=2, chunk_size=16, obs=obs, cost_model=model
+        ) as auto:
+            merged = MatchStats()
+            assert count_matches(g, pattern, executor=auto, stats=merged) == expected
+        assert merged.as_dict() == serial_stats.as_dict()
+        assert obs.counter("parallel.auto_decisions").series() == {
+            "backend=process": 1
+        }
 
 
 class TestResolution:

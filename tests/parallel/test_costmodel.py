@@ -1,9 +1,12 @@
-"""The calibrated cost model behind ``backend="auto"``.
+"""The measured cost model behind ``backend="auto"``.
 
-Pinned properties: the priors make parallel backends earn their keep
-(first calls run serial), calibration is a pure EWMA fold (same
-observations -> same decisions, so auto mode is deterministic), and the
-process-wide default model persists across executors within a session.
+Pinned properties: a call with no serial measurement runs serial, an
+unmeasured pool is tried once wherever its best case could win and is
+judged on its own measured rate after that, a cold pool pays the
+measured cold start, ``auto`` never picks ``thread``, calibration is a
+pure EWMA fold (same observations -> same decisions, so auto mode is
+deterministic), and the process-wide default model persists across
+executors within a session.
 """
 
 import numpy as np
@@ -18,12 +21,17 @@ from repro.parallel import (
     reset_default_cost_model,
 )
 from repro.parallel.chunking import default_chunk_size
-from repro.parallel.costmodel import BACKEND_ORDER, TARGET_CHUNK_SECONDS
+from repro.parallel.costmodel import COLD_START, TARGET_CHUNK_SECONDS
+from repro.parallel.executor import _fn_key
 
 
 def _span_vertices(graph, span):
     lo, hi = span
     return hi - lo
+
+
+def _decisions(obs):
+    return obs.counter("parallel.auto_decisions").series()
 
 
 @pytest.fixture(autouse=True)
@@ -34,68 +42,93 @@ def fresh_default_model():
 
 
 class TestEstimates:
-    def test_uncalibrated_small_fanout_runs_serial(self):
+    def test_no_serial_measurement_runs_serial(self):
         model = CostModel()
-        prior = model.work_prior(num_vertices=200, num_edge_slots=600, items=8)
-        decision = model.choose("k", items=8, workers=4, work_prior=prior)
-        assert decision.backend == "serial"
-        assert not decision.calibrated
-        assert set(decision.estimates) == set(BACKEND_ORDER)
+        assert model.choose("k", items=10_000, workers=8, cold=False) == "serial"
+        # A process rate alone is no reference: serial still runs first.
+        model.observe("k", "process", items=100, busy=0.1, wall=0.01)
+        assert model.choose("k", items=10_000, workers=8, cold=False) == "serial"
 
-    def test_heavy_warm_shared_fanout_prefers_process(self):
+    @pytest.mark.parametrize("process_wall, kept", [(0.2, False), (0.05, True)])
+    def test_unmeasured_process_is_tried_once_then_judged(self, process_wall, kept):
         model = CostModel()
-        decision = model.choose(
-            "k", items=10_000, workers=8, work_prior=1e-2,
-            warm=("thread", "process"), shared=True,
-        )
-        assert decision.backend == "process"
+        model.observe("k", "serial", items=100, busy=0.1, wall=0.1)
+        # Best case serial / workers undercuts serial on a warm, shared pool.
+        assert model.choose("k", items=100, workers=4, cold=False) == "process"
+        model.observe("k", "process", items=100, busy=0.1, wall=process_wall)
+        want = "process" if kept else "serial"
+        assert model.choose("k", items=100, workers=4, cold=False) == want
 
-    def test_cold_spinup_and_share_cost_are_charged(self):
-        model = CostModel()
-        cold = model.estimate(
-            "k", "process", items=100, workers=4,
-            work_prior=1e-5, warm=False, shared=False, graph_bytes=1 << 30,
-        )
-        warm = model.estimate(
-            "k", "process", items=100, workers=4,
-            work_prior=1e-5, warm=True, shared=True, graph_bytes=1 << 30,
-        )
-        assert cold > warm + model.SPINUP["process"] * 0.9
-
-    def test_measured_rate_replaces_the_prior(self):
-        model = CostModel()
-        model.observe("k", "serial", items=100, busy=1.0, wall=1.0)
-        assert model.estimate(
-            "k", "serial", items=100, workers=1, work_prior=1e-9
-        ) == pytest.approx(1.0)
+    def test_cold_start_is_charged_until_measured(self):
+        model = CostModel(alpha=1.0)
+        model.observe("k", "serial", items=100, busy=0.1, wall=0.1)
+        assert model.snapshot()["cold_start"] == COLD_START
+        # 0.025 s best case + the 0.25 s seed loses to 0.1 s serial.
+        assert model.choose("k", items=100, workers=4, cold=True) == "serial"
+        assert model.choose("k", items=100, workers=4, cold=False) == "process"
+        # A measured 10 ms warm-up of another fan-out replaces the seed.
+        model.observe("j", "process", items=10, busy=0.01, wall=0.02, warmup=0.01)
+        assert model.snapshot()["cold_start"] == pytest.approx(0.01)
+        assert model.choose("k", items=100, workers=4, cold=True) == "process"
 
     def test_ties_break_toward_the_simpler_backend(self):
         model = CostModel()
-        for backend in BACKEND_ORDER:
-            model.observe(backend=backend, key="k", items=10, busy=0.1, wall=0.1)
-        decision = model.choose(
-            "k", items=10, workers=4, work_prior=1e-3,
-            warm=("thread", "process"), shared=True,
-        )
-        assert len(set(decision.estimates.values())) == 1
-        assert decision.backend == "serial"
-        assert decision.calibrated
+        model.observe("k", "serial", items=10, busy=0.1, wall=0.1)
+        # One worker: the best case equals serial exactly.
+        assert model.choose("k", items=10, workers=1, cold=False) == "serial"
+        model.observe("k", "process", items=10, busy=0.1, wall=0.1)
+        assert model.choose("k", items=10, workers=4, cold=False) == "serial"
 
     def test_warmup_excluded_from_calibration(self):
         model = CostModel()
+        model.observe("k", "serial", items=100, busy=0.2, wall=0.2)
         # 1s of wall, but 0.9s was one-time pool spawn: a warm repeat
         # costs 0.1s, and that is the rate the model must learn.
         model.observe("k", "process", items=100, busy=0.1, wall=1.0, warmup=0.9)
-        assert model.estimate(
-            "k", "process", items=100, workers=4,
-            work_prior=1e-9, warm=True, shared=True,
-        ) == pytest.approx(0.1)
+        assert model.snapshot()["wall_per_item"]["k|process"] == pytest.approx(1e-3)
+        assert model.choose("k", items=100, workers=4, cold=False) == "process"
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             CostModel(alpha=0.0)
         with pytest.raises(ValueError):
             CostModel(alpha=1.5)
+
+
+class TestAutoExecutor:
+    def test_degraded_executor_never_picks_process(self):
+        graph = barabasi_albert(120, 3, seed=4)
+        model = CostModel()
+        # A serial rate so slow that even a cold pool would win.
+        model.observe(_fn_key(_span_vertices), "serial", items=1, busy=1.0, wall=1.0)
+        obs = MetricsRegistry()
+        with ParallelExecutor(
+            backend="auto", workers=2, obs=obs, reuse_pool=False, cost_model=model,
+        ) as ex:
+            assert model.choose(
+                _fn_key(_span_vertices), graph.num_vertices, 2, cold=True
+            ) == "process"
+            ex._degrade()  # what repeated pool losses leave behind
+            for _ in range(3):
+                ex.map_graph(_span_vertices, graph, ex.spans(graph.num_vertices))
+        assert _decisions(obs) == {"backend=serial": 3}
+
+    def test_auto_never_records_thread(self):
+        graph = barabasi_albert(120, 3, seed=6)
+        key = _fn_key(_span_vertices)
+        model = CostModel()
+        # Threads measured far faster than serial: auto still never uses them.
+        model.observe(key, "serial", items=120, busy=0.1, wall=0.1)
+        model.observe(key, "thread", items=120, busy=1e-6, wall=1e-6)
+        obs = MetricsRegistry()
+        with ParallelExecutor(
+            backend="auto", workers=2, obs=obs, reuse_pool=False, cost_model=model,
+        ) as ex:
+            for _ in range(3):
+                ex.map_graph(_span_vertices, graph, ex.spans(graph.num_vertices))
+        decisions = _decisions(obs)
+        assert sum(decisions.values()) == 3
+        assert not any("thread" in series for series in decisions)
 
 
 class TestChunkSizing:
@@ -123,7 +156,7 @@ class TestDeterminism:
         trace = [
             (
                 f"fn{int(rng.integers(3))}",
-                BACKEND_ORDER[int(rng.integers(3))],
+                ("serial", "thread", "process")[int(rng.integers(3))],
                 int(rng.integers(1, 1000)),
                 float(rng.uniform(1e-4, 1e-1)),
             )
@@ -136,10 +169,7 @@ class TestDeterminism:
             for key, backend, items, busy in trace:
                 model.observe(key, backend, items=items, busy=busy, wall=busy * 1.5)
                 run.append(
-                    model.choose(
-                        key, items=items, workers=4,
-                        work_prior=model.work_prior(500, 1500, items),
-                    ).backend
+                    model.choose(key, items=items, workers=4, cold=busy > 0.05)
                 )
             decisions.append(run)
         assert decisions[0] == decisions[1]
@@ -160,11 +190,7 @@ class TestDeterminism:
                             _span_vertices, graph, ex.spans(graph.num_vertices)
                         )
                     )
-                counts = {
-                    b: obs.counter("parallel.auto_decisions").value(backend=b)
-                    for b in BACKEND_ORDER
-                }
-            return results, counts
+            return results, _decisions(obs)
 
         first_results, first_counts = run_once()
         second_results, second_counts = run_once()
@@ -209,4 +235,5 @@ class TestCalibrationPersistence:
         snap = model.snapshot()
         assert snap["observations"] == 1
         assert snap["unit_cost"] == pytest.approx(0.01)
+        assert snap["cold_start"] == COLD_START
         assert snap["wall_per_item"]["k|serial"] == pytest.approx(0.01)

@@ -58,7 +58,9 @@ class TestCLI:
                      "--workers", "2"]) == 0
         threaded = json.loads(capsys.readouterr().out)
         assert default["parallel"]["backend"] == "auto"
-        assert "cost_model" in default["parallel"]
+        assert set(default["parallel"]["cost_model"]) == {
+            "cold_start", "observations", "unit_cost", "wall_per_item",
+        }
         assert threaded["parallel"]["backend"] == "thread"
         assert threaded["parallel"]["workers"] == 2
         assert threaded["triangles"] == default["triangles"]
