@@ -174,8 +174,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         # counting triangles: busy / (wall * workers).
         profile["parallel"]["efficiency"] = round(executor.efficiency, 3)
     # Wall vs CPU seconds inside the chunks: under the process backend,
-    # busy/cpu well above 1 means the workers time-shared a CPU (thread
-    # chunks also count their GIL waits as busy).
+    # busy/cpu well above 1 means the workers time-shared a CPU.
     for name in ("busy_seconds", "cpu_seconds"):
         profile["parallel"][name] = executor.obs.counter(f"parallel.{name}").total
     if executor.backend == "auto":
@@ -899,7 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker count for the parallel executor "
                               "(default: $REPRO_WORKERS, then all CPUs)")
     analyze.add_argument("--backend",
-                         choices=["serial", "thread", "process", "auto"],
+                         choices=["serial", "process", "auto"],
                          default=None,
                          help="executor backend (default: $REPRO_BACKEND, "
                               "then auto)")
@@ -920,7 +919,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--workers", type=int, default=None,
                        help="executor workers (default: $REPRO_WORKERS)")
     chaos.add_argument("--backend",
-                       choices=["serial", "thread", "process", "auto"],
+                       choices=["serial", "process", "auto"],
                        default=None,
                        help="executor backend (default: $REPRO_BACKEND)")
 

@@ -5,11 +5,12 @@ advances virtual worker clocks).  ``repro.parallel`` runs the same
 workloads on actual cores:
 
 * :class:`ParallelExecutor` — one ``map_graph(fn, graph, payloads)``
-  fan-out API over ``serial`` / ``thread`` / ``process`` backends plus
-  the measured ``auto`` default, selectable per call site or globally
-  via ``$REPRO_BACKEND`` / ``$REPRO_WORKERS``;
+  fan-out API over the ``serial`` and ``process`` backends plus the
+  measured ``auto`` default, selectable per call site or globally via
+  ``$REPRO_BACKEND`` / ``$REPRO_WORKERS``; an executor that keeps
+  losing its pool degrades to ``serial``;
 * :mod:`~repro.parallel.pool` — long-lived :class:`WorkerPool` registry:
-  warm futures pools and once-per-(pool, graph) shared-memory CSR
+  warm process pools and once-per-(pool, graph) shared-memory CSR
   copies, amortized across fan-outs and executors;
 * :mod:`~repro.parallel.costmodel` — the :class:`CostModel` behind
   ``backend="auto"``: picks ``serial`` or ``process`` per call from

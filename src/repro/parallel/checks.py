@@ -1,7 +1,7 @@
 """Differential checks for the real-multicore backend.
 
 The design contract of :mod:`repro.parallel` is *backend independence*:
-with the same chunking, serial / thread / process backends produce the
+with the same chunking, the serial and process backends produce the
 same bits, and per-worker stats folded with ``merge`` equal the serial
 run's stats exactly (all counters are additive integers).  These checks
 enforce that contract on random workloads, plus the chunk-span policy
@@ -34,31 +34,26 @@ def _gen_parallel(rng: np.random.Generator) -> Dict:
 
 
 @pair(
-    "parallel.matching.thread_vs_serial", "parallel", BIT_IDENTICAL,
+    "parallel.matching.process_vs_serial", "parallel", BIT_IDENTICAL,
     gen=_gen_parallel, floors={"n": 4, "workers": 2, "chunk_size": 1},
-    description="Root-chunked matching on the thread backend: same "
+    description="Root-chunked matching on the process backend: same "
     "count and *exactly* the same merged work counters as the serial "
     "run (additive integers, no tolerance).",
 )
-def _check_matching_thread(params: Dict) -> List[str]:
+def _check_matching_process(params: Dict) -> List[str]:
     graph = make_graph(params)
     pattern = triangle_pattern()
     serial_stats = MatchStats()
     serial = count_matches(graph, pattern, stats=serial_stats)
-    executor = ParallelExecutor(
-        backend="thread",
+    with ParallelExecutor(
+        backend="process",
         workers=int(params["workers"]),
         chunk_size=int(params["chunk_size"]),
-    )
-    try:
-        threaded_stats = MatchStats()
-        threaded = count_matches(
-            graph, pattern, executor=executor, stats=threaded_stats
-        )
-    finally:
-        executor.close()
-    out = same_values(serial, threaded, "count")
-    out += same_stats(serial_stats, threaded_stats, "match_stats")
+    ) as executor:
+        pooled_stats = MatchStats()
+        pooled = count_matches(graph, pattern, executor=executor, stats=pooled_stats)
+    out = same_values(serial, pooled, "count")
+    out += same_stats(serial_stats, pooled_stats, "match_stats")
     return out
 
 
@@ -71,28 +66,28 @@ def _gen_pagerank(rng: np.random.Generator) -> Dict:
 
 
 @pair(
-    "parallel.pagerank_dense.thread_vs_serial", "parallel", BIT_IDENTICAL,
+    "parallel.pagerank_dense.process_vs_serial", "parallel", BIT_IDENTICAL,
     gen=_gen_pagerank,
     floors={"n": 4, "workers": 2, "chunk_size": 1, "iterations": 1},
     description="Chunk-deterministic scatter reduction: with the same "
-    "chunk_size, the thread backend reproduces the serial backend's "
+    "chunk_size, the process backend reproduces the serial backend's "
     "bits exactly (partial vectors fold in chunk order); against the "
     "*unchunked* single-scatter path the sums re-associate, so that "
     "comparison is bounded-error only.",
 )
-def _check_pagerank_thread(params: Dict) -> List[str]:
+def _check_pagerank_process(params: Dict) -> List[str]:
     graph = make_graph(params)
     iters = int(params["iterations"])
     chunk = int(params["chunk_size"])
     with ParallelExecutor(backend="serial", chunk_size=chunk) as serial:
         reference = pagerank_dense(graph, iterations=iters, executor=serial)
     with ParallelExecutor(
-        backend="thread", workers=int(params["workers"]), chunk_size=chunk
-    ) as threads:
-        threaded = pagerank_dense(graph, iterations=iters, executor=threads)
-    out = same_bits(reference, threaded, "pagerank")
+        backend="process", workers=int(params["workers"]), chunk_size=chunk
+    ) as process:
+        pooled = pagerank_dense(graph, iterations=iters, executor=process)
+    out = same_bits(reference, pooled, "pagerank")
     out += bounded_error(
-        pagerank_dense(graph, iterations=iters), threaded, atol=1e-12,
+        pagerank_dense(graph, iterations=iters), pooled, atol=1e-12,
         label="pagerank_vs_unchunked",
     )
     return out
@@ -108,23 +103,18 @@ def _gen_process(rng: np.random.Generator) -> Dict:
 @pair(
     "parallel.triangles.process_vs_serial", "parallel", BIT_IDENTICAL,
     gen=_gen_process, floors={"n": 4, "workers": 2, "chunk_size": 1},
-    suites=("full",),
     description="The process backend (shared-memory CSR, pickled "
-    "payloads) counts the same triangles as serial; full suite only — "
-    "pool spin-up dominates quick-gate latency.",
+    "payloads) counts the same triangles as serial.",
 )
 def _check_triangles_process(params: Dict) -> List[str]:
     graph = make_graph(params)
     reference = triangle_count(graph)
-    executor = ParallelExecutor(
+    with ParallelExecutor(
         backend="process",
         workers=int(params["workers"]),
         chunk_size=int(params["chunk_size"]),
-    )
-    try:
+    ) as executor:
         parallel = triangle_count(graph, executor=executor)
-    finally:
-        executor.close()
     return same_values(reference, parallel, "triangles")
 
 

@@ -96,9 +96,7 @@ class CostModel:
         repeat of this call would pay — that is what the per-(fn,
         backend) rate tracks; a process run's ``warmup`` itself updates
         the cold-start charge.  ``busy`` (summed in-chunk compute
-        seconds) calibrates the chunk-sizing work rate; thread chunks
-        inflate busy with GIL contention, so only serial and process
-        runs update it.
+        seconds) calibrates the chunk-sizing work rate.
         """
         if items <= 0 or wall < 0:
             return
@@ -107,7 +105,7 @@ class CostModel:
         self._wall_per_item[rate_key] = self._ewma(
             self._wall_per_item.get(rate_key), steady / items
         )
-        if backend in ("serial", "process") and busy > 0:
+        if busy > 0:
             self._unit_cost = self._ewma(self._unit_cost, busy / items)
         if backend == "process" and warmup > 0:
             self._cold_start = self._ewma(self._cold_start, warmup)

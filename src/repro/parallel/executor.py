@@ -1,13 +1,11 @@
-"""The executor abstraction: one fan-out API, three backends + auto.
+"""The executor abstraction: one fan-out API, two backends + auto.
 
 ``ParallelExecutor.map_graph(fn, graph, payloads)`` applies a
 module-level function ``fn(graph, payload)`` to every payload and
 returns the results in order.  The backend decides what that costs:
 
 * ``serial`` — a plain loop in the calling process (the reference
-  semantics every other backend must reproduce bit-for-bit);
-* ``thread`` — a ``ThreadPoolExecutor``; useful when ``fn`` spends its
-  time in numpy kernels that release the GIL;
+  semantics the process backend must reproduce bit-for-bit);
 * ``process`` — a ``ProcessPoolExecutor`` where the graph is shared
   zero-copy through :mod:`repro.parallel.shm`: workers attach the CSR
   segments once and every task ships only its payload (a chunk
@@ -20,8 +18,8 @@ returns the results in order.  The backend decides what that costs:
 
 Pools and shared graphs are *long-lived*: executors borrow
 :class:`~repro.parallel.pool.WorkerPool` instances from a process-wide
-registry keyed by ``(backend, workers)`` (``reuse_pool=False`` opts out),
-so worker spawn and the CSR copy into shared memory happen once per
+registry keyed by worker count (``reuse_pool=False`` opts out), so
+worker spawn and the CSR copy into shared memory happen once per
 session, not once per fan-out.  Each graph is published to shared memory
 exactly once per (pool, graph) pair and reused across ``map_graph``
 calls; segments are torn down through the shm ``_LIVE``/atexit hygiene.
@@ -29,7 +27,7 @@ calls; segments are torn down through the shm ``_LIVE``/atexit hygiene.
 Determinism contract: callers split work with the chunking policy of
 :mod:`repro.parallel.chunking` and reduce results *in payload order*.
 Because the chunk structure — not the backend — fixes the computation
-graph, every backend produces identical output (see DESIGN.md).
+graph, both backends produce identical output (see DESIGN.md).
 
 The executor meters itself into a :class:`~repro.obs.MetricsRegistry`
 (``parallel.*``): per-worker busy seconds, chunk latency histogram,
@@ -39,9 +37,7 @@ pool warm-up seconds (spawn + CSR publish, counted separately), and the
 drags the gauge below 1.  ``parallel.cpu_seconds`` sums the CPU time the
 chunks got (``time.thread_time``) beside their wall ``busy_seconds``:
 under the process backend, ``busy / cpu`` well above 1 means the workers
-time-shared a CPU, which the efficiency gauge cannot see.  Under the
-thread backend a chunk's wall time also holds its GIL waits, so there
-``busy / cpu`` nears ``workers`` for Python-bound kernels with CPUs idle.
+time-shared a CPU, which the efficiency gauge cannot see.
 
 Crash tolerance: chunks are pure functions of ``(graph, payload)``, so
 a dead worker costs work, never answers.  When a process worker dies —
@@ -49,10 +45,11 @@ organically (``BrokenProcessPool``) or under an injected
 :class:`~repro.resilience.FaultPlan` — the executor rebuilds the pool's
 futures executor (shared segments stay mapped, so no re-copy) and
 re-dispatches the unfinished ``(lo, hi)`` spans to the survivors; after
-``max_pool_failures`` pool losses in one fan-out it degrades to
-``thread`` for the rest of its life (auto mode runs ``serial`` from
-then on).  Shared segments for the failing graph are unlinked on
-every exception path.  Recovery is metered under ``resilience.*``
+:data:`MAX_POOL_FAILURES` pool losses in one fan-out it runs the
+unfinished spans serially, in payload order, and degrades to ``serial``
+for the rest of its life (auto mode allows only ``serial`` from then
+on).  Shared segments for the failing graph are unlinked on every
+exception path.  Recovery is metered under ``resilience.*``
 (re-dispatched chunks, pool failures, degradations) and traced as
 ``resilience.recover`` spans.
 """
@@ -62,7 +59,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import BrokenExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..graph.csr import Graph
 from ..obs import MetricsRegistry, Tracer
@@ -81,7 +78,11 @@ __all__ = [
 ]
 
 #: The executable backends; ``auto`` resolves to one of these per call.
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
+
+#: Pool losses tolerated within one fan-out before the executor
+#: degrades to ``serial`` for the rest of its life.
+MAX_POOL_FAILURES = 2
 
 #: Environment knobs: ``REPRO_BACKEND`` picks the default backend,
 #: ``REPRO_WORKERS`` the default worker count.
@@ -151,10 +152,14 @@ def _process_task(handle, fn, payload, crash=False):
 class ParallelExecutor:
     """Backend-selectable fan-out over an immutable graph.
 
+    Two backends, ``serial`` and ``process``, plus ``auto``, which picks
+    one of them per call.  After :data:`MAX_POOL_FAILURES` pool losses
+    in one fan-out the executor degrades to ``serial`` for good.
+
     Parameters
     ----------
     backend:
-        ``serial`` / ``thread`` / ``process`` / ``auto``; ``None``
+        ``serial`` / ``process`` / ``auto``; ``None``
         consults ``$REPRO_BACKEND`` and defaults to ``auto``.
     workers:
         Worker count; ``None`` consults ``$REPRO_WORKERS`` then the CPU
@@ -170,17 +175,14 @@ class ParallelExecutor:
         Optional :class:`~repro.resilience.FaultInjector`; its
         ``crash_worker(chunk=c)`` faults kill the worker executing
         payload index ``c`` (a real ``os._exit`` under the process
-        backend, a re-dispatched attempt under serial/thread).
+        backend, a re-dispatched attempt under serial).
     tracer:
         Optional :class:`~repro.obs.Tracer`; every recovery wave is
         recorded as a ``resilience.recover`` span.
-    max_pool_failures:
-        Pool losses tolerated within one fan-out before the executor
-        degrades to ``thread`` for the rest of its life.
     reuse_pool:
-        Borrow warm pools (and their shared graphs) from the
-        process-wide registry.  ``False`` gives the executor private
-        pools torn down by :meth:`close` — the pre-pool behaviour, used
+        Borrow a warm pool (and its shared graphs) from the
+        process-wide registry.  ``False`` gives the executor a private
+        pool torn down by :meth:`close` — the pre-pool behaviour, used
         by hygiene tests and one-shot scripts.
     cost_model:
         The :class:`CostModel` behind ``auto``; ``None`` uses the
@@ -196,7 +198,6 @@ class ParallelExecutor:
         obs: Optional[MetricsRegistry] = None,
         injector: Optional[FaultInjector] = None,
         tracer: Optional[Tracer] = None,
-        max_pool_failures: int = 2,
         reuse_pool: bool = True,
         cost_model: Optional[CostModel] = None,
     ) -> None:
@@ -206,11 +207,9 @@ class ParallelExecutor:
         self.obs = obs if obs is not None else MetricsRegistry()
         self.injector = injector
         self.tracer = tracer
-        self.max_pool_failures = max_pool_failures
         self.reuse_pool = reuse_pool
         self.cost_model = cost_model if cost_model is not None else default_cost_model()
-        self._pools: Dict[str, WorkerPool] = {}
-        self._private_pools: List[WorkerPool] = []
+        self._pool: Optional[WorkerPool] = None
         self._degraded = False
         self._span_state: Optional[Tuple[int, int]] = None
         self._warmup = 0.0
@@ -309,21 +308,29 @@ class ParallelExecutor:
         items = self._work_items(len(payloads))
         backend = self._select_backend(key, graph, items)
         self._warmup = 0.0
-        self._finish_backend = backend
         wall_start = time.perf_counter()
         try:
             if backend == "process":
                 timed = self._map_process(fn, graph, payloads)
-                backend = self._finish_backend  # degraded runs finish on threads
             else:
-                timed = self._map_local(backend, fn, graph, payloads)
+                timed = self._map_serial(fn, graph, payloads)
         except BaseException:
             # Failure path: never leave this graph's shared segments
             # behind, whatever the caller does with the exception.
             self._discard_shared(graph)
             raise
         wall = time.perf_counter() - wall_start
-        self._record(key, backend, len(payloads), items, timed, wall)
+        # A process fan-out that degraded finished serially; its wall
+        # holds the pool losses, so it is metered as serial but teaches
+        # the cost model nothing.
+        degraded = backend == "process" and self._degraded
+        if degraded:
+            backend = "serial"
+        busy = self._record(backend, len(payloads), timed, wall)
+        if not degraded:
+            self.cost_model.observe(
+                key, backend, items=items, busy=busy, wall=wall, warmup=self._warmup
+            )
         return [r for r, _, _ in timed]
 
     # -- auto-mode selection -----------------------------------------------
@@ -339,17 +346,16 @@ class ParallelExecutor:
             return self._span_state[0]
         return num_payloads
 
-    def _peek_pool(self, backend: str) -> Optional[WorkerPool]:
-        """The pool a backend *would* use, without creating one."""
-        pool = self._pools.get(backend)
-        if pool is None and self.reuse_pool:
-            pool = pool_registry().get((backend, self.workers))
-        return pool
+    def _peek_pool(self) -> Optional[WorkerPool]:
+        """The pool a process fan-out *would* use, without creating one."""
+        if self._pool is None and self.reuse_pool:
+            return pool_registry().get(self.workers)
+        return self._pool
 
     def _select_backend(self, key: str, graph: Graph, items: int) -> str:
         if self.backend != "auto":
             return self.backend
-        pool = self._peek_pool("process")
+        pool = self._peek_pool()
         backend = self.cost_model.choose(
             key,
             items,
@@ -367,7 +373,7 @@ class ParallelExecutor:
     ) -> Tuple[Tuple[Any, float, float], int]:
         """Run one chunk, re-dispatching past injected worker deaths.
 
-        Serial/thread analogue of the process backend's pool rebuild:
+        Serial analogue of the process backend's pool rebuild:
         a crashed attempt costs nothing but time, the chunk is simply
         run again.  Returns ``(_timed(...), redispatches)``.
         """
@@ -376,24 +382,13 @@ class ParallelExecutor:
             redispatches += 1
         return _timed(fn, graph, payload), redispatches
 
-    def _map_local(
-        self,
-        backend: str,
-        fn: Callable[[Graph, Any], Any],
-        graph: Graph,
-        payloads: List[Any],
+    def _map_serial(
+        self, fn: Callable[[Graph, Any], Any], graph: Graph, payloads: List[Any]
     ) -> List[Tuple[Any, float, float]]:
-        indexed = list(enumerate(payloads))
-        if backend == "serial":
-            attempts = [self._attempt_chunk(fn, graph, p, i) for i, p in indexed]
-        else:
-            pool = self._thread_pool()
-            attempts = list(
-                pool.map(lambda ip: self._attempt_chunk(fn, graph, ip[1], ip[0]), indexed)
-            )
+        attempts = [self._attempt_chunk(fn, graph, p, i) for i, p in enumerate(payloads)]
         redispatched = sum(n for _, n in attempts)
         if redispatched:
-            self._c_redispatched.inc(redispatched, backend=backend)
+            self._c_redispatched.inc(redispatched, backend="serial")
             self._recover_span(redispatched, rebuilt_pool=False)
         return [t for t, _ in attempts]
 
@@ -404,11 +399,13 @@ class ParallelExecutor:
         timed: List[Optional[Tuple[Any, float, float]]] = [None] * n
         remaining = list(range(n))
         pool_losses = 0
-        pool = self._pool_for("process")
+        pool = self._pool_for()
         while remaining:
             handle = self._share(graph).handle
             fpool = pool.executor()
-            self._absorb_spinup(pool, "process")
+            if pool.last_spinup_seconds:
+                self._warmup += pool.last_spinup_seconds
+                self._c_cold_starts.inc(backend="process")
             futures: List[Tuple[int, Any]] = []
             failed: List[int] = []
             try:
@@ -438,19 +435,11 @@ class ParallelExecutor:
             self._c_redispatched.inc(len(failed), backend="process")
             pool.rebuild()
             failed.sort()
-            if pool_losses >= self.max_pool_failures:
+            if pool_losses >= MAX_POOL_FAILURES:
                 self._degrade()
-                self._finish_backend = "thread"
                 self._recover_span(len(failed), rebuilt_pool=False, degraded=True)
-                tpool = self._thread_pool()
-                for i, attempt in zip(
-                    failed,
-                    tpool.map(
-                        lambda i: self._attempt_chunk(fn, graph, payloads[i], i),
-                        failed,
-                    ),
-                ):
-                    timed[i] = attempt[0]
+                for i in failed:
+                    timed[i] = self._attempt_chunk(fn, graph, payloads[i], i)[0]
                 break
             self._recover_span(len(failed), rebuilt_pool=True)
             remaining = failed
@@ -473,40 +462,29 @@ class ParallelExecutor:
             pass
 
     def _degrade(self) -> None:
-        """Give up on process workers; survive on threads instead."""
+        """Give up on process workers; run serially from now on.
+
+        ``workers`` stays as it was, so :meth:`spans` keeps cutting the
+        same chunks and results keep their bits.
+        """
         self._degraded = True
         if self.backend == "process":
-            self.backend = "thread"
-        self._g_degraded.set(1, to="thread")
+            self.backend = "serial"
+        self._g_degraded.set(1, to="serial")
         self._g_workers.set(self.workers, backend=self.backend)
 
     # -- backend plumbing --------------------------------------------------
 
-    def _pool_for(self, backend: str) -> WorkerPool:
-        pool = self._pools.get(backend)
-        if pool is None:
-            if self.reuse_pool:
-                pool = get_pool(backend, self.workers)
-            else:
-                pool = WorkerPool(backend, self.workers)
-                self._private_pools.append(pool)
-            self._pools[backend] = pool
-        return pool
-
-    def _absorb_spinup(self, pool: WorkerPool, backend: str) -> None:
-        if pool.last_spinup_seconds:
-            self._warmup += pool.last_spinup_seconds
-            self._c_cold_starts.inc(backend=backend)
-
-    def _thread_pool(self):
-        pool = self._pool_for("thread")
-        fpool = pool.executor()
-        self._absorb_spinup(pool, "thread")
-        return fpool
+    def _pool_for(self) -> WorkerPool:
+        if self._pool is None:
+            self._pool = (
+                get_pool(self.workers) if self.reuse_pool else WorkerPool(self.workers)
+            )
+        return self._pool
 
     def _share(self, graph: Graph) -> SharedGraph:
         """Publish ``graph`` to shared memory (once per pool + graph)."""
-        pool = self._pool_for("process")
+        pool = self._pool_for()
         already = pool.is_shared(graph)
         shared = pool.share(graph)
         if already:
@@ -518,20 +496,18 @@ class ParallelExecutor:
         return shared
 
     def _discard_shared(self, graph: Graph) -> None:
-        for pool in self._pools.values():
-            if pool.backend == "process":
-                pool.discard(graph)
-                self._g_shared.set(pool.shared_bytes)
+        if self._pool is not None:
+            self._pool.discard(graph)
+            self._g_shared.set(self._pool.shared_bytes)
 
     def _record(
         self,
-        key: str,
         backend: str,
         chunks: int,
-        items: int,
         timed: List[Tuple[Any, float, float]],
         wall: float,
-    ) -> None:
+    ) -> float:
+        """Meter one fan-out under ``parallel.*``; returns its busy seconds."""
         busy = sum(sec for _, sec, _ in timed)
         warmup = self._warmup
         self._c_maps.inc()
@@ -550,9 +526,7 @@ class ParallelExecutor:
                 min(1.0, busy / (steady * workers)), backend=backend
             )
         self._last_backend = backend
-        self.cost_model.observe(
-            key, backend, items=items, busy=busy, wall=wall, warmup=warmup
-        )
+        return busy
 
     @property
     def efficiency(self) -> float:
@@ -562,18 +536,17 @@ class ParallelExecutor:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Release this executor's pools (idempotent).
+        """Release this executor's pool (idempotent).
 
-        Private pools (``reuse_pool=False``) are shut down and their
-        shared segments unlinked.  Borrowed registry pools are left warm
+        A private pool (``reuse_pool=False``) is shut down and its
+        shared segments unlinked.  A borrowed registry pool is left warm
         on purpose — that is the amortization; the registry's atexit
         hook (and the shm ``_LIVE`` sweep) guarantee teardown at
         interpreter exit.
         """
-        for pool in self._private_pools:
-            pool.close()
-        self._private_pools = []
-        self._pools = {}
+        if self._pool is not None and not self.reuse_pool:
+            self._pool.close()
+        self._pool = None
 
     def __enter__(self) -> "ParallelExecutor":
         return self

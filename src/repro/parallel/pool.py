@@ -4,10 +4,10 @@ A fresh ``ProcessPoolExecutor`` plus a CSR re-publish per executor makes
 every fan-out pay the full spawn + copy bill, and the process backend
 then loses to serial.  :class:`WorkerPool` amortizes both:
 
-* the futures pool (thread or process) is created once and *kept warm*
-  across ``map_graph`` calls, executors, and — through the module-level
-  registry — across independent call sites that agree on
-  ``(backend, workers)``;
+* the process pool is created once and *kept warm* across
+  ``map_graph`` calls, executors, and — through the module-level
+  registry, keyed by worker count — across independent call sites that
+  agree on ``workers``;
 * each graph's CSR is copied into ``multiprocessing.shared_memory``
   exactly once per (pool, graph) pair.  The registry is an LRU keyed by
   graph *identity* (with a strong reference held, so a collected graph's
@@ -42,8 +42,7 @@ import atexit
 import multiprocessing
 import os
 import time
-from concurrent.futures import Executor as _FuturesExecutor
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..graph.csr import Graph
@@ -97,29 +96,22 @@ def _pin_worker(cpus: Sequence[int], claimed) -> None:
 
 
 class WorkerPool:
-    """One warm futures pool plus the graphs it has published to shm.
+    """One warm process pool plus the graphs it has published to shm.
 
     Parameters
     ----------
-    backend:
-        ``thread`` or ``process`` (serial fan-outs never need a pool).
     workers:
         Worker count, fixed for the pool's lifetime.
     max_shared_graphs:
-        LRU cap on concurrently shared graphs (process pools only).
+        LRU cap on concurrently shared graphs.
     """
 
-    def __init__(
-        self, backend: str, workers: int, max_shared_graphs: int = MAX_SHARED_GRAPHS
-    ) -> None:
-        if backend not in ("thread", "process"):
-            raise ValueError(f"WorkerPool backend must be thread|process, got {backend!r}")
+    def __init__(self, workers: int, max_shared_graphs: int = MAX_SHARED_GRAPHS) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
-        self.backend = backend
         self.workers = workers
         self.max_shared_graphs = max_shared_graphs
-        self._pool: Optional[_FuturesExecutor] = None
+        self._pool: Optional[ProcessPoolExecutor] = None
         # id(graph) -> (graph, shared); the strong graph reference keeps
         # the id from being recycled while the entry lives.
         self._graphs = LRU(max_shared_graphs, on_evict=lambda _, e: e[1].close())
@@ -134,33 +126,28 @@ class WorkerPool:
         """True when the futures pool is already spawned."""
         return self._pool is not None
 
-    def executor(self) -> _FuturesExecutor:
-        """The live futures pool, spawning (and pre-warming) it when cold.
+    def executor(self) -> ProcessPoolExecutor:
+        """The live process pool, spawning (and pre-warming) it when cold.
 
-        A cold process pool is forced to fork all its workers *now* via a
-        barrier of no-op tasks, so spawn cost lands in the measured
-        warm-up (``last_spinup_seconds``) instead of inflating the first
+        A cold pool is forced to fork all its workers *now* via a barrier
+        of no-op tasks, so spawn cost lands in the measured warm-up
+        (``last_spinup_seconds``) instead of inflating the first
         fan-out's chunk latencies.  With one worker per usable CPU, each
-        process worker pins itself to its own CPU as it starts (see the
-        module docstring).
+        worker pins itself to its own CPU as it starts (see the module
+        docstring).
         """
         if self._pool is not None:
             self.last_spinup_seconds = 0.0
             return self._pool
         start = time.perf_counter()
-        if self.backend == "thread":
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
-        else:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_pin_worker,
-                initargs=(_pin_cpus(self.workers), multiprocessing.Value("i", 0)),
-            )
-            barrier = [
-                self._pool.submit(_spinup_probe, 0.001) for _ in range(self.workers)
-            ]
-            for fut in barrier:
-                fut.result()
+        self._pool = ProcessPoolExecutor(
+            max_workers=self.workers,
+            initializer=_pin_worker,
+            initargs=(_pin_cpus(self.workers), multiprocessing.Value("i", 0)),
+        )
+        barrier = [self._pool.submit(_spinup_probe, 0.001) for _ in range(self.workers)]
+        for fut in barrier:
+            fut.result()
         self.cold_starts += 1
         self.last_spinup_seconds = time.perf_counter() - start
         return self._pool
@@ -226,8 +213,8 @@ class WorkerPool:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"WorkerPool(backend={self.backend!r}, workers={self.workers}, "
-            f"warm={self.warm}, shared_graphs={len(self._graphs)})"
+            f"WorkerPool(workers={self.workers}, warm={self.warm}, "
+            f"shared_graphs={len(self._graphs)})"
         )
 
 
@@ -235,20 +222,19 @@ class WorkerPool:
 # Process-wide registry: executors borrow pools instead of owning them.
 # ----------------------------------------------------------------------
 
-_POOLS: Dict[Tuple[str, int], WorkerPool] = {}
+_POOLS: Dict[int, WorkerPool] = {}
 
 
-def get_pool(backend: str, workers: int) -> WorkerPool:
-    """The shared pool for ``(backend, workers)``, created on first use."""
-    key = (backend, int(workers))
-    pool = _POOLS.get(key)
+def get_pool(workers: int) -> WorkerPool:
+    """The shared pool for ``workers``, created on first use."""
+    workers = int(workers)
+    pool = _POOLS.get(workers)
     if pool is None:
-        pool = WorkerPool(backend, int(workers))
-        _POOLS[key] = pool
+        pool = _POOLS[workers] = WorkerPool(workers)
     return pool
 
 
-def pool_registry() -> Dict[Tuple[str, int], WorkerPool]:
+def pool_registry() -> Dict[int, WorkerPool]:
     """A snapshot view of the live pool registry (introspection/tests)."""
     return dict(_POOLS)
 

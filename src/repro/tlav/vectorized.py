@@ -53,7 +53,7 @@ Parallel partitions
 Pass an ``executor`` (:class:`repro.parallel.ParallelExecutor`) to
 partition each superstep's scatter over contiguous source ranges.
 Results are then *chunk-deterministic*: fixed by the chunk layout, not
-the backend — serial/thread/process with the same chunking agree
+the backend — serial and process with the same chunking agree
 bit-for-bit (floating-point partial sums are folded in chunk order).
 The executor path needs the CSR in shared memory, so a stored handle
 is materialized with ``to_graph()`` first (documented trade-off: the

@@ -6,6 +6,8 @@ test never imports it.
 
 from __future__ import annotations
 
+import sys
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -25,6 +27,33 @@ def to_networkx(graph: Graph) -> nx.Graph:
     for u, v in graph.edges():
         g.add_edge(u, v)
     return g
+
+
+@pytest.fixture(autouse=True)
+def no_shared_graph_outlives_its_test():
+    """After a test, every live shared-memory CSR belongs to a registry pool.
+
+    Registry pools keep their graphs shared on purpose (that is the
+    amortization); anything else still in ``shm._LIVE`` — a private pool
+    left open, a failure path that skipped its unlink — is a leak.  The
+    leaked segments are unlinked before the assertion, so one leak does
+    not fail every later test.
+    """
+    yield
+    shm = sys.modules.get("repro.parallel.shm")
+    if shm is None or not shm._LIVE:
+        return
+    from repro.parallel.pool import pool_registry
+
+    held = {
+        id(pool._graphs.peek(key)[1])
+        for pool in pool_registry().values()
+        for key in pool._graphs
+    }
+    leaked = [owner for owner in list(shm._LIVE) if id(owner) not in held]
+    for owner in leaked:
+        owner.close()
+    assert not leaked, f"{len(leaked)} shared graph(s) outlived the test"
 
 
 @pytest.fixture

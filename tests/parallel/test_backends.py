@@ -1,4 +1,4 @@
-"""Backend equivalence: serial / thread / process give identical answers.
+"""Backend equivalence: serial and process give identical answers.
 
 The determinism contract (DESIGN.md): with the same chunk layout, every
 backend performs the same computation graph, so integer counts are equal
@@ -44,7 +44,6 @@ def executors():
     """One executor per backend, identical chunking so results match."""
     execs = {
         "serial": ParallelExecutor(backend="serial", chunk_size=16),
-        "thread": ParallelExecutor(backend="thread", workers=2, chunk_size=16),
         "process": ParallelExecutor(backend="process", workers=2, chunk_size=16),
     }
     yield execs
@@ -97,11 +96,11 @@ class TestCountMatchesEquivalence:
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
-    def test_property_serial_and_thread_agree(self, seed):
+    def test_property_serial_and_process_agree(self, seed):
         g = erdos_renyi(50, 0.2, seed=seed)
         pattern = clique_pattern(3)
         expected = count_matches(g, pattern)
-        with ParallelExecutor(backend="thread", workers=2, chunk_size=7) as ex:
+        with ParallelExecutor(backend="process", workers=2, chunk_size=7) as ex:
             assert count_matches(g, pattern, executor=ex) == expected
 
 
@@ -119,9 +118,8 @@ class TestPageRankDeterminism:
     def test_bit_identical_across_backends(self, seed, executors):
         g = erdos_renyi(150, 0.05, seed=seed)
         reference = pagerank_dense(g, iterations=10, executor=executors["serial"])
-        for name in ("thread", "process"):
-            got = pagerank_dense(g, iterations=10, executor=executors[name])
-            assert np.array_equal(got, reference), name
+        got = pagerank_dense(g, iterations=10, executor=executors["process"])
+        assert np.array_equal(got, reference)
         # The unchunked path folds partial sums in a different association
         # order, so it is close but not required to be bit-equal.
         solo = pagerank_dense(g, iterations=10)
@@ -161,14 +159,26 @@ class TestAutoExploresProcess:
 
 class TestResolution:
     def test_backend_env_and_argument(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
-        assert resolve_backend() == "thread"
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
+        assert resolve_backend() == "serial"
         assert resolve_backend("process") == "process"
         monkeypatch.delenv("REPRO_BACKEND")
         assert resolve_backend() == "auto"
         assert resolve_backend("auto") == "auto"
         with pytest.raises(ValueError):
             resolve_backend("gpu")
+
+    def test_thread_is_not_a_backend(self, monkeypatch):
+        # ``thread`` is not a backend, by argument or environment, and
+        # the message names the valid choices.
+        choices = r"\('serial', 'process', 'auto'\)"
+        with pytest.raises(ValueError, match=choices):
+            resolve_backend("thread")
+        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        with pytest.raises(ValueError, match=choices):
+            resolve_backend()
+        with pytest.raises(ValueError, match=choices):
+            ParallelExecutor()
 
     def test_workers_env_and_argument(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
@@ -182,10 +192,10 @@ class TestResolution:
             assert ex.workers == 1
 
     def test_executor_honours_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        monkeypatch.setenv("REPRO_BACKEND", "process")
         monkeypatch.setenv("REPRO_WORKERS", "2")
         with ParallelExecutor() as ex:
-            assert ex.backend == "thread"
+            assert ex.backend == "process"
             assert ex.workers == 2
 
 
@@ -266,24 +276,18 @@ class TestCrashTolerance:
     def _graph(self):
         return barabasi_albert(150, 3, seed=2)
 
-    def test_serial_and_thread_redispatch(self):
+    def test_serial_redispatch(self):
         from repro.resilience import FaultPlan
 
         g = self._graph()
         expected = triangle_count(g)
-        for backend in ("serial", "thread"):
-            obs = MetricsRegistry()
-            injector = FaultPlan(seed=1).crash_worker(chunk=0).build(obs)
-            with ParallelExecutor(
-                backend=backend, workers=2, obs=obs, injector=injector
-            ) as ex:
-                assert triangle_count(g, executor=ex) == expected
-            assert (
-                obs.counter("resilience.redispatched_chunks").value(
-                    backend=backend
-                )
-                == 1
-            )
+        obs = MetricsRegistry()
+        injector = FaultPlan(seed=1).crash_worker(chunk=0).build(obs)
+        with ParallelExecutor(
+            backend="serial", workers=2, obs=obs, injector=injector
+        ) as ex:
+            assert triangle_count(g, executor=ex) == expected
+        assert obs.counter("resilience.redispatched_chunks").value(backend="serial") == 1
 
     def test_process_pool_rebuild_and_redispatch(self):
         from repro.resilience import FaultPlan
@@ -303,19 +307,48 @@ class TestCrashTolerance:
         assert obs.counter("resilience.redispatched_chunks").total >= 1
 
     def test_degradation_after_repeated_pool_losses(self):
+        from repro.parallel.executor import MAX_POOL_FAILURES
         from repro.resilience import FaultPlan
 
         g = self._graph()
         expected = triangle_count(g)
         obs = MetricsRegistry()
         injector = FaultPlan(seed=1).crash_worker(chunk=0, times=2).build(obs)
+        model = CostModel()
         with ParallelExecutor(
-            backend="process", workers=2, obs=obs,
-            injector=injector, max_pool_failures=2,
+            backend="process", workers=2, obs=obs, injector=injector,
+            cost_model=model,
         ) as ex:
             assert triangle_count(g, executor=ex) == expected
-            assert ex.backend == "thread"
-            assert obs.gauge("resilience.degraded").value(to="thread") == 1
+            assert ex.backend == "serial"
+            assert obs.gauge("resilience.degraded").value(to="serial") == 1
+        assert obs.counter("resilience.pool_failures").total == MAX_POOL_FAILURES
+        # The degraded fan-out's wall holds the pool losses: it is learned
+        # as a rate of neither backend.
+        assert model.observations == 0
+
+    def test_degraded_pagerank_keeps_serial_bits(self):
+        # The unfinished spans run serially in payload order and
+        # ``workers`` stays, so the chunks (and the bits) are a serial
+        # run's with the same chunk_size and workers.
+        from repro.resilience import FaultPlan
+
+        g = self._graph()
+        with ParallelExecutor(backend="serial", workers=2, chunk_size=16) as ex:
+            expected = pagerank_dense(g, iterations=5, executor=ex)
+        injector = FaultPlan(seed=1).crash_worker(chunk=1, times=2).build()
+        model = CostModel()
+        with ParallelExecutor(
+            backend="process", workers=2, chunk_size=16,
+            injector=injector, cost_model=model,
+        ) as ex:
+            got = pagerank_dense(g, iterations=5, executor=ex)
+            assert ex.backend == "serial"
+            assert ex.workers == 2
+        assert np.array_equal(got, expected)
+        # Supersteps after the degraded one run serial and are learned.
+        assert model.observations == 4
+        assert not any(k.endswith("|process") for k in model.snapshot()["wall_per_item"])
 
 
 class TestSharedMemoryHygiene:
@@ -329,7 +362,7 @@ class TestSharedMemoryHygiene:
         with pytest.raises(RuntimeError, match="chunk exploded"):
             ex.map_graph(_boom_task, g, ex.spans(g.num_vertices))
         # The failure path discarded the graph from the pool's registry.
-        assert not ex._pools["process"].is_shared(g)
+        assert not ex._pool.is_shared(g)
         from multiprocessing import shared_memory
 
         for name in names:

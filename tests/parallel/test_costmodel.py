@@ -3,8 +3,8 @@
 Pinned properties: a call with no serial measurement runs serial, an
 unmeasured pool is tried once wherever its best case could win and is
 judged on its own measured rate after that, a cold pool pays the
-measured cold start, ``auto`` never picks ``thread``, calibration is a
-pure EWMA fold (same observations -> same decisions, so auto mode is
+measured cold start, a degraded executor stays serial, calibration is
+a pure EWMA fold (same observations -> same decisions, so auto mode is
 deterministic), and the process-wide default model persists across
 executors within a session.
 """
@@ -113,23 +113,6 @@ class TestAutoExecutor:
                 ex.map_graph(_span_vertices, graph, ex.spans(graph.num_vertices))
         assert _decisions(obs) == {"backend=serial": 3}
 
-    def test_auto_never_records_thread(self):
-        graph = barabasi_albert(120, 3, seed=6)
-        key = _fn_key(_span_vertices)
-        model = CostModel()
-        # Threads measured far faster than serial: auto still never uses them.
-        model.observe(key, "serial", items=120, busy=0.1, wall=0.1)
-        model.observe(key, "thread", items=120, busy=1e-6, wall=1e-6)
-        obs = MetricsRegistry()
-        with ParallelExecutor(
-            backend="auto", workers=2, obs=obs, reuse_pool=False, cost_model=model,
-        ) as ex:
-            for _ in range(3):
-                ex.map_graph(_span_vertices, graph, ex.spans(graph.num_vertices))
-        decisions = _decisions(obs)
-        assert sum(decisions.values()) == 3
-        assert not any("thread" in series for series in decisions)
-
 
 class TestChunkSizing:
     def test_uncalibrated_model_defers_to_default_policy(self):
@@ -156,7 +139,7 @@ class TestDeterminism:
         trace = [
             (
                 f"fn{int(rng.integers(3))}",
-                ("serial", "thread", "process")[int(rng.integers(3))],
+                ("serial", "process")[int(rng.integers(2))],
                 int(rng.integers(1, 1000)),
                 float(rng.uniform(1e-4, 1e-1)),
             )

@@ -76,7 +76,7 @@ def two_cpus():
 
 class TestWorkerPool:
     def test_share_is_idempotent(self, graph):
-        with WorkerPool("process", 1) as pool:
+        with WorkerPool(1) as pool:
             first = pool.share(graph)
             second = pool.share(graph)
             assert second is first
@@ -87,7 +87,7 @@ class TestWorkerPool:
 
     def test_lru_eviction_unlinks_segments(self):
         graphs = [erdos_renyi(30, 0.1, seed=s) for s in range(3)]
-        with WorkerPool("process", 1, max_shared_graphs=2) as pool:
+        with WorkerPool(1, max_shared_graphs=2) as pool:
             names = []
             for g in graphs:
                 pool.share(g)
@@ -99,7 +99,7 @@ class TestWorkerPool:
                     shared_memory.SharedMemory(name=name)
 
     def test_discard_is_idempotent(self, graph):
-        with WorkerPool("process", 1) as pool:
+        with WorkerPool(1) as pool:
             pool.share(graph)
             names = _segment_names(pool, graph)
             pool.discard(graph)
@@ -110,7 +110,7 @@ class TestWorkerPool:
                     shared_memory.SharedMemory(name=name)
 
     def test_rebuild_keeps_shared_graphs(self, graph):
-        with WorkerPool("thread", 2) as pool:
+        with WorkerPool(1) as pool:
             pool.executor()
             pool.share(graph)
             assert pool.warm
@@ -122,7 +122,7 @@ class TestWorkerPool:
             assert pool.cold_starts == 2
 
     def test_warm_executor_reports_zero_spinup(self):
-        with WorkerPool("thread", 2) as pool:
+        with WorkerPool(1) as pool:
             pool.executor()
             assert pool.last_spinup_seconds > 0.0
             pool.executor()
@@ -130,7 +130,7 @@ class TestWorkerPool:
             assert pool.cold_starts == 1
 
     def test_close_unlinks_everything(self, graph):
-        pool = WorkerPool("process", 1)
+        pool = WorkerPool(1)
         pool.share(graph)
         names = _segment_names(pool, graph)
         pool.close()
@@ -142,20 +142,18 @@ class TestWorkerPool:
 
     def test_rejects_bad_configuration(self):
         with pytest.raises(ValueError):
-            WorkerPool("serial", 2)
-        with pytest.raises(ValueError):
-            WorkerPool("thread", 0)
+            WorkerPool(0)
 
 
 class TestWorkerPinning:
     """Process workers get one CPU each when there is one worker per CPU."""
 
     def test_each_worker_gets_its_own_cpu(self, two_cpus):
-        with WorkerPool("process", 2) as pool:
+        with WorkerPool(2) as pool:
             assert sorted(_worker_affinities(pool).values()) == [[c] for c in two_cpus]
 
     def test_rebuild_pins_the_new_workers(self, two_cpus):
-        with WorkerPool("process", 2) as pool:
+        with WorkerPool(2) as pool:
             before = _worker_affinities(pool)
             pool.rebuild()
             after = _worker_affinities(pool)
@@ -166,25 +164,25 @@ class TestWorkerPinning:
     def test_other_worker_counts_stay_unpinned(self, two_cpus, workers):
         # Pinning fewer workers would stack every pool on the lowest
         # CPUs; more workers than CPUs is the scheduler's job.
-        with WorkerPool("process", workers) as pool:
+        with WorkerPool(workers) as pool:
             for cpus in _worker_affinities(pool).values():
                 assert cpus == two_cpus
 
 
 class TestPoolRegistry:
     def test_get_pool_returns_the_same_instance(self):
-        a = get_pool("thread", 3)
-        b = get_pool("thread", 3)
-        other = get_pool("thread", 2)
+        a = get_pool(3)
+        b = get_pool(3)
+        other = get_pool(2)
         try:
             assert a is b
             assert other is not a
-            assert ("thread", 3) in pool_registry()
+            assert pool_registry()[3] is a and pool_registry()[2] is other
         finally:
             shutdown_pools()
 
     def test_shutdown_empties_the_registry(self):
-        get_pool("thread", 2)
+        get_pool(2)
         shutdown_pools()
         assert pool_registry() == {}
 
@@ -199,29 +197,29 @@ class TestExecutorPoolReuse:
             obs=obs, reuse_pool=False,
         ) as ex:
             first = ex.map_graph(_span_edges, graph, ex.spans(graph.num_vertices))
-            names = _segment_names(ex._pools["process"], graph)
+            names = _segment_names(ex._pool, graph)
             second = ex.map_graph(_span_edges, graph, ex.spans(graph.num_vertices))
             assert first == second
             # Same shm segments served both fan-outs: one publish, one reuse.
-            assert _segment_names(ex._pools["process"], graph) == names
+            assert _segment_names(ex._pool, graph) == names
             assert obs.counter("parallel.shm_shares").value() == 1
             assert obs.counter("parallel.shm_reuses").value() == 1
             # And one pool spawn covered both calls.
-            assert ex._pools["process"].cold_starts == 1
+            assert ex._pool.cold_starts == 1
 
     def test_registry_pool_shared_across_executors(self, graph):
         shutdown_pools()
         try:
             with ParallelExecutor(backend="process", workers=2, chunk_size=32) as a:
                 a.map_graph(_span_edges, graph, a.spans(graph.num_vertices))
-                pool = pool_registry()[("process", 2)]
+                pool = pool_registry()[2]
                 spawned = pool.cold_starts
                 assert pool.is_shared(graph)
             # close() leaves borrowed pools warm — the amortization.
             assert pool.warm
             with ParallelExecutor(backend="process", workers=2, chunk_size=32) as b:
                 b.map_graph(_span_edges, graph, b.spans(graph.num_vertices))
-                assert b._pools["process"] is pool
+                assert b._pool is pool
                 assert pool.cold_starts == spawned
                 assert pool.share_hits >= 1
         finally:

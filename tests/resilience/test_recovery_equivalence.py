@@ -127,7 +127,7 @@ class TestExecutorRecovery:
         tracer = Tracer()
         injector = FaultPlan(seed=SEED).crash_worker(chunk=1).build(obs)
         with ParallelExecutor(
-            backend="thread", workers=2, obs=obs,
+            backend="serial", workers=2, obs=obs,
             injector=injector, tracer=tracer,
         ) as executor:
             assert triangle_count(graph, executor=executor) == expected
@@ -145,17 +145,16 @@ class TestExecutorRecovery:
             assert executor.backend == "process"  # rebuilt, not degraded
         assert obs.counter("resilience.pool_failures").total == 1
 
-    def test_degrades_to_thread_after_repeated_losses(self, graph):
+    def test_degrades_to_serial(self, graph):
         expected = triangle_count(graph)
         obs = MetricsRegistry()
         injector = FaultPlan(seed=SEED).crash_worker(chunk=0, times=2).build(obs)
         with ParallelExecutor(
-            backend="process", workers=2, obs=obs,
-            injector=injector, max_pool_failures=2,
+            backend="process", workers=2, obs=obs, injector=injector
         ) as executor:
             assert triangle_count(graph, executor=executor) == expected
-            assert executor.backend == "thread"
-        assert obs.gauge("resilience.degraded").value(to="thread") == 1
+            assert executor.backend == "serial"
+        assert obs.gauge("resilience.degraded").value(to="serial") == 1
 
 
 class TestGnnRecovery:

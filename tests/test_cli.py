@@ -40,10 +40,10 @@ class TestCLI:
         path = str(tmp_path / "g.txt")
         main(["generate", "ba", path, "--n", "150", "--m", "3"])
         capsys.readouterr()
-        assert main(["analyze", path, "--backend", "thread",
+        assert main(["analyze", path, "--backend", "process",
                      "--workers", "2"]) == 0
         out = capsys.readouterr().out
-        assert "backend=thread" in out
+        assert "backend=process" in out
         assert "workers=2" in out
         assert "efficiency=" in out
 
@@ -51,26 +51,35 @@ class TestCLI:
         path = str(tmp_path / "g.txt")
         main(["generate", "er", path, "--n", "100", "--p", "0.08"])
         capsys.readouterr()
-        # Default (auto) baseline and a threaded run must count identically.
+        # Default (auto) baseline and a pooled run must count identically.
         assert main(["analyze", path, "--json"]) == 0
         default = json.loads(capsys.readouterr().out)
-        assert main(["analyze", path, "--json", "--backend", "thread",
+        assert main(["analyze", path, "--json", "--backend", "process",
                      "--workers", "2"]) == 0
-        threaded = json.loads(capsys.readouterr().out)
+        pooled = json.loads(capsys.readouterr().out)
         assert default["parallel"]["backend"] == "auto"
         assert set(default["parallel"]["cost_model"]) == {
             "cold_start", "observations", "unit_cost", "wall_per_item",
         }
-        assert threaded["parallel"]["backend"] == "thread"
-        assert threaded["parallel"]["workers"] == 2
-        assert threaded["triangles"] == default["triangles"]
-        assert 0.0 < threaded["parallel"]["efficiency"] <= 1.0
-        busy = threaded["parallel"]["busy_seconds"]
-        assert 0.0 < threaded["parallel"]["cpu_seconds"] <= busy + 1e-3
+        assert pooled["parallel"]["backend"] == "process"
+        assert pooled["parallel"]["workers"] == 2
+        assert pooled["triangles"] == default["triangles"]
+        assert 0.0 < pooled["parallel"]["efficiency"] <= 1.0
+        busy = pooled["parallel"]["busy_seconds"]
+        assert 0.0 < pooled["parallel"]["cpu_seconds"] <= busy + 1e-3
 
     def test_analyze_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["analyze", "g.txt", "--backend", "gpu"])
+
+    def test_analyze_rejects_thread_backend(self, tmp_path, capsys):
+        # ``thread`` is not a backend; argparse names the valid choices.
+        path = str(tmp_path / "g.txt")
+        main(["generate", "ba", path, "--n", "50", "--m", "2"])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", path, "--backend", "thread"])
+        assert exit_info.value.code == 2
+        assert "'serial', 'process', 'auto'" in capsys.readouterr().err
 
     def test_obs_demo(self, capsys):
         assert main(["obs-demo", "--workers", "3"]) == 0
