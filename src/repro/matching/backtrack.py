@@ -417,7 +417,7 @@ def _count_roots_task(graph: Graph, payload: Tuple) -> MatchStats:
     Module-level so the process backend can pickle it by reference; the
     graph arrives through the executor (shared memory, not the payload).
     """
-    pattern, order, restrictions, lo, hi = payload
+    lo, hi, pattern, order, restrictions = payload
     stats = MatchStats()
     _count_frontier(
         as_handle(graph), pattern, order, restrictions,
@@ -470,11 +470,9 @@ def count_matches(
         )
         return merged.embeddings
     shared = handle.to_graph()  # executor backends need the CSR in shared memory
-    payloads = [
-        (pattern, order, restrictions, lo, hi)
-        for lo, hi in executor.spans(shared.num_vertices)
-    ]
-    for part in executor.map_graph(_count_roots_task, shared, payloads):
+    for part in executor.map_spans(
+        _count_roots_task, shared, shared.num_vertices, pattern, order, restrictions
+    ):
         merged.merge(part)
     return merged.embeddings
 

@@ -73,7 +73,7 @@ def triangle_count(
     n = oriented.num_vertices
     if executor is None:
         return _count_span_task(oriented, (0, n))
-    return sum(executor.map_graph(_count_span_task, oriented, executor.spans(n)))
+    return sum(executor.map_spans(_count_span_task, oriented, n))
 
 
 def triangle_count_with_work(graph: Graph) -> Tuple[int, int]:

@@ -4,7 +4,7 @@ Until this package the library *simulated* parallelism (the TLAG engine
 advances virtual worker clocks).  ``repro.parallel`` runs the same
 workloads on actual cores:
 
-* :class:`ParallelExecutor` — one ``map_graph(fn, graph, payloads)``
+* :class:`ParallelExecutor` — one ``map_spans(fn, graph, num_items, *args)``
   fan-out API over the ``serial`` and ``process`` backends plus the
   measured ``auto`` default, selectable per call site or globally via
   ``$REPRO_BACKEND`` / ``$REPRO_WORKERS``; an executor that keeps

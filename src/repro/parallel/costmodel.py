@@ -15,42 +15,37 @@ between ``serial`` and ``process`` per call from measured rates alone:
    CSR publish), seeded by :data:`COLD_START`;
 4. ties go to ``serial``.
 
-Every ``map_graph`` feeds the same busy/wall/warm-up numbers it meters
-into the ``parallel.*`` registry back into the model, which keeps
-exponentially-weighted moving averages of wall seconds per work item per
-``(fn, backend)`` pair.  Given the same observation history,
-:meth:`CostModel.choose` is deterministic, which is what the auto-mode
-determinism tests pin.
+Every ``map_spans`` feeds the wall and warm-up seconds it meters into
+the ``parallel.*`` registry back into the model, which keeps
+exponentially-weighted moving averages (weight :data:`ALPHA`) of wall
+seconds per work item per ``(fn, backend)`` pair.  Given the same
+observation history, :meth:`CostModel.choose` is deterministic, which is
+what the auto-mode determinism tests pin.
+
+The model picks a backend, never a chunk layout: the executor cuts its
+spans from the item count, worker count and ``chunk_size`` alone, so
+what the model has learned cannot change a fan-out's result bits.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional, Sequence, Tuple
-
-from .chunking import default_chunk_size
 
 __all__ = ["CostModel", "default_cost_model", "reset_default_cost_model"]
 
 #: Seconds a cold process start costs before one has been measured.
 COLD_START = 0.25
 
-#: Target wall seconds of work per chunk once calibrated — enough to
-#: amortize dispatch, small enough to keep the makespan balanced.
-TARGET_CHUNK_SECONDS = 2e-3
+#: EWMA weight of the newest observation.
+ALPHA = 0.4
 
 
 class CostModel:
     """Per-``(fn, backend)`` wall rates, learned from fan-out telemetry."""
 
-    def __init__(self, alpha: float = 0.4) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
+    def __init__(self) -> None:
         #: (fn key, backend) -> EWMA steady-state wall seconds per item.
         self._wall_per_item: Dict[Tuple[str, str], float] = {}
-        #: Global per-item compute rate (chunk-size selection).
-        self._unit_cost: Optional[float] = None
         #: EWMA measured process warm-up seconds.
         self._cold_start = COLD_START
         self.observations = 0
@@ -79,14 +74,13 @@ class CostModel:
     def _ewma(self, old: Optional[float], new: float) -> float:
         if old is None:
             return new
-        return (1.0 - self.alpha) * old + self.alpha * new
+        return (1.0 - ALPHA) * old + ALPHA * new
 
     def observe(
         self,
         key: str,
         backend: str,
         items: int,
-        busy: float,
         wall: float,
         warmup: float = 0.0,
     ) -> None:
@@ -95,8 +89,7 @@ class CostModel:
         ``wall`` minus ``warmup`` is the steady-state cost a *warm*
         repeat of this call would pay — that is what the per-(fn,
         backend) rate tracks; a process run's ``warmup`` itself updates
-        the cold-start charge.  ``busy`` (summed in-chunk compute
-        seconds) calibrates the chunk-sizing work rate.
+        the cold-start charge.
         """
         if items <= 0 or wall < 0:
             return
@@ -105,28 +98,9 @@ class CostModel:
         self._wall_per_item[rate_key] = self._ewma(
             self._wall_per_item.get(rate_key), steady / items
         )
-        if busy > 0:
-            self._unit_cost = self._ewma(self._unit_cost, busy / items)
         if backend == "process" and warmup > 0:
             self._cold_start = self._ewma(self._cold_start, warmup)
         self.observations += 1
-
-    # -- chunk-size selection ----------------------------------------------
-
-    def auto_chunk_size(self, num_items: int, workers: int) -> Optional[int]:
-        """Chunk size targeting ``TARGET_CHUNK_SECONDS`` of work per chunk.
-
-        ``None`` until calibrated (callers fall back to the default
-        oversubscription policy).  Never chunks finer than the default
-        policy, never coarser than one chunk per worker — so balance
-        survives, only dispatch overhead shrinks.
-        """
-        if self._unit_cost is None or num_items <= 0:
-            return None
-        base = default_chunk_size(num_items, workers)
-        target = int(math.ceil(TARGET_CHUNK_SECONDS / max(self._unit_cost, 1e-12)))
-        per_worker = -(-num_items // max(1, workers))
-        return max(1, min(max(base, target), per_worker))
 
     # -- introspection -----------------------------------------------------
 
@@ -134,7 +108,6 @@ class CostModel:
         """Model state for debugging / the CLI profile JSON."""
         return {
             "observations": self.observations,
-            "unit_cost": self._unit_cost,
             "cold_start": self._cold_start,
             "wall_per_item": {
                 f"{key}|{backend}": rate

@@ -1,8 +1,9 @@
 """The executor abstraction: one fan-out API, two backends + auto.
 
-``ParallelExecutor.map_graph(fn, graph, payloads)`` applies a
-module-level function ``fn(graph, payload)`` to every payload and
-returns the results in order.  The backend decides what that costs:
+``ParallelExecutor.map_spans(fn, graph, num_items, *args)`` cuts
+``range(num_items)`` into contiguous ``(lo, hi)`` spans, applies a
+module-level function ``fn(graph, (lo, hi, *args))`` to every span and
+returns the results in span order.  The backend decides what that costs:
 
 * ``serial`` — a plain loop in the calling process (the reference
   semantics the process backend must reproduce bit-for-bit);
@@ -21,13 +22,16 @@ Pools and shared graphs are *long-lived*: executors borrow
 registry keyed by worker count (``reuse_pool=False`` opts out), so
 worker spawn and the CSR copy into shared memory happen once per
 session, not once per fan-out.  Each graph is published to shared memory
-exactly once per (pool, graph) pair and reused across ``map_graph``
+exactly once per (pool, graph) pair and reused across ``map_spans``
 calls; segments are torn down through the shm ``_LIVE``/atexit hygiene.
 
-Determinism contract: callers split work with the chunking policy of
-:mod:`repro.parallel.chunking` and reduce results *in payload order*.
-Because the chunk structure — not the backend — fixes the computation
-graph, both backends produce identical output (see DESIGN.md).
+Determinism contract: the executor cuts its spans with
+:func:`~repro.parallel.chunking.chunk_spans` from ``(num_items,
+workers, chunk_size)`` alone — never from what the cost model has
+learned — and callers reduce results *in span order*.  Because the span
+layout, not the backend or the session's history, fixes the
+computation graph, both backends and ``auto`` produce identical output
+(see DESIGN.md).
 
 The executor meters itself into a :class:`~repro.obs.MetricsRegistry`
 (``parallel.*``): per-worker busy seconds, chunk latency histogram,
@@ -46,7 +50,7 @@ organically (``BrokenProcessPool``) or under an injected
 futures executor (shared segments stay mapped, so no re-copy) and
 re-dispatches the unfinished ``(lo, hi)`` spans to the survivors; after
 :data:`MAX_POOL_FAILURES` pool losses in one fan-out it runs the
-unfinished spans serially, in payload order, and degrades to ``serial``
+unfinished spans serially, in span order, and degrades to ``serial``
 for the rest of its life (auto mode allows only ``serial`` from then
 on).  Shared segments for the failing graph are unlinked on every
 exception path.  Recovery is metered under ``resilience.*``
@@ -59,7 +63,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import BrokenExecutor
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..graph.csr import Graph
 from ..obs import MetricsRegistry, Tracer
@@ -165,16 +169,16 @@ class ParallelExecutor:
         Worker count; ``None`` consults ``$REPRO_WORKERS`` then the CPU
         count.  The serial backend always reports 1.
     chunk_size:
-        Default chunk size for :meth:`spans`; ``None`` derives one from
-        the item count and worker count (the shared chunking policy —
-        in auto mode the cost model widens chunks once calibrated).
+        Span size for :meth:`map_spans`; ``None`` derives one from the
+        item count and worker count (the shared chunking policy), for
+        every backend alike.
     obs:
         Optional shared :class:`~repro.obs.MetricsRegistry` receiving the
         ``parallel.*`` metrics (private registry when omitted).
     injector:
         Optional :class:`~repro.resilience.FaultInjector`; its
         ``crash_worker(chunk=c)`` faults kill the worker executing
-        payload index ``c`` (a real ``os._exit`` under the process
+        span index ``c`` (a real ``os._exit`` under the process
         backend, a re-dispatched attempt under serial).
     tracer:
         Optional :class:`~repro.obs.Tracer`; every recovery wave is
@@ -211,10 +215,9 @@ class ParallelExecutor:
         self.cost_model = cost_model if cost_model is not None else default_cost_model()
         self._pool: Optional[WorkerPool] = None
         self._degraded = False
-        self._span_state: Optional[Tuple[int, int]] = None
         self._warmup = 0.0
         self._last_backend = "serial" if self.backend == "auto" else self.backend
-        self._c_maps = self.obs.counter("parallel.maps", "map_graph fan-outs issued")
+        self._c_maps = self.obs.counter("parallel.maps", "map_spans fan-outs issued")
         self._c_chunks = self.obs.counter("parallel.chunks", "chunk tasks executed")
         self._c_busy = self.obs.counter(
             "parallel.busy_seconds", "summed in-chunk compute seconds"
@@ -224,7 +227,7 @@ class ParallelExecutor:
             "summed in-chunk CPU seconds; process busy/cpu above 1 means time-sharing",
         )
         self._c_wall = self.obs.counter(
-            "parallel.wall_seconds", "wall seconds spent inside map_graph"
+            "parallel.wall_seconds", "wall seconds spent inside map_spans"
         )
         self._c_warmup = self.obs.counter(
             "parallel.warmup_seconds",
@@ -269,44 +272,31 @@ class ParallelExecutor:
         )
         self._g_workers.set(self.workers, backend=self.backend)
 
-    # -- chunking ----------------------------------------------------------
-
-    def spans(self, num_items: int):
-        """Contiguous ``(lo, hi)`` chunks under this executor's policy.
-
-        Auto mode consults the cost model once calibrated: chunks widen
-        until each carries ~:data:`~repro.parallel.costmodel.TARGET_CHUNK_SECONDS`
-        of measured work (never finer than the default policy, never
-        coarser than one chunk per worker).  The span layout is also what
-        tells :meth:`map_graph` how many underlying work items a payload
-        list covers, so the model calibrates in per-item units.
-        """
-        size = self.chunk_size
-        if size is None and self.backend == "auto":
-            size = self.cost_model.auto_chunk_size(num_items, self.workers)
-        spans = chunk_spans(num_items, size, self.workers)
-        self._span_state = (num_items, len(spans))
-        return spans
-
     # -- fan-out -----------------------------------------------------------
 
-    def map_graph(
+    def map_spans(
         self,
-        fn: Callable[[Graph, Any], Any],
+        fn: Callable[[Graph, Tuple], Any],
         graph: Graph,
-        payloads: Sequence[Any],
+        num_items: int,
+        *args: Any,
     ) -> List[Any]:
-        """Apply ``fn(graph, payload)`` per payload; results in order.
+        """Apply ``fn(graph, (lo, hi, *args))`` per span; results in span order.
 
-        ``fn`` must be a module-level function for the process backend
-        (it is pickled by reference; the graph never is).
+        The spans are ``chunk_spans(num_items, chunk_size, workers)``, so
+        the layout — and with it the bits of any order-sensitive fold
+        over the results — is the same under every backend and whatever
+        ran before.  ``fn`` must be a module-level function for the
+        process backend (it is pickled by reference; the graph never is).
         """
-        payloads = list(payloads)
+        payloads = [
+            (lo, hi, *args)
+            for lo, hi in chunk_spans(num_items, self.chunk_size, self.workers)
+        ]
         if not payloads:
             return []
         key = _fn_key(fn)
-        items = self._work_items(len(payloads))
-        backend = self._select_backend(key, graph, items)
+        backend = self._select_backend(key, graph, num_items)
         self._warmup = 0.0
         wall_start = time.perf_counter()
         try:
@@ -326,25 +316,14 @@ class ParallelExecutor:
         degraded = backend == "process" and self._degraded
         if degraded:
             backend = "serial"
-        busy = self._record(backend, len(payloads), timed, wall)
+        self._record(backend, len(payloads), timed, wall)
         if not degraded:
             self.cost_model.observe(
-                key, backend, items=items, busy=busy, wall=wall, warmup=self._warmup
+                key, backend, items=num_items, wall=wall, warmup=self._warmup
             )
         return [r for r, _, _ in timed]
 
     # -- auto-mode selection -----------------------------------------------
-
-    def _work_items(self, num_payloads: int) -> int:
-        """Underlying work units a payload list covers.
-
-        When the payloads came from the most recent :meth:`spans` call,
-        the spans' item count is the honest work measure (a payload is a
-        chunk, not a unit); otherwise each payload counts as one item.
-        """
-        if self._span_state is not None and self._span_state[1] == num_payloads:
-            return self._span_state[0]
-        return num_payloads
 
     def _peek_pool(self) -> Optional[WorkerPool]:
         """The pool a process fan-out *would* use, without creating one."""
@@ -464,8 +443,8 @@ class ParallelExecutor:
     def _degrade(self) -> None:
         """Give up on process workers; run serially from now on.
 
-        ``workers`` stays as it was, so :meth:`spans` keeps cutting the
-        same chunks and results keep their bits.
+        ``workers`` stays as it was, so :meth:`map_spans` keeps cutting
+        the same spans and results keep their bits.
         """
         self._degraded = True
         if self.backend == "process":
@@ -506,8 +485,8 @@ class ParallelExecutor:
         chunks: int,
         timed: List[Tuple[Any, float, float]],
         wall: float,
-    ) -> float:
-        """Meter one fan-out under ``parallel.*``; returns its busy seconds."""
+    ) -> None:
+        """Meter one fan-out under ``parallel.*``."""
         busy = sum(sec for _, sec, _ in timed)
         warmup = self._warmup
         self._c_maps.inc()
@@ -526,7 +505,6 @@ class ParallelExecutor:
                 min(1.0, busy / (steady * workers)), backend=backend
             )
         self._last_backend = backend
-        return busy
 
     @property
     def efficiency(self) -> float:

@@ -5,14 +5,15 @@ every fan-out pay the full spawn + copy bill, and the process backend
 then loses to serial.  :class:`WorkerPool` amortizes both:
 
 * the process pool is created once and *kept warm* across
-  ``map_graph`` calls, executors, and — through the module-level
+  ``map_spans`` calls, executors, and — through the module-level
   registry, keyed by worker count — across independent call sites that
   agree on ``workers``;
 * each graph's CSR is copied into ``multiprocessing.shared_memory``
-  exactly once per (pool, graph) pair.  The registry is an LRU keyed by
-  graph *identity* (with a strong reference held, so a collected graph's
-  id cannot be reused to serve a different graph); evicted, discarded
-  and closed entries unlink their segments through its one callback.
+  exactly once per (pool, graph) pair.  The registry is an LRU of
+  :data:`MAX_SHARED_GRAPHS` entries keyed by graph *identity* (with a
+  strong reference held, so a collected graph's id cannot be reused to
+  serve a different graph); evicted, discarded and closed entries
+  unlink their segments through its one callback.
 
 Teardown rides the existing hygiene machinery: every
 :class:`~repro.parallel.shm.SharedGraph` a pool owns is registered in
@@ -98,23 +99,18 @@ def _pin_worker(cpus: Sequence[int], claimed) -> None:
 class WorkerPool:
     """One warm process pool plus the graphs it has published to shm.
 
-    Parameters
-    ----------
-    workers:
-        Worker count, fixed for the pool's lifetime.
-    max_shared_graphs:
-        LRU cap on concurrently shared graphs.
+    ``workers`` is fixed for the pool's lifetime; at most
+    :data:`MAX_SHARED_GRAPHS` graphs are shared at once.
     """
 
-    def __init__(self, workers: int, max_shared_graphs: int = MAX_SHARED_GRAPHS) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
         self.workers = workers
-        self.max_shared_graphs = max_shared_graphs
         self._pool: Optional[ProcessPoolExecutor] = None
         # id(graph) -> (graph, shared); the strong graph reference keeps
         # the id from being recycled while the entry lives.
-        self._graphs = LRU(max_shared_graphs, on_evict=lambda _, e: e[1].close())
+        self._graphs = LRU(MAX_SHARED_GRAPHS, on_evict=lambda _, e: e[1].close())
         self.cold_starts = 0
         self.last_spinup_seconds = 0.0
         self.last_share_seconds = 0.0

@@ -104,9 +104,12 @@ def pagerank_dense(
     in-memory graph; for a stored one, ascending id windows paged
     through the shard cache, each touched partition once per window
     (one window per partition on a range store) — same bits either way.
-    With an ``executor``, the scatter partitions over source-range
-    chunks that run on real cores; partial vectors fold in chunk order,
-    so any backend with the same chunking yields the same bits.
+    With an ``executor``, the scatter partitions over the executor's
+    source-range spans, which run on real cores; partial vectors fold in
+    span order.  The spans depend only on ``n`` and the executor's
+    ``workers`` and ``chunk_size``, so every superstep cuts the same
+    ones and any backend — ``auto`` included, whatever ran before —
+    with the same ``workers`` and ``chunk_size`` yields the same bits.
     """
     handle = as_handle(graph_or_handle)
     n = handle.num_vertices
@@ -123,7 +126,6 @@ def pagerank_dense(
     values = np.full(n, 1.0 / n, dtype=np.float64)
     if executor is not None:
         shared = handle.to_graph()  # executor backends need shared CSR
-        spans = executor.spans(n)
     num_slots = handle.num_edge_slots
     for _ in range(iterations):
         shares = np.divide(
@@ -142,9 +144,8 @@ def pagerank_dense(
                     incoming, run_idx, np.repeat(shares[lo:hi], np.diff(run_ptr))
                 )
         else:
-            payloads = [(lo, hi, shares) for lo, hi in spans]
-            for partial in executor.map_graph(
-                _scatter_shares_task, shared, payloads
+            for partial in executor.map_spans(
+                _scatter_shares_task, shared, n, shares
             ):
                 incoming += partial
         values = (1.0 - damping) / n + damping * (incoming + dangling / n)

@@ -148,7 +148,7 @@ class TestAgainstBacktracker:
         merged = MatchStats()
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             merged.merge(backtrack._count_roots_task(
-                graph, (pattern, order, restrictions, lo, hi)
+                graph, (lo, hi, pattern, order, restrictions)
             ))
         want = MatchStats()
         match(graph, pattern, order=order, restrictions=list(restrictions),
@@ -172,7 +172,7 @@ class TestAgainstBacktracker:
 class TestRoots:
     def test_root_span_outside_the_graph_raises(self):
         graph = barabasi_albert(30, 2, seed=0)
-        payload = (triangle_pattern(), (0, 1, 2), (), 25, 31)
+        payload = (25, 31, triangle_pattern(), (0, 1, 2), ())
         with pytest.raises(IndexError, match=r"vertex ids must lie in \[0, 30\)"):
             backtrack._count_roots_task(graph, payload)
 

@@ -125,6 +125,24 @@ class TestPageRankDeterminism:
         solo = pagerank_dense(g, iterations=10)
         np.testing.assert_allclose(reference, solo, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_auto_bits_do_not_depend_on_history(self, n):
+        # The first call calibrates the model on cheap scatter work; the
+        # second must still cut the same spans, so both equal a process
+        # executor's bits with the same workers.
+        g = barabasi_albert(n, 3, seed=0)
+        with ParallelExecutor(
+            backend="process", workers=2, cost_model=CostModel()
+        ) as ex:
+            reference = pagerank_dense(g, iterations=10, executor=ex)
+        with ParallelExecutor(
+            backend="auto", workers=2, cost_model=CostModel()
+        ) as auto:
+            first = pagerank_dense(g, iterations=10, executor=auto)
+            second = pagerank_dense(g, iterations=10, executor=auto)
+        assert np.array_equal(first, second)
+        assert np.array_equal(first, reference)
+
 
 class TestAutoExploresProcess:
     def test_auto_tries_the_warm_pool_bit_for_bit(self):
@@ -360,7 +378,7 @@ class TestSharedMemoryHygiene:
         names = [seg.name for seg in ex._share(g)._segments]
         assert names
         with pytest.raises(RuntimeError, match="chunk exploded"):
-            ex.map_graph(_boom_task, g, ex.spans(g.num_vertices))
+            ex.map_spans(_boom_task, g, g.num_vertices)
         # The failure path discarded the graph from the pool's registry.
         assert not ex._pool.is_shared(g)
         from multiprocessing import shared_memory

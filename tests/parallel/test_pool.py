@@ -2,7 +2,7 @@
 
 The PR 7 contract: a :class:`~repro.parallel.pool.WorkerPool` maps each
 graph into shared memory exactly once per (pool, graph) pair, keeps the
-futures pool warm across ``map_graph`` calls, and survives crash-path
+futures pool warm across ``map_spans`` calls, and survives crash-path
 rebuilds without re-copying the CSR.
 """
 
@@ -21,6 +21,7 @@ from repro.parallel import (
     pool_registry,
     shutdown_pools,
 )
+from repro.parallel.pool import MAX_SHARED_GRAPHS
 
 
 def _span_edges(graph, span):
@@ -86,14 +87,14 @@ class TestWorkerPool:
             assert pool.is_shared(graph)
 
     def test_lru_eviction_unlinks_segments(self):
-        graphs = [erdos_renyi(30, 0.1, seed=s) for s in range(3)]
-        with WorkerPool(1, max_shared_graphs=2) as pool:
+        graphs = [erdos_renyi(30, 0.1, seed=s) for s in range(MAX_SHARED_GRAPHS + 1)]
+        with WorkerPool(1) as pool:
             names = []
             for g in graphs:
                 pool.share(g)
                 names.append(_segment_names(pool, g))
             assert not pool.is_shared(graphs[0])
-            assert pool.is_shared(graphs[1]) and pool.is_shared(graphs[2])
+            assert all(pool.is_shared(g) for g in graphs[1:])
             for name in names[0]:
                 with pytest.raises(FileNotFoundError):
                     shared_memory.SharedMemory(name=name)
@@ -188,7 +189,7 @@ class TestPoolRegistry:
 
 
 class TestExecutorPoolReuse:
-    """The tentpole: successive ``map_graph`` calls reuse pool + shm."""
+    """Successive ``map_spans`` calls reuse pool + shm."""
 
     def test_same_segments_across_map_graph_calls(self, graph):
         obs = MetricsRegistry()
@@ -196,9 +197,9 @@ class TestExecutorPoolReuse:
             backend="process", workers=2, chunk_size=32,
             obs=obs, reuse_pool=False,
         ) as ex:
-            first = ex.map_graph(_span_edges, graph, ex.spans(graph.num_vertices))
+            first = ex.map_spans(_span_edges, graph, graph.num_vertices)
             names = _segment_names(ex._pool, graph)
-            second = ex.map_graph(_span_edges, graph, ex.spans(graph.num_vertices))
+            second = ex.map_spans(_span_edges, graph, graph.num_vertices)
             assert first == second
             # Same shm segments served both fan-outs: one publish, one reuse.
             assert _segment_names(ex._pool, graph) == names
@@ -211,14 +212,14 @@ class TestExecutorPoolReuse:
         shutdown_pools()
         try:
             with ParallelExecutor(backend="process", workers=2, chunk_size=32) as a:
-                a.map_graph(_span_edges, graph, a.spans(graph.num_vertices))
+                a.map_spans(_span_edges, graph, graph.num_vertices)
                 pool = pool_registry()[2]
                 spawned = pool.cold_starts
                 assert pool.is_shared(graph)
             # close() leaves borrowed pools warm — the amortization.
             assert pool.warm
             with ParallelExecutor(backend="process", workers=2, chunk_size=32) as b:
-                b.map_graph(_span_edges, graph, b.spans(graph.num_vertices))
+                b.map_spans(_span_edges, graph, graph.num_vertices)
                 assert b._pool is pool
                 assert pool.cold_starts == spawned
                 assert pool.share_hits >= 1
@@ -231,7 +232,7 @@ class TestExecutorPoolReuse:
             backend="process", workers=2, chunk_size=32,
             obs=obs, reuse_pool=False,
         ) as ex:
-            ex.map_graph(_span_edges, graph, ex.spans(graph.num_vertices))
+            ex.map_spans(_span_edges, graph, graph.num_vertices)
             warmup = obs.counter("parallel.warmup_seconds").value(backend="process")
             wall = obs.counter("parallel.wall_seconds").value(backend="process")
             busy = obs.counter("parallel.busy_seconds").value(backend="process")

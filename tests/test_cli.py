@@ -59,7 +59,7 @@ class TestCLI:
         pooled = json.loads(capsys.readouterr().out)
         assert default["parallel"]["backend"] == "auto"
         assert set(default["parallel"]["cost_model"]) == {
-            "cold_start", "observations", "unit_cost", "wall_per_item",
+            "cold_start", "observations", "wall_per_item",
         }
         assert pooled["parallel"]["backend"] == "process"
         assert pooled["parallel"]["workers"] == 2
