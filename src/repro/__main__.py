@@ -895,8 +895,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--json", action="store_true",
                          help="emit the profile as JSON")
     analyze.add_argument("--workers", type=int, default=None,
-                         help="worker count for the parallel executor "
-                              "(default: $REPRO_WORKERS, then all CPUs)")
+                         help="workers' spans each parallel fan-out is cut "
+                              "into; the pool always has one process per "
+                              "usable CPU (default: $REPRO_WORKERS, then "
+                              "the usable CPUs)")
     analyze.add_argument("--backend",
                          choices=["serial", "process", "auto"],
                          default=None,
@@ -917,7 +919,9 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--json", action="store_true",
                        help="emit the chaos report as JSON")
     chaos.add_argument("--workers", type=int, default=None,
-                       help="executor workers (default: $REPRO_WORKERS)")
+                       help="workers' spans each executor fan-out is cut "
+                            "into; the pool always has one process per "
+                            "usable CPU (default: $REPRO_WORKERS)")
     chaos.add_argument("--backend",
                        choices=["serial", "process", "auto"],
                        default=None,

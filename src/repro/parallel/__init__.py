@@ -9,9 +9,10 @@ workloads on actual cores:
   measured ``auto`` default, selectable per call site or globally via
   ``$REPRO_BACKEND`` / ``$REPRO_WORKERS``; an executor that keeps
   losing its pool degrades to ``serial``;
-* :mod:`~repro.parallel.pool` — long-lived :class:`WorkerPool` registry:
-  warm process pools and once-per-(pool, graph) shared-memory CSR
-  copies, amortized across fan-outs and executors;
+* :mod:`~repro.parallel.pool` — the process's one long-lived
+  :class:`WorkerPool`: one pinned worker per usable CPU and
+  once-per-graph shared-memory CSR copies, amortized across fan-outs
+  and executors (an executor's ``workers`` only cuts its spans);
 * :mod:`~repro.parallel.costmodel` — the :class:`CostModel` behind
   ``backend="auto"``: picks ``serial`` or ``process`` per call from
   per-item wall rates measured online from fan-out telemetry;
@@ -36,9 +37,10 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "CostModel", "default_cost_model", "reset_default_cost_model",
     ),
     "executor": (
-        "BACKENDS", "ParallelExecutor", "available_workers", "resolve_backend",
-        "resolve_workers",
+        "BACKENDS", "ParallelExecutor", "resolve_backend", "resolve_workers",
     ),
-    "pool": ("WorkerPool", "get_pool", "pool_registry", "shutdown_pools"),
+    "pool": (
+        "WorkerPool", "available_workers", "get_pool", "live_pool", "shutdown_pools",
+    ),
     "shm": ("SharedGraph", "SharedGraphHandle", "attach_graph"),
 })

@@ -122,14 +122,14 @@ def _gen_auto(rng: np.random.Generator) -> Dict:
     params = gen_graph_params(rng, n_range=(8, 64))
     params["workers"] = int(rng.integers(2, 5))
     params["chunk_size"] = int(rng.integers(1, 9))
-    params["repeats"] = int(rng.integers(1, 4))
+    params["repeats"] = int(rng.integers(2, 5))
     return params
 
 
 @pair(
     "parallel.matching.auto_vs_serial", "parallel", BIT_IDENTICAL,
     gen=_gen_auto,
-    floors={"n": 4, "workers": 2, "chunk_size": 1, "repeats": 1},
+    floors={"n": 4, "workers": 2, "chunk_size": 1, "repeats": 2},
     description="backend='auto' keeps the backend-independence "
     "contract: whichever backend the cost model picks (and however "
     "calibration shifts the pick across repeated calls), counts and "
@@ -138,19 +138,25 @@ def _gen_auto(rng: np.random.Generator) -> Dict:
 def _check_matching_auto(params: Dict) -> List[str]:
     graph = make_graph(params)
     pattern = triangle_pattern()
-    out: List[str] = []
+    workers = int(params["workers"])
+    chunk = int(params["chunk_size"])
     serial_stats = MatchStats()
     serial = count_matches(graph, pattern, stats=serial_stats)
+    # One explicit process count warms the pool and shares the graph, so
+    # the fresh model's second call finds no cold start and tries the
+    # pool; the oracle then covers both backends under auto.
+    with ParallelExecutor(
+        backend="process", workers=workers, chunk_size=chunk
+    ) as process:
+        pooled_stats = MatchStats()
+        pooled = count_matches(graph, pattern, executor=process, stats=pooled_stats)
+    out = same_values(serial, pooled, "count[process]")
+    out += same_stats(serial_stats, pooled_stats, "match_stats[process]")
     # A fresh model per case: the oracle must hold from the uncalibrated
     # first call onward, not depend on ambient session history.
-    executor = ParallelExecutor(
-        backend="auto",
-        workers=int(params["workers"]),
-        chunk_size=int(params["chunk_size"]),
-        cost_model=CostModel(),
-        reuse_pool=False,
-    )
-    try:
+    with ParallelExecutor(
+        backend="auto", workers=workers, chunk_size=chunk, cost_model=CostModel(),
+    ) as executor:
         for rep in range(int(params["repeats"])):
             auto_stats = MatchStats()
             auto = count_matches(
@@ -158,8 +164,6 @@ def _check_matching_auto(params: Dict) -> List[str]:
             )
             out += same_values(serial, auto, f"count[{rep}]")
             out += same_stats(serial_stats, auto_stats, f"match_stats[{rep}]")
-    finally:
-        executor.close()
     return out
 
 

@@ -17,13 +17,14 @@ returns the results in span order.  The backend decides what that costs:
   measured cold start unless the pool is warm and the graph already
   shared.
 
-Pools and shared graphs are *long-lived*: executors borrow
-:class:`~repro.parallel.pool.WorkerPool` instances from a process-wide
-registry keyed by worker count (``reuse_pool=False`` opts out), so
-worker spawn and the CSR copy into shared memory happen once per
-session, not once per fan-out.  Each graph is published to shared memory
-exactly once per (pool, graph) pair and reused across ``map_spans``
-calls; segments are torn down through the shm ``_LIVE``/atexit hygiene.
+The pool and its shared graphs are *long-lived*: every executor borrows
+the process's one :class:`~repro.parallel.pool.WorkerPool`, which has
+one pinned worker per usable CPU, so worker spawn and the CSR copy into
+shared memory happen once per session, not once per fan-out.
+``workers`` does not size that pool: it only sets how many spans a
+fan-out is cut into.  Each graph is published to shared memory exactly
+once per (pool, graph) pair and reused across ``map_spans`` calls;
+segments are torn down through the shm ``_LIVE``/atexit hygiene.
 
 Determinism contract: the executor cuts its spans with
 :func:`~repro.parallel.chunking.chunk_spans` from ``(num_items,
@@ -36,10 +37,12 @@ computation graph, both backends and ``auto`` produce identical output
 The executor meters itself into a :class:`~repro.obs.MetricsRegistry`
 (``parallel.*``): per-worker busy seconds, chunk latency histogram,
 pool warm-up seconds (spawn + CSR publish, counted separately), and the
-``parallel.efficiency`` gauge ``busy / ((wall - warmup) * workers)`` —
-1.0 means perfect scaling of the steady state; one-time setup no longer
-drags the gauge below 1.  ``parallel.cpu_seconds`` sums the CPU time the
-chunks got (``time.thread_time``) beside their wall ``busy_seconds``:
+``parallel.efficiency`` gauge ``busy / ((wall - warmup) * p)``, where
+``p`` is the processes that can run at once, ``min(pool size, spans)``
+(1 under ``serial``) — 1.0 means perfect scaling of the steady state;
+one-time setup no longer drags the gauge below 1.
+``parallel.cpu_seconds`` sums the CPU time the chunks got
+(``time.thread_time``) beside their wall ``busy_seconds``:
 under the process backend, ``busy / cpu`` well above 1 means the workers
 time-shared a CPU, which the efficiency gauge cannot see.
 
@@ -70,13 +73,12 @@ from ..obs import MetricsRegistry, Tracer
 from ..resilience import FaultInjector
 from .chunking import chunk_spans
 from .costmodel import CostModel, default_cost_model
-from .pool import WorkerPool, get_pool, pool_registry
+from .pool import available_workers, get_pool, live_pool
 from .shm import SharedGraph, attach_graph
 
 __all__ = [
     "BACKENDS",
     "ParallelExecutor",
-    "available_workers",
     "resolve_backend",
     "resolve_workers",
 ]
@@ -94,14 +96,6 @@ ENV_BACKEND = "REPRO_BACKEND"
 ENV_WORKERS = "REPRO_WORKERS"
 
 
-def available_workers() -> int:
-    """Usable CPUs (cgroup/affinity-aware where the platform allows)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
 def resolve_backend(backend: Optional[str] = None) -> str:
     """Explicit argument, else ``$REPRO_BACKEND``, else ``auto``."""
     if backend is None:
@@ -115,10 +109,13 @@ def resolve_backend(backend: Optional[str] = None) -> str:
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Explicit argument, else ``$REPRO_WORKERS``, else all CPUs."""
+    """Explicit argument, else ``$REPRO_WORKERS``, else the usable CPUs."""
     if workers is None:
         env = os.environ.get(ENV_WORKERS)
-        workers = int(env) if env else available_workers()
+        try:
+            workers = int(env) if env else available_workers()
+        except ValueError:
+            raise ValueError(f"${ENV_WORKERS} must be an integer, got {env!r}") from None
     if workers < 1:
         raise ValueError("need at least one worker")
     return workers
@@ -166,8 +163,10 @@ class ParallelExecutor:
         ``serial`` / ``process`` / ``auto``; ``None``
         consults ``$REPRO_BACKEND`` and defaults to ``auto``.
     workers:
-        Worker count; ``None`` consults ``$REPRO_WORKERS`` then the CPU
-        count.  The serial backend always reports 1.
+        How many workers' spans a fan-out is cut into; ``None`` consults
+        ``$REPRO_WORKERS`` then the usable CPU count.  It does not size
+        the pool, which always has one worker per usable CPU.  The
+        serial backend always reports 1.
     chunk_size:
         Span size for :meth:`map_spans`; ``None`` derives one from the
         item count and worker count (the shared chunking policy), for
@@ -183,11 +182,6 @@ class ParallelExecutor:
     tracer:
         Optional :class:`~repro.obs.Tracer`; every recovery wave is
         recorded as a ``resilience.recover`` span.
-    reuse_pool:
-        Borrow a warm pool (and its shared graphs) from the
-        process-wide registry.  ``False`` gives the executor a private
-        pool torn down by :meth:`close` — the pre-pool behaviour, used
-        by hygiene tests and one-shot scripts.
     cost_model:
         The :class:`CostModel` behind ``auto``; ``None`` uses the
         process-wide default, so calibration persists across executors
@@ -202,7 +196,6 @@ class ParallelExecutor:
         obs: Optional[MetricsRegistry] = None,
         injector: Optional[FaultInjector] = None,
         tracer: Optional[Tracer] = None,
-        reuse_pool: bool = True,
         cost_model: Optional[CostModel] = None,
     ) -> None:
         self.backend = resolve_backend(backend)
@@ -211,9 +204,7 @@ class ParallelExecutor:
         self.obs = obs if obs is not None else MetricsRegistry()
         self.injector = injector
         self.tracer = tracer
-        self.reuse_pool = reuse_pool
         self.cost_model = cost_model if cost_model is not None else default_cost_model()
-        self._pool: Optional[WorkerPool] = None
         self._degraded = False
         self._warmup = 0.0
         self._last_backend = "serial" if self.backend == "auto" else self.backend
@@ -254,7 +245,7 @@ class ParallelExecutor:
         self._g_workers = self.obs.gauge("parallel.workers", "configured workers")
         self._g_efficiency = self.obs.gauge(
             "parallel.efficiency",
-            "busy / ((wall - warmup) * workers) of the last fan-out",
+            "busy / ((wall - warmup) * min(pool size, spans)) of the last fan-out",
         )
         self._g_shared = self.obs.gauge(
             "parallel.shared_bytes", "bytes of CSR state in shared memory"
@@ -325,16 +316,10 @@ class ParallelExecutor:
 
     # -- auto-mode selection -----------------------------------------------
 
-    def _peek_pool(self) -> Optional[WorkerPool]:
-        """The pool a process fan-out *would* use, without creating one."""
-        if self._pool is None and self.reuse_pool:
-            return pool_registry().get(self.workers)
-        return self._pool
-
     def _select_backend(self, key: str, graph: Graph, items: int) -> str:
         if self.backend != "auto":
             return self.backend
-        pool = self._peek_pool()
+        pool = live_pool()
         backend = self.cost_model.choose(
             key,
             items,
@@ -378,7 +363,7 @@ class ParallelExecutor:
         timed: List[Optional[Tuple[Any, float, float]]] = [None] * n
         remaining = list(range(n))
         pool_losses = 0
-        pool = self._pool_for()
+        pool = get_pool()
         while remaining:
             handle = self._share(graph).handle
             fpool = pool.executor()
@@ -454,16 +439,9 @@ class ParallelExecutor:
 
     # -- backend plumbing --------------------------------------------------
 
-    def _pool_for(self) -> WorkerPool:
-        if self._pool is None:
-            self._pool = (
-                get_pool(self.workers) if self.reuse_pool else WorkerPool(self.workers)
-            )
-        return self._pool
-
     def _share(self, graph: Graph) -> SharedGraph:
         """Publish ``graph`` to shared memory (once per pool + graph)."""
-        pool = self._pool_for()
+        pool = get_pool()
         already = pool.is_shared(graph)
         shared = pool.share(graph)
         if already:
@@ -475,9 +453,10 @@ class ParallelExecutor:
         return shared
 
     def _discard_shared(self, graph: Graph) -> None:
-        if self._pool is not None:
-            self._pool.discard(graph)
-            self._g_shared.set(self._pool.shared_bytes)
+        pool = live_pool()
+        if pool is not None:
+            pool.discard(graph)
+            self._g_shared.set(pool.shared_bytes)
 
     def _record(
         self,
@@ -498,11 +477,11 @@ class ParallelExecutor:
             self._c_warmup.inc(warmup, backend=backend)
         for _, sec, _ in timed:
             self._h_chunk.observe(sec, backend=backend)
-        workers = 1 if backend == "serial" else self.workers
+        running = 1 if backend == "serial" else min(get_pool().workers, chunks)
         steady = max(wall - warmup, 0.0)
         if steady > 0:
             self._g_efficiency.set(
-                min(1.0, busy / (steady * workers)), backend=backend
+                min(1.0, busy / (steady * running)), backend=backend
             )
         self._last_backend = backend
 
@@ -514,17 +493,12 @@ class ParallelExecutor:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Release this executor's pool (idempotent).
+        """Nothing to release: the executor only borrows the process's pool.
 
-        A private pool (``reuse_pool=False``) is shut down and its
-        shared segments unlinked.  A borrowed registry pool is left warm
-        on purpose — that is the amortization; the registry's atexit
-        hook (and the shm ``_LIVE`` sweep) guarantee teardown at
-        interpreter exit.
+        The pool stays warm on purpose — that is the amortization; its
+        atexit hook (and the shm ``_LIVE`` sweep) guarantee teardown at
+        interpreter exit.  Kept so executors work as context managers.
         """
-        if self._pool is not None and not self.reuse_pool:
-            self._pool.close()
-        self._pool = None
 
     def __enter__(self) -> "ParallelExecutor":
         return self

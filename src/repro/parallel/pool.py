@@ -1,13 +1,13 @@
-"""Long-lived worker pools with a per-(pool, graph) shared-memory registry.
+"""The process's one warm worker pool and the graphs it has put in shm.
 
 A fresh ``ProcessPoolExecutor`` plus a CSR re-publish per executor makes
 every fan-out pay the full spawn + copy bill, and the process backend
 then loses to serial.  :class:`WorkerPool` amortizes both:
 
 * the process pool is created once and *kept warm* across
-  ``map_spans`` calls, executors, and — through the module-level
-  registry, keyed by worker count — across independent call sites that
-  agree on ``workers``;
+  ``map_spans`` calls and executors: :func:`get_pool` hands every
+  executor the same pool, whatever its ``workers`` (which only cuts
+  spans);
 * each graph's CSR is copied into ``multiprocessing.shared_memory``
   exactly once per (pool, graph) pair.  The registry is an LRU of
   :data:`MAX_SHARED_GRAPHS` entries keyed by graph *identity* (with a
@@ -19,22 +19,19 @@ Teardown rides the existing hygiene machinery: every
 :class:`~repro.parallel.shm.SharedGraph` a pool owns is registered in
 ``shm._LIVE``, so the shm ``atexit`` sweep unlinks segments even if the
 pool never reaches :meth:`WorkerPool.close`; a second ``atexit`` hook
-(:func:`shutdown_pools`) drains the pool registry itself on interpreter
-exit.  Crash recovery composes: :meth:`WorkerPool.rebuild` replaces only
-the broken futures pool and keeps the shared segments, so a re-dispatch
+(:func:`shutdown_pools`) closes the pool itself on interpreter exit.
+Crash recovery composes: :meth:`WorkerPool.rebuild` replaces only the
+broken futures pool and keeps the shared segments, so a re-dispatch
 after ``BrokenProcessPool`` does not re-copy the graph.
 
-Process workers are pinned one per CPU when there is one worker per CPU.
-After an idle spell the kernel tends to wake a pool's workers on the
-same CPU, where they time-share it and each chunk costs about twice its
-serial time; the cost model then learns ``process`` as slower than
-``serial`` and ``auto`` stops choosing it.  So when the pool has exactly
-as many workers as the parent has usable CPUs, worker k binds itself to
-the k-th CPU of the parent's affinity set as it starts (every futures
-pool, :meth:`WorkerPool.rebuild` included).  With any other worker
-count, or without ``os.sched_setaffinity``, the workers stay unpinned
-and the scheduler places them: pinning fewer workers would put worker k
-of every pool alive at once on the same low CPU.
+The pool has one worker per usable CPU (:func:`available_workers`) and
+pins worker k to the k-th CPU of the parent's affinity set as it starts
+(every futures pool, :meth:`WorkerPool.rebuild` included).  After an
+idle spell the kernel tends to wake unpinned workers on the same CPU,
+where they time-share it and each chunk costs about twice its serial
+time; the cost model then learns ``process`` as slower than ``serial``
+and ``auto`` stops choosing it.  To run a session on fewer CPUs, narrow
+its affinity mask (e.g. ``taskset``): the pool follows the mask.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..graph.csr import Graph
 from ..lru import LRU
@@ -53,8 +50,9 @@ from .shm import SharedGraph
 __all__ = [
     "MAX_SHARED_GRAPHS",
     "WorkerPool",
+    "available_workers",
     "get_pool",
-    "pool_registry",
+    "live_pool",
     "shutdown_pools",
 ]
 
@@ -64,30 +62,30 @@ __all__ = [
 MAX_SHARED_GRAPHS = 4
 
 
+def _usable_cpus() -> Tuple[int, ...]:
+    """The parent's affinity set in order; empty where there is none."""
+    if not hasattr(os, "sched_setaffinity"):
+        return ()
+    return tuple(sorted(os.sched_getaffinity(0)))
+
+
+def available_workers() -> int:
+    """Usable CPUs: the affinity mask where the platform has one."""
+    return len(_usable_cpus()) or os.cpu_count() or 1
+
+
 def _spinup_probe(seconds: float) -> bool:
     """No-op task used to force a cold process pool to spawn its workers."""
     time.sleep(seconds)
     return True
 
 
-def _pin_cpus(workers: int) -> Tuple[int, ...]:
-    """The CPUs ``workers`` process workers claim, one each.
-
-    Empty (leave the scheduler in charge) when the platform cannot set
-    affinities or the worker count differs from the usable CPU count.
-    """
-    if not hasattr(os, "sched_setaffinity"):
-        return ()
-    cpus = tuple(sorted(os.sched_getaffinity(0)))
-    return cpus if workers == len(cpus) else ()
-
-
 def _pin_worker(cpus: Sequence[int], claimed) -> None:
     """Process-pool initializer: bind this worker to the next free CPU.
 
     ``claimed`` is a shared counter, fresh per futures pool; the k-th
-    worker to start takes ``cpus[k]``.  A worker started beyond the list
-    (every worker when ``cpus`` is empty) stays unpinned.
+    worker to start takes ``cpus[k]``.  With ``cpus`` empty (no
+    affinity support) the worker stays unpinned.
     """
     with claimed.get_lock():
         k = claimed.value
@@ -99,14 +97,12 @@ def _pin_worker(cpus: Sequence[int], claimed) -> None:
 class WorkerPool:
     """One warm process pool plus the graphs it has published to shm.
 
-    ``workers`` is fixed for the pool's lifetime; at most
-    :data:`MAX_SHARED_GRAPHS` graphs are shared at once.
+    ``workers`` is the usable CPU count, read again at every spawn; at
+    most :data:`MAX_SHARED_GRAPHS` graphs are shared at once.
     """
 
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError("need at least one worker")
-        self.workers = workers
+    def __init__(self) -> None:
+        self.workers = available_workers()
         self._pool: Optional[ProcessPoolExecutor] = None
         # id(graph) -> (graph, shared); the strong graph reference keeps
         # the id from being recycled while the entry lives.
@@ -128,18 +124,18 @@ class WorkerPool:
         A cold pool is forced to fork all its workers *now* via a barrier
         of no-op tasks, so spawn cost lands in the measured warm-up
         (``last_spinup_seconds``) instead of inflating the first
-        fan-out's chunk latencies.  With one worker per usable CPU, each
-        worker pins itself to its own CPU as it starts (see the module
-        docstring).
+        fan-out's chunk latencies.  Each worker pins itself to its own
+        CPU as it starts (see the module docstring).
         """
         if self._pool is not None:
             self.last_spinup_seconds = 0.0
             return self._pool
         start = time.perf_counter()
+        self.workers = available_workers()
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_pin_worker,
-            initargs=(_pin_cpus(self.workers), multiprocessing.Value("i", 0)),
+            initargs=(_usable_cpus(), multiprocessing.Value("i", 0)),
         )
         barrier = [self._pool.submit(_spinup_probe, 0.001) for _ in range(self.workers)]
         for fut in barrier:
@@ -154,7 +150,7 @@ class WorkerPool:
         The crash-recovery path: after ``BrokenProcessPool`` the futures
         pool is garbage but the shm segments (owned by *this* process)
         are intact, so re-dispatch only pays worker respawn, not a CSR
-        re-copy.  The respawned workers are pinned again, by the same rule.
+        re-copy.  The respawned workers are pinned again.
         """
         if self._pool is not None:
             self._pool.shutdown(wait=True)
@@ -215,31 +211,31 @@ class WorkerPool:
 
 
 # ----------------------------------------------------------------------
-# Process-wide registry: executors borrow pools instead of owning them.
+# The process's one pool: executors borrow it instead of owning one.
 # ----------------------------------------------------------------------
 
-_POOLS: Dict[int, WorkerPool] = {}
+_POOL: Optional[WorkerPool] = None
 
 
-def get_pool(workers: int) -> WorkerPool:
-    """The shared pool for ``workers``, created on first use."""
-    workers = int(workers)
-    pool = _POOLS.get(workers)
-    if pool is None:
-        pool = _POOLS[workers] = WorkerPool(workers)
-    return pool
+def get_pool() -> WorkerPool:
+    """The process's pool, created on first use."""
+    global _POOL
+    if _POOL is None:
+        _POOL = WorkerPool()
+    return _POOL
 
 
-def pool_registry() -> Dict[int, WorkerPool]:
-    """A snapshot view of the live pool registry (introspection/tests)."""
-    return dict(_POOLS)
+def live_pool() -> Optional[WorkerPool]:
+    """The process's pool if one exists; never creates it."""
+    return _POOL
 
 
 def shutdown_pools() -> None:
-    """Close every registered pool and empty the registry (idempotent)."""
-    for pool in list(_POOLS.values()):
-        pool.close()
-    _POOLS.clear()
+    """Close the process's pool and forget it (idempotent)."""
+    global _POOL
+    if _POOL is not None:
+        _POOL.close()
+        _POOL = None
 
 
 atexit.register(shutdown_pools)

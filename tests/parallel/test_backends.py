@@ -5,6 +5,8 @@ backend performs the same computation graph, so integer counts are equal
 and floating-point vectors are *bit*-identical across backends.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,8 +33,11 @@ from repro.parallel import (
     attach_graph,
     chunk_spans,
     default_chunk_size,
+    available_workers,
+    live_pool,
     resolve_backend,
     resolve_workers,
+    shutdown_pools,
 )
 from repro.tlav import pagerank_dense
 
@@ -205,6 +210,19 @@ class TestResolution:
         with pytest.raises(ValueError):
             resolve_workers(0)
 
+    def test_workers_env_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "two")
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            resolve_workers()
+        # Many workers cut many spans but fork no more processes: the
+        # one pool keeps one worker per usable CPU.
+        monkeypatch.setenv("REPRO_WORKERS", str(3 * available_workers()))
+        g = erdos_renyi(60, 0.1, seed=1)
+        with ParallelExecutor(backend="process") as ex:
+            assert ex.workers == 3 * available_workers()
+            assert triangle_count(g, executor=ex) == triangle_count(g)
+        assert len(multiprocessing.active_children()) <= available_workers()
+
     def test_serial_backend_reports_one_worker(self):
         with ParallelExecutor(backend="serial", workers=8) as ex:
             assert ex.workers == 1
@@ -272,9 +290,7 @@ class TestObservability:
         # measured inside it, so cpu can exceed busy only by clock skew.
         obs = MetricsRegistry()
         g = barabasi_albert(400, 4, seed=1)
-        with ParallelExecutor(
-            backend=backend, workers=2, obs=obs, reuse_pool=False
-        ) as ex:
+        with ParallelExecutor(backend=backend, workers=2, obs=obs) as ex:
             triangle_count(g, executor=ex)
         chunks = obs.counter("parallel.chunks").value(backend=backend)
         busy = obs.counter("parallel.busy_seconds").value(backend=backend)
@@ -374,13 +390,13 @@ class TestSharedMemoryHygiene:
 
     def test_failing_chunk_releases_segments(self):
         g = erdos_renyi(80, 0.1, seed=0)
-        ex = ParallelExecutor(backend="process", workers=2, reuse_pool=False)
+        ex = ParallelExecutor(backend="process", workers=2)
         names = [seg.name for seg in ex._share(g)._segments]
         assert names
         with pytest.raises(RuntimeError, match="chunk exploded"):
             ex.map_spans(_boom_task, g, g.num_vertices)
         # The failure path discarded the graph from the pool's registry.
-        assert not ex._pool.is_shared(g)
+        assert not live_pool().is_shared(g)
         from multiprocessing import shared_memory
 
         for name in names:
@@ -388,12 +404,12 @@ class TestSharedMemoryHygiene:
                 shared_memory.SharedMemory(name=name)
         ex.close()
 
-    def test_private_pool_close_unlinks_segments(self):
+    def test_shutdown_pools_unlinks_segments(self):
         g = erdos_renyi(60, 0.1, seed=1)
-        ex = ParallelExecutor(backend="process", workers=2, reuse_pool=False)
+        ex = ParallelExecutor(backend="process", workers=2)
         assert triangle_count(g, executor=ex) == triangle_count(g)
         names = [seg.name for seg in ex._share(g)._segments]
-        ex.close()
+        shutdown_pools()
         from multiprocessing import shared_memory
 
         for name in names:

@@ -108,7 +108,7 @@ class TestAutoExecutor:
         model.observe(_fn_key(_span_vertices), "serial", items=1, wall=1.0)
         obs = MetricsRegistry()
         with ParallelExecutor(
-            backend="auto", workers=2, obs=obs, reuse_pool=False, cost_model=model,
+            backend="auto", workers=2, obs=obs, cost_model=model,
         ) as ex:
             assert model.choose(
                 _fn_key(_span_vertices), graph.num_vertices, 2, cold=True
@@ -150,7 +150,7 @@ class TestDeterminism:
             obs = MetricsRegistry()
             with ParallelExecutor(
                 backend="auto", workers=2, obs=obs,
-                reuse_pool=False, cost_model=CostModel(),
+                cost_model=CostModel(),
             ) as ex:
                 results = []
                 for _ in range(3):
@@ -173,7 +173,7 @@ class TestDeterminism:
         model.observe("k", "serial", items=1000, wall=1e-6)
         want = chunk_spans(graph.num_vertices, None, 2)
         with ParallelExecutor(
-            backend="auto", workers=2, reuse_pool=False, cost_model=model,
+            backend="auto", workers=2, cost_model=model,
         ) as ex:
             for _ in range(3):
                 assert ex.map_spans(_span_bounds, graph, graph.num_vertices) == want
@@ -184,7 +184,7 @@ class TestDeterminism:
         obs = MetricsRegistry()
         with ParallelExecutor(
             backend="auto", workers=2, obs=obs,
-            reuse_pool=False, cost_model=CostModel(),
+            cost_model=CostModel(),
         ) as ex:
             ex.map_spans(_span_vertices, graph, graph.num_vertices)
             assert obs.counter("parallel.auto_decisions").value(backend="serial") == 1
@@ -193,12 +193,12 @@ class TestDeterminism:
 class TestCalibrationPersistence:
     def test_default_model_is_shared_across_executors(self):
         graph = barabasi_albert(150, 3, seed=5)
-        with ParallelExecutor(backend="serial", reuse_pool=False) as ex:
+        with ParallelExecutor(backend="serial") as ex:
             assert ex.cost_model is default_cost_model()
             ex.map_spans(_span_vertices, graph, graph.num_vertices)
             seen = ex.cost_model.observations
         assert seen >= 1
-        with ParallelExecutor(backend="auto", workers=2, reuse_pool=False) as later:
+        with ParallelExecutor(backend="auto", workers=2) as later:
             # A later executor in the same session starts calibrated.
             assert later.cost_model is default_cost_model()
             assert later.cost_model.observations == seen
