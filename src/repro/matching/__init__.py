@@ -3,13 +3,15 @@
 from .._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "backtrack": ("MatchStats", "count_matches", "find_matches", "match"),
+    "backtrack": (
+        "MatchStats", "count_matches", "find_matches", "frontier_count", "match",
+    ),
     "cliques": (
         "count_k_cliques", "k_cliques", "maximal_cliques", "maximal_quasi_cliques",
         "maximum_clique",
     ),
     "codegen": (
-        "compile_matcher", "compiled_count", "generate_source",
+        "compile_matcher", "compiled_count", "generate_source", "reuses_segment",
     ),
     "pattern": (
         "PatternGraph", "automorphisms", "clique_pattern", "cycle_pattern",

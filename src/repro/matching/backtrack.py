@@ -7,14 +7,15 @@ step by intersecting the adjacency lists of already-matched neighbors
 (plus label and injectivity filters and the symmetry-breaking
 restrictions of :mod:`repro.matching.pattern`).
 
-Two executions of that one recurrence live here:
+Two interpretations of that one recurrence live here, plus the entry
+point production counts go through:
 
 * :func:`match` — the depth-first enumerator, one partial embedding at
   a time, for callers that need a per-embedding callback, an anchor,
   ``allowed`` candidate sets or early exit (TLAG tasks, FSM existence
   checks, :func:`find_matches`).  It is the declared oracle of the
-  counter (``matching.count.frontier_vs_backtrack``).
-* :func:`count_matches` — the level-synchronous frontier kernel.  Per
+  frontier counter (``matching.count.frontier_vs_backtrack``).
+* :func:`frontier_count` — the level-synchronous frontier kernel.  Per
   order step it extends a matrix of partial embeddings (one per row)
   with one :meth:`~repro.graph.store.handle.GraphHandle.expand_frontier`
   gather of the backward neighbor with the fewest slots, keeps the
@@ -27,11 +28,18 @@ Two executions of that one recurrence live here:
   alone) and each chunk is finished before the next starts, so at most
   ``FRONTIER_SLOT_CAP × pattern.n`` partial embeddings are resident:
   breadth-first within a chunk, depth-first across chunks — the EGSM
-  policy :mod:`repro.tlag.hybrid` models, with a fixed budget.
+  policy :mod:`repro.tlag.hybrid` models, with a fixed budget.  It is
+  the interpreted reference of the compiled program and bench C3's
+  baseline; no production path calls it.
+* :func:`count_matches` — the counting engine.  It runs the program
+  :mod:`repro.matching.codegen` compiles from the same recurrence (the
+  frontier kernel's steps decided once, at generation time), serially
+  or fanned out over strided root sets
+  (``matching.patterns.backtrack_vs_codegen`` checks it against the
+  frontier kernel, ``matching.count.root_sets_sum`` the fan-out).
 
-Both are order-parameterized: the cost difference between orders is
-what AutoMine/GraphPi/GraphZero exploit, and bench C3 measures it by
-running this same kernel under different plans.
+All are order-parameterized: the cost difference between orders is
+what AutoMine/GraphPi/GraphZero exploit, and bench C3 measures it.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from ..graph.csr import Graph
 from ..graph.kernels import in_sorted, intersect_multi
 from ..graph.store.handle import as_handle, checked_vertex_ids
 from ..obs import StatsViewMixin, merge_counters
+from . import codegen  # a cycle: codegen's names are read at call time
 from .pattern import PatternGraph, default_order, symmetry_breaking_restrictions
 
 __all__ = [
@@ -51,6 +60,7 @@ __all__ = [
     "MatchStats",
     "match",
     "count_matches",
+    "frontier_count",
     "find_matches",
 ]
 
@@ -411,18 +421,60 @@ def _count_frontier(
     extend(roots[:, None], 1)
 
 
-def _count_roots_task(graph: Graph, payload: Tuple) -> MatchStats:
-    """Process-pool task: count embeddings rooted in ``[lo, hi)``.
+def frontier_count(
+    graph_or_handle,
+    pattern: PatternGraph,
+    order: Optional[Sequence[int]] = None,
+    distinct: bool = True,
+    stats: Optional[MatchStats] = None,
+) -> int:
+    """Count embeddings with the interpreted frontier kernel.
 
-    Module-level so the process backend can pickle it by reference; the
-    graph arrives through the executor (shared memory, not the payload).
+    The interpreted reference the compiled program of
+    :func:`count_matches` is checked against, and bench C3's baseline;
+    no production path calls it.  The count and every :class:`MatchStats` field equal
+    what :func:`match` records over the same order (the
+    ``matching.count.frontier_vs_backtrack`` oracle):
+    ``candidates_scanned`` is the intersection size before the symmetry,
+    label and injectivity filters, ``intersections`` one per extra
+    backward neighbor per partial embedding, ``nodes_visited`` the
+    survivors of every step.  At most ``FRONTIER_SLOT_CAP × pattern.n``
+    partial embeddings are ever resident.  ``order`` defaults to
+    :func:`~repro.matching.pattern.default_order`.
     """
-    lo, hi, pattern, order, restrictions = payload
-    stats = MatchStats()
+    handle = as_handle(graph_or_handle)
+    if order is None:
+        order = default_order(pattern)
+    order = _validate_order(pattern, order)
+    restrictions = symmetry_breaking_restrictions(pattern) if distinct else []
+    stats = stats if stats is not None else MatchStats()
     _count_frontier(
-        as_handle(graph), pattern, order, restrictions,
-        np.arange(lo, hi, dtype=np.int64), stats,
+        handle, pattern, order, restrictions,
+        np.arange(handle.num_vertices, dtype=np.int64), stats,
     )
+    return stats.embeddings
+
+
+def _count_roots_task(graph: Graph, payload: Tuple) -> MatchStats:
+    """Process-pool task: count the embeddings rooted in stride ``i`` of ``k``.
+
+    The roots are ``arange(i, n, k)``.  Module-level so the process
+    backend can pickle it by reference; the graph arrives through the
+    executor (shared memory, not the payload), and the pattern — not
+    the exec'd program, which does not pickle — travels in the payload,
+    so each worker compiles on first use through ``compile_matcher``'s
+    cache.
+    """
+    i, k, pattern, order, restrictions = payload
+    program = codegen.compile_matcher(pattern, order, restrictions)
+    roots = np.arange(i, graph.num_vertices, k, dtype=np.int64)
+    return _run_program(program, graph, roots, MatchStats())
+
+
+def _run_program(program, graph, roots, stats: MatchStats) -> MatchStats:
+    count, tally = program.tallied(graph, roots)
+    stats.embeddings += count
+    stats.candidates_scanned += tally
     return stats
 
 
@@ -436,42 +488,36 @@ def count_matches(
 ) -> int:
     """Count embeddings; ``distinct=True`` counts subgraph instances once.
 
-    Runs the level-synchronous frontier kernel (module docstring), so at
-    most ``FRONTIER_SLOT_CAP × pattern.n`` partial embeddings are ever
-    resident.  The count and every :class:`MatchStats` field equal what
-    :func:`match` records over the same order (the
-    ``matching.count.frontier_vs_backtrack`` oracle), so costs charged
-    from ``stats`` do not depend on which one ran:
-    ``candidates_scanned`` is the intersection size before the symmetry,
-    label and injectivity filters, ``intersections`` one per extra
-    backward neighbor per partial embedding, ``nodes_visited`` the
-    survivors of every step.
+    Runs the compiled program of :func:`repro.matching.codegen.compile_matcher`
+    for ``(pattern, order, restrictions)``; ``order=None`` takes the
+    planner's order (the one ``compile_matcher`` plans).  Into ``stats``
+    it adds ``embeddings`` and ``candidates_scanned``, the program's
+    tally: the roots plus every adjacency slot a block gathered.  The
+    other two fields stay as they were; only the interpreters
+    (:func:`match`, :func:`frontier_count`) count them.
 
     With an ``executor`` (:class:`repro.parallel.ParallelExecutor`), the
-    candidates of the first order vertex are split into root spans and
-    counted concurrently by the same kernel — every embedding has
-    exactly one root, so the span counts sum to the serial answer for
-    any backend and chunking.  Per-worker :class:`MatchStats` are folded
-    into ``stats`` (when given) via :meth:`MatchStats.merge`, so merged
-    counters equal a serial run.
+    vertices are dealt into ``k`` strided root sets
+    (:meth:`~repro.parallel.ParallelExecutor.map_strides`; set ``i`` is
+    ``arange(i, n, k)``) counted concurrently by the same program.
+    Every embedding has exactly one root and the tally is a sum over
+    roots, so per-set :class:`MatchStats` folded with
+    :meth:`MatchStats.merge` equal a serial run for any backend and any
+    ``k``.
     """
     handle = as_handle(graph_or_handle)
-    if order is None:
-        order = default_order(pattern)
-    order = tuple(_validate_order(pattern, order))
     restrictions = tuple(symmetry_breaking_restrictions(pattern) if distinct else ())
+    program = codegen.compile_matcher(pattern, order, restrictions)
     merged = stats if stats is not None else MatchStats()
     if executor is None:
-        # The serial kernel consumes the handle directly — a stored
-        # graph pages its adjacency through the shard cache.
-        _count_frontier(
-            handle, pattern, order, restrictions,
-            np.arange(handle.num_vertices, dtype=np.int64), merged,
-        )
+        # The program consumes the handle directly — a stored graph
+        # pages its adjacency through the shard cache.
+        _run_program(program, handle, None, merged)
         return merged.embeddings
     shared = handle.to_graph()  # executor backends need the CSR in shared memory
-    for part in executor.map_spans(
-        _count_roots_task, shared, shared.num_vertices, pattern, order, restrictions
+    for part in executor.map_strides(
+        _count_roots_task, shared, shared.num_vertices,
+        pattern, program.order, restrictions,
     ):
         merged.merge(part)
     return merged.embeddings

@@ -1,11 +1,11 @@
 """Differential checks for subgraph matching.
 
 The depth-first enumerator (:func:`~repro.matching.backtrack.match`) is
-the reference; the frontier counter (``count_matches``), the generated-
-and-compiled matcher (codegen), the TLAV message-passing triangle
-counter, and the enumeration path must all agree exactly — pattern
-counting is deterministic integer work, so every relation here is
-bit-identical.
+the reference; the interpreted frontier counter (``frontier_count``),
+the compiled program ``count_matches`` runs (whole, or as strided root
+sets), the TLAV message-passing triangle counter, and the enumeration
+path must all agree exactly — pattern counting is deterministic integer
+work, so every relation here is bit-identical.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from ..check.invariants import same_values
 from ..check.workloads import gen_graph_params, make_graph
 from ..graph.csr import Graph
 from ..tlav.algorithms import triangle_count_tlav
-from .backtrack import MatchStats, count_matches, match
-from .codegen import compiled_count
+from .backtrack import (
+    MatchStats, _count_roots_task, count_matches, frontier_count, match,
+)
 from .pattern import (
     PatternGraph,
     clique_pattern,
@@ -29,6 +30,7 @@ from .pattern import (
     house_pattern,
     path_pattern,
     star_pattern,
+    symmetry_breaking_restrictions,
     tailed_triangle_pattern,
     triangle_pattern,
 )
@@ -82,15 +84,15 @@ def _graph_and_pattern(params: Dict):
 @pair(
     "matching.patterns.backtrack_vs_codegen", "matching", BIT_IDENTICAL,
     gen=_gen_labelled_pattern, floors={"n": 4, "pattern": 0, "vertex_labels": 0},
-    description="The compiled matcher must count exactly what the "
-    "interpreted frontier counter counts, for every pattern in the zoo, "
-    "on vertex-labelled graphs too.",
+    description="The compiled program count_matches runs must count "
+    "exactly what the interpreted frontier counter counts, for every "
+    "pattern in the zoo, on vertex-labelled graphs too.",
 )
 def _check_codegen(params: Dict) -> List[str]:
     name, graph, pattern = _graph_and_pattern(params)
     return same_values(
+        frontier_count(graph, pattern),
         count_matches(graph, pattern),
-        compiled_count(graph, pattern),
         f"count[{name}]",
     )
 
@@ -108,10 +110,10 @@ def _gen_count(rng: np.random.Generator) -> Dict:
     gen=_gen_count,
     floors={"n": 4, "pattern": 0, "order_pick": 0, "distinct": 0,
             "vertex_labels": 0},
-    description="The level-synchronous frontier counter returns the "
-    "depth-first enumerator's count and every MatchStats field (the "
-    "simulated-ops cost serve charges), for any connected order, with "
-    "and without symmetry breaking, on vertex-labelled graphs too.",
+    description="The interpreted level-synchronous frontier counter "
+    "returns the depth-first enumerator's count and every MatchStats "
+    "field, for any connected order, with and without symmetry "
+    "breaking, on vertex-labelled graphs too.",
 )
 def _check_frontier_count(params: Dict) -> List[str]:
     name, graph, pattern = _graph_and_pattern(params)
@@ -121,11 +123,42 @@ def _check_frontier_count(params: Dict) -> List[str]:
     want, got = MatchStats(), MatchStats()
     match(graph, pattern, order=order,
           restrictions=None if distinct else [], stats=want)
-    count = count_matches(graph, pattern, order=order, distinct=distinct,
-                          stats=got)
+    count = frontier_count(graph, pattern, order=order, distinct=distinct,
+                           stats=got)
     out = same_values(want.embeddings, count, f"count[{name}]")
     out += same_values(want.extra_dict(), got.extra_dict(), f"stats[{name}]")
     return out
+
+
+def _gen_root_sets(rng: np.random.Generator) -> Dict:
+    params = _gen_count(rng)
+    params["root_sets"] = int(rng.integers(1, 10))
+    return params
+
+
+@pair(
+    "matching.count.root_sets_sum", "matching", BIT_IDENTICAL,
+    gen=_gen_root_sets,
+    floors={"n": 4, "pattern": 0, "order_pick": 0, "distinct": 0,
+            "vertex_labels": 0, "root_sets": 1},
+    description="The compiled counts and tallies of the k strided root "
+    "sets arange(i, n, k) sum to the whole-graph count and tally, for "
+    "any k and connected order, with and without symmetry breaking, on "
+    "vertex-labelled graphs too: the contract that lets count_matches "
+    "fan out and merge MatchStats bit for bit.",
+)
+def _check_root_sets(params: Dict) -> List[str]:
+    name, graph, pattern = _graph_and_pattern(params)
+    orders = connected_orders(pattern)
+    order = orders[int(params.get("order_pick", 0)) % len(orders)]
+    distinct = bool(params.get("distinct", 1))
+    k = int(params.get("root_sets", 1))
+    whole, parts = MatchStats(), MatchStats()
+    count_matches(graph, pattern, order=order, distinct=distinct, stats=whole)
+    restrictions = tuple(symmetry_breaking_restrictions(pattern) if distinct else ())
+    for i in range(k):
+        parts.merge(_count_roots_task(graph, (i, k, pattern, order, restrictions)))
+    return same_values(whole.extra_dict(), parts.extra_dict(), f"stats[{name}]")
 
 
 def _gen_graph(rng: np.random.Generator) -> Dict:

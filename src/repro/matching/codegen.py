@@ -5,11 +5,14 @@ by *compiling* each pattern + matching order into specialized code
 instead of interpreting a generic engine; GraphPi and GraphZero inherit
 the idea.  :func:`generate_source` emits the source of a numpy frontier
 program for one ``(pattern, order, restrictions)`` and
-:func:`compile_matcher` ``exec``-compiles it.  The program runs the
-recurrence of :func:`~repro.matching.backtrack.count_matches` — one
-unrolled block per order step, each extending a chunk of partial
-embeddings with one batched gather — but everything the interpreter
-decides per level is decided here once, at generation time:
+:func:`compile_matcher` ``exec``-compiles it.  It is the counting
+engine: :func:`~repro.matching.backtrack.count_matches` runs it, serially
+or fanned out over strided root arrays.  The program runs the
+recurrence of the interpreted frontier counter
+(:func:`~repro.matching.backtrack.frontier_count`) — one unrolled block
+per order step, each extending a chunk of partial embeddings with one
+batched gather — but everything the interpreter decides per level is
+decided here once, at generation time:
 
 * which backward neighbors are membership tests
   (:meth:`~repro.graph.store.handle.GraphHandle.edge_slots`) and which
@@ -35,8 +38,11 @@ depth first across chunks (a reused segment lives in the chunk of the
 step that built it, so its children finish before it goes); the last
 step is counted, never materialized.  The program takes a
 :class:`~repro.graph.csr.Graph` or any graph handle, so a stored graph
-pages its adjacency through the shard cache.  Bench C3 measures it
-against both interpreters.
+pages its adjacency through the shard cache, and an optional array of
+root vertices (the first step's candidates).  Each block adds the slots
+it gathers to one tally, the work counter serve charges.  Bench C3
+measures the program against both interpreters; the planner asks
+:func:`reuses_segment` to break ties between equal-cost orders.
 """
 
 from __future__ import annotations
@@ -48,9 +54,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..graph.kernels import gather_ranges
-from ..graph.store.handle import as_handle
+from ..graph.store.handle import as_handle, checked_vertex_ids
 from ..lru import LRU
-from .backtrack import _step_tables, _validate_order, slot_chunks
+from . import backtrack  # a cycle: backtrack's names are read at call time
 from .pattern import PatternGraph, symmetry_breaking_restrictions
 from .plan import GraphStats, Planner
 
@@ -58,6 +64,7 @@ __all__ = [
     "generate_source",
     "compile_matcher",
     "compiled_count",
+    "reuses_segment",
 ]
 
 
@@ -110,7 +117,7 @@ def _plan(
     order: Sequence[int],
     restrictions: Sequence[Tuple[int, int]],
 ) -> List[_Step]:
-    back, lt, gt = _step_tables(pattern, order, restrictions)
+    back, lt, gt = backtrack._step_tables(pattern, order, restrictions)
     n = len(order)
     position_of = {pv: i for i, pv in enumerate(order)}
     pairs = {(position_of[u], position_of[v]) for u, v in restrictions}
@@ -166,6 +173,16 @@ def _plan(
     return steps
 
 
+def reuses_segment(
+    pattern: PatternGraph,
+    order: Sequence[int],
+    restrictions: Sequence[Tuple[int, int]],
+) -> bool:
+    """Whether the program for ``order`` has a step that iterates an
+    earlier step's candidate segment (the planner's tie-break)."""
+    return any(step.reuse is not None for step in _plan(pattern, order, restrictions))
+
+
 #: Per slice side, the row columns of the reused step that bound the
 #: slice: segment begin ``b``, own position ``p``, segment end ``e``.
 _SLICES = {"after": ("p", "e"), "before": ("b", "p"), None: ("b", "e")}
@@ -194,15 +211,19 @@ def generate_source(
 ) -> str:
     """Emit the source of a counting program specialized to its inputs.
 
-    The generated function has signature ``func(graph) -> int``, takes
-    a :class:`~repro.graph.csr.Graph` or a graph handle, and defines one
-    nested block ``step<i>`` per order step after the first (module
-    docstring).  Vertex labels are filtered as ``count_matches`` does
-    (only on a vertex-labelled graph).  An edge-labelled pattern checks
+    The generated function has signature ``func(graph, roots=None) ->
+    int`` and returns ``func_tallied(graph, roots)[0]``, where
+    ``func_tallied`` (defined beside it) returns ``(count, tally)``.  It
+    takes a :class:`~repro.graph.csr.Graph` or a graph handle, counts the
+    embeddings whose first order vertex is in ``roots`` (every vertex
+    when ``None``; an id outside the graph raises ``IndexError``), and
+    defines one nested block ``step<i>`` per order step after the first
+    (module docstring).  Vertex labels are filtered as the interpreters
+    do (only on a vertex-labelled graph).  An edge-labelled pattern checks
     each pattern edge's label as ``edge_labels[slot]`` and raises
     ``ValueError`` on a graph without edge labels.
     """
-    order = _validate_order(pattern, order)
+    order = backtrack._validate_order(pattern, order)
     n = len(order)
     steps = _plan(pattern, order, restrictions)
     live: List[List[str]] = [[] for _ in range(n + 1)]
@@ -211,11 +232,16 @@ def generate_source(
         live[i] = sorted(carried | _uses(steps[i]))
 
     out = [
-        f"def {func_name}(graph):",
+        f"def {func_name}(graph, roots=None):",
+        f"    return {func_name}_tallied(graph, roots)[0]",
+        "",
+        "",
+        f"def {func_name}_tallied(graph, roots=None):",
         "    g = as_handle(graph)",
         "    expand, edge_slots = g.expand_frontier, g.edge_slots",
         "    degrees = np.asarray(g.degrees(), dtype=np.int64)",
         "    labels = g.vertex_labels",
+        "    tally = [0]",
     ]
     if pattern.graph.edge_labels is not None:
         out += [
@@ -227,10 +253,15 @@ def generate_source(
         out += _block(i, steps[i], live[i], live[i + 1], last=i == n - 1)
     out += [
         "",
-        "    v0 = np.arange(g.num_vertices, dtype=np.int64)",
+        "    if roots is None:",
+        "        v0 = np.arange(g.num_vertices, dtype=np.int64)",
+        "    else:",
+        "        v0 = checked_vertex_ids(roots, g.num_vertices)",
+        "    tally[0] += int(v0.size)",
         "    if labels is not None:",
-        f"        v0 = v0[labels == {steps[0].label}]",
-        f"    return step1({', '.join(live[1])})" if n > 1 else "    return int(v0.size)",
+        f"        v0 = v0[labels[v0] == {steps[0].label}]",
+        f"    return step1({', '.join(live[1])}), tally[0]" if n > 1
+        else "    return int(v0.size), tally[0]",
     ]
     return "\n".join(out) + "\n"
 
@@ -270,7 +301,7 @@ def _block(
         rowwise = rowwise + picked
         gather = "expand(h_)"
     out += [f"{pad}{a}_ = {a}[lo:hi]" for a in rowwise]
-    out.append(f"{pad}own, x = {gather}")
+    out += [f"{pad}own, x = {gather}", f"{pad}tally[0] += x.size"]
 
     lower = [f"(x > v{j}_[own])" for j in step.lower]
     upper = [f"(x < v{j}_[own])" for j in step.upper]
@@ -351,7 +382,15 @@ def compile_matcher(
     order: Optional[Sequence[int]] = None,
     restrictions: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> Callable[..., int]:
-    """Compile a counting program for ``pattern``: ``func(graph) -> int``.
+    """Compile a counting program for ``pattern``: ``func(graph, roots=None) -> int``.
+
+    ``roots`` is an array of first-step vertices (``None``: every
+    vertex); the counts of disjoint root arrays sum to the whole count,
+    which is how :func:`~repro.matching.backtrack.count_matches` fans a
+    program out.  ``func.tallied(graph, roots=None)`` runs the same
+    program and returns ``(count, tally)``: the roots plus every slot a
+    block gathered, additive over root arrays like the count.
+    ``func.order`` is the order the program was compiled for.
 
     The order defaults to the planner's choice under a generic power-law
     stats profile; restrictions default to the pattern's
@@ -384,6 +423,7 @@ _PROGRAMS_LOCK = threading.Lock()
 
 def _compile(pattern, order, restrictions) -> Callable[..., int]:
     if order is None:
+        
         planner = Planner(
             GraphStats(num_vertices=100_000, avg_degree=16.0, max_degree=1000)
         )
@@ -394,13 +434,16 @@ def _compile(pattern, order, restrictions) -> Callable[..., int]:
     namespace: dict = {
         "np": np,
         "as_handle": as_handle,
+        "checked_vertex_ids": checked_vertex_ids,
         "gather_ranges": gather_ranges,
-        "slot_chunks": slot_chunks,
+        "slot_chunks": backtrack.slot_chunks,
         "smallest_first": smallest_first,
         "_labelled": _labelled,
     }
     exec(compile(source, "<pattern-codegen>", "exec"), namespace)
     func = namespace["count_pattern"]
+    func.tallied = namespace["count_pattern_tallied"]
+    func.order = tuple(int(v) for v in order)
     func.__source__ = source  # for inspection/tests
     return func
 

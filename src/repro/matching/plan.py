@@ -16,6 +16,12 @@ search tree.
   additional backward neighbor multiplies by the edge density
   ``d_avg / n`` (the probability a random pair is adjacent);
 * return the argmin (and, for benches, the argmax — the "worst order").
+  Equal-cost orders are told apart by the compiled program: the first
+  one (in permutation order) whose program iterates an earlier step's
+  candidate segment wins, so diamond plans as ``(1, 2, 0, 3)`` — its
+  last two vertices share the common neighbours of the first two —
+  rather than ``(0, 1, 2, 3)``; :func:`repro.matching.codegen.reuses_segment`
+  is the one place that rule lives.
 
 GraphPi additionally co-optimizes the symmetry-breaking restriction set
 with the order; we reuse the GraphZero-style restrictions from
@@ -111,7 +117,8 @@ class Planner:
         return total
 
     def plan(self, pattern: PatternGraph) -> MatchingPlan:
-        """Best connected order under the cost model."""
+        """Best connected order under the cost model; among equal-cost
+        orders, the first whose compiled program reuses a segment."""
         return self._extreme(pattern, best=True)
 
     def worst_plan(self, pattern: PatternGraph) -> MatchingPlan:
@@ -124,9 +131,17 @@ class Planner:
             raise ValueError("pattern has no connected order (is it connected?)")
         scored = [(self.estimate_order_cost(pattern, o), o) for o in orders]
         cost, order = min(scored) if best else max(scored)
+        restrictions = tuple(symmetry_breaking_restrictions(pattern))
+        if best:
+            from .codegen import reuses_segment  # codegen plans with this class
+
+            tied = (o for c, o in scored if c == cost)
+            order = next(
+                (o for o in tied if reuses_segment(pattern, o, restrictions)), order
+            )
         num_aut = len(automorphisms(pattern))
         return MatchingPlan(
             order=order,
-            restrictions=tuple(symmetry_breaking_restrictions(pattern)),
+            restrictions=restrictions,
             estimated_cost=cost / num_aut,
         )

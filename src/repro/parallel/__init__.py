@@ -23,9 +23,10 @@ workloads on actual cores:
   TLAG task engine (one knob for bench C4 and the real backend).
 
 Hot paths accept an ``executor=``:
-``repro.matching.count_matches`` / ``triangle_count`` fan out over root
-chunks, and ``repro.tlav.vectorized.pagerank_dense`` partitions vertex
-ranges per superstep.  Results are backend-independent by construction
+``repro.matching.count_matches`` fans out over strided root sets
+(``map_strides``), ``triangle_count`` over root spans, and
+``repro.tlav.vectorized.pagerank_dense`` partitions vertex ranges per
+superstep.  Results are backend-independent by construction
 (chunk-deterministic reduction; see DESIGN.md, *Parallel execution*).
 """
 

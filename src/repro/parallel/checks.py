@@ -36,9 +36,9 @@ def _gen_parallel(rng: np.random.Generator) -> Dict:
 @pair(
     "parallel.matching.process_vs_serial", "parallel", BIT_IDENTICAL,
     gen=_gen_parallel, floors={"n": 4, "workers": 2, "chunk_size": 1},
-    description="Root-chunked matching on the process backend: same "
-    "count and *exactly* the same merged work counters as the serial "
-    "run (additive integers, no tolerance).",
+    description="Matching over strided root sets on the process "
+    "backend: same count and *exactly* the same merged work counters "
+    "as the serial run (additive integers, no tolerance).",
 )
 def _check_matching_process(params: Dict) -> List[str]:
     graph = make_graph(params)

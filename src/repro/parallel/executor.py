@@ -3,7 +3,9 @@
 ``ParallelExecutor.map_spans(fn, graph, num_items, *args)`` cuts
 ``range(num_items)`` into contiguous ``(lo, hi)`` spans, applies a
 module-level function ``fn(graph, (lo, hi, *args))`` to every span and
-returns the results in span order.  The backend decides what that costs:
+returns the results in span order; ``map_strides`` hands ``fn`` strides
+``(i, k)`` of the same range instead (root-parallel matching, whose work
+per root falls with its id).  The backend decides what that costs:
 
 * ``serial`` — a plain loop in the calling process (the reference
   semantics the process backend must reproduce bit-for-bit);
@@ -168,9 +170,10 @@ class ParallelExecutor:
         the pool, which always has one worker per usable CPU.  The
         serial backend always reports 1.
     chunk_size:
-        Span size for :meth:`map_spans`; ``None`` derives one from the
-        item count and worker count (the shared chunking policy), for
-        every backend alike.
+        Span size for :meth:`map_spans` (and, through the span count,
+        the stride count of :meth:`map_strides`); ``None`` derives one
+        from the item count and worker count (the shared chunking
+        policy), for every backend alike.
     obs:
         Optional shared :class:`~repro.obs.MetricsRegistry` receiving the
         ``parallel.*`` metrics (private registry when omitted).
@@ -284,6 +287,35 @@ class ParallelExecutor:
             (lo, hi, *args)
             for lo, hi in chunk_spans(num_items, self.chunk_size, self.workers)
         ]
+        return self._fan_out(fn, graph, num_items, payloads)
+
+    def map_strides(
+        self,
+        fn: Callable[[Graph, Tuple], Any],
+        graph: Graph,
+        num_items: int,
+        *args: Any,
+    ) -> List[Any]:
+        """Apply ``fn(graph, (i, k, *args))`` per stride; results in order.
+
+        Stride ``i`` of ``k`` is ``range(i, num_items, k)``, and ``k`` is
+        the number of spans :meth:`map_spans` would cut, so the layout
+        depends on ``(num_items, workers, chunk_size)`` alone, as the
+        spans do.  A stride samples the whole id range: where the work
+        per item falls with its id (low ids are the hubs of a generated
+        power-law graph) strides stay even and contiguous spans do not.
+        """
+        k = len(chunk_spans(num_items, self.chunk_size, self.workers))
+        payloads = [(i, k, *args) for i in range(k)]
+        return self._fan_out(fn, graph, num_items, payloads)
+
+    def _fan_out(
+        self,
+        fn: Callable[[Graph, Tuple], Any],
+        graph: Graph,
+        num_items: int,
+        payloads: List[Tuple],
+    ) -> List[Any]:
         if not payloads:
             return []
         key = _fn_key(fn)

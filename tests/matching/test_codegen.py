@@ -1,4 +1,5 @@
-"""Compilation-based matching: generated programs count what the interpreters count."""
+"""Compilation-based matching: generated programs count what the interpreters count,
+whole or over strided root arrays."""
 
 import os
 import re
@@ -16,7 +17,7 @@ from repro.graph.csr import Graph
 from repro.graph.generators import barabasi_albert, erdos_renyi
 from repro.graph.store import build_store, open_store
 from repro.matching import backtrack
-from repro.matching.backtrack import count_matches, match
+from repro.matching.backtrack import count_matches, frontier_count, match
 from repro.matching.codegen import (
     compile_matcher,
     compiled_count,
@@ -115,9 +116,17 @@ class TestGeneratedSource:
             for k in map(int, re.findall(r"gather_ranges\(s(\d+), ", src)):
                 assert "expand(" in blocks[k - 1], order
 
-    def test_diamond_planned_order_has_no_reuse(self):
+    def test_diamond_id_order_has_no_reuse(self):
         src = _source(diamond_pattern(), order=(0, 1, 2, 3))
         assert "gather_ranges" not in src
+
+    def test_diamond_planned_order_reuses_the_shared_edge(self):
+        # The planner's tie-break: the last two vertices both read the
+        # common neighbors of the first two.
+        src = _source(diamond_pattern())
+        assert compile_matcher(diamond_pattern()).order == (1, 2, 0, 3)
+        step3 = src.split("def step3(")[1].split("\n\n")[0]
+        assert "gather_ranges(s2, " in step3
 
     def test_programs_are_cached(self):
         assert compile_matcher(clique_pattern(4)) is compile_matcher(clique_pattern(4))
@@ -126,7 +135,7 @@ class TestGeneratedSource:
 class TestCompiledCorrectness:
     @pytest.mark.parametrize("pattern", ALL_PATTERNS)
     def test_matches_interpreter(self, pattern, small_er):
-        assert compiled_count(small_er, pattern) == count_matches(
+        assert compiled_count(small_er, pattern) == frontier_count(
             small_er, pattern
         )
 
@@ -134,7 +143,7 @@ class TestCompiledCorrectness:
     def test_matches_on_random_graphs(self, seed):
         g = erdos_renyi(30, 0.25, seed=seed)
         for pattern in (triangle_pattern(), cycle_pattern(4), diamond_pattern()):
-            assert compiled_count(g, pattern) == count_matches(g, pattern)
+            assert compiled_count(g, pattern) == frontier_count(g, pattern)
 
     @pytest.mark.parametrize("name,build", ZOO, ids=[name for name, _ in ZOO])
     @pytest.mark.parametrize("kind", ["ba", "er"])
@@ -142,13 +151,13 @@ class TestCompiledCorrectness:
         graph = (barabasi_albert(150, 4, seed=3) if kind == "ba"
                  else erdos_renyi(60, 0.15, seed=4))
         pattern = build()
-        assert compiled_count(graph, pattern) == count_matches(graph, pattern)
+        assert compiled_count(graph, pattern) == frontier_count(graph, pattern)
 
     @pytest.mark.parametrize("name,build", ZOO, ids=[name for name, _ in ZOO])
     def test_zoo_on_a_paged_store(self, name, build):
         graph = barabasi_albert(120, 3, seed=5)
         pattern = build()
-        want = count_matches(graph, pattern)
+        want = frontier_count(graph, pattern)
         with tempfile.TemporaryDirectory(prefix="codegen-") as tmp:
             root = os.path.join(tmp, "g")
             manifest = build_store(graph, root, partition="hash", num_parts=3)
@@ -170,12 +179,13 @@ class TestCompiledCorrectness:
     def test_chunked_levels_count_the_same(self):
         graph = barabasi_albert(150, 5, seed=7)
         for pattern in (clique_pattern(4), house_pattern(), diamond_pattern()):
-            want = count_matches(graph, pattern)
+            want = frontier_count(graph, pattern)
             with mock.patch.object(backtrack, "FRONTIER_SLOT_CAP", 3):
                 assert compiled_count(graph, pattern) == want
 
     def test_vertex_labels_filter(self):
         graph, pattern = _labelled_triangle_case()
+        assert frontier_count(graph, pattern) == 33
         assert count_matches(graph, pattern) == 33
         assert compiled_count(graph, pattern) == 33
         assert compiled_count(graph, pattern, order=(2, 0, 1)) == 33
@@ -209,6 +219,27 @@ class TestCompiledCorrectness:
         assert total == len(automorphisms(pattern)) * distinct
 
 
+class TestRootArrays:
+    def test_vertex_labelled_strided_roots(self):
+        # A root array is filtered by its own labels: each set counts
+        # exactly the embeddings whose first order vertex it holds.
+        graph, pattern = _labelled_triangle_case()
+        n = graph.num_vertices
+        for order in connected_orders(pattern):
+            found = []
+            match(graph, pattern, order=order, on_match=found.append)
+            first = np.array([emb[order[0]] for emb in found], dtype=np.int64)
+            program = compile_matcher(pattern, order=order)
+            whole = program.tallied(graph)
+            assert whole[0] == len(found) == 33
+            for k in (1, 2, 3, 7, n, n + 4):
+                parts = [program.tallied(graph, np.arange(i, n, k)) for i in range(k)]
+                assert [c for c, _ in parts] == [
+                    int(np.count_nonzero(first % k == i)) for i in range(k)
+                ], (order, k)
+                assert tuple(map(sum, zip(*parts))) == whole
+
+
 class TestCompiledSpeed:
     def test_compiled_faster_than_interpreter(self):
         """The AutoMine claim: specialization beats interpretation."""
@@ -217,7 +248,7 @@ class TestCompiledSpeed:
         order = Planner(GraphStats.of(g)).plan(pattern).order
 
         t0 = time.perf_counter()
-        interpreted = count_matches(g, pattern, order=order)
+        interpreted = frontier_count(g, pattern, order=order)
         t1 = time.perf_counter()
 
         func = compile_matcher(pattern, order=order)

@@ -1,9 +1,11 @@
-"""The frontier counter (`count_matches`) against the DFS enumerator.
+"""The interpreted frontier counter (`frontier_count`) against the DFS
+enumerator, and the strided root sets `count_matches` fans out.
 
 `match` is the declared oracle: for every pattern, order, symmetry
 setting, labelling and handle kind, the frontier kernel must return the
-same count *and* the same four `MatchStats` counters — the simulated-ops
-cost serve charges — bit for bit.
+same count *and* the same four `MatchStats` counters, bit for bit.  The
+compiled program's root sets must sum to its whole-graph count and
+tally for any number of sets.
 """
 
 import os
@@ -19,8 +21,9 @@ from repro.graph.csr import Graph, GraphBuilder
 from repro.graph.generators import barabasi_albert
 from repro.graph.store import InMemoryGraph, build_store, open_store
 from repro.matching import backtrack
-from repro.matching.backtrack import MatchStats, count_matches, match
+from repro.matching.backtrack import MatchStats, count_matches, frontier_count, match
 from repro.matching.checks import PATTERNS
+from repro.matching.codegen import compile_matcher
 from repro.matching.pattern import (
     PatternGraph,
     diamond_pattern,
@@ -95,8 +98,8 @@ def _oracle(graph, pattern, order, distinct):
 
 def _frontier(handle, pattern, order, distinct):
     stats = MatchStats()
-    count = count_matches(handle, pattern, order=order, distinct=distinct,
-                          stats=stats)
+    count = frontier_count(handle, pattern, order=order, distinct=distinct,
+                           stats=stats)
     assert count == stats.embeddings
     return stats.extra_dict()
 
@@ -142,18 +145,19 @@ class TestAgainstBacktracker:
         restrictions = data.draw(st.sampled_from(
             [(), tuple(symmetry_breaking_restrictions(pattern))]
         ))
-        n = graph.num_vertices
-        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
-        bounds = [0] + cuts + [n]
+        k = data.draw(st.integers(1, max(1, graph.num_vertices) + 2))
         merged = MatchStats()
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for i in range(k):
             merged.merge(backtrack._count_roots_task(
-                graph, (lo, hi, pattern, order, restrictions)
+                graph, (i, k, pattern, order, restrictions)
             ))
-        want = MatchStats()
-        match(graph, pattern, order=order, restrictions=list(restrictions),
-              stats=want)
-        assert merged.extra_dict() == want.extra_dict()
+        whole = MatchStats()
+        count_matches(graph, pattern, order=order, distinct=bool(restrictions),
+                      stats=whole)
+        assert merged.extra_dict() == whole.extra_dict()
+        assert whole.embeddings == match(
+            graph, pattern, order=order, restrictions=list(restrictions)
+        )
 
     def test_hub_above_the_slot_cap(self):
         # One vertex adjacent to every other: a single row whose gather
@@ -172,9 +176,10 @@ class TestAgainstBacktracker:
 class TestRoots:
     def test_root_span_outside_the_graph_raises(self):
         graph = barabasi_albert(30, 2, seed=0)
-        payload = (25, 31, triangle_pattern(), (0, 1, 2), ())
-        with pytest.raises(IndexError, match=r"vertex ids must lie in \[0, 30\)"):
-            backtrack._count_roots_task(graph, payload)
+        program = compile_matcher(triangle_pattern(), (0, 1, 2), ())
+        for roots in (np.arange(25, 31), np.array([-1, 3])):
+            with pytest.raises(IndexError, match=r"vertex ids must lie in \[0, 30\)"):
+                program(graph, roots)
 
     def test_anchor_outside_the_graph_raises(self):
         graph = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])

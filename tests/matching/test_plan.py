@@ -4,12 +4,15 @@ import pytest
 
 from repro.graph.generators import barabasi_albert
 from repro.matching.backtrack import MatchStats, match
+from repro.matching.codegen import reuses_segment
 from repro.matching.pattern import (
     clique_pattern,
+    cycle_pattern,
     diamond_pattern,
     house_pattern,
     path_pattern,
     star_pattern,
+    tailed_triangle_pattern,
     triangle_pattern,
 )
 from repro.matching.plan import GraphStats, MatchingPlan, Planner, connected_orders
@@ -58,6 +61,39 @@ class TestCostModel:
             2 * small_ba.num_edges / small_ba.num_vertices
         )
         assert stats.max_degree == int(small_ba.degrees().max())
+
+
+class TestReuseTieBreak:
+    """Among equal-cost orders the planner takes one whose compiled
+    program reuses a segment; where none does, its choice is unchanged."""
+
+    @pytest.fixture
+    def planner(self):
+        return Planner(GraphStats(num_vertices=10_000, avg_degree=12.0, max_degree=500))
+
+    def test_diamond_reuses_the_shared_edge(self, planner):
+        pattern = diamond_pattern()
+        plan = planner.plan(pattern)
+        assert plan.order == (1, 2, 0, 3)
+        cost = planner.estimate_order_cost
+        assert cost(pattern, plan.order) == cost(pattern, (0, 1, 2, 3))
+        assert reuses_segment(pattern, plan.order, plan.restrictions)
+        assert not reuses_segment(pattern, (0, 1, 2, 3), plan.restrictions)
+
+    @pytest.mark.parametrize("pattern", [
+        triangle_pattern(), path_pattern(4), star_pattern(3), cycle_pattern(4),
+        tailed_triangle_pattern(), diamond_pattern(), house_pattern(),
+        clique_pattern(4), clique_pattern(5),
+    ])
+    def test_first_reusing_order_among_the_cheapest(self, planner, pattern):
+        plan = planner.plan(pattern)
+        scored = [(planner.estimate_order_cost(pattern, o), o)
+                  for o in connected_orders(pattern)]
+        cheapest, lowest = min(scored)
+        tied = [o for c, o in scored if c == cheapest]
+        reusing = [o for o in tied if reuses_segment(pattern, o, plan.restrictions)]
+        assert plan.order == (reusing[0] if reusing else lowest)
+        assert planner.estimate_order_cost(pattern, plan.order) == cheapest
 
 
 class TestPlanQualityOnRealGraph:
