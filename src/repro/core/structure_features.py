@@ -14,14 +14,14 @@ against a degree-histogram baseline with the shallow classifier of
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..fsm.gspan import FrequentPattern, GSpan
 from ..graph.csr import Graph
 from ..graph.transactions import TransactionDatabase
-from ..matching.backtrack import match
+from ..matching.backtrack import find_matches, match
 from ..matching.pattern import PatternGraph
 
 __all__ = [
@@ -33,20 +33,7 @@ __all__ = [
 
 def contains_pattern(graph: Graph, pattern: PatternGraph) -> bool:
     """Does ``graph`` contain at least one embedding of ``pattern``?"""
-    found: List[int] = []
-
-    class _Stop(Exception):
-        pass
-
-    def first(_emb: Tuple[int, ...]) -> None:
-        found.append(1)
-        raise _Stop
-
-    try:
-        match(graph, pattern, restrictions=[], on_match=first)
-    except _Stop:
-        pass
-    return bool(found)
+    return bool(find_matches(graph, pattern, limit=1))
 
 
 def pattern_feature_matrix(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from ..matching.backtrack import match
+from ..matching.backtrack import find_matches
 from ..matching.pattern import PatternGraph
 from .gspan import FrequentPattern
 
@@ -30,20 +30,7 @@ def is_subpattern(small: PatternGraph, big: PatternGraph) -> bool:
     """Is ``small`` (label-preserving) subgraph-isomorphic to ``big``?"""
     if small.n > big.n or small.num_edges > big.num_edges:
         return False
-    found: List[int] = []
-
-    class _Stop(Exception):
-        pass
-
-    def first(_e) -> None:
-        found.append(1)
-        raise _Stop
-
-    try:
-        match(big.graph, small, restrictions=[], on_match=first)
-    except _Stop:
-        pass
-    return bool(found)
+    return bool(find_matches(big.graph, small, limit=1))
 
 
 def closed_graph_patterns(

@@ -36,11 +36,11 @@ graph).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..graph.csr import Graph
 from ..matching.backtrack import MatchStats, match
-from ..matching.pattern import PatternGraph
+from ..matching.pattern import PatternGraph, default_order
 from ..sim import WorkerClocks
 from .gspan import DFSCode, _edge_key, is_min
 
@@ -171,7 +171,7 @@ def _first_embedding(
         match(
             graph,
             pattern,
-            order=_order_starting_at(pattern, pv),
+            order=default_order(pattern, pv),
             restrictions=[],  # existence, not distinct counting
             on_match=stop_at_first,
             stats=stats,
@@ -180,21 +180,6 @@ def _first_embedding(
     except _FoundOne:
         pass
     return (found[0] if found else None), stats.candidates_scanned
-
-
-def _order_starting_at(pattern: PatternGraph, start: int) -> List[int]:
-    """A connected matching order beginning at ``start``."""
-    order = [start]
-    seen = {start}
-    while len(order) < pattern.n:
-        for v in range(pattern.n):
-            if v in seen:
-                continue
-            if any(q in seen for q in pattern.adj[v]):
-                order.append(v)
-                seen.add(v)
-                break
-    return order
 
 
 def mni_support_parallel(

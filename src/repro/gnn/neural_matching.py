@@ -34,7 +34,7 @@ import numpy as np
 
 from ..graph.csr import Graph
 from ..graph.generators import erdos_renyi
-from ..matching.backtrack import match
+from ..matching.backtrack import find_matches, match
 from ..matching.pattern import PatternGraph
 from .layers import GraphTensors, SAGELayer
 from .models import Adam, Module
@@ -50,20 +50,7 @@ __all__ = [
 
 def contains_exact(target: Graph, pattern: PatternGraph) -> bool:
     """Ground truth via the exact backtracking matcher."""
-    hits: List[int] = []
-
-    class _Stop(Exception):
-        pass
-
-    def first(_e) -> None:
-        hits.append(1)
-        raise _Stop
-
-    try:
-        match(target, pattern, restrictions=[], on_match=first)
-    except _Stop:
-        pass
-    return bool(hits)
+    return bool(find_matches(target, pattern, limit=1))
 
 
 class OrderEmbedder(Module):

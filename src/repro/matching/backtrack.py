@@ -1,11 +1,18 @@
 """Backtracking subgraph matching: a DFS enumerator and a frontier counter.
 
 The common kernel behind every DFS-style system in Table 1 (G-thinker,
-Fractal, STMatch, T-DFS): extend a partial embedding one pattern vertex
-at a time along a *matching order*, computing the candidate set of each
-step by intersecting the adjacency lists of already-matched neighbors
-(plus label and injectivity filters and the symmetry-breaking
+Fractal, STMatch, T-DFS, EGSM): extend a partial embedding one pattern
+vertex at a time along a *matching order*, computing the candidate set
+of each step by intersecting the adjacency lists of already-matched
+neighbors (plus label and injectivity filters and the symmetry-breaking
 restrictions of :mod:`repro.matching.pattern`).
+
+:func:`extend_step` is that one step, over :func:`step_tables`.  The
+systems schedule it differently: :func:`match` (hence G-thinker tasks,
+G-thinkerQ queries and FSM existence checks) recurses depth first,
+:class:`~repro.tlag.warp.WarpSimulator` deals candidates to warp lanes,
+and :func:`~repro.tlag.hybrid.hybrid_match` goes breadth first until its
+memory budget forces depth first.
 
 Two interpretations of that one recurrence live here, plus the entry
 point production counts go through:
@@ -44,7 +51,9 @@ what AutoMine/GraphPi/GraphZero exploit, and bench C3 measures it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -87,24 +96,10 @@ class MatchStats(StatsViewMixin):
 
     def merge(self, other: "MatchStats") -> "MatchStats":
         """Fold another worker's counters into this one (in place)."""
-        return merge_counters(
-            self,
-            other,
-            sum_fields=(
-                "embeddings",
-                "nodes_visited",
-                "intersections",
-                "candidates_scanned",
-            ),
-        )
+        return merge_counters(self, other, sum_fields=self.__slots__)
 
     def extra_dict(self) -> Dict[str, Any]:
-        return {
-            "embeddings": self.embeddings,
-            "nodes_visited": self.nodes_visited,
-            "intersections": self.intersections,
-            "candidates_scanned": self.candidates_scanned,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def _validate_order(pattern: PatternGraph, order: Sequence[int]) -> List[int]:
@@ -117,19 +112,35 @@ def _validate_order(pattern: PatternGraph, order: Sequence[int]) -> List[int]:
     return order
 
 
-def _step_tables(
-    pattern: PatternGraph,
-    order: Sequence[int],
-    restrictions: Sequence[Tuple[int, int]],
-) -> Tuple[List[List[int]], List[List[int]], List[List[int]]]:
-    """Per order step: backward neighbors, lower bounds, upper bounds.
+class StepTables(NamedTuple):
+    """One ``(pattern, order, restrictions)`` laid out per order step.
 
     ``back[i]`` lists the earlier steps whose pattern vertex neighbors
     ``order[i]``.  A restriction ``(u, v)`` means data(u) < data(v) and
     is checked at the later of its two steps: ``gt[i]`` holds the
     earlier steps step ``i`` must exceed, ``lt[i]`` those it must stay
-    below.
+    below.  ``edge_label[i]`` maps each backward step to its pattern
+    edge's label (``None``: the pattern has no edge labels).
     """
+
+    order: List[int]
+    back: List[List[int]]
+    lt: List[List[int]]
+    gt: List[List[int]]
+    label: List[int]
+    edge_label: Optional[List[Dict[int, int]]]
+
+
+def step_tables(
+    pattern: PatternGraph,
+    order: Optional[Sequence[int]] = None,
+    restrictions: Optional[Sequence[Tuple[int, int]]] = None,
+) -> StepTables:
+    """``pattern``'s step tables along ``order`` (default:
+    :func:`default_order`); ``restrictions=None`` derives them."""
+    order = _validate_order(pattern, default_order(pattern) if order is None else order)
+    if restrictions is None:
+        restrictions = symmetry_breaking_restrictions(pattern)
     position_of = {pv: i for i, pv in enumerate(order)}
     back = [
         [position_of[q] for q in pattern.adj[pv] if position_of[q] < i]
@@ -143,7 +154,56 @@ def _step_tables(
             gt[iv].append(iu)
         else:
             lt[iu].append(iv)
-    return back, lt, gt
+    edge_label = None if pattern.graph.edge_labels is None else [
+        {j: pattern.graph.edge_label(pv, order[j]) for j in back[i]}
+        for i, pv in enumerate(order)
+    ]
+    label = [pattern.label(pv) for pv in order]
+    return StepTables(order, back, lt, gt, label, edge_label)
+
+
+def extend_step(
+    graph,
+    tables: StepTables,
+    embedding: Sequence[int],
+    step: int,
+    stats: MatchStats,
+    allowed: Optional[Sequence[np.ndarray]] = None,
+) -> List[int]:
+    """The data vertices, ascending, that extend ``embedding[:step]`` at
+    order step ``step``: the backward neighbors' common neighbors (every
+    vertex at a step with none) that pass the symmetry bounds, ``allowed``
+    (sorted arrays by pattern vertex), the labels and injectivity.  Adds
+    the intersections and the pre-filter candidates to ``stats``."""
+    back = tables.back[step]
+    if not back:
+        base = np.arange(graph.num_vertices, dtype=np.int64)
+    else:
+        # One batched binary search per extra list, smallest list first.
+        lists = [graph.neighbors(embedding[j]) for j in back]
+        stats.intersections += len(lists) - 1
+        base = intersect_multi(lists)
+    stats.candidates_scanned += int(base.size)
+    if base.size:
+        lo = max((embedding[j] for j in tables.gt[step]), default=-1)
+        hi = min(
+            (embedding[j] for j in tables.lt[step]), default=graph.num_vertices
+        )
+        mask = (base > lo) & (base < hi)
+        if allowed is not None:
+            mask &= in_sorted(allowed[tables.order[step]], base)
+        if graph.vertex_labels is not None:
+            mask &= graph.vertex_labels[base] == tables.label[step]
+        base = base[mask]
+    matched = embedding[:step]
+    if tables.edge_label is None or graph.edge_labels is None:
+        return [x for x in base.tolist() if x not in matched]
+    want_edge = tables.edge_label[step].items()
+    return [
+        x for x in base.tolist()
+        if x not in matched
+        and all(graph.edge_label(embedding[j], x) == label for j, label in want_edge)
+    ]
 
 
 def match(
@@ -173,6 +233,9 @@ def match(
         Callback per embedding (mapping pattern vertex -> data vertex, in
         pattern-vertex index order).  When ``None``, embeddings are only
         counted — no materialization, the G-thinker property.
+    stats:
+        Counters this call adds to; the return value is this call's
+        count whatever ``stats`` held before.
     anchor:
         Optional ``(pattern_vertex, data_vertex)`` pin, used by the task
         engine to spawn one task per candidate of the first order vertex.
@@ -186,84 +249,21 @@ def match(
 
     Returns the embedding count.
     """
-    if order is None:
-        order = default_order(pattern)
-    order = _validate_order(pattern, order)
-    if restrictions is None:
-        restrictions = symmetry_breaking_restrictions(pattern)
+    tables = step_tables(pattern, order, restrictions)
+    order = tables.order
     stats = stats if stats is not None else MatchStats()
-
+    before = stats.embeddings
     n = pattern.n
-    backward_neighbors, lt_at_step, gt_at_step = _step_tables(
-        pattern, order, restrictions
-    )
-
     labels = graph.vertex_labels
-    check_edge_labels = (
-        pattern.graph.edge_labels is not None and graph.edge_labels is not None
-    )
-    # Normalize the candidate sets once into sorted arrays so every step
-    # can run one batched binary-search membership test instead of a
-    # per-element ``x in allowed[pv]`` probe (the filtering module hands
-    # these over pre-sorted; sets/lists are converted here).
-    allowed_arrays: Optional[List[np.ndarray]] = None
-    if allowed is not None:
-        allowed_arrays = []
-        for entry in allowed:
-            arr = np.asarray(
-                entry if isinstance(entry, np.ndarray) else list(entry),
-                dtype=np.int64,
-            )
-            if arr.size > 1 and np.any(np.diff(arr) < 0):
-                arr = np.sort(arr)
-            allowed_arrays.append(arr)
+    # Sorted arrays, so every step runs one batched binary-search
+    # membership test instead of a per-element ``x in allowed[pv]`` probe.
+    allowed_arrays = None if allowed is None else [
+        np.sort(np.asarray(
+            entry if isinstance(entry, np.ndarray) else list(entry), dtype=np.int64
+        ))
+        for entry in allowed
+    ]
     embedding = [0] * n  # indexed by step
-    matched_set: set = set()
-
-    def candidates(step: int) -> Iterator[int]:
-        pv = order[step]
-        want_label = pattern.label(pv)
-        back = backward_neighbors[step]
-        if not back:
-            # Unconstrained start vertex: scan every data vertex.
-            base = np.arange(graph.num_vertices, dtype=np.int64)
-        else:
-            # Intersect adjacency lists of the already-matched neighbors,
-            # smallest list first — one batched binary search per list
-            # instead of a per-element probe (the merge-join kernel).
-            lists = [graph.neighbors(embedding[j]) for j in back]
-            stats.intersections += len(lists) - 1 if len(lists) > 1 else 0
-            base = intersect_multi(lists)
-        # Cheap filters run batched over the whole candidate array:
-        # symmetry bounds, candidate-set membership, and vertex labels
-        # are each one vectorized pass.  ``candidates_scanned`` counts
-        # the pre-filter batch, matching the former per-element scan.
-        stats.candidates_scanned += int(base.size)
-        if base.size:
-            lo = max((embedding[j] for j in gt_at_step[step]), default=-1)
-            hi = min(
-                (embedding[j] for j in lt_at_step[step]), default=graph.num_vertices
-            )
-            mask = (base > lo) & (base < hi)
-            if allowed_arrays is not None:
-                mask &= in_sorted(allowed_arrays[pv], base)
-            if labels is not None:
-                mask &= labels[base] == want_label
-            base = base[mask]
-        for x in base:
-            x = int(x)
-            if x in matched_set:
-                continue
-            if check_edge_labels:
-                ok = True
-                for j in backward_neighbors[step]:
-                    want_edge = pattern.graph.edge_label(order[step], order[j])
-                    if graph.edge_label(embedding[j], x) != want_edge:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            yield x
 
     pinned: Optional[int] = None
     if anchor is not None:
@@ -282,20 +282,19 @@ def match(
                 on_match(tuple(by_pattern_vertex))
             return
         if step == 0 and pinned is not None:
-            want = pattern.label(order[0])
-            ok = labels is None or int(labels[pinned]) == want
-            candidate_source: Iterator[int] = iter([pinned] if ok else [])
+            ok = labels is None or int(labels[pinned]) == tables.label[0]
+            candidates = [pinned] if ok else []
         else:
-            candidate_source = candidates(step)
-        for x in candidate_source:
+            candidates = extend_step(
+                graph, tables, embedding, step, stats, allowed_arrays
+            )
+        for x in candidates:
             stats.nodes_visited += 1
             embedding[step] = x
-            matched_set.add(x)
             extend(step + 1)
-            matched_set.discard(x)
 
     extend(0)
-    return stats.embeddings
+    return stats.embeddings - before
 
 
 def slot_chunks(sizes: np.ndarray) -> Iterator[Tuple[int, int]]:
@@ -317,9 +316,7 @@ def slot_chunks(sizes: np.ndarray) -> Iterator[Tuple[int, int]]:
 
 def _count_frontier(
     handle,
-    pattern: PatternGraph,
-    order: Sequence[int],
-    restrictions: Sequence[Tuple[int, int]],
+    tables: StepTables,
     roots: np.ndarray,
     stats: MatchStats,
 ) -> None:
@@ -331,8 +328,8 @@ def _count_frontier(
     a stored graph pages one gather per touched partition per chunk.
     """
     num_vertices = handle.num_vertices
-    steps = len(order)
-    back, lt, gt = _step_tables(pattern, order, restrictions)
+    steps = len(tables.order)
+    back, lt, gt, want = tables.back, tables.lt, tables.gt, tables.label
     # Injectivity only needs checking against steps no strict symmetry
     # bound already separates from the candidate.
     others = [
@@ -340,18 +337,12 @@ def _count_frontier(
         for i in range(steps)
     ]
     labels = handle.vertex_labels
-    want = [pattern.label(pv) for pv in order]
     degrees = np.asarray(handle.degrees(), dtype=np.int64)
-    edge_labels = None
-    if pattern.graph.edge_labels is not None:
-        edge_labels = handle.edge_labels
+    want_edge = tables.edge_label
+    edge_labels = None if want_edge is None else handle.edge_labels
     if edge_labels is not None:
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
-        want_edge = [
-            {j: pattern.graph.edge_label(pv, order[j]) for j in back[i]}
-            for i, pv in enumerate(order)
-        ]
 
     roots = checked_vertex_ids(roots, num_vertices)
     stats.candidates_scanned += int(roots.size)
@@ -443,16 +434,13 @@ def frontier_count(
     :func:`~repro.matching.pattern.default_order`.
     """
     handle = as_handle(graph_or_handle)
-    if order is None:
-        order = default_order(pattern)
-    order = _validate_order(pattern, order)
-    restrictions = symmetry_breaking_restrictions(pattern) if distinct else []
+    tables = step_tables(pattern, order, None if distinct else [])
     stats = stats if stats is not None else MatchStats()
+    before = stats.embeddings
     _count_frontier(
-        handle, pattern, order, restrictions,
-        np.arange(handle.num_vertices, dtype=np.int64), stats,
+        handle, tables, np.arange(handle.num_vertices, dtype=np.int64), stats
     )
-    return stats.embeddings
+    return stats.embeddings - before
 
 
 def _count_roots_task(graph: Graph, payload: Tuple) -> MatchStats:
@@ -509,18 +497,19 @@ def count_matches(
     restrictions = tuple(symmetry_breaking_restrictions(pattern) if distinct else ())
     program = codegen.compile_matcher(pattern, order, restrictions)
     merged = stats if stats is not None else MatchStats()
+    before = merged.embeddings
     if executor is None:
         # The program consumes the handle directly — a stored graph
         # pages its adjacency through the shard cache.
         _run_program(program, handle, None, merged)
-        return merged.embeddings
+        return merged.embeddings - before
     shared = handle.to_graph()  # executor backends need the CSR in shared memory
     for part in executor.map_strides(
         _count_roots_task, shared, shared.num_vertices,
         pattern, program.order, restrictions,
     ):
         merged.merge(part)
-    return merged.embeddings
+    return merged.embeddings - before
 
 
 def find_matches(

@@ -14,7 +14,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..check.registry import BIT_IDENTICAL, pair
+from ..check.registry import BIT_IDENTICAL, invariant, pair
 from ..check.invariants import same_values
 from ..check.workloads import gen_graph_params, make_graph
 from ..graph.csr import Graph
@@ -24,6 +24,7 @@ from .backtrack import (
 )
 from .pattern import (
     PatternGraph,
+    automorphisms,
     clique_pattern,
     cycle_pattern,
     diamond_pattern,
@@ -58,35 +59,52 @@ def _gen_pattern(rng: np.random.Generator) -> Dict:
 def _gen_labelled_pattern(rng: np.random.Generator) -> Dict:
     params = _gen_pattern(rng)
     params["vertex_labels"] = int(rng.integers(3))  # 0: unlabeled
+    params["edge_labels"] = int(rng.integers(3))  # 0: unlabeled
     return params
 
 
+def _labelled(graph: Graph, rng: np.random.Generator, params: Dict) -> Graph:
+    """``graph`` with ``vertex_labels`` random vertex labels and
+    ``edge_labels`` random labels per unordered pair (0 of either: none)."""
+    n, vertex_labels, edge_labels = graph.num_vertices, graph.vertex_labels, None
+    if params.get("vertex_labels", 0):
+        vertex_labels = rng.integers(int(params["vertex_labels"]), size=n)
+    if params.get("edge_labels", 0):
+        src = np.repeat(np.arange(n), graph.degrees())
+        pair = np.minimum(src, graph.indices) * n + np.maximum(src, graph.indices)
+        edge_labels = rng.integers(int(params["edge_labels"]), size=n * n)[pair]
+    return Graph(graph.indptr, graph.indices,
+                 vertex_labels=vertex_labels, edge_labels=edge_labels)
+
+
 def _graph_and_pattern(params: Dict):
-    """The drawn graph and pattern; with ``vertex_labels`` > 0 both get
-    that many random vertex labels."""
+    """The drawn graph and pattern; with ``vertex_labels`` (``edge_labels``)
+    > 0 both get that many random vertex (edge) labels."""
     graph = make_graph(params)
     name, build = PATTERNS[int(params["pattern"]) % len(PATTERNS)]
     pattern = build()
-    num_labels = int(params.get("vertex_labels", 0))
-    if num_labels:
+    if params.get("vertex_labels", 0) or params.get("edge_labels", 0):
         rng = np.random.default_rng(int(params.get("graph_seed", 0)))
-        graph = Graph(
-            graph.indptr, graph.indices,
-            vertex_labels=rng.integers(num_labels, size=graph.num_vertices),
-        )
-        pattern = PatternGraph(Graph(
-            pattern.graph.indptr, pattern.graph.indices,
-            vertex_labels=rng.integers(num_labels, size=pattern.n),
-        ))
+        graph = _labelled(graph, rng, params)
+        pattern = PatternGraph(_labelled(pattern.graph, rng, params))
     return name, graph, pattern
+
+
+def _pattern_case(params: Dict):
+    """The drawn graph, pattern and connected order (``order_pick``)."""
+    name, graph, pattern = _graph_and_pattern(params)
+    orders = connected_orders(pattern)
+    order = orders[int(params.get("order_pick", 0)) % len(orders)]
+    return name, graph, pattern, order
 
 
 @pair(
     "matching.patterns.backtrack_vs_codegen", "matching", BIT_IDENTICAL,
-    gen=_gen_labelled_pattern, floors={"n": 4, "pattern": 0, "vertex_labels": 0},
+    gen=_gen_labelled_pattern,
+    floors={"n": 4, "pattern": 0, "vertex_labels": 0, "edge_labels": 0},
     description="The compiled program count_matches runs must count "
     "exactly what the interpreted frontier counter counts, for every "
-    "pattern in the zoo, on vertex-labelled graphs too.",
+    "pattern in the zoo, on vertex- and edge-labelled graphs too.",
 )
 def _check_codegen(params: Dict) -> List[str]:
     name, graph, pattern = _graph_and_pattern(params)
@@ -102,6 +120,7 @@ def _gen_count(rng: np.random.Generator) -> Dict:
     params["order_pick"] = int(rng.integers(1 << 16))
     params["distinct"] = int(rng.integers(2))
     params["vertex_labels"] = int(rng.integers(3))  # 0: unlabeled
+    params["edge_labels"] = int(rng.integers(3))  # 0: unlabeled
     return params
 
 
@@ -109,16 +128,14 @@ def _gen_count(rng: np.random.Generator) -> Dict:
     "matching.count.frontier_vs_backtrack", "matching", BIT_IDENTICAL,
     gen=_gen_count,
     floors={"n": 4, "pattern": 0, "order_pick": 0, "distinct": 0,
-            "vertex_labels": 0},
+            "vertex_labels": 0, "edge_labels": 0},
     description="The interpreted level-synchronous frontier counter "
     "returns the depth-first enumerator's count and every MatchStats "
     "field, for any connected order, with and without symmetry "
-    "breaking, on vertex-labelled graphs too.",
+    "breaking, on vertex- and edge-labelled graphs too.",
 )
 def _check_frontier_count(params: Dict) -> List[str]:
-    name, graph, pattern = _graph_and_pattern(params)
-    orders = connected_orders(pattern)
-    order = orders[int(params.get("order_pick", 0)) % len(orders)]
+    name, graph, pattern, order = _pattern_case(params)
     distinct = bool(params.get("distinct", 1))
     want, got = MatchStats(), MatchStats()
     match(graph, pattern, order=order,
@@ -140,17 +157,15 @@ def _gen_root_sets(rng: np.random.Generator) -> Dict:
     "matching.count.root_sets_sum", "matching", BIT_IDENTICAL,
     gen=_gen_root_sets,
     floors={"n": 4, "pattern": 0, "order_pick": 0, "distinct": 0,
-            "vertex_labels": 0, "root_sets": 1},
+            "vertex_labels": 0, "edge_labels": 0, "root_sets": 1},
     description="The compiled counts and tallies of the k strided root "
     "sets arange(i, n, k) sum to the whole-graph count and tally, for "
     "any k and connected order, with and without symmetry breaking, on "
-    "vertex-labelled graphs too: the contract that lets count_matches "
+    "vertex- and edge-labelled graphs too: the contract that lets count_matches "
     "fan out and merge MatchStats bit for bit.",
 )
 def _check_root_sets(params: Dict) -> List[str]:
-    name, graph, pattern = _graph_and_pattern(params)
-    orders = connected_orders(pattern)
-    order = orders[int(params.get("order_pick", 0)) % len(orders)]
+    name, graph, pattern, order = _pattern_case(params)
     distinct = bool(params.get("distinct", 1))
     k = int(params.get("root_sets", 1))
     whole, parts = MatchStats(), MatchStats()
@@ -159,6 +174,24 @@ def _check_root_sets(params: Dict) -> List[str]:
     for i in range(k):
         parts.merge(_count_roots_task(graph, (i, k, pattern, order, restrictions)))
     return same_values(whole.extra_dict(), parts.extra_dict(), f"stats[{name}]")
+
+
+@invariant(
+    "matching.count.distinct_times_automorphisms", "matching",
+    gen=_gen_labelled_pattern,
+    floors={"n": 4, "pattern": 0, "vertex_labels": 0, "edge_labels": 0},
+    description="The distinct count times |Aut(P)| equals the count "
+    "with restrictions=[], on vertex- and edge-labelled patterns too: "
+    "the symmetry-breaking restrictions keep exactly one embedding per "
+    "automorphism class, so the group must respect every label.",
+)
+def _check_distinct_times_automorphisms(params: Dict) -> List[str]:
+    name, graph, pattern = _graph_and_pattern(params)
+    return same_values(
+        match(graph, pattern) * len(automorphisms(pattern)),
+        match(graph, pattern, restrictions=[]),
+        f"count[{name}]",
+    )
 
 
 def _gen_graph(rng: np.random.Generator) -> Dict:

@@ -117,14 +117,14 @@ def _plan(
     order: Sequence[int],
     restrictions: Sequence[Tuple[int, int]],
 ) -> List[_Step]:
-    back, lt, gt = backtrack._step_tables(pattern, order, restrictions)
+    tables = backtrack.step_tables(pattern, order, restrictions)
+    back, lt, gt = tables.back, tables.lt, tables.gt
     n = len(order)
     position_of = {pv: i for i, pv in enumerate(order)}
     pairs = {(position_of[u], position_of[v]) for u, v in restrictions}
-    edge_labelled = pattern.graph.edge_labels is not None
     steps: List[_Step] = []
-    for i, pv in enumerate(order):
-        step = _Step(back=sorted(back[i]), label=pattern.label(pv))
+    for i in range(n):
+        step = _Step(back=sorted(back[i]), label=tables.label[i])
         # Order relations the rows carry before this step's filters, and after.
         before = _closure({(a, b) for a, b in pairs if max(a, b) < i}, n)
         after = _closure({(a, b) for a, b in pairs if max(a, b) <= i}, n)
@@ -132,14 +132,12 @@ def _plan(
         step.lower = [j for j in gt[i] if not any(before[j][m] for m in gt[i])]
         step.upper = [j for j in lt[i] if not any(before[m][j] for m in lt[i])]
         step.distinct = [j for j in range(i) if not (after[i][j] or after[j][i])]
-        if edge_labelled:
+        if tables.edge_label is not None:
             # Every pattern edge's label is checked through its slot, so
             # every backward neighbor is a test and no segment is reused
             # (a segment would carry the labels of another step's edges).
             step.tests = step.back
-            step.edge_label = {
-                j: pattern.graph.edge_label(pv, order[j]) for j in step.back
-            }
+            step.edge_label = tables.edge_label[i]
         else:
             # Only a segment gathered from the graph is reused: a reader's
             # own segment is a slice of another, so a later reader would

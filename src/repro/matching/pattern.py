@@ -24,7 +24,7 @@ total embedding count.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..graph.csr import Graph
 
@@ -120,12 +120,19 @@ def default_order(pattern: PatternGraph, start: int = 0) -> List[int]:
 def automorphisms(pattern: PatternGraph) -> List[Tuple[int, ...]]:
     """All automorphisms of the pattern, as permutation tuples.
 
-    Backtracking over degree- and label-compatible assignments; patterns
-    in this library are tiny (<= ~8 vertices), so this is instant.
+    Backtracking over degree- and label-compatible assignments; an edge
+    must map onto an edge with the same label.  Patterns in this library
+    are tiny (<= ~8 vertices), so this is instant.
     """
     n = pattern.n
     degrees = [pattern.degree(v) for v in range(n)]
     labels = [pattern.label(v) for v in range(n)]
+    g = pattern.graph
+    # edge[u][v]: the label of edge (u, v), 0 when unlabelled; None: no edge.
+    edge: List[List[Optional[int]]] = [[None] * n for _ in range(n)]
+    for u in range(n):
+        for v in pattern.adj[u]:
+            edge[u][v] = 0 if g.edge_labels is None else g.edge_label(u, v)
     perms: List[Tuple[int, ...]] = []
     assignment = [-1] * n
     used = [False] * n
@@ -139,14 +146,10 @@ def automorphisms(pattern: PatternGraph) -> List[Tuple[int, ...]]:
                 continue
             if degrees[candidate] != degrees[u] or labels[candidate] != labels[u]:
                 continue
-            ok = True
             for prev in range(u):
-                prev_adj = prev in pattern.adj[u]
-                cand_adj = assignment[prev] in pattern.adj[candidate]
-                if prev_adj != cand_adj:
-                    ok = False
+                if edge[prev][u] != edge[assignment[prev]][candidate]:
                     break
-            if ok:
+            else:
                 assignment[u] = candidate
                 used[candidate] = True
                 backtrack(u + 1)

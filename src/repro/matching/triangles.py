@@ -32,11 +32,16 @@ Two execution paths:
 * :func:`triangle_count_with_work` — the *instrumented* merge-join that
   counts every adjacency comparison; bench C1 needs the comparison count
   as its work unit, so this path intentionally stays element-at-a-time.
+  It, :func:`triangle_list` and the task engine's
+  :class:`~repro.tlag.programs.TriangleProgram` share one oriented
+  merge join, :func:`merge_join`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from ..graph.csr import Graph
 from ..graph.kernels import closed_wedges
@@ -76,6 +81,25 @@ def triangle_count(
     return sum(executor.map_spans(_count_span_task, oriented, n))
 
 
+def merge_join(out_u: np.ndarray, out_v: np.ndarray) -> Tuple[List[int], int]:
+    """The common entries of two sorted out-neighborhoods (each closes one
+    oriented triangle) and the comparisons a merge join makes to find them."""
+    a, b = out_u.tolist(), out_v.tolist()
+    common: List[int] = []
+    i = j = comparisons = 0
+    while i < len(a) and j < len(b):
+        comparisons += 1
+        if a[i] == b[j]:
+            common.append(a[i])
+            i += 1
+            j += 1
+        elif a[i] < b[j]:
+            i += 1
+        else:
+            j += 1
+    return common, comparisons
+
+
 def triangle_count_with_work(graph: Graph) -> Tuple[int, int]:
     """Count triangles; also return the intersection work performed.
 
@@ -85,24 +109,13 @@ def triangle_count_with_work(graph: Graph) -> Tuple[int, int]:
     fast path lives in :func:`triangle_count`.)
     """
     oriented = graph.orient_by_degree()
-    count = 0
-    work = 0
+    count = work = 0
     for u in oriented.vertices():
         out_u = oriented.neighbors(u)
-        for v in out_u:
-            out_v = oriented.neighbors(int(v))
-            i = j = 0
-            while i < out_u.size and j < out_v.size:
-                work += 1
-                a, b = out_u[i], out_v[j]
-                if a == b:
-                    count += 1
-                    i += 1
-                    j += 1
-                elif a < b:
-                    i += 1
-                else:
-                    j += 1
+        for v in out_u.tolist():
+            common, comparisons = merge_join(out_u, oriented.neighbors(v))
+            count += len(common)
+            work += comparisons
     return count, work
 
 
@@ -111,17 +124,6 @@ def triangle_list(graph: Graph) -> Iterator[Tuple[int, int, int]]:
     oriented = graph.orient_by_degree()
     for u in oriented.vertices():
         out_u = oriented.neighbors(u)
-        for v in out_u:
-            v = int(v)
-            out_v = oriented.neighbors(v)
-            i = j = 0
-            while i < out_u.size and j < out_v.size:
-                a, b = int(out_u[i]), int(out_v[j])
-                if a == b:
-                    yield tuple(sorted((u, v, a)))
-                    i += 1
-                    j += 1
-                elif a < b:
-                    i += 1
-                else:
-                    j += 1
+        for v in out_u.tolist():
+            for w in merge_join(out_u, oriented.neighbors(v))[0]:
+                yield tuple(sorted((u, v, w)))

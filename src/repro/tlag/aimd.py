@@ -13,7 +13,9 @@ tutorial calls out:
   the device spill to a host-side buffer and are consumed chunk by
   chunk.
 
-This module simulates both against an explicit ``device_capacity``
+Each chunk extends with the canonical step of
+:func:`repro.tlag.bfs_engine.canonical_extensions`, the one BFS systems
+share.  This module simulates both against an explicit ``device_capacity``
 budget (max embeddings resident on the "device") and reports the
 control-loop trace, so bench C5 can show: plain BFS overflows the
 device at the explosion level, while AIMD completes with bounded
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from ..graph.csr import Graph
-from .bfs_engine import _canonical_generation
+from .bfs_engine import canonical_extensions
 
 __all__ = ["AimdStats", "DeviceOverflow", "aimd_enumerate"]
 
@@ -139,17 +141,6 @@ def _expand_batch(
     """Expand a chunk of embeddings by one vertex (canonical, filtered)."""
     outputs: List[Tuple[int, ...]] = []
     for emb in batch:
-        members = set(emb)
-        candidates = set()
-        for u in emb:
-            for w in graph.neighbors(u):
-                w = int(w)
-                if w not in members:
-                    candidates.add(w)
-        for w in sorted(candidates):
-            new_emb = emb + (w,)
-            if new_emb != _canonical_generation(new_emb, graph):
-                continue
-            if keep(new_emb, graph):
-                outputs.append(new_emb)
+        extensions, _ = canonical_extensions(graph, emb)
+        outputs.extend(e for e in extensions if keep(e, graph))
     return outputs

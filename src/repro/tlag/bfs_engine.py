@@ -28,12 +28,17 @@ sorted vertex set regenerates the same sequence".  For simplicity and
 provable exactness we canonicalize on the *vertex set*: an embedding
 survives iff its vertex sequence equals the lexicographically smallest
 connected generation order of its set.
+
+:func:`canonical_extensions` is that one pattern-free extension step.
+:class:`BfsExplorer` runs it level by level, :mod:`repro.tlag.aimd` over
+adaptive chunks, and :class:`~repro.tlag.programs.ConnectedSubgraphProgram`
+depth first inside tasks; only the schedule differs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 from ..graph.csr import Graph
 
@@ -69,21 +74,33 @@ class BfsResult:
 def _canonical_generation(vertex_set: Tuple[int, ...], graph: Graph) -> Tuple[int, ...]:
     """Lexicographically smallest connected generation order of a vertex set."""
     vertices = sorted(vertex_set)
-    members = set(vertices)
     sequence = [vertices[0]]
     used = {vertices[0]}
     while len(sequence) < len(vertices):
         # Smallest unused member adjacent to the current prefix.
         for v in vertices:
-            if v in used:
-                continue
-            if any(int(w) in used for w in graph.neighbors(v) if int(w) in members):
+            if v not in used and not used.isdisjoint(graph.neighbors(v).tolist()):
                 sequence.append(v)
                 used.add(v)
                 break
         else:  # disconnected set — cannot happen for connected growth
             raise ValueError("vertex set is not connected")
     return tuple(sequence)
+
+
+def canonical_extensions(
+    graph: Graph, emb: Tuple[int, ...]
+) -> Tuple[List[Tuple[int, ...]], int]:
+    """The one pattern-free extension step: ``emb`` plus each outside
+    neighbor of a member, ascending, kept when canonical; also returns how
+    many candidates were tried (BFS systems count each as generated)."""
+    candidates: Set[int] = set()
+    for u in emb:
+        candidates.update(graph.neighbors(u).tolist())
+    candidates.difference_update(emb)
+    extended = [emb + (w,) for w in sorted(candidates)]
+    kept = [e for e in extended if e == _canonical_generation(e, graph)]
+    return kept, len(candidates)
 
 
 class BfsExplorer:
@@ -112,22 +129,11 @@ class BfsExplorer:
             generated = 0
             next_level: List[Tuple[int, ...]] = []
             for emb in current:
-                members = set(emb)
-                # Candidate extensions: neighbors of any member, outside.
-                candidates: Set[int] = set()
-                for u in emb:
-                    for w in self.graph.neighbors(u):
-                        w = int(w)
-                        if w not in members:
-                            candidates.add(w)
-                for w in sorted(candidates):
-                    generated += 1
-                    new_emb = emb + (w,)
-                    # Canonicality: keep only the canonical generation order.
-                    if new_emb != _canonical_generation(new_emb, self.graph):
-                        continue
-                    if self.keep_filter(new_emb, self.graph):
-                        next_level.append(new_emb)
+                extensions, tried = canonical_extensions(self.graph, emb)
+                generated += tried
+                next_level.extend(
+                    e for e in extensions if self.keep_filter(e, self.graph)
+                )
             result.levels.append(
                 LevelStats(level=size, generated=generated, kept=len(next_level))
             )

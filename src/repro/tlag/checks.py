@@ -10,6 +10,9 @@ engine is the same loop plus placement and priced reads, so its clique
 multiset equals the shared-memory one under any partitioner and cache
 size; and whatever the knobs, a schedule conserves work: every task runs
 once, the clocks add up, and no worker retires next to a full deque.
+The warp simulator and the BFS-DFS hybrid schedule the shared extension
+step of :mod:`repro.matching.backtrack`, so their counts equal the
+depth-first enumerator's bit for bit.
 """
 
 from __future__ import annotations
@@ -19,15 +22,19 @@ from typing import Dict, List
 import numpy as np
 
 from ..check.invariants import same_multiset, same_values
-from ..check.registry import PERMUTATION, invariant, pair
+from ..check.registry import BIT_IDENTICAL, PERMUTATION, invariant, pair
 from ..check.workloads import gen_graph_params, make_graph
 from ..graph.generators import path_graph
 from ..graph.partition import hash_partition, metis_like_partition, range_partition
+from ..matching.backtrack import match
+from ..matching.checks import _gen_count, _pattern_case
 from ..matching.triangles import triangle_count
 from .distributed import DistributedTaskEngine
 from .engine import TaskEngine
+from .hybrid import hybrid_match
 from .programs import MaximalCliqueProgram, TriangleProgram
 from .task import Task, TaskProgram
+from .warp import warp_match
 
 
 def _gen_workers(rng: np.random.Generator) -> Dict:
@@ -86,6 +93,59 @@ def _check_chunked(params: Dict) -> List[str]:
         chunk_size=int(params["chunk_size"]),
     ).run()
     return same_multiset(default, chunked, "triangles")
+
+
+def _gen_warps(rng: np.random.Generator) -> Dict:
+    params = _gen_count(rng)
+    params["num_warps"] = int(rng.integers(1, 9))
+    params["warp_width"] = int(rng.integers(1, 33))
+    params["steal"] = int(rng.integers(2))
+    return params
+
+
+@pair(
+    "tlag.warp.count_vs_match", "tlag", BIT_IDENTICAL,
+    gen=_gen_warps,
+    floors={"n": 4, "pattern": 0, "order_pick": 0, "vertex_labels": 0,
+            "edge_labels": 0, "num_warps": 1, "warp_width": 1, "steal": 0},
+    description="Lock-step warps, their width and work stealing schedule "
+    "the shared extension step; the simulated kernel counts what the "
+    "depth-first enumerator counts, for any connected order, on vertex- "
+    "and edge-labelled graphs too.",
+)
+def _check_warp(params: Dict) -> List[str]:
+    name, graph, pattern, order = _pattern_case(params)
+    stats = warp_match(
+        graph, pattern, order=order, num_warps=int(params["num_warps"]),
+        warp_width=int(params["warp_width"]), steal=bool(params["steal"]),
+    )
+    return same_values(match(graph, pattern, order=order), stats.embeddings,
+                       f"count[{name}]")
+
+
+def _gen_hybrid(rng: np.random.Generator) -> Dict:
+    params = _gen_count(rng)
+    params["memory_budget"] = int(rng.choice([1, 5, 50, 500, 10 ** 9]))
+    return params
+
+
+@pair(
+    "tlag.hybrid.count_vs_match", "tlag", BIT_IDENTICAL,
+    gen=_gen_hybrid,
+    floors={"n": 4, "pattern": 0, "order_pick": 0, "distinct": 0,
+            "vertex_labels": 0, "edge_labels": 0, "memory_budget": 1},
+    description="The memory budget only moves the hybrid's BFS-to-DFS "
+    "switch; its count equals the depth-first enumerator's for any "
+    "connected order, with and without symmetry breaking, on vertex- "
+    "and edge-labelled graphs too.",
+)
+def _check_hybrid(params: Dict) -> List[str]:
+    name, graph, pattern, order = _pattern_case(params)
+    restrictions = None if params.get("distinct", 1) else []
+    count, _ = hybrid_match(graph, pattern, int(params["memory_budget"]),
+                            order=order, restrictions=restrictions)
+    return same_values(match(graph, pattern, order=order,
+                             restrictions=restrictions), count, f"count[{name}]")
 
 
 _PARTITIONERS = {

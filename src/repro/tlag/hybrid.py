@@ -9,10 +9,12 @@ query vertices, which needs only a stack.
 :func:`hybrid_match` reproduces the policy: expand partial embeddings
 level-synchronously while the next level fits in ``memory_budget``
 (measured in resident partial embeddings), otherwise finish each pending
-partial embedding by depth-first backtracking.  ``HybridStats`` records
-where the switch happened and the peak residency, so bench C5 can plot
-the budget sweep: large budgets → pure BFS; tiny budgets → switch at
-level 1 (pure DFS); in between → hybrid.
+partial embedding by depth-first backtracking.  Both phases extend with
+the shared step :func:`repro.matching.backtrack.extend_step`, so the count
+equals ``match``'s at any budget (``tlag.hybrid.count_vs_match``).
+``HybridStats`` records where the switch happened and the peak residency,
+so bench C5 can plot the budget sweep: large budgets → pure BFS; tiny
+budgets → switch at level 1 (pure DFS); in between → hybrid.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..graph.csr import Graph
-from ..matching.pattern import PatternGraph, default_order, symmetry_breaking_restrictions
+from ..matching.backtrack import MatchStats, extend_step, step_tables
+from ..matching.pattern import PatternGraph
 
 __all__ = ["HybridStats", "hybrid_match"]
 
@@ -51,60 +52,12 @@ def hybrid_match(
     Returns ``(count, stats)``.  The result is independent of the budget
     (tests sweep it); only the execution trace changes.
     """
-    if order is None:
-        order = default_order(pattern)
-    order = list(order)
-    if restrictions is None:
-        restrictions = symmetry_breaking_restrictions(pattern)
-    position_of = {pv: i for i, pv in enumerate(order)}
+    tables = step_tables(pattern, order, restrictions)
     n = pattern.n
-    backward: List[List[int]] = [
-        [position_of[q] for q in pattern.adj[pv] if position_of[q] < i]
-        for i, pv in enumerate(order)
-    ]
-    lt_at: List[List[int]] = [[] for _ in range(n)]
-    gt_at: List[List[int]] = [[] for _ in range(n)]
-    for u, v in restrictions:
-        iu, iv = position_of[u], position_of[v]
-        if iu < iv:
-            gt_at[iv].append(iu)
-        else:
-            lt_at[iu].append(iv)
-    labels = graph.vertex_labels
+    scan = MatchStats()  # the shared step's counters
 
     def step_candidates(partial: Tuple[int, ...], step: int) -> List[int]:
-        pv = order[step]
-        want = pattern.label(pv)
-        back = backward[step]
-        if not back:
-            base = range(graph.num_vertices)
-        else:
-            lists = sorted(
-                (graph.neighbors(partial[j]) for j in back), key=lambda a: a.size
-            )
-            first = lists[0]
-            base = []
-            for x in first:
-                x = int(x)
-                ok = True
-                for other in lists[1:]:
-                    kk = int(np.searchsorted(other, x))
-                    if kk >= other.size or other[kk] != x:
-                        ok = False
-                        break
-                if ok:
-                    base.append(x)
-        lo = max((partial[j] for j in gt_at[step]), default=-1)
-        hi = min((partial[j] for j in lt_at[step]), default=graph.num_vertices)
-        out = []
-        for x in base:
-            x = int(x)
-            if x <= lo or x >= hi or x in partial:
-                continue
-            if labels is not None and int(labels[x]) != want:
-                continue
-            out.append(x)
-        return out
+        return extend_step(graph, tables, partial, step, scan)
 
     stats = HybridStats()
     frontier: List[Tuple[int, ...]] = [()]
@@ -116,11 +69,10 @@ def hybrid_match(
         next_frontier: List[Tuple[int, ...]] = []
         overflow = False
         for partial in frontier:
-            extensions = step_candidates(partial, level)
-            for x in extensions:
+            for x in step_candidates(partial, level):
                 next_frontier.append(partial + (x,))
-                if len(next_frontier) + len(frontier) > memory_budget:
-                    overflow = True
+                overflow = len(next_frontier) + len(frontier) > memory_budget
+                if overflow:
                     break
             if overflow:
                 break
@@ -139,19 +91,17 @@ def hybrid_match(
         return stats.embeddings, stats
 
     # DFS fallback for the remaining query vertices.
-    count = 0
-
-    def dfs(partial: Tuple[int, ...], step: int) -> None:
-        nonlocal count
+    def dfs(partial: Tuple[int, ...], step: int) -> int:
         if step == n:
-            count += 1
-            return
-        for x in step_candidates(partial, step):
-            dfs(partial + (x,), step + 1)
+            return 1
+        return sum(
+            dfs(partial + (x,), step + 1) for x in step_candidates(partial, step)
+        )
 
+    count = 0
     for partial in frontier:
         stats.dfs_completions += 1
-        dfs(partial, level)
+        count += dfs(partial, level)
     stats.peak_resident = max(stats.peak_resident, len(frontier) + n)
     stats.embeddings = count
     return count, stats

@@ -14,7 +14,10 @@ fresh tasks so stealing can balance them.
   the first order vertex, reusing the kernel of
   :mod:`repro.matching.backtrack`;
 * :class:`TriangleProgram` — the task-engine formulation of triangle
-  counting.
+  counting, one oriented :func:`~repro.matching.triangles.merge_join` per
+  out-edge, charged one op per comparison;
+* :class:`ConnectedSubgraphProgram` — connected k-subgraphs depth first,
+  by the canonical step the BFS engines share.
 """
 
 from __future__ import annotations
@@ -24,8 +27,10 @@ from typing import Iterator, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..graph.csr import Graph
-from ..matching.backtrack import match
+from ..matching.backtrack import MatchStats, match
 from ..matching.pattern import PatternGraph, default_order, symmetry_breaking_restrictions
+from ..matching.triangles import merge_join
+from .bfs_engine import canonical_extensions
 from .task import Task, TaskContext, TaskProgram
 
 __all__ = [
@@ -171,8 +176,6 @@ class MatchProgram(TaskProgram):
                 yield Task(subgraph=(v,), state=None)
 
     def process(self, task: Task, ctx: TaskContext) -> None:
-        from ..matching.backtrack import MatchStats
-
         stats = MatchStats()
         match(
             ctx.graph,
@@ -202,20 +205,11 @@ class TriangleProgram(TaskProgram):
     def process(self, task: Task, ctx: TaskContext) -> None:
         v = task.subgraph[0]
         out_v = self._out[v]
-        for w in out_v:
-            out_w = self._out[int(w)]
-            i = j = 0
-            while i < out_v.size and j < out_w.size:
-                ctx.charge()
-                a, b = out_v[i], out_w[j]
-                if a == b:
-                    ctx.emit((v, int(w), int(a)))
-                    i += 1
-                    j += 1
-                elif a < b:
-                    i += 1
-                else:
-                    j += 1
+        for w in out_v.tolist():
+            common, comparisons = merge_join(out_v, self._out[w])
+            ctx.charge(comparisons)  # one op per comparison
+            for a in common:
+                ctx.emit((v, w, a))
 
 
 class ConnectedSubgraphProgram(TaskProgram):
@@ -239,8 +233,6 @@ class ConnectedSubgraphProgram(TaskProgram):
             yield Task(subgraph=(v,))
 
     def process(self, task: Task, ctx: TaskContext) -> None:
-        from .bfs_engine import _canonical_generation
-
         graph = ctx.graph
 
         def extend(emb: Tuple[int, ...]) -> None:
@@ -248,17 +240,7 @@ class ConnectedSubgraphProgram(TaskProgram):
             if len(emb) == self.k:
                 ctx.emit(emb)
                 return
-            members = set(emb)
-            candidates: Set[int] = set()
-            for u in emb:
-                for w in graph.neighbors(u):
-                    w = int(w)
-                    if w not in members:
-                        candidates.add(w)
-            for w in sorted(candidates):
-                new_emb = emb + (w,)
-                if new_emb != _canonical_generation(new_emb, graph):
-                    continue
+            for new_emb in canonical_extensions(graph, emb)[0]:
                 if ctx.over_budget():
                     ctx.fork(Task(subgraph=new_emb))
                 else:

@@ -21,6 +21,10 @@ stack, the frame's candidate list is processed ``warp_width`` at a time
 * **steals** — idle warps split the deepest-loaded warp's bottom frame
   (STMatch's "work stealing which splits heavy tasks").
 
+Frames take their candidates from the shared step
+:func:`repro.matching.backtrack.extend_step`; only the schedule is the
+simulator's, so it counts what ``match`` counts (``tlag.warp.count_vs_match``).
+
 Bench C5 contrasts this against the BFS regime's peak-materialization
 from :mod:`repro.tlag.aimd` and the hybrid policy of
 :mod:`repro.tlag.hybrid`.
@@ -31,10 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..graph.csr import Graph
-from ..matching.pattern import PatternGraph, default_order, symmetry_breaking_restrictions
+from ..matching.backtrack import MatchStats, extend_step, step_tables
+from ..matching.pattern import PatternGraph
 
 __all__ = ["WarpStats", "WarpSimulator", "warp_match"]
 
@@ -82,61 +85,15 @@ class WarpSimulator:
     ) -> None:
         self.graph = graph
         self.pattern = pattern
-        self.order = list(order) if order is not None else default_order(pattern)
         self.num_warps = num_warps
         self.warp_width = warp_width
         self.steal = steal
-        restrictions = symmetry_breaking_restrictions(pattern)
-        position_of = {pv: i for i, pv in enumerate(self.order)}
-        self._backward = [
-            [position_of[q] for q in pattern.adj[pv] if position_of[q] < i]
-            for i, pv in enumerate(self.order)
-        ]
-        self._gt_at: List[List[int]] = [[] for _ in range(pattern.n)]
-        self._lt_at: List[List[int]] = [[] for _ in range(pattern.n)]
-        for u, v in restrictions:
-            iu, iv = position_of[u], position_of[v]
-            if iu < iv:
-                self._gt_at[iv].append(iu)
-            else:
-                self._lt_at[iu].append(iv)
+        self._tables = step_tables(pattern, order)
+        self.order = self._tables.order
+        self._scan = MatchStats()  # the shared step's counters
 
     def _candidates(self, partial: Tuple[int, ...], step: int) -> List[int]:
-        pattern, graph = self.pattern, self.graph
-        pv = self.order[step]
-        want = pattern.label(pv)
-        back = self._backward[step]
-        labels = graph.vertex_labels
-        if not back:
-            base: Sequence[int] = range(graph.num_vertices)
-        else:
-            lists = sorted(
-                (graph.neighbors(partial[j]) for j in back), key=lambda a: a.size
-            )
-            base = []
-            for x in lists[0]:
-                x = int(x)
-                ok = True
-                for other in lists[1:]:
-                    k = int(np.searchsorted(other, x))
-                    if k >= other.size or other[k] != x:
-                        ok = False
-                        break
-                if ok:
-                    base.append(x)
-        lo = max((partial[j] for j in self._gt_at[step]), default=-1)
-        hi = min(
-            (partial[j] for j in self._lt_at[step]), default=graph.num_vertices
-        )
-        out = []
-        for x in base:
-            x = int(x)
-            if x <= lo or x >= hi or x in partial:
-                continue
-            if labels is not None and int(labels[x]) != want:
-                continue
-            out.append(x)
-        return out
+        return extend_step(self.graph, self._tables, partial, step, self._scan)
 
     def run(self) -> WarpStats:
         """Simulate the kernel; returns the counters."""

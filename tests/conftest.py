@@ -14,8 +14,11 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.graph.csr import Graph
-from repro.graph.generators import barabasi_albert, erdos_renyi, watts_strogatz
+from repro.graph.csr import Graph, GraphBuilder
+from repro.graph.generators import (
+    barabasi_albert, erdos_renyi, random_labeled_graph, watts_strogatz,
+)
+from repro.matching.pattern import PatternGraph
 
 
 def to_networkx(graph: Graph) -> nx.Graph:
@@ -123,3 +126,26 @@ def small_ws():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def edge_labelled_pattern(labelled_edges):
+    """A vertex-unlabelled pattern from ``(u, v, edge_label)`` triples."""
+    builder = GraphBuilder()
+    for u, v, label in labelled_edges:
+        builder.add_edge(u, v, label=label)
+    n = 1 + max(max(u, v) for u, v, _ in labelled_edges)
+    return PatternGraph(builder.build(num_vertices=n, vertex_labels=[0] * n))
+
+
+@pytest.fixture
+def edge_labelled_er():
+    """A 40-vertex G(n, p) graph with 3 edge labels and one vertex label."""
+    return random_labeled_graph(
+        40, 0.25, num_vertex_labels=1, num_edge_labels=3, seed=3
+    )
+
+
+@pytest.fixture
+def rainbow_triangle():
+    """A triangle whose edges carry labels 0, 1 and 2: no symmetry."""
+    return edge_labelled_pattern([(0, 1, 0), (1, 2, 1), (0, 2, 2)])

@@ -16,8 +16,10 @@ from repro.matching.backtrack import (
     MatchStats,
     count_matches,
     find_matches,
+    frontier_count,
     match,
 )
+from repro.matching.filtering import filtered_match
 from repro.matching.pattern import (
     PatternGraph,
     clique_pattern,
@@ -185,6 +187,18 @@ class TestStats:
         assert stats.embeddings > 0
         assert stats.candidates_scanned > 0
         assert stats.nodes_visited >= stats.embeddings
+
+    @pytest.mark.parametrize("count", [
+        lambda g, p, s: match(g, p, stats=s),
+        lambda g, p, s: frontier_count(g, p, stats=s),
+        lambda g, p, s: count_matches(g, p, stats=s),
+        lambda g, p, s: filtered_match(g, p, stats=s)[0],
+    ], ids=["match", "frontier_count", "count_matches", "filtered_match"])
+    def test_reused_stats_return_this_calls_count(self, count):
+        graph, stats = erdos_renyi(30, 0.3, seed=0), MatchStats()
+        assert count(graph, triangle_pattern(), stats) == 105
+        assert count(graph, triangle_pattern(), stats) == 105
+        assert stats.embeddings == 210
 
     def test_empty_graph_zero_matches(self):
         g = Graph.from_edges([], num_vertices=5)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.graph.csr import Graph
 from repro.graph.generators import erdos_renyi
-from repro.matching.backtrack import count_matches
+from repro.matching.backtrack import count_matches, frontier_count, match
 from repro.matching.pattern import (
     PatternGraph,
     automorphisms,
@@ -21,6 +21,7 @@ from repro.matching.pattern import (
     tailed_triangle_pattern,
     triangle_pattern,
 )
+from tests.conftest import edge_labelled_pattern
 
 
 KNOWN_AUT_SIZES = [
@@ -84,6 +85,38 @@ class TestAutomorphisms:
             [(0, 1), (1, 2), (0, 2)], vertex_labels=[1, 2, 3]
         )
         assert automorphisms(p) == [(0, 1, 2)]
+
+    def test_edge_labels_restrict_group(self, rainbow_triangle):
+        assert automorphisms(rainbow_triangle) == [(0, 1, 2)]
+        # Two equal labels keep the one swap that maps them onto each other.
+        isosceles = edge_labelled_pattern([(0, 1, 0), (1, 2, 0), (0, 2, 1)])
+        assert automorphisms(isosceles) == [(0, 1, 2), (2, 1, 0)]
+
+
+class TestEdgeLabelledCounts:
+    """Distinct counts of edge-labelled patterns, every engine."""
+
+    def _counts(self, graph, pattern):
+        return (
+            match(graph, pattern),
+            frontier_count(graph, pattern),
+            count_matches(graph, pattern),
+        )
+
+    def test_rainbow_triangle(self, edge_labelled_er, rainbow_triangle):
+        assert self._counts(edge_labelled_er, rainbow_triangle) == (56, 56, 56)
+
+    def test_two_label_path(self, edge_labelled_er):
+        path = edge_labelled_pattern([(0, 1, 0), (1, 2, 1)])
+        assert self._counts(edge_labelled_er, path) == (594, 594, 594)
+
+    def test_distinct_times_automorphisms(self, edge_labelled_er, rainbow_triangle):
+        isosceles = edge_labelled_pattern([(0, 1, 0), (1, 2, 0), (0, 2, 1)])
+        for pattern in (rainbow_triangle, isosceles):
+            distinct = match(edge_labelled_er, pattern)
+            assert distinct * len(automorphisms(pattern)) == match(
+                edge_labelled_er, pattern, restrictions=[]
+            )
 
 
 class TestSymmetryBreaking:

@@ -24,6 +24,7 @@ from repro.graph.store import build_store, open_store
 from repro.matching import backtrack
 from repro.matching.triangles import (
     _count_span_task,
+    merge_join,
     triangle_count,
     triangle_count_with_work,
     triangle_list,
@@ -182,6 +183,11 @@ class TestTriangleList:
 
 
 class TestWorkBound:
+    def test_merge_join_counts_every_comparison(self):
+        a, b = np.array([1, 3, 5]), np.array([3, 4, 5])
+        assert merge_join(a, b) == ([3, 5], 4)
+        assert merge_join(a, np.array([], dtype=np.int64)) == ([], 0)
+
     def test_work_reported(self, small_ba):
         count, work = triangle_count_with_work(small_ba)
         assert count == triangle_count(small_ba)

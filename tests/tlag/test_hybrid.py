@@ -3,7 +3,7 @@
 import pytest
 
 from repro.graph.generators import barabasi_albert, erdos_renyi
-from repro.matching.backtrack import count_matches
+from repro.matching.backtrack import count_matches, match
 from repro.matching.pattern import (
     clique_pattern,
     cycle_pattern,
@@ -23,6 +23,12 @@ PATTERNS = [
 
 
 class TestBudgetIndependence:
+    @pytest.mark.parametrize("budget", [5, 50, 10**9])
+    def test_edge_labels_counted_as_match(self, budget, edge_labelled_er,
+                                          rainbow_triangle):
+        count, _ = hybrid_match(edge_labelled_er, rainbow_triangle, budget)
+        assert count == match(edge_labelled_er, rainbow_triangle) == 56
+
     @pytest.mark.parametrize("pattern", PATTERNS)
     @pytest.mark.parametrize("budget", [5, 100, 10**9])
     def test_count_invariant_under_budget(self, pattern, budget, small_er):

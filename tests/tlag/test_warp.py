@@ -3,7 +3,7 @@
 import pytest
 
 from repro.graph.generators import barabasi_albert, erdos_renyi
-from repro.matching.backtrack import count_matches
+from repro.matching.backtrack import count_matches, match
 from repro.matching.pattern import (
     clique_pattern,
     cycle_pattern,
@@ -30,6 +30,13 @@ class TestCorrectness:
             small_er, pattern, num_warps=num_warps, warp_width=width
         )
         assert stats.embeddings == count_matches(small_er, pattern)
+
+    @pytest.mark.parametrize("steal", [True, False])
+    def test_edge_labels_counted_as_match(self, steal, edge_labelled_er,
+                                          rainbow_triangle):
+        stats = warp_match(edge_labelled_er, rainbow_triangle, num_warps=4,
+                           warp_width=8, steal=steal)
+        assert stats.embeddings == match(edge_labelled_er, rainbow_triangle) == 56
 
     def test_no_steal_same_answer(self, small_er):
         pattern = diamond_pattern()
