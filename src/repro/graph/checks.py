@@ -3,7 +3,8 @@
 Structural invariants over every generated workload (CSR
 well-formedness, partition-metric consistency across *all* five
 partitioners — which is the check that flushed out the vertex-cut
-``edge_cut_fraction`` bug) plus the I/O round-trip oracle pair.
+``edge_cut_fraction`` bug) plus the I/O round-trip and edge-lookup
+(presence-filtered vs plain binary search) oracle pairs.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from ..check.invariants import csr_well_formed, partition_consistent, same_bits
 from ..check.registry import BIT_IDENTICAL, invariant, pair
 from ..check.workloads import gen_graph_params, make_graph
 from .io import load_edge_list, save_edge_list
+from .kernels import PresenceIndex, find_sorted
 from .partition import (
     Partition,
     bfs_voronoi_partition,
@@ -102,3 +104,46 @@ def _check_io_roundtrip(params: Dict) -> List[str]:
     if graph != loaded:
         out.append("roundtrip: Graph equality failed")
     return out
+
+
+# Largest vertex count whose pair codes u·n + w (up to n² - 1) fit int64.
+_MAX_CODE_N = 3_037_000_499
+
+
+def _gen_lookup(rng: np.random.Generator) -> Dict:
+    return {
+        # Half the cases draw codes from a small id space (dense haystacks,
+        # many hits), half from one whose codes reach 2**63.
+        "n": int(rng.integers(1, 40)) if rng.integers(2) else
+        int(rng.integers(40, _MAX_CODE_N + 1)),
+        "codes": int(rng.integers(0, 200)),
+        "absent": int(rng.integers(0, 200)),
+        "outside": int(rng.integers(0, 20)),
+        "value_seed": int(rng.integers(1 << 16)),
+    }
+
+
+@pair(
+    "graph.kernels.filtered_vs_searchsorted", "graph", BIT_IDENTICAL,
+    gen=_gen_lookup, floors={"n": 1, "codes": 0, "absent": 0, "outside": 0},
+    description="PresenceIndex.find (hashed presence table, then binary "
+    "search of the needles that pass) vs find_sorted on sorted "
+    "duplicate-free codes in [0, n²): empty, single-code and dense "
+    "haystacks, codes up to 2**63 - 1, and needles mixing every "
+    "haystack code with absent and out-of-range ones.",
+)
+def _check_filtered_lookup(params: Dict) -> List[str]:
+    n = int(params["n"])
+    rng = np.random.default_rng(int(params["value_seed"]))
+    universe = n * n
+    hay = np.unique(rng.integers(0, universe, size=int(params["codes"])))
+    outside = int(params["outside"])
+    needles = np.concatenate([
+        hay,
+        rng.integers(0, universe, size=int(params["absent"])),
+        rng.integers(universe, np.iinfo(np.int64).max, size=outside, endpoint=True),
+        -rng.integers(1, np.iinfo(np.int64).max, size=outside, endpoint=True),
+    ])
+    rng.shuffle(needles)
+    return same_bits(find_sorted(hay, needles), PresenceIndex(hay).find(needles),
+                     "PresenceIndex.find")

@@ -26,6 +26,8 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .kernels import PresenceIndex
+
 __all__ = ["Graph", "GraphBuilder"]
 
 
@@ -53,7 +55,8 @@ class Graph:
     """
 
     __slots__ = (
-        "indptr", "indices", "directed", "vertex_labels", "edge_labels", "_edge_codes",
+        "indptr", "indices", "directed", "vertex_labels", "edge_labels",
+        "_edge_index", "_oriented",
     )
 
     def __init__(
@@ -83,7 +86,18 @@ class Graph:
         )
         if self.edge_labels is not None and self.edge_labels.size != self.indices.size:
             raise ValueError("edge_labels must align with indices")
-        self._edge_codes = None
+        self._edge_index = self._oriented = None
+
+    # A pickle carries the defining fields only: the derived caches are
+    # rebuilt on demand, and snapshots are priced in pickled bytes.
+    def __getstate__(self):
+        return (self.indptr, self.indices, self.directed,
+                self.vertex_labels, self.edge_labels)
+
+    def __setstate__(self, state) -> None:
+        (self.indptr, self.indices, self.directed,
+         self.vertex_labels, self.edge_labels) = state
+        self._edge_index = self._oriented = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -144,20 +158,22 @@ class Graph:
         k = int(np.searchsorted(nbrs, v))
         return k < nbrs.size and nbrs[k] == v
 
-    def edge_codes(self) -> np.ndarray:
-        """``src·n + dst`` of every CSR slot, ascending (built once, cached).
+    def edge_index(self) -> PresenceIndex:
+        """``src·n + dst`` of every CSR slot, ascending, behind a presence
+        table (built once, cached).
 
-        CSR order already sorts the codes, so one ``searchsorted`` over
-        them finds the slot of any batch of ``(u, w)`` pairs.  The graph
-        is never mutated after construction, so the cache never goes
+        CSR order already sorts the codes, so ``edge_index().find`` of the
+        codes of any batch of ``(u, w)`` pairs is the slot of each edge or
+        -1; the table lets most absent pairs skip the binary search.  The
+        graph is never mutated after construction, so the cache never goes
         stale; a graph reattached in a pool worker builds it once per
-        process.
+        attach.
         """
-        if self._edge_codes is None:
+        if self._edge_index is None:
             n = self.num_vertices
             src = np.repeat(np.arange(n, dtype=np.int64), self.degrees())
-            self._edge_codes = src * n + self.indices
-        return self._edge_codes
+            self._edge_index = PresenceIndex(src * n + self.indices)
+        return self._edge_index
 
     def edge_label(self, u: int, v: int) -> int:
         """Label of the edge ``(u, v)``; raises ``KeyError`` if absent."""
@@ -222,9 +238,13 @@ class Graph:
         (deg(v), v)``.  This is the classic preprocessing step of serial
         triangle listing (Chu & Cheng) and k-clique counting: every vertex
         ends up with out-degree ``O(sqrt(m))`` on real-world graphs.
+        Built once and cached (the graph is immutable), so repeat calls
+        return the same object, and a pool shares it once.
         """
         if self.directed:
             raise ValueError("orientation is defined for undirected graphs")
+        if self._oriented is not None:
+            return self._oriented
         n = self.num_vertices
         deg = self.degrees()
         # Each undirected edge appears as both (u, v) and (v, u) in the
@@ -237,7 +257,8 @@ class Graph:
         # the filtered arrays are already a valid CSR layout.
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return Graph(indptr, dst, directed=True)
+        self._oriented = Graph(indptr, dst, directed=True)
+        return self._oriented
 
     # ------------------------------------------------------------------
 

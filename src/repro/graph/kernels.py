@@ -16,14 +16,19 @@ reduces to a handful of numpy primitives over the sorted CSR arrays:
   Python loop (the repeat/arange trick); :func:`gather_ranges` is the
   same gather over arbitrary ``[start, stop)`` ranges of one array;
 * :func:`find_sorted` — batched exact lookup in a sorted array: the
-  position of each needle, or -1 (the edge-membership primitive over
-  sorted ``src·n + dst`` edge codes);
+  position of each needle, or -1;
+* :class:`PresenceIndex` — a sorted code array behind a hashed presence
+  table: :meth:`PresenceIndex.find` answers like :func:`find_sorted` but
+  binary-searches only the needles whose table entry is set (the
+  edge-membership primitive over sorted ``src·n + dst`` edge codes,
+  where most needles are absent);
 * :func:`sorted_unique` — distinct values ascending, without the
   bookkeeping of ``np.unique``;
 * :func:`closed_wedges` — the triangles of a degree-oriented CSR whose
   lowest corner lies in a source span, as chunked wedge closures: one
-  frontier gather and one ``searchsorted`` over edge codes per chunk of
-  at most ``cap`` wedges (triangle counting and per-vertex triangles);
+  frontier gather and one :class:`PresenceIndex` lookup over the span's
+  edge codes per chunk of at most ``cap`` wedges (triangle counting and
+  per-vertex triangles);
 * :func:`any_true_per_owner` — reduce a per-gathered-entry mask to a
   per-owner "any hit" flag (the arc-consistency test of candidate
   refinement, batched);
@@ -51,6 +56,8 @@ __all__ = [
     "expand_frontier",
     "gather_ranges",
     "find_sorted",
+    "PresenceIndex",
+    "TABLE_ENTRIES_PER_CODE",
     "sorted_unique",
     "closed_wedges",
     "any_true_per_owner",
@@ -157,6 +164,55 @@ def find_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     return pos
 
 
+#: Presence-table entries per indexed code (the table is the next power
+#: of two): an absent needle passes the table with probability at most
+#: 1/16, so nearly all of a mostly-absent batch skips the binary search.
+#: A bool table costs 16–32 bytes per code.
+TABLE_ENTRIES_PER_CODE = 16
+
+# Multiplier of Fibonacci hashing (2**64 / golden ratio, odd): the top
+# bits of ``code * _FIB`` mod 2**64 spread consecutive codes evenly.
+_FIB = np.uint64(0x9E3779B97F4A7C15)
+
+
+class PresenceIndex:
+    """Sorted duplicate-free ``codes`` behind a hashed presence table.
+
+    The table has a power-of-two size of at least
+    :data:`TABLE_ENTRIES_PER_CODE` entries per code and is addressed by
+    the top bits of a multiplicative hash; every code sets its entry.
+    :meth:`find` drops the needles whose entry is clear (they cannot be
+    codes) and asks :func:`find_sorted` about the rest, so its answer is
+    exactly :func:`find_sorted`'s: the filter has no false negatives and
+    a false positive only costs the search it would have cost anyway.
+    """
+
+    __slots__ = ("codes", "_shift", "_table")
+
+    def __init__(self, codes: np.ndarray) -> None:
+        self.codes = np.asarray(codes, dtype=np.int64)
+        bits = (max(self.codes.size, 1) * TABLE_ENTRIES_PER_CODE - 1).bit_length()
+        self._shift = np.uint64(64 - bits)
+        self._table = np.zeros(1 << bits, dtype=bool)
+        self._table[self._slot(self.codes)] = True
+
+    def _slot(self, codes: np.ndarray) -> np.ndarray:
+        slot = np.multiply(codes.view(np.uint64), _FIB)
+        np.right_shift(slot, self._shift, out=slot)
+        # Below 2**63 after the shift; as int64, ``take`` needs no cast.
+        return slot.view(np.int64)
+
+    def find(self, needles: np.ndarray) -> np.ndarray:
+        """Position of each needle in :attr:`codes`, or -1 (as :func:`find_sorted`)."""
+        needles = np.asarray(needles, dtype=np.int64)
+        flat = needles.ravel()
+        # ``take`` rather than fancy indexing: the same gather, less overhead.
+        hit = np.flatnonzero(self._table.take(self._slot(flat)))
+        out = np.full(flat.size, -1, dtype=np.int64)
+        out[hit] = find_sorted(self.codes, flat.take(hit))
+        return out.reshape(needles.shape)
+
+
 def sorted_unique(values: np.ndarray) -> np.ndarray:
     """Distinct ``values`` ascending, by sort plus adjacent difference."""
     values = np.sort(values)
@@ -180,15 +236,15 @@ def closed_wedges(
     arrays, chunk by chunk.  The span's edges are cut into chunks whose
     summed head out-degree is at most ``cap`` (an edge above the cap goes
     alone), so at most ``cap`` wedges are resident; each chunk is one
-    :func:`expand_frontier` of its heads and one ``searchsorted`` of the
-    wedge codes ``u·n + w`` against the span's edge codes ``u·n + v``,
-    which the CSR order already sorts.
+    :func:`expand_frontier` of its heads and one lookup of the wedge codes
+    ``u·n + w`` in a :class:`PresenceIndex` of the span's edge codes
+    ``u·n + v`` (which the CSR order already sorts), built once per span.
     """
     n = indptr.size - 1
     begin, end = int(indptr[lo]), int(indptr[hi])
     mid = indices[begin:end]
     src = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo: hi + 1]))
-    codes = src * n + mid
+    index = PresenceIndex(src * n + mid)
     bounds = np.cumsum(indptr[mid + 1] - indptr[mid])
     start = 0
     while start < mid.size:
@@ -197,7 +253,7 @@ def closed_wedges(
         owners, w = expand_frontier(indptr, indices, mid[start:stop])
         if w.size:
             u = src[start:stop][owners]
-            hit = find_sorted(codes, u * n + w) >= 0
+            hit = index.find(u * n + w) >= 0
             yield u[hit], mid[start:stop][owners[hit]], w[hit]
         start = stop
 

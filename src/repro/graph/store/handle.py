@@ -43,7 +43,7 @@ from typing import Any, Iterator, Optional, Protocol, Tuple, runtime_checkable
 import numpy as np
 
 from ..csr import Graph
-from ..kernels import expand_frontier, find_sorted
+from ..kernels import expand_frontier
 from ..partition import Partition
 from .format import StoreError, is_store_dir
 
@@ -254,15 +254,15 @@ class InMemoryGraph:
     def edge_slots(self, us: np.ndarray, ws: np.ndarray) -> np.ndarray:
         """Global CSR slot of each edge ``(us[k], ws[k])``, or -1.
 
-        One ``searchsorted`` of the pair codes ``u·n + w`` over the
-        graph's cached, already sorted slot codes
-        (:meth:`Graph.edge_codes`).  Ids outside ``[0, n)`` raise
-        ``IndexError``.
+        One lookup of the pair codes ``u·n + w`` in the graph's cached
+        index of its sorted slot codes (:meth:`Graph.edge_index`): a
+        presence-table probe, then a binary search of the pairs that
+        pass.  Ids outside ``[0, n)`` raise ``IndexError``.
         """
         n = self.num_vertices
         us = checked_vertex_ids(us, n)
         ws = checked_vertex_ids(ws, n)
-        return find_sorted(self._graph.edge_codes(), us * n + ws)
+        return self._graph.edge_index().find(us * n + ws)
 
     def degree(self, v: int) -> int:
         return self._graph.degree(checked_vertex_ids(v, self.num_vertices))

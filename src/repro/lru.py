@@ -1,13 +1,13 @@
 """The one recency-eviction loop: a budgeted least-recently-used map.
 
-Shard paging, served results, GNN feature rows, TLAG remote adjacency
-and shm-published graphs are all this map plus what each client adds;
-DESIGN.md (*Caches*) states the contract.  In short: ``budget`` caps
-the resident ``weight`` (``None`` = unbounded, each put weighs 1 unless
-told otherwise); the entry just put is never the one evicted;
-``on_evict(key, value)`` fires once per entry leaving by eviction, pop
-or clear; ``hits`` / ``misses`` / ``evictions`` / ``weight`` are plain
-ints.  Imports nothing from ``repro``, so every layer may use it.
+Shard paging, served results, GNN feature rows, TLAG remote adjacency,
+shm-published graphs and the graphs a worker keeps attached are all
+this map plus what each client adds; DESIGN.md (*Caches*) states the
+contract.  In short: ``budget`` caps the resident ``weight`` (``None``
+= unbounded, each put weighs 1 unless told otherwise); the entry just
+put is never the one evicted; ``on_evict(key, value)`` fires once per
+entry leaving by eviction, pop or clear; ``hits`` / ``misses`` /
+``evictions`` / ``weight`` are plain ints.  Imports nothing from ``repro``, so every layer may use it.
 """
 
 from __future__ import annotations

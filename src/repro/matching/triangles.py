@@ -22,13 +22,15 @@ Two execution paths:
   kernel (:func:`repro.graph.kernels.closed_wedges`) over the oriented
   edges ``u -> v`` of a source span.  Each chunk of edges gathers the
   out-neighborhoods ``w`` of its heads ``v`` in one frontier expansion
-  and closes the wedges ``u -> v -> w`` with one binary search of the
-  codes ``u·n + w`` against the span's sorted edge codes; a chunk holds
-  at most :data:`~repro.matching.backtrack.FRONTIER_SLOT_CAP` wedges (a
-  head above the cap goes alone), so that many wedges are resident at
-  once whatever the graph.  Pass an ``executor`` to fan the source range
-  out across cores; orientation happens once in the caller and the
-  oriented CSR is what workers share.
+  and closes the wedges ``u -> v -> w`` with one lookup of the codes
+  ``u·n + w`` in a presence-filtered index of the span's sorted edge
+  codes (:class:`~repro.graph.kernels.PresenceIndex`: a hashed table
+  drops most open wedges, a binary search decides the rest); a chunk
+  holds at most :data:`~repro.matching.backtrack.FRONTIER_SLOT_CAP`
+  wedges (a head above the cap goes alone), so that many wedges are
+  resident at once whatever the graph.  Pass an ``executor`` to fan the
+  source range out across cores; the graph caches its orientation, so
+  repeat counts reuse one oriented CSR and the pool shares it once.
 * :func:`triangle_count_with_work` — the *instrumented* merge-join that
   counts every adjacency comparison; bench C1 needs the comparison count
   as its work unit, so this path intentionally stays element-at-a-time.

@@ -10,10 +10,10 @@ then loses to serial.  :class:`WorkerPool` amortizes both:
   spans);
 * each graph's CSR is copied into ``multiprocessing.shared_memory``
   exactly once per (pool, graph) pair.  The registry is an LRU of
-  :data:`MAX_SHARED_GRAPHS` entries keyed by graph *identity* (with a
-  strong reference held, so a collected graph's id cannot be reused to
-  serve a different graph); evicted, discarded and closed entries
-  unlink their segments through its one callback.
+  :data:`~repro.parallel.shm.MAX_SHARED_GRAPHS` entries keyed by graph
+  *identity* (with a strong reference held, so a collected graph's id
+  cannot be reused to serve a different graph); evicted, discarded and
+  closed entries unlink their segments through its one callback.
 
 Teardown rides the existing hygiene machinery: every
 :class:`~repro.parallel.shm.SharedGraph` a pool owns is registered in
@@ -45,21 +45,15 @@ from typing import Optional, Sequence, Tuple
 
 from ..graph.csr import Graph
 from ..lru import LRU
-from .shm import SharedGraph
+from .shm import MAX_SHARED_GRAPHS, SharedGraph
 
 __all__ = [
-    "MAX_SHARED_GRAPHS",
     "WorkerPool",
     "available_workers",
     "get_pool",
     "live_pool",
     "shutdown_pools",
 ]
-
-#: Shared-memory CSR copies one pool keeps live at once.  Benchmarks and
-#: the check harness alternate between a handful of graphs; beyond that
-#: the least-recently-shared graph's segments are unlinked.
-MAX_SHARED_GRAPHS = 4
 
 
 def _usable_cpus() -> Tuple[int, ...]:
@@ -98,7 +92,8 @@ class WorkerPool:
     """One warm process pool plus the graphs it has published to shm.
 
     ``workers`` is the usable CPU count, read again at every spawn; at
-    most :data:`MAX_SHARED_GRAPHS` graphs are shared at once.
+    most :data:`~repro.parallel.shm.MAX_SHARED_GRAPHS` graphs are shared
+    at once.
     """
 
     def __init__(self) -> None:

@@ -13,10 +13,11 @@ once, tasks carry only their frontier".
 
 Lifecycle: the creating process owns the segments and must call
 :meth:`SharedGraph.close` (or use it as a context manager) to unlink
-them; workers attach read-only views cached per process and only ever
-``close()`` their mapping.  Unlink is guaranteed even on ugly exits:
-partially-built owners unlink what they managed to create, and an
-``atexit`` guard sweeps any owner still live when the parent
+them; workers attach read-only views, keep the last
+:data:`MAX_SHARED_GRAPHS` of them per process, and only ever
+``close()`` the mappings they evict.  Unlink is guaranteed even on
+ugly exits: partially-built owners unlink what they managed to create,
+and an ``atexit`` guard sweeps any owner still live when the parent
 interpreter dies (a crashed fan-out must not leave stale ``/dev/shm``
 segments behind).
 """
@@ -32,8 +33,15 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..graph.csr import Graph
+from ..lru import LRU
 
-__all__ = ["SharedGraph", "SharedGraphHandle", "attach_graph"]
+__all__ = ["MAX_SHARED_GRAPHS", "SharedGraph", "SharedGraphHandle", "attach_graph"]
+
+#: Shared-memory CSR copies one pool keeps live at once, and graphs one
+#: worker keeps attached.  Benchmarks and the check harness alternate
+#: between a handful of graphs; beyond that the least recently used
+#: graph's segments are unlinked (pool) or unmapped (worker).
+MAX_SHARED_GRAPHS = 4
 
 # Every live owner, so the atexit sweep can unlink segments whose
 # executor never reached close() (worker crash, KeyboardInterrupt, ...).
@@ -132,10 +140,18 @@ class SharedGraph:
 # Worker side
 # ----------------------------------------------------------------------
 
-# Per-process cache: one attached graph per handle.  A worker typically
-# serves many chunks of the same run; attaching once per process is the
-# zero-copy contract.
-_ATTACHED: Dict[Tuple[str, ...], Tuple[Graph, List[shared_memory.SharedMemory]]] = {}
+def _unmap(_key, entry: Tuple[Graph, List[shared_memory.SharedMemory]]) -> None:
+    for seg in entry[1]:
+        seg.close()
+
+
+# Per-process cache of attached graphs, keyed by segment names.  A worker
+# serves many chunks of each run and alternates between graphs (e.g. the
+# degree-oriented CSR of a triangle count and the graph a pattern count
+# runs on), so each stays attached, with the derived caches it built
+# (edge index, orientation), until it is the least recently used of
+# :data:`MAX_SHARED_GRAPHS`; eviction closes its mappings.
+_ATTACHED = LRU(MAX_SHARED_GRAPHS, on_evict=_unmap)
 
 
 def attach_graph(handle: SharedGraphHandle) -> Graph:
@@ -144,11 +160,6 @@ def attach_graph(handle: SharedGraphHandle) -> Graph:
     cached = _ATTACHED.get(key)
     if cached is not None:
         return cached[0]
-    # A worker only ever serves one graph at a time; drop stale mappings.
-    for old_key in list(_ATTACHED):
-        _, old_segments = _ATTACHED.pop(old_key)
-        for seg in old_segments:
-            seg.close()
     segments: List[shared_memory.SharedMemory] = []
     views: Dict[str, np.ndarray] = {}
     for field_name, spec in handle.arrays:
@@ -164,5 +175,5 @@ def attach_graph(handle: SharedGraphHandle) -> Graph:
         vertex_labels=views.get("vertex_labels"),
         edge_labels=views.get("edge_labels"),
     )
-    _ATTACHED[key] = (graph, segments)
+    _ATTACHED.put(key, (graph, segments))
     return graph

@@ -24,7 +24,7 @@ family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..graph.csr import Graph
 from ..matching.backtrack import MatchStats, match
@@ -64,6 +64,7 @@ class QueryResult:
 @dataclass
 class _QueryState:
     query: Query
+    restrictions: List[Tuple[int, int]]  # symmetry breaking, once per query
     tasks: List[int] = field(default_factory=list)  # pending anchor vertices
     work_done: int = 0
     embeddings: int = 0
@@ -146,7 +147,9 @@ class QueryServer:
         if query.order is None:
             query.order = self._planner.plan(query.pattern).order
         self.stats.record_submit()
-        state = _QueryState(query=query)
+        state = _QueryState(
+            query=query, restrictions=symmetry_breaking_restrictions(query.pattern)
+        )
         first = query.order[0]
         want = query.pattern.label(first)
         for v in self.graph.vertices():
@@ -160,12 +163,11 @@ class QueryServer:
 
     def _run_task(self, state: _QueryState, anchor: int) -> int:
         stats = MatchStats()
-        restrictions = symmetry_breaking_restrictions(state.query.pattern)
         count = match(
             self.graph,
             state.query.pattern,
             order=state.query.order,
-            restrictions=restrictions,
+            restrictions=state.restrictions,
             stats=stats,
             anchor=(state.query.order[0], anchor),
         )

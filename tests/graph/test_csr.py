@@ -1,11 +1,15 @@
 """Unit and property tests for the CSR graph store."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.csr import Graph, GraphBuilder
+from repro.graph.generators import random_labeled_graph
+from repro.graph.store.handle import InMemoryGraph
 
 edge_lists = st.lists(
     st.tuples(st.integers(0, 15), st.integers(0, 15)),
@@ -163,6 +167,30 @@ class TestDerivedGraphs:
         g = Graph.from_edges([(0, 1)], directed=True)
         with pytest.raises(ValueError):
             g.orient_by_degree()
+
+    def test_orient_by_degree_is_cached(self, small_ba):
+        assert small_ba.orient_by_degree() is small_ba.orient_by_degree()
+
+
+class TestDerivedCaches:
+    def test_edge_index_is_built_once(self, small_ba):
+        index = small_ba.edge_index()
+        assert small_ba.edge_index() is index
+        n = small_ba.num_vertices
+        src = np.repeat(np.arange(n), small_ba.degrees())
+        assert np.array_equal(index.codes, src * n + small_ba.indices)
+
+    def test_pickle_carries_only_the_defining_fields(self):
+        g = random_labeled_graph(
+            300, 0.03, num_vertex_labels=3, num_edge_labels=2, seed=1
+        )
+        before = pickle.dumps(g)
+        InMemoryGraph(g).edge_slots(np.array([0, 1]), np.array([1, 2]))
+        g.orient_by_degree()
+        assert pickle.dumps(g) == before
+        back = pickle.loads(before)
+        assert back == g and back.edge_labels is not None
+        assert back.orient_by_degree() == g.orient_by_degree()
 
 
 class TestCSRInvariants:

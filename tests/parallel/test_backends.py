@@ -5,6 +5,7 @@ backend performs the same computation graph, so integer counts are equal
 and floating-point vectors are *bit*-identical across backends.
 """
 
+import contextlib
 import multiprocessing
 
 import numpy as np
@@ -39,6 +40,8 @@ from repro.parallel import (
     resolve_workers,
     shutdown_pools,
 )
+from repro.lru import LRU
+from repro.parallel import shm
 from repro.tlav import pagerank_dense
 
 SEEDS = [0, 1, 2]
@@ -271,6 +274,25 @@ class TestSharedGraph:
         shared = SharedGraph(erdos_renyi(20, 0.2, seed=0))
         shared.close()
         shared.close()
+
+    def test_worker_keeps_alternating_graphs_attached(self, monkeypatch):
+        cache = LRU(shm.MAX_SHARED_GRAPHS, on_evict=shm._unmap)
+        monkeypatch.setattr(shm, "_ATTACHED", cache)
+        graphs = [erdos_renyi(20, 0.2, seed=s) for s in range(shm.MAX_SHARED_GRAPHS + 1)]
+        with contextlib.ExitStack() as owners:
+            handles = [owners.enter_context(SharedGraph(g)).handle for g in graphs]
+            a, b = handles[0], handles[1]
+            first, second = attach_graph(a), attach_graph(b)
+            for _ in range(3):
+                assert attach_graph(a) is first and attach_graph(b) is second
+            assert (cache.misses, cache.hits) == (2, 6)
+            segments = cache.peek(a.cache_key())[1]
+            del first, second  # views into mappings about to be closed
+            for handle in handles[2:]:  # a is now the least recently used
+                attach_graph(handle)
+            assert a.cache_key() not in cache and len(cache) == shm.MAX_SHARED_GRAPHS
+            assert all(seg.buf is None for seg in segments)
+            cache.clear()
 
 
 class TestObservability:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.check import load_all
 from repro.graph import kernels
 from repro.graph.generators import erdos_renyi
 
@@ -97,6 +98,43 @@ class TestFindSorted:
             where = {int(x): k for k, x in enumerate(hay)}
             expected = [where.get(int(x), -1) for x in needles]
             np.testing.assert_array_equal(kernels.find_sorted(hay, needles), expected)
+
+
+class TestPresenceIndex:
+    def test_find_equals_find_sorted(self, rng):
+        for _ in range(25):
+            hay = _sorted_unique(rng, rng.integers(0, 40), 60)
+            needles = rng.integers(-5, 70, size=rng.integers(0, 40)).astype(np.int64)
+            np.testing.assert_array_equal(
+                kernels.PresenceIndex(hay).find(needles),
+                kernels.find_sorted(hay, needles),
+            )
+
+    def test_table_holds_at_least_the_entries_per_code(self):
+        for m in (0, 1, 5, 64, 1000):
+            table = kernels.PresenceIndex(np.arange(m, dtype=np.int64))._table
+            assert table.size >= max(m, 1) * kernels.TABLE_ENTRIES_PER_CODE
+            assert table.size & (table.size - 1) == 0
+            assert int(table.sum()) <= m
+
+    def test_keeps_needle_shape(self):
+        index = kernels.PresenceIndex(np.array([3, 9, 12]))
+        np.testing.assert_array_equal(
+            index.find(np.array([[9, 4], [3, -5]])), [[1, -1], [0, -1]]
+        )
+
+    def test_oracle_reports_a_table_missing_one_code(self, monkeypatch):
+        check = load_all().get("graph.kernels.filtered_vs_searchsorted")
+        params = {"n": 1000, "codes": 50, "absent": 50, "outside": 5, "value_seed": 3}
+        assert check.run(params) == []
+        build = kernels.PresenceIndex.__init__
+
+        def without_first_code(self, codes):
+            build(self, codes[1:])
+            self.codes = np.asarray(codes, dtype=np.int64)
+
+        monkeypatch.setattr(kernels.PresenceIndex, "__init__", without_first_code)
+        assert check.run(params)
 
 
 class TestSortedUnique:

@@ -17,6 +17,7 @@ from multiprocessing import shared_memory
 import pytest
 
 from repro.graph.generators import barabasi_albert, erdos_renyi
+from repro.matching.triangles import triangle_count
 from repro.obs import MetricsRegistry
 from repro.parallel import (
     ParallelExecutor,
@@ -26,7 +27,7 @@ from repro.parallel import (
     live_pool,
     shutdown_pools,
 )
-from repro.parallel.pool import MAX_SHARED_GRAPHS
+from repro.parallel.shm import MAX_SHARED_GRAPHS
 
 
 def _span_edges(graph, span):
@@ -217,6 +218,16 @@ class TestExecutorPoolReuse:
             assert obs.counter("parallel.shm_reuses").value() == 1
             # And the second call spawned nothing.
             assert pool.cold_starts == spawned
+
+    def test_triangle_count_shares_its_orientation_once(self, graph):
+        pool = get_pool()
+        shares, hits = pool.shares, pool.share_hits
+        with ParallelExecutor(backend="process", workers=2, chunk_size=32) as ex:
+            first = triangle_count(graph, executor=ex)
+            assert (pool.shares, pool.share_hits) == (shares + 1, hits)
+            assert triangle_count(graph, executor=ex) == first
+            assert (pool.shares, pool.share_hits) == (shares + 1, hits + 1)
+            assert pool.is_shared(graph.orient_by_degree())
 
     def test_registry_pool_shared_across_executors(self, graph):
         shutdown_pools()

@@ -11,6 +11,7 @@ from repro.matching.pattern import (
     path_pattern,
     triangle_pattern,
 )
+from repro.tlag import query as query_module
 from repro.tlag.query import Query, QueryServer
 
 
@@ -45,6 +46,22 @@ class TestQueryResults:
         a = shared.serve()
         b = seq.run_sequentially()
         assert [r.embeddings for r in a] == [r.embeddings for r in b]
+
+    def test_restrictions_derived_once_per_query(self, graph, monkeypatch):
+        calls = []
+        derive = query_module.symmetry_breaking_restrictions
+
+        def counted(pattern):
+            calls.append(pattern)
+            return derive(pattern)
+
+        monkeypatch.setattr(query_module, "symmetry_breaking_restrictions", counted)
+        server = QueryServer(graph, num_workers=4)
+        for p in (diamond_pattern(), triangle_pattern()):
+            server.submit(Query(p))
+        results = server.serve()
+        assert len(calls) == 2
+        assert results[0].embeddings == count_matches(graph, diamond_pattern())
 
     def test_labeled_query_spawns_filtered(self):
         g = random_labeled_graph(60, 0.15, num_vertex_labels=2, seed=1)
