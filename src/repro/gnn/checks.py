@@ -622,15 +622,16 @@ def _tape_program(feats, scale, divisor, src, dst, p, w, full_tape: bool):
     "gnn.tensor.aggregation_vs_add_at", "gnn", BIT_IDENTICAL,
     gen=_gen_aggregation,
     floors={"rows": 0, "buckets": 1, "width": 0, "ndim": 1, "sorted": 0},
-    description="the per-column np.bincount scatter behind scatter_add "
-    "and gather_rows' backward vs np.add.at into zeroed rows, and the "
-    "live-tape parameter gradients vs the full tape (every constant "
+    description="the flat np.bincount scatter (RowBuckets.sum: one call "
+    "over every element's row·width + col bucket) behind scatter_add, "
+    "gather_rows' backward and propagate vs np.add.at into zeroed rows, "
+    "and the live-tape parameter gradients vs the full tape (every constant "
     "marked as requiring grad): the same bits for 1-D, 2-D and 3-D "
     "values, duplicate, unsorted and empty indices, empty buckets and "
     "zero-width rows.",
 )
 def _check_aggregation(params: Dict) -> List[str]:
-    from .tensor import Parameter, Tensor, _scatter_rows
+    from .tensor import Parameter, RowBuckets, Tensor
 
     rows, n = int(params["rows"]), max(1, int(params["buckets"]))
     width, ndim = int(params["width"]), min(max(int(params["ndim"]), 1), 3)
@@ -645,8 +646,8 @@ def _check_aggregation(params: Dict) -> List[str]:
         index = np.sort(index)
     want = np.zeros((n,) + trailing)
     np.add.at(want, index, values)
-    out = same_bits(_float_bits(want), _float_bits(_scatter_rows(index, values, n)),
-                    "_scatter_rows")
+    out = same_bits(_float_bits(want), _float_bits(RowBuckets(index, n).sum(values)),
+                    "RowBuckets.sum")
     out += same_bits(
         _float_bits(want), _float_bits(Tensor(values).scatter_add(index, n).data),
         "scatter_add",
@@ -676,6 +677,89 @@ def _check_aggregation(params: Dict) -> List[str]:
         else:
             out += same_bits(_float_bits(ref.grad), _float_bits(got.grad),
                              f"{name}.grad")
+    return out
+
+
+def _gen_propagate(rng: np.random.Generator) -> Dict:
+    return {
+        "vertices": int(rng.integers(1, 13)),
+        "messages": int(rng.integers(0, 41)),
+        "width": int(rng.integers(0, 6)),
+        "second_width": int(rng.integers(0, 6)),
+        "weighted": int(rng.integers(2)),
+        "sorted": int(rng.integers(2)),
+        "self_loops": int(rng.integers(2)),
+        "value_seed": int(rng.integers(1 << 16)),
+    }
+
+
+def _message_pass(aggregate, inputs, p, seed):
+    """Output and gradients of ``aggregate(h * p)`` seeded with ``seed``:
+    ``h`` is the input, ``p`` a parameter, both requiring grad."""
+    from .tensor import Parameter, Tensor
+
+    h, param = Tensor(inputs, requires_grad=True), Parameter(p)
+    out = aggregate(h * param)
+    out.backward(seed)
+    return out.data, h.grad, param.grad
+
+
+@pair(
+    "gnn.tensor.propagate_vs_primitives", "gnn", BIT_IDENTICAL,
+    gen=_gen_propagate,
+    floors={"vertices": 1, "messages": 0, "width": 0, "second_width": 0,
+            "weighted": 0, "sorted": 0, "self_loops": 0},
+    description="the fused message pass (Tensor.propagate over cached "
+    "RowBuckets layouts, and GraphTensors.propagate) vs gather_rows, "
+    "the weight product and scatter_add: the same bits for the output, "
+    "the input's gradient and a parameter's gradient, with weight None "
+    "and (E, 1), one layout pair and one GraphTensors reused at two "
+    "widths and across calls, duplicate, unsorted and empty edge lists "
+    "and zero-width rows.",
+)
+def _check_propagate(params: Dict) -> List[str]:
+    from .layers import GraphTensors
+    from .tensor import RowBuckets, Tensor
+
+    n, m = max(1, int(params["vertices"])), int(params["messages"])
+    rng = np.random.default_rng(int(params["value_seed"]))
+    src, dst = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+    if int(params["sorted"]):
+        order = np.argsort(dst, kind="stable")
+        src, dst = src[order], dst[order]
+    weighted = bool(int(params["weighted"]))
+    # Magnitudes across twelve decades make every reordering visible.
+    weight = rng.normal(size=(m, 1)) * 10.0 ** rng.integers(-6, 7, size=(m, 1))
+    layouts = RowBuckets(src, n), RowBuckets(dst, n)
+    # The same messages as a directed multigraph: row v lists v's sources.
+    grouped = np.argsort(dst, kind="stable")
+    graph = Graph(np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=n))]),
+                  src[grouped], directed=True)
+    gt = GraphTensors(graph, add_self_loops=bool(int(params["self_loops"])))
+    edge_lists = (
+        ("edges", src, dst, weight if weighted else None,
+         lambda x, w: x.propagate(*layouts, w)),
+        ("GraphTensors", gt.src, gt.dst, gt.gcn_norm if weighted else None,
+         lambda x, w: gt.propagate(x, w)),
+    )
+    out: List[str] = []
+    widths = (int(params["width"]), int(params["second_width"]), int(params["width"]))
+    for call, width in enumerate(widths):
+        inputs = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-6, 7, size=(n, width))
+        p, seed = rng.normal(size=width), rng.normal(size=(n, width))
+        for name, s, d, w, fused in edge_lists:
+
+            def primitives(x: Tensor) -> Tensor:
+                messages = x.gather_rows(s)
+                if w is not None:
+                    messages = messages * w
+                return messages.scatter_add(d, n)
+
+            want = _message_pass(primitives, inputs, p, seed)
+            got = _message_pass(lambda x: fused(x, w), inputs, p, seed)
+            for label, ref, cand in zip(("out", "h.grad", "p.grad"), want, got):
+                out += same_bits(_float_bits(ref), _float_bits(cand),
+                                 f"{name} call {call} width {width} {label}")
     return out
 
 

@@ -7,6 +7,15 @@ primitives of :mod:`repro.gnn.tensor` make the retrieval stage an
 explicit, measurable step — the distributed trainers intercept exactly
 that step to price communication.
 
+GCN, GraphSAGE-mean and GIN aggregate with
+:meth:`GraphTensors.propagate`: gather · weight · scatter over the
+graph's edge list as one tape node (:meth:`Tensor.propagate
+<repro.gnn.tensor.Tensor.propagate>`), bit-identical to the three
+primitives.  GCN weighs each message by ``gcn_norm``; SAGE divides the
+sum by the in-degree afterwards, as before (folding the mean into the
+weight would round differently).  GAT's weights are live attention
+coefficients and SAGE-pool takes a max, so both keep the primitives.
+
 Layers operate on a :class:`GraphTensors` bundle precomputed from a
 :class:`~repro.graph.csr.Graph` (edge endpoints + normalization), so
 the same layer code runs on the full graph, on a sampled block, or on a
@@ -15,13 +24,13 @@ worker's local partition.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
 from ..graph.csr import Graph
 from ..graph.store.handle import as_handle
-from .tensor import Parameter, Tensor
+from .tensor import Parameter, RowBuckets, Tensor
 
 __all__ = ["GraphTensors", "Module", "Linear", "GCNLayer", "SAGELayer", "SAGEPoolLayer", "GATLayer", "GINLayer"]
 
@@ -53,10 +62,23 @@ class GraphTensors:
         self.in_degree = deg
         norm = 1.0 / np.sqrt(deg)
         self.gcn_norm = (norm[self.src] * norm[self.dst]).reshape(-1, 1)
+        self._sources = RowBuckets(self.src, n)
+        self._targets = RowBuckets(self.dst, n)
 
     @property
     def num_messages(self) -> int:
         return self.src.size
+
+    def propagate(self, h: Tensor, weight: Optional[np.ndarray] = None) -> Tensor:
+        """Sum each vertex's incoming messages: ``out[dst[e]] +=
+        weight[e] · h[src[e]]`` (``weight`` of shape ``(E, 1)``, or
+        ``None`` for plain sums), one tape node.
+
+        The scatter layouts of both sides are built once per row width
+        and kept on this bundle, so every epoch and every evaluation
+        over it reuses them.
+        """
+        return h.propagate(self._sources, self._targets, weight)
 
 
 class Module:
@@ -113,9 +135,7 @@ class GCNLayer(Module):
         self.bias = Parameter(np.zeros(out_dim), name="gcn.b")
 
     def __call__(self, gt: GraphTensors, h: Tensor) -> Tensor:
-        messages = h.gather_rows(gt.src) * gt.gcn_norm
-        agg = messages.scatter_add(gt.dst, gt.num_vertices)
-        return agg @ self.weight + self.bias
+        return gt.propagate(h, gt.gcn_norm) @ self.weight + self.bias
 
 
 class SAGELayer(Module):
@@ -130,9 +150,7 @@ class SAGELayer(Module):
         self.bias = Parameter(np.zeros(out_dim), name="sage.b")
 
     def __call__(self, gt: GraphTensors, h: Tensor) -> Tensor:
-        messages = h.gather_rows(gt.src)
-        summed = messages.scatter_add(gt.dst, gt.num_vertices)
-        mean = summed * (1.0 / gt.in_degree.reshape(-1, 1))
+        mean = gt.propagate(h) * (1.0 / gt.in_degree.reshape(-1, 1))
         combined = h.concat(mean, axis=1)
         return combined @ self.weight + self.bias
 
@@ -207,8 +225,6 @@ class GINLayer(Module):
         self.b2 = Parameter(np.zeros(out_dim), name="gin.b2")
 
     def __call__(self, gt: GraphTensors, h: Tensor) -> Tensor:
-        messages = h.gather_rows(gt.src)
-        summed = messages.scatter_add(gt.dst, gt.num_vertices)
-        combined = h * (1.0 + self.eps) + summed
+        combined = h * (1.0 + self.eps) + gt.propagate(h)
         hidden = (combined @ self.w1 + self.b1).relu()
         return hidden @ self.w2 + self.b2

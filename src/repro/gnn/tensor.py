@@ -13,15 +13,22 @@ NN functions are separable concerns.
 
 Two contracts keep training cheap without changing a bit of it:
 
-* **Order-preserving aggregation.**  ``scatter_add`` and the backward of
-  ``gather_rows`` sum rows into buckets with one ``np.bincount`` per
-  feature column (:func:`_scatter_rows`).  ``bincount`` adds each
-  bucket's weights in element order starting from zero — the order the
-  unbuffered ``np.add`` scatter (``ufunc.at``) applies them to a zeroed
-  array — so the sums are bit-identical to it, without that scatter's
-  per-element dispatch.
+* **Order-preserving aggregation.**  ``scatter_add``, the backward of
+  ``gather_rows`` and both directions of :meth:`Tensor.propagate` sum
+  rows into buckets with one ``np.bincount`` over the flat
+  ``row·width + col`` index of every element (:meth:`RowBuckets.sum`).
+  ``bincount`` adds each bucket's weights in element order starting
+  from zero — the order the unbuffered ``np.add`` scatter
+  (``ufunc.at``) applies them to a zeroed array — so the sums are
+  bit-identical to it, without that scatter's per-element dispatch.
   Indices outside ``[0, rows)`` raise ``IndexError`` instead of
   wrapping.
+* **One node per message pass.**  :meth:`Tensor.propagate` is gather ·
+  weight · scatter as a single tape node over two :class:`RowBuckets`
+  (the edge list's source and target sides), which keep the flat index
+  of each width they have summed at.  Its values and gradients are the
+  three primitives' bits: the products are the same, and each bucket
+  adds them in the same order.
 * **Live tape only.**  A tensor is *live* when it requires grad or has
   a tape of its own.  An op records its parents and backward closure
   only when some parent is live, and the binary ops' closures compute
@@ -34,13 +41,13 @@ Two contracts keep training cheap without changing a bit of it:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..graph.store.handle import checked_vertex_ids
 
-__all__ = ["Tensor", "Parameter", "no_grad"]
+__all__ = ["Tensor", "Parameter", "RowBuckets", "no_grad"]
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
@@ -125,18 +132,22 @@ class Tensor:
         """Backpropagate from this tensor (default seed: ones)."""
         if grad is None:
             grad = np.ones_like(self.data)
+        # Depth-first post-order of the tape, parents in recorded order,
+        # on an explicit stack: a deep tape needs no Python recursion,
+        # and nothing outlives the call to keep the tape alive.
         topo: List[Tensor] = []
-        seen = set()
-
-        def build(t: Tensor) -> None:
-            if id(t) in seen:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                build(p)
-            topo.append(t)
-
-        build(self)
+        seen = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            t, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                topo.append(t)
         grads = {id(self): np.asarray(grad, dtype=np.float64)}
         for t in reversed(topo):
             g = grads.pop(id(t), None)
@@ -368,25 +379,69 @@ class Tensor:
 
     def gather_rows(self, index: np.ndarray) -> "Tensor":
         """Rows ``self[index]`` — the feature-fetch of a GNN layer."""
-        index = checked_vertex_ids(index, len(self.data))
+        rows = RowBuckets(index, len(self.data))
 
         def backward(g: np.ndarray):
-            return ((self, _scatter_rows(index, g, len(self.data))),)
+            return ((self, rows.sum(g)),)
 
-        return Tensor(self.data[index], _parents=(self,), _backward=backward)
+        return Tensor(
+            np.take(self.data, rows.index, axis=0), _parents=(self,), _backward=backward
+        )
 
     def scatter_add(self, index: np.ndarray, num_rows: int) -> "Tensor":
         """Sum rows of ``self`` into ``num_rows`` buckets by ``index``.
 
         The aggregation kernel: ``out[index[i]] += self[i]``.
         """
-        index = checked_vertex_ids(index, num_rows)
+        buckets = RowBuckets(index, num_rows)
 
         def backward(g: np.ndarray):
-            return ((self, g[index]),)
+            return ((self, np.take(g, buckets.index, axis=0)),)
+
+        return Tensor(buckets.sum(self.data), _parents=(self,), _backward=backward)
+
+    def propagate(self, source: "RowBuckets", target: "RowBuckets",
+                  weight: Optional[np.ndarray] = None) -> "Tensor":
+        """One message pass: ``out[target[e]] += weight[e] · self[source[e]]``.
+
+        ``source`` and ``target`` are the two sides of one edge list
+        (``source.num_rows`` must be ``len(self)``); ``weight`` is a
+        constant per message (``E`` values, shaped ``(E, 1)``) or
+        ``None`` for plain sums.  A single tape node with the bits of
+        ``gather_rows(source.index) * weight`` then
+        ``scatter_add(target.index, target.num_rows)``, values and
+        gradients alike; its backward is the same op transposed, the
+        gradient rows gathered by ``target``, weighted, and summed by
+        ``source``.
+        """
+        num_messages = source.index.size
+        if len(self.data) != source.num_rows or target.index.size != num_messages:
+            raise ValueError(
+                f"propagate needs {source.num_rows} rows and {num_messages} "
+                f"targets; got {len(self.data)} rows, {target.index.size} targets"
+            )
+        trailing = self.data.shape[1:]
+        if weight is not None:
+            # One weight per message element, laid out like the messages:
+            # a product of two dense arrays is one flat loop, where a
+            # broadcast column is one short loop per message.  Same
+            # products, so the same bits.
+            weight = np.repeat(
+                np.asarray(weight, dtype=np.float64).reshape(num_messages, 1),
+                int(np.prod(trailing)), axis=1,
+            ).reshape((num_messages,) + trailing)
+
+        def messages(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+            picked = np.take(rows, index, axis=0)
+            if weight is not None:
+                np.multiply(picked, weight, out=picked)
+            return picked
+
+        def backward(g: np.ndarray):
+            return ((self, source.sum(messages(g, target.index))),)
 
         return Tensor(
-            _scatter_rows(index, self.data, num_rows),
+            target.sum(messages(self.data, source.index)),
             _parents=(self,),
             _backward=backward,
         )
@@ -473,22 +528,40 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True, name=name)
 
 
-def _scatter_rows(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
-    """``out[index[i]] += values[i]`` into ``num_rows`` zeroed rows.
+class RowBuckets:
+    """One side of an edge list as scatter buckets: ``index`` into
+    ``num_rows`` rows, checked once (``IndexError`` outside
+    ``[0, num_rows)``).
 
-    One ``np.bincount`` per feature column: each bucket's sum starts at
-    zero and adds its rows in element order, exactly as the unbuffered
-    ``np.add`` scatter (``ufunc.at``) does, so the result is
-    bit-identical to it.  ``index`` must already
-    lie in ``[0, num_rows)``.
+    :meth:`sum` adds rows into their buckets with one ``np.bincount``
+    over a flat index that sends element ``(i, col)`` of ``width``-wide
+    rows to bucket ``index[i]·width + col``, listed in element order.
+    Each ``(row, col)`` bucket starts at zero and adds its elements in
+    row order, exactly as the unbuffered ``np.add`` scatter
+    (``ufunc.at``) does, so the result is bit-identical to it.  The
+    flat index of each width is built once and kept.
     """
-    trailing = values.shape[1:]
-    width = int(np.prod(trailing))
-    columns = values.reshape(index.size, width)
-    out = np.empty((num_rows, width))
-    for j in range(width):
-        out[:, j] = np.bincount(index, weights=columns[:, j], minlength=num_rows)
-    return out.reshape((num_rows,) + trailing)
+
+    __slots__ = ("index", "num_rows", "_flat")
+
+    def __init__(self, index: ArrayLike, num_rows: int) -> None:
+        self.index = checked_vertex_ids(index, num_rows)
+        self.num_rows = int(num_rows)
+        self._flat: Dict[int, np.ndarray] = {}
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """``out[index[i]] += values[i]`` into ``num_rows`` zeroed rows."""
+        trailing = values.shape[1:]
+        width = int(np.prod(trailing))
+        if not self.index.size or not width:  # bincount of nothing is int64
+            return np.zeros((self.num_rows,) + trailing)
+        flat = self._flat.get(width)
+        if flat is None:
+            flat = (self.index[:, None] * width + np.arange(width)).reshape(-1)
+            self._flat[width] = flat
+        out = np.bincount(flat, weights=values.reshape(-1),
+                          minlength=self.num_rows * width)
+        return out.reshape((self.num_rows,) + trailing)
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:

@@ -13,9 +13,11 @@ once, tasks carry only their frontier".
 
 Lifecycle: the creating process owns the segments and must call
 :meth:`SharedGraph.close` (or use it as a context manager) to unlink
-them; workers attach read-only views, keep the last
-:data:`MAX_SHARED_GRAPHS` of them per process, and only ever
-``close()`` the mappings they evict.  Unlink is guaranteed even on
+them; workers attach read-only views and keep the last
+:data:`MAX_SHARED_GRAPHS` of them per process.  A worker never unlinks,
+and it unmaps a segment only once no array over it is left: eviction
+drops the cache's reference, and the mapping closes when the graph (and
+any view taken from it) is gone.  Unlink is guaranteed even on
 ugly exits: partially-built owners unlink what they managed to create,
 and an ``atexit`` guard sweeps any owner still live when the parent
 interpreter dies (a crashed fan-out must not leave stale ``/dev/shm``
@@ -140,18 +142,14 @@ class SharedGraph:
 # Worker side
 # ----------------------------------------------------------------------
 
-def _unmap(_key, entry: Tuple[Graph, List[shared_memory.SharedMemory]]) -> None:
-    for seg in entry[1]:
-        seg.close()
-
-
-# Per-process cache of attached graphs, keyed by segment names.  A worker
-# serves many chunks of each run and alternates between graphs (e.g. the
-# degree-oriented CSR of a triangle count and the graph a pattern count
-# runs on), so each stays attached, with the derived caches it built
-# (edge index, orientation), until it is the least recently used of
-# :data:`MAX_SHARED_GRAPHS`; eviction closes its mappings.
-_ATTACHED = LRU(MAX_SHARED_GRAPHS, on_evict=_unmap)
+# Per-process cache of attached graphs, keyed by segment names, each
+# entry ``(graph, segments)``.  A worker serves many chunks of each run
+# and alternates between graphs (e.g. the degree-oriented CSR of a
+# triangle count and the graph a pattern count runs on), so each stays
+# attached, with the derived caches it built (edge index, orientation),
+# until it is the least recently used of :data:`MAX_SHARED_GRAPHS`.
+# Eviction only drops the entry: a caller may still hold the graph.
+_ATTACHED = LRU(MAX_SHARED_GRAPHS)
 
 
 def attach_graph(handle: SharedGraphHandle) -> Graph:
@@ -165,9 +163,13 @@ def attach_graph(handle: SharedGraphHandle) -> Graph:
     for field_name, spec in handle.arrays:
         seg = shared_memory.SharedMemory(name=spec.name)
         segments.append(seg)
-        views[field_name] = np.ndarray(
-            spec.shape, dtype=np.dtype(spec.dtype), buffer=seg.buf
-        )
+        view = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=seg.buf)
+        # Unmapping under a live array would let it read freed pages, so
+        # the mapping closes when its last array goes (a view of ``view``
+        # keeps ``view`` as its base, hence alive); at exit the process
+        # unmaps everything anyway.
+        weakref.finalize(view, seg.close).atexit = False
+        views[field_name] = view
     graph = Graph(
         views["indptr"],
         views["indices"],

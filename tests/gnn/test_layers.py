@@ -49,6 +49,32 @@ class TestGraphTensors:
         gt = GraphTensors(g, add_self_loops=False)
         assert np.all(gt.in_degree > 0)  # isolated vertex guarded
 
+    def test_propagate_serves_two_widths(self, gt, rng):
+        """One bundle, widths 8 and 16 in turn and again: each call has
+        its width's shape and the bits of gather · weight · scatter."""
+        n = gt.num_vertices
+        for width in (8, 16, 8, 16):
+            x = rng.normal(size=(n, width))
+            seed = rng.normal(size=(n, width))
+            for weight in (None, gt.gcn_norm):
+                h = Parameter(x)
+                out = gt.propagate(h, weight)
+                assert out.shape == (n, width)
+                out.backward(seed)
+                ref = Parameter(x)
+                messages = ref.gather_rows(gt.src)
+                if weight is not None:
+                    messages = messages * weight
+                want = messages.scatter_add(gt.dst, n)
+                want.backward(seed)
+                assert np.array_equal(out.data.view(np.int64), want.data.view(np.int64))
+                assert np.array_equal(h.grad.view(np.int64), ref.grad.view(np.int64))
+
+    def test_propagate_is_one_tape_node(self, gt, rng):
+        h = Parameter(rng.normal(size=(gt.num_vertices, 4)))
+        out = gt.propagate(h, gt.gcn_norm)
+        assert out._parents == (h,)
+
 
 class TestLinear:
     def test_shapes_and_grad(self, rng):

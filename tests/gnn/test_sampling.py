@@ -304,6 +304,19 @@ class TestGraphTensors:
             np.testing.assert_array_equal(got, expected, err_msg=name)
         assert gt.num_vertices == ba.num_vertices
 
+    @pytest.mark.parametrize("partitioner", ["hash", "range"])
+    def test_stored_and_in_memory_propagate_alike(self, ba, ba_stores, partitioner):
+        from repro.gnn.tensor import Tensor
+
+        rows = np.random.default_rng(5).normal(size=(ba.num_vertices, 6))
+        want = GraphTensors(ba)
+        with open_store(ba_stores[partitioner][0], cache_budget=0) as stored:
+            got = GraphTensors(stored)
+        for weighted in (False, True):
+            a = want.propagate(Tensor(rows), want.gcn_norm if weighted else None)
+            b = got.propagate(Tensor(rows), got.gcn_norm if weighted else None)
+            np.testing.assert_array_equal(a.data.view(np.int64), b.data.view(np.int64))
+
     def test_isolated_vertices_keep_unit_degree(self):
         g = Graph.from_edges([(0, 1)], num_vertices=4)
         gt = GraphTensors(g, add_self_loops=False)

@@ -1,12 +1,16 @@
 """Autograd: every op gradient-checked against finite differences."""
 
+import gc
+import sys
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check import load_all
-from repro.gnn.tensor import Parameter, Tensor, no_grad
+from repro.gnn.tensor import Parameter, RowBuckets, Tensor, no_grad
 
 
 def numeric_gradient(f, x: Parameter, eps: float = 1e-6) -> np.ndarray:
@@ -215,6 +219,43 @@ class TestEngineMechanics:
         assert np.allclose(a.grad, [7.0])
 
 
+class TestDeepTape:
+    def test_long_chain_backpropagates_without_recursion(self):
+        """A 1,500-op tape under the default recursion limit."""
+        assert sys.getrecursionlimit() < 1500
+        x = Parameter(np.array([1.0, 2.0]))
+        y = x
+        for _ in range(1500):
+            y = y * 1.0
+        y.sum().backward()
+        assert np.array_equal(x.grad, [1.0, 1.0])
+
+    def test_backward_leaves_no_reference_cycle(self, rng):
+        """After backward, dropping the result frees the tape at once,
+        without the cyclic collector."""
+        p = Parameter(rng.normal(size=(3, 2)))
+        mid = p * 2.0
+        data = weakref.ref(mid.data)
+        loss = (mid * mid).sum()
+        gc.disable()
+        try:
+            loss.backward()
+            del mid, loss
+            assert data() is None
+        finally:
+            gc.enable()
+
+    def test_accumulation_order_follows_parents(self, rng):
+        """Three uses of one tensor add their gradients in the order the
+        depth-first walk over recorded parents meets them."""
+        p = Parameter(rng.normal(size=4))
+        a, b, c = p * 1.0, p * 1e16, p * -1e16
+        ((a + b) + c).sum().backward()
+        # c's gradient arrives first, then b's, then a's: (-1e16 + 1e16)
+        # + 1 is 1, where a-first order would round 1 + 1e16 to 1e16.
+        assert np.array_equal(p.grad, np.ones(4))
+
+
 class TestIndexBounds:
     """Indices outside ``[0, rows)`` raise instead of wrapping around."""
 
@@ -244,6 +285,17 @@ class TestIndexBounds:
         with pytest.raises(IndexError):
             a.scatter_max(np.array([0, 2]), 2)
 
+    def test_row_buckets_out_of_range(self):
+        with pytest.raises(IndexError):
+            RowBuckets(np.array([0, 3]), 3)
+        with pytest.raises(IndexError):
+            RowBuckets(np.array([-1, 0]), 3)
+
+    def test_propagate_needs_one_row_per_source(self):
+        sides = RowBuckets([0, 1], 2), RowBuckets([1, 0], 2)
+        with pytest.raises(ValueError):
+            Tensor(np.ones((3, 2))).propagate(*sides)
+
     def test_empty_index_is_in_range(self):
         out = Tensor(np.ones((0, 2))).scatter_add(np.array([], dtype=np.int64), 3)
         assert np.array_equal(out.data, np.zeros((3, 2)))
@@ -267,6 +319,26 @@ class TestAggregationOracle:
         check = load_all().get("gnn.tensor.aggregation_vs_add_at")
         params = {"rows": rows, "buckets": 9, "width": width, "ndim": ndim,
                   "sorted": ordered, "value_seed": 100 * ndim + rows + width}
+        assert check.run(params) == []
+
+
+class TestPropagateOracle:
+    """``gnn.tensor.propagate_vs_primitives`` on its edge cases: no
+    messages, zero-width rows, duplicate and unsorted edges, two widths
+    over one layout.  ``repro check`` runs the randomized sweep."""
+
+    @pytest.mark.parametrize(
+        "messages,width,second_width,ordered",
+        [(0, 3, 2, 0), (30, 0, 4, 1), (30, 4, 0, 0), (30, 4, 5, 0), (30, 5, 5, 1)],
+    )
+    @pytest.mark.parametrize("weighted", [0, 1])
+    def test_bit_identical_to_primitives(self, messages, width, second_width,
+                                         ordered, weighted):
+        check = load_all().get("gnn.tensor.propagate_vs_primitives")
+        params = {"vertices": 7, "messages": messages, "width": width,
+                  "second_width": second_width, "weighted": weighted,
+                  "sorted": ordered, "self_loops": messages % 2,
+                  "value_seed": messages + 10 * width + second_width}
         assert check.run(params) == []
 
 

@@ -6,6 +6,7 @@ and floating-point vectors are *bit*-identical across backends.
 """
 
 import contextlib
+import json
 import multiprocessing
 
 import numpy as np
@@ -276,7 +277,7 @@ class TestSharedGraph:
         shared.close()
 
     def test_worker_keeps_alternating_graphs_attached(self, monkeypatch):
-        cache = LRU(shm.MAX_SHARED_GRAPHS, on_evict=shm._unmap)
+        cache = LRU(shm.MAX_SHARED_GRAPHS)
         monkeypatch.setattr(shm, "_ATTACHED", cache)
         graphs = [erdos_renyi(20, 0.2, seed=s) for s in range(shm.MAX_SHARED_GRAPHS + 1)]
         with contextlib.ExitStack() as owners:
@@ -293,6 +294,35 @@ class TestSharedGraph:
             assert a.cache_key() not in cache and len(cache) == shm.MAX_SHARED_GRAPHS
             assert all(seg.buf is None for seg in segments)
             cache.clear()
+
+    def test_evicted_graph_stays_mapped_while_held(self):
+        # A graph a caller keeps past its eviction from the attach cache
+        # must still read its arrays; unmapping them under it crashed the
+        # process (SIGSEGV) instead.
+        import subprocess
+        import sys
+
+        code = (
+            "import contextlib, json, sys; sys.path.insert(0, 'src')\n"
+            "from repro.graph.generators import erdos_renyi\n"
+            "from repro.parallel.shm import MAX_SHARED_GRAPHS, SharedGraph, attach_graph\n"
+            "graphs = [erdos_renyi(40, 0.2, seed=s) for s in range(MAX_SHARED_GRAPHS + 1)]\n"
+            "with contextlib.ExitStack() as owners:\n"
+            "    handles = [owners.enter_context(SharedGraph(g)).handle for g in graphs]\n"
+            "    kept = attach_graph(handles[0])\n"
+            "    for handle in handles[1:]:\n"
+            "        attach_graph(handle)\n"
+            "    rows = kept.indices.tolist()\n"
+            "    head = kept.indices[:5]\n"
+            "    del kept  # a view of the graph's array keeps its mapping too\n"
+            "    print(json.dumps([rows, head.tolist(), graphs[0].indices.tolist()]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, cwd=".",
+        )
+        assert done.returncode == 0, (done.returncode, done.stderr)
+        rows, head, want = json.loads(done.stdout)
+        assert rows == want and head == want[:5]
 
 
 class TestObservability:
