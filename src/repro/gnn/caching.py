@@ -192,11 +192,14 @@ def access_trace_from_sampling(
     (the trainer must materialize its row); the skew of the result is
     what makes caching effective.
     """
+    from .dataloader import ItemSampler  # the loader imports this module
+
     sampler = NeighborSampler(graph, fanouts, seed=seed)
+    items = ItemSampler(train_nodes, batch_size)
     trace: List[int] = []
     for _ in range(epochs):
-        for block in sampler.batches(train_nodes, batch_size):
-            trace.extend(int(v) for v in block.node_ids)
+        for seeds in items.batches(sampler.rng):
+            trace.extend(int(v) for v in sampler.sample(seeds).node_ids)
     return trace
 
 

@@ -62,9 +62,10 @@ __all__ = [
 class ItemSampler:
     """Stage 1 — shuffle and batch the seed items of one epoch.
 
-    The shuffle draws one ``rng.permutation`` per epoch, matching the
-    RNG consumption of the legacy ``NeighborSampler.batches`` loop so a
-    loader built on top reproduces its blocks bit-for-bit.
+    The shuffle draws one ``rng.permutation`` per epoch, before the
+    epoch's first batch is sampled, so a loader and a plain loop of
+    ``NeighborSampler.sample`` over these batches that share one
+    generator draw the same numbers and build the same blocks.
     """
 
     def __init__(
@@ -243,9 +244,10 @@ class MiniBatchLoader:
     """The composed staged pipeline with bounded prefetch.
 
     At fixed ``seed`` the sequence of emitted batches is bit-identical
-    to the legacy ``NeighborSampler.batches`` loop, across repeated
-    epochs and regardless of ``prefetch`` — the single producer thread
-    drains the RNG in program order.
+    to a plain loop of ``NeighborSampler.sample`` over
+    ``ItemSampler.batches``, across repeated epochs and regardless of
+    ``prefetch`` — the single producer thread drains the RNG in program
+    order.
 
     ``prefetch=0`` runs synchronously (and emits ``gnn.loader.stage``
     tracer spans when a tracer is given); ``prefetch=k`` stages up to

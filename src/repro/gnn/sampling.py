@@ -46,6 +46,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..graph.csr import Graph
+from ..graph.kernels import csr_from_pairs
 from ..graph.store.handle import as_handle, checked_vertex_ids
 from .layers import GraphTensors
 
@@ -119,9 +120,8 @@ def _assemble_block(
 ) -> Block:
     """Compact sampled edges (global ids, unique ``node_ids``) into a block.
 
-    The graph ``Graph.from_edges`` would build from them, as array code:
-    the undirected union of the edges, de-duplicated, self-loops
-    dropped, rows sorted.
+    The graph ``Graph.from_edges`` would build from them: the undirected
+    union of the edges through :func:`~repro.graph.kernels.csr_from_pairs`.
     """
     m = node_ids.size
     order = np.argsort(node_ids)
@@ -131,20 +131,11 @@ def _assemble_block(
         return order[np.searchsorted(sorted_ids, ids)]
 
     none = np.empty(0, dtype=np.int64)  # a zero-hop sample has no edge arrays
-    u = local(np.concatenate([none, *src]))
-    v = local(np.concatenate([none, *dst]))
-    proper = u != v
-    u, v = u[proper], v[proper]
-    # Both directions under one row-major key: the distinct keys, sorted,
-    # are the CSR entries in (row, column) order.
-    slots = np.concatenate([u * m + v, v * m + u])
-    slots.sort()
-    distinct = np.ones(slots.size, dtype=bool)
-    distinct[1:] = slots[1:] != slots[:-1]
-    slots = slots[distinct]
-    rows, indices = np.divmod(slots, max(m, 1))
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    indptr, indices, _ = csr_from_pairs(
+        local(np.concatenate([none, *src])),
+        local(np.concatenate([none, *dst])),
+        (m, m), directed=False,
+    )
     labels = handle.vertex_labels
     if labels is not None:
         labels = labels[node_ids]
@@ -197,18 +188,6 @@ class NeighborSampler:
 
     def sample(self, seeds: Sequence[int]) -> Block:
         return sample_neighbors(self.graph, seeds, self.fanouts, rng=self.rng)
-
-    def batches(
-        self, nodes: Sequence[int], batch_size: int
-    ) -> List[Block]:
-        """Shuffle ``nodes`` and sample one block per mini-batch."""
-        nodes = np.asarray(list(nodes), dtype=np.int64)
-        order = self.rng.permutation(nodes.size)
-        blocks = []
-        for start in range(0, nodes.size, batch_size):
-            batch = nodes[order[start: start + batch_size]]
-            blocks.append(self.sample(batch))
-        return blocks
 
 
 def khop_subgraph(graph: Graph, seed: int, k: int) -> Block:

@@ -13,9 +13,10 @@ Design notes
   lookups via binary search and lets the matching engines intersect
   neighbor lists with merge joins (the core kernel of systems such as
   AutoMine and GraphPi).
-* Graphs are immutable after construction.  Mutation happens in
-  :class:`GraphBuilder`, which deduplicates edges and drops self-loops
-  unless asked otherwise.
+* Graphs are immutable after construction.  Every CSR the library
+  builds goes through :func:`~repro.graph.kernels.csr_from_pairs`,
+  which deduplicates edges (first label wins) and drops self-loops;
+  :class:`GraphBuilder` and :meth:`Graph.from_edges` are its front ends.
 * Optional integer vertex labels and edge labels support the labeled
   matching and FSM workloads; unlabeled graphs simply leave them ``None``.
 """
@@ -26,7 +27,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernels import PresenceIndex
+from .kernels import PresenceIndex, csr_from_pairs, edge_array, expand_frontier
 
 __all__ = ["Graph", "GraphBuilder"]
 
@@ -110,15 +111,20 @@ class Graph:
         directed: bool = False,
         vertex_labels: Optional[Sequence[int]] = None,
     ) -> "Graph":
-        """Build a graph from an iterable of ``(u, v)`` pairs.
+        """Build a graph from ``(u, v)`` pairs: an iterable or an
+        ``(m, 2)`` array.
 
         Duplicate edges and self-loops are dropped.  For undirected graphs
         each input pair is inserted in both directions.
         """
-        builder = GraphBuilder(directed=directed)
-        for u, v in edges:
-            builder.add_edge(int(u), int(v))
-        return builder.build(num_vertices=num_vertices, vertex_labels=vertex_labels)
+        pairs = np.asarray(
+            edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64
+        )
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
+        return _freeze(pairs, directed, -1, num_vertices, vertex_labels)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -170,9 +176,8 @@ class Graph:
         attach.
         """
         if self._edge_index is None:
-            n = self.num_vertices
-            src = np.repeat(np.arange(n, dtype=np.int64), self.degrees())
-            self._edge_index = PresenceIndex(src * n + self.indices)
+            src, dst = edge_array(self.indptr, self.indices)
+            self._edge_index = PresenceIndex(src * self.num_vertices + dst)
         return self._edge_index
 
     def edge_label(self, u: int, v: int) -> int:
@@ -203,33 +208,36 @@ class Graph:
     # ------------------------------------------------------------------
 
     def reverse(self) -> "Graph":
-        """Transpose of a directed graph (self, when undirected)."""
+        """Transpose of a directed graph (self, when undirected); labels
+        are not carried."""
         if not self.directed:
             return self
-        builder = GraphBuilder(directed=True)
-        for u, v in self.edges():
-            builder.add_edge(v, u)
-        return builder.build(num_vertices=self.num_vertices)
+        n = self.num_vertices
+        src, dst = edge_array(self.indptr, self.indices)
+        indptr, indices, _ = csr_from_pairs(dst, src, (n, n), directed=True)
+        return Graph(indptr, indices, directed=True)
 
     def subgraph(self, keep: Sequence[int]) -> Tuple["Graph", np.ndarray]:
-        """Vertex-induced subgraph.
+        """Vertex-induced subgraph (edge labels are not carried).
 
         Returns ``(sub, old_ids)`` where ``old_ids[new_id]`` maps the
         compacted ids back to ids in this graph.
         """
-        old_ids = np.asarray(sorted(set(int(v) for v in keep)), dtype=np.int64)
-        remap = {int(old): new for new, old in enumerate(old_ids)}
-        builder = GraphBuilder(directed=self.directed)
-        for old in old_ids:
-            for w in self.neighbors(int(old)):
-                w = int(w)
-                if w in remap and (self.directed or old < w):
-                    builder.add_edge(remap[int(old)], remap[w])
+        old_ids = np.unique(np.asarray(list(keep), dtype=np.int64))
+        new_id = np.full(self.num_vertices, -1, dtype=np.int64)
+        new_id[old_ids] = np.arange(old_ids.size)
+        owners, nbrs = expand_frontier(self.indptr, self.indices, old_ids)
+        inside = new_id[nbrs] >= 0
+        if not self.directed:
+            inside &= old_ids[owners] < nbrs  # once each; the routine mirrors
+        m = old_ids.size
+        indptr, indices, _ = csr_from_pairs(
+            owners[inside], new_id[nbrs[inside]], (m, m), directed=self.directed
+        )
         labels = None
         if self.vertex_labels is not None:
             labels = self.vertex_labels[old_ids]
-        sub = builder.build(num_vertices=old_ids.size, vertex_labels=labels)
-        return sub, old_ids
+        return Graph(indptr, indices, self.directed, vertex_labels=labels), old_ids
 
     def orient_by_degree(self) -> "Graph":
         """Degree-ordered orientation of an undirected graph.
@@ -249,8 +257,7 @@ class Graph:
         deg = self.degrees()
         # Each undirected edge appears as both (u, v) and (v, u) in the
         # CSR; keep exactly the copy pointing up the (degree, id) order.
-        src = np.repeat(np.arange(n, dtype=np.int64), deg)
-        dst = self.indices
+        src, dst = edge_array(self.indptr, self.indices)
         keep = (deg[src] < deg[dst]) | ((deg[src] == deg[dst]) & (src < dst))
         src, dst = src[keep], dst[keep]
         # src is CSR-ordered and dst sorted within each source slice, so
@@ -290,35 +297,27 @@ class Graph:
 class GraphBuilder:
     """Accumulates edges and produces an immutable :class:`Graph`.
 
-    The builder deduplicates parallel edges (keeping the first label seen)
-    and drops self-loops by default, mirroring the preprocessing every
-    surveyed system applies to its inputs.
+    :meth:`build` applies :func:`~repro.graph.kernels.csr_from_pairs`:
+    parallel edges are deduplicated (keeping the first label seen) and
+    self-loops dropped, mirroring the preprocessing every surveyed
+    system applies to its inputs.
     """
 
-    def __init__(self, directed: bool = False, allow_self_loops: bool = False) -> None:
+    def __init__(self, directed: bool = False) -> None:
         self.directed = directed
-        self.allow_self_loops = allow_self_loops
-        self._edges: dict = {}
-        self._max_vertex = -1
+        self._edges: list = []  # (u, v, label) in insertion order
+        self._max_vertex = -1  # of add_vertex; build counts the edges
 
     def add_edge(self, u: int, v: int, label: int = 0) -> None:
         """Insert edge ``(u, v)``; for undirected builders order is ignored."""
         u, v = int(u), int(v)
         if u < 0 or v < 0:
             raise ValueError("vertex ids must be non-negative")
-        if u == v and not self.allow_self_loops:
-            return
-        if not self.directed and u > v:
-            u, v = v, u
-        self._max_vertex = max(self._max_vertex, u, v)
-        self._edges.setdefault((u, v), int(label))
+        self._edges.append((u, v, int(label)))
 
     def add_vertex(self, v: int) -> None:
         """Ensure vertex ``v`` exists even if isolated."""
         self._max_vertex = max(self._max_vertex, int(v))
-
-    def __len__(self) -> int:
-        return len(self._edges)
 
     def build(
         self,
@@ -326,36 +325,33 @@ class GraphBuilder:
         vertex_labels: Optional[Sequence[int]] = None,
     ) -> Graph:
         """Freeze the accumulated edges into a :class:`Graph`."""
-        n = self._max_vertex + 1 if num_vertices is None else int(num_vertices)
-        if n < self._max_vertex + 1:
-            raise ValueError(
-                f"num_vertices={n} but edges reference vertex {self._max_vertex}"
-            )
-        has_labels = any(label != 0 for label in self._edges.values())
-        srcs, dsts, labels = [], [], []
-        for (u, v), label in self._edges.items():
-            srcs.append(u)
-            dsts.append(v)
-            labels.append(label)
-            if not self.directed and u != v:
-                srcs.append(v)
-                dsts.append(u)
-                labels.append(label)
-        src = np.asarray(srcs, dtype=np.int64)
-        dst = np.asarray(dsts, dtype=np.int64)
-        lab = np.asarray(labels, dtype=np.int64)
-        order = np.lexsort((dst, src))
-        src, dst, lab = src[order], dst[order], lab[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        vlab = None
-        if vertex_labels is not None:
-            vlab = np.asarray(list(vertex_labels), dtype=np.int64)
-        return Graph(
-            indptr,
-            dst,
-            directed=self.directed,
-            vertex_labels=vlab,
-            edge_labels=lab if has_labels else None,
-        )
+        edges = np.array(self._edges, dtype=np.int64).reshape(-1, 3)
+        return _freeze(edges, self.directed, self._max_vertex, num_vertices,
+                       vertex_labels)
+
+
+def _freeze(
+    edges: np.ndarray,
+    directed: bool,
+    max_vertex: int,
+    num_vertices: Optional[int],
+    vertex_labels: Optional[Sequence[int]],
+) -> Graph:
+    """The :class:`Graph` of an ``(m, 2)`` edge array, or ``(m, 3)`` with
+    labels (all zero: none).  An inferred vertex count covers
+    ``max_vertex`` and the endpoints of kept edges, not of self-loops."""
+    src, dst = edges[:, 0], edges[:, 1]
+    if src.size and min(src.min(), dst.min()) < 0:
+        raise ValueError("vertex ids must be non-negative")
+    top = max(max_vertex, int(edges[src != dst, :2].max(initial=-1)))
+    n = top + 1 if num_vertices is None else int(num_vertices)
+    if n <= top:
+        raise ValueError(f"num_vertices={n} but edges reference vertex {top}")
+    labels = edges[:, 2] if edges.shape[1] == 3 and edges[:, 2].any() else None
+    indptr, indices, labels = csr_from_pairs(
+        src, dst, (n, n), directed=directed, labels=labels
+    )
+    if labels is not None and not labels.any():
+        labels = None
+    return Graph(indptr, indices, directed=directed,
+                 vertex_labels=vertex_labels, edge_labels=labels)

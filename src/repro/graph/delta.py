@@ -37,6 +37,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from .csr import Graph
+from .kernels import csr_from_pairs, edge_array
 
 __all__ = ["EdgeDelta", "apply_edge_updates", "random_edge_updates"]
 
@@ -99,13 +100,11 @@ def _pairs(codes: np.ndarray, n: int) -> np.ndarray:
 
 def _current_codes(graph: Graph) -> np.ndarray:
     """Codes of the graph's edges (one per undirected edge), CSR order."""
-    n = graph.num_vertices
-    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
-    dst = graph.indices
+    src, dst = edge_array(graph.indptr, graph.indices)
     if not graph.directed:
         keep = src < dst
         src, dst = src[keep], dst[keep]
-    return src * np.int64(n) + dst
+    return src * np.int64(graph.num_vertices) + dst
 
 
 def apply_edge_updates(
@@ -135,19 +134,10 @@ def apply_edge_updates(
     ins_codes = ins_codes[~np.isin(ins_codes, after_del, assume_unique=True)]
     ins, dels = _pairs(ins_codes, n), _pairs(del_codes, n)
 
-    codes = np.concatenate([after_del, ins_codes])
-    if not graph.directed:
-        # Mirror each (min, max) code to (max, min).
-        codes = np.concatenate(
-            [codes, (codes % np.int64(n)) * np.int64(n) + codes // np.int64(n)]
-        )
-    # A code orders edges by (src, dst): one sort lays out the CSR.
-    codes = np.sort(codes)
-
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(codes // np.int64(n), minlength=n), out=indptr[1:])
+    rows, cols = np.divmod(np.concatenate([after_del, ins_codes]), n)
+    indptr, indices, _ = csr_from_pairs(rows, cols, (n, n), directed=graph.directed)
     new_graph = Graph(
-        indptr, codes % np.int64(n), directed=graph.directed,
+        indptr, indices, directed=graph.directed,
         vertex_labels=graph.vertex_labels,
     )
     touched = np.unique(np.concatenate([ins.ravel(), dels.ravel()]))

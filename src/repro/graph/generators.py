@@ -126,13 +126,8 @@ def rmat(
     row_bits = (quadrants >> 1) & 1
     col_bits = quadrants & 1
     weights = 1 << np.arange(scale - 1, -1, -1)
-    us = (row_bits * weights).sum(axis=1)
-    vs = (col_bits * weights).sum(axis=1)
-    builder = GraphBuilder(directed=False)
-    builder.add_vertex(n - 1)
-    for u, v in zip(us.tolist(), vs.tolist()):
-        builder.add_edge(u, v)
-    return builder.build(num_vertices=n)
+    pairs = np.stack([row_bits @ weights, col_bits @ weights], axis=1)
+    return Graph.from_edges(pairs, num_vertices=n)
 
 
 def watts_strogatz(n: int, k: int, p: float, seed: int = 0) -> Graph:
@@ -184,25 +179,15 @@ def planted_partition(
 
 def grid_graph(rows: int, cols: int) -> Graph:
     """2-D grid; a sparse, low-degree graph with known structure."""
-    builder = GraphBuilder(directed=False)
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                builder.add_edge(v, v + 1)
-            if r + 1 < rows:
-                builder.add_edge(v, v + cols)
-    return builder.build(num_vertices=rows * cols)
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    right = np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], axis=1)
+    down = np.stack([ids[:-1].ravel(), ids[1:].ravel()], axis=1)
+    return Graph.from_edges(np.concatenate([right, down]), num_vertices=rows * cols)
 
 
 def complete_graph(n: int) -> Graph:
     """K_n."""
-    builder = GraphBuilder(directed=False)
-    builder.add_vertex(n - 1)
-    for u in range(n):
-        for v in range(u + 1, n):
-            builder.add_edge(u, v)
-    return builder.build(num_vertices=n)
+    return Graph.from_edges(np.stack(np.triu_indices(n, 1), axis=1), num_vertices=n)
 
 
 def cycle_graph(n: int) -> Graph:
@@ -264,21 +249,17 @@ def random_labeled_transactions(
         base = random_labeled_graph(
             n, p, num_vertex_labels, seed=int(rng.integers(1 << 31))
         )
-        builder = GraphBuilder(directed=False)
-        builder.add_vertex(n - 1)
-        for u, v in base.edges():
-            builder.add_edge(u, v)
+        edges = list(base.edges())
         vlabels = list(base.vertex_labels)
         if planted is not None and rng.random() < plant_fraction:
             # Embed the motif on the first k vertices with its own labels.
             k = planted.num_vertices
             if k > n:
                 raise ValueError("planted motif larger than transaction")
-            for u, v in planted.edges():
-                builder.add_edge(u, v)
+            edges += planted.edges()
             for v in range(k):
                 vlabels[v] = planted.vertex_label(v)
-        graph = builder.build(num_vertices=n, vertex_labels=vlabels)
+        graph = Graph.from_edges(edges, num_vertices=n, vertex_labels=vlabels)
         out.append(GraphTransaction(graph_id=id_offset + g_id, graph=graph))
     return out
 
@@ -300,17 +281,12 @@ def planted_motif_graph(
     k = motif.num_vertices
     if copies * k > n:
         raise ValueError("not enough vertices for the requested copies")
-    base = erdos_renyi(n, p, seed=seed + 7)
-    builder = GraphBuilder(directed=False)
-    builder.add_vertex(n - 1)
-    for u, v in base.edges():
-        builder.add_edge(u, v)
+    edges = list(erdos_renyi(n, p, seed=seed + 7).edges())
     vlabels = list(rng.integers(num_vertex_labels, size=n))
     slots = rng.permutation(n)[: copies * k].reshape(copies, k)
     for copy in range(copies):
         mapping = slots[copy]
-        for u, v in motif.edges():
-            builder.add_edge(int(mapping[u]), int(mapping[v]))
+        edges += [(mapping[u], mapping[v]) for u, v in motif.edges()]
         for v in range(k):
             vlabels[int(mapping[v])] = motif.vertex_label(v)
-    return builder.build(num_vertices=n, vertex_labels=vlabels)
+    return Graph.from_edges(edges, num_vertices=n, vertex_labels=vlabels)

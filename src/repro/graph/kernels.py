@@ -35,7 +35,12 @@ reduces to a handful of numpy primitives over the sorted CSR arrays:
 * :func:`scatter_add_ordered` — ordered scatter-add (``np.add.at``):
   increments apply in element order, so for any destination the adds
   happen in source order.  The dense TLAV path relies on this to stay
-  bit-identical to the per-vertex engine's left-fold combiner.
+  bit-identical to the per-vertex engine's left-fold combiner;
+* :func:`csr_from_pairs` — an edge list to CSR arrays under the
+  library's build rules (self-loops dropped, undirected pairs mirrored,
+  duplicates dropped keeping the first label, rows sorted): the one
+  routine behind every CSR the library builds;
+* :func:`edge_array` — the ``(src, dst)`` arrays of every CSR slot.
 
 All functions take plain ``int64`` arrays so they work on both a
 :class:`~repro.graph.csr.Graph` and the shared-memory views that
@@ -44,7 +49,7 @@ All functions take plain ``int64`` arrays so they work on both a
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,6 +68,7 @@ __all__ = [
     "any_true_per_owner",
     "scatter_add_ordered",
     "edge_array",
+    "csr_from_pairs",
 ]
 
 
@@ -295,3 +301,90 @@ def edge_array(indptr: np.ndarray, indices: np.ndarray) -> Tuple[np.ndarray, np.
     degrees = np.diff(indptr)
     src = np.repeat(np.arange(indptr.size - 1, dtype=np.int64), degrees)
     return src, indices
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def csr_from_pairs(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    shape: Tuple[int, int],
+    *,
+    directed: bool,
+    labels: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """``(indptr, indices, labels)`` of the pairs ``(rows[k], cols[k])``.
+
+    A square ``shape`` is one vertex space whose self-loops are dropped,
+    before the range check (a dropped self-loop names no vertex); a
+    rectangular one, a partition's local rows against global columns,
+    has none.  Pairs outside ``shape`` raise ``ValueError``.  An
+    undirected graph keeps each ``(min, max)`` pair once, in both rows.
+    Duplicates go, the first occurrence's label winning; ``labels`` come
+    back aligned with ``indices`` (``None`` when none were given).
+    """
+    num_rows, width = int(shape[0]), int(shape[1])
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    if labels is not None:
+        labels = np.asarray(labels, dtype=np.int64)
+    if num_rows == width:
+        proper = rows != cols
+        if not proper.all():
+            rows, cols = rows[proper], cols[proper]
+            labels = None if labels is None else labels[proper]
+    elif not directed:
+        raise ValueError(f"an undirected graph needs a square shape, not {shape}")
+    if rows.size and (min(rows.min(), cols.min()) < 0
+                      or rows.max() >= num_rows or cols.max() >= width):
+        raise ValueError(f"a pair lies outside the {num_rows} x {width} shape")
+    if not directed and labels is not None:
+        # Canonical pairs first, so the first label of either orientation wins.
+        indptr, cols, labels = _sorted_csr(
+            np.minimum(rows, cols), np.maximum(rows, cols), num_rows, width, labels
+        )
+        rows, cols = edge_array(indptr, cols)
+        labels = np.concatenate([labels, labels])
+    if not directed:
+        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    return _sorted_csr(rows, cols, num_rows, width, labels)
+
+
+def _sorted_csr(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    num_rows: int,
+    width: int,
+    labels: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """CSR of the pairs in ``(row, col)`` order, each once with its first label.
+
+    One int64 sort of the codes ``row·width + col`` (a stable ``argsort``
+    under labels), whose row starts are one ``searchsorted``; a
+    ``lexsort``, same order, only where the codes would overflow.
+    """
+    width = max(1, width)
+    if num_rows * width > _INT64_MAX:
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        indptr = np.zeros(num_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[first], minlength=num_rows), out=indptr[1:])
+        return indptr, cols[first], None if labels is None else labels[order][first]
+    codes = rows * width
+    codes += cols
+    if labels is None:
+        codes.sort()
+    else:
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+    first = np.ones(codes.size, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    if not first.all():
+        codes = codes[first]
+    if labels is not None:
+        labels = labels[order][first]
+    indptr = np.searchsorted(codes, np.arange(num_rows + 1, dtype=np.int64) * width)
+    # In place: the codes are spent once the row starts are found.
+    return indptr.astype(np.int64, copy=False), np.remainder(codes, width, out=codes), labels

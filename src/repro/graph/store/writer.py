@@ -50,6 +50,7 @@ import numpy as np
 
 from ...resilience.faults import FaultError, FaultInjector
 from ..csr import Graph
+from ..kernels import csr_from_pairs, expand_frontier
 from ..partition import Partition, hash_assignment, range_assignment
 from .format import (
     FileEntry,
@@ -320,26 +321,12 @@ def _build_into(
     partitions = []
     for k in range(parts):
         nodes = np.flatnonzero(assignment == k).astype(np.int64)
-        if nodes.size:
-            slices = [indices[indptr[v]: indptr[v + 1]] for v in nodes]
-            part_indices = (
-                np.concatenate(slices) if slices else np.empty(0, dtype=np.int64)
-            )
-            part_indptr = np.zeros(nodes.size + 1, dtype=np.int64)
-            np.cumsum(degrees[nodes], out=part_indptr[1:])
-            part_labels = None
-            if graph.edge_labels is not None:
-                part_labels = np.concatenate(
-                    [graph.edge_labels[indptr[v]: indptr[v + 1]] for v in nodes]
-                )
-        else:
-            part_indices = np.empty(0, dtype=np.int64)
-            part_indptr = np.zeros(1, dtype=np.int64)
-            part_labels = (
-                np.empty(0, dtype=np.int64)
-                if graph.edge_labels is not None
-                else None
-            )
+        part_indptr = np.zeros(nodes.size + 1, dtype=np.int64)
+        np.cumsum(degrees[nodes], out=part_indptr[1:])
+        _, part_indices = expand_frontier(indptr, indices, nodes)
+        part_labels = None
+        if graph.edge_labels is not None:
+            _, part_labels = expand_frontier(indptr, graph.edge_labels, nodes)
         feature_rows = features[nodes] if features is not None else None
         partitions.append(
             _write_partition_shard(
@@ -384,28 +371,6 @@ def _build_into(
 #: show in the output: chunks are cut by kept-edge count alone.
 _MIN_BLOCK_ITEMS = 4096
 _INT64 = np.iinfo(np.int64)
-
-
-def _sorted_unique_pairs(
-    rows: np.ndarray, cols: np.ndarray, width: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(rows, cols)`` in lexicographic order with duplicates dropped.
-
-    One int64 sort of the codes ``row·width + col`` (``0 <= col <
-    width``); a lexsort, same order, only where the codes would overflow.
-    """
-    width = max(1, int(width))
-    if rows.size and (int(rows.max()) + 1) * width - 1 > _INT64.max:
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        keep = np.ones(rows.size, dtype=bool)
-        keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        return rows[keep], cols[keep]
-    codes = rows * width + cols
-    codes.sort()
-    keep = np.ones(codes.size, dtype=bool)
-    keep[1:] = codes[1:] != codes[:-1]
-    return np.divmod(codes[keep], width)
 
 
 def _outside_error(u: int, v: int, n: int) -> StoreError:
@@ -525,10 +490,13 @@ def ingest_edge_stream(
     ``2 * chunk_edges`` directed slots (undirected edges emit both
     directions, interleaved), and each chunk is routed to the
     per-partition spill files by one stable sort of the owners.  Pass 2
-    builds one partition at a time: load that partition's spill, sort
-    and dedupe it as ``row·n + neighbor`` codes, and write the CSR
-    shard.  Equivalent to ``build_store(Graph.from_edges(edges, ...),
-    ...)`` under the same partition layout — byte-for-byte.
+    builds one partition at a time: load that partition's spill, turn
+    it into the shard's CSR with
+    :func:`~repro.graph.kernels.csr_from_pairs` (local rows against
+    global neighbors), and write the shard.  Equivalent to
+    ``build_store(Graph.from_edges(edges, ...), ...)`` under the same
+    partition layout — byte-for-byte, because ``Graph.from_edges``
+    builds through the same routine.
 
     Every chunk and partition boundary commits a write-ahead journal
     (see :mod:`repro.graph.store.journal`).  Each commit records the
@@ -693,7 +661,7 @@ def ingest_edge_stream(
 
             # A chunk closes on the kept edge that brings its slot count
             # to 2 * chunk_edges; self-loops count as consumed items but
-            # fill no slot (GraphBuilder drops them; stay equivalent).
+            # fill no slot (csr_from_pairs drops them; stay equivalent).
             edges_per_chunk = 2 * chunk_edges if directed else chunk_edges
             consumed = skip = journal.items_consumed
             pending: List[np.ndarray] = []  # kept edges since the last commit
@@ -763,11 +731,10 @@ def ingest_edge_stream(
                 os.remove(spill_paths[k])
             continue
         raw = np.fromfile(spill_paths[k], dtype=np.int64)
-        local_src, dst = _sorted_unique_pairs(local_id[raw[0::2]], raw[1::2], n)
-        counts = np.bincount(local_src, minlength=nodes.size)
-        part_indptr = np.zeros(nodes.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=part_indptr[1:])
-        degrees[nodes] = counts
+        part_indptr, dst, _ = csr_from_pairs(
+            local_id[raw[0::2]], raw[1::2], (nodes.size, n), directed=True
+        )
+        degrees[nodes] = np.diff(part_indptr)
         feature_rows = features[nodes] if features is not None else None
         meta = _write_partition_shard(
             root, k, nodes, part_indptr, dst, None, feature_rows, injector

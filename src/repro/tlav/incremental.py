@@ -45,21 +45,11 @@ import numpy as np
 from ..graph.csr import Graph
 from ..graph.delta import EdgeDelta, apply_edge_updates
 from ..graph.kernels import expand_frontier
+from ..graph.store.handle import as_handle
 
 __all__ = ["IncrementalPageRank", "IncrementalWCC", "IncrementalBFS"]
 
 _UNREACHED = np.iinfo(np.int64).max
-
-
-def _as_graph(graph_or_handle: Any) -> Graph:
-    if isinstance(graph_or_handle, Graph):
-        return graph_or_handle
-    to_graph = getattr(graph_or_handle, "to_graph", None)
-    if to_graph is not None:
-        return to_graph()
-    raise TypeError(
-        f"expected a Graph or handle, got {type(graph_or_handle).__name__}"
-    )
 
 
 def _spread(graph: Graph, vertices: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -79,7 +69,7 @@ class _Maintainer:
     undirected_only = False
 
     def __init__(self, graph_or_handle: Any) -> None:
-        self.graph = _as_graph(graph_or_handle)
+        self.graph = as_handle(graph_or_handle).to_graph()
         if self.undirected_only and self.graph.directed:
             raise ValueError(f"{type(self).__name__} expects an undirected graph")
         self.epoch = 0

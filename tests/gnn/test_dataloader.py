@@ -1,7 +1,7 @@
 """The staged mini-batch dataloader: determinism, coverage, accounting.
 
 The load-bearing property is bit-identity: at a fixed seed the loader
-emits exactly the batches the legacy ``NeighborSampler.batches`` loop
+emits exactly the batches the pre-loader sampling loop (``_loop_blocks``)
 would — across repeated epochs, and with prefetch on or off — so the
 refactored ``train_sampled`` reproduces pre-refactor losses exactly.
 """
@@ -86,6 +86,17 @@ class TestItemSampler:
             ItemSampler(range(4), 0)
 
 
+def _loop_blocks(sampler, nodes, batch_size):
+    """The pre-loader sampling loop: one permutation of ``nodes`` from the
+    sampler's generator, then one sampled block per slice of it."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    order = sampler.rng.permutation(nodes.size)
+    return [
+        sampler.sample(nodes[order[start: start + batch_size]])
+        for start in range(0, nodes.size, batch_size)
+    ]
+
+
 class TestLoaderDeterminism:
     def test_matches_legacy_sampler_loop(self, task):
         g, _labels, _features, train_mask, _val = task
@@ -93,7 +104,7 @@ class TestLoaderDeterminism:
         legacy = NeighborSampler(g, (3, 3), seed=0)
         loader = _loader(task)
         for _ in range(2):  # the RNG stream continues across epochs
-            legacy_blocks = legacy.batches(train_nodes, 8)
+            legacy_blocks = _loop_blocks(legacy, train_nodes, 8)
             batches = list(loader.epoch())
             assert len(batches) == len(legacy_blocks)
             for mb, block in zip(batches, legacy_blocks):
@@ -377,7 +388,7 @@ def _legacy_losses(task, epochs, batch_size, fanouts, lr, seed):
     train_nodes = np.nonzero(train_mask)[0]
     losses = []
     for _ in range(epochs):
-        for block in sampler.batches(train_nodes, batch_size):
+        for block in _loop_blocks(sampler, train_nodes, batch_size):
             x = Tensor(features[block.node_ids])
             optimizer.zero_grad()
             logits = model(block.tensors(), x)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster.comm import Network
 from repro.gnn.caching import LRUCache, StaticDegreeCache
+from repro.gnn.dataloader import ItemSampler
 from repro.gnn.distributed_sampled import DistributedSampledTrainer
 from repro.gnn.models import Adam, NodeClassifier
 from repro.gnn.sampling import NeighborSampler
@@ -140,7 +141,8 @@ def _legacy_run(task, partition, cache, policy, seed, epochs):
             local_train = train_nodes[owners[train_nodes] == worker]
             if local_train.size == 0:
                 continue
-            for block in sampler.batches(local_train, 16):
+            for seeds in ItemSampler(local_train, 16).batches(sampler.rng):
+                block = sampler.sample(seeds)
                 per_owner = {}
                 for v in block.node_ids:
                     owner = int(owners[int(v)])

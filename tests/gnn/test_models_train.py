@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.gnn.dataloader import ItemSampler
 from repro.gnn.layers import GraphTensors
 from repro.gnn.models import (
     Adam,
@@ -162,7 +163,10 @@ class TestSampling:
         g, *_ = community_task
         sampler = NeighborSampler(g, fanouts=[3], seed=0)
         nodes = list(range(0, 90, 3))
-        blocks = sampler.batches(nodes, batch_size=8)
+        blocks = [
+            sampler.sample(seeds)
+            for seeds in ItemSampler(nodes, batch_size=8).batches(sampler.rng)
+        ]
         seeds = [
             int(b.node_ids[i]) for b in blocks for i in b.seed_local
         ]

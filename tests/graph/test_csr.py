@@ -35,11 +35,36 @@ class TestGraphBuilder:
         assert g.num_edges == 1
         assert not g.has_edge(0, 0)
 
-    def test_self_loops_kept_when_allowed(self):
-        b = GraphBuilder(allow_self_loops=True)
-        b.add_edge(0, 0)
-        g = b.build(num_vertices=1)
-        assert g.has_edge(0, 0)
+    def test_dropped_self_loop_does_not_grow_inferred_n(self):
+        b = GraphBuilder()
+        b.add_edge(0, 1)
+        b.add_edge(7, 7)
+        assert b.build().num_vertices == 2
+        assert b.build(num_vertices=3).num_vertices == 3  # no "vertex 7" error
+        assert Graph.from_edges([(0, 1), (5, 5)]).num_vertices == 2
+
+    def test_first_label_wins_on_duplicates(self):
+        for directed in (False, True):
+            b = GraphBuilder(directed=directed)
+            b.add_edge(0, 1, label=4)
+            b.add_edge(1, 0, label=5)
+            b.add_edge(0, 1, label=6)
+            b.add_edge(2, 1, label=0)
+            b.add_edge(1, 2, label=8)
+            g = b.build()
+            assert g.edge_label(0, 1) == 4
+            if directed:
+                assert g.edge_label(1, 0) == 5
+                assert g.edge_label(2, 1) == 0 and g.edge_label(1, 2) == 8
+            else:
+                assert g.edge_label(1, 0) == 4  # the reversed duplicate lost
+                assert g.edge_label(1, 2) == g.edge_label(2, 1) == 0
+
+    def test_all_zero_kept_labels_are_no_labels(self):
+        b = GraphBuilder()
+        b.add_edge(0, 1, label=0)
+        b.add_edge(1, 0, label=3)  # a duplicate: its label is dropped
+        assert b.build().edge_labels is None
 
     def test_duplicate_edges_deduplicated(self):
         g = Graph.from_edges([(0, 1), (1, 0), (0, 1)])
@@ -63,6 +88,19 @@ class TestGraphBuilder:
         b = GraphBuilder()
         with pytest.raises(ValueError):
             b.add_edge(-1, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            Graph.from_edges([(0, 1), (2, -3)])
+        with pytest.raises(ValueError, match="non-negative"):
+            Graph.from_edges(np.array([[-1, -1]]))  # a self-loop, still rejected
+
+    def test_from_edges_accepts_an_array(self):
+        pairs = np.array([[2, 0], [0, 1], [1, 1], [0, 2]])
+        want = Graph.from_edges([(2, 0), (0, 1), (1, 1), (0, 2)])
+        assert Graph.from_edges(pairs) == want
+        assert Graph.from_edges(pairs.astype(np.int32)) == want
+        assert Graph.from_edges(np.empty((0, 2), dtype=np.int64)).num_vertices == 0
+        with pytest.raises(ValueError, match="pairs"):
+            Graph.from_edges([(0, 1, 2)])
 
     def test_directed_edges_one_way(self):
         g = Graph.from_edges([(0, 1)], directed=True)

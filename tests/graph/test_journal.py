@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.generators import barabasi_albert
+from repro.graph.kernels import csr_from_pairs
 from repro.graph.store import (
     QUARANTINE_DIRNAME,
     CorruptShardError,
@@ -313,13 +314,19 @@ class TestArrayPassOne:
         rng = np.random.default_rng(2)
         rows = rng.integers(0, 50, 400)
         cols = rng.integers(0, 60, 400)
-        want = writer_mod._sorted_unique_pairs(rows, cols, 60)
-        wide = writer_mod._sorted_unique_pairs(rows, cols, 1 << 62)  # lexsort
-        order = np.lexsort((cols, rows))
-        pairs = np.unique(np.stack([rows[order], cols[order]], axis=1), axis=0)
-        for got in (want, wide):
-            np.testing.assert_array_equal(got[0], pairs[:, 0])
-            np.testing.assert_array_equal(got[1], pairs[:, 1])
+        labels = rng.integers(0, 5, 400)
+        # Pass 2's shape: a partition's local rows against global columns.
+        want = csr_from_pairs(rows, cols, (50, 60), directed=True, labels=labels)
+        wide = csr_from_pairs(  # codes would overflow int64: lexsort
+            rows, cols, (50, 1 << 62), directed=True, labels=labels
+        )
+        pairs, first = np.unique(np.stack([rows, cols], axis=1), axis=0,
+                                 return_index=True)
+        for indptr, indices, kept in (want, wide):
+            np.testing.assert_array_equal(np.diff(indptr),
+                                          np.bincount(pairs[:, 0], minlength=50))
+            np.testing.assert_array_equal(indices, pairs[:, 1])
+            np.testing.assert_array_equal(kept, labels[first])
 
 
 _JOURNAL_DAMAGE = {

@@ -48,15 +48,26 @@ def graphs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 1 << 16)))
     vertex_labels = draw(st.integers(0, 2))  # number of labels; 0: none
     edge_labels = draw(st.booleans())
-    builder = GraphBuilder(
-        directed=draw(st.booleans()), allow_self_loops=draw(st.booleans())
-    )
-    for u, v in zip(*np.nonzero(rng.random((n, n)) < density)):
-        builder.add_edge(u, v, label=int(rng.integers(1, 3)) if edge_labels else 0)
+    directed = draw(st.booleans())
+    self_loops = draw(st.booleans())
+    # CSR arrays straight from a dense adjacency draw: the builders drop
+    # self-loops, and these graphs must be able to keep them.
+    present = rng.random((n, n)) < density
+    label = rng.integers(1, 3, size=(n, n))
+    if not directed:  # one draw per unordered pair, both copies alike
+        present = np.triu(present)
+        present |= present.T
+        label = np.triu(label) + np.triu(label, 1).T
+    if not self_loops:
+        np.fill_diagonal(present, False)
+    rows, cols = np.nonzero(present)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
     labels = None
     if vertex_labels:
         labels = rng.integers(vertex_labels, size=n)
-    return builder.build(num_vertices=n, vertex_labels=labels)
+    return Graph(indptr, cols, directed=directed, vertex_labels=labels,
+                 edge_labels=label[rows, cols] if edge_labels else None)
 
 
 @st.composite

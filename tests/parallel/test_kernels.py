@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.check import load_all
+from repro.graph import checks as graph_checks
 from repro.graph import kernels
 from repro.graph.generators import erdos_renyi
 
@@ -135,6 +136,37 @@ class TestPresenceIndex:
 
         monkeypatch.setattr(kernels.PresenceIndex, "__init__", without_first_code)
         assert check.run(params)
+
+
+class TestCsrFromPairs:
+    def test_oracle_green_and_reports_last_label_winning(self, monkeypatch):
+        check = load_all().get("graph.csr.from_pairs_vs_reference")
+        cases = [check.gen(np.random.default_rng(seed)) for seed in range(60)]
+        assert all(check.run(params) == [] for params in cases)
+        real = kernels.csr_from_pairs
+
+        def last_label_wins(rows, cols, shape, *, directed, labels=None):
+            return real(rows[::-1], cols[::-1], shape, directed=directed,
+                        labels=None if labels is None else labels[::-1])
+
+        monkeypatch.setattr(graph_checks, "csr_from_pairs", last_label_wins)
+        assert any(check.run(params) for params in cases)
+
+    def test_pairs_outside_the_shape_raise(self):
+        with pytest.raises(ValueError, match="outside"):
+            kernels.csr_from_pairs([0, 3], [1, 0], (3, 3), directed=True)
+        with pytest.raises(ValueError, match="outside"):
+            kernels.csr_from_pairs([0], [-1], (3, 3), directed=False)
+        with pytest.raises(ValueError, match="square"):
+            kernels.csr_from_pairs([0], [1], (2, 3), directed=False)
+
+    def test_rectangular_shape_keeps_row_equal_to_column(self):
+        # Local rows against global columns: (1, 1) is no self-loop.
+        indptr, indices, _ = kernels.csr_from_pairs(
+            [1, 0, 1], [1, 4, 1], (2, 5), directed=True
+        )
+        np.testing.assert_array_equal(indptr, [0, 1, 2])
+        np.testing.assert_array_equal(indices, [4, 1])
 
 
 class TestSortedUnique:

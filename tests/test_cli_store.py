@@ -107,11 +107,11 @@ class TestStoreBuild:
                      "hash", "--num-parts", "2"]) == 0
         before = _shards(dest)
 
-        def disk_full(*_args):
+        def disk_full(*_args, **_kwargs):
             raise OSError(errno.ENOSPC, "No space left on device")
 
         # The streamed overwrite dies in pass 2, after pass 1 spilled.
-        monkeypatch.setattr(writer_mod, "_sorted_unique_pairs", disk_full)
+        monkeypatch.setattr(writer_mod, "csr_from_pairs", disk_full)
         assert main(["store", "build", edge_file, dest, "--partition",
                      "hash", "--num-parts", "3", "--overwrite"]) == 1
         assert "No space left" in capsys.readouterr().err

@@ -233,6 +233,18 @@ class TestIncrementalWCC:
         assert digest.hexdigest() == self.GOLDEN_DIGEST
 
 
+class TestInputs:
+    def test_handle_accepted_and_non_graph_refused(self, tmp_path):
+        from repro.graph.store import InMemoryGraph, build_store
+
+        g = barabasi_albert(40, 2, seed=0)
+        assert IncrementalWCC(InMemoryGraph(g)).graph is g
+        build_store(g, str(tmp_path / "g"), partition="hash", num_parts=2)
+        assert IncrementalWCC(str(tmp_path / "g")).graph == g
+        with pytest.raises(TypeError, match="graph handle"):
+            IncrementalPageRank([(0, 1)])
+
+
 class TestDirectedGraphsRefused:
     """WCC and BFS repairs read adjacency as symmetric; on a directed
     graph they used to return wrong answers silently."""
