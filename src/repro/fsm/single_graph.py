@@ -13,8 +13,9 @@ The tutorial's systems differ in *how they evaluate* MNI:
   data vertex) pair, with prunings; this module implements its three
   core prunings, individually toggleable for bench C6:
 
-  - ``prune_nlf`` — neighborhood label/degree filtering of candidate
-    domains before any search;
+  - ``prune_nlf`` — neighborhood label filtering of candidate domains
+    before any search (``matching.filtering.build_candidates``' NLF
+    stage; its label and degree filter always applies);
   - ``early_stop`` — stop filling a domain once it reaches
     ``min_support`` (only the minimum matters for the frequency test);
   - ``reuse_embeddings`` — every found embedding validates one data
@@ -36,10 +37,11 @@ graph).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..graph.csr import Graph
 from ..matching.backtrack import MatchStats, match
+from ..matching.filtering import build_candidates
 from ..matching.pattern import PatternGraph, default_order
 from ..sim import WorkerClocks
 from .gspan import DFSCode, _edge_key, is_min
@@ -68,45 +70,6 @@ class MNIResult:
         return self.support
 
 
-def _candidate_domains(
-    graph: Graph, pattern: PatternGraph, prune_nlf: bool
-) -> List[List[int]]:
-    """Initial candidate domain per pattern vertex (label + NLF filter)."""
-    domains: List[List[int]] = []
-    # Precompute data-side neighbor label multisets once if needed.
-    if prune_nlf:
-        label_of = (
-            (lambda v: int(graph.vertex_labels[v]))
-            if graph.vertex_labels is not None
-            else (lambda v: 0)
-        )
-    for pv in range(pattern.n):
-        want = pattern.label(pv)
-        want_degree = pattern.degree(pv)
-        # Pattern vertex's neighbor label requirements.
-        if prune_nlf:
-            need: Dict[int, int] = {}
-            for q in pattern.adj[pv]:
-                lbl = pattern.label(q)
-                need[lbl] = need.get(lbl, 0) + 1
-        domain: List[int] = []
-        for v in range(graph.num_vertices):
-            if graph.vertex_labels is not None and graph.vertex_label(v) != want:
-                continue
-            if prune_nlf:
-                if graph.degree(v) < want_degree:
-                    continue
-                have: Dict[int, int] = {}
-                for w in graph.neighbors(v):
-                    lbl = label_of(int(w))
-                    have[lbl] = have.get(lbl, 0) + 1
-                if any(have.get(lbl, 0) < cnt for lbl, cnt in need.items()):
-                    continue
-            domain.append(v)
-        domains.append(domain)
-    return domains
-
-
 def mni_support(
     graph: Graph,
     pattern: PatternGraph,
@@ -122,13 +85,15 @@ def mni_support(
     growing at ``min_support`` valid vertices, and the whole evaluation
     aborts when some domain is exhausted below it.
     """
-    candidates = _candidate_domains(graph, pattern, prune_nlf)
+    candidates, _ = build_candidates(
+        graph, pattern, use_nlf=prune_nlf, refine=False
+    )
     valid: List[Set[int]] = [set() for _ in range(pattern.n)]
     result = MNIResult(support=0, domains=valid)
     target = min_support if (min_support is not None and early_stop) else None
 
     for pv in range(pattern.n):
-        for v in candidates[pv]:
+        for v in candidates[pv].tolist():
             if target is not None and len(valid[pv]) >= target:
                 break
             if v in valid[pv]:
@@ -197,12 +162,12 @@ def mni_support_parallel(
     are independent — the T-FSM trade: more total work, near-perfect
     scaling.
     """
-    candidates = _candidate_domains(graph, pattern, prune_nlf=True)
+    candidates, _ = build_candidates(graph, pattern, refine=False)
     valid: List[Set[int]] = [set() for _ in range(pattern.n)]
     result = MNIResult(support=0, domains=valid)
     clocks = WorkerClocks(num_workers)
     for pv in range(pattern.n):
-        for v in candidates[pv]:
+        for v in candidates[pv].tolist():
             start, w = clocks.pop()
             emb, ops = _first_embedding(graph, pattern, pv, v)
             result.existence_checks += 1

@@ -327,10 +327,7 @@ def train_sampled(
     lr: float = 0.01,
     seed: int = 0,
     obs: Optional[MetricsRegistry] = None,
-    prefetch: int = 0,
-    cache=None,
     loader: Optional["MiniBatchLoader"] = None,
-    tracer=None,
 ) -> TrainReport:
     """Mini-batch training over the staged GraphBolt-style dataloader.
 
@@ -342,10 +339,11 @@ def train_sampled(
     rows are pulled from the handle's feature shards, never the whole
     matrix.
 
-    Batches come from a :class:`~repro.gnn.dataloader.MiniBatchLoader`
-    (pass ``prefetch``/``cache`` to configure it, or hand in a prebuilt
-    ``loader`` to inspect its schedule/cache reports afterwards); at
-    fixed ``seed`` the losses are the same with prefetch on or off.
+    Batches come from a :class:`~repro.gnn.dataloader.MiniBatchLoader`:
+    by default one built from ``batch_size``, ``fanouts``, ``features``
+    and ``seed``; hand in a configured ``loader`` to prefetch, cache
+    features, trace, or inspect its schedule/cache reports afterwards.
+    At fixed ``seed`` the losses are the same with prefetch on or off.
 
     Each epoch is scored **exactly**, like :func:`train_full_graph`: one
     full forward over inputs built once per call (:func:`eval_inputs`),
@@ -363,10 +361,7 @@ def train_sampled(
             fanouts=fanouts,
             features=features,
             seed=seed,
-            cache=cache,
-            prefetch=prefetch,
             obs=obs,
-            tracer=tracer,
         )
     gt, x = eval_inputs(handle, features, report)
     for _ in range(epochs):

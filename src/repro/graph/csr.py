@@ -207,16 +207,6 @@ class Graph:
     # Derived graphs
     # ------------------------------------------------------------------
 
-    def reverse(self) -> "Graph":
-        """Transpose of a directed graph (self, when undirected); labels
-        are not carried."""
-        if not self.directed:
-            return self
-        n = self.num_vertices
-        src, dst = edge_array(self.indptr, self.indices)
-        indptr, indices, _ = csr_from_pairs(dst, src, (n, n), directed=True)
-        return Graph(indptr, indices, directed=True)
-
     def subgraph(self, keep: Sequence[int]) -> Tuple["Graph", np.ndarray]:
         """Vertex-induced subgraph (edge labels are not carried).
 

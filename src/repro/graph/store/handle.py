@@ -287,9 +287,6 @@ class InMemoryGraph:
     def orient_by_degree(self) -> Graph:
         return self._graph.orient_by_degree()
 
-    def reverse(self) -> Graph:
-        return self._graph.reverse()
-
     def subgraph(self, keep):
         return self._graph.subgraph(keep)
 

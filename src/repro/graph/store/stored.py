@@ -543,9 +543,6 @@ class StoredGraph:
     def orient_by_degree(self) -> Graph:
         return self.to_graph().orient_by_degree()
 
-    def reverse(self) -> Graph:
-        return self.to_graph().reverse()
-
     def subgraph(self, keep):
         return self.to_graph().subgraph(keep)
 

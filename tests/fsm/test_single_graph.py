@@ -119,6 +119,24 @@ class TestPrunings:
         assert fast.search_ops < slow.search_ops
         assert fast.existence_checks < slow.existence_checks
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nlf_pruning_leaves_support_unchanged(self, seed):
+        """NLF only drops vertices that host no embedding."""
+        rng = np.random.default_rng(seed)
+        graph = random_labeled_graph(40, 0.12, num_vertex_labels=2, seed=seed)
+        for edges in ([(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 0)],
+                      [(0, 1), (1, 2), (2, 0), (2, 3)]):
+            labels = rng.integers(0, 2, size=1 + max(map(max, edges)))
+            pattern = PatternGraph(
+                Graph.from_edges(edges, vertex_labels=labels.tolist())
+            )
+            pruned, plain = (
+                mni_support(graph, pattern, prune_nlf=nlf, early_stop=False)
+                for nlf in (True, False)
+            )
+            assert pruned.support == plain.support
+            assert pruned.domains == plain.domains
+
     def test_early_stop_caps_domain_size(self, triangle_motif_graph):
         graph, pattern = triangle_motif_graph
         result = mni_support(graph, pattern, min_support=3, early_stop=True)

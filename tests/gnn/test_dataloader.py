@@ -374,7 +374,8 @@ class TestPrefetchLifecycle:
             train_sampled(
                 FailingModel(3, 8, 3, layer="sage", seed=0), g,
                 features=features, labels=labels, train_mask=train_mask,
-                batch_size=8, fanouts=(3, 3), prefetch=2,
+                batch_size=8, fanouts=(3, 3),
+                loader=_loader(task, prefetch=2),
             )
         assert threading.active_count() == before
 
@@ -423,7 +424,10 @@ class TestTrainSampledBitIdentity:
         assert self._train(task).losses == legacy
 
     def test_prefetch_preserves_losses(self, task):
-        assert self._train(task, prefetch=3).losses == self._train(task).losses
+        loader = _loader(task, batch_size=self.BATCH, seed=self.SEED,
+                         prefetch=3)
+        assert (self._train(task, loader=loader).losses
+                == self._train(task).losses)
 
     def test_exact_eval_preserves_losses(self, task):
         # Evaluation draws no random numbers, so scoring with or without

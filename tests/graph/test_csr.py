@@ -166,15 +166,6 @@ class TestGraphAccessors:
 
 
 class TestDerivedGraphs:
-    def test_reverse_directed(self):
-        g = Graph.from_edges([(0, 1), (1, 2)], directed=True)
-        r = g.reverse()
-        assert r.has_edge(1, 0) and r.has_edge(2, 1)
-        assert not r.has_edge(0, 1)
-
-    def test_reverse_undirected_is_self(self, small_er):
-        assert small_er.reverse() is small_er
-
     def test_subgraph_preserves_internal_edges(self, small_er):
         keep = [0, 1, 2, 3, 4, 5, 6, 7]
         sub, old_ids = small_er.subgraph(keep)

@@ -227,3 +227,138 @@ class TestMinibatchCLI:
                      "--fanout", "2", "--cache", "none", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["cache_report"]["hits"] == 0
+
+
+#: Every subcommand's options: strings (or a positional's name) ->
+#: (default, choices, required).  Sharing an option between commands
+#: must leave each command's row as it is.
+CLI_SURFACE = {
+    "tables": {},
+    "analyze": {
+        "path": (None, None, True),
+        "--shard-cache": (None, None, False),
+        "--directed": (False, None, False),
+        "--json": (False, None, False),
+        "--workers": (None, None, False),
+        "--backend": (None, ["serial", "process", "auto"], False),
+    },
+    "chaos": {
+        "--scenario": ("all", ["all", "executor", "network", "tlav", "tlag",
+                               "gnn", "lambda", "serve-soak", "mutate-soak"],
+                       False),
+        "--seed": (None, None, False),
+        "--json": (False, None, False),
+        "--workers": (None, None, False),
+        "--backend": (None, ["serial", "process", "auto"], False),
+    },
+    "check": {
+        "--suite": ("quick", ["quick", "full", "corpus"], False),
+        "--seed": (0, None, False),
+        "--cases": (1, None, False),
+        "--shrink": (False, None, False),
+        "--json": (False, None, False),
+        "--list": (False, None, False),
+        "--only": (None, None, False),
+        "--subsystem": (None, None, False),
+        "--corpus-dir": (None, None, False),
+    },
+    "serve": {
+        "--scenario": ("smoke", ["smoke", "mixed", "burst", "temporal"], False),
+        "--seed": (0, None, False),
+        "--json": (False, None, False),
+        "--workers": (None, None, False),
+        "--queue-bound": (None, None, False),
+        "--batch-window": (None, None, False),
+        "--max-batch": (8, None, False),
+        "--no-cache": (False, None, False),
+    },
+    "obs-demo": {
+        "--workers": (4, None, False),
+    },
+    "match": {
+        "path": (None, None, True),
+        "pattern": (None, ["c4", "diamond", "edge", "house", "k4", "p4",
+                           "path3", "star3", "tailed-triangle", "triangle"],
+                    True),
+        "--order": ("planned", ["planned", "worst"], False),
+    },
+    "store": {},
+    "store build": {
+        "path": (None, None, True),
+        "dest": (None, None, True),
+        "--partition": ("range", ["hash", "range", "metis"], False),
+        "--num-parts": (1, None, False),
+        "--seed": (0, None, False),
+        "--directed": (False, None, False),
+        "--chunk-edges": (200_000, None, False),
+        "--name": (None, None, False),
+        "--overwrite": (False, None, False),
+    },
+    "store inspect": {
+        "dir": (None, None, True),
+        "--json": (False, None, False),
+        "--verify": (False, None, False),
+    },
+    "store verify": {
+        "dir": (None, None, True),
+        "--json": (False, None, False),
+    },
+    "store repair": {
+        "dir": (None, None, True),
+        "--json": (False, None, False),
+    },
+    "minibatch": {
+        "--n": (90, None, False),
+        "--epochs": (3, None, False),
+        "--batch-size": (16, None, False),
+        "--fanout": (5, None, False),
+        "--prefetch": (0, None, False),
+        "--cache": ("lru", ["none", "lru", "static"], False),
+        "--capacity": (32, None, False),
+        "--seed": (0, None, False),
+        "--json": (False, None, False),
+    },
+    "generate": {
+        "kind": (None, ["er", "ba", "rmat", "ws", "grid"], True),
+        "path": (None, None, True),
+        "--n": (1000, None, False),
+        "--m": (4, None, False),
+        "--p": (0.01, None, False),
+        "--scale": (10, None, False),
+        "--seed": (0, None, False),
+    },
+}
+
+
+def _subcommands(parser, prefix=""):
+    """``(name, parser)`` for every subcommand, nested verbs included."""
+    import argparse
+
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                path = f"{prefix} {name}".strip()
+                yield path, sub
+                yield from _subcommands(sub, path)
+
+
+def _surface(parser):
+    import argparse
+
+    return {
+        ", ".join(action.option_strings) or action.dest: (
+            action.default,
+            None if action.choices is None else list(action.choices),
+            action.required,
+        )
+        for action in parser._actions
+        if not isinstance(action, (argparse._HelpAction,
+                                   argparse._SubParsersAction))
+    }
+
+
+def test_cli_surface_is_pinned():
+    commands = dict(_subcommands(build_parser()))
+    assert list(commands) == list(CLI_SURFACE)
+    for name, expected in CLI_SURFACE.items():
+        assert _surface(commands[name]) == expected, name
