@@ -126,11 +126,12 @@ def _edge_list_profile(args: argparse.Namespace) -> dict:
     }
     if not graph.directed:
         vertices, dens = densest_subgraph(graph)
+        clustering = clustering_coefficients(graph)
         profile.update(
             components=num_connected_components(graph),
             triangles=triangle_count(graph, executor=executor),
-            avg_clustering=float(clustering_coefficients(graph).mean()),
-            max_core=int(core_numbers(graph).max()),
+            avg_clustering=float(clustering.mean()) if clustering.size else 0.0,
+            max_core=int(core_numbers(graph).max(initial=0)),
             max_truss=max_truss(graph),
             densest_subgraph={"vertices": len(vertices), "density": float(dens)},
         )

@@ -292,7 +292,7 @@ class MiniBatchLoader:
         self.stage_times: List[StageTimes] = []
         self.batches_emitted = 0
         self.epochs_run = 0
-        self._assignment = getattr(self.handle, "assignment", None)
+        self._assignment = self.handle.assignment
 
     def __len__(self) -> int:
         return len(self.item_sampler)

@@ -24,7 +24,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "StoreReport", "is_store_dir", "repair_store", "verify_file", "verify_store",
     ),
     "journal": ("INGEST_DIRNAME", "IngestJournal"),
-    "handle": ("GraphHandle", "InMemoryGraph", "PartitionView", "as_handle"),
+    "handle": ("GraphHandle", "InMemoryGraph", "as_handle"),
     "writer": (
         "STREAMING_PARTITIONERS", "build_store", "ingest_edge_stream",
         "streaming_assignment",

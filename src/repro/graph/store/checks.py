@@ -34,7 +34,6 @@ in-memory oracle:
 
 from __future__ import annotations
 
-import hashlib
 import os
 import tempfile
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -49,7 +48,7 @@ from ...matching.pattern import path_pattern, star_pattern, triangle_pattern
 from ...obs import MetricsRegistry
 from ...resilience.faults import FaultError, FaultPlan
 from ...tlav.vectorized import bfs_dense, pagerank_dense, wcc_dense
-from .format import Manifest, StoreError, verify_file
+from .format import Manifest, StoreError, tree_digest, verify_file
 from .handle import as_handle
 from .journal import IngestJournal
 from .stored import open_store
@@ -295,20 +294,6 @@ def _check_manifest_roundtrip(params: Dict) -> List[str]:
     return out
 
 
-def _tree_digest(root: str) -> str:
-    """SHA-256 over every file under ``root`` (relative path + bytes)."""
-    digest = hashlib.sha256()
-    for dirpath, dirnames, filenames in sorted(os.walk(root)):
-        dirnames.sort()
-        for fname in sorted(filenames):
-            full = os.path.join(dirpath, fname)
-            digest.update(os.path.relpath(full, root).encode() + b"\0")
-            with open(full, "rb") as handle:
-                digest.update(handle.read())
-            digest.update(b"\1")
-    return digest.hexdigest()
-
-
 def _gen_journal(rng: np.random.Generator) -> Dict:
     params = gen_graph_params(rng, n_range=(8, 48))
     params["num_parts"] = int(rng.integers(1, 4))
@@ -353,7 +338,7 @@ def _check_journal_resume(params: Dict) -> List[str]:
     with tempfile.TemporaryDirectory(prefix="check-journal-") as tmp:
         ref = os.path.join(tmp, "ref")
         ingest_edge_stream(iter(edges), path=ref, **kwargs)
-        want = _tree_digest(ref)
+        want = tree_digest(ref)
 
         crash_dir = os.path.join(tmp, "crash")
         injector = FaultPlan(seed=0).crash_at_chunk(crash_chunk).build()
@@ -367,7 +352,7 @@ def _check_journal_resume(params: Dict) -> List[str]:
             )
         except FaultError:
             ingest_edge_stream(iter(edges), path=crash_dir, resume=True, **kwargs)
-            if _tree_digest(crash_dir) != want:
+            if tree_digest(crash_dir) != want:
                 out.append(
                     f"journal: resume after crash at chunk {crash_chunk} is "
                     f"not byte-identical to the one-shot build"
@@ -382,7 +367,7 @@ def _check_journal_resume(params: Dict) -> List[str]:
             out.append("journal: torn_write(0) never fired")
         except FaultError:
             ingest_edge_stream(iter(edges), path=torn_dir, resume=True, **kwargs)
-            if _tree_digest(torn_dir) != want:
+            if tree_digest(torn_dir) != want:
                 out.append(
                     "journal: resume after a torn spill tail is not "
                     "byte-identical to the one-shot build"
@@ -547,7 +532,7 @@ def _check_ingest_vs_per_edge(params: Dict) -> List[str]:
     with tempfile.TemporaryDirectory(prefix="check-ingest-") as tmp:
         ref = os.path.join(tmp, "ref")
         ingest_edge_stream(stream_form(edges, "pairs"), path=ref, **kwargs)
-        want = _tree_digest(ref)
+        want = tree_digest(ref)
         root = os.path.join(tmp, form)
         if not commits:
             ingest_edge_stream(stream, path=root, **kwargs)
@@ -575,7 +560,7 @@ def _check_ingest_vs_per_edge(params: Dict) -> List[str]:
                         out.append(f"spill part{k} after chunk {crash} "
                                    f"differs from the per-edge loop's")
             ingest_edge_stream(stream, path=root, resume=True, **kwargs)
-        if _tree_digest(root) != want:
+        if tree_digest(root) != want:
             out.append(f"store from {form!r} stream differs from the "
                        f"uninterrupted build of the tuples")
     return out

@@ -40,6 +40,7 @@ asserts the shards re-assemble to the exact CSR the manifest describes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import mmap
 import os
@@ -68,6 +69,7 @@ __all__ = [
     "verify_store",
     "repair_store",
     "is_store_dir",
+    "tree_digest",
 ]
 
 FORMAT_NAME = "repro.graph.store"
@@ -508,3 +510,22 @@ def is_store_dir(path: PathLike) -> bool:
     return os.path.isdir(os.fspath(path)) and os.path.exists(
         os.path.join(os.fspath(path), MANIFEST_FILENAME)
     )
+
+
+def tree_digest(root: PathLike) -> str:
+    """SHA-256 over every file under ``root`` (relative path + bytes).
+
+    Walks directories and files in sorted order, so two trees digest
+    equal exactly when they hold the same files with the same bytes —
+    the byte-identity test of a resumed or repaired store build.
+    """
+    digest = hashlib.sha256()
+    for dirpath, dirnames, filenames in sorted(os.walk(root)):
+        dirnames.sort()
+        for fname in sorted(filenames):
+            full = os.path.join(dirpath, fname)
+            digest.update(os.path.relpath(full, root).encode() + b"\0")
+            with open(full, "rb") as handle:
+                digest.update(handle.read())
+            digest.update(b"\1")
+    return digest.hexdigest()

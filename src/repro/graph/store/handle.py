@@ -1,43 +1,58 @@
 """The :class:`GraphHandle` protocol and its in-memory implementation.
 
 Every engine family (TLAV per-vertex + dense, TLAG, matching, GNN,
-serve) now takes a *handle* — a uniform structural surface over graph
-storage — instead of a concrete :class:`~repro.graph.csr.Graph`:
+serve) takes a *handle* — a uniform structural surface over graph
+storage — instead of a concrete :class:`~repro.graph.csr.Graph`.  This
+table is the whole contract: :class:`GraphHandle` declares exactly these
+members, :class:`InMemoryGraph` implements exactly these, and
+:class:`~repro.graph.store.stored.StoredGraph` implements these plus its
+store lifecycle (``root``, ``manifest``, ``cache``, ``cache_stats``,
+``close``, ``version``, ``bump_version``).  Engines read the members
+directly; none probes with ``getattr``.  :func:`as_handle` recognises a
+handle by its ``is_graph_handle`` marker.
 
-=============================  ========================================
+=============================  ===============================================
+*sizes, flags and names*
 ``num_vertices``               vertex count
-``neighbors(v)``               int64 array of ``v``'s out-neighbors
-                               (sorted)
-``expand_frontier(vertices)``  ``(owners, neighbors)``: the neighbor
-                               lists of a vertex batch concatenated in
-                               input order — one gather per touched
-                               partition (the contract of
-                               :func:`repro.graph.kernels.expand_frontier`)
-``edge_slots(us, ws)``         global CSR slot of each edge ``(us[k],
-                               ws[k])``, or -1 where there is none —
-                               the batched membership test; edge
-                               labels are ``edge_labels[slot]``
-``degree(v)``                  out-degree of one vertex
-``degrees()``                  int64 array of all out-degrees
-``num_edge_slots``             directed adjacency entries (cost-model
-                               input)
-``features(...)``              float64 feature rows, or ``None``
-``partition(i)``               :class:`PartitionView` of one
-                               partition's local CSR
+``num_edges``                  edge count (undirected edges once)
+``num_edge_slots``             directed adjacency entries (cost-model input)
+``directed``                   whether edges are one-way
+``name``                       label for reports and serve records
+``num_parts``                  partition count (1 when unpartitioned)
+``feature_dim``                feature width, or ``None``
+*label and layout arrays*
+``vertex_labels``              int per vertex, or ``None``
+``edge_labels``                int per CSR slot, or ``None``
+``assignment``                 vertex -> owning partition; ``None`` for an
+                               unpartitioned in-memory graph
+*per-vertex reads*
+``vertices()``                 ``range(num_vertices)``
+``neighbors(v)``               sorted int64 out-neighbors of ``v``
+``degree(v)`` / ``degrees()``  out-degree of one vertex / of all (int64)
+``vertex_label(v)``            vertex label (0 when unlabelled)
+``edge_label(u, v)``           label of the edge ``(u, v)``
+``part_of(v)``                 partition owning ``v`` (0 when unpartitioned)
+*batched reads*
+``expand_frontier(vertices)``  ``(owners, neighbors)`` of a batch in input
+                               order, one gather per touched partition (the
+                               contract of :func:`repro.graph.kernels.expand_frontier`)
+``edge_slots(us, ws)``         global CSR slot of each edge ``(us[k], ws[k])``
+                               or -1: the batched membership test
+``iter_csr_runs()``            ascending source-major ``(lo, hi, indptr,
+                               indices)`` windows of the global CSR
+``features(ids=None)``         float64 feature rows, or ``None``
+*whole-graph*
+``orient_by_degree()``         degree-ordered DAG as a :class:`Graph`
 ``to_graph()``                 materialize a concrete :class:`Graph`
-=============================  ========================================
+=============================  ===============================================
 
-:class:`InMemoryGraph` wraps a live :class:`Graph`;
-:class:`~repro.graph.store.stored.StoredGraph` pages memory-mapped
-shards on demand.  :func:`as_handle` is the single coercion point the
-entry-point sweep funnels through: it accepts a handle (pass-through),
-a ``Graph``, or a store-directory path.
+Every vertex id a member takes is checked: ids outside ``[0, n)``
+raise ``IndexError`` on both handles.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
@@ -50,42 +65,9 @@ from .format import StoreError, is_store_dir
 
 __all__ = [
     "GraphHandle",
-    "PartitionView",
     "InMemoryGraph",
     "as_handle",
 ]
-
-
-@dataclass(frozen=True)
-class PartitionView:
-    """One partition's local CSR, in global-id vocabulary.
-
-    ``nodes[i]`` is the global id of local vertex ``i``; the slice
-    ``indices[indptr[i]:indptr[i+1]]`` holds its neighbors as *global*
-    ids, sorted ascending.
-    """
-
-    part_id: int
-    nodes: np.ndarray  # int64[n_k], ascending global ids
-    indptr: np.ndarray  # int64[n_k + 1]
-    indices: np.ndarray  # int64[e_k], global neighbor ids
-
-    @property
-    def num_vertices(self) -> int:
-        return int(self.nodes.size)
-
-    @property
-    def num_edge_slots(self) -> int:
-        return int(self.indices.size)
-
-    def neighbors(self, global_id: int) -> np.ndarray:
-        """Neighbors of a vertex this partition owns, by global id."""
-        local = int(np.searchsorted(self.nodes, global_id))
-        if local >= self.nodes.size or self.nodes[local] != global_id:
-            raise KeyError(
-                f"vertex {global_id} is not owned by partition {self.part_id}"
-            )
-        return self.indices[self.indptr[local]: self.indptr[local + 1]]
 
 
 def checked_vertex_ids(vertices: Any, num_vertices: int) -> np.ndarray:
@@ -114,35 +96,51 @@ def checked_vertex_ids(vertices: Any, num_vertices: int) -> np.ndarray:
 
 @runtime_checkable
 class GraphHandle(Protocol):
-    """Structural protocol every graph handle satisfies."""
+    """Structural protocol every graph handle satisfies (see the table)."""
 
     is_graph_handle: bool
 
+    # -- sizes, flags and names
     @property
     def num_vertices(self) -> int: ...
-
+    @property
+    def num_edges(self) -> int: ...
     @property
     def num_edge_slots(self) -> int: ...
-
     @property
     def directed(self) -> bool: ...
+    @property
+    def name(self) -> str: ...
+    @property
+    def num_parts(self) -> int: ...
+    @property
+    def feature_dim(self) -> Optional[int]: ...
 
+    # -- label and layout arrays
+    @property
+    def vertex_labels(self) -> Optional[np.ndarray]: ...
+    @property
+    def edge_labels(self) -> Optional[np.ndarray]: ...
+    @property
+    def assignment(self) -> Optional[np.ndarray]: ...
+
+    # -- per-vertex reads
+    def vertices(self) -> range: ...
     def neighbors(self, v: int) -> np.ndarray: ...
-
-    def expand_frontier(
-        self, vertices: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]: ...
-
-    def edge_slots(self, us: np.ndarray, ws: np.ndarray) -> np.ndarray: ...
-
     def degree(self, v: int) -> int: ...
-
     def degrees(self) -> np.ndarray: ...
+    def vertex_label(self, v: int) -> int: ...
+    def edge_label(self, u: int, v: int) -> int: ...
+    def part_of(self, v: int) -> int: ...
 
+    # -- batched reads
+    def expand_frontier(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]: ...
+    def edge_slots(self, us: np.ndarray, ws: np.ndarray) -> np.ndarray: ...
+    def iter_csr_runs(self) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]: ...
     def features(self, ids: Optional[np.ndarray] = None) -> Optional[np.ndarray]: ...
 
-    def partition(self, i: int) -> PartitionView: ...
-
+    # -- whole-graph
+    def orient_by_degree(self) -> Graph: ...
     def to_graph(self) -> Graph: ...
 
 
@@ -151,8 +149,8 @@ class InMemoryGraph:
 
     Delegates every structural query straight to the wrapped CSR —
     zero-copy, zero overhead beyond one attribute hop.  An optional
-    :class:`~repro.graph.partition.Partition` gives ``partition(i)``
-    real views; without one the whole graph is partition 0.
+    :class:`~repro.graph.partition.Partition` supplies ``assignment``
+    and ``part_of``; without one the whole graph is partition 0.
     """
 
     is_graph_handle = True
@@ -195,14 +193,6 @@ class InMemoryGraph:
         return self._graph.directed
 
     @property
-    def indptr(self) -> np.ndarray:
-        return self._graph.indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self._graph.indices
-
-    @property
     def vertex_labels(self) -> Optional[np.ndarray]:
         return self._graph.vertex_labels
 
@@ -213,11 +203,6 @@ class InMemoryGraph:
     @property
     def num_parts(self) -> int:
         return 1 if self._partition is None else self._partition.num_parts
-
-    @property
-    def vertex_partition(self) -> Optional[Partition]:
-        """The live :class:`Partition` backing ``partition(i)``, if any."""
-        return self._partition
 
     @property
     def assignment(self) -> Optional[np.ndarray]:
@@ -270,10 +255,6 @@ class InMemoryGraph:
     def degrees(self) -> np.ndarray:
         return self._graph.degrees()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        n = self.num_vertices
-        return self._graph.has_edge(checked_vertex_ids(u, n), checked_vertex_ids(v, n))
-
     def edge_label(self, u: int, v: int) -> int:
         n = self.num_vertices
         return self._graph.edge_label(checked_vertex_ids(u, n), checked_vertex_ids(v, n))
@@ -281,14 +262,8 @@ class InMemoryGraph:
     def vertex_label(self, v: int) -> int:
         return self._graph.vertex_label(checked_vertex_ids(v, self.num_vertices))
 
-    def edges(self):
-        return self._graph.edges()
-
     def orient_by_degree(self) -> Graph:
         return self._graph.orient_by_degree()
-
-    def subgraph(self, keep):
-        return self._graph.subgraph(keep)
 
     def features(
         self, ids: Optional[np.ndarray] = None
@@ -302,21 +277,6 @@ class InMemoryGraph:
     @property
     def feature_dim(self) -> Optional[int]:
         return None if self._features is None else int(self._features.shape[1])
-
-    def partition(self, i: int) -> PartitionView:
-        graph = self._graph
-        if self._partition is None:
-            if i != 0:
-                raise IndexError(
-                    f"unpartitioned in-memory graph has only partition 0, not {i}"
-                )
-            nodes = np.arange(graph.num_vertices, dtype=np.int64)
-            return PartitionView(0, nodes, graph.indptr, graph.indices)
-        nodes = np.sort(self._partition.part(i)).astype(np.int64)
-        indptr = np.zeros(nodes.size + 1, dtype=np.int64)
-        np.cumsum(graph.degrees()[nodes], out=indptr[1:])
-        _, indices = expand_frontier(graph.indptr, graph.indices, nodes)
-        return PartitionView(i, nodes, indptr, indices)
 
     def iter_csr_runs(self) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
         """Yield ``(lo, hi, indptr_win, indices_win)`` source-major id windows.

@@ -65,7 +65,7 @@ from .format import (
     read_npy_layout,
     verify_file,
 )
-from .handle import PartitionView, checked_vertex_ids
+from .handle import checked_vertex_ids
 
 __all__ = ["ShardCache", "CacheStats", "StoredGraph", "open_store"]
 
@@ -341,12 +341,6 @@ class StoredGraph:
     def degrees(self) -> np.ndarray:
         return self._degrees
 
-    def has_edge(self, u: int, v: int) -> bool:
-        neighbors = self.neighbors(u)
-        v = checked_vertex_ids(v, self.num_vertices)
-        pos = int(np.searchsorted(neighbors, v))
-        return pos < neighbors.size and int(neighbors[pos]) == v
-
     def edge_label(self, u: int, v: int) -> int:
         u = checked_vertex_ids(u, self.num_vertices)
         v = checked_vertex_ids(v, self.num_vertices)
@@ -401,16 +395,6 @@ class StoredGraph:
             shard = self._shard(int(part_id), "features")
             out[mask] = shard[rows]
         return out
-
-    def partition(self, i: int) -> PartitionView:
-        if i < 0 or i >= self.num_parts:
-            raise IndexError(f"partition {i} out of range 0..{self.num_parts - 1}")
-        return PartitionView(
-            i,
-            self._nodes[i],
-            self._shard(i, "indptr"),
-            self._shard(i, "indices"),
-        )
 
     # -- window iteration (bit-identity workhorse) ------------------------
 
@@ -535,16 +519,8 @@ class StoredGraph:
             edge_labels=self.edge_labels if self.manifest.has_edge_labels else None,
         )
 
-    # -- materializing conveniences (whole-graph restructuring) -----------
-
-    def edges(self):
-        return self.to_graph().edges()
-
     def orient_by_degree(self) -> Graph:
         return self.to_graph().orient_by_degree()
-
-    def subgraph(self, keep):
-        return self.to_graph().subgraph(keep)
 
     # -- versioning (serve epochs) ----------------------------------------
 

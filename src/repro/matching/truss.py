@@ -10,7 +10,7 @@ polynomial — the standard peeling algorithm below — which makes it the
 * :func:`truss_numbers` — the trussness of every edge (the largest k
   whose k-truss contains it), by iterative support peeling;
 * :func:`k_truss` — the edge set of the k-truss;
-* :func:`max_truss` — the largest k with a non-empty k-truss.
+* :func:`max_truss` — the largest k with a non-empty k-truss (0 if none).
 """
 
 from __future__ import annotations
@@ -77,6 +77,9 @@ def k_truss(graph: Graph, k: int) -> Set[Tuple[int, int]]:
 
 
 def max_truss(graph: Graph) -> int:
-    """The largest k with a non-empty k-truss (2 for triangle-free graphs)."""
-    numbers = truss_numbers(graph)
-    return max(numbers.values()) if numbers else 2
+    """The largest k with a non-empty k-truss.
+
+    2 for a triangle-free graph with edges; 0 for a graph with no edges,
+    whose every k-truss is empty.
+    """
+    return max(truss_numbers(graph).values(), default=0)

@@ -176,38 +176,33 @@ class GraphRecord:
     ) -> EdgeDelta:
         """Apply one batched edge delta to the served snapshot.
 
-        The successor graph keeps the old handle's partition layout (a
-        live :class:`Partition`, or a stored graph's assignment frozen
-        into one), so partition-scoped dirty tracking survives the
-        rebuild.  A mutated stored graph becomes an in-memory overlay —
-        the on-disk shards are immutable; persisting a stream is the
-        ingest pipeline's job, not the serving path's.  The caller (the
-        registry) bumps the epoch afterwards.
+        The successor graph keeps the old handle's partition layout (its
+        ``assignment`` frozen into a :class:`Partition`), so
+        partition-scoped dirty tracking survives the rebuild.  A mutated
+        stored graph becomes an in-memory overlay — the on-disk shards
+        are immutable; persisting a stream is the ingest pipeline's job,
+        not the serving path's.  The caller (the registry) bumps the
+        epoch afterwards.
         """
         old_handle = self.graph
         new_graph, delta = apply_edge_updates(
             old_handle.to_graph(), inserts, deletes
         )
-        partition = getattr(old_handle, "vertex_partition", None)
-        if partition is None:
-            assignment = getattr(old_handle, "assignment", None)
-            if assignment is not None:
-                partition = Partition(
-                    int(old_handle.num_parts), np.asarray(assignment)
-                )
+        assignment = old_handle.assignment
+        partition = None
+        if assignment is not None:
+            partition = Partition(old_handle.num_parts, assignment)
         self.swap(InMemoryGraph(
             new_graph,
             features=self.features,
             partition=partition,
-            name=getattr(old_handle, "name", self.name),
+            name=old_handle.name,
         ))
         return delta
 
     def dirty_partitions(self, delta: EdgeDelta) -> FrozenSet[int]:
         """Partitions owning a vertex the delta touched."""
-        return delta.dirty_partitions(
-            getattr(self.graph, "assignment", None)
-        )
+        return delta.dirty_partitions(self.graph.assignment)
 
     # -- lazy, epoch-keyed derived state -----------------------------------
 
@@ -664,13 +659,12 @@ def _predict_footprint(record: GraphRecord, params: Dict):
     """
     if _predict_mode(record, params) != "sampled":
         return None
-    assignment = getattr(record.graph, "assignment", None)
+    assignment = record.graph.assignment
     if assignment is None:
         return None
     from ..gnn.dataloader import sampled_inference_blocks
 
     nodes, fanouts, batch_size, seed = _sampled_spec(record, params)
-    assignment = np.asarray(assignment)
     parts: set = set()
     for block in sampled_inference_blocks(
         record.graph, nodes, fanouts, seed, batch_size
@@ -698,8 +692,7 @@ def _run_neighbors(record: GraphRecord, params: Dict, executor) -> Tuple[Any, in
 def _neighbors_footprint(record: GraphRecord, params: Dict):
     n = max(record.graph.num_vertices, 1)
     v = int(params.get("node", 0)) % n
-    part_of = getattr(record.graph, "part_of", None)
-    return None if part_of is None else {part_of(v)}
+    return {record.graph.part_of(v)}
 
 
 def _run_subgraph_query(record: GraphRecord, params: Dict, executor) -> Tuple[Any, int]:

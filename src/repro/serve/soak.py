@@ -32,7 +32,6 @@ it as an artifact.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
@@ -45,6 +44,7 @@ from ..graph.delta import random_edge_updates
 from ..graph.generators import barabasi_albert
 from ..graph.partition import hash_partition
 from ..graph.store import InMemoryGraph, ingest_edge_stream, repair_store, verify_store
+from ..graph.store.format import tree_digest
 from ..obs import MetricsRegistry, Tracer, json_safe
 from ..resilience import FaultError, FaultPlan, resolve_fault_seed
 from .breaker import BreakerConfig
@@ -187,10 +187,12 @@ def run_serve_part(
         )
         clean = _run_waves(clean_server, graphs, _waves(seed))
 
-    # -- chaos run: endpoint failures + a worker crash + the ladder on
+    # -- chaos run: endpoint failures + a worker crash + the ladder on.
+    # pagerank fails on every attempt, so the half-open probe fails too
+    # and reopens the breaker whatever the seed draws.
     plan = (
         FaultPlan(seed=seed)
-        .fail_endpoint("tlav.pagerank", 0.95)
+        .fail_endpoint("tlav.pagerank", 1.0)
         .fail_endpoint("matching.count", 0.35)
         .crash_worker(chunk=1, times=2)
     )
@@ -293,21 +295,6 @@ def _soak_edges(seed: int) -> List[Tuple[int, int]]:
     return [pairs[i] for i in order]
 
 
-def _tree_digest(root: str) -> str:
-    """SHA-256 over every file (relative path + bytes), sorted."""
-    digest = hashlib.sha256()
-    for dirpath, dirnames, filenames in sorted(os.walk(root)):
-        dirnames.sort()
-        for fname in sorted(filenames):
-            full = os.path.join(dirpath, fname)
-            rel = os.path.relpath(full, root)
-            digest.update(rel.encode() + b"\0")
-            with open(full, "rb") as handle:
-                digest.update(handle.read())
-            digest.update(b"\1")
-    return digest.hexdigest()
-
-
 def run_store_part(
     seed: int,
     obs: Optional[MetricsRegistry] = None,
@@ -327,7 +314,7 @@ def run_store_part(
     try:
         ref_dir = os.path.join(root, "ref")
         ingest_edge_stream(iter(edges), path=ref_dir, **kwargs)
-        ref_digest = _tree_digest(ref_dir)
+        ref_digest = tree_digest(ref_dir)
 
         crash_points = [0, n_chunks // 2, n_chunks - 1]
         resume_identical: Dict[str, bool] = {}
@@ -343,7 +330,7 @@ def run_store_part(
                 crashed = True
             ingest_edge_stream(iter(edges), path=dest, resume=True, **kwargs)
             resume_identical[f"chunk{point}"] = (
-                crashed and _tree_digest(dest) == ref_digest
+                crashed and tree_digest(dest) == ref_digest
             )
 
         torn_dir = os.path.join(root, "torn")
@@ -356,14 +343,14 @@ def run_store_part(
         except FaultError:
             torn = True
         ingest_edge_stream(iter(edges), path=torn_dir, resume=True, **kwargs)
-        torn_identical = torn and _tree_digest(torn_dir) == ref_digest
+        torn_identical = torn and tree_digest(torn_dir) == ref_digest
 
         io_dir = os.path.join(root, "io")
         injector = FaultPlan(seed=seed).fail_write("part1/indices.npy").build(obs)
         ingest_edge_stream(iter(edges), path=io_dir, injector=injector, **kwargs)
         io_retried = (
             injector.faults_injected >= 1
-            and _tree_digest(io_dir) == ref_digest
+            and tree_digest(io_dir) == ref_digest
         )
 
         # -- integrity drill: flip a byte, detect, quarantine ---------------

@@ -131,9 +131,6 @@ class _CachedGraphView:
         k = int(np.searchsorted(nbrs, v))
         return k < nbrs.size and nbrs[k] == v
 
-    def edges(self):
-        return self._engine.graph.edges()
-
     def orient_by_degree(self) -> Graph:
         return self._engine.graph.orient_by_degree()
 

@@ -31,6 +31,7 @@ from repro.graph.generators import barabasi_albert, erdos_renyi
 from repro.graph.partition import metis_like_partition
 from repro.graph.store import (
     MANIFEST_FILENAME,
+    GraphHandle,
     InMemoryGraph,
     Manifest,
     StoreCatalog,
@@ -300,8 +301,11 @@ class TestPageIn:
 
     def test_served_shards_are_read_only(self, root):
         with open_store(root) as stored:
-            view = stored.partition(0)
-            for array in (view.indptr, view.indices, stored._shard(0, "features")):
+            served = [stored.neighbors(v) for v in range(stored.num_vertices)]
+            served += [
+                stored._shard(0, kind) for kind in ("indptr", "indices", "features")
+            ]
+            for array in (a for a in served if a.size):
                 assert array.flags.writeable is False
                 with pytest.raises(ValueError):
                     array[0] = 0
@@ -318,14 +322,15 @@ class TestPageIn:
     def test_changed_header_is_reparsed_not_memoised(self, root):
         path = self._shard(root)
         with open_store(root, cache_budget=0, checksum=False) as stored:
-            before = stored.partition(0).indices
+            before = stored._shard(0, "indices")
             assert before.dtype == np.int64
             with open(path, "r+b") as handle:
                 head = handle.read(128)
                 assert b"'<i8'" in head
                 handle.seek(0)
                 handle.write(head.replace(b"'<i8'", b"'<f8'"))
-            after = stored.partition(0).indices
+            stored.cache.clear()  # the next request pages the shard in again
+            after = stored._shard(0, "indices")
             assert after.dtype == np.float64
             np.testing.assert_array_equal(after.view(np.int64), before)
 
@@ -457,7 +462,24 @@ class TestShardCache:
         stored.close()
 
 
+def _public_members(obj) -> set:
+    return {name for name in dir(obj) if not name.startswith("_")}
+
+
 class TestHandleProtocol:
+    def test_handles_implement_exactly_the_protocol(self, graph, tmp_path):
+        # The protocol is the whole shared surface: a member one handle
+        # adds beyond it is one engines could come to depend on without
+        # the other handle offering it.
+        declared = _public_members(GraphHandle) | set(GraphHandle.__annotations__)
+        assert _public_members(InMemoryGraph(graph)) == declared
+        build_store(graph, tmp_path / "g")
+        with open_store(tmp_path / "g") as stored:
+            assert _public_members(stored) == declared | {
+                "root", "manifest", "cache", "cache_stats", "close",
+                "version", "bump_version",
+            }
+
     def test_as_handle_coercions(self, graph, tmp_path):
         handle = as_handle(graph)
         assert isinstance(handle, InMemoryGraph)
@@ -482,7 +504,6 @@ class TestHandleProtocol:
                 stored.neighbors(v), mem.neighbors(v)
             )
             assert stored.degree(v) == mem.degree(v)
-        assert stored.has_edge(0, int(mem.neighbors(0)[0]))
         stored.close()
 
     def test_out_of_range_ids_raise_on_both_handles(self, tmp_path):
@@ -514,8 +535,7 @@ class TestHandleProtocol:
 
     def test_label_and_edge_lookups_check_ids(self, tmp_path):
         # vertex_label(-1) answered with vertex 19's label, the stored
-        # edge_label(-1, 2) with edge (0, 2)'s, and has_edge(-1, v) was
-        # False in memory but raised on the store.
+        # edge_label(-1, 2) with edge (0, 2)'s.
         rng = np.random.default_rng(0)
         builder = GraphBuilder()
         for u, v in erdos_renyi(20, 0.3, seed=1).edges():
@@ -531,12 +551,8 @@ class TestHandleProtocol:
                     for a, b in ((bad, w), (u, bad)):
                         with pytest.raises(IndexError, match=r"\[0, 20\)"):
                             handle.edge_label(a, b)
-                        with pytest.raises(IndexError, match=r"\[0, 20\)"):
-                            handle.has_edge(a, b)
                 assert handle.vertex_label(np.int64(19)) == g.vertex_label(19)
                 assert handle.edge_label(u, np.int64(w)) == g.edge_label(u, w)
-                assert handle.has_edge(np.int64(u), w)
-                assert not handle.has_edge(u, u)
 
     def test_neighbors_checks_ids_on_both_handles(self, graph, tmp_path):
         # InMemoryGraph.neighbors(-1) returned an empty row and
@@ -551,27 +567,6 @@ class TestHandleProtocol:
                 np.testing.assert_array_equal(
                     handle.neighbors(np.int64(n - 1)), graph.neighbors(n - 1)
                 )
-
-    def test_partition_views_cover_graph(self, graph, tmp_path):
-        build_store(graph, tmp_path / "g", partition="hash", num_parts=3)
-        stored = open_store(tmp_path / "g")
-        seen = []
-        for k in range(stored.num_parts):
-            view = stored.partition(k)
-            assert view.part_id == k
-            seen.extend(int(v) for v in view.nodes)
-            some = int(view.nodes[0])
-            np.testing.assert_array_equal(
-                view.neighbors(some), graph.neighbors(some)
-            )
-            with pytest.raises(KeyError):
-                other = (some + 1) % graph.num_vertices
-                if other not in set(int(v) for v in view.nodes):
-                    view.neighbors(other)
-                else:
-                    raise KeyError("skip: both owned")
-        assert sorted(seen) == list(range(graph.num_vertices))
-        stored.close()
 
     @pytest.mark.parametrize("budget", ["unbounded", "half"])
     @pytest.mark.parametrize("partitioner", ["hash", "range", "metis"])
@@ -680,18 +675,6 @@ class TestExpandFrontier:
             touched = np.unique(stored.assignment[ids]).size
             # Two shards per touched partition, however many vertices.
             assert stored.cache_stats()["pages_requested"] == 2 * touched
-
-    def test_partition_view_of_in_memory_graph(self, sparse):
-        part = metis_like_partition(sparse, 3, seed=1)
-        handle = InMemoryGraph(sparse, partition=part)
-        for k in range(3):
-            view = handle.partition(k)
-            np.testing.assert_array_equal(
-                np.diff(view.indptr), sparse.degrees()[view.nodes]
-            )
-            np.testing.assert_array_equal(
-                view.indices, _per_vertex(sparse, view.nodes)[1]
-            )
 
     def test_out_of_range_ids_raise(self, sparse, roots):
         n = sparse.num_vertices

@@ -138,7 +138,7 @@ class TestBuiltinEndpointsMatchEngines:
         np.testing.assert_array_equal(
             result, pagerank(record.graph, iterations=5)
         )
-        assert cost == 5 * record.graph.indices.size
+        assert cost == 5 * record.graph.num_edge_slots
 
     def test_bfs(self, graphs):
         record = graphs.get("default")

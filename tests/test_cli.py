@@ -1,6 +1,7 @@
 """The ``python -m repro`` command-line interface."""
 
 import json
+import warnings
 
 import pytest
 
@@ -67,6 +68,26 @@ class TestCLI:
         assert 0.0 < pooled["parallel"]["efficiency"] <= 1.0
         busy = pooled["parallel"]["busy_seconds"]
         assert 0.0 < pooled["parallel"]["cpu_seconds"] <= busy + 1e-3
+
+    def test_analyze_empty_edge_list_is_a_zero_profile(self, tmp_path, capsys):
+        # The undirected path ended in "zero-size array" (exit 1) after
+        # a "Mean of empty slice" warning; --directed already exited 0.
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert main(["analyze", str(path), "--json"]) == 0
+            profile = json.loads(capsys.readouterr().out)
+        assert "components      0" in out
+        assert "max truss       0" in out
+        assert profile["num_vertices"] == profile["num_edges"] == 0
+        assert profile["components"] == profile["triangles"] == 0
+        assert profile["avg_clustering"] == 0.0
+        assert profile["max_core"] == profile["max_truss"] == 0
+        assert profile["densest_subgraph"] == {"vertices": 0, "density": 0.0}
+        assert set(profile["graphlets"].values()) == {0}
 
     def test_analyze_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
