@@ -123,7 +123,7 @@ def same_stats(
     reference: Any, candidate: Any, label: str = "stats",
     ignore: Sequence[str] = (),
 ) -> List[str]:
-    """StatsView equality via ``as_dict()`` (merged == serial checks)."""
+    """Stats-record equality via ``as_dict()`` (merged == serial checks)."""
     ref_d: Dict[str, Any] = reference.as_dict()
     cand_d: Dict[str, Any] = candidate.as_dict()
     out: List[str] = []

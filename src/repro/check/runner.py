@@ -126,13 +126,6 @@ class CheckReport(StatsViewMixin):
             "results": [r.as_dict() for r in self.results],
         }
 
-    def merge(self, other: "CheckReport") -> "CheckReport":
-        """Fold another report in (suites joined by '+')."""
-        if other.suite not in self.suite.split("+"):
-            self.suite = f"{self.suite}+{other.suite}"
-        self.results.extend(other.results)
-        return self
-
 
 def run_case(
     check: Check,

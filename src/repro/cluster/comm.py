@@ -175,16 +175,7 @@ class CommStats(StatsViewMixin):
         """Messages force-delivered after the retry budget (reliable mode)."""
         return int(self._faults.value(kind="exhausted"))
 
-    def reset(self) -> None:
-        self._messages.reset()
-        self._bytes.reset()
-        self._tag_bytes.reset()
-        self._faults.reset()
-        self._retransmits.reset()
-        self._retransmitted_bytes.reset()
-        self.link_bytes[:] = 0
-
-    # -- StatsView ----------------------------------------------------------
+    # -- export ------------------------------------------------------------
 
     def extra_dict(self) -> Dict[str, Any]:
         return {
@@ -204,23 +195,6 @@ class CommStats(StatsViewMixin):
             "retry_exhausted": self.retry_exhausted,
         }
 
-    def merge(self, other: "CommStats") -> "CommStats":
-        """Fold another network's traffic into this view (in place)."""
-        self._messages.merge(other._messages)
-        self._bytes.merge(other._bytes)
-        self._tag_bytes.merge(other._tag_bytes)
-        self._faults.merge(other._faults)
-        self._retransmits.merge(other._retransmits)
-        self._retransmitted_bytes.merge(other._retransmitted_bytes)
-        n = max(self.num_workers, other.num_workers)
-        if n > self.num_workers:
-            grown = np.zeros((n, n), dtype=np.int64)
-            grown[: self.num_workers, : self.num_workers] = self.link_bytes
-            self.link_bytes = grown
-            self.num_workers = n
-        m = other.num_workers
-        self.link_bytes[:m, :m] += other.link_bytes
-        return self
 
 
 def payload_nbytes(payload: Any) -> int:

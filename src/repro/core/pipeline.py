@@ -17,14 +17,11 @@ embeddings + logistic classification, clique/pattern mining, FSM
 features + graph classification.  Bench F1 runs all four paths
 end-to-end; the examples build custom ones.
 
-``Pipeline.run`` accepts a :class:`~repro.graph.csr.Graph` or a
-:class:`~repro.graph.transactions.TransactionDatabase` directly (the
-pipeline builds the context itself) and returns a
-:class:`PipelineResult`: the accumulated artifacts plus one
-:class:`~repro.obs.Span` per stage, so every run carries its own
-per-stage timing profile.  Passing a pre-built ``PipelineContext``
-still works — the result exposes ``.artifacts`` (the same dict object
-the context holds), so old call sites read it unchanged.
+``Pipeline.run`` takes a :class:`~repro.graph.csr.Graph` or a
+:class:`~repro.graph.transactions.TransactionDatabase` (the pipeline
+builds the context itself) and returns a :class:`PipelineResult`: the
+accumulated artifacts plus one :class:`~repro.obs.Span` per stage, so
+every run carries its own per-stage timing profile.
 """
 
 from __future__ import annotations
@@ -81,8 +78,7 @@ class PipelineResult(StatsViewMixin):
     """What a pipeline run produced: artifacts plus per-stage spans.
 
     ``artifacts`` is the *same* dict object the context accumulated
-    into, so code written against the old ``run(ctx).artifacts``
-    pattern reads it unchanged; ``result["key"]`` is a shorthand.
+    into; ``result["key"]`` is a shorthand.
     ``spans`` holds one finished :class:`~repro.obs.Span` per stage
     (in execution order); ``stage_seconds`` flattens them to a
     ``{stage_name: wall_seconds}`` dict for quick reporting.
@@ -126,14 +122,8 @@ class PipelineResult(StatsViewMixin):
             "spans": [s.as_dict() for s in self.spans],
         }
 
-    def merge(self, other: "PipelineResult") -> "PipelineResult":
-        """Adopt a later run's artifacts and spans (chained pipelines)."""
-        self.artifacts.update(other.artifacts)
-        self.spans.extend(other.spans)
-        return self
 
-
-PipelineInput = Union[PipelineContext, Graph, TransactionDatabase]
+PipelineInput = Union[Graph, TransactionDatabase]
 
 
 class Pipeline:
@@ -161,23 +151,20 @@ class Pipeline:
 
     @staticmethod
     def _coerce(data: PipelineInput) -> PipelineContext:
-        if isinstance(data, PipelineContext):
-            return data  # legacy context-passing pattern
         if isinstance(data, Graph):
             return PipelineContext(graph=data)
         if isinstance(data, TransactionDatabase):
             return PipelineContext(database=data)
         raise TypeError(
-            "Pipeline.run expects a Graph, TransactionDatabase, or "
-            f"PipelineContext, not {type(data).__name__}"
+            "Pipeline.run expects a Graph or TransactionDatabase, "
+            f"not {type(data).__name__}"
         )
 
     def run(self, data: PipelineInput) -> PipelineResult:
         """Execute stages in order over ``data``; returns the result.
 
-        ``data`` may be a graph or transaction database (the pipeline
-        builds the context) or an explicit :class:`PipelineContext`
-        (the pre-redesign calling convention, kept working).
+        ``data`` is a graph or transaction database; the pipeline
+        builds the :class:`PipelineContext` its stages receive.
         """
         ctx = self._coerce(data)
         tracer = self.tracer if self.tracer is not None else Tracer()

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..graph.csr import Graph
 from ..lru import LRU
-from ..obs import MetricsRegistry, StatsViewMixin, merge_counters
+from ..obs import MetricsRegistry, StatsViewMixin
 from .sampling import NeighborSampler
 
 __all__ = [
@@ -170,12 +170,6 @@ class CacheReport(StatsViewMixin):
             "bytes_fetched": self.bytes_fetched,
             "bytes_saved": self.bytes_saved,
         }
-
-    def merge(self, other: "CacheReport") -> "CacheReport":
-        """Combine replays over the same cache geometry."""
-        if other.feature_dim != self.feature_dim:
-            raise ValueError("cannot merge reports with differing feature_dim")
-        return merge_counters(self, other, sum_fields=("accesses", "hits"))
 
 
 def access_trace_from_sampling(

@@ -73,13 +73,6 @@ class ScheduleResult(StatsViewMixin):
             "mean_utilization": self.mean_utilization,
         }
 
-    def merge(self, other: "ScheduleResult") -> "ScheduleResult":
-        """Sequential composition: makespans and busy times add."""
-        self.makespan += other.makespan
-        for stage, t in other.busy.items():
-            self.busy[stage] = self.busy.get(stage, 0.0) + t
-        return self
-
 
 def _busy(batches: Sequence[StageTimes]) -> Dict[str, float]:
     """Per-resource busy time: the same whatever the schedule."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from ..obs import MetricsRegistry, StatsViewMixin, merge_counters
+from ..obs import MetricsRegistry, StatsViewMixin
 from ..resilience import FaultInjector, RetryPolicy
 from ..sim import WorkerClocks
 
@@ -149,18 +149,6 @@ class FleetStats(StatsViewMixin):
         return {
             "goodput": self.busy_seconds / total if total > 0 else 1.0,
         }
-
-    def merge(self, other: "FleetStats") -> "FleetStats":
-        return merge_counters(
-            self,
-            other,
-            sum_fields=(
-                "invocations", "attempts", "failures", "stragglers",
-                "retries", "exhausted", "busy_seconds", "wasted_seconds",
-                "backoff_seconds",
-            ),
-            max_fields=("makespan",),
-        )
 
 
 def simulate_fleet(

@@ -32,7 +32,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..graph.csr import Graph
-from ..obs import StatsViewMixin, merge_counters
+from ..obs import StatsViewMixin
 from ..graph.partition import Partition
 from .distributed import halo_mask
 from .models import NodeClassifier
@@ -65,15 +65,6 @@ class StalenessTrace(StatsViewMixin):
 
     def extra_dict(self) -> Dict[str, Any]:
         return {"utilization": self.utilization}
-
-    def merge(self, other: "StalenessTrace") -> "StalenessTrace":
-        """Combine shards: times add, makespan and staleness take max."""
-        return merge_counters(
-            self,
-            other,
-            sum_fields=("busy_time", "idle_time", "steps_per_worker"),
-            max_fields=("makespan", "staleness"),
-        )
 
 
 def simulate_staleness(

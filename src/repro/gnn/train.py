@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..graph.store.handle import as_handle
-from ..obs import MetricsRegistry, StatsViewMixin, Tracer, merge_counters
+from ..obs import MetricsRegistry, StatsViewMixin, Tracer
 from ..resilience import FaultInjector, SnapshotStore
 from .dataloader import FeatureFetcher, MiniBatchLoader
 from .layers import GraphTensors
@@ -102,15 +102,6 @@ class TrainReport(StatsViewMixin):
             "final_loss": self.final_loss,
             "final_val_accuracy": self.final_val_accuracy,
         }
-
-    def merge(self, other: "TrainReport") -> "TrainReport":
-        """Append another run's trace (continuation) to this one."""
-        return merge_counters(
-            self,
-            other,
-            sum_fields=("gathered_features", "steps", "eval_s"),
-            concat_fields=("losses", "train_accuracy", "val_accuracy"),
-        )
 
     def record_step(
         self,

@@ -30,7 +30,9 @@ handle by its ``is_graph_handle`` marker.
 ``neighbors(v)``               sorted int64 out-neighbors of ``v``
 ``degree(v)`` / ``degrees()``  out-degree of one vertex / of all (int64)
 ``vertex_label(v)``            vertex label (0 when unlabelled)
-``edge_label(u, v)``           label of the edge ``(u, v)``
+``edge_label(u, v)``           label of the edge ``(u, v)``; ``ValueError``
+                               when the graph has no edge labels,
+                               ``KeyError`` when the edge is absent
 ``part_of(v)``                 partition owning ``v`` (0 when unpartitioned)
 *batched reads*
 ``expand_frontier(vertices)``  ``(owners, neighbors)`` of a batch in input

@@ -345,7 +345,7 @@ class StoredGraph:
         u = checked_vertex_ids(u, self.num_vertices)
         v = checked_vertex_ids(v, self.num_vertices)
         if not self.manifest.has_edge_labels:
-            raise KeyError(f"no edge ({u}, {v})" )
+            raise ValueError("graph has no edge labels")
         part_id = int(self._assignment[u])
         nodes = self._nodes[part_id]
         local = int(np.searchsorted(nodes, u))

@@ -60,7 +60,7 @@ import numpy as np
 from ..graph.csr import Graph
 from ..graph.kernels import in_sorted, intersect_multi
 from ..graph.store.handle import as_handle, checked_vertex_ids
-from ..obs import StatsViewMixin, merge_counters
+from ..obs import StatsViewMixin
 from . import codegen  # a cycle: codegen's names are read at call time
 from .pattern import PatternGraph, default_order, symmetry_breaking_restrictions
 
@@ -79,11 +79,12 @@ FRONTIER_SLOT_CAP = 8192
 
 
 class MatchStats(StatsViewMixin):
-    """Work counters for one matching run (a :class:`~repro.obs.StatsView`).
+    """Work counters for one matching run (exported with ``as_dict()``).
 
-    Parallel runs keep one instance per worker and fold them with
-    :meth:`merge`; all four counters are additive, so merged stats equal
-    what a serial run over the same roots would have recorded.
+    A root-set fan-out returns one instance per root set and
+    :func:`count_matches` folds them with :meth:`merge`; all four
+    counters are additive, so merged stats equal what a serial run over
+    the same roots would have recorded.
     """
 
     __slots__ = ("embeddings", "nodes_visited", "intersections", "candidates_scanned")
@@ -96,7 +97,9 @@ class MatchStats(StatsViewMixin):
 
     def merge(self, other: "MatchStats") -> "MatchStats":
         """Fold another worker's counters into this one (in place)."""
-        return merge_counters(self, other, sum_fields=self.__slots__)
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        return self
 
     def extra_dict(self) -> Dict[str, Any]:
         return {name: getattr(self, name) for name in self.__slots__}

@@ -8,21 +8,17 @@ Unlabeled use is the common case and costs one dict lookup.
 A hot path binds its label set once: ``family.labels(**kv)`` returns a
 handle (:class:`BoundCounter`, :class:`BoundGauge`,
 :class:`BoundHistogram`) holding the family and the sorted label key,
-so each write skips rebuilding that key.  The handle holds the key, not
-the series, so it stays valid across ``reset()`` and ``merge``; binding
-creates no series, and writes through a handle export byte-identically
-to the same writes passed as keyword labels.
+so each write skips rebuilding that key.  Binding creates no series,
+and writes through a handle export byte-identically to the same writes
+passed as keyword labels.
 
-Merging is the load-bearing operation: engines keep per-worker or
-per-subsystem registries and ``merge`` folds them — counters and
-histograms add, gauges take the maximum (a merged "peak pending tasks"
-across workers is the cluster peak).  All three rules are associative
-and commutative, so merge order never changes a benchmark table.
+Aggregation happens one way: components that must be counted together
+(simulated workers, engines, pipeline stages) write into one shared
+registry, so a run's snapshot is read once with ``as_dict()``.
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -57,25 +53,11 @@ class Metric:
         """``{rendered-label-key: exported-value}`` for every series."""
         raise NotImplementedError
 
-    def merge(self, other: "Metric") -> "Metric":
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        raise NotImplementedError
-
     def as_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"kind": self.kind, "series": self.series()}
         if self.description:
             out["description"] = self.description
         return out
-
-    def _check_mergeable(self, other: "Metric") -> None:
-        if type(other) is not type(self) or other.name != self.name:
-            raise ValueError(
-                f"cannot merge {type(other).__name__} {other.name!r} "
-                f"into {type(self).__name__} {self.name!r}"
-            )
-
 
 class Counter(Metric):
     """A monotonically increasing count (per label set)."""
@@ -116,16 +98,6 @@ class Counter(Metric):
     def series(self) -> Dict[str, Any]:
         return {_render_key(k): v for k, v in sorted(self._values.items())}
 
-    def merge(self, other: Metric) -> "Counter":
-        self._check_mergeable(other)
-        for key, v in other._values.items():  # type: ignore[attr-defined]
-            self._values[key] = self._values.get(key, 0) + v
-        return self
-
-    def reset(self) -> None:
-        self._values.clear()
-
-
 class Gauge(Metric):
     """A value that can move both ways (queue depth, peak watermark)."""
 
@@ -147,9 +119,6 @@ class Gauge(Metric):
     def _inc(self, key: LabelKey, amount: float) -> None:
         self._values[key] = self._values.get(key, 0) + amount
 
-    def dec(self, amount: float = 1, **labels: Any) -> None:
-        self.inc(-amount, **labels)
-
     def set_max(self, value: float, **labels: Any) -> None:
         """Raise the gauge to ``value`` if it is below it (peak tracking)."""
         self._set_max(_label_key(labels), value)
@@ -166,17 +135,6 @@ class Gauge(Metric):
 
     def series(self) -> Dict[str, Any]:
         return {_render_key(k): v for k, v in sorted(self._values.items())}
-
-    def merge(self, other: Metric) -> "Gauge":
-        # Max is the associative choice: merged peaks are cluster peaks.
-        self._check_mergeable(other)
-        for key, v in other._values.items():  # type: ignore[attr-defined]
-            self._values[key] = max(self._values.get(key, v), v)
-        return self
-
-    def reset(self) -> None:
-        self._values.clear()
-
 
 # Geometric default buckets: fine at the low end (counts of ops,
 # message sizes) and wide enough for simulated-clock makespans.
@@ -245,21 +203,6 @@ class Histogram(Metric):
         s = self._series.get(_label_key(labels))
         return s.total / s.count if s and s.count else 0.0
 
-    def percentile(self, q: float, **labels: Any) -> float:
-        """Bucket-upper-bound estimate of the ``q``-quantile (0..1)."""
-        s = self._series.get(_label_key(labels))
-        if s is None or s.count == 0:
-            return 0.0
-        rank = q * s.count
-        seen = 0
-        for i, n in enumerate(s.bucket_counts):
-            seen += n
-            if seen >= rank and n:
-                if i >= len(self.bounds):
-                    return s.max
-                return min(self.bounds[i], s.max)
-        return s.max
-
     def series(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {}
         for key, s in sorted(self._series.items()):
@@ -280,29 +223,6 @@ class Histogram(Metric):
         out = super().as_dict()
         out["bounds"] = list(self.bounds)
         return out
-
-    def merge(self, other: Metric) -> "Histogram":
-        self._check_mergeable(other)
-        assert isinstance(other, Histogram)
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"histogram {self.name!r}: cannot merge differing buckets"
-            )
-        for key, theirs in other._series.items():
-            mine = self._series.get(key)
-            if mine is None:
-                mine = self._series[key] = _HistogramSeries(len(self.bounds))
-            mine.count += theirs.count
-            mine.total += theirs.total
-            mine.min = min(mine.min, theirs.min)
-            mine.max = max(mine.max, theirs.max)
-            for i, n in enumerate(theirs.bucket_counts):
-                mine.bucket_counts[i] += n
-        return self
-
-    def reset(self) -> None:
-        self._series.clear()
-
 
 class _Bound:
     """A family plus one label key, built once (module doc)."""
@@ -337,9 +257,6 @@ class BoundGauge(_Bound):
     def inc(self, amount: float = 1) -> None:
         self.metric._inc(self.key, amount)
 
-    def dec(self, amount: float = 1) -> None:
-        self.metric._inc(self.key, -amount)
-
     def set_max(self, value: float) -> None:
         self.metric._set_max(self.key, value)
 
@@ -354,7 +271,7 @@ class BoundHistogram(_Bound):
 
 
 class MetricsRegistry:
-    """Get-or-create home for metrics, with snapshot/merge/JSON export."""
+    """Get-or-create home for metrics, with a dict snapshot export."""
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
@@ -401,28 +318,3 @@ class MetricsRegistry:
     def as_dict(self) -> Dict[str, Any]:
         """Snapshot of every metric: ``{name: {kind, series, ...}}``."""
         return {name: m.as_dict() for name, m in sorted(self._metrics.items())}
-
-    def to_json(self, indent: Any = None) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``other`` into this registry (in place); returns self."""
-        for name, metric in other._metrics.items():
-            mine = self._metrics.get(name)
-            if mine is None:
-                # Adopt a copy by merging into a fresh empty metric of
-                # the same type, so later merges never alias `other`.
-                if isinstance(metric, Histogram):
-                    fresh: Metric = Histogram(
-                        name, metric.description, buckets=metric.bounds
-                    )
-                else:
-                    fresh = type(metric)(name, metric.description)
-                self._metrics[name] = fresh.merge(metric)
-            else:
-                mine.merge(metric)
-        return self
-
-    def reset(self) -> None:
-        for metric in self._metrics.values():
-            metric.reset()

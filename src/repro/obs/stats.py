@@ -1,39 +1,23 @@
-"""The :class:`StatsView` protocol and helpers shared by all stats objects.
+"""The export shape shared by all stats objects.
 
-Before this module the library had three inconsistent reporting shapes
-(``tlag.engine.EngineStats``, ``cluster.comm.CommStats``, the GNN
-trainers' report dataclasses).  ``StatsView`` is the common contract
-they all implement now:
-
-* ``as_dict()`` — a JSON-serializable dict of the object's counters;
-* ``merge(other)`` — fold another view of the same shape into this one
-  (in place) and return ``self``; used to combine per-worker stats;
-* ``to_json()`` — the dict, serialized.
+Every stats/report record in the library (``tlag.engine.EngineStats``,
+``cluster.comm.CommStats``, the GNN trainers' reports, ...) exports
+through ``as_dict()``: a JSON-serializable dict of its counters plus
+the derived fields its :meth:`StatsViewMixin.extra_dict` lists.
+Components that must be counted as one share a
+:class:`~repro.obs.MetricsRegistry` rather than fold records; only
+``MatchStats`` and ``tlag.distributed.CacheStats``, which production
+code folds, keep a ``merge``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-from typing import Any, Dict, Protocol, runtime_checkable
+from typing import Any, Dict
 
 import numpy as np
 
-__all__ = ["StatsView", "StatsViewMixin", "json_safe", "merge_counters"]
-
-
-@runtime_checkable
-class StatsView(Protocol):
-    """What every stats/report object in the library exposes."""
-
-    def as_dict(self) -> Dict[str, Any]:  # pragma: no cover - protocol
-        ...
-
-    def merge(self, other: Any) -> Any:  # pragma: no cover - protocol
-        ...
-
-    def to_json(self, indent: Any = None) -> str:  # pragma: no cover - protocol
-        ...
+__all__ = ["StatsViewMixin", "json_safe"]
 
 
 def json_safe(value: Any) -> Any:
@@ -69,25 +53,8 @@ def json_safe(value: Any) -> Any:
     return str(value)
 
 
-def merge_counters(
-    target: Any,
-    other: Any,
-    sum_fields: tuple = (),
-    max_fields: tuple = (),
-    concat_fields: tuple = (),
-) -> Any:
-    """Field-wise merge helper: sum, max, or concatenate named attrs."""
-    for name in sum_fields:
-        setattr(target, name, getattr(target, name) + getattr(other, name))
-    for name in max_fields:
-        setattr(target, name, max(getattr(target, name), getattr(other, name)))
-    for name in concat_fields:
-        getattr(target, name).extend(getattr(other, name))
-    return target
-
-
 class StatsViewMixin:
-    """Default ``as_dict``/``to_json`` for dataclass-shaped stats.
+    """Default ``as_dict`` for dataclass-shaped stats.
 
     ``as_dict`` serializes dataclass fields (skipping private ones) plus
     whatever :meth:`extra_dict` contributes — subclasses list derived
@@ -105,6 +72,3 @@ class StatsViewMixin:
                     out[f.name] = json_safe(getattr(self, f.name))
         out.update(json_safe(self.extra_dict()))
         return out
-
-    def to_json(self, indent: Any = None) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)

@@ -18,7 +18,6 @@ timings, the TLAV engine for per-superstep records.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Any, Callable, Dict, List, Optional
 
@@ -181,18 +180,7 @@ class Tracer:
         """All spans (any depth) with the given name."""
         return [s for s in self._walk(self.roots) if s.name == name]
 
-    def total_wall(self, name: str) -> float:
-        return sum(s.wall_seconds for s in self.find(name))
-
     # -- export ------------------------------------------------------------
 
     def as_dict(self) -> Dict[str, Any]:
         return {"spans": [s.as_dict() for s in self.roots]}
-
-    def to_json(self, indent: Any = None) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
-
-    def merge(self, other: "Tracer") -> "Tracer":
-        """Adopt another tracer's root spans (in place); returns self."""
-        self.roots.extend(other.roots)
-        return self

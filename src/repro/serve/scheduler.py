@@ -316,9 +316,6 @@ class ServeStats(StatsViewMixin):
     def peak_queue_depth(self) -> int:
         return int(self._g_queue_depth.value())
 
-    def latency_percentile(self, q: float, endpoint: str) -> float:
-        return self._h_latency.percentile(q, endpoint=endpoint)
-
     def extra_dict(self) -> Dict[str, Any]:
         return {
             "admitted": self.admitted,

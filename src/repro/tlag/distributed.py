@@ -76,7 +76,7 @@ class _CachedGraphView:
     """A Graph facade whose adjacency reads are priced per worker.
 
     Presents the same read API the task programs use (``neighbors``,
-    ``degree``, ``has_edge``, labels, sizes); owned vertices read
+    ``degree``, labels, sizes); owned vertices read
     locally, others go through the worker's cache or the network.
     """
 
@@ -125,11 +125,6 @@ class _CachedGraphView:
 
     def degrees(self) -> np.ndarray:
         return self._engine.graph.degrees()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.neighbors(u)
-        k = int(np.searchsorted(nbrs, v))
-        return k < nbrs.size and nbrs[k] == v
 
     def orient_by_degree(self) -> Graph:
         return self._engine.graph.orient_by_degree()

@@ -140,7 +140,7 @@ class EngineStats(StatsViewMixin):
         """Makespan over ideal (total/num_workers); 1.0 is perfect."""
         return balance(self.makespan, self.total_ops, self.num_workers)
 
-    # -- StatsView ----------------------------------------------------------
+    # -- export ------------------------------------------------------------
 
     def extra_dict(self) -> Dict[str, Any]:
         return {
@@ -154,16 +154,6 @@ class EngineStats(StatsViewMixin):
             "makespan": self.makespan,
             "balance": self.balance,
         }
-
-    def merge(self, other: "EngineStats") -> "EngineStats":
-        """Combine runs: counters add, peaks/busy take per-worker max."""
-        self.num_workers = max(self.num_workers, other.num_workers)
-        for metric in (
-            self._c_tasks, self._c_forked, self._c_steals, self._c_ops,
-            self._g_busy, self._g_peak, self._h_task_ops,
-        ):
-            metric.merge(other.registry.get(metric.name))
-        return self
 
 
 class TaskEngine:

@@ -131,14 +131,6 @@ class SuperstepStats(StatsViewMixin):
     messages_sent: int
     messages_after_combine: int
 
-    def merge(self, other: "SuperstepStats") -> "SuperstepStats":
-        """Combine superstep records: counters add, index takes the max."""
-        self.superstep = max(self.superstep, other.superstep)
-        self.active_vertices += other.active_vertices
-        self.messages_sent += other.messages_sent
-        self.messages_after_combine += other.messages_after_combine
-        return self
-
 
 @dataclass
 class Aggregator:

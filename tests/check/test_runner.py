@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -171,14 +170,6 @@ class TestCorpus:
 
 
 class TestCheckReport:
-    def test_merge_combines_results_and_suite_names(self):
-        reg = make_registry()
-        a = run_suite(suite="quick", registry=reg)
-        b = run_corpus(os.devnull + "-missing", registry=reg)
-        merged = a.merge(b)
-        assert merged.suite == "quick+corpus"
-        assert merged.cases == 2
-
     def test_report_is_a_stats_view(self):
         report = CheckReport(suite="quick", seed=0)
         assert report.as_dict()["ok"] is True

@@ -5,7 +5,7 @@ import importlib
 import numpy as np
 import pytest
 
-from repro.core.pipeline import Pipeline, PipelineContext, Stage, stages
+from repro.core.pipeline import Pipeline, Stage, stages
 from repro.core.taxonomy import (
     TABLE1_SYSTEMS,
     TABLE2_SYSTEMS,
@@ -38,7 +38,7 @@ def molecule_db():
 class TestPipelineMechanics:
     def test_artifacts_accumulate(self, community_graph):
         g, _ = community_graph
-        ctx = Pipeline([stages.pagerank_scores()]).run(PipelineContext(graph=g))
+        ctx = Pipeline([stages.pagerank_scores()]).run(g)
         assert "scores" in ctx.artifacts
         assert ctx.artifacts["scores"].sum() == pytest.approx(1.0)
 
@@ -46,19 +46,18 @@ class TestPipelineMechanics:
         g, _ = community_graph
         pipeline = Pipeline()
         pipeline.add(Stage(name="n", run=lambda c: c.require_graph().num_vertices))
-        ctx = pipeline.run(PipelineContext(graph=g))
+        ctx = pipeline.run(g)
         assert ctx.artifacts["n"] == g.num_vertices
 
-    def test_missing_graph_raises(self):
+    def test_missing_graph_raises(self, molecule_db):
+        db, _ = molecule_db
         with pytest.raises(ValueError):
-            Pipeline([stages.pagerank_scores()]).run(PipelineContext())
+            Pipeline([stages.pagerank_scores()]).run(db)
 
     def test_missing_database_raises(self, community_graph):
         g, _ = community_graph
         with pytest.raises(ValueError):
-            Pipeline([stages.pattern_features(min_support=2)]).run(
-                PipelineContext(graph=g)
-            )
+            Pipeline([stages.pattern_features(min_support=2)]).run(g)
 
 
 class TestFourPaths:
@@ -66,7 +65,7 @@ class TestFourPaths:
         g, _ = community_graph
         ctx = Pipeline(
             [stages.pagerank_scores(), stages.structural_vertex_features()]
-        ).run(PipelineContext(graph=g))
+        ).run(g)
         assert ctx.artifacts["scores"].shape == (g.num_vertices,)
         assert ctx.artifacts["features"].shape[0] == g.num_vertices
 
@@ -80,14 +79,12 @@ class TestFourPaths:
                 stages.deepwalk(dim=16, walks_per_vertex=6, seed=0),
                 stages.node_classifier(labels, train),
             ]
-        ).run(PipelineContext(graph=g))
+        ).run(g)
         assert ctx.artifacts["node_ml"]["accuracy"] > 0.7
 
     def test_path3_structure_analytics(self, community_graph):
         g, _ = community_graph
-        ctx = Pipeline([stages.mine_maximal_cliques(min_size=3)]).run(
-            PipelineContext(graph=g)
-        )
+        ctx = Pipeline([stages.mine_maximal_cliques(min_size=3)]).run(g)
         for clique in ctx.artifacts["structures"]:
             assert len(clique) >= 3
 
@@ -101,7 +98,7 @@ class TestFourPaths:
                 stages.pattern_features(min_support=6, max_edges=3),
                 stages.graph_classifier(labels, train),
             ]
-        ).run(PipelineContext(database=db))
+        ).run(db)
         assert ctx.artifacts["graph_ml"]["accuracy"] > 0.7
         assert "patterns" in ctx.artifacts
 

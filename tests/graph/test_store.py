@@ -554,6 +554,28 @@ class TestHandleProtocol:
                 assert handle.vertex_label(np.int64(19)) == g.vertex_label(19)
                 assert handle.edge_label(u, np.int64(w)) == g.edge_label(u, w)
 
+    def test_edge_label_errors_agree_on_both_handles(self, tmp_path):
+        # An unlabelled store answered KeyError("no edge") for an edge it
+        # holds, where the in-memory graph says it has no edge labels.
+        g = erdos_renyi(20, 0.3, seed=1)
+        u, w = 0, int(g.neighbors(0)[0])
+        absent = next(x for x in range(1, 20) if x not in set(g.neighbors(0)))
+        builder = GraphBuilder()
+        for a, b in g.edges():
+            builder.add_edge(a, b, label=3)
+        labelled = builder.build(num_vertices=20)
+        build_store(g, tmp_path / "plain", num_parts=2)
+        build_store(labelled, tmp_path / "labelled", num_parts=2)
+        with open_store(tmp_path / "plain") as plain, \
+                open_store(tmp_path / "labelled") as stored:
+            for handle in (plain, InMemoryGraph(g)):
+                with pytest.raises(ValueError, match="no edge labels"):
+                    handle.edge_label(u, w)
+            for handle in (stored, InMemoryGraph(labelled)):
+                assert handle.edge_label(u, w) == 3
+                with pytest.raises(KeyError):
+                    handle.edge_label(u, absent)
+
     def test_neighbors_checks_ids_on_both_handles(self, graph, tmp_path):
         # InMemoryGraph.neighbors(-1) returned an empty row and
         # neighbors(n) numpy's bare "index 81 is out of bounds".

@@ -39,27 +39,6 @@ class TestCounter:
         with pytest.raises(ValueError):
             c.inc(-1)
 
-    def test_merge_adds_by_series(self):
-        a, b = Counter("x"), Counter("x")
-        a.inc(1, k="a")
-        b.inc(2, k="a")
-        b.inc(5, k="b")
-        a.merge(b)
-        assert a.value(k="a") == 3
-        assert a.value(k="b") == 5
-
-    def test_merge_rejects_other_kinds_and_names(self):
-        with pytest.raises(ValueError):
-            Counter("x").merge(Gauge("x"))
-        with pytest.raises(ValueError):
-            Counter("x").merge(Counter("y"))
-
-    def test_reset(self):
-        c = Counter("x")
-        c.inc(3, k="a")
-        c.reset()
-        assert c.total == 0
-
     def test_series_rendering(self):
         c = Counter("x")
         c.inc(2, worker="0")
@@ -76,8 +55,8 @@ class TestGauge:
     def test_inc_dec(self):
         g = Gauge("depth")
         g.inc(3)
-        g.dec()
-        assert g.value() == 2
+        g.inc()
+        assert g.value() == 4
 
     def test_set_max_keeps_peak(self):
         g = Gauge("peak")
@@ -85,16 +64,6 @@ class TestGauge:
         g.set_max(3)
         g.set_max(9)
         assert g.value() == 9
-
-    def test_merge_takes_max_per_series(self):
-        a, b = Gauge("peak"), Gauge("peak")
-        a.set(5, worker="0")
-        b.set(3, worker="0")
-        b.set(8, worker="1")
-        a.merge(b)
-        assert a.value(worker="0") == 5
-        assert a.value(worker="1") == 8
-
 
 class TestHistogram:
     def test_count_sum_mean(self):
@@ -121,16 +90,6 @@ class TestHistogram:
         buckets = h.series()[""]["buckets"]
         assert buckets == {"1.0": 1, "10.0": 1, "+inf": 1}
 
-    def test_percentile_estimate(self):
-        h = Histogram("t", buckets=(1.0, 2.0, 4.0, 8.0))
-        for v in (1, 1, 2, 2, 8):
-            h.observe(v)
-        assert h.percentile(0.5) <= 2.0
-        assert h.percentile(1.0) == 8.0
-
-    def test_percentile_empty(self):
-        assert Histogram("t").percentile(0.5) == 0.0
-
     def test_labeled_series(self):
         h = Histogram("t")
         h.observe(1, stage="a")
@@ -138,19 +97,6 @@ class TestHistogram:
         assert h.count(stage="a") == 1
         assert h.count(stage="b") == 1
         assert h.count() == 0
-
-    def test_merge_combines_counts(self):
-        a, b = Histogram("t"), Histogram("t")
-        a.observe(1)
-        b.observe(100)
-        a.merge(b)
-        assert a.count() == 2
-        assert a.series()[""]["min"] == 1
-        assert a.series()[""]["max"] == 100
-
-    def test_merge_rejects_differing_buckets(self):
-        with pytest.raises(ValueError):
-            Histogram("t", buckets=(1,)).merge(Histogram("t", buckets=(2,)))
 
     def test_needs_buckets(self):
         with pytest.raises(ValueError):
@@ -189,66 +135,8 @@ class TestRegistry:
         reg.counter("c").inc(2, k="v")
         reg.gauge("g").set(1.5)
         reg.histogram("h").observe(3)
-        parsed = json.loads(reg.to_json(indent=2))
+        parsed = json.loads(json.dumps(reg.as_dict(), indent=2))
         assert parsed == reg.as_dict()
-
-    def test_reset_clears_all(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc()
-        reg.histogram("h").observe(1)
-        reg.reset()
-        assert reg.counter("c").total == 0
-        assert reg.histogram("h").count() == 0
-
-
-def _registry(counter=0, gauge=0, hist=()):
-    reg = MetricsRegistry()
-    if counter:
-        reg.counter("c").inc(counter)
-    if gauge:
-        reg.gauge("g").set(gauge)
-    for v in hist:
-        reg.histogram("h").observe(v)
-    return reg
-
-
-class TestRegistryMerge:
-    def test_merge_disjoint_metrics(self):
-        a = _registry(counter=1)
-        b = MetricsRegistry()
-        b.gauge("other").set(5)
-        a.merge(b)
-        assert a.counter("c").total == 1
-        assert a.gauge("other").value() == 5
-
-    def test_merge_does_not_alias_source(self):
-        a, b = MetricsRegistry(), _registry(counter=3)
-        a.merge(b)
-        a.counter("c").inc(10)
-        assert b.counter("c").total == 3  # source untouched
-
-    def test_merge_is_associative(self):
-        def snap(*regs):
-            acc = MetricsRegistry()
-            for r in regs:
-                acc.merge(r)
-            return acc.as_dict()
-
-        a = _registry(counter=1, gauge=5, hist=(1, 2))
-        b = _registry(counter=2, gauge=9, hist=(100,))
-        c = _registry(counter=4, gauge=7, hist=(3,))
-        # (a + b) + c == a + (b + c), element-wise on the snapshot.
-        left = MetricsRegistry().merge(a).merge(b).merge(c).as_dict()
-        bc = MetricsRegistry().merge(b).merge(c)
-        right = MetricsRegistry().merge(a).merge(bc).as_dict()
-        assert left == right == snap(a, b, c)
-
-    def test_merge_is_commutative(self):
-        a = _registry(counter=1, gauge=5, hist=(1, 2))
-        b = _registry(counter=2, gauge=9, hist=(100,))
-        ab = MetricsRegistry().merge(a).merge(b).as_dict()
-        ba = MetricsRegistry().merge(b).merge(a).as_dict()
-        assert ab == ba
 
 
 def _write(registry, bound):
@@ -265,7 +153,6 @@ def _write(registry, bound):
             c.labels().inc()
             g.labels(endpoint=endpoint).set_max(value)
             g.labels().inc(amount)
-            g.labels().dec()
             h.labels(endpoint=endpoint).observe(value)
             h.labels().observe(value)
         else:
@@ -273,7 +160,6 @@ def _write(registry, bound):
             c.inc()
             g.set_max(value, endpoint=endpoint)
             g.inc(amount)
-            g.dec()
             h.observe(value, endpoint=endpoint)
             h.observe(value)
     if bound:
@@ -288,8 +174,8 @@ class TestBoundHandles:
         _write(bound, bound=True)
         _write(kwargs, bound=False)
         assert bound.as_dict() == kwargs.as_dict()
-        assert bound.to_json() == kwargs.to_json()
-        assert bound.to_json(indent=2) == kwargs.to_json(indent=2)
+        # Same key order too: the exports serialize byte for byte alike.
+        assert json.dumps(bound.as_dict()) == json.dumps(kwargs.as_dict())
 
     def test_binding_creates_no_series(self):
         registry = MetricsRegistry()
@@ -303,39 +189,6 @@ class TestBoundHandles:
         c.labels(b=2, a=1).inc()
         c.labels(a=1, b=2).inc()
         assert c.series() == {"a=1,b=2": 2}
-
-    def test_handle_survives_reset(self):
-        registry = MetricsRegistry()
-        c = registry.counter("c").labels(endpoint="a")
-        g = registry.gauge("g").labels()
-        h = registry.histogram("h", buckets=[1, 2]).labels(endpoint="a")
-        c.inc(3)
-        g.set_max(5)
-        h.observe(2)
-        registry.reset()
-        assert all(m.series() == {} for m in registry)
-        c.inc(2)
-        g.set_max(1)
-        h.observe(1)
-        assert registry.counter("c").value(endpoint="a") == 2
-        assert registry.gauge("g").value() == 1
-        assert registry.histogram("h").count(endpoint="a") == 1
-        assert registry.histogram("h").sum(endpoint="a") == 1.0
-
-    def test_handle_survives_merge(self):
-        mine, theirs = MetricsRegistry(), MetricsRegistry()
-        c = mine.counter("c").labels(endpoint="a")
-        h = mine.histogram("h", buckets=[1, 2]).labels()
-        c.inc(1)
-        theirs.counter("c").inc(10, endpoint="a")
-        theirs.histogram("h", buckets=[1, 2]).observe(5)
-        mine.merge(theirs)
-        c.inc(2)
-        h.observe(1)
-        assert mine.counter("c").value(endpoint="a") == 13
-        assert mine.histogram("h").count() == 2
-        # The donor registry is untouched by writes through ``mine``.
-        assert theirs.counter("c").value(endpoint="a") == 10
 
     def test_negative_inc_through_handle_raises(self):
         c = Counter("c")

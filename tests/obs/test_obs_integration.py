@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.pipeline import (
-    Pipeline,
-    PipelineContext,
-    PipelineResult,
-    stages,
-)
+from repro.core.pipeline import Pipeline, PipelineResult, stages
 from repro.gnn.models import NodeClassifier
 from repro.gnn.train import train_full_graph
 from repro.graph.generators import barabasi_albert, planted_partition
@@ -103,13 +98,6 @@ class TestPipelineResult:
         assert result.graph is graph
         assert "scores" in result
         assert len(result["scores"]) == graph.num_vertices
-
-    def test_legacy_context_pattern_still_works(self, graph):
-        ctx = PipelineContext(graph=graph)
-        result = Pipeline([stages.pagerank_scores(iterations=5)]).run(ctx)
-        # Old call sites read result.artifacts — the context's own dict.
-        assert result.artifacts is ctx.artifacts
-        assert "scores" in ctx.artifacts
 
     def test_rejects_unknown_input(self):
         with pytest.raises(TypeError):

@@ -1,4 +1,4 @@
-"""Every stats/report object in the library satisfies ``StatsView``."""
+"""Every stats/report object in the library exports through ``as_dict()``."""
 
 import json
 
@@ -10,7 +10,8 @@ from repro.gnn.caching import CacheReport
 from repro.gnn.pipeline import ScheduleResult
 from repro.gnn.staleness import StalenessTrace
 from repro.gnn.train import TrainReport
-from repro.obs import StatsView, json_safe, merge_counters
+from repro.matching.backtrack import MatchStats
+from repro.obs import json_safe
 from repro.tlag.distributed import CacheStats
 from repro.tlag.engine import EngineStats
 from repro.tlav.engine import SuperstepStats
@@ -33,19 +34,20 @@ def _views():
 
 
 @pytest.mark.parametrize("view", _views(), ids=lambda v: type(v).__name__)
-def test_satisfies_protocol(view):
-    assert isinstance(view, StatsView)
-
-
-@pytest.mark.parametrize("view", _views(), ids=lambda v: type(v).__name__)
 def test_as_dict_round_trips_through_json(view):
     d = view.as_dict()
     assert isinstance(d, dict)
-    assert json.loads(view.to_json()) == json.loads(json.dumps(json_safe(d)))
+    assert json.loads(json.dumps(d)) == json.loads(json.dumps(json_safe(d)))
 
 
-@pytest.mark.parametrize("view", _views(), ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize(
+    "view",
+    [CacheStats(local_reads=3, cache_hits=2, remote_pulls=1, bytes_pulled=64),
+     MatchStats()],
+    ids=lambda v: type(v).__name__,
+)
 def test_merge_returns_self(view):
+    # Only the records a production caller folds keep ``merge``.
     import copy
 
     other = copy.deepcopy(view)
@@ -66,19 +68,6 @@ class TestEngineStatsView:
         assert s.worker_busy == [10, 4]
         assert s.peak_pending_tasks == 3
         assert s.makespan == 10
-
-    def test_merge_adds_counters_maxes_busy(self):
-        a, b = EngineStats(num_workers=2), EngineStats(num_workers=2)
-        a.record_task(0, ops=10, forked=0, clock=10)
-        b.record_task(0, ops=6, forked=1, clock=6)
-        b.record_task(1, ops=20, forked=0, clock=20)
-        b.record_steal()
-        a.merge(b)
-        assert a.tasks_executed == 3
-        assert a.total_ops == 36
-        assert a.steals == 1
-        assert a.worker_busy == [10, 20]  # per-worker max, not sum
-        assert a.makespan == 20
 
     def test_exported_dict_has_derived_fields(self):
         s = EngineStats(num_workers=2)
@@ -109,37 +98,12 @@ class TestCommStatsView:
         s = self._stats()
         assert s.by_tag == {"data": 12, "ctl": 2}
 
-    def test_merge_pads_link_matrix(self):
-        a = CommStats(num_workers=2)
-        a.record(Message(src=0, dst=1, payload=b"", nbytes=2, tag="t"))
-        b = CommStats(num_workers=3)
-        b.record(Message(src=2, dst=0, payload=b"", nbytes=3, tag="t"))
-        a.merge(b)
-        assert a.num_workers == 3
-        assert a.link_bytes.shape == (3, 3)
-        assert a.link_bytes[0, 1] == 2
-        assert a.link_bytes[2, 0] == 3
-        assert a.total_bytes == 5
-
     def test_network_stats_share_registry(self):
         net = Network(num_workers=2)
         net.send(0, 1, np.zeros(4), tag="x")
         assert net.registry is net.stats.registry
         assert net.registry.counter("cluster.messages").total == 1
         assert net.stats.bytes_remote == 32  # 4 float64s
-
-
-class TestMergeCountersHelper:
-    def test_sum_max_concat(self):
-        class Obj:
-            def __init__(self, n, m, items):
-                self.n, self.m, self.items = n, m, list(items)
-
-        a, b = Obj(1, 5, ["x"]), Obj(2, 3, ["y"])
-        out = merge_counters(a, b, sum_fields=("n",), max_fields=("m",),
-                             concat_fields=("items",))
-        assert out is a
-        assert (a.n, a.m, a.items) == (3, 5, ["x", "y"])
 
 
 class TestJsonSafe:

@@ -44,7 +44,6 @@ class TestSpanNesting:
             with tracer.span("step"):
                 pass
         assert len(tracer.find("step")) == 2
-        assert tracer.total_wall("step") >= 0.0
 
 
 class TestSpanClocks:
@@ -106,14 +105,6 @@ class TestExport:
         with tracer.span("outer"):
             with tracer.span("inner", idx=1):
                 pass
-        parsed = json.loads(tracer.to_json())
+        parsed = json.loads(json.dumps(tracer.as_dict()))
         assert parsed == tracer.as_dict()
 
-    def test_merge_extends_roots(self):
-        a, b = Tracer(), Tracer()
-        with a.span("x"):
-            pass
-        with b.span("y"):
-            pass
-        a.merge(b)
-        assert [s.name for s in a.roots] == ["x", "y"]

@@ -12,7 +12,7 @@ import pytest
 
 from repro.cluster.comm import Network
 from repro.gnn.models import NodeClassifier
-from repro.gnn.serverless import FleetStats, simulate_fleet
+from repro.gnn.serverless import simulate_fleet
 from repro.gnn.train import train_full_graph
 from repro.graph.generators import barabasi_albert
 from repro.matching.triangles import triangle_count
@@ -247,15 +247,6 @@ class TestLambdaFleet:
         uncured = simulate_fleet(48, 1.0, 6, injector=plan.build())
         assert cured.makespan < uncured.makespan
         assert cured.retries > 0
-
-    def test_stats_merge(self):
-        a = FleetStats(invocations=2, busy_seconds=2.0, makespan=1.5)
-        b = FleetStats(invocations=3, busy_seconds=3.0, makespan=2.5)
-        merged = a.merge(b)
-        assert merged.invocations == 5
-        assert merged.busy_seconds == 5.0
-        assert merged.makespan == 2.5
-        assert 0 < merged.as_dict()["goodput"] <= 1
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -258,13 +258,13 @@ def compute() -> Dict[str, Any]:
     out: Dict[str, Any] = {}
     server = scenario()
     out["faults"] = {
-        "registry_json": server.obs.to_json(),
-        "stats_json": server.stats.to_json(),
+        "registry_json": json.dumps(server.obs.as_dict(), sort_keys=True),
+        "stats_json": json.dumps(server.stats.as_dict(), sort_keys=True),
     }
     server, responses = loadgen_scenario()
     out["loadgen"] = {
-        "registry_json": server.obs.to_json(),
-        "stats_json": server.stats.to_json(),
+        "registry_json": json.dumps(server.obs.as_dict(), sort_keys=True),
+        "stats_json": json.dumps(server.stats.as_dict(), sort_keys=True),
         "responses_json": json.dumps(responses, sort_keys=True),
     }
     return out

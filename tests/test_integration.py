@@ -4,7 +4,7 @@ exercised end to end through the public API."""
 import numpy as np
 import pytest
 
-from repro.core.pipeline import Pipeline, PipelineContext, stages
+from repro.core.pipeline import Pipeline, stages
 from repro.fsm.gspan import mine_frequent_subgraphs
 from repro.fsm.single_graph import SingleGraphFSM
 from repro.gnn.distributed import DistributedTrainer
@@ -41,15 +41,13 @@ class TestAnalyticsToMLHandoff:
                 stages.deepwalk(dim=16, walks_per_vertex=6, seed=0),
                 stages.node_classifier(labels, train),
             ]
-        ).run(PipelineContext(graph=g))
+        ).run(g)
         assert ctx.artifacts["node_ml"]["accuracy"] > 0.75
 
     def test_gnn_on_pipeline_features(self):
         """Topology features from the analytics stage feed a GNN."""
         g, labels = planted_partition(3, 20, p_in=0.25, p_out=0.02, seed=3)
-        ctx = Pipeline([stages.structural_vertex_features()]).run(
-            PipelineContext(graph=g)
-        )
+        ctx = Pipeline([stages.structural_vertex_features()]).run(g)
         features = ctx.artifacts["features"]
         rng = np.random.default_rng(1)
         train = np.zeros(g.num_vertices, dtype=bool)
