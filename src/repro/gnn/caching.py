@@ -12,12 +12,18 @@ cache) put a feature cache in front of the network:
   trace by running the neighbor sampler over training batches;
 * :func:`replay` — run a trace through a cache and report hit rate and
   bytes saved, the quantities bench C13 sweeps against capacity.
+
+A cache is asked about a whole batch of ids at once:
+``lookup_many(ids)`` returns the hit mask, with exactly the outcome of
+asking for each id in turn (duplicates, recency order, books and
+``gnn.cache.*`` totals alike) — one ``np.isin`` for the static cache,
+one :meth:`~repro.lru.LRU.get_or_put_many` loop for the LRU.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Protocol, Sequence
+from typing import Any, Dict, Iterable, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -38,15 +44,15 @@ __all__ = [
 
 
 class FeatureCache(Protocol):
-    """Minimal cache interface: ``lookup`` returns hit/miss."""
+    """Minimal cache interface: the hit mask of a batch of ids."""
 
-    def lookup(self, vertex: int) -> bool:  # pragma: no cover - protocol
+    def lookup_many(self, ids: np.ndarray) -> np.ndarray:  # pragma: no cover
         ...
 
 
 @dataclass
 class CacheStats:
-    """A cache's own books, updated on every ``lookup``.
+    """A cache's own books, updated on every ``lookup_many``.
 
     ``replay`` cross-checks its externally counted hits against these,
     so a cache whose bookkeeping drifts from its behaviour cannot
@@ -95,19 +101,18 @@ class StaticDegreeCache(_CacheObsMixin):
         self.obs = obs
         self.label = label
         degrees = graph.degrees()
-        top = np.argsort(-degrees, kind="stable")[:capacity]
-        self._pinned = frozenset(int(v) for v in top)
-        self.stats = CacheStats(admissions=len(self._pinned))
-        self._emit("admissions", "entries admitted", len(self._pinned))
+        self._pinned = np.argsort(-degrees, kind="stable")[:capacity]
+        self.stats = CacheStats(admissions=self._pinned.size)
+        self._emit("admissions", "entries admitted", self._pinned.size)
 
-    def lookup(self, vertex: int) -> bool:
-        if vertex in self._pinned:
-            self.stats.hits += 1
-            self._emit("hits", "feature-cache hits")
-            return True
-        self.stats.misses += 1
-        self._emit("misses", "feature-cache misses")
-        return False
+    def lookup_many(self, ids: np.ndarray) -> np.ndarray:
+        hit = np.isin(np.asarray(ids, dtype=np.int64), self._pinned)
+        hits = int(np.count_nonzero(hit))
+        self.stats.hits += hits
+        self.stats.misses += hit.size - hits
+        self._emit("hits", "feature-cache hits", hits)
+        self._emit("misses", "feature-cache misses", hit.size - hits)
+        return hit
 
 
 class LRUCache(_CacheObsMixin):
@@ -131,16 +136,20 @@ class LRUCache(_CacheObsMixin):
         admissions = lru.misses if self.capacity > 0 else 0
         return CacheStats(lru.hits, lru.misses, admissions, lru.evictions)
 
-    def lookup(self, vertex: int) -> bool:
-        if self._lru.get(vertex):
-            self._emit("hits", "feature-cache hits")
-            return True
-        self._emit("misses", "feature-cache misses")
-        if self.capacity > 0:
-            self._emit("admissions", "entries admitted")
-            if self._lru.put(vertex, True):
-                self._emit("evictions", "entries evicted")
-        return False
+    def lookup_many(self, ids: np.ndarray) -> np.ndarray:
+        lru, admit = self._lru, self.capacity > 0
+        evictions = lru.evictions
+        hit = np.array(
+            lru.get_or_put_many(np.asarray(ids, dtype=np.int64).tolist(), True, admit),
+            dtype=bool,
+        )
+        hits = int(np.count_nonzero(hit))
+        self._emit("hits", "feature-cache hits", hits)
+        self._emit("misses", "feature-cache misses", hit.size - hits)
+        if admit:
+            self._emit("admissions", "entries admitted", hit.size - hits)
+            self._emit("evictions", "entries evicted", lru.evictions - evictions)
+        return hit
 
 
 @dataclass
@@ -179,8 +188,8 @@ def access_trace_from_sampling(
     batch_size: int,
     epochs: int = 1,
     seed: int = 0,
-) -> List[int]:
-    """The remote-vertex access sequence of sampled training.
+) -> np.ndarray:
+    """The remote-vertex access sequence of sampled training (int64).
 
     Every vertex id appearing in a sampled block is one feature access
     (the trainer must materialize its row); the skew of the result is
@@ -190,11 +199,12 @@ def access_trace_from_sampling(
 
     sampler = NeighborSampler(graph, fanouts, seed=seed)
     items = ItemSampler(train_nodes, batch_size)
-    trace: List[int] = []
-    for _ in range(epochs):
-        for seeds in items.batches(sampler.rng):
-            trace.extend(int(v) for v in sampler.sample(seeds).node_ids)
-    return trace
+    blocks = [
+        sampler.sample(seeds).node_ids
+        for _ in range(epochs)
+        for seeds in items.batches(sampler.rng)
+    ]
+    return np.concatenate([np.empty(0, dtype=np.int64), *blocks])
 
 
 def replay(
@@ -203,7 +213,7 @@ def replay(
     feature_dim: int = 64,
     obs: Optional[MetricsRegistry] = None,
 ) -> CacheReport:
-    """Run an access trace through a cache.
+    """Run an access trace through a cache, as one ``lookup_many`` call.
 
     If the cache keeps its own :class:`CacheStats`, the externally
     counted hits are cross-checked against the cache's delta over the
@@ -215,12 +225,11 @@ def replay(
     count: build it with the same registry to see them as
     ``gnn.cache.hits{cache=<label>}``.
     """
+    trace = np.asarray(
+        trace if isinstance(trace, np.ndarray) else list(trace), dtype=np.int64
+    )
     before = cache.stats.snapshot() if hasattr(cache, "stats") else None
-    accesses = hits = 0
-    for v in trace:
-        accesses += 1
-        if cache.lookup(v):
-            hits += 1
+    accesses, hits = int(trace.size), int(np.count_nonzero(cache.lookup_many(trace)))
     if before is not None:
         own_hits = cache.stats.hits - before.hits
         own_accesses = cache.stats.accesses - before.accesses

@@ -10,8 +10,10 @@ and evicted.
 
 The per-vertex samplers (:func:`reference_sample_neighbors`,
 :func:`reference_layerwise_sample`) are the loops ``gnn.sampling`` ran
-before it became array code over ``expand_frontier``; they live here as
-the reference side of ``gnn.sampling.batched_vs_reference`` only.
+before it became array code over ``expand_frontier`` and a reused id
+map, drawing from the generator as the module's RNG contract says; they
+live here as the reference side of ``gnn.sampling.batched_vs_reference``
+only.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from ..check.workloads import gen_graph_params, make_graph
 from ..graph.csr import Graph, GraphBuilder
 from .caching import LRUCache, StaticDegreeCache, replay
 from .quantization import quantize, quantize_dequantize
-from .sampling import Block, layerwise_sample, sample_neighbors
+from .sampling import Block, NeighborSampler, layerwise_sample, sample_neighbors
 
 
 def _gen_quantize(rng: np.random.Generator) -> Dict:
@@ -298,12 +300,15 @@ def reference_sample_neighbors(
     fanouts: Sequence[int],
     rng: Optional[np.random.Generator] = None,
 ) -> Block:
-    """Per-vertex fanout sampling: one ``rng.choice`` per oversized vertex.
+    """Per-vertex fanout sampling under the module's RNG contract.
 
-    Same contract as :func:`~repro.gnn.sampling.sample_neighbors`, and
-    the same block bit for bit whenever no draw happens (``fanout = -1``
-    or nothing exceeds the fanout); with draws the RNG is consumed per
-    vertex, so only the distribution agrees.
+    A hop whose frontier holds vertices with more than ``fanout``
+    neighbors makes one ``rng.random(k)`` call over those vertices'
+    ``k`` neighbor slots, in frontier then neighbor order; each such
+    vertex keeps the ``fanout`` neighbors with the smallest keys, in
+    neighbor order.  So the block equals
+    :func:`~repro.gnn.sampling.sample_neighbors`' bit for bit, draws or
+    no draws.
     """
     rng = rng or np.random.default_rng()
     seeds = [int(s) for s in seeds]
@@ -312,15 +317,20 @@ def reference_sample_neighbors(
     frontier = list(keep_nodes)
     edges: List[Tuple[int, int]] = []
     for fanout in fanouts:
+        lists = [graph.neighbors(v).tolist() for v in frontier]
+        over = [0 <= fanout < len(nbrs) for nbrs in lists]
+        slots = sum(len(nbrs) for nbrs, big in zip(lists, over) if big)
+        keys = rng.random(slots).tolist() if slots else []
+        start = 0
         next_frontier: List[int] = []
-        for v in frontier:
-            nbrs = graph.neighbors(v)
-            if fanout >= 0 and nbrs.size > fanout:
-                picked = rng.choice(nbrs, size=fanout, replace=False)
-            else:
-                picked = nbrs
+        for v, nbrs, big in zip(frontier, lists, over):
+            picked = nbrs
+            if big:
+                mine = keys[start: start + len(nbrs)]
+                start += len(nbrs)
+                ranked = sorted(range(len(nbrs)), key=mine.__getitem__)
+                picked = [nbrs[i] for i in sorted(ranked[:fanout])]
             for w in picked:
-                w = int(w)
                 edges.append((v, w))
                 if w not in known:
                     known.add(w)
@@ -456,12 +466,14 @@ def _gen_sampling(rng: np.random.Generator) -> Dict:
     gen=_gen_sampling,
     floors={"n": 4, "num_seeds": 1, "fanout": 1, "hops": 1, "num_parts": 1},
     description="the batched expand_frontier samplers vs the per-vertex "
-    "loops: bit-identical blocks at full fanout and for "
-    "layerwise_sample (same rng.choice per layer); at finite fanout the "
-    "block invariants (unique ids led by the seeds, parent edges only, "
-    "full neighborhoods under the fanout, bounded size) and the same "
-    "block bit for bit through a hash-partitioned store paged at half "
-    "its shard bytes.",
+    "loops: bit-identical blocks at full fanout, at finite fanout (one "
+    "rng.random per hop, ranked per vertex) for two batches through one "
+    "NeighborSampler, whose id map the first batch must leave clean, and "
+    "for layerwise_sample (same rng.choice per layer); the block "
+    "invariants (unique ids led by the seeds, parent edges only, full "
+    "neighborhoods under the fanout, bounded size); and the same block "
+    "bit for bit through a hash-partitioned store paged at half its "
+    "shard bytes.",
 )
 def _check_sampling(params: Dict) -> List[str]:
     from ..graph.store import build_store, open_store
@@ -471,9 +483,9 @@ def _check_sampling(params: Dict) -> List[str]:
     hops = max(1, int(params["hops"]))
     fanout = max(1, int(params["fanout"]))
     # Seeds drawn with replacement: duplicates are part of the contract.
-    seeds = np.random.default_rng(seed).integers(
-        graph.num_vertices, size=max(1, int(params["num_seeds"]))
-    )
+    draw, size = np.random.default_rng(seed), max(1, int(params["num_seeds"]))
+    seeds = draw.integers(graph.num_vertices, size=size)
+    second = draw.integers(graph.num_vertices, size=size)
     out = same_block(
         reference_sample_neighbors(graph, seeds, [-1] * hops),
         sample_neighbors(graph, seeds, [-1] * hops),
@@ -486,6 +498,14 @@ def _check_sampling(params: Dict) -> List[str]:
         "layerwise",
     )
     fanouts = [fanout] * hops
+    reference_rng = np.random.default_rng(seed)
+    sampler = NeighborSampler(graph, fanouts, seed)
+    for batch, ids in enumerate((seeds, second)):
+        out += same_block(
+            reference_sample_neighbors(graph, ids, fanouts, reference_rng),
+            sampler.sample(ids),
+            f"sampler batch {batch}",
+        )
     out += sampled_block_violations(graph, seeds, fanouts, seed)
     want = sample_neighbors(graph, seeds, fanouts, np.random.default_rng(seed))
     with tempfile.TemporaryDirectory(prefix="check-sampling-") as tmp:

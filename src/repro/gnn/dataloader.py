@@ -14,6 +14,10 @@ producer drains the (seeded) RNG in exactly the order the synchronous
 loop would, the emitted batches are bit-identical with prefetch on or
 off — determinism is never traded for overlap.
 
+Each stage pays for its block only: the sampler reuses one id map
+across batches (:class:`~repro.gnn.sampling.NeighborSampler`) and the
+fetcher asks its cache about the whole block in one ``lookup_many``.
+
 Every batch carries its measured :class:`~repro.gnn.pipeline.StageTimes`;
 :meth:`MiniBatchLoader.schedule_report` feeds them to the existing
 ``pipeline.sequential_schedule`` / ``pipelined_schedule`` machinery to
@@ -111,8 +115,9 @@ class FeatureFetcher:
     the handle's feature shards, one ``handle.features(ids)`` call per
     block (paged per-partition reads on stored graphs).  A
     :class:`~repro.gnn.caching.FeatureCache` in front models the remote
-    fetch: hits are rows already resident, misses are rows that had to
-    be pulled, and both are mirrored into ``gnn.loader.*`` counters.
+    fetch, asked once per block (``lookup_many``): hits are rows already
+    resident, misses are rows that had to be pulled, and both are
+    mirrored into ``gnn.loader.*`` counters.
 
     With an ``assignment`` (vertex -> owning partition) the fetcher
     acts for one ``worker``: rows it owns are free (``local_rows``),
@@ -163,8 +168,8 @@ class FeatureFetcher:
             self.local_rows += node_ids.size - remote.size
         missed = remote
         if self.cache is not None:
-            missed = [v for v in remote.tolist() if not self.cache.lookup(v)]
-        hits, misses = len(remote) - len(missed), len(missed)
+            missed = remote[~self.cache.lookup_many(remote)]
+        hits, misses = remote.size - missed.size, missed.size
         self.hits += hits
         self.misses += misses
         dim = int(rows.shape[1]) if rows.ndim == 2 else 1
@@ -209,7 +214,8 @@ class MiniBatch:
     ``times`` is the loader's live accounting record for this batch —
     the trainer adds its measured forward/backward seconds via
     :meth:`record_compute` so :meth:`MiniBatchLoader.schedule_report`
-    sees all three stages.
+    sees all three stages.  ``assignment`` is the handle's vertex ->
+    partition map, if it has one.
     """
 
     epoch: int
@@ -219,7 +225,15 @@ class MiniBatch:
     gt: GraphTensors
     x: np.ndarray
     times: StageTimes
-    partitions: Optional[frozenset] = None
+    assignment: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def partitions(self) -> Optional[frozenset]:
+        """The partitions owning the block's vertices (``None`` without
+        an assignment), computed on access."""
+        if self.assignment is None:
+            return None
+        return frozenset(np.unique(self.assignment[self.node_ids]).tolist())
 
     @property
     def node_ids(self) -> np.ndarray:
@@ -314,11 +328,6 @@ class MiniBatchLoader:
         times = StageTimes(sample=t1 - t0, gather=t2 - t1, compute=0.0)
         self.stage_times.append(times)
         self.batches_emitted += 1
-        partitions = None
-        if self._assignment is not None:
-            partitions = frozenset(
-                int(p) for p in np.unique(self._assignment[block.node_ids])
-            )
         if self.obs is not None:
             self.obs.counter("gnn.loader.batches", "mini-batches staged").inc()
             self.obs.counter(
@@ -339,7 +348,7 @@ class MiniBatchLoader:
             gt=gt,
             x=x,
             times=times,
-            partitions=partitions,
+            assignment=self._assignment,
         )
 
     def _produce_epoch(self, epoch: int) -> Iterator[MiniBatch]:

@@ -21,7 +21,13 @@ A sampler works on a *frontier*, never on a vertex.  Each hop is one
 ``handle.expand_frontier(frontier)`` call — on a stored graph one
 gather per touched partition, each shard paged through the checked,
 budgeted cache once per hop — followed by array code; there is no
-per-vertex or per-edge Python.
+per-vertex or per-edge Python.  Compaction goes through one
+global -> local id map (``int64[n]``, -1 for every vertex outside the
+current sample): new vertices are the slots whose map entry is -1,
+each frontier fills the next contiguous local range, block ids and
+edge endpoints are gathers of the map, and the entries a sample wrote
+are reset when it ends, raising or not.  :class:`NeighborSampler`
+allocates that map once, so a batch costs O(its block), never O(n).
 
 RNG contract of :func:`sample_neighbors`: a hop in which no frontier
 vertex has more than ``fanout`` neighbors (always the case for
@@ -81,10 +87,24 @@ def _checked_seeds(seeds: Sequence[int], num_vertices: int) -> np.ndarray:
     return checked_vertex_ids(seeds, num_vertices)
 
 
-def _unique_in_order(ids: np.ndarray) -> np.ndarray:
-    """The distinct values of ``ids``, ordered by first occurrence."""
-    _, first = np.unique(ids, return_index=True)
-    return ids[np.sort(first)]
+def _first_seen(
+    ids: np.ndarray, local: np.ndarray, base: int, touched: List[np.ndarray]
+) -> np.ndarray:
+    """The distinct ``ids`` the map ``local`` does not hold yet, in order
+    of first occurrence, entered with local ids ``base, base + 1, ...``.
+
+    One ``np.minimum.at`` of each candidate's position finds its first
+    occurrence, so a hop costs O(its slots) and sorts nothing.  Every
+    entry written is listed in ``touched`` first, for the restore.
+    """
+    fresh = ids[local[ids] < 0]
+    touched.append(fresh)
+    position = np.arange(fresh.size)
+    local[fresh] = fresh.size  # above every position
+    np.minimum.at(local, fresh, position)
+    new = fresh[local[fresh] == position]
+    local[new] = np.arange(base, base + new.size)
+    return new
 
 
 def _fanout_mask(
@@ -96,7 +116,8 @@ def _fanout_mask(
     of owners with more than ``fanout`` get one uniform key each; sorting
     by ``owner + key / 2`` shuffles every segment in place (halved, a key
     can never round up into the next owner's range), and the slots that
-    land past rank ``fanout`` are dropped.
+    land past rank ``fanout`` are dropped.  A slot's rank counts from its
+    segment's start, the exclusive running sum of the over-fanout lengths.
     """
     keep = np.ones(owners.size, dtype=bool)
     if fanout < 0:
@@ -106,7 +127,9 @@ def _fanout_mask(
     if over.size:
         segment = owners[over]
         shuffled = np.argsort(segment + 0.5 * rng.random(over.size))
-        rank = np.arange(over.size) - np.searchsorted(segment, segment)
+        sampled = np.where(lengths > fanout, lengths, 0)
+        starts = np.cumsum(sampled) - sampled
+        rank = np.arange(over.size) - starts[segment]
         keep[over[shuffled[rank >= fanout]]] = False
     return keep
 
@@ -114,26 +137,19 @@ def _fanout_mask(
 def _assemble_block(
     handle,
     node_ids: np.ndarray,
-    seeds: np.ndarray,
+    seed_local: np.ndarray,
     src: List[np.ndarray],
     dst: List[np.ndarray],
 ) -> Block:
-    """Compact sampled edges (global ids, unique ``node_ids``) into a block.
+    """The block of sampled edges already in local ids.
 
     The graph ``Graph.from_edges`` would build from them: the undirected
     union of the edges through :func:`~repro.graph.kernels.csr_from_pairs`.
     """
     m = node_ids.size
-    order = np.argsort(node_ids)
-    sorted_ids = node_ids[order]
-
-    def local(ids: np.ndarray) -> np.ndarray:
-        return order[np.searchsorted(sorted_ids, ids)]
-
     none = np.empty(0, dtype=np.int64)  # a zero-hop sample has no edge arrays
     indptr, indices, _ = csr_from_pairs(
-        local(np.concatenate([none, *src])),
-        local(np.concatenate([none, *dst])),
+        np.concatenate([none, *src]), np.concatenate([none, *dst]),
         (m, m), directed=False,
     )
     labels = handle.vertex_labels
@@ -142,8 +158,55 @@ def _assemble_block(
     return Block(
         graph=Graph(indptr, indices, vertex_labels=labels),
         node_ids=node_ids,
-        seed_local=local(seeds),
+        seed_local=seed_local,
     )
+
+
+def _id_map(handle) -> np.ndarray:
+    """A global -> local id map that holds no vertex (every entry -1)."""
+    return np.full(handle.num_vertices, -1, dtype=np.int64)
+
+
+def _sample(
+    handle,
+    seeds: Sequence[int],
+    fanouts: Sequence[int],
+    rng: np.random.Generator,
+    local: np.ndarray,
+) -> Block:
+    """:func:`sample_neighbors` over a clean id map ``local``, left clean.
+
+    Each frontier fills one contiguous local range, so a hop's sources
+    are its owners shifted by the range's base; its targets are one
+    gather of the map.  The ``finally`` restores -1 at exactly the
+    entries the sample wrote, so a batch costs O(block), never O(n).
+    """
+    seeds = _checked_seeds(seeds, handle.num_vertices)
+    touched: List[np.ndarray] = []
+    try:
+        frontier = _first_seen(seeds, local, 0, touched)
+        discovered = [frontier]
+        base = 0
+        src: List[np.ndarray] = []
+        dst: List[np.ndarray] = []
+        for fanout in fanouts:
+            if frontier.size == 0:
+                break
+            owners, nbrs = handle.expand_frontier(frontier)
+            keep = _fanout_mask(owners, frontier.size, fanout, rng)
+            owners, nbrs = owners[keep], nbrs[keep]
+            end = base + frontier.size
+            frontier = _first_seen(nbrs, local, end, touched)
+            discovered.append(frontier)
+            src.append(owners + base)
+            dst.append(local[nbrs])
+            base = end
+        return _assemble_block(
+            handle, np.concatenate(discovered), local[seeds], src, dst
+        )
+    finally:
+        for ids in touched:
+            local[ids] = -1
 
 
 def sample_neighbors(
@@ -157,37 +220,33 @@ def sample_neighbors(
     ``fanouts[k]`` caps the neighbors drawn per node at hop ``k``
     (``-1`` = keep all).  Returns one block containing the union of all
     sampled nodes and the sampled edges; ``node_ids`` lists the distinct
-    seeds, then every other vertex in order of first discovery.
+    seeds, then every other vertex in order of first discovery.  A
+    one-off call allocates its own id map; :class:`NeighborSampler`
+    keeps one for all its batches.
     """
     handle = as_handle(graph)
-    rng = rng or np.random.default_rng()
-    seeds = _checked_seeds(seeds, handle.num_vertices)
-    node_ids = frontier = _unique_in_order(seeds)
-    src: List[np.ndarray] = []
-    dst: List[np.ndarray] = []
-    for fanout in fanouts:
-        if frontier.size == 0:
-            break
-        owners, nbrs = handle.expand_frontier(frontier)
-        keep = _fanout_mask(owners, frontier.size, fanout, rng)
-        owners, nbrs = owners[keep], nbrs[keep]
-        src.append(frontier[owners])
-        dst.append(nbrs)
-        frontier = _unique_in_order(nbrs[~np.isin(nbrs, node_ids)])
-        node_ids = np.concatenate([node_ids, frontier])
-    return _assemble_block(handle, node_ids, seeds, src, dst)
+    return _sample(
+        handle, seeds, fanouts, rng or np.random.default_rng(), _id_map(handle)
+    )
 
 
 class NeighborSampler:
-    """Reusable sampler with fixed fanouts and a seeded RNG."""
+    """Reusable sampler with fixed fanouts and a seeded RNG.
+
+    Holds one global -> local id map (``int64[n]``, -1 outside a
+    sample) for its lifetime; each batch writes and restores only its
+    block's entries.  Like its generator, a sampler serves one thread.
+    """
 
     def __init__(self, graph: Graph, fanouts: Sequence[int], seed: int = 0) -> None:
         self.graph = graph
+        self.handle = as_handle(graph)
         self.fanouts = list(fanouts)
         self.rng = np.random.default_rng(seed)
+        self._local = _id_map(self.handle)
 
     def sample(self, seeds: Sequence[int]) -> Block:
-        return sample_neighbors(self.graph, seeds, self.fanouts, rng=self.rng)
+        return _sample(self.handle, seeds, self.fanouts, self.rng, self._local)
 
 
 def khop_subgraph(graph: Graph, seed: int, k: int) -> Block:
@@ -218,8 +277,12 @@ def layerwise_sample(
     handle = as_handle(graph)
     rng = rng or np.random.default_rng()
     seeds = _checked_seeds(seeds, handle.num_vertices)
-    node_ids = layer = _unique_in_order(seeds)
     degrees = handle.degrees()
+    local = _id_map(handle)  # private to this call: nothing to restore
+    touched: List[np.ndarray] = []
+    layer = _first_seen(seeds, local, 0, touched)
+    discovered = [layer]
+    size = layer.size
     src: List[np.ndarray] = []
     dst: List[np.ndarray] = []
     for budget in nodes_per_layer:
@@ -237,8 +300,9 @@ def layerwise_sample(
             pool, size=min(budget, pool.size), replace=False, p=weights
         )
         kept = np.isin(nbrs, chosen)
-        src.append(layer[owners[kept]])
-        dst.append(nbrs[kept])
-        node_ids = np.concatenate([node_ids, chosen[~np.isin(chosen, node_ids)]])
+        discovered.append(_first_seen(chosen, local, size, touched))
+        size += discovered[-1].size
+        src.append(local[layer[owners[kept]]])
+        dst.append(local[nbrs[kept]])
         layer = chosen
-    return _assemble_block(handle, node_ids, seeds, src, dst)
+    return _assemble_block(handle, np.concatenate(discovered), local[seeds], src, dst)

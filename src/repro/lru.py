@@ -7,13 +7,16 @@ contract.  In short: ``budget`` caps the resident ``weight`` (``None``
 = unbounded, each put weighs 1 unless told otherwise); the entry just
 put is never the one evicted; ``on_evict(key, value)`` fires once per
 entry leaving by eviction, pop or clear; ``hits`` / ``misses`` /
-``evictions`` / ``weight`` are plain ints.  Imports nothing from ``repro``, so every layer may use it.
+``evictions`` / ``weight`` are plain ints.  ``get_or_put_many`` is a
+batch of ``get``-then-``put``-on-miss calls as one loop, for clients
+that look up many keys at once.  Imports nothing from ``repro``, so
+every layer may use it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, Iterator, Optional, Tuple
+from typing import Any, Callable, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = ["LRU"]
 
@@ -67,6 +70,41 @@ class LRU:
             evicted += 1
         self.evictions += evicted
         return evicted
+
+    def get_or_put_many(
+        self, keys: Iterable[Hashable], value: Any = None, admit: bool = True
+    ) -> List[bool]:
+        """Hit flags of ``keys``, each looked up in order as ``get(key)``
+        followed, on a miss when ``admit``, by ``put(key, value)``.
+
+        Recency order, evictions, ``on_evict`` and the books are those
+        of the per-key calls; ``hits`` / ``misses`` are added once, when
+        the batch ends.
+        """
+        entries = self._entries
+        refresh = entries.move_to_end
+        budget = self.budget
+        flags: List[bool] = []
+        flag = flags.append
+        try:
+            for key in keys:
+                if key in entries:
+                    refresh(key)
+                    flag(True)
+                    continue
+                flag(False)
+                if not admit:
+                    continue
+                entries[key] = (value, 1)
+                self.weight += 1
+                while budget is not None and self.weight > budget and len(entries) > 1:
+                    self._left(*entries.popitem(last=False))
+                    self.evictions += 1
+        finally:
+            found = sum(flags)
+            self.hits += found
+            self.misses += len(flags) - found
+        return flags
 
     def pop(self, key: Hashable, default: Any = None) -> Any:
         """Remove ``key`` and return its value (``default`` if absent)."""

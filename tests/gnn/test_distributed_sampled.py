@@ -149,7 +149,8 @@ def _legacy_run(task, partition, cache, policy, seed, epochs):
                     if owner == worker:
                         out["local_rows"] += 1
                         continue
-                    if caches[worker] is not None and caches[worker].lookup(int(v)):
+                    worker_cache = caches[worker]
+                    if worker_cache is not None and worker_cache.lookup_many([v])[0]:
                         out["cache_hits"] += 1
                         continue
                     out["remote_rows"] += 1

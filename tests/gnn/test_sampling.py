@@ -69,6 +69,21 @@ class TestBlockContract:
             sample_neighbors(graph, seeds, fanouts),
         )
 
+    @given(sampling_cases(), st.lists(st.integers(0, 39), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_finite_fanout_equals_per_vertex_reference(self, case, second):
+        """Two batches through one sampler: the second only matches if
+        the first left the sampler's id map clean."""
+        graph, seeds, fanouts, seed = case
+        second = [v % graph.num_vertices for v in second]
+        sampler = NeighborSampler(graph, fanouts, seed=seed)
+        reference_rng = np.random.default_rng(seed)
+        for batch in (seeds, second, seeds):
+            _assert_same_block(
+                reference_sample_neighbors(graph, batch, fanouts, reference_rng),
+                sampler.sample(batch),
+            )
+
     @given(sampling_cases())
     @settings(max_examples=60, deadline=None)
     def test_layerwise_equals_per_vertex_reference(self, case):
@@ -205,6 +220,41 @@ class TestHandleIndependence:
             for got in (blocks(InMemoryGraph(ba)), blocks(stored)):
                 for a, b in zip(want, got):
                     _assert_same_block(a, b)
+
+
+class _FailingHop(InMemoryGraph):
+    """A handle whose second ``expand_frontier`` call raises."""
+
+    calls = 0
+
+    def expand_frontier(self, vertices):
+        self.calls += 1
+        if self.calls == 2:
+            raise OSError("shard read failed")
+        return super().expand_frontier(vertices)
+
+
+class TestIdMap:
+    def test_map_is_restored_when_a_hop_raises(self, ba):
+        handle = _FailingHop(ba)
+        sampler = NeighborSampler(handle, (3, 3), seed=2)
+        seeds = [5, 71, 5, 18]
+        with pytest.raises(OSError, match="shard read failed"):
+            sampler.sample(seeds)
+        assert np.all(sampler._local == -1)
+        # The same sampler then agrees with a fresh map on the same draws.
+        fresh_rng = np.random.default_rng()
+        fresh_rng.bit_generator.state = sampler.rng.bit_generator.state
+        _assert_same_block(
+            sample_neighbors(ba, seeds, (3, 3), rng=fresh_rng), sampler.sample(seeds)
+        )
+
+    def test_map_is_clean_after_every_batch(self, ba):
+        sampler = NeighborSampler(ba, (4, -1), seed=0)
+        for start in range(0, 90, 15):
+            block = sampler.sample(np.arange(start, start + 15))
+            assert block.gathered_nodes > 15
+            assert np.all(sampler._local == -1)
 
 
 def _hub(first_leaf, degree):

@@ -3,6 +3,8 @@ comm planning, serverless economics, host offload."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.links import ethernet_topology, nvlink_topology
 from repro.gnn.caching import (
@@ -11,6 +13,7 @@ from repro.gnn.caching import (
     access_trace_from_sampling,
     replay,
 )
+from repro.gnn.checks import _sim_lru
 from repro.gnn.comm_plan import (
     flat_broadcast_time,
     flat_ring_allreduce_time,
@@ -43,7 +46,8 @@ from repro.gnn.quantization import (
     quantize_dequantize,
 )
 from repro.gnn.serverless import Workload, estimate_costs
-from repro.graph.generators import barabasi_albert
+from repro.graph.generators import barabasi_albert, erdos_renyi
+from repro.lru import LRU
 from repro.obs import MetricsRegistry
 
 
@@ -145,11 +149,8 @@ class TestCaching:
 
     def test_lru_exploits_recency(self):
         cache = LRUCache(2)
-        assert not cache.lookup(1)
-        assert cache.lookup(1)
-        assert not cache.lookup(2)
-        assert not cache.lookup(3)  # evicts 1
-        assert not cache.lookup(1)
+        hits = cache.lookup_many([1, 1, 2, 3, 1])  # 3 evicts 1
+        assert hits.tolist() == [False, True, False, False, False]
 
     def test_bytes_accounting(self, trace):
         g, accesses = trace
@@ -213,9 +214,9 @@ class TestCacheAccounting:
 
     def test_replay_detects_accounting_drift(self):
         class LyingCache(LRUCache):
-            def lookup(self, vertex):
-                super().lookup(vertex)
-                return True  # claim hits the books never recorded
+            def lookup_many(self, ids):
+                super().lookup_many(ids)
+                return np.ones(len(ids), dtype=bool)  # hits the books never recorded
 
         with pytest.raises(RuntimeError, match="accounting drift"):
             replay([1, 2, 1, 2], LyingCache(4))
@@ -223,8 +224,67 @@ class TestCacheAccounting:
     def test_stats_snapshot_is_independent(self):
         cache = LRUCache(4)
         snap = cache.stats.snapshot()
-        cache.lookup(1)
+        cache.lookup_many([1])
         assert snap.accesses == 0 and cache.stats.accesses == 1
+
+_ID_BATCHES = st.lists(st.lists(st.integers(0, 11), max_size=20), max_size=6)
+
+
+def _obs_totals(obs):
+    return {
+        kind: obs.counter(f"gnn.cache.{kind}").total
+        for kind in ("hits", "misses", "admissions", "evictions")
+    }
+
+
+class TestLookupMany:
+    """One ``lookup_many`` per batch is the per-id lookup sequence."""
+
+    @given(st.integers(0, 6), _ID_BATCHES)
+    @settings(max_examples=200, deadline=None)
+    def test_lru_batch_equals_per_key_sequence(self, capacity, batches):
+        obs = MetricsRegistry()
+        cache = LRUCache(capacity, obs=obs)
+        core = LRU(capacity)
+        want = []
+        for v in (v for batch in batches for v in batch):
+            want.append(core.get(v) is not None)
+            if not want[-1] and capacity > 0:
+                core.put(v, True)
+        got = [
+            hit for batch in batches
+            for hit in cache.lookup_many(np.asarray(batch, dtype=np.int64)).tolist()
+        ]
+        assert got == want
+        assert list(cache._lru) == list(core)  # recency order
+        sim = _sim_lru([v for batch in batches for v in batch], capacity)
+        stats = cache.stats
+        assert {key: getattr(stats, key) for key in sim} == sim
+        assert (stats.hits, stats.misses, stats.evictions) == (
+            core.hits, core.misses, core.evictions,
+        )
+        assert _obs_totals(obs) == sim
+
+    @given(st.integers(0, 12), _ID_BATCHES, st.integers(0, 1 << 16))
+    @settings(max_examples=100, deadline=None)
+    def test_static_batch_equals_per_key_membership(self, capacity, batches, seed):
+        graph = erdos_renyi(12, 0.3, seed=seed)
+        obs = MetricsRegistry()
+        cache = StaticDegreeCache(graph, capacity, obs=obs)
+        pinned = set(np.argsort(-graph.degrees(), kind="stable")[:capacity].tolist())
+        want = [v in pinned for batch in batches for v in batch]
+        got = [
+            hit for batch in batches
+            for hit in cache.lookup_many(np.asarray(batch, dtype=np.int64)).tolist()
+        ]
+        assert got == want
+        books = {
+            "hits": sum(want), "misses": len(want) - sum(want),
+            "admissions": len(pinned), "evictions": 0,
+        }
+        assert {key: getattr(cache.stats, key) for key in books} == books
+        assert _obs_totals(obs) == books
+
 
 class TestQuantization:
     def test_round_trip_error_bounded_by_step(self):

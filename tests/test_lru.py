@@ -156,6 +156,32 @@ class LRUAgainstListModel(RuleBasedStateMachine):
         assert self.lru.put(key, self.serial, weight) == evicted
         assert key not in [k for k, _ in self.fired[before:]]
 
+    @rule(keys=st.lists(KEYS, max_size=6), admit=st.booleans())
+    def get_or_put_many(self, keys, admit):
+        """The model runs the batch as per-key get, then put on a miss."""
+        self.serial += 1
+        want = []
+        for key in keys:
+            i = self._find(key)
+            want.append(i is not None)
+            if i is not None:
+                self.hits += 1
+                self.model.append(self.model.pop(i))
+                continue
+            self.misses += 1
+            if not admit:
+                continue
+            self.model.append([key, self.serial, 1])
+            while (
+                self.budget is not None
+                and sum(row[2] for row in self.model) > self.budget
+                and len(self.model) > 1
+            ):
+                gone = self.model.pop(0)
+                self.expect_fired.append((gone[0], gone[1]))
+                self.evictions += 1
+        assert self.lru.get_or_put_many(keys, self.serial, admit) == want
+
     @rule(key=KEYS)
     def pop(self, key):
         i = self._find(key)
@@ -221,7 +247,7 @@ def test_clients_and_core_agree_on_one_trace(capacity, seed):
 
     rows, row_seq = LRUCache(capacity), []
     for v in trace:
-        row_seq.append((rows.lookup(v), rows.stats.evictions))
+        row_seq.append((bool(rows.lookup_many([v])[0]), rows.stats.evictions))
 
     assert shard_seq == core_seq
     assert row_seq == core_seq
