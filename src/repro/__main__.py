@@ -694,9 +694,9 @@ def _cmd_minibatch(args: argparse.Namespace) -> int:
     obs = MetricsRegistry()
     cache = None
     if args.cache == "lru":
-        cache = LRUCache(args.capacity, obs=obs)
+        cache = LRUCache(args.capacity)
     elif args.cache == "static":
-        cache = StaticDegreeCache(graph, args.capacity, obs=obs)
+        cache = StaticDegreeCache(graph, args.capacity)
     fanouts = (args.fanout, args.fanout)
     loader = MiniBatchLoader(
         graph, items=np.nonzero(train_mask)[0], batch_size=args.batch_size,

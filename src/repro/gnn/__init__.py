@@ -7,8 +7,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "CompressedReport", "activation_memory", "train_compressed",
     ),
     "caching": (
-        "CacheStats", "LRUCache", "StaticDegreeCache", "access_trace_from_sampling",
-        "replay",
+        "LRUCache", "StaticDegreeCache", "access_trace_from_sampling", "replay",
     ),
     "comm_plan": (
         "flat_broadcast_time", "flat_ring_allreduce_time",

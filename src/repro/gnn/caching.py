@@ -13,11 +13,13 @@ cache) put a feature cache in front of the network:
 * :func:`replay` — run a trace through a cache and report hit rate and
   bytes saved, the quantities bench C13 sweeps against capacity.
 
-A cache is asked about a whole batch of ids at once:
-``lookup_many(ids)`` returns the hit mask, with exactly the outcome of
-asking for each id in turn (duplicates, recency order, books and
-``gnn.cache.*`` totals alike) — one ``np.isin`` for the static cache,
-one :meth:`~repro.lru.LRU.get_or_put_many` loop for the LRU.
+A cache only answers: ``lookup_many(ids)`` returns the hit mask of a
+whole batch of ids, with exactly the outcome of asking for each id in
+turn (duplicates and recency order alike) — one ``pinned[ids]`` read for
+the static cache, one :meth:`~repro.lru.LRU.get_or_put_many` loop for the
+LRU.  The code that asks keeps the count: ``FeatureFetcher`` in the
+loader (``gnn.loader.*``), :func:`replay` on the trace path
+(``CacheReport``, ``gnn.cache.*``).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .sampling import NeighborSampler
 
 __all__ = [
     "FeatureCache",
-    "CacheStats",
     "StaticDegreeCache",
     "LRUCache",
     "CacheReport",
@@ -50,106 +51,51 @@ class FeatureCache(Protocol):
         ...
 
 
-@dataclass
-class CacheStats:
-    """A cache's own books, updated on every ``lookup_many``.
+class StaticDegreeCache:
+    """Pin the highest-degree vertices as a resident ``bool[n]`` mask;
+    contents never change (``capacity <= 0`` pins nothing)."""
 
-    ``replay`` cross-checks its externally counted hits against these,
-    so a cache whose bookkeeping drifts from its behaviour cannot
-    produce a plausible-looking :class:`CacheReport`.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    admissions: int = 0
-    evictions: int = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    def snapshot(self) -> "CacheStats":
-        return CacheStats(self.hits, self.misses, self.admissions, self.evictions)
-
-
-class _CacheObsMixin:
-    """Mirror :class:`CacheStats` transitions into ``gnn.cache.*``
-    counters (labelled per cache) so hit rates show up in ``analyze
-    --json`` instead of only in object state."""
-
-    obs: Optional[MetricsRegistry] = None
-    label: str = "cache"
-
-    def _emit(self, metric: str, description: str, amount: int = 1) -> None:
-        if self.obs is not None and amount:
-            self.obs.counter(f"gnn.cache.{metric}", description).inc(
-                amount, cache=self.label
-            )
-
-
-class StaticDegreeCache(_CacheObsMixin):
-    """Pin the highest-degree vertices; contents never change."""
-
-    def __init__(
-        self,
-        graph: Graph,
-        capacity: int,
-        obs: Optional[MetricsRegistry] = None,
-        label: str = "static",
-    ) -> None:
-        self.capacity = capacity
-        self.obs = obs
-        self.label = label
-        degrees = graph.degrees()
-        self._pinned = np.argsort(-degrees, kind="stable")[:capacity]
-        self.stats = CacheStats(admissions=self._pinned.size)
-        self._emit("admissions", "entries admitted", self._pinned.size)
+    def __init__(self, graph: Graph, capacity: int) -> None:
+        self.pinned = np.zeros(graph.num_vertices, dtype=bool)
+        if capacity > 0:
+            order = np.argsort(-graph.degrees(), kind="stable")
+            self.pinned[order[:capacity]] = True
 
     def lookup_many(self, ids: np.ndarray) -> np.ndarray:
-        hit = np.isin(np.asarray(ids, dtype=np.int64), self._pinned)
-        hits = int(np.count_nonzero(hit))
-        self.stats.hits += hits
-        self.stats.misses += hit.size - hits
-        self._emit("hits", "feature-cache hits", hits)
-        self._emit("misses", "feature-cache misses", hit.size - hits)
-        return hit
+        return self.pinned[np.asarray(ids, dtype=np.int64)]
 
 
-class LRUCache(_CacheObsMixin):
+class LRUCache:
     """Least-recently-used cache; misses insert and may evict
-    (``capacity <= 0`` admits nothing).  ``stats`` reads the core's books."""
+    (``capacity <= 0`` admits nothing).  ``hits`` / ``misses`` /
+    ``evictions`` read the :class:`~repro.lru.LRU` core's books."""
 
-    def __init__(
-        self,
-        capacity: int,
-        obs: Optional[MetricsRegistry] = None,
-        label: str = "lru",
-    ) -> None:
+    def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self.obs = obs
-        self.label = label
         self._lru = LRU(capacity)
 
     @property
-    def stats(self) -> CacheStats:
-        lru = self._lru
-        admissions = lru.misses if self.capacity > 0 else 0
-        return CacheStats(lru.hits, lru.misses, admissions, lru.evictions)
+    def hits(self) -> int:
+        return self._lru.hits
+
+    @property
+    def misses(self) -> int:
+        return self._lru.misses
+
+    @property
+    def evictions(self) -> int:
+        return self._lru.evictions
+
+    @property
+    def admissions(self) -> int:
+        """Every miss is admitted, unless the cache admits nothing."""
+        return self._lru.misses if self.capacity > 0 else 0
 
     def lookup_many(self, ids: np.ndarray) -> np.ndarray:
-        lru, admit = self._lru, self.capacity > 0
-        evictions = lru.evictions
-        hit = np.array(
-            lru.get_or_put_many(np.asarray(ids, dtype=np.int64).tolist(), True, admit),
-            dtype=bool,
+        keys = np.asarray(ids, dtype=np.int64).tolist()
+        return np.array(
+            self._lru.get_or_put_many(keys, True, self.capacity > 0), dtype=bool
         )
-        hits = int(np.count_nonzero(hit))
-        self._emit("hits", "feature-cache hits", hits)
-        self._emit("misses", "feature-cache misses", hit.size - hits)
-        if admit:
-            self._emit("admissions", "entries admitted", hit.size - hits)
-            self._emit("evictions", "entries evicted", lru.evictions - evictions)
-        return hit
 
 
 @dataclass
@@ -213,34 +159,20 @@ def replay(
     feature_dim: int = 64,
     obs: Optional[MetricsRegistry] = None,
 ) -> CacheReport:
-    """Run an access trace through a cache, as one ``lookup_many`` call.
+    """Run an access trace through a cache, as one ``lookup_many`` call,
+    and count what it answered.
 
-    If the cache keeps its own :class:`CacheStats`, the externally
-    counted hits are cross-checked against the cache's delta over the
-    replay — disagreement means the cache's bookkeeping does not match
-    its behaviour, and the report would be meaningless.
-
-    ``obs`` receives the replay's own totals (``gnn.cache.accesses``,
-    ``gnn.cache.bytes_fetched``).  Hits and misses are the cache's to
-    count: build it with the same registry to see them as
-    ``gnn.cache.hits{cache=<label>}``.
+    ``obs`` receives the replay's totals (``gnn.cache.accesses``,
+    ``gnn.cache.hits``, ``gnn.cache.bytes_fetched``).
     """
     trace = np.asarray(
         trace if isinstance(trace, np.ndarray) else list(trace), dtype=np.int64
     )
-    before = cache.stats.snapshot() if hasattr(cache, "stats") else None
-    accesses, hits = int(trace.size), int(np.count_nonzero(cache.lookup_many(trace)))
-    if before is not None:
-        own_hits = cache.stats.hits - before.hits
-        own_accesses = cache.stats.accesses - before.accesses
-        if own_hits != hits or own_accesses != accesses:
-            raise RuntimeError(
-                f"cache accounting drift: cache recorded {own_hits} hits / "
-                f"{own_accesses} accesses, replay observed {hits} / {accesses}"
-            )
-    report = CacheReport(accesses=accesses, hits=hits, feature_dim=feature_dim)
+    hits = int(np.count_nonzero(cache.lookup_many(trace)))
+    report = CacheReport(accesses=int(trace.size), hits=hits, feature_dim=feature_dim)
     if obs is not None:
-        obs.counter("gnn.cache.accesses", "feature-cache lookups").inc(accesses)
+        obs.counter("gnn.cache.accesses", "feature-cache lookups").inc(report.accesses)
+        obs.counter("gnn.cache.hits", "feature-cache hits").inc(hits)
         obs.counter(
             "gnn.cache.bytes_fetched", "feature bytes fetched on misses"
         ).inc(report.bytes_fetched)

@@ -2,11 +2,10 @@
 
 Quantization is the canonical *bounded-error* pair (the reconstruction
 must stay within half a quantization step of the input), and the
-feature caches are checked against an independent trace simulation —
-the check that flushed out the cache accounting bug: ``replay`` counted
-hits externally while the cache kept no books of its own, so nothing
-tied ``CacheReport.bytes_saved`` to what the cache actually admitted
-and evicted.
+feature caches are checked against an independent trace simulation:
+what the caller counts (``replay``'s ``CacheReport``, the loader's
+``FeatureFetcher``) must equal what the simulation predicts and what the
+LRU core booked while it admitted and evicted.
 
 The per-vertex samplers (:func:`reference_sample_neighbors`,
 :func:`reference_layerwise_sample`) are the loops ``gnn.sampling`` ran
@@ -121,7 +120,7 @@ def _gen_lru(rng: np.random.Generator) -> Dict:
     gen=_gen_lru,
     floors={"n": 2, "capacity": 1, "trace_len": 1, "feature_dim": 1},
     description="LRUCache replay vs an independent OrderedDict "
-    "simulation: identical hits, and the cache's own accounting "
+    "simulation: identical hits, and the LRU core's books "
     "(hits/misses/admissions/evictions) must agree with both the "
     "simulation and CacheReport.bytes_saved.",
 )
@@ -134,16 +133,15 @@ def _check_lru(params: Dict) -> List[str]:
     cache = LRUCache(capacity)
     report = replay(trace, cache, feature_dim=feature_dim)
     out = same_values(expected["hits"], report.hits, "report.hits")
-    stats = cache.stats  # the cache must keep its own books
     for key in ("hits", "misses", "admissions", "evictions"):
-        out += same_values(expected[key], getattr(stats, key), f"cache.{key}")
+        out += same_values(expected[key], getattr(cache, key), f"cache.{key}")
     out += same_values(
         expected["hits"] * feature_dim * report.bytes_per_value,
         report.bytes_saved,
         "report.bytes_saved",
     )
     out += same_values(
-        stats.hits * feature_dim * report.bytes_per_value,
+        cache.hits * feature_dim * report.bytes_per_value,
         report.bytes_saved,
         "cache_vs_report.bytes_saved",
     )
@@ -532,74 +530,104 @@ def _gen_loader_cache(rng: np.random.Generator) -> Dict:
         "fanout": int(rng.integers(1, 4)),
         "epochs": int(rng.integers(1, 3)),
         "seed": int(rng.integers(1 << 16)),
+        "store": int(rng.integers(3)),  # 0 in memory, 1 range, 2 hash
+        "budgeted": int(rng.integers(2)),
     }
+
+
+_STORE_PARTITIONS = {1: "range", 2: "hash"}
 
 
 @pair(
     "gnn.loader.cache_accounting", "gnn", BIT_IDENTICAL,
     gen=_gen_loader_cache,
-    floors={"n": 8, "capacity": 1, "batch_size": 1, "fanout": 1, "epochs": 1},
-    description="the loader's FeatureFetcher cache accounting must "
-    "agree bit-for-bit with the cache's own books, an independent LRU "
-    "simulation of the emitted block trace, a fresh-cache replay, and "
-    "the gnn.loader.* / gnn.cache.* obs counters.",
+    floors={"n": 8, "capacity": 1, "batch_size": 1, "fanout": 1, "epochs": 1,
+            "store": 0, "budgeted": 0},
+    description="the loader's FeatureFetcher cache accounting, over an "
+    "in-memory graph or a range/hash store (paged at half its shard "
+    "bytes or unbounded), must agree bit-for-bit with an independent LRU "
+    "simulation of the emitted block trace, a fresh-cache replay, the "
+    "gnn.loader.* obs counters and the LRU core's books; every fetched "
+    "row equals the source array's.",
 )
 def _check_loader_cache(params: Dict) -> List[str]:
     from ..graph.generators import barabasi_albert
+    from ..graph.store import build_store, open_store
+
+    seed = int(params["seed"])
+    graph = barabasi_albert(int(params["n"]), 3, seed=seed)
+    features = np.random.default_rng(seed + 1).normal(size=(graph.num_vertices, 4))
+    partition = _STORE_PARTITIONS.get(int(params.get("store", 0)))
+    with tempfile.TemporaryDirectory(prefix="check-loader-cache-") as tmp:
+        handle, source = graph, {"features": features}
+        if partition is not None:
+            root = os.path.join(tmp, "g")
+            manifest = build_store(
+                graph, root, partition=partition, num_parts=3, features=features
+            )
+            budget = None
+            if int(params.get("budgeted", 0)):
+                budget = max(1, manifest.shard_bytes // 2)
+            handle, source = open_store(root, cache_budget=budget), {}
+        try:
+            return _loader_cache_violations(params, handle, source, features)
+        finally:
+            if handle is not graph:
+                handle.close()
+
+
+def _loader_cache_violations(
+    params: Dict, handle, source: Dict, features: np.ndarray
+) -> List[str]:
+    """One loader pass over ``handle`` (rows from ``source`` or the
+    store's feature shards) through an LRU, audited every way."""
     from ..obs import MetricsRegistry
     from .dataloader import MiniBatchLoader
 
     n = int(params["n"])
     capacity = int(params["capacity"])
-    seed = int(params["seed"])
-    graph = barabasi_albert(n, 3, seed=seed)
-    features = np.random.default_rng(seed + 1).normal(size=(n, 4))
     obs = MetricsRegistry()
-    cache = LRUCache(capacity, obs=obs)
+    cache = LRUCache(capacity)
     loader = MiniBatchLoader(
-        graph,
+        handle,
         items=np.arange(n, dtype=np.int64),
         batch_size=int(params["batch_size"]),
         fanouts=(int(params["fanout"]), int(params["fanout"])),
-        features=features,
-        seed=seed,
+        seed=int(params["seed"]),
         cache=cache,
         obs=obs,
+        **source,
     )
     trace: List[int] = []
     gathered = 0
+    out: List[str] = []
     for _ in range(int(params["epochs"])):
         for mb in loader.epoch():
             trace.extend(int(v) for v in mb.node_ids)
             gathered += mb.gathered_nodes
-    stats = cache.stats
+            out += same_bits(features[mb.node_ids], mb.x, "fetched_rows")
+    fetcher = loader.fetcher
     sim = _sim_lru(trace, capacity)
     fresh_report = replay(trace, LRUCache(capacity), feature_dim=4)
-    out = same_values(sim["hits"], stats.hits, "sim.hits")
-    for key in ("misses", "admissions", "evictions"):
-        out += same_values(sim[key], getattr(stats, key), f"sim.{key}")
-    out += same_values(fresh_report.hits, stats.hits, "replay.hits")
-    out += same_values(loader.fetcher.hits, stats.hits, "fetcher.hits")
-    out += same_values(loader.fetcher.misses, stats.misses, "fetcher.misses")
-    out += same_values(gathered, stats.accesses, "accesses_vs_gathered")
+    out += same_values(sim["hits"], fetcher.hits, "sim.hits")
+    out += same_values(sim["misses"], fetcher.misses, "sim.misses")
+    out += same_values(fresh_report.hits, fetcher.hits, "replay.hits")
+    out += same_values(gathered, fetcher.hits + fetcher.misses, "accesses_vs_gathered")
+    for key in ("hits", "misses", "admissions", "evictions"):
+        out += same_values(sim[key], getattr(cache, key), f"lru_core.{key}")
     out += same_values(
-        stats.hits,
+        fetcher.hits,
         int(obs.counter("gnn.loader.cache_hits").total),
         "obs.loader.cache_hits",
     )
     out += same_values(
-        stats.misses,
+        fetcher.misses,
         int(obs.counter("gnn.loader.cache_misses").total),
         "obs.loader.cache_misses",
     )
-    out += same_values(
-        stats.hits,
-        int(obs.counter("gnn.cache.hits").value(cache="lru")),
-        "obs.cache.hits",
-    )
     row_bytes = features.shape[1] * features.dtype.itemsize
     out += same_values(
-        stats.misses * row_bytes,
+        fetcher.misses * row_bytes,
         int(obs.counter("gnn.loader.bytes_fetched").total),
         "obs.loader.bytes_fetched",
     )

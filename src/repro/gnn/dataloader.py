@@ -27,9 +27,11 @@ GIL limits measured thread overlap).
 
 :func:`infer_sampled` is the serving-side counterpart: bounded-cost
 sampled inference over a node set, behind ``serve``'s ``gnn.predict``
-on stored graphs too large for a full forward pass.  The sampled
-trainers do not use it: they score each epoch with an exact full
-forward (``train.eval_inputs``).
+on stored graphs too large for a full forward pass.  It walks
+:func:`sampled_inference_blocks` — the same stream serve re-derives for
+a request's partition footprint — with one ``FeatureFetcher``.  The
+sampled trainers do not use it: they score each epoch with an exact
+full forward (``train.eval_inputs``).
 """
 
 from __future__ import annotations
@@ -37,14 +39,14 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from ..cluster.comm import Network
 from ..graph.store.handle import as_handle
-from ..obs import MetricsRegistry, StatsViewMixin, Tracer
+from ..obs import MetricsRegistry, Tracer
 from .caching import FeatureCache
 from .layers import GraphTensors
 from .models import NodeClassifier
@@ -116,8 +118,9 @@ class FeatureFetcher:
     block (paged per-partition reads on stored graphs).  A
     :class:`~repro.gnn.caching.FeatureCache` in front models the remote
     fetch, asked once per block (``lookup_many``): hits are rows already
-    resident, misses are rows that had to be pulled, and both are
-    mirrored into ``gnn.loader.*`` counters.
+    resident, misses are rows that had to be pulled.  The cache only
+    answers; the fetcher keeps the count (``hits`` / ``misses``, and the
+    ``gnn.loader.*`` counters).
 
     With an ``assignment`` (vertex -> owning partition) the fetcher
     acts for one ``worker``: rows it owns are free (``local_rows``),
@@ -214,8 +217,7 @@ class MiniBatch:
     ``times`` is the loader's live accounting record for this batch —
     the trainer adds its measured forward/backward seconds via
     :meth:`record_compute` so :meth:`MiniBatchLoader.schedule_report`
-    sees all three stages.  ``assignment`` is the handle's vertex ->
-    partition map, if it has one.
+    sees all three stages.
     """
 
     epoch: int
@@ -225,15 +227,6 @@ class MiniBatch:
     gt: GraphTensors
     x: np.ndarray
     times: StageTimes
-    assignment: Optional[np.ndarray] = field(default=None, repr=False)
-
-    @property
-    def partitions(self) -> Optional[frozenset]:
-        """The partitions owning the block's vertices (``None`` without
-        an assignment), computed on access."""
-        if self.assignment is None:
-            return None
-        return frozenset(np.unique(self.assignment[self.node_ids]).tolist())
 
     @property
     def node_ids(self) -> np.ndarray:
@@ -304,9 +297,7 @@ class MiniBatchLoader:
         self.obs = obs
         self.tracer = tracer
         self.stage_times: List[StageTimes] = []
-        self.batches_emitted = 0
         self.epochs_run = 0
-        self._assignment = self.handle.assignment
 
     def __len__(self) -> int:
         return len(self.item_sampler)
@@ -327,7 +318,6 @@ class MiniBatchLoader:
         t2 = time.perf_counter()
         times = StageTimes(sample=t1 - t0, gather=t2 - t1, compute=0.0)
         self.stage_times.append(times)
-        self.batches_emitted += 1
         if self.obs is not None:
             self.obs.counter("gnn.loader.batches", "mini-batches staged").inc()
             self.obs.counter(
@@ -348,7 +338,6 @@ class MiniBatchLoader:
             gt=gt,
             x=x,
             times=times,
-            assignment=self._assignment,
         )
 
     def _produce_epoch(self, epoch: int) -> Iterator[MiniBatch]:
@@ -435,15 +424,11 @@ class MiniBatchLoader:
         }
 
     def cache_report(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
+        return {
             "hits": self.fetcher.hits,
             "misses": self.fetcher.misses,
             "hit_rate": self.fetcher.hit_rate,
         }
-        stats = getattr(self.fetcher.cache, "stats", None)
-        if stats is not None:
-            out["cache_stats"] = asdict(stats)
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -452,18 +437,13 @@ class MiniBatchLoader:
 
 
 @dataclass
-class InferReport(StatsViewMixin):
+class InferReport:
     """Cost accounting of one sampled-inference pass."""
 
     batches: int = 0
     seeds: int = 0
     gathered_features: int = 0
     messages: int = 0
-    touched: Optional[np.ndarray] = None
-    _touched_parts: List[np.ndarray] = field(default_factory=list, repr=False)
-
-    def extra_dict(self) -> Dict[str, Any]:
-        return {"touched_nodes": 0 if self.touched is None else int(self.touched.size)}
 
 
 def sampled_inference_blocks(
@@ -475,10 +455,12 @@ def sampled_inference_blocks(
 ) -> Iterator[Block]:
     """The deterministic block stream of one sampled-inference pass.
 
-    Factored out so serve footprint computation can re-derive exactly
-    the nodes an inference request touched (same seed -> same blocks)
-    without paying for the forward pass.
+    :func:`infer_sampled` runs its forward over these blocks, and serve
+    re-derives them (same seed -> same blocks) for the exact partition
+    footprint of a request without paying for the forward pass.
     """
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     sampler = NeighborSampler(handle, fanouts, seed=seed)
     for start in range(0, nodes.size, batch_size):
         yield sampler.sample(nodes[start: start + batch_size])
@@ -500,38 +482,31 @@ def infer_sampled(
     Each batch's work is capped by ``batch_size * prod(fanouts)``
     rather than ``|E|`` — the property that lets serve answer
     ``gnn.predict`` on stored graphs too large for a full forward.
-    Runs on an unshuffled :class:`MiniBatchLoader` (the block stream of
-    :func:`sampled_inference_blocks`).  Deterministic at fixed ``seed``;
-    pass an :class:`InferReport` to collect message counts and the
-    touched node set.
+    Walks :func:`sampled_inference_blocks`, fetching each block's rows
+    through one :class:`FeatureFetcher`.  Deterministic at fixed
+    ``seed``; pass an :class:`InferReport` to collect batch, row and
+    message counts.
     """
     handle = as_handle(graph_or_handle)
     if nodes is None:
         nodes = np.arange(handle.num_vertices, dtype=np.int64)
     else:
         nodes = np.asarray(list(nodes), dtype=np.int64)
-    loader = MiniBatchLoader(
-        handle, items=nodes, batch_size=batch_size, fanouts=fanouts,
-        features=features, shuffle=False, seed=seed,
-    )
+    fetcher = FeatureFetcher(handle, features=features)
     preds = np.empty(nodes.size, dtype=np.int64)
     rep = report if report is not None else InferReport()
     pos = 0
-    for mb in loader.epoch():
+    for block in sampled_inference_blocks(handle, nodes, fanouts, seed, batch_size):
+        gt = block.tensors()
         with no_grad():
-            logits = model(mb.gt, Tensor(mb.x)).data
-        batch_preds = np.argmax(logits[mb.seed_local], axis=1)
+            logits = model(gt, Tensor(fetcher.fetch(block.node_ids))).data
+        batch_preds = np.argmax(logits[block.seed_local], axis=1)
         preds[pos: pos + batch_preds.size] = batch_preds
         pos += batch_preds.size
         rep.batches += 1
-        rep.seeds += int(mb.seed_local.size)
-        rep.gathered_features += mb.gathered_nodes
-        rep.messages += int(mb.gt.num_messages)
-        rep._touched_parts.append(mb.node_ids)
-    if rep._touched_parts:
-        rep.touched = np.unique(np.concatenate(rep._touched_parts))
-    else:
-        rep.touched = np.empty(0, dtype=np.int64)
+        rep.seeds += int(block.seed_local.size)
+        rep.gathered_features += block.gathered_nodes
+        rep.messages += int(gt.num_messages)
     if obs is not None:
         obs.counter("gnn.infer.batches", "sampled-inference batches").inc(rep.batches)
         obs.counter("gnn.infer.seeds", "nodes predicted").inc(rep.seeds)

@@ -164,7 +164,7 @@ class TestEpochSemantics:
         second = [mb.epoch for mb in loader.epoch()]
         assert set(first) == {0} and set(second) == {1}
         assert loader.epochs_run == 2
-        assert loader.batches_emitted == len(first) + len(second)
+        assert len(loader.stage_times) == len(first) + len(second)
 
 
 class TestFeatureFetcher:
@@ -186,7 +186,7 @@ class TestFeatureFetcher:
             fetcher.fetch(ids)
             total += ids.size
         assert fetcher.hits + fetcher.misses == total
-        assert cache.stats.accesses == total
+        assert (cache.hits, cache.misses) == (fetcher.hits, fetcher.misses)
         assert obs.counter("gnn.loader.cache_hits", "").total == fetcher.hits
         assert obs.counter("gnn.loader.cache_misses", "").total == fetcher.misses
         row_bytes = features.shape[1] * features.dtype.itemsize
@@ -211,9 +211,6 @@ class TestFeatureFetcher:
         )
         for mb in loader.epoch():
             np.testing.assert_allclose(mb.x, features[mb.node_ids])
-            # Stored graphs carry a partition assignment, so every
-            # batch also knows its exact partition footprint.
-            assert mb.partitions is not None and mb.partitions
 
     def test_stored_loader_pages_rows_per_block(self, tmp_path):
         """No ``features=`` over a store: rows are fetched by id per
@@ -278,15 +275,15 @@ class TestAccounting:
         assert all(0.0 <= u <= 1.0 + 1e-9 for u in sched["utilization"].values())
 
     def test_cache_report_mirrors_cache_stats(self, task):
-        g = task[0]
-        cache = StaticDegreeCache(g, 20)
+        """The fetcher's count is the report, and the LRU core booked
+        the same lookups."""
+        cache = LRUCache(20)
         loader = _loader(task, cache=cache)
         for _ in loader.epoch():
             pass
         rep = loader.cache_report()
-        assert rep["hits"] == cache.stats.hits
-        assert rep["misses"] == cache.stats.misses
-        assert rep["cache_stats"]["admissions"] == cache.stats.admissions
+        assert set(rep) == {"hits", "misses", "hit_rate"}
+        assert (rep["hits"], rep["misses"]) == (cache.hits, cache.misses)
         assert 0.0 <= rep["hit_rate"] <= 1.0
 
     @pytest.mark.parametrize("kind", ["lru", "static"])
@@ -315,7 +312,7 @@ class TestAccounting:
         assert obs.counter("gnn.loader.epochs", "").total == 1
         assert (
             obs.counter("gnn.loader.batches", "").total
-            == loader.batches_emitted
+            == len(loader.stage_times)
         )
         assert obs.counter("gnn.loader.gathered_nodes", "").total == gathered
 
@@ -324,7 +321,7 @@ class TestAccounting:
         sample = loader.sampler.sample
 
         def boom(seeds):
-            if loader.batches_emitted == 1:
+            if len(loader.stage_times) == 1:
                 raise RuntimeError("producer died")
             return sample(seeds)
 
@@ -508,7 +505,7 @@ class TestInferSampled:
             logits = model(GraphTensors(g), Tensor(features)).data
         np.testing.assert_array_equal(sampled, np.argmax(logits[nodes], axis=1))
 
-    def test_report_accounts_cost_and_touched(self, task):
+    def test_report_accounts_cost(self, task):
         g, _labels, features, _mask, _val = task
         model = NodeClassifier(3, 8, 3, layer="sage", seed=0)
         nodes = np.array([0, 5, 10, 15])
@@ -521,11 +518,10 @@ class TestInferSampled:
         assert rep.seeds == nodes.size
         assert rep.messages > 0
         assert rep.gathered_features >= nodes.size
-        assert set(nodes) <= set(rep.touched.tolist())
 
     @pytest.mark.parametrize("stored", [False, True])
     def test_matches_inline_block_loop(self, task, tmp_path, stored):
-        """The loader-backed pass equals the pre-loader loop over
+        """The pass equals an inline forward loop over
         ``sampled_inference_blocks``: predictions and every count."""
         g, _labels, features, _mask, _val = task
         model = NodeClassifier(3, 8, 3, layer="sage", seed=0)
@@ -538,7 +534,7 @@ class TestInferSampled:
             )
             handle = open_store(tmp_path / "s")
         try:
-            want, batches, gathered, messages, touched = [], 0, 0, 0, []
+            want, batches, gathered, messages = [], 0, 0, 0
             for block in sampled_inference_blocks(handle, nodes, (3, 3), 9, 8):
                 gt = block.tensors()
                 with no_grad():
@@ -547,7 +543,6 @@ class TestInferSampled:
                 batches += 1
                 gathered += block.gathered_nodes
                 messages += int(gt.num_messages)
-                touched.append(block.node_ids)
             rep = InferReport()
             got = infer_sampled(
                 model, handle, features=None if stored else features,
@@ -559,6 +554,3 @@ class TestInferSampled:
         np.testing.assert_array_equal(got, np.concatenate(want))
         assert (rep.batches, rep.seeds) == (batches, nodes.size)
         assert (rep.gathered_features, rep.messages) == (gathered, messages)
-        np.testing.assert_array_equal(
-            rep.touched, np.unique(np.concatenate(touched))
-        )

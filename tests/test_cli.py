@@ -235,7 +235,7 @@ class TestMinibatchCLI:
         assert len(report["losses"]) == report["steps"]
         assert report["schedule"]["overlap_speedup"] >= 1.0
         assert "gnn.loader.batches" in report["metrics"]
-        assert "gnn.cache.hits" in report["metrics"]
+        assert "gnn.loader.cache_hits" in report["metrics"]
 
     def test_cache_kinds(self, capsys):
         assert main(["minibatch", "--n", "60", "--epochs", "1",

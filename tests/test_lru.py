@@ -247,10 +247,10 @@ def test_clients_and_core_agree_on_one_trace(capacity, seed):
 
     rows, row_seq = LRUCache(capacity), []
     for v in trace:
-        row_seq.append((bool(rows.lookup_many([v])[0]), rows.stats.evictions))
+        row_seq.append((bool(rows.lookup_many([v])[0]), rows.evictions))
 
     assert shard_seq == core_seq
     assert row_seq == core_seq
     assert core.evictions > 0
-    assert shards.stats.misses == rows.stats.misses == core.misses
+    assert shards.stats.misses == rows.misses == core.misses
     assert shards.resident_bytes == len(rows._lru) == len(core)
